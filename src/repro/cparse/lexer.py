@@ -290,7 +290,7 @@ class Lexer:
             # Treat other preprocessor lines as comments: the analyses ignore
             # them but the trimming pipeline keeps their line positions.
             return Token(TokenKind.COMMENT, text, line, col)
-        raise LexError(f"unsupported preprocessor directive {body.split()[0]!r}", line, col)
+        raise LexError(f"unsupported preprocessor directive {(body.split() or [''])[0]!r}", line, col)
 
     # -- public API ---------------------------------------------------------------
 

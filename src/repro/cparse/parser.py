@@ -565,8 +565,11 @@ class Parser:
         tok = self._peek()
         if tok.kind is TokenKind.INT_LIT:
             self._advance()
-            text = tok.text.rstrip("uUlL")
-            return ast.IntLiteral(loc=self._loc(tok), value=int(text, 0), text=tok.text)
+            try:
+                value = int(tok.text.rstrip("uUlL"), 0)
+            except ValueError:
+                raise ParseError("invalid integer literal", tok) from None
+            return ast.IntLiteral(loc=self._loc(tok), value=value, text=tok.text)
         if tok.kind is TokenKind.FLOAT_LIT:
             self._advance()
             return ast.FloatLiteral(

@@ -85,6 +85,11 @@ class TestDirectivesAndComments:
         with pytest.raises(LexError):
             tokenize('"open')
 
+    def test_empty_directive_raises_lex_error(self):
+        with pytest.raises(LexError, match="unsupported preprocessor directive ''") as info:
+            tokenize("int x;\n  #\n")
+        assert (info.value.line, info.value.col) == (2, 3)
+
 
 class TestLocations:
     def test_line_and_column_tracking(self):

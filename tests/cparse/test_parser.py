@@ -155,6 +155,27 @@ class TestExpressions:
         assert sub.root_name() == "b"
         assert len(sub.indices()) == 2
 
+    def test_binary_operators_associate_left(self):
+        expr = self._expr_of("x = y - 2 - i;")
+        outer = expr.value
+        assert outer.op == "-" and isinstance(outer.right, ast.Identifier)
+        assert outer.left.op == "-" and outer.left.right.value == 2
+
+    def test_every_precedence_level(self):
+        expr = self._expr_of("x = i || y && i | y ^ i & y == i < y << i + y * i;")
+        ops = []
+        node = expr.value
+        while isinstance(node, ast.BinaryOp):
+            ops.append(node.op)
+            assert isinstance(node.left, ast.Identifier)
+            node = node.right
+        assert ops == ["||", "&&", "|", "^", "&", "==", "<", "<<", "+", "*"]
+
+    def test_lower_level_after_higher_closes_operand(self):
+        expr = self._expr_of("x = i * y + i < y;")
+        cmp = expr.value
+        assert cmp.op == "<" and cmp.left.op == "+" and cmp.left.left.op == "*"
+
     def test_compound_assignment(self):
         expr = self._expr_of("x += y;")
         assert isinstance(expr, ast.Assignment) and expr.is_compound
@@ -258,6 +279,10 @@ class TestParseErrors:
     def test_garbage_at_top_level(self):
         with pytest.raises(ParseError):
             parse("+++")
+
+    def test_invalid_integer_literal(self):
+        with pytest.raises(ParseError, match="invalid integer literal"):
+            parse("int main() { int x = 08; return 0; }")
 
 
 class TestWalk:
