@@ -1,8 +1,9 @@
 """C-with-OpenMP front end used by every analysis in this repository.
 
 The corpus generator (:mod:`repro.corpus`) emits DataRaceBench-style OpenMP C
-microbenchmarks.  This package provides a from-scratch lexer, recursive
-descent parser, OpenMP pragma parser and symbol-table pass for exactly that
+microbenchmarks.  This package provides a lexer (one compiled master
+regex), a recursive descent parser with a precedence-climbing expression
+loop, an OpenMP pragma parser and a symbol-table pass for exactly that
 language subset, producing ASTs with accurate line/column positions.  The
 static analyzer, the dynamic race detector and the simulated language models
 all consume these ASTs.

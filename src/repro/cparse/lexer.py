@@ -1,26 +1,33 @@
 """Tokenizer for the C-with-OpenMP subset used by the corpus.
 
-The lexer tracks 1-based line and column numbers for every token so that the
-analyses built on top of the parser (access extraction, variable-pair ground
-truth, dynamic instrumentation) can report source locations in the same
-``line:col`` convention DataRaceBench uses in its header comments.
+One master regular expression, compiled at import, scans the source: a
+single ``finditer`` pass with one named group per lexeme (newline, ``#``
+directive with ``\\`` continuations, comment, identifier, number, string and
+character literal, punctuator), leading blanks folded into every match.
+Line and column are tracked incrementally from the newlines the matches
+cover; lines are ``\\n``-delimited, and ``\\r`` is a blank like space and
+tab.  Every token carries the 1-based ``line:col`` of its first character,
+the convention DataRaceBench uses in its header comments, so the analyses
+built on the parser (access extraction, variable-pair ground truth, dynamic
+instrumentation) can report source locations.
 
 Comments are tokenized (not discarded) because the DRB-ML pipeline needs to
 scrape labels out of block comments and later strip them while re-mapping
-line numbers (paper §3.1, the ``trimmed_code`` field).
+line numbers (paper §3.1, the ``trimmed_code`` field); :func:`scan` exposes
+the comment offsets it blanks.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterator, List
+import re
+from typing import Iterator, List, NamedTuple, Tuple
 
-__all__ = ["TokenKind", "Token", "LexError", "Lexer", "tokenize"]
+__all__ = ["TokenKind", "Token", "LexError", "tokenize", "scan"]
 
 
 class TokenKind(enum.Enum):
-    """Lexical categories produced by :class:`Lexer`."""
+    """Lexical categories produced by :func:`tokenize`."""
 
     IDENT = "ident"
     KEYWORD = "keyword"
@@ -64,59 +71,53 @@ KEYWORDS = frozenset(
     }
 )
 
-#: Multi-character punctuators, longest first so greedy matching is correct.
-_PUNCTUATORS = (
-    "<<=",
-    ">>=",
-    "...",
-    "==",
-    "!=",
-    "<=",
-    ">=",
-    "&&",
-    "||",
-    "++",
-    "--",
-    "+=",
-    "-=",
-    "*=",
-    "/=",
-    "%=",
-    "&=",
-    "|=",
-    "^=",
-    "<<",
-    ">>",
-    "->",
-    "+",
-    "-",
-    "*",
-    "/",
-    "%",
-    "=",
-    "<",
-    ">",
-    "!",
-    "&",
-    "|",
-    "^",
-    "~",
-    "?",
-    ":",
-    ";",
-    ",",
-    ".",
-    "(",
-    ")",
-    "[",
-    "]",
-    "{",
-    "}",
+_SUFFIX = "[fFlLuU]*"
+_EXPONENT = r"[eE][+-]?\d+"
+
+#: Blanks, then exactly one lexeme.  Alternatives are tried in order, each
+#: longest first.  Punctuators come early, except those starting with ``/``
+#: or ``.``: ``.5`` is a number and ``/*``, ``//`` start comments (or, for
+#: ``open``, an unterminated comment or literal).  ``bad`` takes any other
+#: character, so a match never backtracks into the leading blanks.
+_SCANNER = re.compile(
+    r"[ \t\r]*(?:"
+    r"(?P<ident>[^\W\d]\w*)"
+    r"|(?P<nl>\n)"
+    r"|(?P<punct><<=|>>=|->|\+\+|--|&&|\|\||<<|>>|[-+*%=<>!&|^]=?|[~?:;,()\[\]{}])"
+    rf"|(?P<float>\d*\.\d+(?:{_EXPONENT})?{_SUFFIX}|\d+(?:{_EXPONENT}{_SUFFIX}|[lLuU]*[fF]{_SUFFIX}))"
+    r"|(?P<int>\d+[lLuU]*)"
+    r"|(?P<comment>//[^\n]*|/\*[\s\S]*?\*/)"
+    r"|(?P<directive>\#[^\\\n]*(?:\\\n?[^\\\n]*)*)"
+    r'|(?P<string_lit>"[^"\\]*(?:\\[\s\S][^"\\]*)*")'
+    r"|(?P<char_lit>'[^'\\]*(?:\\[\s\S][^'\\]*)*')"
+    r"""|(?P<open>/\*|["'])"""
+    r"|(?P<slash_dot>/=?|\.\.\.|\.)"
+    r"|(?P<bad>[\s\S])"
+    r"|(?P<end>\Z)"
+    r")"
 )
 
+#: Groups that are tokens as matched, by kind: first those that never
+#: contain a newline, then those that may span lines.
+_ONE_LINE_KINDS = {
+    "punct": TokenKind.PUNCT,
+    "slash_dot": TokenKind.PUNCT,
+    "int": TokenKind.INT_LIT,
+    "float": TokenKind.FLOAT_LIT,
+}
+_MULTI_LINE_KINDS = {
+    "comment": TokenKind.COMMENT,
+    "string_lit": TokenKind.STRING_LIT,
+    "char_lit": TokenKind.CHAR_LIT,
+}
+_IDENT = TokenKind.IDENT
+_KEYWORD = TokenKind.KEYWORD
+#: Directives kept as comments: the analyses ignore them but the trimming
+#: pipeline keeps their line positions.
+_COMMENT_DIRECTIVES = ("define", "ifdef", "ifndef", "endif", "else")
 
-@dataclass(frozen=True)
-class Token:
+
+class Token(NamedTuple):
     """A single lexical token.
 
     Attributes
@@ -156,191 +157,69 @@ class LexError(ValueError):
         self.col = col
 
 
-class Lexer:
-    """Hand-rolled scanner over a source string.
+def _directive(text: str, line: int, col: int) -> Tuple[TokenKind, str]:
+    """Kind and token text of a ``#`` line (``text`` includes the ``#``)."""
+    body = text[1:].strip()
+    if body.startswith("pragma"):
+        return TokenKind.PRAGMA, body[len("pragma") :].strip()
+    if body.startswith("include"):
+        return TokenKind.INCLUDE, body
+    if body.startswith(_COMMENT_DIRECTIVES):
+        return TokenKind.COMMENT, text
+    name = body.split()[0] if body else ""
+    raise LexError(f"unsupported preprocessor directive {name!r}", line, col)
 
-    The scanner is deliberately simple (no trigraphs, no line continuations
-    except inside pragmas, no preprocessor beyond ``#include`` and
-    ``#pragma``) because the corpus generator controls the input grammar.
+
+def _raise(group: str, text: str, line: int, col: int) -> None:
+    if group == "open":
+        what = "block comment" if text == "/*" else "string literal"
+        raise LexError(f"unterminated {what}", line, col)
+    raise LexError(f"unexpected character {text!r}", line, col)
+
+
+def scan(source: str) -> Iterator[Tuple[TokenKind, str, int, int, int]]:
+    """Yield ``(kind, text, line, col, start)`` for every token of ``source``.
+
+    ``start`` is the token's offset in ``source``; for comments ``text`` is
+    the exact source span.  The last item is the EOF token.  Raises
+    :class:`LexError` at the first character that starts no token.
     """
-
-    def __init__(self, source: str) -> None:
-        self.source = source
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    # -- low-level cursor helpers -------------------------------------------------
-
-    def _peek(self, offset: int = 0) -> str:
-        idx = self.pos + offset
-        if idx >= len(self.source):
-            return ""
-        return self.source[idx]
-
-    def _advance(self, count: int = 1) -> str:
-        """Consume ``count`` characters, maintaining line/column bookkeeping."""
-        consumed = self.source[self.pos : self.pos + count]
-        for ch in consumed:
-            if ch == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-        self.pos += len(consumed)
-        return consumed
-
-    def _at_end(self) -> bool:
-        return self.pos >= len(self.source)
-
-    # -- token scanners -----------------------------------------------------------
-
-    def _scan_identifier(self) -> Token:
-        line, col = self.line, self.col
-        start = self.pos
-        while self._peek().isalnum() or self._peek() == "_":
-            self._advance()
-        text = self.source[start : self.pos]
-        kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-        return Token(kind, text, line, col)
-
-    def _scan_number(self) -> Token:
-        line, col = self.line, self.col
-        start = self.pos
-        is_float = False
-        while self._peek().isdigit():
-            self._advance()
-        if self._peek() == "." and self._peek(1).isdigit():
-            is_float = True
-            self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        if self._peek() in ("e", "E") and (
-            self._peek(1).isdigit()
-            or (self._peek(1) in "+-" and self._peek(2).isdigit())
-        ):
-            is_float = True
-            self._advance()
-            if self._peek() and self._peek() in "+-":
-                self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        # Suffixes (f, L, u, ll ...) are consumed but kept in the token text.
-        # Note: _peek() returns "" at end of input, which must not match.
-        while self._peek() and self._peek() in "fFlLuU":
-            is_float = is_float or self._peek() in "fF"
-            self._advance()
-        text = self.source[start : self.pos]
-        kind = TokenKind.FLOAT_LIT if is_float else TokenKind.INT_LIT
-        return Token(kind, text, line, col)
-
-    def _scan_string(self, quote: str) -> Token:
-        line, col = self.line, self.col
-        start = self.pos
-        self._advance()  # opening quote
-        while not self._at_end() and self._peek() != quote:
-            if self._peek() == "\\":
-                self._advance()
-            self._advance()
-        if self._at_end():
-            raise LexError("unterminated string literal", line, col)
-        self._advance()  # closing quote
-        text = self.source[start : self.pos]
-        kind = TokenKind.STRING_LIT if quote == '"' else TokenKind.CHAR_LIT
-        return Token(kind, text, line, col)
-
-    def _scan_line_comment(self) -> Token:
-        line, col = self.line, self.col
-        start = self.pos
-        while not self._at_end() and self._peek() != "\n":
-            self._advance()
-        return Token(TokenKind.COMMENT, self.source[start : self.pos], line, col)
-
-    def _scan_block_comment(self) -> Token:
-        line, col = self.line, self.col
-        start = self.pos
-        self._advance(2)  # consume /*
-        while not self._at_end() and not (self._peek() == "*" and self._peek(1) == "/"):
-            self._advance()
-        if self._at_end():
-            raise LexError("unterminated block comment", line, col)
-        self._advance(2)  # consume */
-        return Token(TokenKind.COMMENT, self.source[start : self.pos], line, col)
-
-    def _scan_directive(self) -> Token:
-        """Scan ``#include`` and ``#pragma`` lines (with ``\\`` continuations)."""
-        line, col = self.line, self.col
-        start = self.pos
-        self._advance()  # consume '#'
-        while not self._at_end() and self._peek() != "\n":
-            if self._peek() == "\\" and self._peek(1) == "\n":
-                self._advance(2)
-                continue
-            self._advance()
-        text = self.source[start : self.pos]
-        body = text[1:].strip()
-        if body.startswith("pragma"):
-            directive = body[len("pragma") :].strip()
-            return Token(TokenKind.PRAGMA, directive, line, col)
-        if body.startswith("include"):
-            return Token(TokenKind.INCLUDE, body, line, col)
-        if body.startswith("define") or body.startswith("ifdef") or body.startswith(
-            "ifndef"
-        ) or body.startswith("endif") or body.startswith("else"):
-            # Treat other preprocessor lines as comments: the analyses ignore
-            # them but the trimming pipeline keeps their line positions.
-            return Token(TokenKind.COMMENT, text, line, col)
-        raise LexError(f"unsupported preprocessor directive {(body.split() or [''])[0]!r}", line, col)
-
-    # -- public API ---------------------------------------------------------------
-
-    def tokens(self) -> Iterator[Token]:
-        """Yield every token in the source, ending with a single EOF token."""
-        while not self._at_end():
-            ch = self._peek()
-            if ch in " \t\r":
-                self._advance()
-                continue
-            if ch == "\n":
-                self._advance()
-                continue
-            if ch == "#":
-                yield self._scan_directive()
-                continue
-            if ch == "/" and self._peek(1) == "/":
-                yield self._scan_line_comment()
-                continue
-            if ch == "/" and self._peek(1) == "*":
-                yield self._scan_block_comment()
-                continue
-            if ch.isalpha() or ch == "_":
-                yield self._scan_identifier()
-                continue
-            if ch.isdigit():
-                yield self._scan_number()
-                continue
-            if ch == "." and self._peek(1).isdigit():
-                yield self._scan_number()
-                continue
-            if ch in "\"'":
-                yield self._scan_string(ch)
-                continue
-            matched = False
-            for punct in _PUNCTUATORS:
-                if self.source.startswith(punct, self.pos):
-                    line, col = self.line, self.col
-                    self._advance(len(punct))
-                    yield Token(TokenKind.PUNCT, punct, line, col)
-                    matched = True
-                    break
-            if matched:
-                continue
-            raise LexError(f"unexpected character {ch!r}", self.line, self.col)
-        yield Token(TokenKind.EOF, "", self.line, self.col)
+    line, line_start = 1, 0
+    one_line = _ONE_LINE_KINDS
+    for match in _SCANNER.finditer(source):
+        group = match.lastgroup
+        if group == "nl":
+            line += 1
+            line_start = match.end()
+            continue
+        start = match.start(group)
+        text = match[group]
+        col = start - line_start + 1
+        if group == "ident":
+            yield (_KEYWORD if text in KEYWORDS else _IDENT), text, line, col, start
+            continue
+        kind = one_line.get(group)
+        if kind is not None:
+            yield kind, text, line, col, start
+            continue
+        if group == "directive":
+            kind, value = _directive(text, line, col)
+            yield kind, value, line, col, start
+        elif group in _MULTI_LINE_KINDS:
+            yield _MULTI_LINE_KINDS[group], text, line, col, start
+        elif group == "end":
+            yield TokenKind.EOF, "", line, col, start
+            return
+        else:
+            _raise(group, text, line, col)
+        newlines = text.count("\n")
+        if newlines:
+            line += newlines
+            line_start = start + text.rindex("\n") + 1
 
 
 def tokenize(source: str, *, keep_comments: bool = False) -> List[Token]:
-    """Tokenize ``source`` into a list of tokens.
+    """Tokenize ``source`` into a list of tokens ending with one EOF token.
 
     Parameters
     ----------
@@ -348,10 +227,10 @@ def tokenize(source: str, *, keep_comments: bool = False) -> List[Token]:
         C source text.
     keep_comments:
         When ``False`` (the default) comment tokens are dropped, which is what
-        the parser wants.  The DRB-ML trimming pipeline passes ``True`` so it
-        can locate comments precisely.
+        the parser wants.  Pass ``True`` to see every comment in place.
     """
-    toks = list(Lexer(source).tokens())
+    make = Token._make
     if keep_comments:
-        return toks
-    return [t for t in toks if t.kind is not TokenKind.COMMENT]
+        return [make(item[:4]) for item in scan(source)]
+    comment = TokenKind.COMMENT
+    return [make(item[:4]) for item in scan(source) if item[0] is not comment]

@@ -1,8 +1,11 @@
 """Recursive-descent parser for the C-with-OpenMP subset.
 
 The parser consumes the token stream produced by :mod:`repro.cparse.lexer`
-and builds the AST defined in :mod:`repro.cparse.ast`.  It covers the full
-grammar emitted by the corpus generator:
+and builds the AST defined in :mod:`repro.cparse.ast`.  Statements and
+declarations are parsed by recursive descent; binary operators by one
+precedence-climbing loop over a ``{operator: level}`` table, so an operand
+costs one call however many precedence levels sit above it.  It covers the
+full grammar emitted by the corpus generator:
 
 * ``#include`` directives, global declarations, function definitions;
 * declarations with multiple declarators, pointers, multi-dimensional arrays
@@ -45,7 +48,7 @@ TYPEDEF_NAMES = frozenset(
     }
 )
 
-#: Binary operator precedence levels, lowest first.
+#: Binary operator precedence levels, lowest first; all associate left.
 _BINARY_LEVELS: Tuple[Tuple[str, ...], ...] = (
     ("||",),
     ("&&",),
@@ -58,8 +61,14 @@ _BINARY_LEVELS: Tuple[Tuple[str, ...], ...] = (
     ("+", "-"),
     ("*", "/", "%"),
 )
+_BINARY_PRECEDENCE = {op: level for level, ops in enumerate(_BINARY_LEVELS) for op in ops}
 
-_ASSIGN_OPS = ("=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=")
+_ASSIGN_OPS = frozenset(("=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="))
+_UNARY_OPS = frozenset(("+", "-", "!", "~"))
+_PUNCT = TokenKind.PUNCT
+_KEYWORD = TokenKind.KEYWORD
+_IDENT = TokenKind.IDENT
+_EOF = TokenKind.EOF
 
 
 class ParseError(ValueError):
@@ -71,45 +80,62 @@ class ParseError(ValueError):
 
 
 class Parser:
-    """Token-stream parser producing a :class:`~repro.cparse.ast.TranslationUnit`."""
+    """Token-stream parser producing a :class:`~repro.cparse.ast.TranslationUnit`.
+
+    ``tokens`` must end with the single EOF token, as :func:`tokenize`
+    returns them.
+    """
 
     def __init__(self, tokens: List[Token]) -> None:
         self.tokens = tokens
         self.pos = 0
 
     # -- cursor helpers -----------------------------------------------------------
+    #
+    # The cursor never moves past EOF, so ``tokens[pos]`` always exists and,
+    # unless it is EOF, so does ``tokens[pos + 1]``.
 
-    def _peek(self, offset: int = 0) -> Token:
-        idx = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[idx]
+    def _peek(self) -> Token:
+        return self.tokens[self.pos]
+
+    def _peek_next(self) -> Token:
+        """The token after the current one (EOF at the end of input)."""
+        tok = self.tokens[self.pos]
+        return tok if tok.kind is _EOF else self.tokens[self.pos + 1]
 
     def _advance(self) -> Token:
         tok = self.tokens[self.pos]
-        if self.pos < len(self.tokens) - 1:
+        if tok.kind is not _EOF:
             self.pos += 1
         return tok
 
     def _check_punct(self, text: str) -> bool:
-        return self._peek().is_punct(text)
+        tok = self.tokens[self.pos]
+        return tok.text == text and tok.kind is _PUNCT
 
     def _accept_punct(self, text: str) -> bool:
-        if self._check_punct(text):
-            self._advance()
+        tok = self.tokens[self.pos]
+        if tok.text == text and tok.kind is _PUNCT:
+            self.pos += 1
             return True
         return False
 
     def _expect_punct(self, text: str) -> Token:
-        if not self._check_punct(text):
-            raise ParseError(f"expected {text!r}", self._peek())
-        return self._advance()
+        tok = self.tokens[self.pos]
+        if tok.text != text or tok.kind is not _PUNCT:
+            raise ParseError(f"expected {text!r}", tok)
+        self.pos += 1
+        return tok
 
     def _expect_ident(self) -> Token:
-        tok = self._peek()
-        if tok.kind is not TokenKind.IDENT:
+        tok = self.tokens[self.pos]
+        if tok.kind is not _IDENT:
             raise ParseError("expected identifier", tok)
-        return self._advance()
+        self.pos += 1
+        return tok
 
-    def _loc(self, tok: Token) -> ast.SourceLoc:
+    @staticmethod
+    def _loc(tok: Token) -> ast.SourceLoc:
         return ast.SourceLoc(tok.line, tok.col)
 
     # -- type detection -----------------------------------------------------------
@@ -223,7 +249,7 @@ class Parser:
         if not self._check_punct(")"):
             while True:
                 ptok = self._peek()
-                if ptok.is_keyword("void") and self._peek(1).is_punct(")"):
+                if ptok.is_keyword("void") and self._peek_next().is_punct(")"):
                     self._advance()
                     break
                 ptype, _ = self._parse_type_name()
@@ -322,42 +348,45 @@ class Parser:
         start = self._expect_punct("{")
         stmts: List[ast.Stmt] = []
         while not self._check_punct("}"):
-            if self._peek().kind is TokenKind.EOF:
-                raise ParseError("unterminated compound statement", self._peek())
+            if self.tokens[self.pos].kind is _EOF:
+                raise ParseError("unterminated compound statement", self.tokens[self.pos])
             stmts.append(self._parse_statement())
         self._expect_punct("}")
         return ast.CompoundStmt(loc=self._loc(start), body=stmts)
 
     def _parse_statement(self) -> ast.Stmt:
-        tok = self._peek()
-        if tok.kind is TokenKind.PRAGMA:
+        tok = self.tokens[self.pos]
+        kind, text = tok.kind, tok.text
+        if kind is TokenKind.PRAGMA:
             return self._parse_omp_statement()
-        if tok.is_punct("{"):
-            return self._parse_compound()
-        if tok.is_punct(";"):
-            self._advance()
-            return ast.NullStmt(loc=self._loc(tok))
-        if tok.is_keyword("for"):
-            return self._parse_for()
-        if tok.is_keyword("while"):
-            return self._parse_while()
-        if tok.is_keyword("if"):
-            return self._parse_if()
-        if tok.is_keyword("return"):
-            self._advance()
-            value = None
-            if not self._check_punct(";"):
-                value = self._parse_expression()
-            self._expect_punct(";")
-            return ast.ReturnStmt(loc=self._loc(tok), value=value)
-        if tok.is_keyword("break"):
-            self._advance()
-            self._expect_punct(";")
-            return ast.BreakStmt(loc=self._loc(tok))
-        if tok.is_keyword("continue"):
-            self._advance()
-            self._expect_punct(";")
-            return ast.ContinueStmt(loc=self._loc(tok))
+        if kind is _PUNCT:
+            if text == "{":
+                return self._parse_compound()
+            if text == ";":
+                self.pos += 1
+                return ast.NullStmt(loc=self._loc(tok))
+        elif kind is _KEYWORD:
+            if text == "for":
+                return self._parse_for()
+            if text == "while":
+                return self._parse_while()
+            if text == "if":
+                return self._parse_if()
+            if text == "return":
+                self.pos += 1
+                value = None
+                if not self._check_punct(";"):
+                    value = self._parse_expression()
+                self._expect_punct(";")
+                return ast.ReturnStmt(loc=self._loc(tok), value=value)
+            if text == "break":
+                self.pos += 1
+                self._expect_punct(";")
+                return ast.BreakStmt(loc=self._loc(tok))
+            if text == "continue":
+                self.pos += 1
+                self._expect_punct(";")
+                return ast.ContinueStmt(loc=self._loc(tok))
         if self._at_type():
             type_name, qualifiers = self._parse_type_name()
             depth = 0
@@ -454,7 +483,7 @@ class Parser:
         the comma operator.  We use a conservative heuristic: treat the comma
         as an operator only when the next token can begin an expression and we
         are not inside a call (the call parser never calls _parse_expression)."""
-        nxt = self._peek(1)
+        nxt = self._peek_next()
         return nxt.kind in (
             TokenKind.IDENT,
             TokenKind.INT_LIT,
@@ -463,9 +492,9 @@ class Parser:
 
     def _parse_assignment_expr(self) -> ast.Expr:
         left = self._parse_conditional()
-        tok = self._peek()
-        if tok.kind is TokenKind.PUNCT and tok.text in _ASSIGN_OPS:
-            self._advance()
+        tok = self.tokens[self.pos]
+        if tok.kind is _PUNCT and tok.text in _ASSIGN_OPS:
+            self.pos += 1
             value = self._parse_assignment_expr()
             return ast.Assignment(loc=self._loc(tok), op=tok.text, target=left, value=value)
         return left
@@ -480,37 +509,43 @@ class Parser:
             return ast.ConditionalExpr(loc=self._loc(tok), cond=cond, then=then, other=other)
         return cond
 
-    def _parse_binary(self, level: int) -> ast.Expr:
-        if level >= len(_BINARY_LEVELS):
-            return self._parse_unary()
-        left = self._parse_binary(level + 1)
-        ops = _BINARY_LEVELS[level]
-        while self._peek().kind is TokenKind.PUNCT and self._peek().text in ops:
-            tok = self._advance()
+    def _parse_binary(self, min_level: int) -> ast.Expr:
+        """Precedence climbing: fold operators of level ``min_level`` and up."""
+        left = self._parse_unary()
+        tokens = self.tokens
+        while True:
+            tok = tokens[self.pos]
+            if tok.kind is not _PUNCT:
+                return left
+            level = _BINARY_PRECEDENCE.get(tok.text, -1)
+            if level < min_level:
+                return left
+            self.pos += 1
             right = self._parse_binary(level + 1)
             left = ast.BinaryOp(loc=self._loc(tok), op=tok.text, left=left, right=right)
-        return left
 
     def _parse_unary(self) -> ast.Expr:
-        tok = self._peek()
-        if tok.kind is TokenKind.PUNCT and tok.text in ("+", "-", "!", "~"):
-            self._advance()
-            operand = self._parse_unary()
-            return ast.UnaryOp(loc=self._loc(tok), op=tok.text, operand=operand)
-        if tok.is_punct("&"):
-            self._advance()
-            operand = self._parse_unary()
-            return ast.AddressOf(loc=self._loc(tok), operand=operand)
-        if tok.is_punct("*"):
-            self._advance()
-            operand = self._parse_unary()
-            return ast.Deref(loc=self._loc(tok), operand=operand)
-        if tok.kind is TokenKind.PUNCT and tok.text in ("++", "--"):
-            self._advance()
-            operand = self._parse_unary()
-            return ast.IncDec(loc=self._loc(tok), op=tok.text, operand=operand, prefix=True)
-        if tok.is_keyword("sizeof"):
-            self._advance()
+        tok = self.tokens[self.pos]
+        kind, text = tok.kind, tok.text
+        if kind is _PUNCT:
+            if text in _UNARY_OPS:
+                self.pos += 1
+                operand = self._parse_unary()
+                return ast.UnaryOp(loc=self._loc(tok), op=text, operand=operand)
+            if text == "&":
+                self.pos += 1
+                operand = self._parse_unary()
+                return ast.AddressOf(loc=self._loc(tok), operand=operand)
+            if text == "*":
+                self.pos += 1
+                operand = self._parse_unary()
+                return ast.Deref(loc=self._loc(tok), operand=operand)
+            if text == "++" or text == "--":
+                self.pos += 1
+                operand = self._parse_unary()
+                return ast.IncDec(loc=self._loc(tok), op=text, operand=operand, prefix=True)
+        elif kind is _KEYWORD and text == "sizeof":
+            self.pos += 1
             self._expect_punct("(")
             # sizeof(type) or sizeof(expr): either way we record a call node.
             if self._at_type():
@@ -526,16 +561,19 @@ class Parser:
 
     def _parse_postfix(self) -> ast.Expr:
         expr = self._parse_primary()
+        tokens = self.tokens
         while True:
-            tok = self._peek()
-            if tok.is_punct("["):
-                self._advance()
+            tok = tokens[self.pos]
+            if tok.kind is not _PUNCT:
+                return expr
+            text = tok.text
+            if text == "[":
+                self.pos += 1
                 index = self._parse_expression()
                 self._expect_punct("]")
                 expr = ast.ArraySubscript(loc=expr.loc, base=expr, index=index)
-                continue
-            if tok.is_punct("(") and isinstance(expr, ast.Identifier):
-                self._advance()
+            elif text == "(" and isinstance(expr, ast.Identifier):
+                self.pos += 1
                 args: List[ast.Expr] = []
                 if not self._check_punct(")"):
                     while True:
@@ -544,45 +582,44 @@ class Parser:
                             break
                 self._expect_punct(")")
                 expr = ast.Call(loc=expr.loc, name=expr.name, args=args)
-                continue
-            if tok.kind is TokenKind.PUNCT and tok.text in ("++", "--"):
-                self._advance()
-                expr = ast.IncDec(loc=expr.loc, op=tok.text, operand=expr, prefix=False)
-                continue
-            if tok.is_punct(".") or tok.is_punct("->"):
+            elif text == "++" or text == "--":
+                self.pos += 1
+                expr = ast.IncDec(loc=expr.loc, op=text, operand=expr, prefix=False)
+            elif text == "." or text == "->":
                 # Member access: model as identifier with a composite name so
                 # the analyses can still track it as a named location.
-                self._advance()
+                self.pos += 1
                 member = self._expect_ident()
                 base_name = expr.name if isinstance(expr, ast.Identifier) else "<expr>"
-                sep = "." if tok.text == "." else "->"
-                expr = ast.Identifier(loc=expr.loc, name=f"{base_name}{sep}{member.text}")
-                continue
-            break
-        return expr
+                expr = ast.Identifier(loc=expr.loc, name=f"{base_name}{text}{member.text}")
+            else:
+                return expr
 
     def _parse_primary(self) -> ast.Expr:
-        tok = self._peek()
-        if tok.kind is TokenKind.INT_LIT:
-            self._advance()
+        tok = self.tokens[self.pos]
+        kind = tok.kind
+        if kind is _IDENT:
+            self.pos += 1
+            return ast.Identifier(loc=self._loc(tok), name=tok.text)
+        if kind is TokenKind.INT_LIT:
+            self.pos += 1
             try:
                 value = int(tok.text.rstrip("uUlL"), 0)
             except ValueError:
                 raise ParseError("invalid integer literal", tok) from None
             return ast.IntLiteral(loc=self._loc(tok), value=value, text=tok.text)
-        if tok.kind is TokenKind.FLOAT_LIT:
-            self._advance()
-            return ast.FloatLiteral(
-                loc=self._loc(tok), value=float(tok.text.rstrip("fFlL")), text=tok.text
-            )
-        if tok.kind is TokenKind.STRING_LIT or tok.kind is TokenKind.CHAR_LIT:
-            self._advance()
+        if kind is TokenKind.FLOAT_LIT:
+            self.pos += 1
+            try:
+                value = float(tok.text.rstrip("fFlL"))
+            except ValueError:
+                raise ParseError("invalid floating literal", tok) from None
+            return ast.FloatLiteral(loc=self._loc(tok), value=value, text=tok.text)
+        if kind is TokenKind.STRING_LIT or kind is TokenKind.CHAR_LIT:
+            self.pos += 1
             return ast.StringLiteral(loc=self._loc(tok), value=tok.text)
-        if tok.kind is TokenKind.IDENT:
-            self._advance()
-            return ast.Identifier(loc=self._loc(tok), name=tok.text)
-        if tok.is_punct("("):
-            self._advance()
+        if kind is _PUNCT and tok.text == "(":
+            self.pos += 1
             # Cast expression like (double)x — detect a type inside parens.
             if self._at_type():
                 save = self.pos

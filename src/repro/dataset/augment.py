@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.cparse.lexer import TokenKind, tokenize
+from repro.cparse.lexer import TokenKind, scan
 from repro.dataset.drbml import record_from_benchmark
 from repro.dataset.records import DRBMLRecord, VarPairRecord
 from repro.dataset.tokenizer import count_tokens
@@ -78,11 +78,8 @@ class AugmentedRecord:
 
 def _identifier_positions(source: str) -> List[Tuple[str, int, int]]:
     """(name, line, col) of every identifier token in ``source``."""
-    out = []
-    for token in tokenize(source, keep_comments=True):
-        if token.kind is TokenKind.IDENT:
-            out.append((token.text, token.line, token.col))
-    return out
+    ident = TokenKind.IDENT
+    return [(text, line, col) for kind, text, line, col, _start in scan(source) if kind is ident]
 
 
 def _user_identifiers(source: str) -> List[str]:
@@ -222,9 +219,10 @@ def _fix_pair_columns(code: str) -> str:
     After a textual transform the annotated expression may start at a
     different column of its line; this pass looks the expression up on the
     recorded line and rewrites the column (the line number is preserved by
-    construction because transforms never add or remove lines).
+    construction because transforms never add or remove lines).  Lines are
+    ``\\n``-delimited, like the ground-truth line numbers.
     """
-    lines = code.splitlines()
+    lines = code.split("\n")
 
     def fix_access(access: str) -> str:
         match = _ACCESS_RE.match(access.strip())
@@ -248,7 +246,7 @@ def _fix_pair_columns(code: str) -> str:
             f"{match.group('prefix')}{fix_access(match.group('first'))} vs. "
             f"{fix_access(match.group('second'))}"
         )
-    return "\n".join(out) + ("\n" if code.endswith("\n") else "")
+    return "\n".join(out)
 
 
 def augment_dataset(

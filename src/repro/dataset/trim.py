@@ -10,12 +10,15 @@ mapping from original line numbers to trimmed line numbers.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.cparse.lexer import TokenKind, tokenize
+from repro.cparse.lexer import TokenKind, scan
 
 __all__ = ["TrimResult", "trim_comments"]
+
+_NOT_NEWLINE = re.compile(r"[^\n]")
 
 
 @dataclass
@@ -40,41 +43,29 @@ class TrimResult:
         return self.line_map.get(original_line)
 
 
-def _blank_out_comments(source: str) -> List[str]:
-    """Return source lines with comment characters replaced by spaces.
-
-    Replacing (rather than deleting) keeps column numbers of the remaining
-    code identical to the original file, which is what lets the ground-truth
-    columns carry over unchanged to the trimmed code.
-    """
-    lines = [list(line) for line in source.splitlines()]
-    for token in tokenize(source, keep_comments=True):
-        if token.kind is not TokenKind.COMMENT:
-            continue
-        text = token.text
-        row, col = token.line - 1, token.col - 1
-        for ch in text:
-            if ch == "\n":
-                row += 1
-                col = 0
-                continue
-            if row < len(lines) and col < len(lines[row]):
-                lines[row][col] = " "
-            col += 1
-    return ["".join(chars) for chars in lines]
-
-
 def trim_comments(source: str) -> TrimResult:
-    """Remove comments and blank-only lines, tracking the line re-mapping."""
-    blanked = _blank_out_comments(source)
+    """Remove comments and blank-only lines, tracking the line re-mapping.
+
+    Comment characters are replaced by spaces (newlines kept) rather than
+    deleted, so the remaining code keeps its original columns and the
+    ground-truth columns carry over unchanged to the trimmed code.  Lines
+    are ``\\n``-delimited, as in the lexer.  Raises :class:`LexError` where
+    :func:`~repro.cparse.lexer.tokenize` would.
+    """
+    pieces: List[str] = []
+    copied = 0
+    for kind, text, _line, _col, start in scan(source):
+        if kind is TokenKind.COMMENT:
+            pieces.append(source[copied:start])
+            pieces.append(_NOT_NEWLINE.sub(" ", text))
+            copied = start + len(text)
+    pieces.append(source[copied:])
     out_lines: List[str] = []
     line_map: Dict[int, int] = {}
-    for original_idx, text in enumerate(blanked, start=1):
+    for original_idx, text in enumerate("".join(pieces).split("\n"), start=1):
+        # Every line left blank by comment removal, and every originally
+        # blank line, is dropped (as DRB-ML does) for a compact trimmed_code.
         if text.strip() == "":
-            # Drop lines that are empty after comment removal *and* were
-            # comment-only or blank in the original; keep intentional blank
-            # lines only if they were blank originally?  DRB-ML drops them
-            # too, so we drop every blank line for a compact trimmed_code.
             continue
         out_lines.append(text.rstrip())
         line_map[original_idx] = len(out_lines)

@@ -280,9 +280,13 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse("+++")
 
-    def test_invalid_integer_literal(self):
-        with pytest.raises(ParseError, match="invalid integer literal"):
-            parse("int main() { int x = 08; return 0; }")
+    @pytest.mark.parametrize(
+        "literal, message",
+        [("08", "invalid integer literal"), ("1.5u", "invalid floating literal")],
+    )
+    def test_literal_python_cannot_read(self, literal, message):
+        with pytest.raises(ParseError, match=message):
+            parse(f"int main() {{ double x = {literal}; return 0; }}")
 
 
 class TestWalk:

@@ -7,6 +7,7 @@ from repro.dataset import DRBMLDataset
 from repro.dataset.augment import (
     AugmentationConfig,
     augment_dataset,
+    _fix_pair_columns,
     augment_record,
     rename_identifiers,
     scale_loop_bounds,
@@ -51,6 +52,17 @@ class TestScale:
     def test_small_constants_preserved(self):
         code = "int bins[8];\nbins[i % 8] = 1;\n"
         assert scale_loop_bounds(code) == code
+
+
+class TestFixPairColumns:
+    def test_reanchors_column_on_recorded_line(self):
+        code = "/*\nData race pair: b@4:9:W vs. b@4:9:R\n*/\n  b = 1;\n"
+        assert _fix_pair_columns(code) == code.replace("4:9", "4:3")
+
+    @pytest.mark.parametrize("brk", ["\r", "\x0b", "\u2028"])
+    def test_lines_are_newline_delimited(self, brk):
+        code = f"/* x{brk}y\nData race pair: b@4:9:W vs. b@4:9:R\n*/\n  b = 1;\n"
+        assert _fix_pair_columns(code) == code.replace("4:9", "4:3")
 
 
 class TestAugmentRecords:

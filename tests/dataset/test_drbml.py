@@ -49,6 +49,24 @@ class TestTrim:
         result = trim_comments(src)
         assert result.trimmed_code.splitlines()[1].startswith("  a = 1;")
 
+    @pytest.mark.parametrize("brk", ["\r", "\x0b", "\u2028"])
+    def test_only_newline_ends_a_line(self, brk):
+        """Other line-break characters inside a comment stay comment text."""
+        result = trim_comments(f"/* a{brk}b */\nint x;\n")
+        assert result.trimmed_code == "int x;\n"
+        assert result.line_map == {2: 1}
+
+    @pytest.mark.parametrize("brk", ["\x0b", "\u2028"])
+    def test_line_break_inside_string_keeps_line(self, brk):
+        result = trim_comments(f'char *s = "a{brk}b"; // c\nint x;\n')
+        assert result.trimmed_code == f'char *s = "a{brk}b";\nint x;\n'
+        assert result.line_map == {1: 1, 2: 2}
+
+    def test_crlf_lines(self):
+        result = trim_comments("/* c */\r\nint x; // t\r\n\r\nint y;\r\n")
+        assert result.trimmed_code == "int x;\nint y;\n"
+        assert result.line_map == {2: 1, 4: 2}
+
     @given(st.text(alphabet="abc ;\n", max_size=100))
     def test_trimmed_never_longer(self, text):
         result = trim_comments(text)
