@@ -124,9 +124,9 @@ def _run(step: Callable[[str], object], code: str) -> None:
 
 
 STATIC = StaticRaceDetector()
-#: A tenth of the default step budget: the fuzz checks that a broken program
-#: stops with a typed error, not how long a valid one may run.
-INSPECTOR = InspectorLikeDetector(limits=InterpreterLimits(max_steps=200_000))
+#: A twentieth of the default step budget: the fuzz checks that a broken
+#: program stops with a typed error, not how long a valid one may run.
+INSPECTOR = InspectorLikeDetector(limits=InterpreterLimits(max_steps=100_000))
 SHALLOW_STEPS = (tokenize, trim_comments, parse)
 DEEP_STEPS = (STATIC.analyze_source, INSPECTOR.analyze_source)
 
