@@ -12,9 +12,10 @@ Modules
 ``events``
     The access/synchronization event records produced by the interpreter.
 ``interpreter``
-    An AST interpreter for the corpus language subset with OpenMP semantics
+    An interpreter for the corpus language subset with OpenMP semantics
     (parallel regions, worksharing loops, sections, single/master, critical,
-    atomic, ordered, locks, tasks and taskwait).
+    atomic, ordered, locks, tasks and taskwait).  It compiles each program
+    once into closures and runs the compiled program per schedule.
 ``detector``
     The happens-before/lockset analysis over a recorded trace.
 ``inspector``

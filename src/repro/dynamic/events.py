@@ -5,12 +5,18 @@ an :class:`AccessEvent`.  The detector never looks at the program again: all
 the information needed to decide concurrency and protection is carried on the
 event (barrier epoch, held locks, atomicity, ordered construct, task
 lineage).
+
+A long run records hundreds of thousands of events, so :class:`AccessEvent`
+is a ``NamedTuple``: it is immutable and hashable like a frozen dataclass,
+with the same fields, defaults and ``repr``, and much cheaper to build.  The
+interpreter builds it from one positional tuple and shares one ``locks``
+frozenset between all events of the same lock state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, List, NamedTuple, Optional, Tuple
 
 __all__ = ["AccessEvent", "TaskInfo", "ExecutionTrace"]
 
@@ -26,8 +32,7 @@ class TaskInfo:
     ordered_after: FrozenSet[int] = frozenset()
 
 
-@dataclass(frozen=True)
-class AccessEvent:
+class AccessEvent(NamedTuple):
     """One dynamic access to shared storage.
 
     Attributes
@@ -89,9 +94,6 @@ class ExecutionTrace:
     steps_executed: int = 0
     regions_executed: int = 0
     finished: bool = True
-
-    def append(self, event: AccessEvent) -> None:
-        self.events.append(event)
 
     def addresses(self) -> Tuple[str, ...]:
         return tuple({e.address for e in self.events})

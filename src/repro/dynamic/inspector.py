@@ -5,7 +5,9 @@ Table 3.  Like Intel Inspector it executes the program under instrumentation
 (here: the :class:`~repro.dynamic.interpreter.Interpreter`) and analyses the
 observed accesses; it can repeat the run under several schedules and team
 sizes to expose schedule-dependent conflicts, and it degrades gracefully
-(reporting "no race observed") when a program cannot be executed.
+(reporting "no race observed") when a program cannot be executed.  Each
+program is parsed and compiled once; every (team size, schedule) run reuses
+the compiled :class:`~repro.dynamic.interpreter.Program`.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from repro.corpus.microbenchmark import Microbenchmark
-from repro.dynamic.detector import DynamicRacePair, DynamicRaceReport, detect_races
-from repro.dynamic.interpreter import Interpreter, InterpreterError, InterpreterLimits
+from repro.cparse import parse
+from repro.dynamic.detector import DynamicRacePair, detect_races
+from repro.dynamic.interpreter import Interpreter, InterpreterError, InterpreterLimits, Program
 
 __all__ = ["InspectorRunResult", "InspectorLikeDetector"]
 
@@ -96,6 +99,7 @@ class InspectorLikeDetector:
         """Run the detector on raw C source."""
         result = InspectorRunResult(name=name, has_race=False)
         seen_signatures = set()
+        program = Program(parse(source))
         for team in self.team_sizes:
             threads = team if team is not None else num_threads
             for schedule in self.schedules:
@@ -103,7 +107,7 @@ class InspectorLikeDetector:
                     num_threads=max(2, threads), schedule=schedule, limits=self.limits
                 )
                 try:
-                    trace = interpreter.run_source(source)
+                    trace = interpreter.run(program)
                 except InterpreterError as exc:
                     result.failed = True
                     result.failure_reason = str(exc)

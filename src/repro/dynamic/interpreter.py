@@ -1,4 +1,4 @@
-"""AST interpreter with OpenMP semantics for the corpus language subset.
+"""Closure-compiling interpreter with OpenMP semantics for the corpus language subset.
 
 The interpreter executes one microbenchmark with a simulated thread team.
 Threads of a parallel region are executed one after another (thread 0's whole
@@ -6,6 +6,26 @@ traversal of the region body, then thread 1's, ...): for race *detection* the
 precise interleaving is irrelevant because the detector reasons about
 concurrency from barrier epochs, lock sets and task lineage recorded on each
 event, exactly like segment/lockset-based commercial tools do.
+
+Execution is in two stages.  :class:`Program` compiles a parsed translation
+unit once: every statement and expression node becomes a Python closure, and
+every static fact (names, subscript shapes, source positions, operators,
+pragma clauses, helper-function lookups) is resolved at compile time.  The
+access text reported on an event is rendered at most once per node, on first
+use.  The closures read all per-run state (memory, step budget, trace) from
+the runtime they are handed, so one :class:`Program` serves every
+(team size, schedule) run of :class:`Interpreter`.
+
+A run is deterministic and counts one step per executed statement and per
+evaluated expression node; ``steps_executed``, ``omp_get_wtime()`` (which
+returns the step count) and the ``max_steps`` limit all depend on it.  When
+a node's step is immediately followed by its first child's, the parent's
+step is charged on entry to the child instead, which leaves the count the
+same at every point where it can be observed.  Compiling never fails: an
+unsupported node compiles into a closure that raises its
+:class:`InterpreterError` when, and only when, it executes.  Runtime faults
+of the program (division by zero, bad shifts, out-of-range subscripts,
+unconvertible operands) are reported as :class:`InterpreterError` too.
 
 Supported OpenMP constructs: ``parallel`` (with ``num_threads``), worksharing
 ``for`` (static and round-robin schedules, ``nowait``, ``reduction``,
@@ -19,14 +39,15 @@ Supported OpenMP constructs: ``parallel`` (with ``num_threads``), worksharing
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+import operator
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple, Union
 
 from repro.cparse import ast, parse
-from repro.cparse.symbols import build_symbol_table
 from repro.dynamic.events import AccessEvent, ExecutionTrace, TaskInfo
 
-__all__ = ["Interpreter", "InterpreterError", "InterpreterLimits"]
+__all__ = ["Interpreter", "InterpreterError", "InterpreterLimits", "Program"]
 
 
 class InterpreterError(RuntimeError):
@@ -55,29 +76,1299 @@ class InterpreterLimits:
     max_loop_iterations: int = 100_000
 
 
-@dataclass
+_STEP_LIMIT = "execution step limit exceeded"
+#: Python errors an operator raises on operands C would not accept.
+_OPERAND_ERRORS = (ArithmeticError, TypeError, ValueError)
+_NO_LOCKS: FrozenSet[str] = frozenset()
+#: Builds an :class:`AccessEvent` from one positional tuple of its fields.
+_new_event = partial(tuple.__new__, AccessEvent)
+
+
 class _ThreadState:
     """Per-thread execution context inside a parallel region."""
 
-    thread_id: int
-    team_size: int
-    privates: Dict[str, object] = field(default_factory=dict)
-    epoch: int = 0
-    step: int = 0
-    locks: Tuple[str, ...] = ()
-    critical: Tuple[str, ...] = ()
-    atomic_depth: int = 0
-    ordered_depth: int = 0
-    task_seq: int = 0
-    current_task: Optional[TaskInfo] = None
+    __slots__ = ("thread_id", "team_size", "privates", "epoch", "step", "locks", "critical",
+                 "held", "atomic_depth", "ordered_depth", "task_seq", "current_task")
+
+    def __init__(self, thread_id: int, team_size: int) -> None:
+        self.thread_id = thread_id
+        self.team_size = team_size
+        self.privates: Dict[str, object] = {}
+        self.epoch = 0
+        self.step = 0
+        self.locks: Tuple[str, ...] = ()
+        self.critical: Tuple[str, ...] = ()
+        #: ``frozenset(locks) | frozenset(critical)``, the lock set events carry.
+        self.held = _NO_LOCKS
+        self.atomic_depth = 0
+        self.ordered_depth = 0
+        self.task_seq = 0
+        self.current_task: Optional[TaskInfo] = None
+
+
+class _Runtime:
+    """The per-run state every compiled closure reads and updates."""
+
+    __slots__ = ("memory", "trace", "events", "budget", "max_steps", "max_loop", "num_threads",
+                 "schedule", "region", "task_counter", "depend_last_out", "lock_sets")
+
+    def __init__(self, num_threads: int, schedule: str, limits: InterpreterLimits) -> None:
+        self.memory: Dict[str, object] = {}
+        self.trace = ExecutionTrace(num_threads=num_threads)
+        self.events = self.trace.events
+        #: Steps left before ``max_steps`` is exceeded; a step is taken by
+        #: decrementing it, and it going negative is the limit error.
+        self.budget = limits.max_steps
+        self.max_steps = limits.max_steps
+        self.max_loop = limits.max_loop_iterations
+        self.num_threads = num_threads
+        self.schedule = schedule
+        self.region = 0
+        self.task_counter = 0
+        self.depend_last_out: Dict[str, int] = {}
+        self.lock_sets: Dict[Tuple[Tuple[str, ...], Tuple[str, ...]], FrozenSet[str]] = {}
+
+    @property
+    def steps(self) -> int:
+        return self.max_steps - self.budget
+
+    def hold(self, st: _ThreadState) -> None:
+        """Refresh ``st.held`` after its locks or critical sections changed."""
+        key = (st.locks, st.critical)
+        held = self.lock_sets.get(key)
+        if held is None:
+            held = self.lock_sets[key] = frozenset(st.locks) | frozenset(st.critical)
+        st.held = held
+
+
+def _emit(rt: _Runtime, st: _ThreadState, address: str, variable: str, text: str,
+          line: int, col: int, is_write: bool) -> None:
+    """Record one shared access of the executing thread."""
+    st.step = step = st.step + 1
+    rt.events.append(_new_event((
+        address, variable, text, line, col, is_write, st.thread_id, rt.region, st.epoch, step,
+        st.held, st.atomic_depth > 0, st.ordered_depth > 0, st.current_task, st.task_seq,
+    )))
+
+
+# -- operators ----------------------------------------------------------------
+
+
+def _divide(left, right):
+    if right == 0:
+        raise InterpreterError("division by zero")
+    if isinstance(left, int) and isinstance(right, int):
+        return left // right
+    return left / right
+
+
+def _modulo(left, right):
+    if right == 0:
+        raise InterpreterError("modulo by zero")
+    return int(left) % int(right)
+
+
+#: Value operators shared by binary expressions and compound assignments
+#: (``&&``, ``||`` and ``,`` short-circuit and are compiled separately).
+_OPERATORS: Dict[str, Callable[[object, object], object]] = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": _divide,
+    "%": _modulo,
+    "==": lambda left, right: 1 if left == right else 0,
+    "!=": lambda left, right: 1 if left != right else 0,
+    "<": lambda left, right: 1 if left < right else 0,
+    ">": lambda left, right: 1 if left > right else 0,
+    "<=": lambda left, right: 1 if left <= right else 0,
+    ">=": lambda left, right: 1 if left >= right else 0,
+    "&": lambda left, right: int(left) & int(right),
+    "|": lambda left, right: int(left) | int(right),
+    "^": lambda left, right: int(left) ^ int(right),
+    "<<": lambda left, right: int(left) << int(right),
+    ">>": lambda left, right: int(left) >> int(right),
+}
+
+
+def _operand_error(op: str, exc: Exception) -> InterpreterError:
+    return InterpreterError(f"bad operands for {op}: {exc}")
+
+
+def _to_int(value, what: str) -> int:
+    try:
+        return int(value)
+    except _OPERAND_ERRORS as exc:
+        raise InterpreterError(f"bad {what}: {exc}") from exc
+
+
+#: Reduction identity values per operator.
+_REDUCTION_INIT = {"+": 0, "-": 0, "*": 1, "max": float("-inf"), "min": float("inf"),
+                   "|": 0, "&": ~0, "^": 0, "||": 0, "&&": 1}
+
+_LOCK_NOOPS = frozenset(("omp_init_lock", "omp_destroy_lock", "omp_init_nest_lock",
+                         "omp_destroy_nest_lock"))
+_LOCK_SETS = frozenset(("omp_set_lock", "omp_set_nest_lock"))
+_LOCK_UNSETS = frozenset(("omp_unset_lock", "omp_unset_nest_lock"))
+
+
+def _iteration_space(op: str, start: int, bound: int, step: int, max_loop: int) -> range:
+    """The values a canonical loop ``for (v = start; v op bound; v += step)`` takes.
+
+    Fails exactly where stepping the loop one value at a time would: the
+    limit is checked before every test of the condition, including the
+    final one that ends the loop.
+    """
+    if op == "<":
+        stop, ascending = bound, True
+    elif op == "<=":
+        stop, ascending = bound + 1, True
+    elif op == ">":
+        stop, ascending = bound, False
+    elif op == ">=":
+        stop, ascending = bound - 1, False
+    else:
+        if max_loop < 1:
+            raise InterpreterError("worksharing loop iteration limit exceeded")
+        raise InterpreterError(f"unsupported loop condition operator {op}")
+    if not (start < stop if ascending else start > stop):
+        iterations = range(0)
+    elif step > 0 if ascending else step < 0:
+        iterations = range(start, stop, step)
+    else:
+        raise InterpreterError("worksharing loop iteration limit exceeded")  # never ends
+    if len(iterations) >= max_loop:
+        raise InterpreterError("worksharing loop iteration limit exceeded")
+    return iterations
+
+
+def _unwrap(body: Optional[ast.Stmt]) -> Optional[ast.Stmt]:
+    """Strip compound statements that hold exactly one statement."""
+    while isinstance(body, ast.CompoundStmt) and len(body.body) == 1:
+        body = body.body[0]
+    return body
+
+
+Closure = Callable[[_Runtime, Optional[_ThreadState]], object]
+Store = Callable[[_Runtime, Optional[_ThreadState], object], None]
+
+
+class _Compiler:
+    """Turns AST nodes into closures ``f(rt, st)``.
+
+    ``st`` is the executing thread's :class:`_ThreadState`, or ``None``
+    outside parallel regions.  Every ``expr``/``stmt`` closure takes
+    ``1 + pre`` steps on entry: ``pre`` carries the steps of parents whose
+    own step immediately precedes this node's.
+    """
+
+    def __init__(self, unit: ast.TranslationUnit) -> None:
+        self.unit = unit
+        self._memo: Dict[Tuple[int, int, str], Closure] = {}
+        self._texts: Dict[int, List] = {}
+        #: name -> one-element cell holding the compiled function, filled
+        #: once its body is compiled (so recursive calls resolve).
+        self._functions: Dict[str, List] = {}
+
+    # -- helpers --------------------------------------------------------------
+
+    @staticmethod
+    def constant(n: int, value) -> Closure:
+        """Take ``n`` steps, then yield ``value``."""
+
+        def constant(rt, st):
+            rt.budget = budget = rt.budget - n
+            if budget < 0:
+                raise InterpreterError(_STEP_LIMIT)
+            return value
+
+        return constant
+
+    @classmethod
+    def ticker(cls, n: int) -> Closure:
+        return cls.constant(n, None)
+
+    @classmethod
+    def raiser(cls, n: int, message: str) -> Closure:
+        """Take ``n`` steps, then fail with ``message``."""
+        tick = cls.ticker(n)
+
+        def fail(rt, st):
+            tick(rt, st)
+            raise InterpreterError(message)
+
+        return fail
+
+    def text_cell(self, node: ast.Expr) -> List:
+        """``[rendered text or None, node]``, shared by every closure of ``node``."""
+        cell = self._texts.get(id(node))
+        if cell is None:
+            cell = self._texts[id(node)] = [None, node]
+        return cell
+
+    # -- expressions ----------------------------------------------------------
+
+    def expr(self, node: Optional[ast.Expr], pre: int = 0) -> Closure:
+        key = (id(node), pre, "expr")
+        compiled = self._memo.get(key)
+        if compiled is None:
+            build = self._EXPRESSIONS.get(type(node))
+            n = pre + 1
+            if build is None:
+                compiled = self.raiser(n, f"unsupported expression {type(node).__name__}")
+            else:
+                compiled = build(self, node, n)
+            self._memo[key] = compiled
+        return compiled
+
+    def _literal(self, node, n: int) -> Closure:
+        return self.constant(n, node.value)
+
+    def _identifier(self, node: ast.Identifier, n: int) -> Closure:
+        name = node.name
+        line, col = node.loc.line, node.loc.col
+        undeclared = f"read of undeclared variable {name!r}"
+
+        def identifier(rt, st):
+            rt.budget = budget = rt.budget - n
+            if budget < 0:
+                raise InterpreterError(_STEP_LIMIT)
+            if st is not None:
+                privates = st.privates
+                if name in privates:
+                    return privates[name]
+            try:
+                value = rt.memory[name]
+            except KeyError:
+                raise InterpreterError(undeclared) from None
+            if st is not None and not isinstance(value, list):
+                _emit(rt, st, name, name, name, line, col, False)
+            return value
+
+        return identifier
+
+    def _indices(self, node: ast.ArraySubscript, pre: int, root) -> Closure:
+        """Closure evaluating every subscript of ``node`` to a list of ints."""
+        index_fns = [self.expr(ix, pre if k == 0 else 0) for k, ix in enumerate(node.indices())]
+        what = f"subscript on {root}"
+
+        def indices(rt, st):
+            return [_to_int(fn(rt, st), what) for fn in index_fns]
+
+        return indices
+
+    def _subscript(self, node: ast.ArraySubscript, n: int) -> Closure:
+        root = node.root_name()
+        if root is None:
+            return self.raiser(n, "cannot resolve array expression")
+        # The subscript's own steps directly precede its first index's.
+        pre = n
+        undeclared = f"read of undeclared variable {root!r}"
+        bad = f"bad subscript on {root}: "
+        cell = self.text_cell(node)
+        line, col = node.loc.line, node.loc.col
+        index_nodes = node.indices()
+
+        if len(index_nodes) == 1:
+            index_fn = self.expr(index_nodes[0], pre)
+
+            def subscript1(rt, st):
+                index = index_fn(rt, st)
+                try:
+                    index = int(index)
+                except _OPERAND_ERRORS as exc:
+                    raise InterpreterError(f"{bad}{exc}") from exc
+                if st is not None:
+                    privates = st.privates
+                    if root in privates:
+                        try:
+                            return privates[root][index]
+                        except (IndexError, TypeError) as exc:
+                            raise InterpreterError(f"{bad}{exc}") from exc
+                try:
+                    container = rt.memory[root]
+                except KeyError:
+                    raise InterpreterError(undeclared) from None
+                try:
+                    value = container[index]
+                except (IndexError, TypeError) as exc:
+                    raise InterpreterError(f"{bad}{exc}") from exc
+                if st is not None:
+                    text = cell[0]
+                    if text is None:
+                        text = cell[0] = _render(node)
+                    _emit(rt, st, f"{root}[{index}]", root, text, line, col, False)
+                return value
+
+            return subscript1
+
+        indices_fn = self._indices(node, pre, root)
+
+        def subscript(rt, st):
+            indices = indices_fn(rt, st)
+            shared = True
+            if st is not None and root in st.privates:
+                container = st.privates[root]
+                shared = False
+            else:
+                try:
+                    container = rt.memory[root]
+                except KeyError:
+                    raise InterpreterError(undeclared) from None
+            try:
+                for index in indices:
+                    container = container[index]
+            except (IndexError, TypeError) as exc:
+                raise InterpreterError(f"{bad}{exc}") from exc
+            if shared and st is not None:
+                text = cell[0]
+                if text is None:
+                    text = cell[0] = _render(node)
+                address = f"{root}[{','.join(str(i) for i in indices)}]"
+                _emit(rt, st, address, root, text, line, col, False)
+            return container
+
+        return subscript
+
+    def _binary(self, node: ast.BinaryOp, n: int) -> Closure:
+        op = node.op
+        # The operator's own step directly precedes its left operand's.
+        left = self.expr(node.left, n)
+        right = self.expr(node.right)
+        if op == "&&":
+            return lambda rt, st: 1 if (left(rt, st) and right(rt, st)) else 0
+        if op == "||":
+            return lambda rt, st: 1 if (left(rt, st) or right(rt, st)) else 0
+        if op == ",":
+            def comma(rt, st):
+                left(rt, st)
+                return right(rt, st)
+
+            return comma
+        apply = _OPERATORS.get(op)
+        if apply is None:
+            unsupported = f"unsupported binary operator {op}"
+
+            def unknown(rt, st):
+                left(rt, st)
+                right(rt, st)
+                raise InterpreterError(unsupported)
+
+            return unknown
+
+        def binary(rt, st):
+            lhs = left(rt, st)
+            rhs = right(rt, st)
+            try:
+                return apply(lhs, rhs)
+            except _OPERAND_ERRORS as exc:
+                raise _operand_error(op, exc) from exc
+
+        return binary
+
+    def _unary(self, node: ast.UnaryOp, n: int) -> Closure:
+        op = node.op
+        operand = self.expr(node.operand, n)
+        if op == "+":
+            return operand
+        if op == "!":
+            return lambda rt, st: 0 if operand(rt, st) else 1
+        if op == "-":
+            apply = operator.neg
+        elif op == "~":
+            apply = lambda value: ~int(value)  # noqa: E731
+        else:
+            unsupported = f"unsupported unary operator {op}"
+
+            def unknown(rt, st):
+                operand(rt, st)
+                raise InterpreterError(unsupported)
+
+            return unknown
+
+        def unary(rt, st):
+            value = operand(rt, st)
+            try:
+                return apply(value)
+            except _OPERAND_ERRORS as exc:
+                raise _operand_error(op, exc) from exc
+
+        return unary
+
+    def _assignment(self, node: ast.Assignment, n: int) -> Closure:
+        store = self.store(node.target)
+        if not node.is_compound:
+            value_fn = self.expr(node.value, n)
+
+            def assign(rt, st):
+                value = value_fn(rt, st)
+                store(rt, st, value)
+                return value
+
+            return assign
+        op = node.op[:-1]
+        current_fn = self.expr(node.target, n)
+        value_fn = self.expr(node.value)
+        apply = _OPERATORS.get(op)
+        if apply is None:
+            unsupported = f"unsupported compound operator {op}="
+
+            def unknown(rt, st):
+                current_fn(rt, st)
+                value_fn(rt, st)
+                raise InterpreterError(unsupported)
+
+            return unknown
+
+        def compound(rt, st):
+            current = current_fn(rt, st)
+            rhs = value_fn(rt, st)
+            try:
+                combined = apply(current, rhs)
+            except _OPERAND_ERRORS as exc:
+                raise _operand_error(op, exc) from exc
+            store(rt, st, combined)
+            return combined
+
+        return compound
+
+    def _incdec(self, node: ast.IncDec, n: int) -> Closure:
+        current_fn = self.expr(node.operand, n)
+        store = self.store(node.operand)
+        delta = 1 if node.op == "++" else -1
+        prefix = node.prefix
+        op = node.op
+
+        def incdec(rt, st):
+            current = current_fn(rt, st)
+            try:
+                updated = current + delta
+            except _OPERAND_ERRORS as exc:
+                raise _operand_error(op, exc) from exc
+            store(rt, st, updated)
+            return updated if prefix else current
+
+        return incdec
+
+    def _address_of(self, node: ast.AddressOf, n: int) -> Closure:
+        operand = node.operand
+        return self.constant(n, ("&", operand.name if isinstance(operand, ast.Identifier) else "<expr>"))
+
+    def _deref(self, node: ast.Deref, n: int) -> Closure:
+        # ``*p`` reads ``p``: the dereference's step precedes the operand's.
+        return self.expr(node.operand, n)
+
+    def _conditional(self, node: ast.ConditionalExpr, n: int) -> Closure:
+        cond = self.expr(node.cond, n)
+        then = self.expr(node.then)
+        other = self.expr(node.other)
+        return lambda rt, st: then(rt, st) if cond(rt, st) else other(rt, st)
+
+    # -- calls ----------------------------------------------------------------
+
+    def _call(self, node: ast.Call, n: int) -> Closure:
+        name = node.name
+        tick = self.ticker(n)
+        if name == "printf":
+            arg_fns = [self.expr(arg) for arg in node.args[1:]]
+
+            def printf(rt, st):
+                tick(rt, st)
+                for fn in arg_fns:
+                    fn(rt, st)
+                return 0
+
+            return printf
+        if name in _LOCK_NOOPS or name == "sizeof":
+            return self.constant(n, 8 if name == "sizeof" else 0)
+        if name in _LOCK_SETS or name in _LOCK_UNSETS:
+            return self._lock_call(node, tick, acquire=name in _LOCK_SETS)
+        if name == "omp_get_thread_num":
+            def thread_num(rt, st):
+                tick(rt, st)
+                return st.thread_id if st is not None else 0
+
+            return thread_num
+        if name == "omp_get_num_threads":
+            def num_threads(rt, st):
+                tick(rt, st)
+                return st.team_size if st is not None else 1
+
+            return num_threads
+        if name == "omp_get_wtime":
+            def wtime(rt, st):
+                tick(rt, st)
+                return float(rt.steps)
+
+            return wtime
+        if name in ("fabs", "abs", "sqrt"):
+            if not node.args:
+                return self.raiser(n, f"{name}() needs an argument")
+            # The call's own step directly precedes its argument's.
+            arg = self.expr(node.args[0], n)
+            apply = abs if name != "sqrt" else (lambda value: value ** 0.5)
+
+            def math(rt, st):
+                value = arg(rt, st)
+                try:
+                    return apply(value)
+                except _OPERAND_ERRORS as exc:
+                    raise InterpreterError(f"bad argument to {name}: {exc}") from exc
+
+            return math
+        arg_fns = [self.expr(arg) for arg in node.args]
+        if name == "__init_list__":
+            def init_list(rt, st):
+                tick(rt, st)
+                return [fn(rt, st) for fn in arg_fns]
+
+            return init_list
+        fn = self.unit.function(name)
+        if fn is not None:
+            return self._user_call(fn, node, tick)
+
+        def library(rt, st):
+            # Unknown library call: evaluate arguments for their side effects.
+            tick(rt, st)
+            for arg_fn in arg_fns:
+                arg_fn(rt, st)
+            return 0
+
+        return library
+
+    def _lock_call(self, node: ast.Call, tick: Closure, *, acquire: bool) -> Closure:
+        lock = _lock_name(node)
+
+        def lock_call(rt, st):
+            tick(rt, st)
+            if st is not None and lock is not None:
+                if acquire:
+                    st.locks = st.locks + (lock,)
+                else:
+                    st.locks = tuple(held for held in st.locks if held != lock)
+                rt.hold(st)
+            return 0
+
+        return lock_call
+
+    def _user_call(self, fn: ast.FunctionDef, node: ast.Call, tick: Closure) -> Closure:
+        # Arguments are passed by value into temporary globals (the corpus
+        # uses helper functions only for scalar work); each is bound before
+        # the next is evaluated.
+        params = [(param.name, self.expr(arg)) for param, arg in zip(fn.params, node.args)]
+        cell = self._function(fn)
+
+        def call(rt, st):
+            tick(rt, st)
+            memory = rt.memory
+            saved_keys = set(memory)
+            for param, arg_fn in params:
+                memory[param] = arg_fn(rt, st)
+            try:
+                cell[0](rt, st)
+                result = 0
+            except _ReturnSignal as signal:
+                result = signal.value if signal.value is not None else 0
+            for key in set(memory) - saved_keys:
+                del memory[key]
+            return result
+
+        return call
+
+    def _function(self, fn: ast.FunctionDef) -> List:
+        cell = self._functions.get(fn.name)
+        if cell is None:
+            cell = self._functions[fn.name] = [None]
+            cell[0] = self.stmt(fn.body)
+        return cell
+
+    # -- stores ---------------------------------------------------------------
+
+    def store(self, target: ast.Expr) -> Store:
+        """Closure ``f(rt, st, value)`` assigning ``value`` to ``target``."""
+        if isinstance(target, ast.Identifier):
+            return self._store_identifier(target)
+        if isinstance(target, ast.ArraySubscript):
+            return self._store_subscript(target)
+        if isinstance(target, ast.Deref):
+            message = "pointer stores are not supported"
+        else:
+            message = f"unsupported assignment target {type(target).__name__}"
+
+        def unsupported(rt, st, value):
+            raise InterpreterError(message)
+
+        return unsupported
+
+    def _store_identifier(self, target: ast.Identifier) -> Store:
+        name = target.name
+        line, col = target.loc.line, target.loc.col
+
+        def store_identifier(rt, st, value):
+            if st is None:
+                rt.memory[name] = value
+                return
+            privates = st.privates
+            if name in privates:
+                privates[name] = value
+                return
+            rt.memory[name] = value
+            _emit(rt, st, name, name, name, line, col, True)
+
+        return store_identifier
+
+    def _store_subscript(self, target: ast.ArraySubscript) -> Store:
+        root = target.root_name()
+        undeclared = f"read of undeclared variable {root!r}"
+        bad = f"bad subscript store on {root}: "
+        cell = self.text_cell(target)
+        line, col = target.loc.line, target.loc.col
+        index_nodes = target.indices()
+
+        if len(index_nodes) == 1:
+            index_fn = self.expr(index_nodes[0])
+            what = f"subscript on {root}"
+
+            def store_subscript1(rt, st, value):
+                index = _to_int(index_fn(rt, st), what)
+                if st is not None:
+                    privates = st.privates
+                    if root in privates:
+                        try:
+                            privates[root][index] = value
+                        except (IndexError, TypeError) as exc:
+                            raise InterpreterError(f"{bad}{exc}") from exc
+                        return
+                try:
+                    container = rt.memory[root]
+                except KeyError:
+                    raise InterpreterError(undeclared) from None
+                try:
+                    container[index] = value
+                except (IndexError, TypeError) as exc:
+                    raise InterpreterError(f"{bad}{exc}") from exc
+                if st is not None:
+                    text = cell[0]
+                    if text is None:
+                        text = cell[0] = _render(target)
+                    _emit(rt, st, f"{root}[{index}]", root, text, line, col, True)
+
+            return store_subscript1
+
+        indices_fn = self._indices(target, 0, root)
+
+        def store_subscript(rt, st, value):
+            indices = indices_fn(rt, st)
+            shared = True
+            if st is not None and root in st.privates:
+                dest = st.privates[root]
+                shared = False
+            else:
+                try:
+                    dest = rt.memory[root]
+                except KeyError:
+                    raise InterpreterError(undeclared) from None
+            try:
+                for index in indices[:-1]:
+                    dest = dest[index]
+                dest[indices[-1]] = value
+            except (IndexError, TypeError) as exc:
+                raise InterpreterError(f"{bad}{exc}") from exc
+            if shared and st is not None:
+                text = cell[0]
+                if text is None:
+                    text = cell[0] = _render(target)
+                address = f"{root}[{','.join(str(i) for i in indices)}]"
+                _emit(rt, st, address, root, text, line, col, True)
+
+        return store_subscript
+
+    # -- statements -----------------------------------------------------------
+
+    def stmt(self, node: Optional[ast.Stmt], pre: int = 0) -> Closure:
+        key = (id(node), pre, "stmt")
+        compiled = self._memo.get(key)
+        if compiled is None:
+            build = self._STATEMENTS.get(type(node))
+            n = pre + 1
+            if build is None:
+                compiled = self.raiser(n, f"unsupported statement {type(node).__name__}")
+            else:
+                compiled = build(self, node, n)
+            self._memo[key] = compiled
+        return compiled
+
+    def _compound(self, node: ast.CompoundStmt, n: int) -> Closure:
+        if not node.body:
+            return self.ticker(n)
+        # The block's own step directly precedes its first statement's.
+        children = [self.stmt(node.body[0], n)] + [self.stmt(child) for child in node.body[1:]]
+        if len(children) == 1:
+            return children[0]
+
+        def block(rt, st):
+            for child in children:
+                child(rt, st)
+
+        return block
+
+    def declaration(self, node: ast.Declaration, n: int) -> Closure:
+        """A declaration; ``n == 0`` for globals, which take no step."""
+        default = 0.0 if node.type_name in ("float", "double") else 0
+        plan = []
+        for declarator in node.declarators:
+            dims = [None if dim is None else self.expr(dim) for dim in declarator.array_dims]
+            init = declarator.init
+            init_fn = elements = None
+            if dims:
+                if isinstance(init, ast.Call) and init.name == "__init_list__":
+                    elements = [self.expr(element) for element in init.args]
+            elif init is not None:
+                init_fn = self.expr(init)
+            plan.append((declarator.name, dims, init_fn, elements, f"array size of {declarator.name}"))
+
+        def declare(rt, st):
+            rt.budget = budget = rt.budget - n
+            if budget < 0:
+                raise InterpreterError(_STEP_LIMIT)
+            for name, dims, init_fn, elements, what in plan:
+                if dims:
+                    sizes = [0 if dim is None else _to_int(dim(rt, st), what) for dim in dims]
+                    value = _alloc_array(sizes, default)
+                    if elements is not None:
+                        for index, element in enumerate(elements[: sizes[0]]):
+                            item = element(rt, st)
+                            try:
+                                value[index] = item
+                            except IndexError as exc:
+                                raise InterpreterError(f"bad initialiser of {name}: {exc}") from exc
+                elif init_fn is not None:
+                    value = init_fn(rt, st)
+                else:
+                    value = default
+                if st is not None:
+                    # Declarations inside a parallel construct are block
+                    # locals, private to the executing thread/task.
+                    st.privates[name] = value
+                else:
+                    rt.memory[name] = value
+
+        return declare
+
+    def _for(self, node: ast.ForStmt, n: int) -> Closure:
+        # The loop's own step directly precedes its initialiser's.
+        init = self.stmt(node.init, n) if node.init is not None else self.ticker(n)
+        cond = self.expr(node.cond) if node.cond is not None else (lambda rt, st: True)
+        step = self.expr(node.step) if node.step is not None else (lambda rt, st: None)
+        body = self.stmt(node.body)
+
+        def for_loop(rt, st):
+            init(rt, st)
+            iterations = 0
+            max_loop = rt.max_loop
+            while cond(rt, st):
+                iterations += 1
+                if iterations > max_loop:
+                    raise InterpreterError("for loop iteration limit exceeded")
+                try:
+                    body(rt, st)
+                except _BreakSignal:
+                    break
+                except _ContinueSignal:
+                    pass
+                step(rt, st)
+
+        return for_loop
+
+    def _while(self, node: ast.WhileStmt, n: int) -> Closure:
+        tick = self.ticker(n)
+        cond = self.expr(node.cond)
+        body = self.stmt(node.body)
+
+        def while_loop(rt, st):
+            tick(rt, st)
+            iterations = 0
+            max_loop = rt.max_loop
+            while cond(rt, st):
+                iterations += 1
+                if iterations > max_loop:
+                    raise InterpreterError("while loop iteration limit exceeded")
+                try:
+                    body(rt, st)
+                except _BreakSignal:
+                    break
+                except _ContinueSignal:
+                    continue
+
+        return while_loop
+
+    def _if(self, node: ast.IfStmt, n: int) -> Closure:
+        cond = self.expr(node.cond, n)
+        then = self.stmt(node.then)
+        if node.other is None:
+            def if_then(rt, st):
+                if cond(rt, st):
+                    then(rt, st)
+
+            return if_then
+        other = self.stmt(node.other)
+
+        def if_else(rt, st):
+            if cond(rt, st):
+                then(rt, st)
+            else:
+                other(rt, st)
+
+        return if_else
+
+    def _return(self, node: ast.ReturnStmt, n: int) -> Closure:
+        value = self.expr(node.value, n) if node.value is not None else self.constant(n, None)
+
+        def return_(rt, st):
+            raise _ReturnSignal(value(rt, st))
+
+        return return_
+
+    def _jump(self, node: ast.Stmt, n: int) -> Closure:
+        tick = self.ticker(n)
+        signal = _BreakSignal if isinstance(node, ast.BreakStmt) else _ContinueSignal
+
+        def jump(rt, st):
+            tick(rt, st)
+            raise signal()
+
+        return jump
+
+    # -- OpenMP ---------------------------------------------------------------
+
+    def _omp(self, node: ast.OmpStmt, n: int) -> Closure:
+        tick = self.ticker(n)
+        inner = self._inner(node)
+        if node.pragma.has_directive("parallel"):
+            sequential = self._region(node)
+        elif node.body is not None:
+            # Orphaned worksharing/simd constructs outside a parallel region
+            # execute sequentially on the initial thread.
+            sequential = self.stmt(node.body)
+        else:
+            sequential = None
+
+        def omp(rt, st):
+            tick(rt, st)
+            if st is not None:
+                inner(rt, st)
+            elif sequential is not None:
+                sequential(rt, None)
+
+        return omp
+
+    def _data_clauses(self, pragma: ast.OmpPragma):
+        """(setup, merge) closures for the pragma's data-sharing clauses.
+
+        ``setup(rt, st)`` fills the thread's private storage for
+        clause-listed variables; ``merge(rt, states)`` writes lastprivate
+        and reduction results back to shared memory.
+        """
+        actions: List[Tuple[str, bool, object]] = []  # (name, copy from memory, initial value)
+        post: Dict[str, Tuple[str, str]] = {}
+        actions += [(name, False, 0) for name in pragma.clause_vars("private")]
+        actions += [(name, True, None) for name in pragma.clause_vars("firstprivate")]
+        for name in pragma.clause_vars("lastprivate"):
+            actions.append((name, True, None))
+            post[name] = ("lastprivate", "")
+        actions += [(name, True, None) for name in pragma.clause_vars("linear")]
+        for clause in pragma.clauses:
+            if clause.name == "reduction":
+                op = clause.reduction_op or "+"
+                for name in clause.arguments:
+                    actions.append((name, False, _REDUCTION_INIT.get(op, 0)))
+                    post[name] = ("reduction", op)
+        merges = tuple((name, kind, op) for name, (kind, op) in post.items())
+
+        def setup(rt, st):
+            privates = st.privates
+            memory = rt.memory
+            for name, copy, value in actions:
+                privates[name] = memory.get(name, 0) if copy else value
+
+        def merge(rt, states):
+            memory = rt.memory
+            for name, kind, op in merges:
+                if kind == "lastprivate":
+                    memory[name] = states[-1].privates.get(name, memory.get(name, 0))
+                    continue
+                total = memory.get(name, 0)
+                for state in states:
+                    value = state.privates.get(name, 0)
+                    if op == "*":
+                        total = total * value
+                    elif op == "max":
+                        total = max(total, value)
+                    elif op == "min":
+                        total = min(total, value)
+                    else:
+                        total = total + value
+                memory[name] = total
+
+        return setup, merge
+
+    def _region(self, node: ast.OmpStmt) -> Closure:
+        pragma = node.pragma
+        team_size = _team_size(pragma)
+        setup, merge = self._data_clauses(pragma)
+        # Combined parallel-for/sections constructs: the region body *is*
+        # the worksharing construct.
+        if pragma.has_directive("for") or pragma.has_directive("simd"):
+            body = self._worksharing(node.body, pragma)
+        elif pragma.has_directive("sections"):
+            body = self._sections(node.body)
+        else:
+            body = self.stmt(node.body)
+
+        def region(rt, _st):
+            rt.region += 1
+            team = team_size or rt.num_threads
+            trace = rt.trace
+            trace.num_threads = max(trace.num_threads, team)
+            states = []
+            for tid in range(team):
+                state = _ThreadState(tid, team)
+                setup(rt, state)
+                body(rt, state)
+                states.append(state)
+            merge(rt, states)
+
+        return region
+
+    def _inner(self, node: ast.OmpStmt) -> Closure:
+        """A construct met inside a parallel region (``st`` is not None)."""
+        pragma = node.pragma
+        has = pragma.has_directive
+        body_node = node.body
+        barrier_after = pragma.clause("nowait") is None
+        if has("barrier"):
+            def barrier(rt, st):
+                st.epoch += 1
+
+            return barrier
+        if has("taskwait"):
+            def taskwait(rt, st):
+                st.task_seq += 1
+
+            return taskwait
+        if has("for") or has("taskloop") or (has("simd") and body_node is not None and not has("task")):
+            setup, merge = self._data_clauses(pragma)
+            loop = self._worksharing(body_node, pragma)
+
+            def worksharing(rt, st):
+                setup(rt, st)
+                loop(rt, st)
+                merge(rt, [st])
+                if barrier_after:
+                    st.epoch += 1
+
+            return worksharing
+        if has("sections"):
+            sections_fn = self._sections(body_node)
+
+            def sections(rt, st):
+                sections_fn(rt, st)
+                if barrier_after:
+                    st.epoch += 1
+
+            return sections
+        if has("single") or has("master"):
+            body = self.stmt(body_node)
+            single = has("single")
+
+            def thread_zero(rt, st):
+                if st.thread_id == 0:
+                    body(rt, st)
+                if single and barrier_after:
+                    st.epoch += 1
+
+            return thread_zero
+        if has("critical"):
+            return self._critical(node)
+        if has("atomic"):
+            body = self.stmt(body_node)
+
+            def atomic(rt, st):
+                st.atomic_depth += 1
+                try:
+                    body(rt, st)
+                finally:
+                    st.atomic_depth -= 1
+
+            return atomic
+        if has("ordered"):
+            body = self.stmt(body_node)
+
+            def ordered(rt, st):
+                st.ordered_depth += 1
+                try:
+                    body(rt, st)
+                finally:
+                    st.ordered_depth -= 1
+
+            return ordered
+        if has("task"):
+            return self._task(node)
+        if has("parallel"):
+            # Nested region: run the body on the current thread only.
+            if has("for") or has("simd"):
+                return self._worksharing(body_node, pragma)
+        if body_node is not None:
+            return self.stmt(body_node)
+        return lambda rt, st: None
+
+    def _critical(self, node: ast.OmpStmt) -> Closure:
+        name_clause = node.pragma.clause("name")
+        if name_clause is not None and not name_clause.arguments:
+            return lambda rt, st: _raise("critical name clause without a name")
+        name = name_clause.arguments[0] if name_clause else "__critical__"
+        body = self.stmt(node.body)
+
+        def critical(rt, st):
+            st.critical = st.critical + (name,)
+            rt.hold(st)
+            try:
+                body(rt, st)
+            finally:
+                st.critical = st.critical[:-1]
+                rt.hold(st)
+
+        return critical
+
+    def _worksharing(self, body_node: Optional[ast.Stmt], pragma: ast.OmpPragma) -> Closure:
+        """This thread's share of a canonical loop (any other body runs whole)."""
+        loop = _unwrap(body_node)
+        if not isinstance(loop, ast.ForStmt):
+            # A simd-only construct may wrap a non-canonical body; execute it.
+            return self.stmt(body_node)
+        var = loop.loop_variable()
+        if var is None:
+            return lambda rt, st: _raise("worksharing loop has no canonical induction variable")
+        if isinstance(loop.init, ast.Declaration):
+            start_fn = self.expr(loop.init.declarators[0].init)
+        elif isinstance(loop.init, ast.ExprStmt) and isinstance(loop.init.expr, ast.Assignment):
+            start_fn = self.expr(loop.init.expr.value)
+        else:
+            return lambda rt, st: _raise("unsupported worksharing loop initialisation")
+        cond = loop.cond
+        bound_fn = self.expr(cond.right) if isinstance(cond, ast.BinaryOp) else None
+        cond_op = cond.op if isinstance(cond, ast.BinaryOp) else ""
+        step_expr = loop.step
+        step, delta_fn = 1, None
+        if isinstance(step_expr, ast.IncDec):
+            step = 1 if step_expr.op == "++" else -1
+        elif isinstance(step_expr, ast.Assignment) and step_expr.is_compound:
+            delta_fn = self.expr(step_expr.value)
+            step = 1 if step_expr.op == "+=" else -1
+        schedule_clause = pragma.clause("schedule")
+        kind = None
+        if schedule_clause and schedule_clause.arguments:
+            requested = schedule_clause.arguments[0]
+            kind = "roundrobin" if requested in ("dynamic", "guided") else "static"
+        body = self.stmt(loop.body)
+        what = "worksharing loop bound"
+
+        def worksharing_loop(rt, st):
+            start = _to_int(start_fn(rt, st), what)
+            if bound_fn is None:
+                raise InterpreterError("unsupported worksharing loop condition")
+            bound = _to_int(bound_fn(rt, st), what)
+            stride = step if delta_fn is None else step * _to_int(delta_fn(rt, st), what)
+            iterations = _iteration_space(cond_op, start, bound, stride, rt.max_loop)
+            team, tid = st.team_size, st.thread_id
+            if (kind or rt.schedule) == "roundrobin":
+                mine = iterations[tid::team]
+            else:
+                chunk = (len(iterations) + team - 1) // team
+                mine = iterations[tid * chunk : tid * chunk + chunk]
+            # the loop variable is implicitly private
+            st.privates.setdefault(var, 0)
+            for value in mine:
+                # (a task in the body replaces st.privates, so look it up)
+                st.privates[var] = value
+                try:
+                    body(rt, st)
+                except _BreakSignal:
+                    break
+                except _ContinueSignal:
+                    continue
+            if iterations:
+                st.privates[var] = iterations[-1] + 1
+
+        return worksharing_loop
+
+    def _sections(self, body_node: Optional[ast.Stmt]) -> Closure:
+        inner = _unwrap(body_node)
+        if not isinstance(inner, ast.CompoundStmt):
+            return self.stmt(body_node)
+        parts: List[Tuple[Optional[int], Optional[Closure]]] = []
+        section_index = 0
+        for child in inner.body:
+            if isinstance(child, ast.OmpStmt) and child.pragma.has_directive("section"):
+                parts.append((section_index, self.stmt(child.body) if child.body is not None else None))
+                section_index += 1
+            else:
+                # statements outside explicit sections run on every thread
+                parts.append((None, self.stmt(child)))
+
+        def sections(rt, st):
+            for owner, part in parts:
+                if owner is None:
+                    part(rt, st)
+                elif part is not None and owner % st.team_size == st.thread_id:
+                    part(rt, st)
+
+        return sections
+
+    def _task(self, node: ast.OmpStmt) -> Closure:
+        pragma = node.pragma
+        depend_in: List[str] = []
+        depend_out: List[str] = []
+        for clause in pragma.clauses:
+            if clause.name != "depend" or not clause.arguments:
+                continue
+            mode, names = clause.arguments[0], clause.arguments[1:]
+            if mode in ("in", "inout"):
+                depend_in.extend(names)
+            if mode in ("out", "inout"):
+                depend_out.extend(names)
+        firstprivate = [(name, f"read of undeclared variable {name!r}")
+                        for name in pragma.clause_vars("firstprivate")]
+        private = pragma.clause_vars("private")
+        body = self.stmt(node.body) if node.body is not None else None
+
+        def task(rt, st):
+            rt.task_counter += 1
+            last_out = rt.depend_last_out
+            ordered_after = set()
+            for name in depend_in:
+                if name in last_out:
+                    ordered_after.add(last_out[name])
+            info = TaskInfo(
+                task_id=rt.task_counter,
+                creator_thread=st.thread_id,
+                creation_step=st.step,
+                seq=st.task_seq,
+                ordered_after=frozenset(ordered_after),
+            )
+            for name in depend_out:
+                last_out[name] = info.task_id
+            saved_task = st.current_task
+            privates = st.privates
+            saved_privates = dict(privates)
+            for name, undeclared in firstprivate:
+                if name not in privates:
+                    if name not in rt.memory:
+                        raise InterpreterError(undeclared)
+                    privates[name] = rt.memory[name]
+            for name in private:
+                privates[name] = 0
+            st.current_task = info
+            try:
+                if body is not None:
+                    body(rt, st)
+            finally:
+                st.current_task = saved_task
+                st.privates = saved_privates
+
+        return task
+
+    _EXPRESSIONS = {
+        ast.IntLiteral: _literal,
+        ast.FloatLiteral: _literal,
+        ast.StringLiteral: _literal,
+        ast.Identifier: _identifier,
+        ast.ArraySubscript: _subscript,
+        ast.BinaryOp: _binary,
+        ast.UnaryOp: _unary,
+        ast.Assignment: _assignment,
+        ast.IncDec: _incdec,
+        ast.Call: _call,
+        ast.AddressOf: _address_of,
+        ast.Deref: _deref,
+        ast.ConditionalExpr: _conditional,
+    }
+
+    _STATEMENTS = {
+        ast.CompoundStmt: _compound,
+        ast.Declaration: declaration,
+        ast.ExprStmt: lambda self, node, n: self.expr(node.expr, n),
+        ast.ForStmt: _for,
+        ast.WhileStmt: _while,
+        ast.IfStmt: _if,
+        ast.ReturnStmt: _return,
+        ast.BreakStmt: _jump,
+        ast.ContinueStmt: _jump,
+        ast.NullStmt: lambda self, node, n: self.ticker(n),
+        ast.OmpStmt: _omp,
+    }
+
+
+def _raise(message: str):
+    raise InterpreterError(message)
+
+
+def _render(expr: ast.Expr) -> str:
+    from repro.analysis.accesses import render_expr
+
+    return render_expr(expr)
+
+
+def _alloc_array(dims: List[int], default):
+    head, *rest = dims
+    if not rest:
+        return [default] * max(head, 0)
+    return [_alloc_array(rest, default) for _ in range(head)]
+
+
+def _lock_name(call: ast.Call) -> Optional[str]:
+    if not call.args:
+        return None
+    arg = call.args[0]
+    if isinstance(arg, ast.AddressOf) and isinstance(arg.operand, ast.Identifier):
+        return arg.operand.name
+    if isinstance(arg, ast.Identifier):
+        return arg.name
+    return None
+
+
+def _team_size(pragma: ast.OmpPragma) -> Optional[int]:
+    """The ``num_threads`` clause's team size, or None for the run's default."""
+    clause = pragma.clause("num_threads")
+    if clause and clause.arguments:
+        try:
+            return max(1, int(clause.arguments[0]))
+        except ValueError:
+            return None
+    return None
+
+
+class Program:
+    """A translation unit compiled once into closures, runnable any number of times."""
+
+    def __init__(self, unit: ast.TranslationUnit) -> None:
+        compiler = _Compiler(unit)
+        main = unit.main
+        self.globals: List[Closure] = []
+        self.main: Optional[Closure] = None
+        if main is None or main.body is None:
+            return
+        try:
+            self.globals = [compiler.declaration(decl, 0) for decl in unit.globals]
+            self.main = compiler.stmt(main.body)
+        except RecursionError:
+            # Compiling takes about two Python frames per nesting level;
+            # a program nested that deeply fails when run, not here.
+            self.globals = []
+            self.main = compiler.raiser(0, "program nesting too deep to compile")
 
 
 class Interpreter:
     """Executes a parsed microbenchmark and records shared-access events."""
-
-    #: Reduction identity values per operator.
-    _REDUCTION_INIT = {"+": 0, "-": 0, "*": 1, "max": float("-inf"), "min": float("inf"),
-                       "|": 0, "&": ~0, "^": 0, "||": 0, "&&": 1}
 
     def __init__(
         self,
@@ -94,818 +1385,27 @@ class Interpreter:
         self.schedule = schedule
         self.limits = limits or InterpreterLimits()
 
-    # ------------------------------------------------------------------ run --
-
     def run_source(self, source: str) -> ExecutionTrace:
         """Parse and execute a C source string."""
         return self.run(parse(source))
 
-    def run(self, unit: ast.TranslationUnit) -> ExecutionTrace:
-        """Execute ``main`` of an already parsed translation unit."""
-        main = unit.main
-        if main is None or main.body is None:
+    def run(self, unit: Union[ast.TranslationUnit, Program]) -> ExecutionTrace:
+        """Execute ``main`` of a parsed translation unit or an already compiled program."""
+        program = unit if isinstance(unit, Program) else Program(unit)
+        if program.main is None:
             raise InterpreterError("program has no main function")
-        self._unit = unit
-        self._symbols = build_symbol_table(unit)
-        self._memory: Dict[str, object] = {}
-        self._trace = ExecutionTrace(num_threads=self.num_threads)
-        self._steps = 0
-        self._region_counter = 0
-        self._task_counter = 0
-        self._depend_last_out: Dict[str, int] = {}
-        self._parallel_state: Optional[_ThreadState] = None
-
-        for decl in unit.globals:
-            self._exec_declaration(decl, None)
+        rt = _Runtime(self.num_threads, self.schedule, self.limits)
+        self._memory = rt.memory
         try:
-            self._exec_stmt(main.body, None)
+            for declare in program.globals:
+                declare(rt, None)
+            program.main(rt, None)
         except _ReturnSignal:
             pass
-        self._trace.steps_executed = self._steps
-        self._trace.regions_executed = self._region_counter
-        return self._trace
-
-    # ------------------------------------------------------------- plumbing --
-
-    def _tick(self) -> None:
-        self._steps += 1
-        if self._steps > self.limits.max_steps:
-            raise InterpreterError("execution step limit exceeded")
-
-    def _is_private(self, name: str, state: Optional[_ThreadState]) -> bool:
-        return state is not None and name in state.privates
-
-    def _read_var(self, name: str, state: Optional[_ThreadState]):
-        if self._is_private(name, state):
-            return state.privates[name]
-        if name in self._memory:
-            return self._memory[name]
-        raise InterpreterError(f"read of undeclared variable {name!r}")
-
-    def _write_var(self, name: str, value, state: Optional[_ThreadState]) -> None:
-        if self._is_private(name, state):
-            state.privates[name] = value
-            return
-        self._memory[name] = value
-
-    # -------------------------------------------------------------- events --
-
-    def _emit(
-        self,
-        state: Optional[_ThreadState],
-        *,
-        address: str,
-        variable: str,
-        expr_text: str,
-        loc: ast.SourceLoc,
-        is_write: bool,
-    ) -> None:
-        if state is None:
-            return  # sequential accesses cannot race
-        state.step += 1
-        task = state.current_task
-        self._trace.append(
-            AccessEvent(
-                address=address,
-                variable=variable,
-                expr_text=expr_text,
-                line=loc.line,
-                col=loc.col,
-                is_write=is_write,
-                thread=state.thread_id,
-                region=self._region_counter,
-                epoch=state.epoch,
-                step=state.step,
-                locks=frozenset(state.locks) | frozenset(state.critical),
-                atomic=state.atomic_depth > 0,
-                ordered=state.ordered_depth > 0,
-                task=task,
-                task_seq=state.task_seq,
-            )
-        )
-
-    # --------------------------------------------------------- declarations --
-
-    def _default_value(self, type_name: str):
-        return 0.0 if type_name in ("float", "double") else 0
-
-    def _alloc_array(self, dims: List[int], type_name: str):
-        if not dims:
-            return self._default_value(type_name)
-        head, *rest = dims
-        return [self._alloc_array(rest, type_name) for _ in range(head)]
-
-    def _exec_declaration(self, decl: ast.Declaration, state: Optional[_ThreadState]) -> None:
-        for declarator in decl.declarators:
-            dims: List[int] = []
-            for dim_expr in declarator.array_dims:
-                if dim_expr is None:
-                    dims.append(0)
-                else:
-                    dims.append(int(self._eval(dim_expr, state)))
-            if dims:
-                value = self._alloc_array(dims, decl.type_name)
-            elif declarator.init is not None:
-                value = self._eval(declarator.init, state)
-            else:
-                value = self._default_value(decl.type_name)
-            if declarator.init is not None and dims:
-                init = declarator.init
-                if isinstance(init, ast.Call) and init.name == "__init_list__":
-                    for idx, element in enumerate(init.args[: dims[0]]):
-                        value[idx] = self._eval(element, state)
-            if state is not None:
-                # Declarations inside a parallel construct are block locals,
-                # private to the executing thread/task.
-                state.privates[declarator.name] = value
-            else:
-                self._memory[declarator.name] = value
-
-    # ---------------------------------------------------------- expressions --
-
-    def _eval(self, expr: ast.Expr, state: Optional[_ThreadState]):
-        self._tick()
-        if isinstance(expr, ast.IntLiteral):
-            return expr.value
-        if isinstance(expr, ast.FloatLiteral):
-            return expr.value
-        if isinstance(expr, ast.StringLiteral):
-            return expr.value
-        if isinstance(expr, ast.Identifier):
-            value = self._read_var(expr.name, state)
-            if not self._is_private(expr.name, state) and not isinstance(value, list):
-                self._emit(
-                    state,
-                    address=expr.name,
-                    variable=expr.name,
-                    expr_text=expr.name,
-                    loc=expr.loc,
-                    is_write=False,
-                )
-            return value
-        if isinstance(expr, ast.ArraySubscript):
-            return self._eval_subscript(expr, state, emit_read=True)[2]
-        if isinstance(expr, ast.BinaryOp):
-            return self._eval_binary(expr, state)
-        if isinstance(expr, ast.UnaryOp):
-            value = self._eval(expr.operand, state)
-            if expr.op == "-":
-                return -value
-            if expr.op == "+":
-                return value
-            if expr.op == "!":
-                return 0 if value else 1
-            if expr.op == "~":
-                return ~int(value)
-            raise InterpreterError(f"unsupported unary operator {expr.op}")
-        if isinstance(expr, ast.Assignment):
-            return self._eval_assignment(expr, state)
-        if isinstance(expr, ast.IncDec):
-            return self._eval_incdec(expr, state)
-        if isinstance(expr, ast.Call):
-            return self._eval_call(expr, state)
-        if isinstance(expr, ast.AddressOf):
-            operand = expr.operand
-            if isinstance(operand, ast.Identifier):
-                return ("&", operand.name)
-            return ("&", "<expr>")
-        if isinstance(expr, ast.Deref):
-            return self._eval(expr.operand, state)
-        if isinstance(expr, ast.ConditionalExpr):
-            return (
-                self._eval(expr.then, state)
-                if self._eval(expr.cond, state)
-                else self._eval(expr.other, state)
-            )
-        raise InterpreterError(f"unsupported expression {type(expr).__name__}")
-
-    def _eval_binary(self, expr: ast.BinaryOp, state: Optional[_ThreadState]):
-        op = expr.op
-        if op == "&&":
-            return 1 if (self._eval(expr.left, state) and self._eval(expr.right, state)) else 0
-        if op == "||":
-            return 1 if (self._eval(expr.left, state) or self._eval(expr.right, state)) else 0
-        if op == ",":
-            self._eval(expr.left, state)
-            return self._eval(expr.right, state)
-        left = self._eval(expr.left, state)
-        right = self._eval(expr.right, state)
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            if right == 0:
-                raise InterpreterError("division by zero")
-            if isinstance(left, int) and isinstance(right, int):
-                return left // right
-            return left / right
-        if op == "%":
-            if right == 0:
-                raise InterpreterError("modulo by zero")
-            return int(left) % int(right)
-        if op == "==":
-            return 1 if left == right else 0
-        if op == "!=":
-            return 1 if left != right else 0
-        if op == "<":
-            return 1 if left < right else 0
-        if op == ">":
-            return 1 if left > right else 0
-        if op == "<=":
-            return 1 if left <= right else 0
-        if op == ">=":
-            return 1 if left >= right else 0
-        if op == "&":
-            return int(left) & int(right)
-        if op == "|":
-            return int(left) | int(right)
-        if op == "^":
-            return int(left) ^ int(right)
-        if op == "<<":
-            return int(left) << int(right)
-        if op == ">>":
-            return int(left) >> int(right)
-        raise InterpreterError(f"unsupported binary operator {op}")
-
-    def _render(self, expr: ast.Expr) -> str:
-        from repro.analysis.accesses import render_expr
-
-        return render_expr(expr)
-
-    def _eval_subscript(self, expr: ast.ArraySubscript, state, *, emit_read: bool):
-        """Resolve an array subscript.  Returns (container, index, value)."""
-        root = expr.root_name()
-        if root is None:
-            raise InterpreterError("cannot resolve array expression")
-        indices = [int(self._eval(ix, state)) for ix in expr.indices()]
-        container = self._read_var(root, state)
-        shared = not self._is_private(root, state)
-        target = container
-        for depth, index in enumerate(indices[:-1]):
-            try:
-                target = target[index]
-            except (IndexError, TypeError) as exc:
-                raise InterpreterError(f"bad subscript on {root}: {exc}") from exc
-        last = indices[-1]
-        try:
-            value = target[last]
-        except (IndexError, TypeError) as exc:
-            raise InterpreterError(f"bad subscript on {root}: {exc}") from exc
-        address = f"{root}[{','.join(str(i) for i in indices)}]"
-        if shared and emit_read:
-            self._emit(
-                state,
-                address=address,
-                variable=root,
-                expr_text=self._render(expr),
-                loc=expr.loc,
-                is_write=False,
-            )
-        return (target, last, value) if shared else (target, last, value)
-
-    def _assign_target(self, target: ast.Expr, value, state: Optional[_ThreadState]) -> None:
-        if isinstance(target, ast.Identifier):
-            shared = not self._is_private(target.name, state)
-            self._write_var(target.name, value, state)
-            if shared:
-                self._emit(
-                    state,
-                    address=target.name,
-                    variable=target.name,
-                    expr_text=target.name,
-                    loc=target.loc,
-                    is_write=True,
-                )
-            return
-        if isinstance(target, ast.ArraySubscript):
-            root = target.root_name()
-            indices = [int(self._eval(ix, state)) for ix in target.indices()]
-            container = self._read_var(root, state)
-            shared = not self._is_private(root, state)
-            dest = container
-            for index in indices[:-1]:
-                dest = dest[index]
-            try:
-                dest[indices[-1]] = value
-            except (IndexError, TypeError) as exc:
-                raise InterpreterError(f"bad subscript store on {root}: {exc}") from exc
-            if shared:
-                address = f"{root}[{','.join(str(i) for i in indices)}]"
-                self._emit(
-                    state,
-                    address=address,
-                    variable=root,
-                    expr_text=self._render(target),
-                    loc=target.loc,
-                    is_write=True,
-                )
-            return
-        if isinstance(target, ast.Deref):
-            raise InterpreterError("pointer stores are not supported")
-        raise InterpreterError(f"unsupported assignment target {type(target).__name__}")
-
-    def _eval_assignment(self, expr: ast.Assignment, state: Optional[_ThreadState]):
-        if expr.is_compound:
-            current = self._eval(expr.target, state)
-            rhs = self._eval(expr.value, state)
-            op = expr.op[:-1]
-            combined = self._eval_binary_value(op, current, rhs)
-            self._assign_target(expr.target, combined, state)
-            return combined
-        value = self._eval(expr.value, state)
-        self._assign_target(expr.target, value, state)
-        return value
-
-    def _eval_binary_value(self, op: str, left, right):
-        fake = ast.BinaryOp(
-            loc=ast.SourceLoc(0, 0), op=op,
-            left=ast.IntLiteral(loc=ast.SourceLoc(0, 0), value=0),
-            right=ast.IntLiteral(loc=ast.SourceLoc(0, 0), value=0),
-        )
-        # Reuse the operator table without re-evaluating operands.
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            if right == 0:
-                raise InterpreterError("division by zero")
-            if isinstance(left, int) and isinstance(right, int):
-                return left // right
-            return left / right
-        if op == "%":
-            return int(left) % int(right)
-        if op == "&":
-            return int(left) & int(right)
-        if op == "|":
-            return int(left) | int(right)
-        if op == "^":
-            return int(left) ^ int(right)
-        if op == "<<":
-            return int(left) << int(right)
-        if op == ">>":
-            return int(left) >> int(right)
-        raise InterpreterError(f"unsupported compound operator {op}{fake and '='}")
-
-    def _eval_incdec(self, expr: ast.IncDec, state: Optional[_ThreadState]):
-        current = self._eval(expr.operand, state)
-        delta = 1 if expr.op == "++" else -1
-        updated = current + delta
-        self._assign_target(expr.operand, updated, state)
-        return updated if expr.prefix else current
-
-    def _eval_call(self, expr: ast.Call, state: Optional[_ThreadState]):
-        name = expr.name
-        if name == "printf":
-            for arg in expr.args[1:]:
-                self._eval(arg, state)
-            return 0
-        if name in ("omp_init_lock", "omp_destroy_lock", "omp_init_nest_lock",
-                    "omp_destroy_nest_lock"):
-            return 0
-        if name in ("omp_set_lock", "omp_set_nest_lock"):
-            lock = self._lock_name(expr)
-            if state is not None and lock is not None:
-                state.locks = state.locks + (lock,)
-            return 0
-        if name in ("omp_unset_lock", "omp_unset_nest_lock"):
-            lock = self._lock_name(expr)
-            if state is not None and lock is not None:
-                state.locks = tuple(l for l in state.locks if l != lock)
-            return 0
-        if name == "omp_get_thread_num":
-            return state.thread_id if state is not None else 0
-        if name == "omp_get_num_threads":
-            return state.team_size if state is not None else 1
-        if name == "omp_get_wtime":
-            return float(self._steps)
-        if name == "sizeof":
-            return 8
-        if name in ("fabs", "abs"):
-            return abs(self._eval(expr.args[0], state))
-        if name == "sqrt":
-            return self._eval(expr.args[0], state) ** 0.5
-        if name == "__init_list__":
-            return [self._eval(a, state) for a in expr.args]
-        # user-defined helper function
-        fn = self._unit.function(name)
-        if fn is not None:
-            return self._call_user_function(fn, expr, state)
-        # Unknown library call: evaluate arguments for their side effects.
-        for arg in expr.args:
-            self._eval(arg, state)
-        return 0
-
-    def _lock_name(self, expr: ast.Call) -> Optional[str]:
-        if not expr.args:
-            return None
-        arg = expr.args[0]
-        if isinstance(arg, ast.AddressOf) and isinstance(arg.operand, ast.Identifier):
-            return arg.operand.name
-        if isinstance(arg, ast.Identifier):
-            return arg.name
-        return None
-
-    def _call_user_function(self, fn: ast.FunctionDef, call: ast.Call, state):
-        saved_memory_keys = set(self._memory)
-        # Arguments are passed by value into temporary globals (the corpus
-        # uses helper functions only for scalar work).
-        for param, arg in zip(fn.params, call.args):
-            self._memory[param.name] = self._eval(arg, state)
-        try:
-            self._exec_stmt(fn.body, state)
-            result = 0
-        except _ReturnSignal as signal:
-            result = signal.value if signal.value is not None else 0
-        for key in set(self._memory) - saved_memory_keys:
-            del self._memory[key]
-        return result
-
-    # ----------------------------------------------------------- statements --
-
-    def _exec_stmt(self, stmt: ast.Stmt, state: Optional[_ThreadState]) -> None:
-        self._tick()
-        if isinstance(stmt, ast.CompoundStmt):
-            for child in stmt.body:
-                self._exec_stmt(child, state)
-            return
-        if isinstance(stmt, ast.Declaration):
-            self._exec_declaration(stmt, state)
-            return
-        if isinstance(stmt, ast.ExprStmt):
-            self._eval(stmt.expr, state)
-            return
-        if isinstance(stmt, ast.ForStmt):
-            self._exec_for(stmt, state)
-            return
-        if isinstance(stmt, ast.WhileStmt):
-            iterations = 0
-            while self._eval(stmt.cond, state):
-                iterations += 1
-                if iterations > self.limits.max_loop_iterations:
-                    raise InterpreterError("while loop iteration limit exceeded")
-                try:
-                    self._exec_stmt(stmt.body, state)
-                except _BreakSignal:
-                    break
-                except _ContinueSignal:
-                    continue
-            return
-        if isinstance(stmt, ast.IfStmt):
-            if self._eval(stmt.cond, state):
-                self._exec_stmt(stmt.then, state)
-            elif stmt.other is not None:
-                self._exec_stmt(stmt.other, state)
-            return
-        if isinstance(stmt, ast.ReturnStmt):
-            value = self._eval(stmt.value, state) if stmt.value is not None else None
-            raise _ReturnSignal(value)
-        if isinstance(stmt, ast.BreakStmt):
-            raise _BreakSignal()
-        if isinstance(stmt, ast.ContinueStmt):
-            raise _ContinueSignal()
-        if isinstance(stmt, ast.NullStmt):
-            return
-        if isinstance(stmt, ast.OmpStmt):
-            self._exec_omp(stmt, state)
-            return
-        raise InterpreterError(f"unsupported statement {type(stmt).__name__}")
-
-    def _exec_for(self, stmt: ast.ForStmt, state: Optional[_ThreadState]) -> None:
-        if stmt.init is not None:
-            self._exec_stmt(stmt.init, state)
-        iterations = 0
-        while stmt.cond is None or self._eval(stmt.cond, state):
-            iterations += 1
-            if iterations > self.limits.max_loop_iterations:
-                raise InterpreterError("for loop iteration limit exceeded")
-            try:
-                self._exec_stmt(stmt.body, state)
-            except _BreakSignal:
-                break
-            except _ContinueSignal:
-                pass
-            if stmt.step is not None:
-                self._eval(stmt.step, state)
-        return
-
-    # --------------------------------------------------------------- OpenMP --
-
-    def _exec_omp(self, stmt: ast.OmpStmt, state: Optional[_ThreadState]) -> None:
-        pragma = stmt.pragma
-        if pragma.has_directive("parallel") and state is None:
-            self._exec_parallel_region(stmt)
-            return
-        if pragma.has_directive("parallel") and state is not None:
-            # Nested parallelism: execute with the existing team (serialized).
-            self._exec_parallel_inner(stmt, state)
-            return
-        if state is None:
-            # Orphaned worksharing/simd constructs outside a parallel region
-            # execute sequentially on the initial thread.
-            if stmt.body is not None:
-                self._exec_stmt(stmt.body, state)
-            return
-        self._exec_parallel_inner(stmt, state)
-
-    # -- region management ---------------------------------------------------
-
-    def _team_size(self, pragma: ast.OmpPragma) -> int:
-        clause = pragma.clause("num_threads")
-        if clause and clause.arguments:
-            try:
-                return max(1, int(clause.arguments[0]))
-            except ValueError:
-                return self.num_threads
-        return self.num_threads
-
-    def _apply_data_clauses(self, pragma: ast.OmpPragma, state: _ThreadState) -> Dict[str, Tuple[str, str]]:
-        """Populate private storage for clause-listed variables.
-
-        Returns a mapping var -> (kind, op) for variables needing post-region
-        handling (lastprivate write-back, reduction merge).
-        """
-        post: Dict[str, Tuple[str, str]] = {}
-        for name in pragma.clause_vars("private"):
-            state.privates[name] = 0
-        for name in pragma.clause_vars("firstprivate"):
-            state.privates[name] = self._memory.get(name, 0)
-        for name in pragma.clause_vars("lastprivate"):
-            state.privates[name] = self._memory.get(name, 0)
-            post[name] = ("lastprivate", "")
-        for name in pragma.clause_vars("linear"):
-            state.privates[name] = self._memory.get(name, 0)
-        for clause in pragma.clauses:
-            if clause.name == "reduction":
-                op = clause.reduction_op or "+"
-                for name in clause.arguments:
-                    state.privates[name] = self._REDUCTION_INIT.get(op, 0)
-                    post[name] = ("reduction", op)
-        return post
-
-    def _merge_post_region(self, post: Dict[str, Tuple[str, str]], states: List[_ThreadState]) -> None:
-        for name, (kind, op) in post.items():
-            if kind == "lastprivate":
-                self._memory[name] = states[-1].privates.get(name, self._memory.get(name, 0))
-            elif kind == "reduction":
-                total = self._memory.get(name, 0)
-                for state in states:
-                    value = state.privates.get(name, 0)
-                    if op == "+":
-                        total = total + value
-                    elif op == "*":
-                        total = total * value
-                    elif op == "max":
-                        total = max(total, value)
-                    elif op == "min":
-                        total = min(total, value)
-                    else:
-                        total = total + value
-                self._memory[name] = total
-
-    def _exec_parallel_region(self, stmt: ast.OmpStmt) -> None:
-        pragma = stmt.pragma
-        self._region_counter += 1
-        team = self._team_size(pragma)
-        self._trace.num_threads = max(self._trace.num_threads, team)
-        states: List[_ThreadState] = []
-        post: Dict[str, Tuple[str, str]] = {}
-        for tid in range(team):
-            state = _ThreadState(thread_id=tid, team_size=team)
-            post = self._apply_data_clauses(pragma, state)
-            # Combined parallel-for/sections constructs: the region body *is*
-            # the worksharing construct.
-            if pragma.has_directive("for") or pragma.has_directive("simd"):
-                self._exec_worksharing_for(stmt.body, pragma, state)
-            elif pragma.has_directive("sections"):
-                self._exec_sections(stmt.body, pragma, state)
-            else:
-                self._exec_stmt(stmt.body, state)
-            states.append(state)
-        self._merge_post_region(post, states)
-
-    def _exec_parallel_inner(self, stmt: ast.OmpStmt, state: _ThreadState) -> None:
-        """Execute a non-region OpenMP construct inside a parallel region."""
-        pragma = stmt.pragma
-        if pragma.has_directive("barrier"):
-            state.epoch += 1
-            return
-        if pragma.has_directive("taskwait"):
-            state.task_seq += 1
-            return
-        if pragma.has_directive("for") or pragma.has_directive("taskloop") or (
-            pragma.has_directive("simd") and stmt.body is not None and not pragma.has_directive("task")
-        ):
-            post = self._apply_data_clauses(pragma, state)
-            self._exec_worksharing_for(stmt.body, pragma, state)
-            self._merge_post_region(post, [state])
-            if pragma.clause("nowait") is None:
-                state.epoch += 1
-            return
-        if pragma.has_directive("sections"):
-            self._exec_sections(stmt.body, pragma, state)
-            if pragma.clause("nowait") is None:
-                state.epoch += 1
-            return
-        if pragma.has_directive("single"):
-            if state.thread_id == 0:
-                self._exec_stmt(stmt.body, state)
-            if pragma.clause("nowait") is None:
-                state.epoch += 1
-            return
-        if pragma.has_directive("master"):
-            if state.thread_id == 0:
-                self._exec_stmt(stmt.body, state)
-            return
-        if pragma.has_directive("critical"):
-            name_clause = pragma.clause("name")
-            name = name_clause.arguments[0] if name_clause else "__critical__"
-            state.critical = state.critical + (name,)
-            try:
-                self._exec_stmt(stmt.body, state)
-            finally:
-                state.critical = state.critical[:-1]
-            return
-        if pragma.has_directive("atomic"):
-            state.atomic_depth += 1
-            try:
-                self._exec_stmt(stmt.body, state)
-            finally:
-                state.atomic_depth -= 1
-            return
-        if pragma.has_directive("ordered"):
-            state.ordered_depth += 1
-            try:
-                self._exec_stmt(stmt.body, state)
-            finally:
-                state.ordered_depth -= 1
-            return
-        if pragma.has_directive("task"):
-            self._exec_task(stmt, state)
-            return
-        if pragma.has_directive("parallel"):
-            # Nested region: run the body on the current thread only.
-            if pragma.has_directive("for") or pragma.has_directive("simd"):
-                self._exec_worksharing_for(stmt.body, pragma, state)
-            elif stmt.body is not None:
-                self._exec_stmt(stmt.body, state)
-            return
-        if stmt.body is not None:
-            self._exec_stmt(stmt.body, state)
-
-    # -- worksharing ----------------------------------------------------------
-
-    def _loop_iterations(self, loop: ast.ForStmt, state: _ThreadState) -> Tuple[str, List[int]]:
-        """Evaluate the iteration space of a canonical OpenMP loop."""
-        var = loop.loop_variable()
-        if var is None:
-            raise InterpreterError("worksharing loop has no canonical induction variable")
-        # start value
-        if isinstance(loop.init, ast.Declaration):
-            init_expr = loop.init.declarators[0].init
-        elif isinstance(loop.init, ast.ExprStmt) and isinstance(loop.init.expr, ast.Assignment):
-            init_expr = loop.init.expr.value
-        else:
-            raise InterpreterError("unsupported worksharing loop initialisation")
-        start = int(self._eval(init_expr, state))
-        # bound
-        cond = loop.cond
-        if not isinstance(cond, ast.BinaryOp):
-            raise InterpreterError("unsupported worksharing loop condition")
-        bound = int(self._eval(cond.right, state))
-        op = cond.op
-        # step
-        step_expr = loop.step
-        step = 1
-        if isinstance(step_expr, ast.IncDec):
-            step = 1 if step_expr.op == "++" else -1
-        elif isinstance(step_expr, ast.Assignment) and step_expr.is_compound:
-            delta = int(self._eval(step_expr.value, state))
-            step = delta if step_expr.op == "+=" else -delta
-        iterations: List[int] = []
-        value = start
-        guard = 0
-        while True:
-            guard += 1
-            if guard > self.limits.max_loop_iterations:
-                raise InterpreterError("worksharing loop iteration limit exceeded")
-            if op == "<" and not value < bound:
-                break
-            if op == "<=" and not value <= bound:
-                break
-            if op == ">" and not value > bound:
-                break
-            if op == ">=" and not value >= bound:
-                break
-            if op not in ("<", "<=", ">", ">="):
-                raise InterpreterError(f"unsupported loop condition operator {op}")
-            iterations.append(value)
-            value += step
-        return var, iterations
-
-    def _partition(self, iterations: List[int], thread_id: int, team: int, pragma: ast.OmpPragma) -> List[int]:
-        schedule_clause = pragma.clause("schedule")
-        kind = self.schedule
-        if schedule_clause and schedule_clause.arguments:
-            requested = schedule_clause.arguments[0]
-            kind = "roundrobin" if requested in ("dynamic", "guided") else "static"
-        if kind == "roundrobin":
-            return iterations[thread_id::team]
-        # default static: contiguous chunks
-        total = len(iterations)
-        chunk = (total + team - 1) // team if total else 0
-        start = thread_id * chunk
-        return iterations[start : start + chunk]
-
-    def _exec_worksharing_for(self, body: ast.Stmt, pragma: ast.OmpPragma, state: _ThreadState) -> None:
-        loop = body
-        while isinstance(loop, ast.CompoundStmt) and len(loop.body) == 1:
-            loop = loop.body[0]
-        if not isinstance(loop, ast.ForStmt):
-            # A simd-only construct may wrap a non-canonical body; execute it.
-            self._exec_stmt(body, state)
-            return
-        var, iterations = self._loop_iterations(loop, state)
-        mine = self._partition(iterations, state.thread_id, state.team_size, pragma)
-        collapse = pragma.clause("collapse")
-        # (collapse is accepted but the corpus only parallelizes the outer loop)
-        _ = collapse
-        # the loop variable is implicitly private
-        state.privates.setdefault(var, 0)
-        for value in mine:
-            state.privates[var] = value
-            try:
-                self._exec_stmt(loop.body, state)
-            except _BreakSignal:
-                break
-            except _ContinueSignal:
-                continue
-        if iterations:
-            state.privates[var] = iterations[-1] + 1
-
-    def _exec_sections(self, body: ast.Stmt, pragma: ast.OmpPragma, state: _ThreadState) -> None:
-        inner = body
-        while isinstance(inner, ast.CompoundStmt) and len(inner.body) == 1:
-            inner = inner.body[0]
-        if not isinstance(inner, ast.CompoundStmt):
-            self._exec_stmt(body, state)
-            return
-        section_index = 0
-        for child in inner.body:
-            if isinstance(child, ast.OmpStmt) and child.pragma.has_directive("section"):
-                owner = section_index % state.team_size
-                if owner == state.thread_id and child.body is not None:
-                    self._exec_stmt(child.body, state)
-                section_index += 1
-            else:
-                # statements outside explicit sections run on every thread
-                self._exec_stmt(child, state)
-
-    # -- tasks ----------------------------------------------------------------
-
-    def _exec_task(self, stmt: ast.OmpStmt, state: _ThreadState) -> None:
-        pragma = stmt.pragma
-        self._task_counter += 1
-        ordered_after = set()
-        depend_clause_vars_in: List[str] = []
-        depend_clause_vars_out: List[str] = []
-        for clause in pragma.clauses:
-            if clause.name != "depend" or not clause.arguments:
-                continue
-            mode = clause.arguments[0]
-            names = clause.arguments[1:]
-            if mode in ("in", "inout"):
-                depend_clause_vars_in.extend(names)
-            if mode in ("out", "inout"):
-                depend_clause_vars_out.extend(names)
-        for name in depend_clause_vars_in:
-            if name in self._depend_last_out:
-                ordered_after.add(self._depend_last_out[name])
-        task = TaskInfo(
-            task_id=self._task_counter,
-            creator_thread=state.thread_id,
-            creation_step=state.step,
-            seq=state.task_seq,
-            ordered_after=frozenset(ordered_after),
-        )
-        for name in depend_clause_vars_out:
-            self._depend_last_out[name] = task.task_id
-
-        saved_task = state.current_task
-        saved_privates = dict(state.privates)
-        for name in pragma.clause_vars("firstprivate"):
-            state.privates[name] = self._read_var(name, state)
-        for name in pragma.clause_vars("private"):
-            state.privates[name] = 0
-        state.current_task = task
-        try:
-            if stmt.body is not None:
-                self._exec_stmt(stmt.body, state)
-        finally:
-            state.current_task = saved_task
-            state.privates = saved_privates
+        except (_BreakSignal, _ContinueSignal):
+            raise InterpreterError("break or continue outside a loop") from None
+        except RecursionError:
+            raise InterpreterError("call depth limit exceeded") from None
+        rt.trace.steps_executed = rt.steps
+        rt.trace.regions_executed = rt.region
+        return rt.trace

@@ -298,3 +298,128 @@ class TestParallelSemantics:
             """
         )
         assert interp._memory["seen"] == 9
+
+
+class TestTypedRuntimeErrors:
+    """Program faults surface as InterpreterError, never as a raw Python exception."""
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            pytest.param("int main() { int x = 5; int z = 0; x %= z; return 0; }",
+                         "modulo by zero", id="compound-modulo-by-zero"),
+            pytest.param("int main() { int x = 1; int y = x << -1; return 0; }",
+                         "negative shift count", id="negative-shift"),
+            pytest.param("int main() { int a[2][2]; a[5][0] = 1; return 0; }",
+                         "bad subscript store on a", id="outer-dimension-store"),
+            pytest.param("int main() { double x = 1e308*1e308*1e308; int y = x << 1; return 0; }",
+                         "cannot convert float infinity", id="shift-of-infinity"),
+            pytest.param("int main() { int a[3]; int b[3]; int x = a[b]; return 0; }",
+                         "bad subscript on a", id="array-as-index"),
+            pytest.param("int main() { int x = abs(); return 0; }",
+                         "needs an argument", id="missing-argument"),
+            pytest.param("int main() { int x = 0; break; return 0; }",
+                         "outside a loop", id="break-outside-loop"),
+            pytest.param("int f(int x) { return f(x + 1); } int main() { int y = f(0); return 0; }",
+                         "call depth", id="unbounded-recursion"),
+            pytest.param("int main() { int x = " + "!" * 700 + "1; return 0; }",
+                         "nesting too deep", id="deep-nesting"),
+        ],
+    )
+    def test_fault_raises_interpreter_error(self, source, message):
+        with pytest.raises(InterpreterError, match=message):
+            run(source)
+
+
+class TestLazyErrorsAndStepAccounting:
+    def test_unsupported_store_in_untaken_branch_runs_cleanly(self):
+        interp = Interpreter()
+        interp.run_source(
+            "int main() { int x = 0; int *p; if (x) *p = 1; x = 2; return 0; }"
+        )
+        assert interp._memory["x"] == 2
+        with pytest.raises(InterpreterError, match="pointer stores are not supported"):
+            run("int main() { int x = 1; int *p; if (x) *p = 1; return 0; }")
+
+    STEPS_SOURCE = """
+        int main() {
+          int i;
+          int a[16];
+          double t0 = omp_get_wtime();
+          int sum = 0;
+        #pragma omp parallel for reduction(+:sum)
+          for (i = 0; i < 16; i++) {
+            a[i] = i * 2;
+            sum += a[i];
+          }
+          double t1 = omp_get_wtime();
+          return 0;
+        }
+    """
+
+    def test_step_count_and_limit_boundary_are_pinned(self):
+        # 213 steps and the omp_get_wtime() readings were recorded from the
+        # original tree-walking interpreter.
+        interp = Interpreter(num_threads=4)
+        trace = interp.run_source(self.STEPS_SOURCE)
+        assert trace.steps_executed == 213
+        assert (interp._memory["t0"], interp._memory["t1"]) == (6.0, 211.0)
+        assert interp._memory["sum"] == 240
+        exact = Interpreter(num_threads=4, limits=InterpreterLimits(max_steps=213))
+        assert exact.run_source(self.STEPS_SOURCE).steps_executed == 213
+        short = Interpreter(num_threads=4, limits=InterpreterLimits(max_steps=212))
+        with pytest.raises(InterpreterError, match="execution step limit exceeded"):
+            short.run_source(self.STEPS_SOURCE)
+
+
+class TestCompiledProgram:
+    SOURCE = """
+        int main() {
+          int i;
+          int a[8];
+        #pragma omp parallel for
+          for (i = 0; i < 7; i++)
+            a[i] = a[i + 1];
+          return 0;
+        }
+    """
+
+    def test_one_program_serves_every_run(self):
+        from repro.cparse import parse
+        from repro.dynamic.interpreter import Program
+
+        program = Program(parse(self.SOURCE))
+        for schedule in ("static", "roundrobin"):
+            for threads in (2, 3):
+                interp = Interpreter(num_threads=threads, schedule=schedule)
+                shared = interp.run(program)
+                fresh = Interpreter(num_threads=threads, schedule=schedule).run_source(self.SOURCE)
+                assert shared.events == fresh.events
+                assert shared.steps_executed == fresh.steps_executed
+
+    def test_inspector_parses_each_program_once(self, monkeypatch):
+        import repro.dynamic.inspector as inspector
+
+        calls = []
+        real_parse = inspector.parse
+
+        def counting_parse(source):
+            calls.append(source)
+            return real_parse(source)
+
+        monkeypatch.setattr(inspector, "parse", counting_parse)
+        result = inspector.InspectorLikeDetector().analyze_source(self.SOURCE, num_threads=2)
+        assert calls == [self.SOURCE]
+        assert result.runs == 2 and result.has_race
+
+    def test_access_event_is_a_named_tuple_with_the_dataclass_repr(self):
+        from repro.dynamic.events import AccessEvent
+
+        event = AccessEvent("a[1]", "a", "a[i+1]", 7, 13, False, 1, 1, 0, 4)
+        assert isinstance(event, tuple)
+        assert event.operation == "R"
+        assert repr(event) == (
+            "AccessEvent(address='a[1]', variable='a', expr_text='a[i+1]', line=7, col=13, "
+            "is_write=False, thread=1, region=1, epoch=0, step=4, locks=frozenset(), "
+            "atomic=False, ordered=False, task=None, task_seq=0)"
+        )
