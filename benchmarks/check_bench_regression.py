@@ -178,7 +178,7 @@ def main() -> int:
             baseline["scheduler"]["min_interleaved_requests_per_second"],
         ),
         (
-            "dispatch dynamic+LPT speedup vs ordered static map",
+            "dispatch LPT+adaptive speedup vs plan-order static chunks",
             dispatch["speedup_dynamic_lpt_vs_ordered"],
             baseline["dispatch"]["min_speedup_dynamic_lpt_vs_ordered"],
         ),

@@ -24,8 +24,8 @@ Usage::
     python -m repro all --cache /tmp/repro-cache    # persist responses as
                                       # append-only JSONL segments; legacy
                                       # single-file JSON caches still load
-    python -m repro all --dispatch ordered      # reference blocking-map path
-    python -m repro all --no-lpt                # keep plan-order chunk dispatch
+    python -m repro all --no-lpt --no-adaptive-batching
+                                      # plan-order, fixed-size chunks
     python -m repro all --cache ./cache-dir --shared-cache
                                       # serve disk hits through the host-wide
                                       # mmap-backed shared segment store
@@ -53,6 +53,10 @@ Usage::
                                       # chunks back off and re-enter the
                                       # dispatcher; models that keep failing
                                       # trip per-model circuit breakers
+    python -m repro all --jobs 4 --retries 2 --speculate
+                                      # retries and speculation compose:
+                                      # stragglers race duplicates, failed
+                                      # chunks back off; identical tables
     python -m repro all --retries 3 --journal ./run.journal
                                       # checkpoint completed chunks; an
                                       # interrupted run re-invoked with the
@@ -74,12 +78,14 @@ of them to :func:`repro.engine.scheduler.run_all_tables`, which interleaves
 the mixed-model request batches into a single
 :class:`~repro.engine.core.ExecutionEngine` run — model latency overlaps
 across tables instead of the drivers running one after another.  Chunks
-are dispatched in completion order by default (``--dispatch dynamic``) and
-ordered longest-first by the cost model (``--lpt``); with ``--cache`` the
-cost model persists as ``costmodel.json`` inside the cache directory, so
-the next invocation schedules its *first* run with measured latencies.
-Results are bit-identical to the sequential path and across every
-dispatch/executor combination.  After the run the engine prints one stats
+are merged in completion order through one dispatch loop — speculation
+(``--speculate``), retries (``--retries``) and circuit breakers are
+per-chunk decisions inside it, so they compose — and ordered longest-first
+by the cost model (``--lpt``); with ``--cache`` the cost model persists as
+``costmodel.json`` inside the cache directory, so the next invocation
+schedules its *first* run with measured latencies.  Results are
+bit-identical to the sequential path and across every scheduling/executor
+combination.  After the run the engine prints one stats
 line (request count, cache hit rate, wall time) plus the slowest
 (model, strategy) groups, unless ``--no-stats`` is given; per-table lines
 appear under ``--sequential``.
@@ -99,7 +105,6 @@ from repro.engine import (
     DEFAULT_ESCALATE_BELOW,
     DEFAULT_RETRY_BASE_MS,
     DEFAULT_STREAM_WINDOW,
-    DISPATCH_MODES,
     CascadePolicy,
     CostModel,
     ExecutionEngine,
@@ -252,7 +257,6 @@ def _build_engine(args: argparse.Namespace) -> ExecutionEngine:
         executor_kind=args.executor,
         cache=cache,
         batch_size=args.batch_size,
-        dispatch=args.dispatch,
         lpt=args.lpt,
         adaptive_batching=args.adaptive_batching,
         cost_model=cost_model,
@@ -337,9 +341,10 @@ def main(argv: List[str] | None = None) -> int:
             "'repro table3 --executor process' shards CPU-bound work across "
             "processes; 'repro all --cache ./cache-dir' persists responses as "
             "append-only JSONL segments plus the scheduling cost model; "
-            "'repro all --dispatch ordered --no-lpt --no-adaptive-batching' "
-            "selects the reference blocking-map, plan-order, static-chunk "
-            "path (identical results, more straggler wall time)."
+            "'repro all --no-lpt --no-adaptive-batching' dispatches "
+            "plan-order, fixed-size chunks (identical results, more "
+            "straggler wall time); 'repro all --jobs 4 --retries 2 "
+            "--speculate' composes retries with speculation."
         ),
     )
     parser.add_argument(
@@ -380,17 +385,6 @@ def main(argv: List[str] | None = None) -> int:
             "latency), process (shards CPU-bound work across processes), "
             "async (asyncio event loop).  Results are identical across "
             "backends (default: derived from --jobs)"
-        ),
-    )
-    parser.add_argument(
-        "--dispatch",
-        choices=list(DISPATCH_MODES),
-        default="dynamic",
-        help=(
-            "chunk dispatch mode: dynamic (default) merges chunks in "
-            "completion order so no worker waits behind a straggler at the "
-            "merge barrier; ordered is the reference blocking-map path.  "
-            "Results are identical either way"
         ),
     )
     parser.add_argument(
@@ -456,8 +450,8 @@ def main(argv: List[str] | None = None) -> int:
         help=(
             "tail-latency control: race a duplicate of any chunk running "
             "past the cost model's p95 estimate into idle executor "
-            "capacity — first completion wins, results are identical "
-            "(default: off)"
+            "capacity — first completion wins, results are identical; "
+            "composes with --retries (default: off)"
         ),
     )
     parser.add_argument(

@@ -39,11 +39,6 @@ class PipelineConfig:
         the historical ``jobs`` semantics (serial when 1, thread pool
         otherwise).  Results are identical across backends; only wall
         time changes.
-    dispatch:
-        Chunk dispatch mode: ``"dynamic"`` (default) merges chunks in
-        completion order via the executor's ``map_unordered``;
-        ``"ordered"`` is the reference blocking-``map`` path.  Results
-        are identical either way.
     lpt:
         Dispatch chunks longest-processing-time first using the engine's
         cost model (falls back to plan order until latencies have been
@@ -69,7 +64,8 @@ class PipelineConfig:
         Tail-latency control: race a duplicate of any chunk that
         overshoots the cost model's p95 estimate into idle executor
         capacity; the first completion wins.  Results are identical
-        either way — speculation only caps straggler wall time.
+        either way — speculation only caps straggler wall time.  Composes
+        with ``retries``: a failed copy defers to its running sibling.
     speculate_after:
         Straggler threshold multiplier over the p95 per-chunk estimate
         before a duplicate is launched.
@@ -164,7 +160,6 @@ class PipelineConfig:
     fold_seed: int = 7
     jobs: int = 1
     executor: Optional[str] = None
-    dispatch: str = "dynamic"
     lpt: bool = True
     adaptive_batching: bool = True
     batch_size: int = 32

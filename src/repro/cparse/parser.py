@@ -18,6 +18,11 @@ full grammar emitted by the corpus generator:
 Typedef-style type names used by OpenMP programs (``omp_lock_t``,
 ``size_t``, ``uint64_t`` ...) are recognised as types when they appear in a
 declaration position.
+
+Nesting is bounded by :data:`MAX_NESTING_DEPTH`: deeper input fails with a
+:class:`ParseError` instead of exhausting the interpreter's stack.
+Assignment chains and ``?:`` else-chains are folded in loops, so only
+genuine nesting counts against the limit.
 """
 
 from __future__ import annotations
@@ -28,7 +33,34 @@ from repro.cparse import ast
 from repro.cparse.lexer import Token, TokenKind, tokenize
 from repro.cparse.pragma import is_standalone_directive, parse_pragma
 
-__all__ = ["ParseError", "Parser", "parse"]
+__all__ = ["MAX_NESTING_DEPTH", "NESTING_COST", "ParseError", "Parser", "parse"]
+
+#: Deepest nesting the parser accepts, in levels of :data:`NESTING_COST`.
+#: A level is one Python stack frame of the recursive descent, so the
+#: parser stays inside the default recursion limit of 1,000 with room for
+#: its caller's stack.  It admits the 700 nested prefix operators the
+#: Inspector's own nesting limit is tested with; the corpus and its fuzz
+#: mutants nest no deeper than 30 levels.
+MAX_NESTING_DEPTH = 800
+
+#: Levels each nested construct charges while it is parsed: the stack
+#: frames one more level of it costs the parser.
+NESTING_COST = {
+    "prefix": 1,  # ``!x``, ``-x``, ``*p``, ``&x``, ``++x``
+    "binary": 1,  # the right operand of a binary operator
+    "conditional": 2,  # the then-branch of ``?:``
+    "statement": 3,  # a block, or an if/for/while/pragma body
+    "call": 5,  # a call's argument list
+    "sizeof": 5,
+    "subscript": 6,
+    "paren": 7,  # a parenthesised expression or a cast
+}
+_PREFIX, _BINARY, _CONDITIONAL, _STATEMENT, _CALL, _SIZEOF, _SUBSCRIPT, _PAREN = (
+    NESTING_COST[construct]
+    for construct in (
+        "prefix", "binary", "conditional", "statement", "call", "sizeof", "subscript", "paren"
+    )
+)
 
 #: Known typedef-like type names that may start a declaration.
 TYPEDEF_NAMES = frozenset(
@@ -65,6 +97,7 @@ _BINARY_PRECEDENCE = {op: level for level, ops in enumerate(_BINARY_LEVELS) for 
 
 _ASSIGN_OPS = frozenset(("=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="))
 _UNARY_OPS = frozenset(("+", "-", "!", "~"))
+_PREFIX_OPS = _UNARY_OPS | {"&", "*", "++", "--"}
 _PUNCT = TokenKind.PUNCT
 _KEYWORD = TokenKind.KEYWORD
 _IDENT = TokenKind.IDENT
@@ -89,6 +122,14 @@ class Parser:
     def __init__(self, tokens: List[Token]) -> None:
         self.tokens = tokens
         self.pos = 0
+        #: Nesting levels currently charged (see :data:`NESTING_COST`).
+        self.depth = 0
+
+    def _descend(self, tok: Token, cost: int) -> None:
+        """Charge ``cost`` levels; the caller refunds them with ``depth -= cost``."""
+        self.depth += cost
+        if self.depth > MAX_NESTING_DEPTH:
+            raise ParseError(f"nesting deeper than {MAX_NESTING_DEPTH} levels", tok)
 
     # -- cursor helpers -----------------------------------------------------------
     #
@@ -355,6 +396,12 @@ class Parser:
         return ast.CompoundStmt(loc=self._loc(start), body=stmts)
 
     def _parse_statement(self) -> ast.Stmt:
+        self._descend(self.tokens[self.pos], _STATEMENT)
+        stmt = self._parse_statement_body()
+        self.depth -= _STATEMENT
+        return stmt
+
+    def _parse_statement_body(self) -> ast.Stmt:
         tok = self.tokens[self.pos]
         kind, text = tok.kind, tok.text
         if kind is TokenKind.PRAGMA:
@@ -493,20 +540,35 @@ class Parser:
     def _parse_assignment_expr(self) -> ast.Expr:
         left = self._parse_conditional()
         tok = self.tokens[self.pos]
-        if tok.kind is _PUNCT and tok.text in _ASSIGN_OPS:
+        if tok.kind is not _PUNCT or tok.text not in _ASSIGN_OPS:
+            return left
+        # Right-associative: collect ``target op`` pairs, fold from the right.
+        targets = []
+        while tok.kind is _PUNCT and tok.text in _ASSIGN_OPS:
             self.pos += 1
-            value = self._parse_assignment_expr()
-            return ast.Assignment(loc=self._loc(tok), op=tok.text, target=left, value=value)
+            targets.append((tok, left))
+            left = self._parse_conditional()
+            tok = self.tokens[self.pos]
+        for tok, target in reversed(targets):
+            left = ast.Assignment(loc=self._loc(tok), op=tok.text, target=target, value=left)
         return left
 
     def _parse_conditional(self) -> ast.Expr:
         cond = self._parse_binary(0)
-        if self._check_punct("?"):
+        if not self._check_punct("?"):
+            return cond
+        # Right-associative ``c ? t : c2 ? t2 : e``: fold the arms from the right.
+        arms = []
+        while self._check_punct("?"):
             tok = self._advance()
+            self._descend(tok, _CONDITIONAL)
             then = self._parse_assignment_expr()
+            self.depth -= _CONDITIONAL
             self._expect_punct(":")
-            other = self._parse_conditional()
-            return ast.ConditionalExpr(loc=self._loc(tok), cond=cond, then=then, other=other)
+            arms.append((tok, cond, then))
+            cond = self._parse_binary(0)
+        for tok, arm_cond, then in reversed(arms):
+            cond = ast.ConditionalExpr(loc=self._loc(tok), cond=arm_cond, then=then, other=cond)
         return cond
 
     def _parse_binary(self, min_level: int) -> ast.Expr:
@@ -521,31 +583,30 @@ class Parser:
             if level < min_level:
                 return left
             self.pos += 1
+            self._descend(tok, _BINARY)
             right = self._parse_binary(level + 1)
+            self.depth -= _BINARY
             left = ast.BinaryOp(loc=self._loc(tok), op=tok.text, left=left, right=right)
 
     def _parse_unary(self) -> ast.Expr:
         tok = self.tokens[self.pos]
         kind, text = tok.kind, tok.text
         if kind is _PUNCT:
-            if text in _UNARY_OPS:
+            if text in _PREFIX_OPS:
                 self.pos += 1
+                self._descend(tok, _PREFIX)
                 operand = self._parse_unary()
-                return ast.UnaryOp(loc=self._loc(tok), op=text, operand=operand)
-            if text == "&":
-                self.pos += 1
-                operand = self._parse_unary()
-                return ast.AddressOf(loc=self._loc(tok), operand=operand)
-            if text == "*":
-                self.pos += 1
-                operand = self._parse_unary()
-                return ast.Deref(loc=self._loc(tok), operand=operand)
-            if text == "++" or text == "--":
-                self.pos += 1
-                operand = self._parse_unary()
+                self.depth -= _PREFIX
+                if text in _UNARY_OPS:
+                    return ast.UnaryOp(loc=self._loc(tok), op=text, operand=operand)
+                if text == "&":
+                    return ast.AddressOf(loc=self._loc(tok), operand=operand)
+                if text == "*":
+                    return ast.Deref(loc=self._loc(tok), operand=operand)
                 return ast.IncDec(loc=self._loc(tok), op=text, operand=operand, prefix=True)
         elif kind is _KEYWORD and text == "sizeof":
             self.pos += 1
+            self._descend(tok, _SIZEOF)
             self._expect_punct("(")
             # sizeof(type) or sizeof(expr): either way we record a call node.
             if self._at_type():
@@ -556,6 +617,7 @@ class Parser:
             else:
                 arg = self._parse_expression()
             self._expect_punct(")")
+            self.depth -= _SIZEOF
             return ast.Call(loc=self._loc(tok), name="sizeof", args=[arg])
         return self._parse_postfix()
 
@@ -569,11 +631,14 @@ class Parser:
             text = tok.text
             if text == "[":
                 self.pos += 1
+                self._descend(tok, _SUBSCRIPT)
                 index = self._parse_expression()
                 self._expect_punct("]")
+                self.depth -= _SUBSCRIPT
                 expr = ast.ArraySubscript(loc=expr.loc, base=expr, index=index)
             elif text == "(" and isinstance(expr, ast.Identifier):
                 self.pos += 1
+                self._descend(tok, _CALL)
                 args: List[ast.Expr] = []
                 if not self._check_punct(")"):
                     while True:
@@ -581,6 +646,7 @@ class Parser:
                         if not self._accept_punct(","):
                             break
                 self._expect_punct(")")
+                self.depth -= _CALL
                 expr = ast.Call(loc=expr.loc, name=expr.name, args=args)
             elif text == "++" or text == "--":
                 self.pos += 1
@@ -620,21 +686,25 @@ class Parser:
             return ast.StringLiteral(loc=self._loc(tok), value=tok.text)
         if kind is _PUNCT and tok.text == "(":
             self.pos += 1
+            self._descend(tok, _PAREN)
             # Cast expression like (double)x — detect a type inside parens.
             if self._at_type():
-                save = self.pos
+                save, depth = self.pos, self.depth
                 try:
                     self._parse_type_name()
                     while self._accept_punct("*"):
                         pass
                     if self._accept_punct(")"):
                         operand = self._parse_unary()
+                        self.depth -= _PAREN
                         return operand  # casts are transparent to the analyses
                 except ParseError:
-                    pass
-                self.pos = save
+                    if self.depth > MAX_NESTING_DEPTH:
+                        raise  # too deep either way: no backtracking
+                self.pos, self.depth = save, depth
             expr = self._parse_expression()
             self._expect_punct(")")
+            self.depth -= _PAREN
             return expr
         raise ParseError("expected expression", tok)
 

@@ -12,14 +12,15 @@ Module map
     :class:`ExecutionEngine` — accepts batches of
     :class:`DetectionRequest`, chunks them per (model, strategy) with
     cost-model-driven sizes and LPT (longest-processing-time-first) order,
-    dispatches the chunks over an executor (``dispatch="dynamic"`` merges
-    them in completion order, ``"ordered"`` through blocking ``map``),
+    dispatches the chunks through one completion-order loop on the
+    executor's ``submit_stream`` — speculation, retry/backoff and circuit
+    breakers are per-chunk decisions inside it, so they compose —
     satisfies repeats from the cache, and returns an order-preserving
     :class:`RunResultStore`.  Also offers a generic ``map`` for non-LLM
     work (the Inspector baseline).  For distributed executors it ships
     picklable chunk payloads to a module-level worker — the cache snapshot
-    is broadcast once per run via a temp file, not pickled per chunk — and
-    merges cache/telemetry deltas back.
+    is broadcast once per run, not pickled per chunk — and merges
+    cache/telemetry deltas back.
 ``cascade``
     :class:`CascadeRouter` / :class:`CascadePolicy` — the tiered detection
     cascade (``--cascade``): records are scored through an ordered ladder
@@ -60,10 +61,11 @@ Module map
     :class:`ThreadPoolExecutor`, :class:`ProcessPoolExecutor` (shards
     CPU-bound work across processes) and :class:`AsyncExecutor` (a
     persistent asyncio loop — the seam for real async API adapters).  A
-    backend implements order-preserving ``map(fn, items)``, ``submit`` and
-    completion-order ``map_unordered`` (streams ``(index, result)`` pairs
-    as work finishes) plus ``close()``; register a factory with
-    :func:`register_executor` to make it selectable via ``--executor``.
+    backend implements two contracts — order-preserving ``map(fn, items)``
+    and completion-order ``submit``/``submit_stream`` (incremental
+    submission, settled futures drained as they finish) — plus
+    ``close()``; register a factory with :func:`register_executor` to
+    make it selectable via ``--executor``.
 ``scheduler``
     The cross-table run scheduler: :class:`TablePlan` (a table's requests
     plus its reducer) and :func:`run_all_tables`, which interleaves every
@@ -95,7 +97,8 @@ Module map
 
 Guarantee: the engine is a pure execution refactor.  For the deterministic
 simulated models, confusion counts are bit-identical across executors,
-batch sizes, cache states and scheduling (interleaved vs. per-table) —
+batch sizes, chunk order, speculation, retried faults, cache states and
+scheduling (interleaved vs. per-table) —
 enforced by ``tests/engine/test_equivalence`` and
 ``tests/engine/test_scheduler``.
 """
@@ -112,7 +115,6 @@ from repro.engine.cascade import (
 from repro.engine.coalesce import MicroBatchCoalescer
 from repro.engine.core import (
     DEFAULT_STREAM_WINDOW,
-    DISPATCH_MODES,
     ExecutionEngine,
     resolve_engine,
 )
@@ -190,7 +192,6 @@ __all__ = [
     "CascadeTier",
     "build_tier_model",
     "DEFAULT_STREAM_WINDOW",
-    "DISPATCH_MODES",
     "ExecutionEngine",
     "resolve_engine",
     "MicroBatchCoalescer",

@@ -11,7 +11,7 @@ so a full escalation is behaviourally identical to an LLM-only run.
 
 Composition, not reimplementation: the router re-emits each tier's
 requests through the engine's existing ``_execute_plain`` seam, so LPT
-ordering, adaptive chunk sizing, dynamic/speculative dispatch, the
+ordering, adaptive chunk sizing, speculation and retries, the
 coalescer, the response cache and streaming windows all apply per tier
 unchanged.  Tier adapters are ordinary :class:`~repro.llm.base.LanguageModel`
 objects (``repro.llm.adapters``) with their own ``cache_identity`` keys,

@@ -10,21 +10,20 @@ call a language model.  Given a sequence of
    fast/cached ones) and ordered longest-processing-time first (LPT) so
    expensive groups never become a straggler tail;
 2. dispatches the chunks over the configured executor (serial, thread
-   pool, process pool or async — see :mod:`repro.engine.executors`) in one
-   of two modes: ``"ordered"`` uses the blocking order-preserving ``map``,
-   ``"dynamic"`` (the default) streams ``(index, result)`` pairs through
-   ``map_unordered`` and merges each chunk the moment it completes.  On an
-   **async-native** executor (``native_async``, the ``AsyncExecutor``) the
-   chunk work item is a coroutine: model I/O is awaited on the event loop
-   under the executor's ``max_inflight`` semaphore, and a micro-batch
-   coalescer (:mod:`repro.engine.coalesce`) merges concurrent same-(model,
-   strategy) misses into single ``generate_batch_async`` wire calls;
+   pool, process pool or async — see :mod:`repro.engine.executors`)
+   through **one** completion-order loop (:meth:`_dispatch`) on the
+   executor's ``submit_stream`` seam, merging each chunk the moment it
+   completes.  On an **async-native** executor (``native_async``, the
+   ``AsyncExecutor``) the chunk work item is a coroutine: model I/O is
+   awaited on the event loop under the executor's ``max_inflight``
+   semaphore, and a micro-batch coalescer (:mod:`repro.engine.coalesce`)
+   merges concurrent same-(model, strategy) misses into single
+   ``generate_batch_async`` wire calls;
 3. inside a chunk, renders all prompts via
    :func:`~repro.prompting.chains.run_strategy_batch`, satisfies what it can
    from the response cache and sends only the misses to the model's
    ``generate_batch``;
 4. scores each response (:func:`~repro.engine.requests.score_response`) and
-   reassembles the results in the original request order — dynamic dispatch
    writes each scored chunk straight into its slots of the result store, so
    completion order never leaks into output order.
 
@@ -33,54 +32,53 @@ Every chunk's elapsed time is fed back into the engine's
 telemetry groups, so a long-lived engine schedules its *next* run with
 measured latencies.
 
-**Tail-latency control** builds on dynamic dispatch and the cost model:
-with ``speculate=True`` the dispatcher (:meth:`_dispatch_speculative`)
-watches in-flight chunks against the cost model's p95 per-chunk estimate
-and races a duplicate of any straggler into idle capacity — first
-completion wins, the loser is cancelled or its result dropped, and only
-the winner feeds results, cache and telemetry, so output stays
-bit-identical.  With ``deadline=SECONDS`` the planner
-(:meth:`_plan_deadline`) sheds the lowest-value chunks when the predicted
-makespan exceeds the budget; shed requests surface as explicit ``skipped``
-results, never silently.
+Speculation, retries and circuit breakers are per-chunk decisions inside
+the one dispatch loop, so they compose:
+
+* **speculation** (``speculate=True``): a chunk running past
+  ``speculate_after`` times the cost model's p95 estimate gets a duplicate
+  copy in idle capacity (optionally on a cheaper fallback model) — the
+  first completion wins, the loser is cancelled or its result dropped, and
+  only the winner feeds results, cache and telemetry;
+* **retries** (``retries=N``): a failed copy first defers to a live
+  sibling; otherwise a retryable failure within budget re-enters the loop
+  after a deterministic exponential backoff; otherwise the chunk gives up
+  through its model's circuit breaker and surfaces explicit positional
+  ``RunResult(failed=True)`` entries.  With ``retries=0`` the first error
+  propagates after outstanding work is cancelled (fail-fast);
+* **breakers** (see :mod:`repro.engine.faults`): per-model breakers open
+  after consecutive given-up chunks and route affected chunks to the
+  cascade's next-cheaper tier (when a
+  :class:`~repro.engine.cascade.CascadePolicy` is configured) or fail them
+  without a model call.
+
+With ``deadline=SECONDS`` the planner (:meth:`_plan_deadline`) sheds the
+lowest-value chunks when the predicted makespan exceeds the budget; shed
+requests surface as explicit ``skipped`` results, never silently.  A
+``journal`` checkpoint lets an interrupted run resume skipping
+already-completed work.
 
 For *distributed* executors (``executor.distributed`` is true, e.g. the
 process pool) the work item crossing the boundary must be picklable, so the
-engine ships self-contained chunk payloads to the module-level
-:func:`_score_chunk_payload` worker, then merges the returned entry deltas
-and telemetry back in the parent.  The cache snapshot is **broadcast once
-per run** through :mod:`repro.engine.snapshot`: the parent encodes it once
-— by default into a shared-memory block workers attach read-only and
-binary-search in place (zero per-worker deserialisation, one physical copy
-per host), with a pickle-temp-file fallback — and every payload carries
-only the small ``(kind, locator, token)`` reference, memoised per worker
-per run.  Parent-side cost is therefore O(entries) per run, not
-O(chunks × entries), and worker-side cost is an attach, not a copy.
-
-**Fault tolerance** (``retries``, ``journal``, per-model circuit breakers —
-see :mod:`repro.engine.faults`): with ``retries > 0`` chunks dispatch
-through :meth:`_dispatch_retry` on the executor's ``submit_stream`` seam —
-a failed chunk re-enters the dispatcher after a deterministic exponential
-backoff instead of cancelling unrelated work, per-model breakers open
-after consecutive failures and route affected chunks to the cascade's
-next-cheaper tier (when a :class:`~repro.engine.cascade.CascadePolicy` is
-configured) or surface them as explicit ``RunResult(failed=True)`` entries
-in position, and a ``journal`` checkpoint lets an interrupted run resume
-skipping already-completed work.  The run always completes with partial
-results instead of dying; confusion counts exclude failed entries the same
-way they exclude deadline-shed ones.
+engine ships self-contained ``(chunk, snapshot_ref)`` payloads to the
+module-level :func:`_score_chunk_payload` worker, then merges the returned
+entry deltas and telemetry back in the parent.  The cache snapshot is
+**broadcast once per run** through :mod:`repro.engine.snapshot`: the parent
+encodes it once — by default into a shared-memory block workers attach
+read-only and binary-search in place, with a pickle-temp-file fallback —
+and every payload carries only the small ``(kind, locator, token)``
+reference, memoised per worker per run.
 
 Because scoring preserves request order and the simulated models are
 deterministic functions of (model, strategy, code), the engine's output is
-bit-identical across executors, dispatch modes, chunk sizings and cache
-states — the refactor is purely about *how* the calls run, never about
-*what* they return.  (With a non-deterministic model the cache pins the
-first response per prompt.)
+bit-identical across executors, chunk orders and sizings, speculation,
+retried faults and cache states — the engine changes *how* the calls run,
+never *what* they return.  (With a non-deterministic model the cache pins
+the first response per prompt.)
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import heapq
 import itertools
@@ -103,7 +101,7 @@ from repro.engine.cache import ResponseCache, cache_key
 from repro.engine.cascade import CascadePolicy, CascadeRouter
 from repro.engine.coalesce import MicroBatchCoalescer
 from repro.engine.costmodel import CostModel
-from repro.engine.executors import SerialExecutor, create_executor
+from repro.engine.executors import create_executor
 from repro.engine.faults import (
     DEFAULT_BREAKER_COOLDOWN_S,
     DEFAULT_BREAKER_THRESHOLD,
@@ -137,7 +135,6 @@ from repro.prompting.chains import run_strategy_batch, run_strategy_batch_async
 
 __all__ = [
     "DEFAULT_STREAM_WINDOW",
-    "DISPATCH_MODES",
     "ExecutionEngine",
     "resolve_engine",
 ]
@@ -145,18 +142,16 @@ __all__ = [
 T = TypeVar("T")
 R = TypeVar("R")
 
-#: Valid values for ``ExecutionEngine(dispatch=...)`` / the CLI's ``--dispatch``.
-DISPATCH_MODES = ("ordered", "dynamic")
-
 #: The quantile of a group's per-request latency distribution that a chunk
 #: must overshoot (scaled by ``speculate_after``) before a duplicate copy is
 #: launched — speculation keys on the *tail* of the distribution, so a
 #: naturally noisy group needs a larger excursion than a steady one.
 SPECULATION_QUANTILE = 0.95
 
-#: How often the speculative dispatcher re-checks in-flight chunks against
-#: their thresholds (seconds).  Engine attribute ``speculation_poll_s``
-#: overrides it per instance (benchmarks/tests tighten it).
+#: How often the dispatch loop re-checks in-flight chunks against their
+#: speculation thresholds and the backoff heap for matured retries
+#: (seconds).  Engine attribute ``speculation_poll_s`` overrides it per
+#: instance (benchmarks/tests tighten it).
 DEFAULT_SPECULATION_POLL_S = 0.01
 
 #: Default window size (requests resident at once) for
@@ -188,6 +183,17 @@ def resolve_engine(engine: Optional["ExecutionEngine"]) -> "ExecutionEngine":
     never drift between the table drivers and the cross-validation loop.
     """
     return engine if engine is not None else ExecutionEngine()
+
+
+def _identity(chunk: Sequence[_IndexedRequest]) -> str:
+    """The cache identity of the model a chunk runs on."""
+    model = chunk[0][1].model
+    return getattr(model, "cache_identity", model.name)
+
+
+def _rewrite(chunk: Sequence[_IndexedRequest], model) -> List[_IndexedRequest]:
+    """The chunk's requests re-pointed at ``model`` (a reroute or fallback)."""
+    return [(index, dataclasses.replace(request, model=model)) for index, request in chunk]
 
 
 def _partition_cached(
@@ -350,9 +356,11 @@ class ExecutionEngine:
     Parameters
     ----------
     executor:
-        An object with order-preserving ``map(fn, items)`` (and, for
-        dynamic dispatch, completion-order ``map_unordered``); defaults to
-        :class:`~repro.engine.executors.SerialExecutor`.
+        An executor with ``submit(fn, item)`` and ``submit_stream(fn)``
+        (chunk dispatch) plus order-preserving ``map(fn, items)``
+        (:meth:`map`); defaults to
+        :class:`~repro.engine.executors.SerialExecutor`.  Anything without
+        ``submit``/``submit_stream`` is rejected with :class:`TypeError`.
     jobs:
         Shorthand: build the executor via
         :func:`~repro.engine.executors.create_executor` with this width.
@@ -369,11 +377,6 @@ class ExecutionEngine:
         ``adaptive_batching`` the cost model scales each group's actual
         chunk size around this baseline (within ``[batch_size / 4,
         batch_size * 4]``, never below 1).
-    dispatch:
-        ``"dynamic"`` (default) merges chunks in completion order via the
-        executor's ``map_unordered`` — no chunk waits behind a slower one
-        at the merge barrier; ``"ordered"`` is the reference path through
-        blocking ``map``.  Output is bit-identical either way.
     lpt:
         Dispatch chunks longest-processing-time first, using the cost
         model's estimates.  Groups never observed keep plan order.
@@ -400,13 +403,14 @@ class ExecutionEngine:
     coalesce_window_s / coalesce_max_batch:
         The coalescer's collection window and early-flush prompt limit.
     speculate:
-        Tail-latency control: during dynamic dispatch, watch in-flight
+        Tail-latency control: watch in-flight
         chunks against the cost model's per-chunk quantile estimate and,
         when one overshoots its threshold while idle capacity exists,
         launch a duplicate copy — the first completion wins, the loser is
         cancelled (or its result dropped), and only the winner feeds the
         result store, cache, telemetry counters and cost model, so results
-        stay bit-identical with speculation on or off.
+        stay bit-identical with speculation on or off.  Needs an executor
+        with ``capacity > 1``; composes with ``retries``.
     speculate_after:
         Straggler threshold multiplier: a chunk becomes a speculation
         candidate once its elapsed time exceeds ``speculate_after`` times
@@ -450,25 +454,23 @@ class ExecutionEngine:
         ``None`` (default) keeps duplicates same-backend — bit-identical
         responses, speculation on or off.
     retries:
-        Per-chunk retry budget (default 0 = the historical fail-fast
-        behaviour).  With ``retries > 0`` chunks dispatch through the
-        fault-tolerant :meth:`_dispatch_retry` loop: a retryable failure
-        (see :func:`~repro.engine.faults.is_retryable`) re-enters the
-        dispatcher after an exponential backoff with deterministic
-        jitter instead of blocking a worker or cancelling unrelated
-        chunks; exhausted retries surface as explicit
-        ``RunResult(failed=True)`` entries in position, so the run
-        completes with partial results instead of aborting.  The retry
-        dispatcher always merges in completion order and supersedes
-        speculation — results are bit-identical either way when no
-        faults fire.
+        Per-chunk retry budget (default 0 = fail fast: the first chunk
+        error propagates after outstanding work is cancelled).  With
+        ``retries > 0`` a retryable failure (see
+        :func:`~repro.engine.faults.is_retryable`) re-enters the dispatch
+        loop after an exponential backoff with deterministic jitter
+        instead of blocking a worker or cancelling unrelated chunks;
+        exhausted retries surface as explicit ``RunResult(failed=True)``
+        entries in position, so the run completes with partial results
+        instead of aborting.  Composes with ``speculate``: a failed copy
+        whose sibling is still running defers to it before any retry.
     retry_base_ms:
         First-retry backoff in milliseconds; doubles per attempt, scaled
         by a jitter factor seeded from the chunk identity (never the
         wall clock), so retried runs stay reproducible.
     breaker_threshold / breaker_cooldown_s:
-        Per-model circuit breakers (active on the retry dispatcher,
-        keyed on ``cache_identity``): after ``breaker_threshold``
+        Per-model circuit breakers (active with ``retries > 0``, keyed on
+        ``cache_identity``): after ``breaker_threshold``
         consecutive chunk failures on one model its breaker opens for
         ``breaker_cooldown_s`` seconds, then admits a single half-open
         probe.  While open, affected chunks route to the cascade's
@@ -492,7 +494,6 @@ class ExecutionEngine:
         cache: Optional[ResponseCache] = None,
         batch_size: int = 32,
         telemetry: Optional[EngineTelemetry] = None,
-        dispatch: str = "dynamic",
         lpt: bool = True,
         adaptive_batching: bool = True,
         cost_model: Optional[CostModel] = None,
@@ -523,10 +524,6 @@ class ExecutionEngine:
             raise ValueError("batch_size must be >= 1")
         if max_inflight is not None and max_inflight < 1:
             raise ValueError("max_inflight must be >= 1 or None")
-        if dispatch not in DISPATCH_MODES:
-            raise ValueError(
-                f"unknown dispatch mode {dispatch!r}; expected one of {DISPATCH_MODES}"
-            )
         if speculate_after <= 0:
             raise ValueError("speculate_after must be > 0")
         if deadline is not None and deadline <= 0:
@@ -551,10 +548,15 @@ class ExecutionEngine:
             if executor is not None
             else create_executor(jobs or 1, kind=executor_kind, max_inflight=max_inflight)
         )
+        for method in ("submit", "submit_stream"):
+            if not callable(getattr(self.executor, method, None)):
+                raise TypeError(
+                    f"executor {self.executor!r} has no {method}(); chunk dispatch "
+                    "needs submit(fn, item) and submit_stream(fn)"
+                )
         self.cache = cache
         self.batch_size = batch_size
         self.telemetry = telemetry or EngineTelemetry()
-        self.dispatch = dispatch
         self.lpt = lpt
         self.adaptive_batching = adaptive_batching
         self.cost_model = cost_model if cost_model is not None else CostModel()
@@ -585,8 +587,9 @@ class ExecutionEngine:
         self.deadline = deadline
         self.snapshot_transport = snapshot_transport
         self.stream_window = stream_window if stream_window is not None else DEFAULT_STREAM_WINDOW
-        #: Poll interval of the speculative dispatcher; tests and
-        #: benchmarks tighten it to race short synthetic chunks.
+        #: Poll interval of the dispatch loop while speculation or a
+        #: backoff is pending; tests and benchmarks tighten it to race
+        #: short synthetic chunks.
         self.speculation_poll_s = DEFAULT_SPECULATION_POLL_S
         #: The deadline planner's post-shedding makespan prediction for the
         #: most recent run (0.0 when no deadline is set).
@@ -637,8 +640,8 @@ class ExecutionEngine:
         large the stream — the producer is never run ahead of consumption by
         more than one window.  Within each window the full machinery of
         :meth:`run` applies unchanged: (model, strategy) grouping,
-        cost-model adaptive chunk sizing, LPT ordering, dynamic
-        completion-order merge, speculation and the response cache — and a
+        cost-model adaptive chunk sizing, LPT ordering, completion-order
+        merge, speculation, retries and the response cache — and a
         ``deadline`` budgets each window independently.  Results are yielded
         in request order as each window drains; for the same requests the
         result sequence is element-identical to ``run(list(requests))``
@@ -722,10 +725,7 @@ class ExecutionEngine:
         chunks, shed = self._chunk(indexed)
         for index, request in shed:
             results[index] = shed_result(request)
-        if getattr(self.executor, "distributed", False):
-            self._run_distributed(chunks, results)
-        else:
-            self._run_local(chunks, results)
+        self._run_chunks(chunks, results)
         self.telemetry.record_requests(total)
         self.telemetry.record_resident(total)
         return results, len(shed)
@@ -766,38 +766,11 @@ class ExecutionEngine:
 
     # -- internals ------------------------------------------------------------------
 
-    def _dynamic(self) -> bool:
-        """Dynamic dispatch requested and supported by the executor."""
-        return self.dispatch == "dynamic" and hasattr(self.executor, "map_unordered")
-
-    def _async_native(self) -> bool:
-        """Chunk work should run as coroutines awaiting model I/O natively."""
-        return bool(getattr(self.executor, "native_async", False))
-
     def _capacity(self) -> int:
         """How many chunks the executor genuinely runs at once."""
         return max(
             1, int(getattr(self.executor, "capacity", getattr(self.executor, "jobs", 1)))
         )
-
-    def _speculative(self) -> bool:
-        """Speculative re-execution applies: dynamic dispatch, real parallelism."""
-        return (
-            self.speculate
-            and self.dispatch == "dynamic"
-            and hasattr(self.executor, "submit")
-            and self._capacity() > 1
-        )
-
-    def _retrying(self) -> bool:
-        """Fault-tolerant dispatch applies: a retry budget and a capable executor.
-
-        The retry dispatcher supersedes both dispatch modes and
-        speculation — it always merges in completion order, which is
-        result-identical (positional fill) and the only shape that lets
-        failed chunks re-enter the stream after backoff.
-        """
-        return self.retry_policy.enabled and hasattr(self.executor, "submit_stream")
 
     def _chunk(
         self, indexed: Sequence[_IndexedRequest]
@@ -927,164 +900,254 @@ class ExecutionEngine:
         kept_costs = [cost for i, cost in enumerate(chunk_costs) if keep[i]]
         return kept_chunks, kept_costs, shed
 
-    def _run_local(
+    def _run_chunks(
         self,
         chunks: Sequence[Sequence[_IndexedRequest]],
         results: List[Optional[RunResult]],
     ) -> None:
-        """Execute chunks in-process and merge each outcome as it lands.
+        """Dispatch every chunk and merge each outcome the moment it lands.
 
-        With an async-native executor the chunk work item is a *coroutine*
-        (:meth:`_run_chunk_async`): model I/O is awaited on the executor's
-        event loop under its ``max_inflight`` semaphore, so concurrency is
-        bounded by in-flight awaits, not worker threads.  Everything else —
-        dispatch modes, merge order, scoring — is shared with the sync
-        path, and results are bit-identical.
+        In-process executors run :meth:`_run_chunk` on the chunk itself —
+        or, on an async-native executor, the coroutine
+        :meth:`_run_chunk_async`, whose model I/O is awaited on the
+        executor's loop under its ``max_inflight`` semaphore.  Distributed
+        executors run the module-level :func:`_score_chunk_payload` on
+        ``(chunk, snapshot_ref)``: the cache snapshot is published exactly
+        once per run (a shared-memory block workers attach in place, or
+        the temp-file fallback; see :mod:`repro.engine.snapshot`), fresh
+        worker entries fold back into the parent cache, and the snapshot
+        is retired when the run finishes — including on error; workers
+        already attached keep their mapping alive, so retirement never
+        races a merge.
+
+        A ``None`` outcome is a chunk the fault layer gave up on: every
+        request gets an explicit positional ``failed`` result and nothing
+        feeds the cache, telemetry counters, cost model or journal —
+        mirroring how deadline-shed work is handled.  Telemetry and cost
+        attribution go to the chunk that actually ran (a breaker reroute or
+        a fallback-model duplicate); the journal keys on the *original*
+        requests so a resume finds them.
         """
-        run_chunk = self._run_chunk
-        if self._async_native():
-            run_chunk = self._run_chunk_async
-            self._inflight_peak = 0  # peak is per run; telemetry keeps the max
-        if self._retrying():
-            self._merge_retry_outcomes(
-                run_chunk, chunks, results, make_item=lambda chunk: chunk
-            )
-            if self._async_native():
-                self.telemetry.record_inflight_peak(self._inflight_peak)
-            return
-        fallback_chunks = self._fallback_chunks(chunks)
-        if self._speculative():
-            outcomes = self._dispatch_speculative(
-                run_chunk, chunks, chunks, fallback_items=fallback_chunks
-            )
-        else:
-            outcomes = self._plain_outcomes(run_chunk, chunks)
-        for chunk_index, (scored, counters, elapsed), used_fallback in outcomes:
-            for index, result in scored:
-                results[index] = result
-            chunk = (
-                fallback_chunks[chunk_index] if used_fallback else chunks[chunk_index]
-            )
-            self._record_chunk(chunk, counters, elapsed)
-            self._journal_record(chunks[chunk_index], scored)
-        if self._async_native():
-            self.telemetry.record_inflight_peak(self._inflight_peak)
-
-    def _run_distributed(
-        self,
-        chunks: Sequence[Sequence[_IndexedRequest]],
-        results: List[Optional[RunResult]],
-    ) -> None:
-        """Dispatch chunks over a process-boundary executor, merge the deltas.
-
-        The cache snapshot is published exactly once per run — into a
-        shared-memory block workers attach in place (or the temp-file
-        fallback; see :mod:`repro.engine.snapshot`).  Payloads carry only
-        its reference, so parent-side cost is O(entries) regardless of
-        chunk count and worker-side cost is one attach, not a
-        deserialisation.  The published block/file outlives every chunk
-        (workers may load it lazily) and is retired when the run finishes
-        — including on error; workers already attached keep their mapping
-        alive, so retirement never races a merge.
-        """
-        published = (
-            _publish_snapshot(
-                self.cache.snapshot_records(), transport=self.snapshot_transport
-            )
-            if self.cache is not None
-            else None
+        distributed = bool(getattr(self.executor, "distributed", False))
+        async_native = not distributed and bool(
+            getattr(self.executor, "native_async", False)
         )
-        snapshot_ref = published.payload if published is not None else None
-        if published is not None:
-            self.telemetry.record_broadcast(published.nbytes)
+        published = None
+        if distributed:
+            if self.cache is not None:
+                published = _publish_snapshot(
+                    self.cache.snapshot_records(), transport=self.snapshot_transport
+                )
+                self.telemetry.record_broadcast(published.nbytes)
+            snapshot_ref = published.payload if published is not None else None
+            fn: Callable = _score_chunk_payload
+            make_item: Callable = lambda chunk: (chunk, snapshot_ref)
+        else:
+            fn = self._run_chunk_async if async_native else self._run_chunk
+            make_item = lambda chunk: chunk
+            self._inflight_peak = 0  # peak is per run; telemetry keeps the max
         try:
-            if self._retrying():
-                self._merge_retry_outcomes(
-                    _score_chunk_payload,
-                    chunks,
-                    results,
-                    make_item=lambda chunk: (chunk, snapshot_ref),
-                    distributed=True,
-                )
-                return
-            payloads = [(chunk, snapshot_ref) for chunk in chunks]
-            fallback_chunks = self._fallback_chunks(chunks)
-            fallback_payloads = None
-            if fallback_chunks is not None:
-                fallback_payloads = [
-                    (chunk, snapshot_ref) if chunk is not None else None
-                    for chunk in fallback_chunks
-                ]
-            if self._speculative():
-                outcomes = self._dispatch_speculative(
-                    _score_chunk_payload, payloads, chunks, fallback_items=fallback_payloads
-                )
-            else:
-                outcomes = self._plain_outcomes(_score_chunk_payload, payloads)
-            for chunk_index, (scored, new_entries, counters, elapsed), used_fallback in outcomes:
+            for chunk_index, outcome, executed in self._dispatch(fn, chunks, make_item):
+                original = chunks[chunk_index]
+                if outcome is None:
+                    for index, request in original:
+                        results[index] = failed_result(request)
+                    self.telemetry.record_failed_requests(len(original))
+                    continue
+                if distributed:
+                    scored, new_entries, counters, elapsed = outcome
+                    self._merge_worker_entries(executed, new_entries)
+                else:
+                    scored, counters, elapsed = outcome
                 for index, result in scored:
                     results[index] = result
-                chunk = (
-                    fallback_chunks[chunk_index] if used_fallback else chunks[chunk_index]
-                )
-                self._merge_worker_entries(chunk, new_entries)
-                self._record_chunk(chunk, counters, elapsed)
-                self._journal_record(chunks[chunk_index], scored)
+                self._record_chunk(executed, counters, elapsed)
+                self._journal_record(original, scored)
         finally:
             _retire_snapshot(published)
+        if async_native:
+            self.telemetry.record_inflight_peak(self._inflight_peak)
 
-    # -- speculative re-execution (tail-latency control) ------------------------------
+    def _dispatch(
+        self,
+        fn: Callable,
+        chunks: Sequence[Sequence[_IndexedRequest]],
+        make_item: Callable,
+    ) -> Iterator[Tuple[int, Optional[object], Sequence[_IndexedRequest]]]:
+        """The one completion-order dispatch loop.
 
-    def _plain_outcomes(self, fn: Callable, items: Sequence) -> Iterator:
-        """Non-speculative dispatch, normalised to the 3-tuple outcome shape.
+        Yields ``(chunk_index, outcome, executed_chunk)`` as chunks settle:
+        ``outcome`` is the work item's result, or ``None`` when the fault
+        layer gave up; ``executed_chunk`` is the chunk that actually ran
+        (the original, a breaker reroute onto a cheaper cascade tier, or a
+        fallback-model duplicate).  Work goes through the executor's
+        ``submit_stream``, so one copy's failure never cancels unrelated
+        work, and every settled copy is decided on its own:
 
-        ``(chunk_index, outcome, used_fallback)`` with ``used_fallback``
-        always ``False`` — only the speculative dispatcher can merge a
-        fallback-model copy.  The inner generator is closed explicitly so
-        early abandonment (an exception mid-merge) cancels queued work just
-        like consuming ``map_unordered`` directly would.
+        * speculation — once nothing is queued, a running chunk past its
+          threshold (:meth:`_chunk_threshold_s`) gets one duplicate in an
+          idle slot;
+        * success — the first copy of a chunk to succeed is merged exactly
+          once; its siblings are cancelled, or their results dropped when
+          they already run on a thread/process worker, so the cache,
+          telemetry and cost model are never double-fed;
+        * failure — a copy whose sibling is still running defers to it;
+          otherwise a retryable error within the retry budget goes to the
+          backoff heap (held here, never slept in a worker, so a retrying
+          chunk costs no executor capacity until it is due); otherwise,
+          with ``retries > 0``, the chunk gives up through its model's
+          breaker; with ``retries == 0`` the error propagates and the
+          ``finally`` cancels everything outstanding.
+
+        Breakers observe successes and *final* failures only — a flake a
+        retry then fixes is not evidence against a model, so whether a run
+        degrades never depends on scheduling order.
+
+        Submission is bounded at ``capacity`` when a chunk can be
+        speculated (its group has a p95 estimate: every in-flight copy is
+        then genuinely running, so its elapsed time is attributable and
+        idle capacity is real), when retries are on (breakers gate each
+        chunk as it is submitted, and a chunk that opens one must stop
+        the work queued behind it), and when the executor runs one item
+        at a time (the serial backend runs ``submit`` inline, so a
+        fail-fast run stops at the failing chunk).  Otherwise every chunk
+        is submitted up front to keep process and async pools fed.
         """
-        if self._dynamic():
-            inner = self.executor.map_unordered(fn, items)
-            try:
-                for index, outcome in inner:
-                    yield index, outcome, False
-            finally:
-                close = getattr(inner, "close", None)
-                if callable(close):
-                    close()
-        else:
-            for index, outcome in enumerate(self.executor.map(fn, items)):
-                yield index, outcome, False
+        stream = self.executor.submit_stream(fn)
+        capacity = self._capacity()
+        policy = self.retry_policy
+        thresholds: List[Optional[float]] = [None] * len(chunks)
+        if self.speculate and capacity > 1:
+            thresholds = [self._chunk_threshold_s(chunk) for chunk in chunks]
+        speculating = any(threshold is not None for threshold in thresholds)
+        bounded = speculating or policy.enabled or capacity == 1
+        bound = capacity if bounded else len(chunks)
+        pending: deque = deque((index, 0) for index in range(len(chunks)))
+        #: Backoff heap: (ready_at, chunk_index, attempt).
+        delayed: List[Tuple[float, int, int]] = []
+        #: chunk index -> its in-flight copies (original and duplicate).
+        copies: Dict[int, list] = {}
+        #: chunk index -> (start, attempt, executed chunk) of a running original.
+        running: Dict[int, Tuple[float, int, Sequence[_IndexedRequest]]] = {}
+        speculated: set = set()
+        resolved: set = set()
+        outstanding = len(chunks)
 
-    def _fallback_chunks(
-        self, chunks: Sequence[Sequence[_IndexedRequest]]
-    ) -> Optional[List[Optional[List[_IndexedRequest]]]]:
-        """Cross-backend speculation: per-chunk rewrites onto a cheaper model.
-
-        When a ``speculate_fallback`` mapping is configured, each chunk gets
-        a copy of its requests re-pointed at the fallback model (``None``
-        when the chunk's model has nothing cheaper below it).  The copy is
-        what a speculative duplicate submits — racing a different backend
-        against the straggler instead of re-running the same one.
-        """
-        if self.speculate_fallback is None or not self._speculative():
-            return None
-        rewritten: List[Optional[List[_IndexedRequest]]] = []
-        any_fallback = False
-        for chunk in chunks:
-            fallback_model = self.speculate_fallback(chunk[0][1].model)
-            if fallback_model is None:
-                rewritten.append(None)
-                continue
-            any_fallback = True
-            rewritten.append(
-                [
-                    (index, dataclasses.replace(request, model=fallback_model))
-                    for index, request in chunk
-                ]
+        def submit(index, attempt, chunk, duplicate=False, on_fallback=False) -> None:
+            future = stream.submit(
+                make_item(chunk), (index, attempt, chunk, duplicate, on_fallback)
             )
-        return rewritten if any_fallback else None
+            copies.setdefault(index, []).append(future)
+
+        try:
+            while outstanding:
+                now = time.monotonic()
+                while delayed and delayed[0][0] <= now:
+                    _, index, attempt = heapq.heappop(delayed)
+                    pending.append((index, attempt))
+                while pending and stream.inflight < bound:
+                    index, attempt = pending.popleft()
+                    routed = chunks[index]
+                    if policy.enabled:
+                        routed = self._breaker_route(routed)
+                    if routed is None:
+                        self.telemetry.record_breaker_short_circuits(1)
+                        resolved.add(index)
+                        outstanding -= 1
+                        yield index, None, chunks[index]
+                        continue
+                    submit(index, attempt, routed)
+                    running[index] = (time.perf_counter(), attempt, routed)
+                if not stream.inflight:
+                    if delayed:
+                        # Nothing runs until the next backoff matures.
+                        time.sleep(max(0.0, delayed[0][0] - time.monotonic()))
+                    continue
+                timeout = self.speculation_poll_s if speculating or delayed else None
+                for tag, future in stream.wait(timeout):
+                    index, attempt, executed, duplicate, on_fallback = tag
+                    if index in resolved:
+                        # The losing copy of a race that already resolved.
+                        if duplicate:
+                            self.telemetry.record_speculation(wasted=1)
+                        continue
+                    copies[index].remove(future)
+                    error = future.exception()
+                    if not duplicate or error is None:
+                        running.pop(index, None)
+                    if error is None:
+                        resolved.add(index)
+                        outstanding -= 1
+                        for sibling in copies.pop(index):
+                            sibling.cancel()
+                        if policy.enabled:
+                            self.breakers.breaker(_identity(executed)).record_success()
+                        if duplicate:
+                            self.telemetry.record_speculation(
+                                won=1, fallback_won=1 if on_fallback else 0
+                            )
+                        yield index, future.result(), executed
+                        continue
+                    if copies[index]:
+                        # A sibling is still running: let it decide the
+                        # chunk, or speculation would *add* a failure mode
+                        # on exactly the flaky backends it exists for.
+                        if duplicate:
+                            self.telemetry.record_speculation(wasted=1)
+                        continue
+                    if policy.allows(attempt) and is_retryable(error):
+                        self.telemetry.record_retries(1)
+                        delay = policy.delay_s(
+                            attempt, key=f"{_identity(executed)}|{index}"
+                        )
+                        heapq.heappush(
+                            delayed, (time.monotonic() + delay, index, attempt + 1)
+                        )
+                        continue
+                    if not policy.enabled:
+                        raise error
+                    if self.breakers.breaker(_identity(executed)).record_failure():
+                        self.telemetry.record_breaker_opens(1)
+                    self.telemetry.record_retry_giveups(1)
+                    resolved.add(index)
+                    outstanding -= 1
+                    yield index, None, executed
+                idle = capacity - stream.inflight
+                if not speculating or pending or idle <= 0:
+                    # Freed slots belong to queued originals first; a
+                    # duplicate jumping the queue would push first-copy
+                    # work *behind* re-executed work.
+                    continue
+                now = time.perf_counter()
+                overdue: List[Tuple[float, int]] = []
+                for index, (start, _attempt, _chunk) in running.items():
+                    threshold = thresholds[index]
+                    if threshold is not None and index not in speculated:
+                        elapsed = now - start
+                        if elapsed > threshold:
+                            overdue.append((elapsed / threshold, index))
+                # Most overdue first: the worst straggler gets the first
+                # idle slot.  One duplicate per chunk, ever; with a
+                # ``speculate_fallback`` mapping it races a cheaper model.
+                overdue.sort(reverse=True)
+                for _, index in overdue[:idle]:
+                    _start, attempt, chunk = running[index]
+                    fallback_model = None
+                    if self.speculate_fallback is not None:
+                        fallback_model = self.speculate_fallback(chunk[0][1].model)
+                    on_fallback = fallback_model is not None
+                    if on_fallback:
+                        chunk = _rewrite(chunk, fallback_model)
+                    submit(index, attempt, chunk, True, on_fallback)
+                    speculated.add(index)
+                    self.telemetry.record_speculation(
+                        launched=1, fallback_launched=1 if on_fallback else 0
+                    )
+        finally:
+            for index, _attempt, _chunk, duplicate, _fallback in stream.close():
+                if duplicate and index in resolved:
+                    # A duplicate abandoned because its original won.
+                    self.telemetry.record_speculation(wasted=1)
 
     def _chunk_threshold_s(self, chunk: Sequence[_IndexedRequest]) -> Optional[float]:
         """Elapsed seconds after which ``chunk`` counts as a straggler.
@@ -1094,165 +1157,12 @@ class ExecutionEngine:
         the group has never been observed — with no evidence of what
         "normal" looks like, a chunk can never be declared overdue.
         """
-        request = chunk[0][1]
-        identity = getattr(request.model, "cache_identity", request.model.name)
         quantile = self.cost_model.quantile_estimate(
-            identity, request.strategy.value, SPECULATION_QUANTILE
+            _identity(chunk), chunk[0][1].strategy.value, SPECULATION_QUANTILE
         )
         if quantile is None or quantile <= 0:
             return None
         return self.speculate_after * quantile * len(chunk)
-
-    def _dispatch_speculative(
-        self,
-        fn: Callable,
-        items: Sequence,
-        chunks: Sequence[Sequence[_IndexedRequest]],
-        fallback_items: Optional[Sequence] = None,
-    ) -> Iterator[Tuple[int, object, bool]]:
-        """Completion-order dispatch that races duplicates of stragglers.
-
-        Like ``map_unordered``, yields outcomes as work finishes — as
-        ``(chunk_index, outcome, used_fallback)`` triples — but submission
-        is *bounded*: at most ``capacity`` futures are in flight at once,
-        so every in-flight future is genuinely running and its elapsed
-        wall clock is attributable.  The dispatcher polls the in-flight
-        set; when a chunk overshoots its cost-model threshold
-        (:meth:`_chunk_threshold_s`) and idle capacity exists (pending
-        work always fills slots first), it submits a duplicate of the same
-        item.  The first copy to complete wins and is merged exactly once;
-        the losing copy is cancelled (queued / async) or its eventual
-        result dropped (already running on a thread/process worker), so
-        the cache, telemetry counters and cost-model observations are
-        never double-fed — results are bit-identical with speculation on
-        or off.
-
-        ``items`` is what gets submitted (chunks in-process, payloads for
-        distributed executors); ``chunks`` supplies the per-chunk cost
-        estimates.  ``fallback_items`` enables *cross-backend* speculation:
-        when entry ``i`` is non-``None``, the duplicate of straggler ``i``
-        submits that item instead — the same requests re-pointed at a
-        cheaper tier's model — and a fallback win is flagged via
-        ``used_fallback`` so the merge attributes cache identity, telemetry
-        and cost observations to the model that actually answered.  A
-        work-item exception propagates to the caller after every
-        outstanding future is cancelled, matching the ``map_unordered``
-        contract.
-        """
-        executor = self.executor
-        capacity = self._capacity()
-        thresholds = [self._chunk_threshold_s(chunk) for chunk in chunks]
-        if all(threshold is None for threshold in thresholds):
-            # Nothing can ever be declared overdue (cold cost model):
-            # don't pay the polling loop — plain completion-order dispatch
-            # is exactly equivalent.  The inner generator is closed
-            # explicitly so the abandonment contract is preserved.
-            inner = executor.map_unordered(fn, items)
-            try:
-                for index, outcome in inner:
-                    yield index, outcome, False
-            finally:
-                close = getattr(inner, "close", None)
-                if callable(close):
-                    close()
-            return
-        pending = deque(range(len(items)))
-        #: future -> (chunk index, is_duplicate, runs_on_fallback)
-        inflight: Dict["concurrent.futures.Future", Tuple[int, bool, bool]] = {}
-        started: Dict[int, float] = {}
-        speculated: set = set()
-        merged: set = set()
-        try:
-            # Stop as soon as every chunk has merged a winner: waiting for
-            # losing copies to unwind would re-grow the very tail
-            # speculation just cut off (a hung thread-pool loser cannot be
-            # cancelled, only abandoned — the finally below drops it).
-            while (pending or inflight) and len(merged) < len(items):
-                while pending and len(inflight) < capacity:
-                    index = pending.popleft()
-                    inflight[executor.submit(fn, items[index])] = (index, False, False)
-                    started[index] = time.perf_counter()
-                done, _ = concurrent.futures.wait(
-                    list(inflight),
-                    timeout=self.speculation_poll_s,
-                    return_when=concurrent.futures.FIRST_COMPLETED,
-                )
-                for future in done:
-                    index, is_duplicate, on_fallback = inflight.pop(future)
-                    if index in merged:
-                        # The losing copy of a race that already resolved.
-                        if is_duplicate:
-                            self.telemetry.record_speculation(wasted=1)
-                        continue
-                    try:
-                        outcome = future.result()
-                    except BaseException:
-                        # One copy of a racing pair failed while its
-                        # sibling is still running: let the sibling decide
-                        # the chunk — aborting here would make speculation
-                        # *add* a failure mode on exactly the flaky
-                        # backends it exists for.  With no sibling left,
-                        # the error is the chunk's real outcome: re-raise
-                        # (the finally cancels everything outstanding),
-                        # matching the map_unordered contract.
-                        if any(other == index for other, _, _ in inflight.values()):
-                            if is_duplicate:
-                                self.telemetry.record_speculation(wasted=1)
-                            continue
-                        raise
-                    merged.add(index)
-                    if is_duplicate:
-                        self.telemetry.record_speculation(
-                            won=1, fallback_won=1 if on_fallback else 0
-                        )
-                    for other, (other_index, _, _) in list(inflight.items()):
-                        if other_index == index:
-                            other.cancel()
-                    yield index, outcome, on_fallback
-                if pending:
-                    # Freed slots belong to queued originals first; the
-                    # top-of-loop refill takes them.  A duplicate jumping
-                    # the queue would push first-copy work *behind*
-                    # re-executed work and lengthen the makespan.
-                    continue
-                idle = capacity - len(inflight)
-                if idle <= 0:
-                    continue
-                now = time.perf_counter()
-                overdue: List[Tuple[float, int]] = []
-                for index, is_duplicate, _on_fallback in inflight.values():
-                    if is_duplicate or index in speculated or index in merged:
-                        continue
-                    threshold = thresholds[index]
-                    if threshold is None:
-                        continue
-                    elapsed = now - started[index]
-                    if elapsed > threshold:
-                        overdue.append((elapsed / threshold, index))
-                # Most overdue first: the worst straggler gets the first
-                # idle slot.  One duplicate per chunk, ever.
-                overdue.sort(reverse=True)
-                for _, index in overdue[:idle]:
-                    item = items[index]
-                    on_fallback = False
-                    if fallback_items is not None and fallback_items[index] is not None:
-                        # Cross-backend: race the straggler against a
-                        # cheaper tier instead of a same-backend twin.
-                        item = fallback_items[index]
-                        on_fallback = True
-                    inflight[executor.submit(fn, item)] = (index, True, on_fallback)
-                    speculated.add(index)
-                    self.telemetry.record_speculation(
-                        launched=1, fallback_launched=1 if on_fallback else 0
-                    )
-        finally:
-            for future, (index, is_duplicate, _on_fallback) in inflight.items():
-                future.cancel()
-                if is_duplicate and index in merged:
-                    # A duplicate abandoned because its original won.
-                    self.telemetry.record_speculation(wasted=1)
-
-    # -- fault-tolerant dispatch (retry/backoff, breakers, journal) -------------------
 
     def _merge_worker_entries(
         self, chunk: Sequence[_IndexedRequest], new_entries: Dict[str, str]
@@ -1260,48 +1170,9 @@ class ExecutionEngine:
         """Fold a distributed worker's fresh cache entries into the parent."""
         if self.cache is None or not new_entries:
             return
-        model = chunk[0][1].model
-        identity = getattr(model, "cache_identity", model.name)
+        identity = _identity(chunk)
         for key, response in new_entries.items():
             self.cache.put_key(key, response, identity=identity)
-
-    def _merge_retry_outcomes(
-        self,
-        fn: Callable,
-        chunks: Sequence[Sequence[_IndexedRequest]],
-        results: List[Optional[RunResult]],
-        make_item: Callable,
-        distributed: bool = False,
-    ) -> None:
-        """Drain the retry dispatcher and merge what it yields.
-
-        A ``None`` outcome is a chunk the fault layer gave up on (retries
-        exhausted, or its breaker open with nowhere to degrade to): every
-        request gets an explicit positional ``failed`` result and nothing
-        feeds the cache, telemetry counters, cost model or journal —
-        mirroring how deadline-shed work is handled.
-        """
-        for chunk_index, outcome, executed_chunk in self._dispatch_retry(
-            fn, chunks, make_item
-        ):
-            original = chunks[chunk_index]
-            if outcome is None:
-                for index, request in original:
-                    results[index] = failed_result(request)
-                self.telemetry.record_failed_requests(len(original))
-                continue
-            if distributed:
-                scored, new_entries, counters, elapsed = outcome
-                self._merge_worker_entries(executed_chunk, new_entries)
-            else:
-                scored, counters, elapsed = outcome
-            for index, result in scored:
-                results[index] = result
-            # Telemetry/cost attribution goes to the model that actually
-            # answered (a breaker may have rerouted the chunk); the journal
-            # keys on the *original* requests so a resume finds them.
-            self._record_chunk(executed_chunk, counters, elapsed)
-            self._journal_record(original, scored)
 
     def _breaker_route(
         self, chunk: Sequence[_IndexedRequest]
@@ -1327,118 +1198,12 @@ class ExecutionEngine:
                 if current is model:
                     return chunk
                 self.telemetry.record_breaker_reroutes(1)
-                return [
-                    (index, dataclasses.replace(request, model=current))
-                    for index, request in chunk
-                ]
+                return _rewrite(chunk, current)
             if self.cascade is None:
                 return None
             current = self.cascade.fallback_model(current)
             if current is None:
                 return None
-
-    def _dispatch_retry(
-        self,
-        fn: Callable,
-        chunks: Sequence[Sequence[_IndexedRequest]],
-        make_item: Callable,
-    ) -> Iterator[Tuple[int, Optional[object], Sequence[_IndexedRequest]]]:
-        """Completion-order dispatch with retry/backoff and circuit breakers.
-
-        Yields ``(chunk_index, outcome, executed_chunk)`` triples:
-        ``outcome`` is the chunk worker's result, or ``None`` when the
-        fault layer gave up; ``executed_chunk`` is the chunk that actually
-        ran (the original, or a breaker-rerouted rewrite onto a cheaper
-        cascade tier).
-
-        Dispatch runs on the executor's ``submit_stream`` seam, so one
-        chunk's failure never cancels unrelated futures.  A retryable
-        failure re-enters the dispatcher after
-        ``RetryPolicy.delay_s(attempt, key)`` — the backoff is held in
-        the dispatcher's delay heap, never slept inside a worker, so a
-        retrying chunk costs zero executor capacity until it is due.
-        Per-model breakers observe successes and *final* failures —
-        exhausted retry budgets and permanent errors, not attempt-level
-        flakes a retry then fixed; an open breaker short-circuits
-        submission (reroute or explicit failure) instead of burning
-        calls against a failing backend.
-        """
-        stream = self.executor.submit_stream(fn)
-        capacity = self._capacity()
-        policy = self.retry_policy
-        pending: deque = deque((index, 0) for index in range(len(chunks)))
-        #: Backoff heap: (ready_at, tiebreak, chunk_index, attempt).
-        delayed: List[Tuple[float, int, int, int]] = []
-        tiebreak = 0
-        outstanding = len(chunks)
-        try:
-            while outstanding > 0:
-                now = time.monotonic()
-                while delayed and delayed[0][0] <= now:
-                    _, _, index, attempt = heapq.heappop(delayed)
-                    pending.append((index, attempt))
-                while pending and stream.inflight < capacity:
-                    index, attempt = pending.popleft()
-                    routed = self._breaker_route(chunks[index])
-                    if routed is None:
-                        self.telemetry.record_breaker_short_circuits(1)
-                        outstanding -= 1
-                        yield index, None, chunks[index]
-                        continue
-                    stream.submit(make_item(routed), (index, attempt, routed))
-                if stream.inflight == 0:
-                    if not pending and not delayed:
-                        break  # every chunk resolved mid-refill
-                    # Nothing runs until the next backoff matures; sleep
-                    # just long enough instead of spinning the poll.
-                    if delayed:
-                        remaining = delayed[0][0] - time.monotonic()
-                        if remaining > 0:
-                            time.sleep(min(remaining, self.speculation_poll_s))
-                    continue
-                for tag, future in stream.wait(self.speculation_poll_s):
-                    index, attempt, executed_chunk = tag
-                    error = future.exception()
-                    if error is None:
-                        identity = getattr(
-                            executed_chunk[0][1].model,
-                            "cache_identity",
-                            executed_chunk[0][1].model.name,
-                        )
-                        self.breakers.breaker(identity).record_success()
-                        outstanding -= 1
-                        yield index, future.result(), executed_chunk
-                        continue
-                    identity = getattr(
-                        executed_chunk[0][1].model,
-                        "cache_identity",
-                        executed_chunk[0][1].model.name,
-                    )
-                    if policy.allows(attempt) and is_retryable(error):
-                        # A failure the backoff may still fix is *not*
-                        # breaker evidence: tripping on attempt-level
-                        # flakes would make whether a run degrades depend
-                        # on scheduling order, breaking the guarantee
-                        # that chaos-with-enough-retries is bit-identical
-                        # to fault-free.  The breaker watches the retry
-                        # layer's *verdicts* — exhausted budgets and
-                        # permanent errors — i.e. models retries cannot
-                        # save.
-                        self.telemetry.record_retries(1)
-                        delay = policy.delay_s(attempt, key=f"{identity}|{index}")
-                        heapq.heappush(
-                            delayed,
-                            (time.monotonic() + delay, tiebreak, index, attempt + 1),
-                        )
-                        tiebreak += 1
-                    else:
-                        if self.breakers.breaker(identity).record_failure():
-                            self.telemetry.record_breaker_opens(1)
-                        self.telemetry.record_retry_giveups(1)
-                        outstanding -= 1
-                        yield index, None, executed_chunk
-        finally:
-            stream.close()
 
     def _journal_key(self, request: DetectionRequest) -> str:
         model = request.model
@@ -1536,8 +1301,7 @@ class ExecutionEngine:
             misses=counters["misses"],
             calls=counters["calls"],
         )
-        identity = getattr(model, "cache_identity", model.name)
-        self.cost_model.observe(identity, request.strategy.value, elapsed / len(chunk))
+        self.cost_model.observe(_identity(chunk), request.strategy.value, elapsed / len(chunk))
 
     def _run_chunk(self, chunk: Sequence[_IndexedRequest]) -> _ChunkOutcome:
         """One executor work item: a same-(model, strategy, scoring) chunk.
@@ -1672,6 +1436,6 @@ class ExecutionEngine:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         cache = f"cache={len(self.cache)} entries" if self.cache is not None else "no cache"
         return (
-            f"<ExecutionEngine executor={self.executor!r} dispatch={self.dispatch}"
+            f"<ExecutionEngine executor={self.executor!r}"
             f" batch_size={self.batch_size} lpt={self.lpt} {cache}>"
         )

@@ -1,25 +1,20 @@
 """Pluggable executors: how the engine maps work over request chunks.
 
-An executor implements two dispatch contracts:
+An executor implements two contracts:
 
 * ``map(fn, items) -> list`` — the *ordered* contract: results in input
-  order, exceptions propagated.  This is the reference path the engine's
-  equivalence guarantee is stated against.
-* ``submit(fn, item) -> Future`` plus ``map_unordered(fn, items)`` — the
-  *completion-order* contract: ``map_unordered`` returns an iterator of
-  ``(index, result)`` pairs yielded **as work items finish**, so a consumer
-  can merge fast results while slow ones are still running instead of
-  blocking behind an order-preserving barrier.  Indices refer to positions
-  in ``items``; every index appears exactly once.  The first work-item
-  exception is re-raised to the consumer and every not-yet-started future
-  is cancelled — the same happens when the consumer abandons (closes) the
-  iterator early.  A closed executor raises :class:`RuntimeError` from
-  ``submit`` and ``map_unordered`` alike.
-* ``submit_stream(fn) -> SubmitStream`` — the *fault-tolerant* contract:
-  incremental submission with completion-order draining where a work-item
-  failure is delivered in its future and never cancels unrelated futures.
-  The engine's retry dispatcher runs on this seam, so with ``--retries``
-  one chunk's transient failure no longer tears down the whole run.
+  order, exceptions propagated.  :meth:`ExecutionEngine.map
+  <repro.engine.core.ExecutionEngine.map>` (the Inspector baseline) and
+  ``repro analyze --jobs`` run on it.
+* ``submit(fn, item) -> Future`` plus ``submit_stream(fn) -> SubmitStream``
+  — the *completion-order* contract the engine dispatches every chunk
+  through: work is submitted incrementally and drained as it settles, and
+  a work-item failure is delivered in its future without cancelling
+  unrelated futures.  The engine's one dispatch loop decides per chunk
+  what a failure means (defer to a speculative sibling, retry after
+  backoff, give up through a breaker, or propagate and cancel the rest).
+  A closed executor raises :class:`RuntimeError` from ``submit`` and
+  ``submit_stream`` alike.
 
 Four backends ship here, all registered in :data:`EXECUTOR_KINDS` and
 selectable via :func:`create_executor` (the CLI's ``--executor``/``--jobs``
@@ -54,8 +49,7 @@ CLI close their executor after a run.
 
 To add a new backend, implement ``map`` and ``submit`` and register a
 factory with :func:`register_executor` so ``--executor <kind>`` can select
-it; ``map_unordered`` comes for free from :class:`_BaseExecutor` once
-``submit`` exists.
+it; ``submit_stream`` comes for free from :class:`_BaseExecutor`.
 """
 
 from __future__ import annotations
@@ -64,7 +58,7 @@ import asyncio
 import concurrent.futures
 import inspect
 import threading
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 __all__ = [
     "EXECUTOR_KINDS",
@@ -82,65 +76,19 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 
-class _CompletionStream:
-    """The iterator ``map_unordered`` hands out: futures in completion order.
-
-    A plain generator would be simpler, but closing a generator that was
-    never started runs none of its code — an abandoned stream would leak
-    every submitted future.  This object cancels all outstanding futures
-    on ``close()`` (and on garbage collection) no matter how far iteration
-    got, so "consumer walked away" always means "queued work is dropped".
-    """
-
-    def __init__(self, futures: Dict["concurrent.futures.Future[R]", int]) -> None:
-        self._futures = futures
-        self._completed = concurrent.futures.as_completed(futures)
-        self._closed = False
-
-    def __iter__(self) -> "Iterator[Tuple[int, R]]":
-        return self
-
-    def __next__(self) -> Tuple[int, R]:
-        if self._closed:
-            raise StopIteration
-        try:
-            future = next(self._completed)
-            return self._futures[future], future.result()
-        except BaseException:
-            # Exhaustion, a work-item exception or a cancelled future all
-            # end the stream; cancel whatever has not started yet.
-            self.close()
-            raise
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        for future in self._futures:
-            future.cancel()
-
-    def __del__(self) -> None:  # pragma: no cover - GC safety net
-        self.close()
-
-
 class SubmitStream:
     """Completion-order drain over *dynamically* submitted work items.
 
-    ``map_unordered`` fixes the work list up front and fail-fasts: the
-    first work-item exception ends the stream and cancels every
-    outstanding future.  That is the right contract for an
-    all-or-nothing run, and exactly the wrong one for a retrying run —
-    one chunk's transient failure must not cancel unrelated chunks, and
-    a retried chunk needs to *re-enter* the stream after its backoff.
-
-    ``SubmitStream`` is the retry-friendly seam: work is submitted
-    incrementally (:meth:`submit` tags each item), :meth:`wait` blocks
-    until at least one in-flight future settles and hands back
-    ``(tag, future)`` pairs **without inspecting them** — a failed
-    future is just a completed future whose ``exception()`` is set, and
-    nothing else in flight is touched.  The caller owns the
-    retry/giveup decision.  Not thread-safe: one dispatcher thread
-    drives it, like the engine's other dispatch loops.
+    Work is submitted incrementally (:meth:`submit` tags each item), so a
+    retried chunk can *re-enter* after its backoff and a speculative
+    duplicate can join its straggling original.  :meth:`wait` blocks until
+    at least one in-flight future settles and hands back ``(tag, future)``
+    pairs **without inspecting them** — a failed future is just a
+    completed future whose ``exception()`` is set, and nothing else in
+    flight is touched.  The caller owns every decision about a failure;
+    to fail fast it stops draining and calls :meth:`close`, which cancels
+    whatever has not started.  Not thread-safe: one dispatcher thread
+    drives it, like the engine's dispatch loop.
     """
 
     def __init__(self, executor: "_BaseExecutor", fn: Callable[[T], R]) -> None:
@@ -174,11 +122,18 @@ class SubmitStream:
         )
         return [(self._inflight.pop(future), future) for future in done]
 
-    def close(self) -> None:
-        """Cancel whatever has not started yet (abandoned dispatch)."""
+    def close(self) -> List[object]:
+        """Cancel whatever has not started yet; return the abandoned tags.
+
+        Futures already running on a thread/process worker run to
+        completion and their results are dropped; the async backend
+        cancels in-flight coroutines too.
+        """
+        tags = list(self._inflight.values())
         for future in self._inflight:
             future.cancel()
         self._inflight.clear()
+        return tags
 
 
 class _BaseExecutor:
@@ -224,41 +179,15 @@ class _BaseExecutor:
     def submit_stream(self, fn: Callable[[T], R]) -> "SubmitStream":
         """A :class:`SubmitStream` over this backend (see its docstring).
 
-        The fault-tolerant dispatch contract: work items are submitted
+        The completion-order contract: work items are submitted
         incrementally, failures are delivered in their futures instead
         of tearing the stream down, and unrelated futures are never
         cancelled by one item's failure — which is what lets the
-        engine's retry dispatcher re-enter failed chunks after backoff
-        while the rest of the run keeps flowing.
+        engine's dispatch loop retry failed chunks after backoff and race
+        speculative duplicates while the rest of the run keeps flowing.
         """
         self._check_open()
         return SubmitStream(self, fn)
-
-    def map_unordered(
-        self, fn: Callable[[T], R], items: Sequence[T]
-    ) -> Iterator[Tuple[int, R]]:
-        """Yield ``(index, result)`` pairs in completion order.
-
-        The default implementation submits every item up front and drains
-        the futures as they finish.  If a work item raises, or the consumer
-        closes (or drops) the iterator before exhausting it — even before
-        taking a single result — every outstanding future is cancelled
-        (futures already running run to completion in thread/process pools;
-        the async backend cancels in-flight coroutines too).
-        """
-        self._check_open()
-        items = list(items)
-        futures: Dict["concurrent.futures.Future[R]", int] = {}
-        try:
-            for index, item in enumerate(items):
-                futures[self.submit(fn, item)] = index
-        except BaseException:
-            # A mid-loop submit failure (broken pool, concurrent close)
-            # must not strand the futures already submitted.
-            for future in futures:
-                future.cancel()
-            raise
-        return _CompletionStream(futures)
 
     def __enter__(self):
         return self
@@ -286,23 +215,6 @@ class SerialExecutor(_BaseExecutor):
         except BaseException as exc:  # propagate through future.result()
             future.set_exception(exc)
         return future
-
-    def map_unordered(
-        self, fn: Callable[[T], R], items: Sequence[T]
-    ) -> Iterator[Tuple[int, R]]:
-        """Lazy serial stream: completion order *is* submission order.
-
-        Abandoning the iterator early simply stops executing the remaining
-        items — the serial analogue of cancelling queued futures.
-        """
-        self._check_open()
-
-        def _stream() -> Iterator[Tuple[int, R]]:
-            for index, item in enumerate(items):
-                self._check_open()
-                yield index, fn(item)
-
-        return _stream()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "<SerialExecutor>"
@@ -519,8 +431,8 @@ class AsyncExecutor(_BaseExecutor):
 
         Native coroutine functions are bounded by a semaphore of width
         ``max_inflight`` (the offload pool is bounded by its ``jobs``
-        workers), so ``map_unordered`` keeps the same concurrency limits
-        as ``map``.
+        workers), so ``submit`` keeps the same concurrency limits as
+        ``map``.
         """
         self._check_open()
         loop = self._ensure_loop()

@@ -73,14 +73,13 @@ class TestCLI:
             main(["table2", "--executor", "quantum"])
 
     def test_dispatch_modes_same_table(self, capsys):
-        """--dispatch ordered/--no-lpt/--no-adaptive-batching select the
-        reference scheduling path; the table rows must not change."""
+        """--no-lpt/--no-adaptive-batching dispatch plan-order, fixed-size
+        chunks; the table rows must not change."""
         assert main(["table2", "--no-stats"]) == 0
         dynamic = capsys.readouterr().out
         assert main(
             [
                 "table2",
-                "--dispatch", "ordered",
                 "--no-lpt",
                 "--no-adaptive-batching",
                 "--jobs", "4",
@@ -92,9 +91,13 @@ class TestCLI:
             l for l in ordered.splitlines() if "gpt" in l
         ]
 
-    def test_unknown_dispatch_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["table2", "--dispatch", "sideways"])
+    def test_unknown_dispatch_rejected(self, capsys):
+        """--dispatch is gone: argparse rejects it with a usage error."""
+        for mode in ("ordered", "dynamic"):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["table2", "--dispatch", mode])
+            assert exit_info.value.code == 2
+            assert "unrecognized arguments: --dispatch" in capsys.readouterr().err
 
     def test_slowest_groups_printed_with_stats(self, capsys):
         assert main(["table2", "--jobs", "2"]) == 0

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cparse import ast, parse, parse_pragma
-from repro.cparse.parser import ParseError
+from repro.cparse.parser import MAX_NESTING_DEPTH, NESTING_COST, ParseError
 from repro.cparse.pragma import PragmaError
 
 
@@ -287,6 +287,72 @@ class TestParseErrors:
     def test_literal_python_cannot_read(self, literal, message):
         with pytest.raises(ParseError, match=message):
             parse(f"int main() {{ double x = {literal}; return 0; }}")
+
+
+#: ``(construct, build(n))``: inputs nesting one construct ``n`` deep.  The
+#: expressions sit in a file-scope initializer, so the operators are their
+#: only nesting; the blocks sit in a function body, whose own braces are
+#: not a statement.
+NESTED = {
+    "unary": ("prefix", lambda n: "int x = " + "!" * n + "1;"),
+    "parenthesised": ("paren", lambda n: "int x = " + "(" * n + "1" + ")" * n + ";"),
+    "block": ("statement", lambda n: "void f() { " + "{" * n + "}" * n + " }"),
+}
+
+
+def _deepest(kind: str) -> int:
+    """How many levels of ``kind`` fit in the limit."""
+    return MAX_NESTING_DEPTH // NESTING_COST[NESTED[kind][0]]
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize("kind", sorted(NESTED))
+    def test_nesting_at_the_limit_parses(self, kind):
+        parse(NESTED[kind][1](_deepest(kind)))
+
+    @pytest.mark.parametrize("depth", ["limit+1", "10000"])
+    @pytest.mark.parametrize("kind", sorted(NESTED))
+    def test_deeper_nesting_is_a_parse_error(self, kind, depth):
+        n = _deepest(kind) + 1 if depth == "limit+1" else 10_000
+        with pytest.raises(ParseError, match=f"nesting deeper than {MAX_NESTING_DEPTH}"):
+            parse(NESTED[kind][1](n))
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "x = " + "!" * 10_000 + "1;",
+            "x = " + "a[" * 10_000 + "1" + "]" * 10_000 + ";",
+            "x = " + "f(" * 10_000 + "1" + ")" * 10_000 + ";",
+            "x = " + "(int)" * 10_000 + "1;",
+            "x = " + "a ? " * 10_000 + "1" + " : 2" * 10_000 + ";",
+            "if (a) " * 10_000 + "x = 1;",
+            "#pragma omp critical\n" * 10_000 + "x = 1;",
+        ],
+        ids=["unary", "subscript", "call", "cast", "conditional", "if", "pragma"],
+    )
+    def test_every_recursive_construct_is_bounded(self, body):
+        with pytest.raises(ParseError, match="nesting deeper"):
+            parse("int main() { " + body + " }")
+
+    @pytest.mark.parametrize(
+        "source",
+        ["a = " * 10_000 + "1;", "a ? 1 : " * 10_000 + "2;"],
+        ids=["assignment", "else-chain"],
+    )
+    def test_right_associative_chains_are_not_nesting(self, source):
+        """Assignment and ``?:`` else-chains fold in a loop, any length."""
+        unit = parse("int main() { " + source + " }")
+        assert len(unit.functions[0].body.body) == 1
+
+    def test_chains_keep_their_right_associative_shape(self):
+        stmt = parse("int main() { a = b += c ? d : e ? f : g; }").functions[0].body.body[0]
+        outer = stmt.expr
+        assert isinstance(outer, ast.Assignment) and outer.op == "="
+        inner = outer.value
+        assert isinstance(inner, ast.Assignment) and inner.op == "+="
+        conditional = inner.value
+        assert isinstance(conditional, ast.ConditionalExpr)
+        assert isinstance(conditional.other, ast.ConditionalExpr)
 
 
 class TestWalk:

@@ -1,11 +1,12 @@
-"""Dynamic dispatch, cost-model scheduling and broadcast-once cache shipping.
+"""Completion-order dispatch, cost-model scheduling and broadcast-once shipping.
 
 Three contracts are pinned here:
 
 * the executors' completion-order contract — ``submit`` /
-  ``map_unordered`` semantics, including cancellation and close behaviour;
-* the engine's dispatch equivalence — dynamic completion-order merging,
-  LPT ordering and adaptive chunk sizing never change results, only wall
+  ``submit_stream`` semantics, including cancellation and close behaviour,
+  and the engine's fail-fast propagation on top of it;
+* the engine's dispatch equivalence — completion-order merging, LPT
+  ordering and adaptive chunk sizing never change results, only wall
   time;
 * the process-backend snapshot broadcast — the cache crosses the parent
   boundary O(entries) per **run**, not per chunk.
@@ -43,7 +44,20 @@ def _square(x):
     return x * x
 
 
+def _drain(stream, timeout_s: float = 30.0):
+    """Every ``(tag, result)`` a stream settles, in completion order."""
+    settled = []
+    deadline = time.monotonic() + timeout_s
+    while stream.inflight:
+        assert time.monotonic() < deadline, "stream did not drain"
+        settled += [(tag, future.result()) for tag, future in stream.wait(0.05)]
+    return settled
+
+
 class TestMapUnordered:
+    """The completion-order contract ``map_unordered`` used to provide,
+    now pinned on ``submit_stream`` and on the engine's dispatch loop."""
+
     @pytest.mark.parametrize(
         "make_executor",
         [
@@ -56,13 +70,19 @@ class TestMapUnordered:
     def test_yields_every_index_exactly_once(self, make_executor):
         items = list(range(20))
         with make_executor() as executor:
-            pairs = list(executor.map_unordered(_square, items))
+            stream = executor.submit_stream(_square)
+            for index, item in enumerate(items):
+                stream.submit(item, tag=index)
+            pairs = _drain(stream)
         assert sorted(index for index, _ in pairs) == items
         assert all(result == index * index for index, result in pairs)
 
     def test_empty_items(self):
         with ThreadPoolExecutor(jobs=2) as pool:
-            assert list(pool.map_unordered(_square, [])) == []
+            stream = pool.submit_stream(_square)
+            assert stream.inflight == 0
+            assert stream.wait(0.01) == []
+            assert stream.close() == []
 
     def test_thread_pool_yields_in_completion_order(self):
         """A fast item submitted after a slow one comes back first."""
@@ -72,10 +92,15 @@ class TestMapUnordered:
             return seconds
 
         with ThreadPoolExecutor(jobs=2) as pool:
-            first_index, _ = next(pool.map_unordered(sleepy, [0.2, 0.0]))
-        assert first_index == 1
+            stream = pool.submit_stream(sleepy)
+            stream.submit(0.2, tag=0)
+            stream.submit(0.0, tag=1)
+            (first_tag, _), *_ = stream.wait(5.0)
+            stream.close()
+        assert first_tag == 1
 
     def test_serial_streams_lazily_in_order(self):
+        """Serial work runs inline at submit — nothing before, nothing after."""
         calls = []
 
         def record(x):
@@ -83,30 +108,45 @@ class TestMapUnordered:
             return x
 
         executor = SerialExecutor()
-        stream = executor.map_unordered(record, [1, 2, 3])
-        assert calls == []  # nothing runs until the stream is consumed
-        assert next(stream) == (0, 1)
+        stream = executor.submit_stream(record)
+        assert calls == []  # nothing runs until an item is submitted
+        stream.submit(1, tag=0)
         assert calls == [1]
-        stream.close()
-        assert calls == [1]  # abandoning the stream stops execution
+        assert [(tag, future.result()) for tag, future in stream.wait()] == [(0, 1)]
+        assert stream.close() == []
+        assert calls == [1]  # abandoning the stream runs nothing more
 
-    def test_exception_propagates_and_cancels_rest(self):
+    def test_exception_propagates_and_cancels_rest(self, records):
+        """Fail-fast (``retries=0``): the first chunk error reaches the
+        caller and chunks still queued on the pool are cancelled."""
         calls = []
+        lock = threading.Lock()
 
-        def boom(x):
-            calls.append(x)
-            time.sleep(0.02)
-            if x == 0:
-                raise RuntimeError("boom")
-            return x
+        class BoomModel:
+            name = "boom"
+            cache_identity = "boom"
 
-        with ThreadPoolExecutor(jobs=1) as pool:
+            def generate_batch(self, prompts):
+                with lock:
+                    calls.append(len(prompts))
+                    first = len(calls) == 1
+                time.sleep(0.02)
+                if first:
+                    raise RuntimeError("boom")
+                return ["yes"] * len(prompts)
+
+        from repro.engine.requests import DetectionRequest
+
+        requests = [
+            DetectionRequest(model=BoomModel(), strategy=PromptStrategy.BP1, record=r)
+            for r in records
+        ]
+        # Two workers and no speculation or retries: every chunk is
+        # submitted up front, so most of them are still queued.
+        with ExecutionEngine(jobs=2, executor_kind="thread", batch_size=1) as engine:
             with pytest.raises(RuntimeError, match="boom"):
-                list(pool.map_unordered(boom, list(range(10))))
-        # The single worker ran the failing item (and possibly a successor
-        # that started before the cancellation landed); queued futures were
-        # cancelled instead of run.
-        assert len(calls) < 10
+                engine.run(requests)
+        assert len(calls) < len(records)
 
     def test_abandoning_iterator_cancels_pending(self):
         calls = []
@@ -117,9 +157,12 @@ class TestMapUnordered:
             return x
 
         with ThreadPoolExecutor(jobs=1) as pool:
-            stream = pool.map_unordered(slow, list(range(10)))
-            next(stream)
-            stream.close()  # consumer walks away; queued futures cancelled
+            stream = pool.submit_stream(slow)
+            for item in range(10):
+                stream.submit(item, tag=item)
+            assert stream.wait(5.0)  # the first item settles
+            abandoned = stream.close()  # consumer walks away; queued futures cancelled
+        assert abandoned and 0 not in abandoned
         assert len(calls) < 10
 
 
@@ -142,7 +185,7 @@ class TestSubmit:
                 with pytest.raises(ValueError, match="bad item"):
                     executor.submit(boom, 1).result(timeout=10)
 
-    def test_closed_executor_rejects_submit_and_map_unordered(self):
+    def test_closed_executor_rejects_submit_and_submit_stream(self):
         for executor in (
             SerialExecutor(),
             ThreadPoolExecutor(jobs=2),
@@ -153,7 +196,7 @@ class TestSubmit:
             with pytest.raises(RuntimeError):
                 executor.submit(_square, 1)
             with pytest.raises(RuntimeError):
-                executor.map_unordered(_square, [1, 2])
+                executor.submit_stream(_square)
 
     def test_async_submit_awaits_coroutine_functions(self):
         async def acc(x):
@@ -186,9 +229,10 @@ def _assert_no_leaked_tasks(pool, timeout_s: float = 2.0) -> None:
 
 
 class TestAsyncCancellation:
-    """The async-native contract: abandoning a stream or a raising coroutine
-    cancels queued *and* in-flight coroutines — no tasks leak onto the loop,
-    and the loop stays reusable for the next run."""
+    """The async-native contract: closing a stream — what the engine does
+    when a coroutine raises or the run is abandoned — cancels queued *and*
+    in-flight coroutines, no tasks leak onto the loop, and the loop stays
+    reusable for the next run."""
 
     def test_abandoned_iterator_cancels_queued_and_inflight(self):
         import asyncio
@@ -203,9 +247,11 @@ class TestAsyncCancellation:
             return x
 
         with AsyncExecutor(jobs=2, max_inflight=2) as pool:
-            stream = pool.map_unordered(item, list(range(10)))
-            index, result = next(stream)
-            assert (index, result) == (0, 0)
+            stream = pool.submit_stream(item)
+            for x in range(10):
+                stream.submit(x, tag=x)
+            settled = stream.wait(5.0)
+            assert [(tag, future.result()) for tag, future in settled] == [(0, 0)]
             stream.close()  # consumer walks away
             _assert_no_leaked_tasks(pool)
             # Queued coroutines beyond max_inflight never ran at all.
@@ -221,8 +267,14 @@ class TestAsyncCancellation:
             return x
 
         with AsyncExecutor(jobs=2, max_inflight=4) as pool:
+            stream = pool.submit_stream(boom)
+            for x in range(8):
+                stream.submit(x, tag=x)
+            settled = stream.wait(5.0)
+            assert [tag for tag, _ in settled] == [0]
             with pytest.raises(RuntimeError, match="boom"):
-                list(pool.map_unordered(boom, list(range(8))))
+                settled[0][1].result()
+            stream.close()  # fail fast: the rest is cancelled
             _assert_no_leaked_tasks(pool)
 
             # The loop is reusable: a fresh stream on the same executor
@@ -231,8 +283,10 @@ class TestAsyncCancellation:
                 await asyncio.sleep(0)
                 return x * 2
 
-            pairs = sorted(pool.map_unordered(fine, [1, 2, 3]))
-            assert pairs == [(0, 2), (1, 4), (2, 6)]
+            stream = pool.submit_stream(fine)
+            for index, x in enumerate([1, 2, 3]):
+                stream.submit(x, tag=index)
+            assert sorted(_drain(stream)) == [(0, 2), (1, 4), (2, 6)]
 
     def test_ordered_map_cancels_siblings_on_error(self):
         """Blocking map: one raising coroutine must cancel the rest — an
@@ -264,7 +318,9 @@ class TestAsyncCancellation:
             return x
 
         with AsyncExecutor(jobs=2, max_inflight=1) as pool:
-            stream = pool.map_unordered(slow, list(range(5)))
+            stream = pool.submit_stream(slow)
+            for x in range(5):
+                stream.submit(x, tag=x)
             stream.close()  # nothing consumed: everything cancels
             _assert_no_leaked_tasks(pool)
 
@@ -317,7 +373,7 @@ class TestAsyncCancellation:
 
 
 class _MapOnlyExecutor:
-    """An executor predating the completion-order contract (map only)."""
+    """An executor without the completion-order contract (map only)."""
 
     name = "map-only"
     distributed = False
@@ -328,8 +384,9 @@ class _MapOnlyExecutor:
 
 class TestEngineDispatch:
     def test_rejects_unknown_dispatch(self):
-        with pytest.raises(ValueError):
-            ExecutionEngine(dispatch="eventually")
+        """One dispatch loop serves every run: there is no mode to pick."""
+        with pytest.raises(TypeError):
+            ExecutionEngine(dispatch="ordered")
 
     @pytest.mark.parametrize("config_id,config", [
         ("thread", dict(jobs=4, batch_size=5)),
@@ -337,18 +394,28 @@ class TestEngineDispatch:
         ("process", dict(jobs=2, executor_kind="process", batch_size=5)),
     ])
     def test_dynamic_matches_ordered_responses(self, records, config_id, config):
-        """Same store, response for response, under both dispatch modes."""
-        model_name = "gpt-4"
-        with ExecutionEngine(dispatch="ordered", lpt=False, **config) as ordered_engine:
-            ordered = ordered_engine.run(
-                build_requests(create_model(model_name), PromptStrategy.BP1, records)
+        """LPT-ordered, adaptively sized chunks give the same store,
+        response for response, as plan-order fixed-size chunks."""
+
+        def requests():
+            fast, slow = create_model("gpt-4"), create_model("llama2-7b")
+            return build_requests(fast, PromptStrategy.BP1, records) + build_requests(
+                slow, PromptStrategy.BP1, records
             )
-        with ExecutionEngine(dispatch="dynamic", **config) as dynamic_engine:
-            dynamic = dynamic_engine.run(
-                build_requests(create_model(model_name), PromptStrategy.BP1, records)
-            )
-        assert [(r.record_name, r.response) for r in dynamic] == [
-            (r.record_name, r.response) for r in ordered
+
+        with ExecutionEngine(lpt=False, adaptive_batching=False, **config) as engine:
+            ordered = engine.run(requests())
+        # Plan order puts the fast model first; these estimates make LPT
+        # flip it and adaptive sizing re-cut both groups.
+        cost_model = CostModel()
+        cost_model.observe(create_model("gpt-4").cache_identity, "BP1", 0.001)
+        cost_model.observe(create_model("llama2-7b").cache_identity, "BP1", 0.1)
+        with ExecutionEngine(cost_model=cost_model, **config) as engine:
+            chunks, _shed = engine._chunk(list(enumerate(requests())))
+            assert chunks[0][0][1].model.name == "llama2-7b"
+            lpt = engine.run(requests())
+        assert [(r.model, r.record_name, r.response) for r in lpt] == [
+            (r.model, r.record_name, r.response) for r in ordered
         ]
 
     def test_lpt_and_adaptive_keep_results_after_warmup(self, records):
@@ -374,16 +441,13 @@ class TestEngineDispatch:
                 assert fingerprint == reference
         assert len(cost_model) == 4  # every (model, strategy) group observed
 
-    def test_dynamic_falls_back_to_map_without_map_unordered(self, records):
-        engine = ExecutionEngine(executor=_MapOnlyExecutor(), dispatch="dynamic")
-        counts = engine.run_counts(
-            build_requests(create_model("gpt-4"), PromptStrategy.BP1, records)
-        )
-        assert counts.total == len(records)
+    def test_executor_without_submit_is_rejected(self):
+        with pytest.raises(TypeError, match="submit"):
+            ExecutionEngine(executor=_MapOnlyExecutor())
 
     def test_results_preserve_request_order_under_dynamic(self, records):
         model = create_model("gpt-4")
-        with ExecutionEngine(jobs=4, batch_size=3, dispatch="dynamic") as engine:
+        with ExecutionEngine(jobs=4, batch_size=3) as engine:
             store = engine.run(build_requests(model, PromptStrategy.BP1, records))
         assert [r.record_name for r in store] == [r.name for r in records]
 
@@ -459,13 +523,9 @@ class _RecordingDistributedExecutor(SerialExecutor):
         super().__init__()
         self.payloads = []
 
-    def map(self, fn, items):
-        self.payloads.extend(items)
-        return super().map(fn, items)
-
-    def map_unordered(self, fn, items):
-        self.payloads.extend(items)
-        return super().map_unordered(fn, items)
+    def submit(self, fn, item):
+        self.payloads.append(item)
+        return super().submit(fn, item)
 
 
 class TestBroadcastOnceSnapshot:

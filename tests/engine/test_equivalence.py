@@ -125,11 +125,11 @@ ENGINE_CONFIGS = [
         dict(jobs=4, executor_kind="async", max_inflight=12, cache=ResponseCache(), batch_size=3),
         id="async-native-cached-coalesced",
     ),
-    # The default configs above all run dispatch="dynamic"; pin the ordered
-    # reference path and the no-LPT/no-adaptive combinations explicitly so
-    # a default change can never silently drop coverage of either mode.
+    # The default configs above all run LPT with adaptive chunk sizing; pin
+    # plan-order and no-LPT/no-adaptive combinations explicitly so a
+    # default change can never silently drop coverage of either schedule.
     pytest.param(
-        dict(jobs=6, batch_size=7, dispatch="ordered", lpt=False, adaptive_batching=False),
+        dict(jobs=6, batch_size=7, lpt=False, adaptive_batching=False),
         id="thread-pool-ordered-static",
     ),
     pytest.param(
@@ -138,12 +138,11 @@ ENGINE_CONFIGS = [
             executor_kind="process",
             cache=ResponseCache(),
             batch_size=8,
-            dispatch="ordered",
         ),
         id="process-pool-ordered-cached",
     ),
     pytest.param(
-        dict(jobs=8, executor_kind="async", batch_size=7, dispatch="dynamic", lpt=False),
+        dict(jobs=8, executor_kind="async", batch_size=7, lpt=False),
         id="async-dynamic-no-lpt",
     ),
     # Full escalation through the detection cascade: no cheap-tier verdict
@@ -357,11 +356,11 @@ class TestSchedulerEquivalence:
                 id="async-native-high-inflight",
             ),
             pytest.param(
-                dict(jobs=6, batch_size=5, dispatch="ordered", lpt=False),
+                dict(jobs=6, batch_size=5, lpt=False),
                 id="thread-ordered-no-lpt",
             ),
             pytest.param(
-                dict(jobs=3, executor_kind="process", batch_size=8, dispatch="ordered"),
+                dict(jobs=3, executor_kind="process", batch_size=8),
                 id="process-ordered",
             ),
         ],
@@ -397,8 +396,8 @@ class TestSchedulerEquivalence:
         assert results_fingerprint(streamed) == sequential_reference
 
     def test_interleaved_matches_sequential_warm_cache(self, mini_records, sequential_reference):
-        """Runs 2+ reuse the cache AND a warmed cost model: dynamic dispatch
-        with live LPT ordering and adaptive chunk sizes must still be exact."""
+        """Runs 2+ reuse the cache AND a warmed cost model: completion-order
+        dispatch with live LPT ordering and adaptive chunk sizes must still be exact."""
         cache = ResponseCache()
         plans = _mini_all_table_plans(mini_records)
         with ExecutionEngine(jobs=4, cache=cache, batch_size=6) as engine:

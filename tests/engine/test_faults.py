@@ -30,7 +30,13 @@ import time
 
 import pytest
 
-from repro.engine import CascadePolicy, ExecutionEngine, build_requests, confusion_from_results
+from repro.engine import (
+    CascadePolicy,
+    CostModel,
+    ExecutionEngine,
+    build_requests,
+    confusion_from_results,
+)
 from repro.engine.coalesce import MicroBatchCoalescer
 from repro.engine.executors import create_executor
 from repro.engine.faults import (
@@ -293,9 +299,23 @@ class TestRunJournal:
 # them).  The async+coalesce config additionally exercises layered
 # recovery: the coalescer's bisect retry absorbs most faults before the
 # engine-level retry plane ever sees them.
+def _warm_cost_model(seconds_per_request: float = 1e-5) -> CostModel:
+    cost_model = CostModel()
+    for _ in range(3):
+        cost_model.observe(create_model("gpt-4").cache_identity, "BP1", seconds_per_request)
+    return cost_model
+
+
 CHAOS_CONFIGS = [
     pytest.param(dict(jobs=1, batch_size=5), id="serial"),
     pytest.param(dict(jobs=3, batch_size=7), id="thread-pool"),
+    # Speculation composes with retries.  The warmed estimate is far below
+    # a chaotic chunk's real cost, so duplicates race failing and hanging
+    # originals throughout the run.
+    pytest.param(
+        dict(jobs=3, batch_size=7, speculate=True, cost_model=_warm_cost_model()),
+        id="thread-pool-speculate",
+    ),
     pytest.param(dict(jobs=3, executor_kind="process", batch_size=8), id="process-pool"),
     pytest.param(dict(jobs=4, executor_kind="async", batch_size=5), id="async-coalesce"),
     pytest.param(

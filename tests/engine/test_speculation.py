@@ -120,6 +120,27 @@ class TestSpeculationEquivalence:
         assert fingerprints[True] == fingerprints[False]
         assert counts[True] == counts[False]
 
+    def test_speculation_composes_with_retries(self, records):
+        """``retries`` no longer switches speculation off: duplicates still
+        launch, and the store matches the speculation-off run."""
+        fingerprints = {}
+        launched = {}
+        for speculate in (False, True):
+            model = _flaky_model(tail_latency_s=0.3)
+            engine = ExecutionEngine(
+                jobs=8, executor_kind="thread", batch_size=4, speculate=speculate,
+                speculate_after=1.2, retries=2,
+            )
+            engine.speculation_poll_s = 0.002
+            _warm_cost_model(engine, model)
+            with engine:
+                store = engine.run(build_requests(model, PromptStrategy.BP1, records))
+            fingerprints[speculate] = _fingerprint(store)
+            launched[speculate] = engine.telemetry.snapshot()["speculation_launched"]
+        assert launched[True] >= 1
+        assert launched[False] == 0
+        assert fingerprints[True] == fingerprints[False]
+
     def test_speculation_races_and_wins_on_thread_backend(self, records):
         model = _flaky_model(tail_latency_s=0.3)
         engine = ExecutionEngine(
