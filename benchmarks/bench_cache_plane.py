@@ -43,8 +43,7 @@ N_ENTRIES = 120_000
 N_WORKERS = 4
 #: Keys each worker probes (evenly spaced over the key space).
 N_PROBES = 1_000
-#: Entries in the untimed warm-up distribution — large enough to take the
-#: same vectorised encode path as the timed run (see ``_VECTOR_SORT_MIN``).
+#: Entries in the untimed warm-up distribution.
 WARMUP_ENTRIES = 8_000
 #: The committed floor CI enforces (see benchmarks/baselines/).
 MIN_SPEEDUP = 2.0
@@ -65,17 +64,13 @@ def _rss_kb() -> int:
     return 0
 
 
-def _make_records(count):
+def _make_entries(count):
     """A deterministic warm cache: hash keys, realistic response bodies."""
     response = "race: yes\nvariables: " + "x" * 200
-    return [
-        (
-            hashlib.sha256(b"bench-cache-plane-%d" % index).hexdigest(),
-            f"{response}#{index}",
-            "bench-model",
-        )
+    return {
+        hashlib.sha256(b"bench-cache-plane-%d" % index).hexdigest(): f"{response}#{index}"
         for index in range(count)
-    ]
+    }
 
 
 def _probe_worker(ref, probe_keys, queue):
@@ -108,14 +103,15 @@ def _probe_worker(ref, probe_keys, queue):
     queue.put({"digest": digest.hexdigest()})
 
 
-def _distribute(records, probe_keys, transport):
+def _distribute(entries, probe_keys, transport):
     """One broadcast: publish -> N workers hold a view -> retire.  Timed
     up to retirement; the workers' probe/digest phase is collected after."""
-    from repro.engine.snapshot import publish_snapshot, retire_snapshot
+    from repro.engine.snapshot import _publish_file, _publish_shm, retire_snapshot
 
+    publish = {"shm": _publish_shm, "file": _publish_file}[transport]
     context = multiprocessing.get_context("fork")
     start = time.perf_counter()
-    published = publish_snapshot(records, transport=transport)
+    published = publish(entries)
     publish_s = time.perf_counter() - start
     queue = context.SimpleQueue()
     workers = [
@@ -148,7 +144,7 @@ def _distribute(records, probe_keys, transport):
     kinds = [ack["loaded_kind"] for ack in acks]
     return {
         "transport": transport,
-        "entries": len(records),
+        "entries": len(entries),
         "workers": N_WORKERS,
         "probes_per_worker": len(probe_keys),
         "total_s": round(total_s, 4),
@@ -164,12 +160,13 @@ def _distribute(records, probe_keys, transport):
 
 def _measure_fresh(transport):
     """What the subprocess runs: warm up, then one timed distribution."""
-    warmup = _make_records(WARMUP_ENTRIES)
+    warmup = _make_entries(WARMUP_ENTRIES)
     for _ in range(2):
-        _distribute(warmup, [warmup[0][0]], transport)
-    records = _make_records(N_ENTRIES)
-    probe_keys = [records[i][0] for i in range(0, N_ENTRIES, N_ENTRIES // N_PROBES)]
-    return _distribute(records, probe_keys, transport)
+        _distribute(warmup, [next(iter(warmup))], transport)
+    entries = _make_entries(N_ENTRIES)
+    keys = list(entries)
+    probe_keys = [keys[i] for i in range(0, N_ENTRIES, N_ENTRIES // N_PROBES)]
+    return _distribute(entries, probe_keys, transport)
 
 
 def _run_in_fresh_process(transport):

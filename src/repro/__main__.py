@@ -22,17 +22,14 @@ Usage::
                                       # --coalesce-window-ms to tune)
     python -m repro all --sequential            # one engine run per table
     python -m repro all --cache /tmp/repro-cache    # persist responses as
-                                      # append-only JSONL segments; legacy
-                                      # single-file JSON caches still load
+                                      # append-only JSONL segments
     python -m repro all --no-lpt --no-adaptive-batching
                                       # plan-order, fixed-size chunks
     python -m repro all --cache ./cache-dir --shared-cache
                                       # serve disk hits through the host-wide
                                       # mmap-backed shared segment store
     python -m repro all --cache ./c --cache-max-bytes 50000000 --cache-ttl 3600
-                                      # size/TTL-tiered in-memory eviction
-    python -m repro table3 --executor process --snapshot-transport file
-                                      # pin the temp-file broadcast fallback
+                                      # byte budget + max entry age
     python -m repro all --stream                 # bounded-memory streaming:
                                       # requests are planned and dispatched
                                       # in windows (peak RSS O(window), not
@@ -229,8 +226,8 @@ def _build_engine(args: argparse.Namespace) -> ExecutionEngine:
     cascade_policy: Optional[CascadePolicy] = getattr(args, "cascade_policy", None)
     # The cost model persists beside the cache segments, so a later
     # invocation schedules its first run with this run's latencies.  It is
-    # built before the cache because cost-aware eviction weighs cache
-    # entries with the same model's estimates.
+    # built before the cache because eviction weighs cache entries with
+    # the same model's estimates.
     cost_model = (
         CostModel(path=Path(args.cache) / "costmodel.json")
         if args.cache is not None
@@ -241,12 +238,26 @@ def _build_engine(args: argparse.Namespace) -> ExecutionEngine:
         cache = ResponseCache(
             args.cache_entries,
             path=args.cache,
-            cost_aware_eviction=args.cost_aware_eviction,
             cost_model=cost_model,
             max_bytes=args.cache_max_bytes,
             ttl_s=args.cache_ttl,
             shared_read=args.shared_cache,
         )
+    # Flags left unset (None) keep the engine's own defaults; main() has
+    # already rejected any of them given without the mode it tunes.
+    tuning = {
+        name: value
+        for name, value in (
+            ("coalesce", args.coalesce),
+            (
+                "coalesce_window_s",
+                None if args.coalesce_window_ms is None else args.coalesce_window_ms / 1000.0,
+            ),
+            ("coalesce_max_batch", args.coalesce_max_batch),
+            ("speculate_after", args.speculate_after),
+        )
+        if value is not None
+    }
     jobs = args.jobs
     if jobs is None:
         # --executor without --jobs: parallel backends get a sensible
@@ -261,13 +272,8 @@ def _build_engine(args: argparse.Namespace) -> ExecutionEngine:
         adaptive_batching=args.adaptive_batching,
         cost_model=cost_model,
         max_inflight=args.max_inflight,
-        coalesce=args.coalesce,
-        coalesce_window_s=args.coalesce_window_ms / 1000.0,
-        coalesce_max_batch=args.coalesce_max_batch,
         speculate=args.speculate,
-        speculate_after=args.speculate_after,
         deadline=args.deadline,
-        snapshot_transport=args.snapshot_transport,
         stream_window=args.stream_window,
         cascade=cascade_policy,
         speculate_fallback=(
@@ -280,6 +286,7 @@ def _build_engine(args: argparse.Namespace) -> ExecutionEngine:
         breaker_threshold=args.breaker_threshold,
         breaker_cooldown_s=args.breaker_cooldown_s,
         journal=args.journal,
+        **tuning,
     )
 
 
@@ -289,11 +296,10 @@ def _run_cache_command(args: argparse.Namespace) -> int:
 
     path = Path(args.cache)
     if args.subcommand == "stats":
-        if path.is_file():
-            print(f"[cache] {path}: legacy single-file cache (format v1); "
-                  "run any cached command to migrate it to segments")
-            return 0
         stats = SharedSegmentStore(path).stats()
+        if not stats["segments"]:
+            print(f"[cache] {path}: no cache store here (no segment files)")
+            return 0
         print(f"[cache] {path}")
         print(f"[cache]   segments={stats['segments']}")
         print(f"[cache]   live_entries={stats['live_entries']}")
@@ -422,26 +428,32 @@ def main(argv: List[str] | None = None) -> int:
     parser.add_argument(
         "--coalesce",
         action=argparse.BooleanOptionalAction,
-        default=True,
+        default=None,
         help=(
             "async backend: merge concurrent same-(model, strategy) calls "
             "into single generate_batch_async wire calls (identical "
-            "results; --no-coalesce issues one call per chunk)"
+            "results; --no-coalesce issues one call per chunk; default: on)"
         ),
     )
     parser.add_argument(
         "--coalesce-window-ms",
         type=float,
-        default=2.0,
+        default=None,
         metavar="MS",
-        help="how long the coalescer holds a batch open for joiners (default: 2.0)",
+        help=(
+            "async backend: how long the coalescer holds a batch open for "
+            "joiners (default: 2.0)"
+        ),
     )
     parser.add_argument(
         "--coalesce-max-batch",
         type=int,
-        default=128,
+        default=None,
         metavar="N",
-        help="coalescer flushes early at this many accumulated prompts (default: 128)",
+        help=(
+            "async backend: the coalescer flushes early at this many "
+            "accumulated prompts (default: 128)"
+        ),
     )
     parser.add_argument(
         "--speculate",
@@ -457,12 +469,12 @@ def main(argv: List[str] | None = None) -> int:
     parser.add_argument(
         "--speculate-after",
         type=float,
-        default=1.5,
+        default=None,
         metavar="X",
         help=(
-            "launch a duplicate once a chunk's elapsed time exceeds X times "
-            "its p95 cost-model estimate (default: 1.5; smaller races "
-            "sooner, larger duplicates less work)"
+            "with --speculate: launch a duplicate once a chunk's elapsed "
+            "time exceeds X times its p95 cost-model estimate (default: "
+            "1.5; smaller races sooner, larger duplicates less work)"
         ),
     )
     parser.add_argument(
@@ -600,8 +612,8 @@ def main(argv: List[str] | None = None) -> int:
         metavar="PATH",
         help=(
             "on-disk response cache: a directory of append-only JSONL "
-            "segments, written incrementally and atomically (legacy "
-            "single-file JSON caches load too; default: in-memory only)"
+            "segments, written incrementally and atomically; a path that "
+            "is a regular file is rejected (default: in-memory only)"
         ),
     )
     parser.add_argument(
@@ -612,15 +624,6 @@ def main(argv: List[str] | None = None) -> int:
         help="in-memory response-cache capacity; 0 disables caching (default: 65536)",
     )
     parser.add_argument(
-        "--cost-aware-eviction",
-        action="store_true",
-        help=(
-            "weight cache eviction by the cost model's per-model latency "
-            "estimates: the cheapest-to-regenerate entries go first, slow "
-            "models' responses survive longest"
-        ),
-    )
-    parser.add_argument(
         "--cache-max-bytes",
         type=int,
         default=None,
@@ -628,8 +631,8 @@ def main(argv: List[str] | None = None) -> int:
         help=(
             "byte budget for the in-memory cache tier: eviction runs until "
             "entries fit, preferring the most bytes reclaimed per cost-model "
-            "second-to-regenerate (composes with --cost-aware-eviction; "
-            "default: unbounded)"
+            "second-to-regenerate (without a budget a full cache evicts the "
+            "entry cheapest to regenerate; default: unbounded)"
         ),
     )
     parser.add_argument(
@@ -655,18 +658,6 @@ def main(argv: List[str] | None = None) -> int:
         ),
     )
     parser.add_argument(
-        "--snapshot-transport",
-        choices=["shm", "file"],
-        default="shm",
-        help=(
-            "how the warm cache reaches process-executor workers: shm "
-            "(default) broadcasts one shared-memory block workers attach "
-            "in place, falling back to a temp file where unavailable; "
-            "file pins the pickle-temp-file path (one private "
-            "deserialisation per worker)"
-        ),
-    )
-    parser.add_argument(
         "--batch-size",
         type=int,
         default=32,
@@ -685,14 +676,30 @@ def main(argv: List[str] | None = None) -> int:
         parser.error("--jobs must be >= 0 (0 and 1 both mean serial)")
     if args.cache_entries < 0:
         parser.error("--cache-entries must be >= 0 (0 disables caching)")
+    if args.cache is not None and Path(args.cache).is_file():
+        parser.error(
+            f"--cache {args.cache} is a file; the cache is a directory of segments"
+        )
+    if args.executor != "async":
+        for flag, value in (
+            ("--max-inflight", args.max_inflight),
+            ("--coalesce/--no-coalesce", args.coalesce),
+            ("--coalesce-window-ms", args.coalesce_window_ms),
+            ("--coalesce-max-batch", args.coalesce_max_batch),
+        ):
+            if value is not None:
+                parser.error(f"{flag} requires --executor async")
     if args.max_inflight is not None and args.max_inflight < 1:
         parser.error("--max-inflight must be >= 1")
-    if args.coalesce_window_ms < 0:
+    if args.coalesce_window_ms is not None and args.coalesce_window_ms < 0:
         parser.error("--coalesce-window-ms must be >= 0")
-    if args.coalesce_max_batch < 1:
+    if args.coalesce_max_batch is not None and args.coalesce_max_batch < 1:
         parser.error("--coalesce-max-batch must be >= 1")
-    if args.speculate_after <= 0:
-        parser.error("--speculate-after must be > 0")
+    if args.speculate_after is not None:
+        if not args.speculate:
+            parser.error("--speculate-after requires --speculate")
+        if args.speculate_after <= 0:
+            parser.error("--speculate-after must be > 0")
     if args.deadline is not None and args.deadline <= 0:
         parser.error("--deadline must be > 0 seconds")
     if args.retries < 0:
@@ -725,10 +732,6 @@ def main(argv: List[str] | None = None) -> int:
             parser.error(f"--cascade-tiers: {exc}")
     if args.cache is not None and args.cache_entries == 0:
         parser.error("--cache has no effect with --cache-entries 0 (caching disabled)")
-    if args.cost_aware_eviction and args.cache_entries == 0:
-        parser.error(
-            "--cost-aware-eviction has no effect with --cache-entries 0 (caching disabled)"
-        )
     if args.cache_max_bytes is not None:
         if args.cache_max_bytes <= 0:
             parser.error("--cache-max-bytes must be > 0")

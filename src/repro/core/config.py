@@ -75,13 +75,11 @@ class PipelineConfig:
         returns explicit skipped results for them.  ``None`` disables.
     cache_entries:
         In-memory response-cache capacity; 0 disables caching entirely.
-    cost_aware_eviction:
-        Weight response-cache LRU eviction by the cost model's
-        seconds-per-request estimate per model identity, so slow models'
-        responses survive longest in a full cache.
+        A full cache evicts the entry cheapest to regenerate by the
+        engine's cost model, ties going to the oldest.
     cache_path:
-        Optional on-disk response-cache location (a directory of JSONL
-        segments; legacy single-file JSON caches still load): loaded
+        Optional on-disk response-cache location, a directory of JSONL
+        segments (an existing regular file is rejected): loaded
         automatically on first engine use, written by
         :meth:`DataRacePipeline.save_cache`.
     cache_max_bytes:
@@ -98,10 +96,6 @@ class PipelineConfig:
         :class:`~repro.engine.sharedstore.SharedSegmentStore` instead of
         loading a private in-memory copy of the segments.  Requires
         ``cache_path``.  Results are identical either way.
-    snapshot_transport:
-        How the warm cache reaches process-executor workers: ``"shm"``
-        (default, shared-memory broadcast with temp-file fallback) or
-        ``"file"`` (pickle temp file).  Results are identical either way.
     stream:
         Evaluate through the bounded-memory streaming path: corpus
         generation, featurisation and request construction stay lazy and
@@ -172,11 +166,9 @@ class PipelineConfig:
     deadline: Optional[float] = None
     cache_entries: int = 65536
     cache_path: Optional[str] = None
-    cost_aware_eviction: bool = False
     cache_max_bytes: Optional[int] = None
     cache_ttl_s: Optional[float] = None
     cache_shared_read: bool = False
-    snapshot_transport: str = "shm"
     stream: bool = False
     stream_window: Optional[int] = None
     # Tier spec mirrors repro.engine.cascade.DEFAULT_CASCADE_TIERS; kept a

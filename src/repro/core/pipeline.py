@@ -123,15 +123,14 @@ class DataRacePipeline:
                 )
                 if self.config.speculate:
                     speculate_fallback = cascade.fallback_model
-            # One cost model shared by the scheduler and (when cost-aware
-            # eviction is on) the cache's eviction policy.
+            # One cost model shared by the scheduler and the cache's
+            # eviction rule.
             cost_model = CostModel()
             cache = None
             if self.config.cache_entries > 0:
                 cache = ResponseCache(
                     self.config.cache_entries,
                     path=self.config.cache_path,
-                    cost_aware_eviction=self.config.cost_aware_eviction,
                     cost_model=cost_model,
                     max_bytes=self.config.cache_max_bytes,
                     ttl_s=self.config.cache_ttl_s,
@@ -152,7 +151,6 @@ class DataRacePipeline:
                 speculate=self.config.speculate,
                 speculate_after=self.config.speculate_after,
                 deadline=self.config.deadline,
-                snapshot_transport=self.config.snapshot_transport,
                 stream_window=self.config.stream_window,
                 cascade=cascade,
                 speculate_fallback=speculate_fallback,

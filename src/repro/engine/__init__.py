@@ -75,10 +75,10 @@ Module map
     :class:`ResponseCache` — thread-safe LRU keyed on the content hash of
     ``(model.cache_identity, prompt)``, persisted as a directory of
     size-bounded append-only JSONL segments written atomically
-    (``--cache`` on the CLI; legacy single-file caches still load).
-    Eviction is tiered: entry-count *and* byte budgets (``max_bytes``),
-    lazy TTL expiry (``ttl_s``) and cost-model-weighted victim selection
-    compose (see :meth:`ResponseCache._select_victim_locked`).
+    (``--cache`` on the CLI).  Entry-count *and* byte budgets
+    (``max_bytes``) and lazy TTL expiry (``ttl_s``) share one victim rule:
+    expired first, then the most reclaimed per cost-model
+    second-to-regenerate (see :meth:`ResponseCache._select_victim_locked`).
 ``snapshot``
     The zero-copy broadcast plane for distributed runs:
     :func:`publish_snapshot` encodes the warm cache once into a
@@ -161,7 +161,6 @@ from repro.engine.requests import (
 )
 from repro.engine.sharedstore import SharedSegmentStore
 from repro.engine.snapshot import (
-    SNAPSHOT_TRANSPORTS,
     PublishedSnapshot,
     SharedSnapshotView,
     encode_snapshot,
@@ -231,7 +230,6 @@ __all__ = [
     "score_response",
     "shed_result",
     "SharedSegmentStore",
-    "SNAPSHOT_TRANSPORTS",
     "PublishedSnapshot",
     "SharedSnapshotView",
     "encode_snapshot",

@@ -9,11 +9,10 @@ long as their :attr:`~repro.llm.base.LanguageModel.cache_identity` differs.
 Two storage layers compose:
 
 * an in-memory LRU bounded by ``max_entries`` — and optionally by a byte
-  budget (``max_bytes``) and an age limit (``ttl_s``).  Victim selection
-  is tiered: expired entries go first, then — depending on which knobs
-  are on — the entry with the most bytes-reclaimed per cost-model
-  second-to-regenerate, the largest, the cheapest to regenerate
-  (``cost_aware_eviction``), or plainly the oldest;
+  budget (``max_bytes``) and an age limit (``ttl_s``).  One victim rule
+  covers every combination: an expired entry goes first, otherwise the
+  entry that frees the most per cost-model second-to-regenerate (bytes
+  under a byte budget, one entry otherwise), ties going to the oldest;
 * an optional on-disk store — a *directory* of append-only JSONL segments
   (``segment-000001.jsonl``, …), loaded on construction and grown by
   :meth:`ResponseCache.save`.  With ``shared_read=True`` the segments are
@@ -35,10 +34,6 @@ key), and when a save pushes it past ``auto_compact_ratio`` with at least
 ``auto_compact_min_segments`` shards on disk, the store is folded in the
 same save, so long-lived caches never accumulate unbounded dead weight.
 
-Old-format caches (the single-JSON-file layout of format version 1) still
-load; the first ``save`` migrates them to a segment directory at the same
-path.
-
 All operations are thread-safe; the thread-pool executor hits the cache
 concurrently, and the engine's distributed (process) path uses
 :meth:`snapshot_entries` / :meth:`put_key` to ship a read-only view to
@@ -48,9 +43,9 @@ workers and merge their results back.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
-import shutil
 import tempfile
 import threading
 import time
@@ -64,15 +59,13 @@ __all__ = ["CacheStats", "ResponseCache", "cache_key"]
 
 #: Bump when the key derivation or on-disk layout changes.
 _CACHE_FORMAT_VERSION = 2
-#: Format version of the legacy whole-file JSON layout (still loadable).
-_LEGACY_FORMAT_VERSION = 1
 #: First line of every segment file; segments with a different header are
 #: ignored wholesale (future-format or foreign files).
 _SEGMENT_FORMAT = "repro-response-cache"
 _SEGMENT_PREFIX = "segment-"
 _SEGMENT_SUFFIX = ".jsonl"
 #: Writer-side attestation of the committed segment set.  Rewritten (atomic
-#: replace) after every save/compact/migration commit point, it lets the
+#: replace) after every save/compact commit point, it lets the
 #: shared read tier answer "did anything change?" with one stat of this file
 #: instead of a stat sweep over every segment.  Purely advisory: a missing,
 #: stale or corrupt manifest only disables that fast-path, never correctness
@@ -81,6 +74,9 @@ _SEGMENT_SUFFIX = ".jsonl"
 _MANIFEST_NAME = "manifest.json"
 _MANIFEST_FORMAT = "repro-response-cache-manifest"
 _MANIFEST_VERSION = 1
+#: Least recently used entries each eviction weighs against each other;
+#: bounds victim selection at O(sample), not O(entries).
+EVICTION_SAMPLE = 8
 
 
 @dataclass
@@ -138,9 +134,7 @@ class ResponseCache:
         segment_max_entries: int = 1024,
         auto_compact_ratio: Optional[float] = 0.5,
         auto_compact_min_segments: int = 4,
-        cost_aware_eviction: bool = False,
         cost_model=None,
-        eviction_sample: int = 8,
         max_bytes: Optional[int] = None,
         ttl_s: Optional[float] = None,
         shared_read: bool = False,
@@ -153,8 +147,6 @@ class ResponseCache:
             raise ValueError("segment_max_entries must be positive")
         if auto_compact_ratio is not None and not 0.0 < auto_compact_ratio <= 1.0:
             raise ValueError("auto_compact_ratio must be in (0, 1] or None")
-        if eviction_sample < 1:
-            raise ValueError("eviction_sample must be >= 1")
         if max_bytes is not None and max_bytes <= 0:
             raise ValueError("max_bytes must be positive or None")
         if ttl_s is not None and ttl_s <= 0:
@@ -163,6 +155,10 @@ class ResponseCache:
             raise ValueError("shared_read requires a cache path")
         if shared_promote_after < 1:
             raise ValueError("shared_promote_after must be >= 1")
+        if path is not None and Path(path).is_file():
+            raise ValueError(
+                f"cache path {path} is a file; the cache is a directory of segments"
+            )
         self.max_entries = max_entries
         self.segment_max_entries = segment_max_entries
         #: Fold the on-disk store when its dead-entry ratio exceeds this
@@ -171,20 +167,15 @@ class ResponseCache:
         #: Never auto-compact below this many segments — folding two tiny
         #: shards saves nothing and costs a rewrite on every save.
         self.auto_compact_min_segments = auto_compact_min_segments
-        #: Weight LRU eviction by the cost model's seconds-per-request
-        #: estimate for each entry's model identity: among the oldest
-        #: ``eviction_sample`` entries, the *cheapest to regenerate* goes
-        #: first, so slow models' responses survive longest.  Requires a
-        #: ``cost_model`` (anything with ``identity_estimate(identity)``,
-        #: i.e. :class:`~repro.engine.costmodel.CostModel`); without one
-        #: the policy degrades to plain LRU.
-        self.cost_aware_eviction = cost_aware_eviction
+        #: Weights eviction by each entry's seconds-to-regenerate: anything
+        #: with ``identity_estimate(identity, default)``, i.e.
+        #: :class:`~repro.engine.costmodel.CostModel`.  Without one every
+        #: entry costs nothing to regenerate (see
+        #: :meth:`_select_victim_locked`).
         self.cost_model = cost_model
-        self.eviction_sample = eviction_sample
         #: Byte budget for the in-memory tier (``None`` = unbounded).  When
         #: set, eviction runs until the total entry bytes fit, and victim
-        #: selection weighs bytes-reclaimed against each entry's
-        #: seconds-to-regenerate (see :meth:`_select_victim_locked`).
+        #: selection weighs bytes reclaimed rather than entries.
         self.max_bytes = max_bytes
         #: Maximum in-memory age in seconds (``None`` = immortal).  Expiry
         #: is lazy — checked on lookup and during eviction scans — and
@@ -217,7 +208,7 @@ class ResponseCache:
         #: their cost weights.  Entries from stores written before the
         #: identity field existed (or merged via ``put_key`` without one)
         #: have no identity and therefore no cost weight — those evict
-        #: first under cost-aware eviction.
+        #: first once a cost model is attached.
         self._identities: Dict[str, str] = {}
         #: Keys known to be on disk at ``self.path`` already.
         self._persisted: set = set()
@@ -236,11 +227,6 @@ class ResponseCache:
         #: usually persistent, and repeating it per save is just noise.
         self._io_warned = False
         if self.shared_read:
-            if self.path is not None and self.path.is_file():
-                raise ValueError(
-                    "shared_read requires a segment directory; "
-                    "legacy single-file caches must be migrated first"
-                )
             from repro.engine.sharedstore import SharedSegmentStore
 
             try:
@@ -311,7 +297,7 @@ class ResponseCache:
     def put_key(self, key: str, response: str, identity: Optional[str] = None) -> None:
         """Insert by precomputed key (the engine's distributed merge path).
 
-        ``identity`` attaches the model identity for cost-aware eviction;
+        ``identity`` attaches the model identity that weights eviction;
         the key itself is a one-way hash, so the identity must ride along
         explicitly where the caller still knows it.
         """
@@ -359,7 +345,7 @@ class ResponseCache:
         promotion time — but is *not* marked pending: the store already
         holds it durably, so a later save must not re-append a dead line.
         The model identity rides along from the store's entry metadata so
-        cost-aware eviction keeps its weight.
+        eviction keeps its cost weight.
         """
         self._entries[key] = response
         self._entries.move_to_end(key)
@@ -376,14 +362,6 @@ class ResponseCache:
         """A plain key→response copy (read-only view for worker processes)."""
         with self._lock:
             return dict(self._entries)
-
-    def snapshot_records(self) -> List[Tuple[str, str, Optional[str]]]:
-        """``(key, response, identity)`` triples for the broadcast encoder."""
-        with self._lock:
-            return [
-                (key, response, self._identities.get(key))
-                for key, response in self._entries.items()
-            ]
 
     @property
     def total_bytes(self) -> int:
@@ -455,55 +433,39 @@ class ResponseCache:
             self.stats.evictions += 1
 
     def _select_victim_locked(self) -> str:
-        """The key to evict next — a tiered policy over an LRU sample.
+        """The key to evict next — one rule over an LRU sample.
 
-        Tier 0 (free): an already-expired entry in the sample goes first —
-        dropping it loses nothing.  Then, among the ``eviction_sample``
-        least recently used entries:
-
-        * with a byte budget *and* cost-aware eviction, the entry with the
-          highest bytes-reclaimed per second-to-regenerate goes — a huge
-          cheap response no longer outlives a hundred tiny expensive ones;
-        * with only a byte budget, the largest entry goes;
-        * with only cost-aware eviction, the cheapest-to-regenerate goes
-          (the pre-existing policy, unchanged);
-        * with neither, plain LRU: the oldest goes.
-
-        Ties and unknown identities fall back to oldest-first (``min``/
-        ``max`` are stable over the LRU-ordered sample), so every tier
-        degrades to LRU when its signal is missing.  The bounded sample
-        keeps eviction O(sample), not O(entries).
+        Among the ``EVICTION_SAMPLE`` least recently used entries, an
+        expired one goes first: dropping it loses nothing.  Otherwise the
+        entry with the largest ``reclaim / regen_s`` goes, where
+        ``reclaim`` is its bytes under a byte budget (one entry without)
+        and ``regen_s`` its cost model's seconds-to-regenerate (0 with no
+        cost model or an unknown identity).  So a huge cheap response
+        never outlives a hundred tiny expensive ones, a full cache keeps
+        slow models' responses longest, and with no signal at all the
+        oldest goes: ``max`` is stable over the LRU-ordered sample, so
+        ties go to the oldest.  Without a TTL, byte budget or cost model
+        that is always the first key, taken in O(1).
         """
         iterator = iter(self._entries)
-        size_tiered = self.max_bytes is not None
-        cost_aware = self.cost_aware_eviction and self.cost_model is not None
-        if not size_tiered and not cost_aware and self.ttl_s is None:
+        if self.ttl_s is None and self.max_bytes is None and self.cost_model is None:
             return next(iterator)
-        sample = [key for key, _ in zip(iterator, range(self.eviction_sample))]
+        sample = list(itertools.islice(iterator, EVICTION_SAMPLE))
         if self.ttl_s is not None:
             now = self._clock()
             for key in sample:
                 if self._expired_locked(key, now):
                     return key
-        if not size_tiered and not cost_aware:
-            return sample[0]
 
-        def recompute_cost(key: str) -> float:
+        def reclaim_per_regen_second(key: str) -> float:
+            reclaim = self._sizes.get(key, 0) if self.max_bytes is not None else 1
             identity = self._identities.get(key)
-            if identity is None or self.cost_model is None:
-                return 0.0
-            estimate = self.cost_model.identity_estimate(identity)
-            return estimate if estimate is not None else 0.0
+            regen_s = 0.0
+            if identity is not None and self.cost_model is not None:
+                regen_s = self.cost_model.identity_estimate(identity, default=0.0)
+            return reclaim / (regen_s + 1e-9)
 
-        if size_tiered and cost_aware:
-            return max(
-                sample,
-                key=lambda key: self._sizes.get(key, 0) / (recompute_cost(key) + 1e-9),
-            )
-        if size_tiered:
-            return max(sample, key=lambda key: self._sizes.get(key, 0))
-        # min() is stable: among equal costs the least recently used wins.
-        return min(sample, key=recompute_cost)
+        return max(sample, key=reclaim_per_regen_second)
 
     # -- persistence ----------------------------------------------------------------
 
@@ -518,14 +480,10 @@ class ResponseCache:
         """Persist to ``path`` (or the constructor path); returns the path.
 
         Saving to the constructor path is **incremental**: only entries
-        added since the last save are appended, as new atomic segments.  A
-        legacy single-file cache at that path is migrated to a segment
-        directory carrying the union of the file's entries and memory —
-        migration, like compaction, never shrinks the persistent store,
-        even when the file held more entries than ``max_entries``.  Saving
-        to any *other* path writes a deduplicated full snapshot (existing
-        segments there are folded in and replaced, compact-style; the
-        incremental bookkeeping only applies to the cache's own path).
+        added since the last save are appended, as new atomic segments.
+        Saving to any *other* path writes a deduplicated full snapshot
+        (existing segments there are folded in and replaced, compact-style;
+        the incremental bookkeeping only applies to the cache's own path).
 
         Persistence is an optimisation, never a requirement: I/O failure
         (full disk, read-only directory) is caught here — warned once per
@@ -546,20 +504,6 @@ class ResponseCache:
         """The fallible save body; :meth:`save` owns the I/O-error policy."""
         incremental = self.path is not None and target == self.path
         with self._lock:
-            if target.is_file():
-                # Legacy v1 file: replace it with a segment directory.  Its
-                # full entry set is re-read and merged under memory (the
-                # in-memory LRU may hold fewer entries than the file), and
-                # the directory is built fully beside the file before the
-                # swap, so a crash mid-migration never destroys the cache.
-                merged = self._parse_legacy_file(target)
-                merged.update(self._entries)
-                self._migrate_legacy_locked(target, self._as_records_locked(merged))
-                if incremental:
-                    self._persisted.update(merged)
-                    self._pending.clear()
-                    self._disk_entry_lines = len(merged)
-                return target
             if incremental:
                 items = [
                     (key, self._entries[key], self._identities.get(key))
@@ -620,15 +564,6 @@ class ResponseCache:
             except OSError as exc:
                 self._warn_io(f"shared store refresh failed ({exc}); keeping previous view")
 
-    def _as_records_locked(
-        self, entries: Dict[str, str]
-    ) -> List[Tuple[str, str, Optional[str]]]:
-        """Attach the known identity (or ``None``) to each entry for writing."""
-        return [
-            (key, response, self._identities.get(key))
-            for key, response in entries.items()
-        ]
-
     def _rewrite_dir_locked(self, target: Path) -> Dict[str, str]:
         """Fold ``target``'s segments together with memory into fresh ones.
 
@@ -660,29 +595,6 @@ class ResponseCache:
             self._fsync_dir(target)
         self._write_manifest_locked(target)
         return merged
-
-    def _migrate_legacy_locked(
-        self, target: Path, items: List[Tuple[str, str, Optional[str]]]
-    ) -> None:
-        """Swap a legacy v1 file for a segment directory, crash-safely.
-
-        Segments are written into a temp directory first; only once they
-        are all on disk is the old file unlinked and the directory renamed
-        into place.  A crash before the unlink leaves the legacy file
-        untouched (plus an orphan temp dir); between unlink and rename the
-        data survives in the temp dir.
-        """
-        tmp_dir = Path(
-            tempfile.mkdtemp(prefix=f".{target.name}-migrate-", dir=target.parent)
-        )
-        try:
-            self._write_segments_locked(tmp_dir, items)
-            self._write_manifest_locked(tmp_dir)
-            target.unlink()
-            os.rename(str(tmp_dir), str(target))
-        except BaseException:
-            shutil.rmtree(tmp_dir, ignore_errors=True)
-            raise
 
     @staticmethod
     def _entry_line(key: str, response: str, identity: Optional[str]) -> str:
@@ -804,22 +716,15 @@ class ResponseCache:
         return highest + 1
 
     def load(self, path: Union[str, Path]) -> int:
-        """Merge entries from a segment directory or legacy JSON file.
+        """Merge entries from a segment directory.
 
         Returns how many entries were applied.  A cache store is an
         optimisation, never a requirement: unreadable, corrupt, truncated
-        or version-mismatched files (or individual segment lines) load
+        or version-mismatched segments (or individual segment lines) load
         zero/fewer entries instead of raising, so a damaged cache can at
         worst slow a run down.
         """
         source = Path(path)
-        if source.is_dir():
-            loaded = self._load_segments(source)
-        else:
-            loaded = self._load_legacy_file(source)
-        return loaded
-
-    def _load_segments(self, source: Path) -> int:
         loaded = 0
         mark_persisted = self.path is not None and source == self.path
         for segment in sorted(source.glob(f"{_SEGMENT_PREFIX}*{_SEGMENT_SUFFIX}")):
@@ -884,38 +789,6 @@ class ResponseCache:
                 # Cross-segment duplicates (re-inserted keys) count once per
                 # segment they appear in, which is what makes them *dead*.
                 self._disk_entry_lines += len(entries)
-        return len(entries)
-
-    @staticmethod
-    def _parse_legacy_file(source: Path) -> Dict[str, str]:
-        """Full entry set of a format-1 whole-file JSON cache (or empty)."""
-        try:
-            payload = json.loads(source.read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError):
-            return {}
-        if not isinstance(payload, dict) or payload.get("version") != _LEGACY_FORMAT_VERSION:
-            return {}
-        entries = payload.get("entries", {})
-        if not isinstance(entries, dict):
-            return {}
-        return {
-            key: response
-            for key, response in entries.items()
-            if isinstance(key, str) and isinstance(response, str)
-        }
-
-    def _load_legacy_file(self, source: Path) -> int:
-        """Load the format-1 whole-file JSON layout (``{"version": 1, ...}``)."""
-        entries = self._parse_legacy_file(source)
-        with self._lock:
-            for key, response in entries.items():
-                self._entries[key] = response
-                self._note_entry_locked(key, response)
-                # A legacy file is rewritten as segments on the next
-                # save, so its entries count as pending, not persisted.
-                if key not in self._persisted:
-                    self._pending[key] = None
-            self._evict_overflow_locked()
         return len(entries)
 
     def compact(self, path: Optional[Union[str, Path]] = None) -> Optional[Path]:

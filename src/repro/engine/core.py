@@ -123,7 +123,6 @@ from repro.engine.requests import (
     shed_result,
 )
 from repro.engine.snapshot import (
-    SNAPSHOT_TRANSPORTS,
     SnapshotPayloadRef,
     _WORKER_SNAPSHOTS as _worker_snapshot_memo,
     load_snapshot,
@@ -270,9 +269,9 @@ def _generate_with_cache(
 # ---------------------------------------------------------------------------
 #
 # The mechanics live in :mod:`repro.engine.snapshot`: the parent publishes
-# the warm cache once per run — by default into a shared-memory block whose
-# compact binary layout workers attach and binary-search *in place*, with
-# the pickle-temp-file transport as explicit choice or automatic fallback.
+# the warm cache once per run into a shared-memory block whose compact
+# binary layout workers attach and binary-search *in place*, with a
+# pickle temp file as the automatic fallback.
 # These module-level aliases are the engine's seam (tests monkeypatch
 # ``_publish_snapshot`` here) and keep ``_score_chunk_payload`` self-contained
 # for pickling.
@@ -426,13 +425,6 @@ class ExecutionEngine:
         (``skipped=True``), never silently dropped, and telemetry records
         predicted vs. actual makespan.  ``None`` (default) disables the
         budget entirely.
-    snapshot_transport:
-        How the warm-cache snapshot reaches distributed (process) workers:
-        ``"shm"`` (default) broadcasts one shared-memory block every
-        worker attaches and searches in place, falling back to the temp
-        file where shared memory is unavailable; ``"file"`` pins the
-        pickle-temp-file path explicitly (each worker deserialises a
-        private copy).  Responses are bit-identical either way.
     stream_window:
         Default window size for :meth:`run_streaming`: at most this many
         requests are materialised, planned and in flight at once.  ``None``
@@ -504,7 +496,6 @@ class ExecutionEngine:
         speculate: bool = False,
         speculate_after: float = 1.5,
         deadline: Optional[float] = None,
-        snapshot_transport: str = "shm",
         stream_window: Optional[int] = None,
         cascade: Optional[CascadePolicy] = None,
         speculate_fallback: Optional[Callable] = None,
@@ -528,11 +519,6 @@ class ExecutionEngine:
             raise ValueError("speculate_after must be > 0")
         if deadline is not None and deadline <= 0:
             raise ValueError("deadline must be > 0 seconds or None")
-        if snapshot_transport not in SNAPSHOT_TRANSPORTS:
-            raise ValueError(
-                f"unknown snapshot transport {snapshot_transport!r}; "
-                f"expected one of {SNAPSHOT_TRANSPORTS}"
-            )
         if stream_window is not None and stream_window < 1:
             raise ValueError("stream_window must be >= 1 or None")
         if retries < 0:
@@ -585,7 +571,6 @@ class ExecutionEngine:
         else:
             self.journal = RunJournal(journal)
         self.deadline = deadline
-        self.snapshot_transport = snapshot_transport
         self.stream_window = stream_window if stream_window is not None else DEFAULT_STREAM_WINDOW
         #: Poll interval of the dispatch loop while speculation or a
         #: backoff is pending; tests and benchmarks tighten it to race
@@ -935,9 +920,7 @@ class ExecutionEngine:
         published = None
         if distributed:
             if self.cache is not None:
-                published = _publish_snapshot(
-                    self.cache.snapshot_records(), transport=self.snapshot_transport
-                )
+                published = _publish_snapshot(self.cache.snapshot_entries())
                 self.telemetry.record_broadcast(published.nbytes)
             snapshot_ref = published.payload if published is not None else None
             fn: Callable = _score_chunk_payload

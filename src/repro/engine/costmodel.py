@@ -215,7 +215,7 @@ class CostModel:
 
         The maximum over every strategy observed for ``identity`` — the
         right number for decisions made per model rather than per group,
-        like the response cache's cost-aware eviction (a cached response
+        like the response cache's eviction rule (a cached response
         is worth at most what regenerating it would cost).  ``default``
         when the identity was never observed under any strategy.
         """

@@ -57,7 +57,9 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import inspect
+import os
 import threading
+from multiprocessing import resource_tracker
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 __all__ = [
@@ -295,6 +297,11 @@ class ProcessPoolExecutor(_BaseExecutor):
         with self._lock:
             self._check_open()
             if self._pool is None:
+                # Forked workers must share the parent's resource tracker:
+                # one they start themselves would unlink the parent's
+                # snapshot blocks at exit (see snapshot._attach_shm).
+                if os.name == "posix":
+                    resource_tracker.ensure_running()
                 self._pool = concurrent.futures.ProcessPoolExecutor(max_workers=self.jobs)
             return self._pool
 

@@ -22,30 +22,24 @@ module replaces that with a **shared-memory broadcast**:
   cannot happen while payloads referencing the block are still in flight.
 
 Platforms or contexts where shared memory is unavailable (no
-``/dev/shm``, exotic spawn configurations) fall back transparently to the
-previous temp-file pickle transport — same reference shape, same worker
-memoisation — and ``transport="file"`` selects it explicitly (the CLI's
-``--snapshot-transport file``), which is also what the equivalence tests
-and the cache-plane benchmark use to compare the two paths.
+``/dev/shm``, exotic spawn configurations) fall back transparently to a
+temp-file pickle carrier — same reference shape, same worker memoisation.
 
 Binary layout (all integers little-endian)::
 
-    header:  magic ``b"RPROSNP2"`` | u64 count | u64 heap_off
-    index:   count records of (u64 key_end, u64 resp_end, u64 id_end) —
-             *cumulative* per-column end offsets, sorted by key bytes
-    heap:    three columns — every key concatenated, then every response,
-             then every identity — utf-8, in index order
+    header:  magic ``b"RPROSNP3"`` | u64 count | u64 heap_off
+    index:   count records of (u64 key_end, u64 resp_end) — *cumulative*
+             per-column end offsets, sorted by key bytes
+    heap:    two columns — every key concatenated, then every response —
+             utf-8, in index order
 
 Record ``i``'s key spans ``key_end[i-1]..key_end[i]`` of the key column
-(``0..`` for the first record), and likewise per column; the last index
-record therefore doubles as the column sizes, which is how the reader
-locates the response and identity column bases.  Keys are content hashes
+(``0..`` for the first record), and likewise its response; the last index
+record therefore doubles as the key column's size, which is how the
+reader locates the response column.  Keys are content hashes
 (:func:`repro.engine.cache.cache_key`), so sorted fixed-ish-length byte
-strings make binary search cheap.  The columnar cumulative layout exists
-so the encoder is vectorisable: column byte lengths become one
-``numpy.cumsum`` each instead of a per-record ``pack_into`` loop, and the
-(fixed-width hash) key column sorts via ``numpy.argsort`` — without numpy
-the encoder falls back to ``itertools.accumulate`` over the same columns.
+strings make binary search cheap.  The broadcast lives for one run and is
+never persisted, so the layout carries only what workers read.
 """
 
 from __future__ import annotations
@@ -55,18 +49,12 @@ import itertools
 import os
 import pickle
 import struct
+import sys
 import tempfile
 from array import array
-from operator import itemgetter
-from typing import Dict, Iterable, List, Optional, Tuple, Union
-
-try:  # vectorised encode fast path; the stdlib fallback is always available
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 __all__ = [
-    "SNAPSHOT_TRANSPORTS",
     "PublishedSnapshot",
     "SharedSnapshotView",
     "encode_snapshot",
@@ -75,21 +63,9 @@ __all__ = [
     "retire_snapshot",
 ]
 
-#: Valid values for ``ExecutionEngine(snapshot_transport=...)`` / the CLI's
-#: ``--snapshot-transport``.  ``"shm"`` falls back to ``"file"`` when shared
-#: memory cannot be allocated, so it is safe as the default everywhere.
-SNAPSHOT_TRANSPORTS = ("shm", "file")
-
-_MAGIC = b"RPROSNP2"
+_MAGIC = b"RPROSNP3"
 _HEADER = struct.Struct("<8sQQ")
-_INDEX = struct.Struct("<QQQ")
-#: Only fixed-width key columns this large take the numpy argsort path —
-#: below it, Timsort on small inputs wins and the vectorisation overhead
-#: isn't worth paying.
-_VECTOR_SORT_MIN = 2048
-
-#: One snapshot record: ``(key, response, identity-or-None)``.
-SnapshotRecord = Tuple[str, str, Optional[str]]
+_INDEX = struct.Struct("<QQ")
 
 #: What a chunk payload carries across the process boundary:
 #: ``(kind, locator, token)`` — the shm block name or temp-file path plus a
@@ -105,64 +81,31 @@ def _next_token() -> Tuple[int, int]:
     return (os.getpid(), next(_snapshot_counter))
 
 
-def _sort_by_key(records: List[SnapshotRecord]) -> Tuple[List[str], List[SnapshotRecord]]:
-    """``(keys, records)`` in key order — utf-8 byte order == code-point order.
-
-    Content-hash keys are fixed-width ASCII, so large snapshots sort via a
-    single ``numpy.argsort`` over the packed key bytes instead of Timsort
-    over Python strings; anything else falls back to ``sorted``.
-    """
-    keys = list(map(itemgetter(0), records))
-    if _np is not None and len(keys) >= _VECTOR_SORT_MIN:
-        joined = "".join(keys)
-        width, remainder = divmod(len(joined), len(keys))
-        if not remainder and width and joined.isascii():
-            packed = _np.frombuffer(joined.encode("utf-8"), dtype=f"S{width}")
-            order = _np.argsort(packed, kind="stable").tolist()
-            getter = itemgetter(*order)
-            return list(getter(keys)), list(getter(records))
-    paired = sorted(records, key=itemgetter(0))
-    return list(map(itemgetter(0), paired)), paired
-
-
-def _column_ends(texts: List[str], joined: str, blob: bytes):
-    """Cumulative utf-8 end offset of each item in a concatenated column."""
+def _column(texts: List[str]) -> Tuple[bytes, array]:
+    """One heap column and the cumulative utf-8 end offset of each item."""
+    joined = "".join(texts)
+    blob = joined.encode("utf-8")
     if len(blob) == len(joined):  # pure-ASCII column: char lengths are byte lengths
         lengths = map(len, texts)
     else:
         lengths = (len(text.encode("utf-8")) for text in texts)
-    if _np is not None:
-        return _np.fromiter(lengths, dtype=_np.uint64, count=len(texts)).cumsum()
-    return array("Q", itertools.accumulate(lengths))
+    return blob, array("Q", itertools.accumulate(lengths))
 
 
-def encode_snapshot(records: Iterable[SnapshotRecord]) -> bytes:
-    """Serialise ``records`` into the columnar broadcast layout."""
-    records = records if isinstance(records, list) else list(records)
-    count = len(records)
-    heap_off = _HEADER.size + count * _INDEX.size
-    if not count:
-        return _HEADER.pack(_MAGIC, 0, heap_off)
-    keys, records = _sort_by_key(records)
-    responses = list(map(itemgetter(1), records))
-    identities = ["" if record[2] is None else record[2] for record in records]
-    columns: List[bytes] = []
-    ends = []
-    for texts in (keys, responses, identities):
-        joined = "".join(texts)
-        blob = joined.encode("utf-8")
-        columns.append(blob)
-        ends.append(_column_ends(texts, joined, blob))
-    if _np is not None:
-        index = _np.column_stack(ends).astype("<u8", copy=False).tobytes()
-    else:
-        flat = array("Q", [0]) * (3 * count)
-        for column, cumulative in enumerate(ends):
-            flat[column::3] = cumulative
-        if struct.pack("=Q", 1) != struct.pack("<Q", 1):  # pragma: no cover
-            flat.byteswap()  # the layout is little-endian everywhere
-        index = flat.tobytes()
-    return b"".join([_HEADER.pack(_MAGIC, count, heap_off), index, *columns])
+def encode_snapshot(entries: Mapping[str, str]) -> bytes:
+    """Serialise a key→response mapping into the columnar broadcast layout."""
+    keys = sorted(entries)  # utf-8 byte order == code-point order
+    key_blob, key_ends = _column(keys)
+    resp_blob, resp_ends = _column([entries[key] for key in keys])
+    index = array("Q", [0]) * (2 * len(keys))
+    index[0::2] = key_ends
+    index[1::2] = resp_ends
+    if sys.byteorder != "little":  # pragma: no cover - the layout is little-endian
+        index.byteswap()
+    heap_off = _HEADER.size + len(keys) * _INDEX.size
+    return b"".join(
+        [_HEADER.pack(_MAGIC, len(keys), heap_off), index.tobytes(), key_blob, resp_blob]
+    )
 
 
 class SharedSnapshotView:
@@ -183,37 +126,30 @@ class SharedSnapshotView:
         if magic != _MAGIC:
             raise ValueError("not a snapshot buffer (bad magic)")
         self._count = count
-        # The last index record holds each column's total byte size, which
-        # fixes where the response and identity columns start.
-        key_total = resp_total = 0
+        # The last index record holds the key column's total byte size,
+        # which fixes where the response column starts.
+        key_total = 0
         if count:
-            key_total, resp_total, _ = _INDEX.unpack_from(
+            key_total, _ = _INDEX.unpack_from(
                 self._view, _HEADER.size + (count - 1) * _INDEX.size
             )
         self._key_base = heap_off
         self._resp_base = heap_off + key_total
-        self._id_base = self._resp_base + resp_total
 
     def __len__(self) -> int:
         return self._count
 
-    def _bounds(self, position: int) -> Tuple[int, int, int, int, int, int]:
+    def _bounds(self, position: int) -> Tuple[int, int, int, int]:
         """Per-column (start, end) offsets of one record, column-relative."""
         offset = _HEADER.size + position * _INDEX.size
-        key_end, resp_end, id_end = _INDEX.unpack_from(self._view, offset)
+        key_end, resp_end = _INDEX.unpack_from(self._view, offset)
         if position:
-            key_start, resp_start, id_start = _INDEX.unpack_from(
-                self._view, offset - _INDEX.size
-            )
+            key_start, resp_start = _INDEX.unpack_from(self._view, offset - _INDEX.size)
         else:
-            key_start = resp_start = id_start = 0
-        return key_start, key_end, resp_start, resp_end, id_start, id_end
+            key_start = resp_start = 0
+        return key_start, key_end, resp_start, resp_end
 
-    def _key_bytes(self, position: int) -> bytes:
-        key_start, key_end, _, _, _, _ = self._bounds(position)
-        return bytes(self._view[self._key_base + key_start : self._key_base + key_end])
-
-    def _search(self, key: str) -> Optional[Tuple[int, int, int, int, int, int]]:
+    def _search(self, key: str) -> Optional[Tuple[int, int, int, int]]:
         needle = key.encode("utf-8")
         lo, hi = 0, self._count
         while lo < hi:
@@ -235,18 +171,8 @@ class SharedSnapshotView:
         bounds = self._search(key)
         if bounds is None:
             return default
-        _, _, resp_start, resp_end, _, _ = bounds
+        _, _, resp_start, resp_end = bounds
         return str(self._view[self._resp_base + resp_start : self._resp_base + resp_end], "utf-8")
-
-    def identity(self, key: str) -> Optional[str]:
-        """The model identity recorded for ``key`` (``None`` when absent)."""
-        bounds = self._search(key)
-        if bounds is None:
-            return None
-        _, _, _, _, id_start, id_end = bounds
-        if id_start == id_end:
-            return None
-        return str(self._view[self._id_base + id_start : self._id_base + id_end], "utf-8")
 
     def close(self) -> None:
         """Release the buffer and, when shm-backed, close the mapping."""
@@ -283,10 +209,11 @@ class PublishedSnapshot:
         return f"<PublishedSnapshot kind={self.kind} nbytes={self.nbytes}>"
 
 
-def _publish_shm(records: List[SnapshotRecord]) -> PublishedSnapshot:
+def _publish_shm(entries: Mapping[str, str]) -> PublishedSnapshot:
+    """The shared-memory carrier: one encoded block workers attach in place."""
     from multiprocessing import shared_memory
 
-    encoded = encode_snapshot(records)
+    encoded = encode_snapshot(entries)
     shm = shared_memory.SharedMemory(create=True, size=max(len(encoded), 1))
     try:
         shm.buf[: len(encoded)] = encoded
@@ -300,8 +227,8 @@ def _publish_shm(records: List[SnapshotRecord]) -> PublishedSnapshot:
     )
 
 
-def _publish_file(records: List[SnapshotRecord]) -> PublishedSnapshot:
-    entries = {key: response for key, response, _ in records}
+def _publish_file(entries: Mapping[str, str]) -> PublishedSnapshot:
+    """The fallback carrier: a pickled dict each worker loads privately."""
     fd, path = tempfile.mkstemp(prefix="repro-cache-snapshot-", suffix=".pkl")
     try:
         with os.fdopen(fd, "wb") as handle:
@@ -317,26 +244,17 @@ def _publish_file(records: List[SnapshotRecord]) -> PublishedSnapshot:
     return PublishedSnapshot("file", ("file", path, token), nbytes, path=path)
 
 
-def publish_snapshot(
-    records: Iterable[SnapshotRecord], *, transport: str = "shm"
-) -> PublishedSnapshot:
+def publish_snapshot(entries: Mapping[str, str]) -> PublishedSnapshot:
     """Publish one cache snapshot for a run's worth of chunk payloads.
 
-    ``transport="shm"`` (default) tries a shared-memory block and falls
-    back to the temp-file pickle when shared memory is unavailable;
-    ``transport="file"`` selects the temp file directly.
+    Tries a shared-memory block first and falls back to the temp-file
+    pickle when shared memory is unavailable.
     """
-    if transport not in SNAPSHOT_TRANSPORTS:
-        raise ValueError(
-            f"unknown snapshot transport {transport!r}; expected one of {SNAPSHOT_TRANSPORTS}"
-        )
-    records = list(records)
-    if transport == "shm":
-        try:
-            return _publish_shm(records)
-        except (ImportError, OSError, ValueError):
-            pass  # no /dev/shm, permissions, size limits: degrade gracefully
-    return _publish_file(records)
+    try:
+        return _publish_shm(entries)
+    except (ImportError, OSError, ValueError):
+        pass  # no /dev/shm, permissions, size limits: degrade gracefully
+    return _publish_file(entries)
 
 
 def retire_snapshot(published: Optional[PublishedSnapshot]) -> None:
@@ -344,7 +262,7 @@ def retire_snapshot(published: Optional[PublishedSnapshot]) -> None:
 
     For shm the block is closed and unlinked — workers still attached keep
     their mapping alive until they drop it, so in-flight views never tear.
-    For the file transport the temp file is deleted.  Idempotent.
+    For the file carrier the temp file is deleted.  Idempotent.
     """
     if published is None:
         return
@@ -381,9 +299,13 @@ def _attach_shm(name: str):
 
     On Python >= 3.13 ``track=False`` keeps the attach out of the resource
     tracker entirely.  Older versions re-register every attach — harmless
-    under the fork start method, where workers share the parent's tracker
-    process and registration is an idempotent set-add, so the parent's
-    ``unlink`` still deregisters the name exactly once.
+    only while workers share the parent's tracker process, where
+    registration is an idempotent set-add and the parent's ``unlink``
+    deregisters the name exactly once.  A worker forked before the parent
+    started its tracker would start its own, which "cleans up" (unlinks
+    and warns about) every attached block at worker exit; that is why
+    :class:`~repro.engine.executors.ProcessPoolExecutor` starts the
+    tracker before it forks.
     """
     from multiprocessing import shared_memory
 

@@ -121,3 +121,61 @@ class TestCLI:
     def test_sequential_requires_all(self):
         with pytest.raises(SystemExit):
             main(["table2", "--sequential"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table2"],
+            ["table2", "--shared-cache"],
+            ["all"],
+            ["cache", "stats"],
+            ["cache", "compact"],
+        ],
+    )
+    def test_cache_path_that_is_a_file_rejected(self, tmp_path, capsys, argv):
+        """The cache is a directory of segments: a regular file given as
+        --cache is a usage error for every command, not a traceback."""
+        stray = tmp_path / "v1.json"
+        stray.write_text('{"version": 1, "entries": {}}', encoding="utf-8")
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--cache", str(stray)])
+        assert exit_info.value.code == 2
+        assert "is a file" in capsys.readouterr().err
+        assert stray.is_file()  # left untouched
+
+    def test_cache_stats_without_a_store_says_so(self, tmp_path, capsys):
+        missing = tmp_path / "no" / "such" / "dir"
+        assert main(["cache", "stats", "--cache", str(missing)]) == 0
+        out = capsys.readouterr().out
+        assert "no cache store" in out
+        assert "live_entries" not in out
+        assert not missing.exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--speculate-after", "2"],
+            ["--max-inflight", "8"],
+            ["--coalesce-window-ms", "5"],
+            ["--coalesce-max-batch", "16"],
+            ["--no-coalesce"],
+            ["--executor", "thread", "--max-inflight", "8"],
+        ],
+    )
+    def test_flags_without_their_mode_rejected(self, capsys, flags):
+        """A tuning flag given without the mode it tunes would do nothing;
+        it fails argument validation instead."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["table2", *flags])
+        assert exit_info.value.code == 2
+        assert "requires" in capsys.readouterr().err
+
+    def test_tuning_flags_accepted_with_their_mode(self, capsys):
+        assert main(
+            [
+                "table2", "--no-stats", "--speculate", "--speculate-after", "2",
+                "--executor", "async", "--max-inflight", "8", "--no-coalesce",
+                "--coalesce-window-ms", "1", "--coalesce-max-batch", "16",
+            ]
+        ) == 0
+        assert "Table 2" in capsys.readouterr().out

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.engine import CostModel, ResponseCache, cache_key
+from repro.engine.cache import EVICTION_SAMPLE
 
 
 class TestCacheAccounting:
@@ -37,7 +38,7 @@ class TestCacheAccounting:
 
 
 class TestCostAwareEviction:
-    """With ``cost_aware_eviction`` the LRU weighs entries by how expensive
+    """With a cost model attached the LRU weighs entries by how expensive
     their model is to call again: among the oldest entries, the cheapest to
     regenerate goes first, so slow models' responses survive longest."""
 
@@ -50,9 +51,7 @@ class TestCostAwareEviction:
 
     def test_cheap_model_evicted_before_slow_model(self):
         cost_model = self._cost_model(fast=0.001, slow=0.5)
-        cache = ResponseCache(
-            max_entries=2, cost_aware_eviction=True, cost_model=cost_model
-        )
+        cache = ResponseCache(max_entries=2, cost_model=cost_model)
         cache.put("slow", "p-slow", "r-slow")  # oldest, but expensive
         cache.put("fast", "p-fast", "r-fast")
         cache.put("fast", "p-fast2", "r-fast2")  # overflow
@@ -62,9 +61,7 @@ class TestCostAwareEviction:
 
     def test_equal_costs_degrade_to_plain_lru(self):
         cost_model = self._cost_model(a=0.01, b=0.01)
-        cache = ResponseCache(
-            max_entries=2, cost_aware_eviction=True, cost_model=cost_model
-        )
+        cache = ResponseCache(max_entries=2, cost_model=cost_model)
         cache.put("a", "p1", "r1")
         cache.put("b", "p2", "r2")
         cache.put("a", "p3", "r3")
@@ -75,54 +72,48 @@ class TestCostAwareEviction:
         """Entries the cost model never saw (or loaded from disk, where the
         identity is unrecoverable from the hashed key) evict first."""
         cost_model = self._cost_model(known=0.2)
-        cache = ResponseCache(
-            max_entries=2, cost_aware_eviction=True, cost_model=cost_model
-        )
+        cache = ResponseCache(max_entries=2, cost_model=cost_model)
         cache.put("known", "p1", "r1")
         cache.put("mystery", "p2", "r2")
         cache.put("known", "p3", "r3")
         assert cache.get("mystery", "p2") is None
         assert cache.get("known", "p1") == "r1"
 
-    def test_flag_off_keeps_plain_lru(self):
-        cost_model = self._cost_model(slow=10.0)
+    def test_cost_model_without_byte_budget_evicts_cheapest(self):
+        """An attached cost model is enough: no budget or flag is needed for
+        the cheapest entry to go instead of the oldest."""
+        cost_model = self._cost_model(slow=10.0, fast=0.01)
         cache = ResponseCache(max_entries=2, cost_model=cost_model)
         cache.put("slow", "p1", "r1")
         cache.put("fast", "p2", "r2")
         cache.put("fast", "p3", "r3")
-        assert cache.get("slow", "p1") is None  # pure LRU: oldest out
+        assert cache.get("slow", "p1") == "r1"  # oldest, but expensive
+        assert cache.get("fast", "p2") is None
 
     def test_no_cost_model_degrades_to_plain_lru(self):
-        cache = ResponseCache(max_entries=2, cost_aware_eviction=True)
+        cache = ResponseCache(max_entries=2)
         cache.put("m", "p1", "r1")
         cache.put("m", "p2", "r2")
         cache.put("m", "p3", "r3")
         assert cache.get("m", "p1") is None
 
     def test_eviction_sample_bounds_the_scan(self):
-        """Only the oldest ``eviction_sample`` entries compete: a cheap entry
+        """Only the oldest ``EVICTION_SAMPLE`` entries compete: a cheap entry
         younger than the sample window is not considered."""
         cost_model = self._cost_model(cheap=0.001, slow=1.0)
-        cache = ResponseCache(
-            max_entries=3,
-            cost_aware_eviction=True,
-            cost_model=cost_model,
-            eviction_sample=2,
-        )
-        cache.put("slow", "p1", "r1")
-        cache.put("slow", "p2", "r2")
-        cache.put("cheap", "p3", "r3")  # cheapest, but outside the window
-        cache.put("slow", "p4", "r4")
-        # Sample = {p1, p2}, both slow: LRU order decides, p1 goes.
-        assert cache.get("slow", "p1") is None
-        assert cache.get("cheap", "p3") == "r3"
+        cache = ResponseCache(max_entries=EVICTION_SAMPLE + 1, cost_model=cost_model)
+        for i in range(EVICTION_SAMPLE):
+            cache.put("slow", f"p{i}", f"r{i}")
+        cache.put("cheap", "p-cheap", "r-cheap")  # cheapest, but outside the window
+        cache.put("slow", "p-last", "r-last")
+        # The sample holds only slow entries: LRU order decides, p0 goes.
+        assert cache.get("slow", "p0") is None
+        assert cache.get("cheap", "p-cheap") == "r-cheap"
 
     def test_put_key_with_identity_participates_in_costing(self):
         """The engine's distributed merge path attaches identities too."""
         cost_model = self._cost_model(fast=0.001, slow=0.5)
-        cache = ResponseCache(
-            max_entries=2, cost_aware_eviction=True, cost_model=cost_model
-        )
+        cache = ResponseCache(max_entries=2, cost_model=cost_model)
         cache.put_key(cache_key("slow", "p1"), "r1", identity="slow")
         cache.put_key(cache_key("fast", "p2"), "r2", identity="fast")
         cache.put_key(cache_key("slow", "p3"), "r3", identity="slow")
@@ -137,10 +128,6 @@ class TestCostAwareEviction:
         assert cost_model.identity_estimate("never-seen") is None
         assert cost_model.identity_estimate("never-seen", default=0.0) == 0.0
 
-    def test_rejects_bad_eviction_sample(self):
-        with pytest.raises(ValueError):
-            ResponseCache(eviction_sample=0)
-
     def test_identities_survive_save_and_reload(self, tmp_path):
         """Identities persist with the segments, so a reloaded cache keeps
         protecting the slow model's entries — the persistent-cache case the
@@ -152,9 +139,7 @@ class TestCostAwareEviction:
         writer.save()
 
         cost_model = self._cost_model(fast=0.001, slow=0.5)
-        reloaded = ResponseCache(
-            max_entries=2, path=path, cost_aware_eviction=True, cost_model=cost_model
-        )
+        reloaded = ResponseCache(max_entries=2, path=path, cost_model=cost_model)
         reloaded.put("fast", "p-fast2", "r-fast2")  # overflow after reload
         assert reloaded.get("slow", "p-slow") == "r-slow"  # cost weight kept
         assert reloaded.get("fast", "p-fast") is None
@@ -169,9 +154,7 @@ class TestCostAwareEviction:
         cache.compact()
 
         cost_model = self._cost_model(cheap=0.001, slow=0.5)
-        reloaded = ResponseCache(
-            max_entries=2, path=path, cost_aware_eviction=True, cost_model=cost_model
-        )
+        reloaded = ResponseCache(max_entries=2, path=path, cost_model=cost_model)
         reloaded.put("cheap", "p3", "r3")
         assert reloaded.get("slow", "p1") == "r1"
         assert reloaded.get("cheap", "p3") is None
@@ -206,12 +189,13 @@ class TestCachePersistence:
         assert reloaded.get("gpt-4", "prompt B") == "response B"
 
     def test_corrupt_file_loads_as_empty(self, tmp_path):
-        """A damaged cache file must never crash a run — it is only a cache."""
-        path = tmp_path / "cache.json"
-        path.write_text("{not valid json", encoding="utf-8")
-        cache = ResponseCache(path=path)
-        assert len(cache) == 0
-        path.write_text('{"version": 99, "entries": {"k": "v"}}', encoding="utf-8")
+        """A damaged segment file must never crash a run — it is only a cache."""
+        path = tmp_path / "cache"
+        path.mkdir()
+        segment = path / "segment-000001.jsonl"
+        segment.write_text("{not valid json", encoding="utf-8")
+        assert len(ResponseCache(path=path)) == 0
+        segment.write_text('{"version": 99, "entries": {"k": "v"}}', encoding="utf-8")
         assert ResponseCache(path=path).get("m", "p") is None
 
     def test_load_respects_capacity(self, tmp_path):
@@ -310,24 +294,6 @@ class TestSegmentedPersistence:
         (path / "segment-000001.jsonl").write_text("\n".join(lines), encoding="utf-8")
         assert len(ResponseCache(path=path)) == 0
 
-    def test_legacy_v1_file_loads_and_migrates(self, tmp_path):
-        """Old whole-file JSON caches still load; saving converts in place."""
-        path = tmp_path / "cache.json"
-        key = cache_key("gpt-4", "prompt A")
-        path.write_text(
-            json.dumps({"version": 1, "entries": {key: "response A"}}), encoding="utf-8"
-        )
-        cache = ResponseCache(path=path)
-        assert cache.get("gpt-4", "prompt A") == "response A"
-
-        cache.put("gpt-4", "prompt B", "response B")
-        cache.save()
-        assert path.is_dir()  # migrated to a segment directory
-        reloaded = ResponseCache(path=path)
-        assert len(reloaded) == 2
-        assert reloaded.get("gpt-4", "prompt A") == "response A"
-        assert reloaded.get("gpt-4", "prompt B") == "response B"
-
     def test_compact_folds_segments(self, tmp_path):
         path = tmp_path / "cache"
         cache = ResponseCache(path=path, segment_max_entries=2)
@@ -357,18 +323,6 @@ class TestSegmentedPersistence:
         assert len(reloaded) == 10
         assert reloaded.get("m", "p0") == "r0"
 
-    def test_legacy_migration_preserves_entries_beyond_capacity(self, tmp_path):
-        """Migration, like compaction, must never shrink the store: entries
-        the bounded LRU could not hold still reach the segment directory."""
-        path = tmp_path / "cache.json"
-        entries = {cache_key("m", f"p{i}"): f"r{i}" for i in range(10)}
-        path.write_text(json.dumps({"version": 1, "entries": entries}), encoding="utf-8")
-        small = ResponseCache(max_entries=3, path=path)
-        assert len(small) == 3
-        small.save()
-        assert path.is_dir()
-        assert len(ResponseCache(path=path)) == 10
-
     def test_snapshot_save_to_foreign_path_replaces_not_appends(self, tmp_path):
         backup = tmp_path / "backup"
         cache = ResponseCache()
@@ -382,16 +336,6 @@ class TestSegmentedPersistence:
         )
         assert lines == 2
         assert len(ResponseCache(path=backup)) == 2
-
-    def test_legacy_migration_leaves_no_temp_dirs(self, tmp_path):
-        path = tmp_path / "cache.json"
-        key = cache_key("m", "p")
-        path.write_text(json.dumps({"version": 1, "entries": {key: "r"}}), encoding="utf-8")
-        cache = ResponseCache(path=path)
-        cache.save()
-        assert path.is_dir()
-        leftovers = [f for f in tmp_path.iterdir() if f != path]
-        assert leftovers == []
 
     def test_later_segments_win_on_duplicate_keys(self, tmp_path):
         path = tmp_path / "cache"

@@ -5,20 +5,25 @@ Three layers under test, matching :mod:`repro.engine`'s cache plane:
 * :mod:`repro.engine.snapshot` — the columnar broadcast encoding, the
   shared-memory publish/attach/retire lifecycle and its temp-file
   fallback;
-* :class:`repro.engine.cache.ResponseCache` — the size- and TTL-tiered
-  eviction policy layered over the existing LRU/cost-aware tiers, and
-  ``shared_read`` mode;
+* :class:`repro.engine.cache.ResponseCache` — byte budgets and TTL expiry
+  under the one cost-weighted LRU eviction rule, and ``shared_read`` mode;
 * :class:`repro.engine.sharedstore.SharedSegmentStore` — the mmap-backed
   multi-reader segment view, including the compaction race it must never
   lose, and the ``repro cache`` CLI over it.
 """
 
 import json
-import warnings
+import os
+import subprocess
+import sys
+import textwrap
 import threading
+import warnings
+from pathlib import Path
 
 import pytest
 
+import repro
 import repro.engine.snapshot as engine_snapshot
 from repro.__main__ import main
 from repro.engine import CostModel, ResponseCache, cache_key
@@ -43,22 +48,14 @@ class TestSnapshotEncoding:
         view = SharedSnapshotView(encode_snapshot([]))
         assert len(view) == 0
         assert view.get("anything", "default") == "default"
-        assert view.identity("anything") is None
 
-    def test_roundtrip_values_and_identities(self):
-        records = [
-            ("kb", "resp-β with ünïcode", None),
-            ("ka", "first", "model-α"),
-            ("kc", "", "m"),
-        ]
-        view = SharedSnapshotView(encode_snapshot(records))
+    def test_roundtrip_values(self):
+        entries = {"kb": "resp-β with ünïcode", "ka": "first", "kc": ""}
+        view = SharedSnapshotView(encode_snapshot(entries))
         assert len(view) == 3
         assert view.get("ka") == "first"
-        assert view.identity("ka") == "model-α"
         assert view.get("kb") == "resp-β with ünïcode"
-        assert view.identity("kb") is None  # None identity round-trips as absent
         assert view.get("kc") == ""
-        assert view.identity("kc") == "m"
         assert view.get("missing") is None
 
     def test_bad_magic_rejected(self):
@@ -66,48 +63,37 @@ class TestSnapshotEncoding:
             SharedSnapshotView(b"not-a-snapshot-buffer-at-all")
 
     @staticmethod
-    def _hash_records(count):
-        return [
-            (cache_key("m", f"prompt {i}"), f"response {i}", "m") for i in range(count)
-        ]
-
-    def test_vectorised_and_fallback_encoders_agree(self, monkeypatch):
-        """The numpy argsort/cumsum path and the stdlib path must produce
-        byte-identical buffers — the layout is the contract, not the code."""
-        records = self._hash_records(engine_snapshot._VECTOR_SORT_MIN + 100)
-        vectorised = encode_snapshot(records)
-        monkeypatch.setattr(engine_snapshot, "_np", None)
-        assert encode_snapshot(records) == vectorised
-        view = SharedSnapshotView(vectorised)
-        assert all(view.get(key) == response for key, response, _ in records[:200])
+    def _hash_entries(count):
+        return {cache_key("m", f"prompt {i}"): f"response {i}" for i in range(count)}
 
     def test_variable_width_keys_fall_back_to_sorted(self):
-        """Mixed-length keys can't take the fixed-width argsort; the sorted
-        fallback must still produce a searchable buffer at any size."""
-        records = self._hash_records(engine_snapshot._VECTOR_SORT_MIN + 10)
-        records.append(("short-key", "short response", None))
-        view = SharedSnapshotView(encode_snapshot(records))
+        """Mixed-length keys sort by their bytes like fixed-width hashes do:
+        the buffer stays searchable at any size."""
+        entries = self._hash_entries(2058)
+        entries["short-key"] = "short response"
+        view = SharedSnapshotView(encode_snapshot(entries))
         assert view.get("short-key") == "short response"
-        assert view.get(records[0][0]) == records[0][1]
+        assert all(view.get(key) == response for key, response in entries.items())
 
     def test_non_ascii_columns_use_byte_lengths(self):
-        records = [(f"k{i}", "ω" * (i + 1), "idé") for i in range(10)]
-        view = SharedSnapshotView(encode_snapshot(records))
-        for key, response, identity in records:
+        entries = {f"k{i}": "ω" * (i + 1) for i in range(10)}
+        entries["ключ"] = "idé"
+        view = SharedSnapshotView(encode_snapshot(entries))
+        for key, response in entries.items():
             assert view.get(key) == response
-            assert view.identity(key) == identity
 
 
 class TestShmBroadcastLifecycle:
     def test_publish_attach_memo_retire(self):
-        records = [(cache_key("m", f"p{i}"), f"r{i}", "m") for i in range(64)]
-        published = publish_snapshot(records, transport="shm")
+        entries = {cache_key("m", f"p{i}"): f"r{i}" for i in range(64)}
+        published = publish_snapshot(entries)
         if published.kind != "shm":
             pytest.skip("shared memory unavailable on this platform")
+        probe = cache_key("m", "p3")
         try:
             view, loaded_kind = load_snapshot(published.payload)
             assert loaded_kind == "shm"
-            assert view.get(records[3][0]) == "r3"
+            assert view.get(probe) == "r3"
             # Second resolve of the same token is a memo hit, not a load.
             again, memo_kind = load_snapshot(published.payload)
             assert again is view and memo_kind is None
@@ -117,7 +103,7 @@ class TestShmBroadcastLifecycle:
         # attached keeps working (POSIX keeps the mapping alive).
         with pytest.raises((FileNotFoundError, OSError)):
             engine_snapshot._attach_shm(published.payload[1])
-        assert view.get(records[3][0]) == "r3"
+        assert view.get(probe) == "r3"
         assert retire_snapshot(published) is None  # idempotent
 
     def test_shm_failure_falls_back_to_file(self, monkeypatch):
@@ -125,8 +111,7 @@ class TestShmBroadcastLifecycle:
             raise OSError("no shared memory here")
 
         monkeypatch.setattr("multiprocessing.shared_memory.SharedMemory", refuse)
-        records = [(cache_key("m", "p"), "r", "m")]
-        published = publish_snapshot(records, transport="shm")
+        published = publish_snapshot({cache_key("m", "p"): "r"})
         try:
             assert published.kind == "file"
             view, loaded_kind = load_snapshot(published.payload)
@@ -135,9 +120,43 @@ class TestShmBroadcastLifecycle:
         finally:
             retire_snapshot(published)
 
-    def test_unknown_transport_rejected(self):
-        with pytest.raises(ValueError):
-            publish_snapshot([], transport="carrier-pigeon")
+
+    def test_process_pool_run_leaves_no_tracker_warnings(self):
+        """Workers forked by ``map`` before the first broadcast must share
+        the parent's resource tracker; a tracker of their own would unlink
+        the parent's block at worker exit and warn about "leaked"
+        shared_memory objects on stderr."""
+        script = textwrap.dedent(
+            """
+            from repro.engine import ExecutionEngine, ResponseCache, build_requests
+            from repro.eval.experiments import default_subset
+            from repro.llm.zoo import create_model
+            from repro.prompting.strategy import PromptStrategy
+
+            records = default_subset().records[:16]
+            with ExecutionEngine(
+                jobs=2, executor_kind="process", cache=ResponseCache(), batch_size=4
+            ) as engine:
+                assert engine.map(abs, [-1, -2]) == [1, 2]  # forks the pool first
+                for _ in range(2):  # cold, then warm through the shm broadcast
+                    engine.run(
+                        build_requests(create_model("gpt-4"), PromptStrategy.BP1, records)
+                    )
+                assert engine.telemetry.shm_attach > 0
+            """
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert "resource_tracker" not in completed.stderr
 
 
 class TestTieredEviction:
@@ -169,17 +188,28 @@ class TestTieredEviction:
         cost_model = CostModel()
         cost_model.observe("cheap", "BP1", 0.001)
         cost_model.observe("slow", "BP1", 0.5)
-        cache = ResponseCache(
-            max_entries=100,
-            max_bytes=400,
-            cost_aware_eviction=True,
-            cost_model=cost_model,
-        )
+        cache = ResponseCache(max_entries=100, max_bytes=400, cost_model=cost_model)
         self._fill(cache, "slow", "tiny-expensive", 10)  # 74 bytes, 0.5 s
         self._fill(cache, "cheap", "huge-cheap", 200)  # 264 bytes, 1 ms
         self._fill(cache, "slow", "tiny-2", 10)  # over budget
         assert cache.get("cheap", "huge-cheap") is None
         assert cache.get("slow", "tiny-expensive") == "x" * 10
+
+    def test_byte_budget_and_cost_model_keep_small_expensive_entry(self):
+        """A byte budget plus a cost model, nothing else: the expensive
+        entry is only a few bytes larger than a cheap one, so by size alone
+        it would go first; weighed per second-to-regenerate it stays."""
+        cost_model = CostModel()
+        cost_model.observe("cheap", "BP1", 0.001)
+        cost_model.observe("slow", "BP1", 0.5)
+        cache = ResponseCache(max_bytes=400, cost_model=cost_model)
+        self._fill(cache, "slow", "expensive", 120)  # 184 bytes, 0.5 s
+        self._fill(cache, "cheap", "cheap", 110)  # 174 bytes, 1 ms
+        self._fill(cache, "cheap", "newest", 10)  # 74 bytes: 432 > 400
+        assert cache.get("slow", "expensive") == "x" * 120
+        assert cache.get("cheap", "cheap") is None
+        assert cache.get("cheap", "newest") == "x" * 10
+        assert cache.stats.evictions == 1
 
     def test_ttl_expires_on_lookup(self):
         now = [100.0]
@@ -206,17 +236,6 @@ class TestTieredEviction:
         assert cache.get("m", "fresh") == "r-fresh"
         assert cache.get("m", "new") == "r-new"
         assert cache.stats.evictions == 1
-
-    def test_snapshot_records_carry_identities(self):
-        cache = ResponseCache()
-        cache.put("model-a", "p", "r")
-        cache.put_key("bare-key", "r2")
-        records = dict(
-            (key, (response, identity))
-            for key, response, identity in cache.snapshot_records()
-        )
-        assert records[cache_key("model-a", "p")] == ("r", "model-a")
-        assert records["bare-key"] == ("r2", None)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -335,8 +354,7 @@ class TestSharedSegmentStore:
 class TestSegmentManifest:
     """The writer-side segment manifest and the incremental reader rebuild.
 
-    Every committed cache write (incremental save, compaction, legacy
-    migration) rewrites ``manifest.json`` attesting the segment set, so
+    Every committed cache write (incremental save, compaction) rewrites ``manifest.json`` attesting the segment set, so
     :class:`SharedSegmentStore` can (a) answer the miss-path "did anything
     change?" probe with one stat of the manifest instead of a sweep of
     every segment, and (b) on an actual change, re-scan only the new or
@@ -378,21 +396,6 @@ class TestSegmentManifest:
         assert self._manifest(target)["generation"] == 2
         cache.compact()
         assert self._manifest(target)["generation"] == 3
-        names = sorted(p.name for p in target.glob("segment-*.jsonl"))
-        assert sorted(self._manifest(target)["segments"]) == names
-
-    def test_legacy_migration_writes_manifest(self, tmp_path):
-        target = tmp_path / "cache"
-        legacy = {
-            "format": "repro-response-cache",
-            "version": 1,
-            "entries": {"a" * 64: "legacy response"},
-        }
-        target.write_text(json.dumps(legacy), encoding="utf-8")
-        cache = ResponseCache(path=target)
-        cache.put("m", "p", "r")
-        cache.save()
-        assert target.is_dir()
         names = sorted(p.name for p in target.glob("segment-*.jsonl"))
         assert sorted(self._manifest(target)["segments"]) == names
 
@@ -497,11 +500,14 @@ class TestSharedReadCache:
         reader.put("m", "p2", "genuinely new")
         assert reader.pending_count == 1
 
-    def test_rejects_legacy_single_file_store(self, tmp_path):
-        legacy = tmp_path / "cache.json"
-        legacy.write_text('{"version": 1, "entries": {}}', encoding="utf-8")
-        with pytest.raises(ValueError):
-            ResponseCache(path=legacy, shared_read=True)
+    def test_rejects_regular_file_path(self, tmp_path):
+        """The cache is a directory of segments; a file at the path is a
+        mistake to report, in shared-read mode or not."""
+        stray = tmp_path / "cache.json"
+        stray.write_text('{"version": 1, "entries": {}}', encoding="utf-8")
+        for shared_read in (True, False):
+            with pytest.raises(ValueError, match="is a file"):
+                ResponseCache(path=stray, shared_read=shared_read)
 
 
 class TestHotHitPromotion:
@@ -627,8 +633,9 @@ class TestCacheCLI:
             main(["table2", "--cache-entries", "0", "--cache-max-bytes", "1000"])
         with pytest.raises(SystemExit):
             main(["table2", "--shared-cache"])  # needs --cache PATH
-        with pytest.raises(SystemExit):
-            main(["table2", "--snapshot-transport", "fax"])
+        with pytest.raises(SystemExit) as exit_info:
+            main(["table2", "--snapshot-transport", "fax"])  # flag no longer exists
+        assert exit_info.value.code == 2
 
 
 class TestPersistenceFaultTolerance:

@@ -566,24 +566,28 @@ class TestBroadcastOnceSnapshot:
 
     @pytest.mark.parametrize("transport", ["shm", "file"])
     def test_snapshot_resource_released_after_run(
-        self, records, publish_counter, transport
+        self, records, publish_counter, transport, monkeypatch
     ):
         import os
 
+        if transport == "file":
+            # The file carrier is the automatic fallback: reach it the way
+            # a host without shared memory does.
+            def refuse(*args, **kwargs):
+                raise OSError("no shared memory here")
+
+            monkeypatch.setattr("multiprocessing.shared_memory.SharedMemory", refuse)
         cache = ResponseCache()
         cache.put("gpt-4", "warm", "yes")
         engine = ExecutionEngine(
-            executor=_RecordingDistributedExecutor(),
-            cache=cache,
-            batch_size=4,
-            snapshot_transport=transport,
+            executor=_RecordingDistributedExecutor(), cache=cache, batch_size=4
         )
         engine.run(build_requests(create_model("gpt-4"), PromptStrategy.BP1, records))
         kind, locator, _token = publish_counter[0].payload
+        assert kind == transport
         if kind == "file":
             assert not os.path.exists(locator)
         else:
-            assert kind == "shm"
             with pytest.raises((FileNotFoundError, OSError)):
                 engine_snapshot._attach_shm(locator)
 
