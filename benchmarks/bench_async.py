@@ -7,9 +7,8 @@ are the wrong concurrency primitive.  A thread backend overlaps at most
 prompts *serially*, so a chunk of B prompts against a 50 ms API costs
 B x 50 ms of wall time no matter how many threads exist.  The async-native
 path dispatches each chunk as a coroutine: ``generate_batch_async`` fans
-the whole chunk out in one gather, every latency overlaps on one event
-loop, and the micro-batch coalescer merges chunks waiting for a slot into
-single wire calls.
+the whole chunk out in one gather, and every latency overlaps on one event
+loop.
 
 This benchmark pins that difference at **equal ``--jobs``**: the same
 requests against simulated 50 ms-latency adapters (deterministic per-prompt
@@ -96,8 +95,6 @@ def test_async_native_vs_thread_backend(benchmark, subset):
             "seconds": round(async_s, 4),
             "requests_per_second": round(n_requests / async_s, 2),
             "inflight_peak": async_stats["async_inflight_peak"],
-            "coalesce_flushes": async_stats["coalesce_flushes"],
-            "coalesce_merged": async_stats["coalesce_merged"],
         },
         "speedup_async_vs_thread": round(speedup, 2),
     }

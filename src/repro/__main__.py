@@ -16,18 +16,13 @@ Usage::
     python -m repro all --executor async --jobs 16   # asyncio backend
     python -m repro all --executor async --max-inflight 256
                                       # async-native model I/O: chunk work
-                                      # awaits on one event loop; concurrent
-                                      # same-model calls coalesce into
-                                      # batched wire calls (--no-coalesce,
-                                      # --coalesce-window-ms to tune)
+                                      # awaits on one event loop, one wire
+                                      # call per chunk phase with misses
     python -m repro all --sequential            # one engine run per table
     python -m repro all --cache /tmp/repro-cache    # persist responses as
                                       # append-only JSONL segments
     python -m repro all --no-lpt --no-adaptive-batching
                                       # plan-order, fixed-size chunks
-    python -m repro all --cache ./cache-dir --shared-cache
-                                      # serve disk hits through the host-wide
-                                      # mmap-backed shared segment store
     python -m repro all --cache ./c --cache-max-bytes 50000000 --cache-ttl 3600
                                       # byte budget + max entry age
     python -m repro all --stream                 # bounded-memory streaming:
@@ -59,8 +54,9 @@ Usage::
                                       # interrupted run re-invoked with the
                                       # same journal resumes without new
                                       # model calls for finished work
-    python -m repro cache stats --cache ./cache-dir     # segments, dead
-                                      # ratio, promotions — no evaluation run
+    python -m repro cache stats --cache ./cache-dir     # segments, live
+                                      # entries, dead ratio, bytes — no
+                                      # evaluation run
     python -m repro cache compact --cache ./cache-dir
     python -m repro analyze file.c               # static race analyzer:
                                       # structured DRD-* diagnostics with
@@ -241,23 +237,12 @@ def _build_engine(args: argparse.Namespace) -> ExecutionEngine:
             cost_model=cost_model,
             max_bytes=args.cache_max_bytes,
             ttl_s=args.cache_ttl,
-            shared_read=args.shared_cache,
         )
-    # Flags left unset (None) keep the engine's own defaults; main() has
-    # already rejected any of them given without the mode it tunes.
-    tuning = {
-        name: value
-        for name, value in (
-            ("coalesce", args.coalesce),
-            (
-                "coalesce_window_s",
-                None if args.coalesce_window_ms is None else args.coalesce_window_ms / 1000.0,
-            ),
-            ("coalesce_max_batch", args.coalesce_max_batch),
-            ("speculate_after", args.speculate_after),
-        )
-        if value is not None
-    }
+    # An unset --speculate-after keeps the engine's own default; main() has
+    # already rejected it without --speculate.
+    tuning = {}
+    if args.speculate_after is not None:
+        tuning["speculate_after"] = args.speculate_after
     jobs = args.jobs
     if jobs is None:
         # --executor without --jobs: parallel backends get a sensible
@@ -292,11 +277,9 @@ def _build_engine(args: argparse.Namespace) -> ExecutionEngine:
 
 def _run_cache_command(args: argparse.Namespace) -> int:
     """``repro cache stats|compact``: inspect or fold a store, no evaluation."""
-    from repro.engine import SharedSegmentStore
-
     path = Path(args.cache)
     if args.subcommand == "stats":
-        stats = SharedSegmentStore(path).stats()
+        stats = ResponseCache.store_stats(path)
         if not stats["segments"]:
             print(f"[cache] {path}: no cache store here (no segment files)")
             return 0
@@ -306,26 +289,20 @@ def _run_cache_command(args: argparse.Namespace) -> int:
         print(f"[cache]   entry_lines={stats['entry_lines']} (dead={stats['dead_entries']})")
         print(f"[cache]   dead_ratio={stats['dead_ratio'] * 100:.1f}%")
         print(f"[cache]   total_bytes={stats['total_bytes']}")
-        print(
-            f"[cache]   scan: rescanned={stats['segments_rescanned']}"
-            f" reused={stats['segments_reused']}"
-        )
-        print(f"[cache]   promotions={stats['promotions']}")
         return 0
     # compact: fold every live entry into a minimal set of fresh segments.
-    before = SharedSegmentStore(path).stats() if path.is_dir() else None
+    before = ResponseCache.store_stats(path)
     cache = ResponseCache(path=args.cache)
     if cache.compact() is None:
         print(f"[cache] {path}: nothing on disk to compact")
         return 0
-    after = SharedSegmentStore(path).stats()
-    if before is not None:
-        print(
-            f"[cache] compacted {path}: segments {before['segments']} -> "
-            f"{after['segments']}, entry_lines {before['entry_lines']} -> "
-            f"{after['entry_lines']}, bytes {before['total_bytes']} -> "
-            f"{after['total_bytes']}"
-        )
+    after = ResponseCache.store_stats(path)
+    print(
+        f"[cache] compacted {path}: segments {before['segments']} -> "
+        f"{after['segments']}, entry_lines {before['entry_lines']} -> "
+        f"{after['entry_lines']}, bytes {before['total_bytes']} -> "
+        f"{after['total_bytes']}"
+    )
     return 0
 
 
@@ -423,36 +400,6 @@ def main(argv: List[str] | None = None) -> int:
             "async backend: maximum concurrently in-flight chunk coroutines "
             "on the event loop — raise far beyond any sensible --jobs to "
             "saturate a latency-bound remote API (default: --jobs)"
-        ),
-    )
-    parser.add_argument(
-        "--coalesce",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help=(
-            "async backend: merge concurrent same-(model, strategy) calls "
-            "into single generate_batch_async wire calls (identical "
-            "results; --no-coalesce issues one call per chunk; default: on)"
-        ),
-    )
-    parser.add_argument(
-        "--coalesce-window-ms",
-        type=float,
-        default=None,
-        metavar="MS",
-        help=(
-            "async backend: how long the coalescer holds a batch open for "
-            "joiners (default: 2.0)"
-        ),
-    )
-    parser.add_argument(
-        "--coalesce-max-batch",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "async backend: the coalescer flushes early at this many "
-            "accumulated prompts (default: 128)"
         ),
     )
     parser.add_argument(
@@ -647,17 +594,6 @@ def main(argv: List[str] | None = None) -> int:
         ),
     )
     parser.add_argument(
-        "--shared-cache",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help=(
-            "serve --cache disk entries through the host-wide mmap-backed "
-            "shared segment store instead of loading a private in-memory "
-            "copy — concurrent runs on one host share one physical copy "
-            "(results identical; default: private load)"
-        ),
-    )
-    parser.add_argument(
         "--batch-size",
         type=int,
         default=32,
@@ -680,21 +616,11 @@ def main(argv: List[str] | None = None) -> int:
         parser.error(
             f"--cache {args.cache} is a file; the cache is a directory of segments"
         )
-    if args.executor != "async":
-        for flag, value in (
-            ("--max-inflight", args.max_inflight),
-            ("--coalesce/--no-coalesce", args.coalesce),
-            ("--coalesce-window-ms", args.coalesce_window_ms),
-            ("--coalesce-max-batch", args.coalesce_max_batch),
-        ):
-            if value is not None:
-                parser.error(f"{flag} requires --executor async")
-    if args.max_inflight is not None and args.max_inflight < 1:
-        parser.error("--max-inflight must be >= 1")
-    if args.coalesce_window_ms is not None and args.coalesce_window_ms < 0:
-        parser.error("--coalesce-window-ms must be >= 0")
-    if args.coalesce_max_batch is not None and args.coalesce_max_batch < 1:
-        parser.error("--coalesce-max-batch must be >= 1")
+    if args.max_inflight is not None:
+        if args.executor != "async":
+            parser.error("--max-inflight requires --executor async")
+        if args.max_inflight < 1:
+            parser.error("--max-inflight must be >= 1")
     if args.speculate_after is not None:
         if not args.speculate:
             parser.error("--speculate-after requires --speculate")
@@ -746,8 +672,6 @@ def main(argv: List[str] | None = None) -> int:
             parser.error(
                 "--cache-ttl has no effect with --cache-entries 0 (caching disabled)"
             )
-    if args.shared_cache and args.cache is None:
-        parser.error("--shared-cache requires --cache PATH (the store to share)")
     if args.command == "cache":
         if args.subcommand not in ("stats", "compact"):
             parser.error(

@@ -53,13 +53,6 @@ class PipelineConfig:
         Async backend only: maximum concurrently in-flight chunk
         coroutines (the event-loop semaphore width).  ``None`` falls back
         to ``jobs``, matching the thread backend's worker count.
-    coalesce:
-        Async backend only: merge concurrent same-(model, strategy) model
-        calls into single ``generate_batch_async`` wire calls.  Results
-        are identical either way.
-    coalesce_window_s, coalesce_max_batch:
-        The coalescer's collection window (seconds) and early-flush
-        prompt limit.
     speculate:
         Tail-latency control: race a duplicate of any chunk that
         overshoots the cost model's p95 estimate into idle executor
@@ -91,11 +84,6 @@ class PipelineConfig:
         Optional maximum in-memory age of a cache entry in seconds
         (dropped lazily on lookup, evicted first under pressure); the
         on-disk store is unaffected.  ``None`` disables expiry.
-    cache_shared_read:
-        Serve on-disk cache entries through the host-wide mmap-backed
-        :class:`~repro.engine.sharedstore.SharedSegmentStore` instead of
-        loading a private in-memory copy of the segments.  Requires
-        ``cache_path``.  Results are identical either way.
     stream:
         Evaluate through the bounded-memory streaming path: corpus
         generation, featurisation and request construction stay lazy and
@@ -158,9 +146,6 @@ class PipelineConfig:
     adaptive_batching: bool = True
     batch_size: int = 32
     max_inflight: Optional[int] = None
-    coalesce: bool = True
-    coalesce_window_s: float = 0.002
-    coalesce_max_batch: int = 128
     speculate: bool = False
     speculate_after: float = 1.5
     deadline: Optional[float] = None
@@ -168,7 +153,6 @@ class PipelineConfig:
     cache_path: Optional[str] = None
     cache_max_bytes: Optional[int] = None
     cache_ttl_s: Optional[float] = None
-    cache_shared_read: bool = False
     stream: bool = False
     stream_window: Optional[int] = None
     # Tier spec mirrors repro.engine.cascade.DEFAULT_CASCADE_TIERS; kept a

@@ -134,7 +134,6 @@ class DataRacePipeline:
                     cost_model=cost_model,
                     max_bytes=self.config.cache_max_bytes,
                     ttl_s=self.config.cache_ttl_s,
-                    shared_read=self.config.cache_shared_read,
                 )
             self._engine = ExecutionEngine(
                 jobs=self.config.jobs,
@@ -145,9 +144,6 @@ class DataRacePipeline:
                 adaptive_batching=self.config.adaptive_batching,
                 cost_model=cost_model,
                 max_inflight=self.config.max_inflight,
-                coalesce=self.config.coalesce,
-                coalesce_window_s=self.config.coalesce_window_s,
-                coalesce_max_batch=self.config.coalesce_max_batch,
                 speculate=self.config.speculate,
                 speculate_after=self.config.speculate_after,
                 deadline=self.config.deadline,

@@ -16,11 +16,13 @@ Module map
     executor's ``submit_stream`` — speculation, retry/backoff and circuit
     breakers are per-chunk decisions inside it, so they compose —
     satisfies repeats from the cache, and returns an order-preserving
-    :class:`RunResultStore`.  Also offers a generic ``map`` for non-LLM
-    work (the Inspector baseline).  For distributed executors it ships
-    picklable chunk payloads to a module-level worker — the cache snapshot
-    is broadcast once per run, not pickled per chunk — and merges
-    cache/telemetry deltas back.
+    :class:`RunResultStore`.  Every executor runs the same chunk body — a
+    step function that splits cache hits from misses, hands the misses to
+    a blocking or awaiting driver, stores and scores.  Also offers a
+    generic ``map`` for non-LLM work (the Inspector baseline).  For
+    distributed executors it ships picklable chunk payloads to a
+    module-level worker — the cache snapshot is broadcast once per run,
+    not pickled per chunk — and merges cache/telemetry deltas back.
 ``cascade``
     :class:`CascadeRouter` / :class:`CascadePolicy` — the tiered detection
     cascade (``--cascade``): records are scored through an ordered ladder
@@ -47,11 +49,6 @@ Module map
     ``costmodel.json`` beside the response cache.  Tier adapters publish a
     ``cost_prior_s`` planning prior (:meth:`CostModel.set_prior`) so
     unobserved cheap tiers never block LPT ordering.
-``coalesce``
-    :class:`MicroBatchCoalescer` — merges concurrent
-    ``generate_batch_async`` calls for the same (model, strategy) into one
-    wire call on the async-native path (window + max-batch bounded);
-    responses are sliced back per caller, so results never change.
 ``requests``
     The request/result dataclasses and the *only* implementation of
     response scoring → confusion-count assembly (modes ``"detection"``,
@@ -79,17 +76,14 @@ Module map
     (``max_bytes``) and lazy TTL expiry (``ttl_s``) share one victim rule:
     expired first, then the most reclaimed per cost-model
     second-to-regenerate (see :meth:`ResponseCache._select_victim_locked`).
+    :meth:`ResponseCache.store_stats` scans a store without loading it
+    (``repro cache stats``).
 ``snapshot``
     The zero-copy broadcast plane for distributed runs:
     :func:`publish_snapshot` encodes the warm cache once into a
     shared-memory block (length-prefixed binary layout; pickle-temp-file
     fallback), workers attach a :class:`SharedSnapshotView` and
     binary-search it in place instead of deserialising private copies.
-``sharedstore``
-    :class:`SharedSegmentStore` — a lock-free, mmap-backed, multi-reader
-    view over a segment directory, opened once per host
-    (``SharedSegmentStore.open``); ``ResponseCache(shared_read=True)``
-    serves misses through it instead of loading segments privately.
 ``telemetry``
     :class:`EngineTelemetry` — thread-safe counters (requests, model
     calls, cache hits/misses, wall time) with a one-line ``format_stats``
@@ -112,7 +106,6 @@ from repro.engine.cascade import (
     CascadeTier,
     build_tier_model,
 )
-from repro.engine.coalesce import MicroBatchCoalescer
 from repro.engine.core import (
     DEFAULT_STREAM_WINDOW,
     ExecutionEngine,
@@ -159,7 +152,6 @@ from repro.engine.requests import (
     score_response,
     shed_result,
 )
-from repro.engine.sharedstore import SharedSegmentStore
 from repro.engine.snapshot import (
     PublishedSnapshot,
     SharedSnapshotView,
@@ -193,7 +185,6 @@ __all__ = [
     "DEFAULT_STREAM_WINDOW",
     "ExecutionEngine",
     "resolve_engine",
-    "MicroBatchCoalescer",
     "CostModel",
     "DEFAULT_BREAKER_COOLDOWN_S",
     "DEFAULT_BREAKER_THRESHOLD",
@@ -229,7 +220,6 @@ __all__ = [
     "response_confidence",
     "score_response",
     "shed_result",
-    "SharedSegmentStore",
     "PublishedSnapshot",
     "SharedSnapshotView",
     "encode_snapshot",

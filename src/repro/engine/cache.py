@@ -15,10 +15,8 @@ Two storage layers compose:
   under a byte budget, one entry otherwise), ties going to the oldest;
 * an optional on-disk store — a *directory* of append-only JSONL segments
   (``segment-000001.jsonl``, …), loaded on construction and grown by
-  :meth:`ResponseCache.save`.  With ``shared_read=True`` the segments are
-  *not* loaded into memory at all: misses are served through the
-  host-wide mmap-backed :class:`~repro.engine.sharedstore.SharedSegmentStore`,
-  so any number of concurrent runs share one physical copy of the store.
+  :meth:`ResponseCache.save`.  :meth:`ResponseCache.store_stats` scans a
+  store without loading it (``repro cache stats``).
 
 The segmented format exists so long runs persist **incrementally**: each
 ``save`` writes only the entries added since the previous one, as one or
@@ -64,16 +62,9 @@ _CACHE_FORMAT_VERSION = 2
 _SEGMENT_FORMAT = "repro-response-cache"
 _SEGMENT_PREFIX = "segment-"
 _SEGMENT_SUFFIX = ".jsonl"
-#: Writer-side attestation of the committed segment set.  Rewritten (atomic
-#: replace) after every save/compact commit point, it lets the
-#: shared read tier answer "did anything change?" with one stat of this file
-#: instead of a stat sweep over every segment.  Purely advisory: a missing,
-#: stale or corrupt manifest only disables that fast-path, never correctness
-#: — readers fall back to the sweep, and foreign writers that don't update
-#: it are detected because the manifest then disagrees with the directory.
-_MANIFEST_NAME = "manifest.json"
-_MANIFEST_FORMAT = "repro-response-cache-manifest"
-_MANIFEST_VERSION = 1
+#: An index file older versions wrote beside the segments.  Nothing reads
+#: it; loading ignores it and compaction deletes it.
+_LEGACY_INDEX_NAME = "manifest.json"
 #: Least recently used entries each eviction weighs against each other;
 #: bounds victim selection at O(sample), not O(entries).
 EVICTION_SAMPLE = 8
@@ -90,9 +81,6 @@ class CacheStats:
     #: Entries dropped because they outlived ``ttl_s`` (counted separately
     #: from capacity evictions; an expired lookup also counts as a miss).
     expirations: int = 0
-    #: Hot shared-store disk hits promoted into the in-memory tier (see
-    #: :attr:`ResponseCache.shared_promote_after`).
-    promotions: int = 0
 
     @property
     def lookups(self) -> int:
@@ -109,7 +97,6 @@ class CacheStats:
             "evictions": self.evictions,
             "compactions": self.compactions,
             "expirations": self.expirations,
-            "promotions": self.promotions,
             "hit_rate": round(self.hit_rate, 4),
         }
 
@@ -137,8 +124,6 @@ class ResponseCache:
         cost_model=None,
         max_bytes: Optional[int] = None,
         ttl_s: Optional[float] = None,
-        shared_read: bool = False,
-        shared_promote_after: int = 2,
         clock=None,
     ) -> None:
         if max_entries <= 0:
@@ -151,10 +136,6 @@ class ResponseCache:
             raise ValueError("max_bytes must be positive or None")
         if ttl_s is not None and ttl_s <= 0:
             raise ValueError("ttl_s must be positive or None")
-        if shared_read and path is None:
-            raise ValueError("shared_read requires a cache path")
-        if shared_promote_after < 1:
-            raise ValueError("shared_promote_after must be >= 1")
         if path is not None and Path(path).is_file():
             raise ValueError(
                 f"cache path {path} is a file; the cache is a directory of segments"
@@ -182,16 +163,6 @@ class ResponseCache:
         #: governs only the in-memory tier; the on-disk store stays the
         #: durable source of truth.
         self.ttl_s = ttl_s
-        #: Serve disk entries through the host-wide mmap-backed
-        #: :class:`~repro.engine.sharedstore.SharedSegmentStore` instead of
-        #: loading a private in-memory copy of the segments.
-        self.shared_read = shared_read
-        #: Promote a shared-store disk hit into the in-memory tier once the
-        #: same key has hit the store this many times — a hot entry then
-        #: serves at dict-lookup speed under the usual ``max_entries``/
-        #: ``max_bytes`` budget, while one-shot keys stay on the mapped
-        #: pages and never build a private copy.
-        self.shared_promote_after = shared_promote_after
         self._clock = clock if clock is not None else time.monotonic
         self.path = Path(path) if path is not None else None
         self.stats = CacheStats()
@@ -214,32 +185,14 @@ class ResponseCache:
         self._persisted: set = set()
         #: Insertion-ordered keys added since the last save (dict-as-set).
         self._pending: "OrderedDict[str, None]" = OrderedDict()
-        #: key -> shared-store hit count, feeding ``shared_promote_after``.
-        #: Bounded by the distinct disk keys this instance actually read —
-        #: the same order as ``_persisted`` — and dropped on promotion.
-        self._store_hits: Dict[str, int] = {}
         #: Entry *lines* on disk at ``self.path``, counting duplicates a
         #: re-insert appended — the denominator of the dead-entry ratio.
         self._disk_entry_lines = 0
-        self._store = None
         #: One warning per instance for degraded persistence I/O — the
         #: condition (full disk, read-only dir, racing foreign writer) is
         #: usually persistent, and repeating it per save is just noise.
         self._io_warned = False
-        if self.shared_read:
-            from repro.engine.sharedstore import SharedSegmentStore
-
-            try:
-                self._store = SharedSegmentStore.open(self.path)
-            except OSError as exc:
-                # A foreign writer racing the open (segments or the
-                # directory itself vanishing mid-scan) must not take the
-                # run down: degrade to a private load of whatever is there.
-                self.shared_read = False
-                self._warn_io(f"shared cache store unavailable ({exc}); using a private load")
-                if self.path is not None and self.path.exists():
-                    self.load(self.path)
-        elif self.path is not None and self.path.exists():
+        if self.path is not None and self.path.exists():
             self.load(self.path)
 
     def _warn_io(self, message: str) -> None:
@@ -258,13 +211,7 @@ class ResponseCache:
     def get(self, identity: str, prompt: str) -> Optional[str]:
         """The cached response, or ``None`` on a miss (recorded in stats).
 
-        Lookups consult the in-memory tier first (expired entries are
-        dropped lazily here), then — in ``shared_read`` mode — the
-        host-wide mmap-backed segment store.  A shared-store hit is served
-        straight off the mapped pages; only once a key proves *hot*
-        (``shared_promote_after`` store hits) is it promoted into the
-        in-memory tier under the usual entry/byte budget, so N readers of
-        one store still never build N private copies of the cold majority.
+        Expired entries are dropped lazily here.
         """
         key = cache_key(identity, prompt)
         with self._lock:
@@ -276,17 +223,6 @@ class ResponseCache:
                     self._entries.move_to_end(key)
                     self.stats.hits += 1
                     return self._entries[key]
-            if self._store is not None:
-                response = self._store.get(key)
-                if response is not None:
-                    self.stats.hits += 1
-                    hits = self._store_hits.get(key, 0) + 1
-                    if hits >= self.shared_promote_after:
-                        self._store_hits.pop(key, None)
-                        self._promote_from_store_locked(key, response)
-                    else:
-                        self._store_hits[key] = hits
-                    return response
             self.stats.misses += 1
             return None
 
@@ -308,22 +244,11 @@ class ResponseCache:
             self._note_entry_locked(key, response)
             if identity is not None:
                 self._identities[key] = identity
-            store_holds_it = False
-            if self._store is not None and existing is None:
-                # Shared-read mode never loaded the segments into memory,
-                # so `_persisted` starts empty; a merge of a warm result
-                # the store already holds must not re-append a dead line.
-                # Checked even for keys already in `_persisted` — a
-                # promoted-then-evicted entry re-inserted with the same
-                # value is still durable on disk.
-                if self._store.get(key) == response:
-                    self._persisted.add(key)
-                    store_holds_it = True
             # New keys are pending by definition; a persisted key whose
             # value changed — including one evicted from memory since, where
             # ``existing`` is ``None`` — must be re-appended or the disk
             # copy goes stale (later segments win at load time).
-            if not store_holds_it and (key not in self._persisted or existing != response):
+            if key not in self._persisted or existing != response:
                 self._pending[key] = None
             self._evict_overflow_locked()
 
@@ -334,29 +259,7 @@ class ResponseCache:
             self._pending.clear()
             self._sizes.clear()
             self._epochs.clear()
-            self._store_hits.clear()
             self._total_bytes = 0
-
-    def _promote_from_store_locked(self, key: str, response: str) -> None:
-        """Lift one hot shared-store entry into the in-memory tier.
-
-        The entry becomes an ordinary LRU citizen — budgeted by
-        ``max_entries``/``max_bytes``, evictable, TTL-tracked from
-        promotion time — but is *not* marked pending: the store already
-        holds it durably, so a later save must not re-append a dead line.
-        The model identity rides along from the store's entry metadata so
-        eviction keeps its cost weight.
-        """
-        self._entries[key] = response
-        self._entries.move_to_end(key)
-        self._note_entry_locked(key, response)
-        identity = self._store.identity(key)
-        if identity is not None:
-            self._identities[key] = identity
-        self._persisted.add(key)
-        self.stats.promotions += 1
-        self._store.note_promotion()
-        self._evict_overflow_locked()
 
     def snapshot_entries(self) -> Dict[str, str]:
         """A plain key→response copy (read-only view for worker processes)."""
@@ -368,11 +271,6 @@ class ResponseCache:
         """Approximate bytes held by the in-memory tier."""
         with self._lock:
             return self._total_bytes
-
-    @property
-    def shared_store(self):
-        """The :class:`SharedSegmentStore` backing ``shared_read`` (or ``None``)."""
-        return self._store
 
     @property
     def pending_count(self) -> int:
@@ -392,10 +290,6 @@ class ResponseCache:
             return self._dead_ratio_locked()
 
     def _dead_ratio_locked(self) -> float:
-        if self._store is not None:
-            # Shared-read caches never load the segments, so the private
-            # persisted/line bookkeeping is blind; the store's scan knows.
-            return self._store.dead_ratio()
         if self._disk_entry_lines <= 0:
             return 0.0
         return max(0.0, 1.0 - len(self._persisted) / self._disk_entry_lines)
@@ -512,12 +406,9 @@ class ResponseCache:
                 ]
                 target.mkdir(parents=True, exist_ok=True)
                 self._write_segments_locked(target, items)
-                if items:
-                    self._write_manifest_locked(target)
                 self._persisted.update(key for key, _, _ in items)
                 self._pending.clear()
                 self._disk_entry_lines += len(items)
-                self._refresh_store_locked()
                 self._maybe_auto_compact_locked(target)
             else:
                 # Full snapshot to a foreign path: fold any segments
@@ -547,22 +438,7 @@ class ResponseCache:
             self._persisted = set(merged)
             self._pending.clear()
             self._disk_entry_lines = len(merged)
-            self._refresh_store_locked()
         self.stats.compactions += 1
-
-    def _refresh_store_locked(self) -> None:
-        """Let the shared read tier pick up segments this cache just wrote.
-
-        The store's own refresh already tolerates segments vanishing
-        between the manifest stat and the mmap (a foreign compaction); a
-        surprise failure here still only costs the fast path — the store
-        keeps serving its previous view.
-        """
-        if self._store is not None:
-            try:
-                self._store.refresh()
-            except OSError as exc:
-                self._warn_io(f"shared store refresh failed ({exc}); keeping previous view")
 
     def _rewrite_dir_locked(self, target: Path) -> Dict[str, str]:
         """Fold ``target``'s segments together with memory into fresh ones.
@@ -570,7 +446,8 @@ class ResponseCache:
         Parses every existing segment, overlays the in-memory entries
         (memory wins on conflicts; on-disk identities are kept for entries
         memory has no identity for), writes the merged set as new segments
-        and removes the old files.  Returns the merged key→response map.
+        and removes the old files, along with a leftover index file from
+        older versions.  Returns the merged key→response map.
         """
         old_segments = sorted(target.glob(f"{_SEGMENT_PREFIX}*{_SEGMENT_SUFFIX}"))
         merged: Dict[str, str] = {}
@@ -586,14 +463,13 @@ class ResponseCache:
             (key, response, identities.get(key)) for key, response in merged.items()
         ]
         self._write_segments_locked(target, records)
-        for segment in old_segments:
+        for stale in [*old_segments, target / _LEGACY_INDEX_NAME]:
             try:
-                segment.unlink()
+                stale.unlink()
             except OSError:
                 pass
         if old_segments:
             self._fsync_dir(target)
-        self._write_manifest_locked(target)
         return merged
 
     @staticmethod
@@ -641,57 +517,6 @@ class ResponseCache:
         # syncing it too, a power loss can forget a fully-fsynced segment
         # ever existed — a committed save() must not silently vanish.
         self._fsync_dir(target)
-
-    def _write_manifest_locked(self, target: Path) -> None:
-        """Attest the current segment set in ``manifest.json``, atomically.
-
-        Records each segment's ``(size, mtime_ns)`` plus a monotonically
-        increasing generation counter.  Best-effort by design: the segments
-        are already durable when this runs, so a failure here (or a crash
-        between segment commit and manifest replace) merely leaves a stale
-        manifest that readers detect and ignore.
-        """
-        segments: Dict[str, Dict[str, int]] = {}
-        for segment in sorted(target.glob(f"{_SEGMENT_PREFIX}*{_SEGMENT_SUFFIX}")):
-            try:
-                stat = segment.stat()
-            except OSError:
-                continue
-            segments[segment.name] = {
-                "size": stat.st_size,
-                "mtime_ns": stat.st_mtime_ns,
-            }
-        manifest_path = target / _MANIFEST_NAME
-        generation = 0
-        try:
-            previous = json.loads(manifest_path.read_text(encoding="utf-8"))
-            if isinstance(previous, dict) and isinstance(previous.get("generation"), int):
-                generation = previous["generation"]
-        except (OSError, ValueError):
-            pass
-        payload = json.dumps(
-            {
-                "format": _MANIFEST_FORMAT,
-                "version": _MANIFEST_VERSION,
-                "generation": generation + 1,
-                "segments": segments,
-            },
-            sort_keys=True,
-        )
-        try:
-            fd, tmp_name = tempfile.mkstemp(
-                prefix=".tmp-manifest-", suffix=".json", dir=target
-            )
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(payload + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_name, manifest_path)
-        except OSError:
-            try:
-                os.unlink(tmp_name)
-            except (OSError, UnboundLocalError):
-                pass
 
     @staticmethod
     def _fsync_dir(target: Path) -> None:
@@ -809,3 +634,38 @@ class ResponseCache:
         with self._lock:
             self._compact_locked(target)
         return target
+
+    @classmethod
+    def store_stats(cls, path: Union[str, Path]) -> Dict[str, float]:
+        """Scan the segment directory at ``path`` without loading it.
+
+        Counts the segments holding at least one entry that parses, the
+        entry lines they hold (a key re-inserted in a later segment counts
+        once per segment, which is what makes the earlier line dead), the
+        distinct live keys among them — every key on disk, however many
+        would fit in memory — and the segments' bytes.  ``segments`` is 0
+        when nothing at ``path`` is a usable segment.
+        """
+        live: set = set()
+        segments = entry_lines = total_bytes = 0
+        target = Path(path)
+        for segment in sorted(target.glob(f"{_SEGMENT_PREFIX}*{_SEGMENT_SUFFIX}")):
+            try:
+                size = segment.stat().st_size
+            except OSError:
+                continue
+            entries = cls._parse_segment(segment)
+            if not entries:
+                continue
+            segments += 1
+            entry_lines += len(entries)
+            total_bytes += size
+            live.update(entries)
+        return {
+            "segments": segments,
+            "live_entries": len(live),
+            "entry_lines": entry_lines,
+            "dead_entries": entry_lines - len(live),
+            "dead_ratio": 1.0 - len(live) / entry_lines if entry_lines else 0.0,
+            "total_bytes": total_bytes,
+        }

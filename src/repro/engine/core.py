@@ -16,13 +16,13 @@ call a language model.  Given a sequence of
    completes.  On an **async-native** executor (``native_async``, the
    ``AsyncExecutor``) the chunk work item is a coroutine: model I/O is
    awaited on the event loop under the executor's ``max_inflight``
-   semaphore, and a micro-batch coalescer (:mod:`repro.engine.coalesce`)
-   merges concurrent same-(model, strategy) misses into single
-   ``generate_batch_async`` wire calls;
-3. inside a chunk, renders all prompts via
-   :func:`~repro.prompting.chains.run_strategy_batch`, satisfies what it can
-   from the response cache and sends only the misses to the model's
-   ``generate_batch``;
+   semaphore;
+3. inside a chunk, runs **one** chunk body (:func:`_chunk_steps`): it
+   renders the strategy's prompt phases via
+   :func:`~repro.prompting.chains.strategy_batch_phases`, satisfies what it
+   can from the response cache and hands only the misses to its driver —
+   blocking ``generate_batch`` for the serial, thread and process
+   executors, awaited ``generate_batch_async`` for the async one;
 4. scores each response (:func:`~repro.engine.requests.score_response`) and
    writes each scored chunk straight into its slots of the result store, so
    completion order never leaks into output order.
@@ -61,7 +61,8 @@ already-completed work.
 For *distributed* executors (``executor.distributed`` is true, e.g. the
 process pool) the work item crossing the boundary must be picklable, so the
 engine ships self-contained ``(chunk, snapshot_ref)`` payloads to the
-module-level :func:`_score_chunk_payload` worker, then merges the returned
+module-level :func:`_score_chunk_payload` worker (the same chunk body over
+snapshot-backed cache get/put), then merges the returned
 entry deltas and telemetry back in the parent.  The cache snapshot is
 **broadcast once per run** through :mod:`repro.engine.snapshot`: the parent
 encodes it once — by default into a shared-memory block workers attach
@@ -88,6 +89,7 @@ from collections import OrderedDict, deque
 from typing import (
     Callable,
     Dict,
+    Generator,
     Iterable,
     Iterator,
     List,
@@ -99,7 +101,6 @@ from typing import (
 
 from repro.engine.cache import ResponseCache, cache_key
 from repro.engine.cascade import CascadePolicy, CascadeRouter
-from repro.engine.coalesce import MicroBatchCoalescer
 from repro.engine.costmodel import CostModel
 from repro.engine.executors import create_executor
 from repro.engine.faults import (
@@ -130,7 +131,7 @@ from repro.engine.snapshot import (
     retire_snapshot,
 )
 from repro.engine.telemetry import EngineTelemetry
-from repro.prompting.chains import run_strategy_batch, run_strategy_batch_async
+from repro.prompting.chains import strategy_batch_phases
 
 __all__ = [
     "DEFAULT_STREAM_WINDOW",
@@ -202,9 +203,7 @@ def _partition_cached(
     """Split a prompt batch into cache hits and miss positions.
 
     Returns ``(responses, miss_positions)`` where ``responses`` holds the
-    cached response per prompt (``None`` at every miss position).  The one
-    place hit/miss partitioning is implemented — the sync path, the
-    async-native path and the distributed chunk worker all delegate here.
+    cached response per prompt (``None`` at every miss position).
     """
     responses: List[Optional[str]] = [None] * len(prompts)
     miss_positions: List[int] = []
@@ -224,10 +223,9 @@ def _require_batch_length(
 
     Zipping a short response list against miss positions silently
     truncates: the unfilled positions keep their ``None`` placeholder and
-    score garbage downstream.  Every site that consumes a
-    ``generate_batch``/``generate_batch_async`` result funnels through this
-    guard (the coalescer's ``_call`` applies the same contract), so a
-    misbehaving adapter fails loudly at the wire instead.
+    score garbage downstream.  Both chunk drivers pass every
+    ``generate_batch``/``generate_batch_async`` result through this guard,
+    so a misbehaving adapter fails loudly at the wire instead.
     """
     if len(responses) != n_prompts:
         raise MalformedResponseError(
@@ -236,32 +234,77 @@ def _require_batch_length(
     return responses
 
 
-def _generate_with_cache(
-    model,
-    prompts: Sequence[str],
-    get_response: Callable[[str], Optional[str]],
-    put_response: Callable[[str, str], None],
-) -> Tuple[List[str], int, int]:
-    """The one implementation of cache-aware batched generation.
+def _chunk_steps(
+    chunk: Sequence[_IndexedRequest],
+    get_response: Optional[Callable[[str], Optional[str]]],
+    put_response: Optional[Callable[[str, str], None]],
+) -> Generator[List[str], List[str], Tuple[List[Tuple[int, RunResult]], Dict[str, int]]]:
+    """The one chunk body, as a step function that does no I/O itself.
 
-    Satisfies what it can via ``get_response`` (``None`` = miss), sends
-    only the misses to ``model.generate_batch`` in one call, stores fresh
-    responses via ``put_response`` and returns ``(responses, hits,
-    misses)`` in prompt order.  Both the in-process engine path and the
-    distributed chunk worker delegate here, so miss handling can never
-    drift between executors.
+    Builds the strategy's prompt phases (one, or AP2's two), splits each
+    phase into cache hits and misses, yields the miss prompts and receives
+    their responses, stores the fresh entries and finally scores the
+    chunk.  Returns ``(scored, counters)`` with ``counters`` holding
+    ``hits``/``misses`` (cache lookups), ``calls`` (prompts sent to the
+    model) and ``wire`` (one per yielded batch).  ``get_response`` and
+    ``put_response`` are ``None`` when caching is off: every prompt then
+    goes to the model and no lookup is counted.
+
+    The drivers own the wire: :func:`_drive_chunk` calls
+    ``generate_batch`` (serial and thread executors, and the process
+    worker with snapshot-backed get/put) and
+    :meth:`ExecutionEngine._await_chunk` awaits ``generate_batch_async``
+    (the async executor), so cache and scoring semantics cannot drift
+    between executors.
     """
-    prompts = list(prompts)
-    responses, miss_positions = _partition_cached(prompts, get_response)
-    if miss_positions:
-        generated = _require_batch_length(
-            list(model.generate_batch([prompts[i] for i in miss_positions])),
-            len(miss_positions),
-        )
-        for position, response in zip(miss_positions, generated):
-            responses[position] = response
-            put_response(prompts[position], response)
-    return responses, len(prompts) - len(miss_positions), len(miss_positions)  # type: ignore[return-value]
+    counters = {"hits": 0, "misses": 0, "calls": 0, "wire": 0}
+    phases = strategy_batch_phases(chunk[0][1].strategy, [r.code for _, r in chunk])
+    prompts = next(phases)
+    while True:
+        if get_response is None:
+            responses: List[Optional[str]] = [None] * len(prompts)
+            miss_positions = list(range(len(prompts)))
+        else:
+            responses, miss_positions = _partition_cached(prompts, get_response)
+            counters["hits"] += len(prompts) - len(miss_positions)
+            counters["misses"] += len(miss_positions)
+        if miss_positions:
+            generated = yield [prompts[i] for i in miss_positions]
+            counters["calls"] += len(miss_positions)
+            counters["wire"] += 1
+            for position, response in zip(miss_positions, generated):
+                responses[position] = response
+                if put_response is not None:
+                    put_response(prompts[position], response)
+        try:
+            prompts = phases.send(responses)  # type: ignore[arg-type]
+        except StopIteration as done:
+            final = done.value
+            break
+    scored = [
+        (index, score_response(request, response))
+        for (index, request), response in zip(chunk, final)
+    ]
+    return scored, counters
+
+
+def _drive_chunk(
+    chunk: Sequence[_IndexedRequest],
+    get_response: Optional[Callable[[str], Optional[str]]] = None,
+    put_response: Optional[Callable[[str, str], None]] = None,
+) -> _ChunkOutcome:
+    """Run :func:`_chunk_steps` with blocking ``generate_batch`` calls."""
+    start = time.perf_counter()
+    model = chunk[0][1].model
+    steps = _chunk_steps(chunk, get_response, put_response)
+    try:
+        prompts = next(steps)
+        while True:
+            responses = list(model.generate_batch(prompts))
+            prompts = steps.send(_require_batch_length(responses, len(prompts)))
+    except StopIteration as done:
+        scored, counters = done.value
+    return scored, counters, time.perf_counter() - start
 
 
 # ---------------------------------------------------------------------------
@@ -291,62 +334,36 @@ def _score_chunk_payload(
     ``payload`` is ``(chunk, snapshot_ref)`` where ``snapshot_ref`` points
     at the run's published read-only cache snapshot (or is ``None`` when
     caching is off).  The worker cannot mutate the parent cache, so it
-    returns the entries it generated alongside hit/miss/model-call counts
-    and its wall time; the parent merges them as each chunk completes.
-    Chunks from the same run cannot see each other's fresh entries — with
-    deterministic models that only costs duplicate calls, never changes a
-    response.
+    runs :func:`_drive_chunk` with get/put functions backed by the
+    snapshot plus a local delta, and returns the entries it generated
+    alongside the chunk's counters and wall time; the parent merges them
+    as each chunk completes.  Chunks from the same run cannot see each
+    other's fresh entries — with deterministic models that only costs
+    duplicate calls, never changes a response.
     """
     chunk, snapshot_ref = payload
     cache_entries, loaded_kind = _load_published_snapshot(snapshot_ref)
-    # Time only the chunk's own work: the one-time snapshot attach/load
-    # above must not be charged to this (model, strategy) group's cost
-    # estimate, or the first chunk per worker would skew the EWMA.
-    start = time.perf_counter()
-    model = chunk[0][1].model
-    strategy = chunk[0][1].strategy
-    identity = getattr(model, "cache_identity", model.name)
     new_entries: Dict[str, str] = {}
-    counters = {
-        "hits": 0,
-        "misses": 0,
-        "calls": 0,
-        "wire": 0,
-        # First genuine shm attach in this worker for this run's token;
-        # the parent folds it into telemetry's `shm_attach`.
-        "attach": 1 if loaded_kind == "shm" else 0,
-    }
+    get_response = put_response = None
+    if cache_entries is not None:
+        identity = _identity(chunk)
 
-    def get_response(prompt: str) -> Optional[str]:
-        key = cache_key(identity, prompt)
-        return cache_entries.get(key, new_entries.get(key))  # type: ignore[union-attr]
+        def get_response(prompt: str) -> Optional[str]:
+            key = cache_key(identity, prompt)
+            return cache_entries.get(key, new_entries.get(key))
 
-    def put_response(prompt: str, response: str) -> None:
-        new_entries[cache_key(identity, prompt)] = response
+        def put_response(prompt: str, response: str) -> None:
+            new_entries[cache_key(identity, prompt)] = response
 
-    def generate_many(prompts: Sequence[str]) -> List[str]:
-        if cache_entries is None:
-            counters["calls"] += len(prompts)
-            counters["wire"] += 1
-            return _require_batch_length(
-                list(model.generate_batch(prompts)), len(prompts)
-            )
-        responses, hits, misses = _generate_with_cache(
-            model, prompts, get_response, put_response
-        )
-        counters["hits"] += hits
-        counters["misses"] += misses
-        counters["calls"] += misses
-        if misses:
-            counters["wire"] += 1
-        return responses
-
-    responses = run_strategy_batch(generate_many, strategy, [r.code for _, r in chunk])
-    scored = [
-        (index, score_response(request, response))
-        for (index, request), response in zip(chunk, responses)
-    ]
-    return scored, new_entries, counters, time.perf_counter() - start
+    # The driver times only the chunk's own work: the one-time snapshot
+    # attach/load above must not be charged to this (model, strategy)
+    # group's cost estimate, or the first chunk per worker would skew the
+    # EWMA.
+    scored, counters, elapsed = _drive_chunk(chunk, get_response, put_response)
+    # First genuine shm attach in this worker for this run's token; the
+    # parent folds it into telemetry's `shm_attach`.
+    counters["attach"] = 1 if loaded_kind == "shm" else 0
+    return scored, new_entries, counters, elapsed
 
 
 class ExecutionEngine:
@@ -393,14 +410,6 @@ class ExecutionEngine:
         semaphore width).  ``None`` keeps the executor's default (its
         ``jobs``).  Only valid with ``jobs``/``executor_kind``; pass it to
         the executor directly when constructing one yourself.
-    coalesce:
-        Async-native path only: merge concurrent ``generate_batch_async``
-        calls for the same (model, strategy) into one model call through a
-        :class:`~repro.engine.coalesce.MicroBatchCoalescer`.  Responses
-        are bit-identical either way; coalescing only changes how many
-        wire calls carry them.
-    coalesce_window_s / coalesce_max_batch:
-        The coalescer's collection window and early-flush prompt limit.
     speculate:
         Tail-latency control: watch in-flight
         chunks against the cost model's per-chunk quantile estimate and,
@@ -490,9 +499,6 @@ class ExecutionEngine:
         adaptive_batching: bool = True,
         cost_model: Optional[CostModel] = None,
         max_inflight: Optional[int] = None,
-        coalesce: bool = True,
-        coalesce_window_s: float = 0.002,
-        coalesce_max_batch: int = 128,
         speculate: bool = False,
         speculate_after: float = 1.5,
         deadline: Optional[float] = None,
@@ -546,15 +552,6 @@ class ExecutionEngine:
         self.lpt = lpt
         self.adaptive_batching = adaptive_batching
         self.cost_model = cost_model if cost_model is not None else CostModel()
-        self.coalescer = (
-            MicroBatchCoalescer(
-                window_s=coalesce_window_s,
-                max_batch=coalesce_max_batch,
-                on_flush=self.telemetry.record_coalesce_flush,
-            )
-            if coalesce
-            else None
-        )
         self.speculate = speculate
         self.speculate_after = speculate_after
         self.speculate_fallback = speculate_fallback
@@ -894,7 +891,7 @@ class ExecutionEngine:
 
         In-process executors run :meth:`_run_chunk` on the chunk itself —
         or, on an async-native executor, the coroutine
-        :meth:`_run_chunk_async`, whose model I/O is awaited on the
+        :meth:`_await_chunk`, whose model I/O is awaited on the
         executor's loop under its ``max_inflight`` semaphore.  Distributed
         executors run the module-level :func:`_score_chunk_payload` on
         ``(chunk, snapshot_ref)``: the cache snapshot is published exactly
@@ -926,7 +923,7 @@ class ExecutionEngine:
             fn: Callable = _score_chunk_payload
             make_item: Callable = lambda chunk: (chunk, snapshot_ref)
         else:
-            fn = self._run_chunk_async if async_native else self._run_chunk
+            fn = self._await_chunk if async_native else self._run_chunk
             make_item = lambda chunk: chunk
             self._inflight_peak = 0  # peak is per run; telemetry keeps the max
         try:
@@ -1267,10 +1264,7 @@ class ExecutionEngine:
         request = chunk[0][1]
         model = request.model
         self.telemetry.record_model_calls(counters["calls"])
-        # Coalesced wire calls are recorded by the coalescer's flush hook,
-        # not per chunk — a flush spans chunks, so charging it here would
-        # double count.
-        self.telemetry.record_wire_calls(counters.get("wire", 0))
+        self.telemetry.record_wire_calls(counters["wire"])
         # Distributed chunks report their worker's first shm attach; local
         # chunks never set the key.
         self.telemetry.record_shm_attach(counters.get("attach", 0))
@@ -1286,135 +1280,48 @@ class ExecutionEngine:
         )
         self.cost_model.observe(_identity(chunk), request.strategy.value, elapsed / len(chunk))
 
+    def _cache_io(
+        self, chunk: Sequence[_IndexedRequest]
+    ) -> Tuple[Optional[Callable[[str], Optional[str]]], Optional[Callable[[str, str], None]]]:
+        """The engine cache's get/put for one chunk's model (``None`` pair uncached)."""
+        cache = self.cache
+        if cache is None:
+            return None, None
+        identity = _identity(chunk)
+        return (
+            lambda prompt: cache.get(identity, prompt),
+            lambda prompt, response: cache.put(identity, prompt, response),
+        )
+
     def _run_chunk(self, chunk: Sequence[_IndexedRequest]) -> _ChunkOutcome:
-        """One executor work item: a same-(model, strategy, scoring) chunk.
+        """One serial/thread work item: a same-(model, strategy, scoring) chunk.
 
         Counters are collected locally and merged by the dispatching thread
         (:meth:`_record_chunk`), keeping worker threads off the telemetry
         lock and giving every chunk an attributable wall time.
         """
-        start = time.perf_counter()
-        model = chunk[0][1].model
-        strategy = chunk[0][1].strategy
-        counters = {"hits": 0, "misses": 0, "calls": 0, "wire": 0}
-        codes = [request.code for _, request in chunk]
-        responses = run_strategy_batch(
-            lambda prompts: self._generate_many(model, prompts, counters), strategy, codes
-        )
-        scored = [
-            (index, score_response(request, response))
-            for (index, request), response in zip(chunk, responses)
-        ]
-        return scored, counters, time.perf_counter() - start
+        return _drive_chunk(chunk, *self._cache_io(chunk))
 
-    def _generate_many(
-        self, model, prompts: Sequence[str], counters: Dict[str, int]
-    ) -> List[str]:
-        """Cache-aware batched generation: only misses reach the model."""
-        prompts = list(prompts)
-        if self.cache is None:
-            counters["calls"] += len(prompts)
-            counters["wire"] += 1
-            return _require_batch_length(
-                list(model.generate_batch(prompts)), len(prompts)
-            )
-        identity = getattr(model, "cache_identity", model.name)
-        responses, hits, misses = _generate_with_cache(
-            model,
-            prompts,
-            lambda prompt: self.cache.get(identity, prompt),
-            lambda prompt, response: self.cache.put(identity, prompt, response),
-        )
-        counters["hits"] += hits
-        counters["misses"] += misses
-        counters["calls"] += misses
-        if misses:
-            counters["wire"] += 1
-        return responses
-
-    # -- the async-native chunk path -------------------------------------------------
-
-    async def _run_chunk_async(self, chunk: Sequence[_IndexedRequest]) -> _ChunkOutcome:
-        """One chunk as a coroutine: model I/O awaited, never thread-blocked.
-
-        The semantics mirror :meth:`_run_chunk` exactly — same prompts,
-        same cache interaction, same scoring — so the async-native path
-        inherits the engine's bit-identical-results guarantee.  Only the
-        transport differs: misses go through ``generate_batch_async``
-        (optionally merged with other chunks' misses by the coalescer)
-        instead of a blocking ``generate_batch``.
-        """
+    async def _await_chunk(self, chunk: Sequence[_IndexedRequest]) -> _ChunkOutcome:
+        """One async work item: :func:`_chunk_steps` with awaited model I/O."""
         self._inflight += 1
         self._inflight_peak = max(self._inflight_peak, self._inflight)
         try:
             start = time.perf_counter()
             model = chunk[0][1].model
-            strategy = chunk[0][1].strategy
-            counters = {"hits": 0, "misses": 0, "calls": 0, "wire": 0}
-            codes = [request.code for _, request in chunk]
-
-            async def generate_many(prompts: Sequence[str]) -> List[str]:
-                return await self._generate_many_async(model, strategy, prompts, counters)
-
-            responses = await run_strategy_batch_async(generate_many, strategy, codes)
-            scored = [
-                (index, score_response(request, response))
-                for (index, request), response in zip(chunk, responses)
-            ]
+            steps = _chunk_steps(chunk, *self._cache_io(chunk))
+            try:
+                prompts = next(steps)
+                while True:
+                    responses = list(await model.generate_batch_async(prompts))
+                    prompts = steps.send(
+                        _require_batch_length(responses, len(prompts), "generate_batch_async")
+                    )
+            except StopIteration as done:
+                scored, counters = done.value
             return scored, counters, time.perf_counter() - start
         finally:
             self._inflight -= 1
-
-    async def _generate_many_async(
-        self, model, strategy, prompts: Sequence[str], counters: Dict[str, int]
-    ) -> List[str]:
-        """Async mirror of :meth:`_generate_many`: only misses reach the model.
-
-        Misses are sent through the micro-batch coalescer when one is
-        configured, keyed by (model, strategy), so chunks awaiting a slot
-        at the same moment share one ``generate_batch_async`` wire call.
-        Sync-only models (no native async override) bypass the coalescer:
-        their batch call runs serially in one offload thread, so merging
-        many chunks into it would *serialise* work the per-chunk offloads
-        run in parallel across the executor's pool.
-        """
-        prompts = list(prompts)
-        coalesce = self.coalescer is not None and getattr(
-            model, "has_native_async", True
-        )
-
-        async def call_model(miss_prompts: List[str]) -> List[str]:
-            if coalesce:
-                # The coalescer's _call enforces the length contract and
-                # its flush hook feeds the wire-call counter.
-                return await self.coalescer.generate(
-                    (id(model), strategy.value),
-                    model.generate_batch_async,
-                    miss_prompts,
-                )
-            counters["wire"] += 1
-            return _require_batch_length(
-                list(await model.generate_batch_async(miss_prompts)),
-                len(miss_prompts),
-                "generate_batch_async",
-            )
-
-        if self.cache is None:
-            counters["calls"] += len(prompts)
-            return await call_model(prompts)
-        identity = getattr(model, "cache_identity", model.name)
-        responses, miss_positions = _partition_cached(
-            prompts, lambda prompt: self.cache.get(identity, prompt)
-        )
-        if miss_positions:
-            generated = await call_model([prompts[i] for i in miss_positions])
-            for position, response in zip(miss_positions, generated):
-                responses[position] = response
-                self.cache.put(identity, prompts[position], response)
-        counters["hits"] += len(prompts) - len(miss_positions)
-        counters["misses"] += len(miss_positions)
-        counters["calls"] += len(miss_positions)
-        return responses  # type: ignore[return-value]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         cache = f"cache={len(self.cache)} entries" if self.cache is not None else "no cache"

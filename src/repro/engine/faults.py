@@ -73,7 +73,7 @@ class ModelError(RuntimeError):
     """Base class for classified model-call failures.
 
     Subclasses ``RuntimeError`` so existing ``pytest.raises(RuntimeError)``
-    call sites (batch-length guards, coalescer flushes) keep passing when
+    call sites (the batch-length guard) keep passing when
     those sites switch to raising the taxonomy.
     """
 

@@ -47,16 +47,14 @@ class EngineTelemetry:
         self.requests = 0
         self.model_calls = 0
         #: Actual wire calls: one per ``generate_batch``/
-        #: ``generate_batch_async`` invocation (one per coalescer flush on
-        #: the coalesced path).  ``model_calls`` counts the *prompts* that
-        #: missed the cache, so with coalescing or batching the two differ
-        #: — this is the number an API rate limiter would see.  One caveat
-        #: under ``--speculate``: a losing copy's calls on the
-        #: thread/process path are dropped with its outcome (they may
-        #: still be in flight when the run returns, so their count is
-        #: unknowable), while coalesced flushes are always counted at the
-        #: wire — so with speculation active this is a lower bound there
-        #: and exact on the async path.
+        #: ``generate_batch_async`` invocation, i.e. one per chunk phase
+        #: with cache misses.  ``model_calls`` counts the *prompts* that
+        #: missed the cache, so with batching the two differ — this is the
+        #: number an API rate limiter would see.  One caveat under
+        #: ``--speculate``: a losing copy's calls are dropped with its
+        #: outcome (they may still be in flight when the run returns, so
+        #: their count is unknowable), so with speculation active this is
+        #: a lower bound.
         self.wire_calls = 0
         self.cache_hits = 0
         self.cache_misses = 0
@@ -96,13 +94,6 @@ class EngineTelemetry:
         #: on the temp-file path, so `publishes` vs `attaches` shows which
         #: transport a run actually used.
         self.shm_attach = 0
-        #: Batched model calls issued by the micro-batch coalescer.
-        self.coalesce_flushes = 0
-        #: Requests that shared a flush with at least one other chunk —
-        #: i.e. model calls *saved* by coalescing.
-        self.coalesce_merged = 0
-        #: Prompts carried by coalesced flushes.
-        self.coalesce_prompts = 0
         #: Fault tolerance: requests surfaced as explicit failed results
         #: (retries exhausted, breaker short-circuit with no fallback).
         self.failed_requests = 0
@@ -234,20 +225,6 @@ class EngineTelemetry:
         with self._lock:
             self.async_inflight_peak = max(self.async_inflight_peak, peak)
 
-    def record_coalesce_flush(self, waiters: int, prompts: int) -> None:
-        """One coalescer flush: ``waiters`` chunk calls merged into one.
-
-        A flush is exactly one ``generate_batch_async`` invocation, so it
-        is also the coalesced path's wire-call feed — per-chunk miss
-        counting would overstate API calls precisely when coalescing
-        reduced them.
-        """
-        with self._lock:
-            self.coalesce_flushes += 1
-            self.coalesce_merged += max(0, waiters - 1)
-            self.coalesce_prompts += prompts
-            self.wire_calls += 1
-
     def record_failed_requests(self, n: int) -> None:
         """Fold requests that completed as explicit failed results."""
         with self._lock:
@@ -342,9 +319,6 @@ class EngineTelemetry:
                 "broadcast_publishes": self.broadcast_publishes,
                 "broadcast_bytes": self.broadcast_bytes,
                 "shm_attach": self.shm_attach,
-                "coalesce_flushes": self.coalesce_flushes,
-                "coalesce_merged": self.coalesce_merged,
-                "coalesce_prompts": self.coalesce_prompts,
                 "speculation_launched": self.speculation_launched,
                 "speculation_won": self.speculation_won,
                 "speculation_wasted": self.speculation_wasted,
@@ -475,9 +449,6 @@ class EngineTelemetry:
                 "broadcast_publishes",
                 "broadcast_bytes",
                 "shm_attach",
-                "coalesce_flushes",
-                "coalesce_merged",
-                "coalesce_prompts",
                 "speculation_launched",
                 "speculation_won",
                 "speculation_wasted",
@@ -524,11 +495,6 @@ class EngineTelemetry:
             parts.append(
                 f"broadcast={snap['broadcast_publishes']} publishes/"
                 f"{snap['broadcast_bytes']}B shm_attach={snap['shm_attach']}"
-            )
-        if snap["coalesce_flushes"]:
-            parts.append(
-                f"coalesced={snap['coalesce_merged']} calls into "
-                f"{snap['coalesce_flushes']} flushes"
             )
         if snap["speculation_launched"]:
             segment = (

@@ -59,7 +59,7 @@ from repro.analysis.static_race import StaticRaceDetector, StaticRaceReport
 from repro.dynamic.inspector import InspectorLikeDetector, InspectorRunResult
 from repro.llm.base import LanguageModel
 from repro.llm.behavior import deterministic_uniform, simulated_latency
-from repro.llm.features import extract_code_from_prompt
+from repro.llm.features import PROGRAM_ERRORS, extract_code_from_prompt
 from repro.llm.responses import render_pairs_response
 from repro.llm.zoo import _classify_request, _is_analysis_request
 from repro.prompting.strategy import PromptStrategy
@@ -679,8 +679,8 @@ class StaticAnalyzerModel(_DetectorTierModel):
     def _analyze(self, code: str):
         try:
             report: StaticRaceReport = self.detector.analyze_source(code)
-        except Exception:
-            # Parse failures and interpreter gaps: unusable verdict.
+        except PROGRAM_ERRORS:
+            # A malformed program: unusable verdict.
             return None, [], 0.0
         pairs = [(_pair_element(p.first), _pair_element(p.second)) for p in report.pairs]
         return report.has_race, pairs, report.confidence
@@ -726,7 +726,7 @@ class InspectorTierModel(_DetectorTierModel):
             result: InspectorRunResult = self.detector.analyze_source(
                 code, name="cascade-tier", num_threads=self.num_threads
             )
-        except Exception:
+        except PROGRAM_ERRORS:
             return None, [], 0.0
         if result.failed and result.runs <= 0:
             return None, [], result.confidence

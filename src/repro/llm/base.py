@@ -99,8 +99,8 @@ class LanguageModel(abc.ABC):
         gets its own :meth:`generate_batch` offloaded to a worker thread
         in one piece, preserving whatever batching the adapter implements.
         Natively-batched adapters should override this with one awaited
-        call — the engine's async dispatch path and the micro-batch
-        coalescer only ever talk to models through this method.
+        call — the engine's async dispatch path only ever talks to models
+        through this method.
         """
         prompts = list(prompts)
         if self.has_native_async:
@@ -114,10 +114,9 @@ class LanguageModel(abc.ABC):
         """Whether this model's async methods are more than a thread offload.
 
         True when :meth:`generate_async` or :meth:`generate_batch_async`
-        is overridden.  The engine's micro-batch coalescer checks this: a
-        merged mega-batch only helps when the batch call genuinely fans
-        out on the loop — for a sync-only model it would *serialise* many
-        chunks' calls into one worker thread, so coalescing is skipped.
+        is overridden.  :meth:`generate_batch_async`'s default checks
+        this to choose between a gather over :meth:`generate_async` and
+        one offloaded :meth:`generate_batch`.
         """
         return (
             type(self).generate_async is not LanguageModel.generate_async

@@ -19,14 +19,25 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.analysis.static_race import StaticRaceDetector, StaticRaceReport
+from repro.cparse.lexer import LexError
+from repro.cparse.parser import ParseError
+from repro.cparse.pragma import PragmaError
 from repro.dataset.tokenizer import CodeTokenizer
+from repro.dynamic.interpreter import InterpreterError
 
 __all__ = [
+    "PROGRAM_ERRORS",
     "CodeFeatures",
     "extract_code_from_prompt",
     "extract_features",
     "hashed_ngram_vector",
 ]
+
+#: The typed errors a malformed program raises from the lexer, parser,
+#: pragma parser or interpreter.  Verdict code turns these, and nothing
+#: else, into "could not analyse": any other exception is a bug and must
+#: propagate instead of silently changing a verdict.
+PROGRAM_ERRORS = (LexError, ParseError, PragmaError, InterpreterError)
 
 _CODE_START_RE = re.compile(r"^\s*(#include|int\s+main|void\s+main)", re.MULTILINE)
 
@@ -116,7 +127,7 @@ def extract_features(code: str, *, detector: Optional[StaticRaceDetector] = None
     )
     try:
         report: StaticRaceReport = detector.analyze_source(code)
-    except Exception:
+    except PROGRAM_ERRORS:
         features.parses = False
         return features
     features.heuristic_race = report.has_race

@@ -9,7 +9,7 @@ implementation used LangChain's ``SequentialChain``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Awaitable, Callable, List, Sequence
+from typing import Callable, Generator, List, Sequence
 
 from repro.prompting.strategy import PromptStrategy
 from repro.prompting.templates import (
@@ -22,18 +22,11 @@ __all__ = [
     "ChainStep",
     "SequentialChain",
     "run_strategy",
-    "run_strategy_batch",
-    "run_strategy_batch_async",
+    "strategy_batch_phases",
 ]
 
 #: A language model is anything that maps a prompt string to a response string.
 GenerateFn = Callable[[str], str]
-
-#: Batched form: a list of prompts in, the list of responses out (same order).
-GenerateBatchFn = Callable[[Sequence[str]], List[str]]
-
-#: Awaitable batched form (the engine's async-native dispatch path).
-GenerateBatchAsyncFn = Callable[[Sequence[str]], Awaitable[List[str]]]
 
 
 @dataclass(frozen=True)
@@ -111,42 +104,21 @@ def _plain_prompts(strategy: PromptStrategy, codes: Sequence[str]) -> List[str]:
     return [render_prompt(strategy, code) for code in codes]
 
 
-def run_strategy_batch(
-    generate_batch: GenerateBatchFn, strategy: PromptStrategy, codes: Sequence[str]
-) -> List[str]:
-    """Run a prompt strategy over many snippets with batched model calls.
+def strategy_batch_phases(
+    strategy: PromptStrategy, codes: Sequence[str]
+) -> Generator[List[str], List[str], List[str]]:
+    """A prompt strategy over many snippets, as batched phases.
 
-    Prompt construction is identical to :func:`run_strategy`, so for a
-    deterministic model the i-th response equals
-    ``run_strategy(generate, strategy, codes[i])``.  The AP2 chain becomes
-    two batched phases: all dependence-analysis prompts first, then all
-    verdict prompts built from the per-snippet analyses.
+    Yields each phase's prompt list and receives that phase's responses in
+    the same order; returns the final responses.  Prompt construction is
+    identical to :func:`run_strategy`, so for a deterministic model the
+    i-th final response equals ``run_strategy(generate, strategy,
+    codes[i])``.  The AP2 chain is two sequential phases: all
+    dependence-analysis prompts first, then all verdict prompts built from
+    the per-snippet analyses.  The generator does no I/O, so blocking and
+    awaiting callers drive the same phases.
     """
-    codes = list(codes)
-    if not codes:
-        return []
     if strategy is PromptStrategy.AP2:
-        analyses = generate_batch(_ap2_phase1_prompts(codes))
-        return generate_batch(_ap2_phase2_prompts(codes, analyses))
-    return generate_batch(_plain_prompts(strategy, codes))
-
-
-async def run_strategy_batch_async(
-    generate_batch: GenerateBatchAsyncFn, strategy: PromptStrategy, codes: Sequence[str]
-) -> List[str]:
-    """Awaitable mirror of :func:`run_strategy_batch`.
-
-    Both variants build their prompt lists through the same helpers, so
-    for a deterministic model the responses are byte-identical — the
-    engine's async-native path leans on this for its
-    bit-identical-results guarantee.  The AP2 chain stays two
-    *sequential* batched phases (phase 2's prompts embed phase 1's
-    responses); concurrency lives inside each awaited batch call.
-    """
-    codes = list(codes)
-    if not codes:
-        return []
-    if strategy is PromptStrategy.AP2:
-        analyses = await generate_batch(_ap2_phase1_prompts(codes))
-        return await generate_batch(_ap2_phase2_prompts(codes, analyses))
-    return await generate_batch(_plain_prompts(strategy, codes))
+        analyses = yield _ap2_phase1_prompts(codes)
+        return (yield _ap2_phase2_prompts(codes, analyses))
+    return (yield _plain_prompts(strategy, codes))

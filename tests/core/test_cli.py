@@ -126,7 +126,7 @@ class TestCLI:
         "argv",
         [
             ["table2"],
-            ["table2", "--shared-cache"],
+            ["summary"],
             ["all"],
             ["cache", "stats"],
             ["cache", "compact"],
@@ -156,9 +156,9 @@ class TestCLI:
         [
             ["--speculate-after", "2"],
             ["--max-inflight", "8"],
-            ["--coalesce-window-ms", "5"],
-            ["--coalesce-max-batch", "16"],
-            ["--no-coalesce"],
+            ["--stream-window", "64"],
+            ["--cascade-tiers", "static"],
+            ["--escalate-below", "0.9"],
             ["--executor", "thread", "--max-inflight", "8"],
         ],
     )
@@ -174,8 +174,7 @@ class TestCLI:
         assert main(
             [
                 "table2", "--no-stats", "--speculate", "--speculate-after", "2",
-                "--executor", "async", "--max-inflight", "8", "--no-coalesce",
-                "--coalesce-window-ms", "1", "--coalesce-max-batch", "16",
+                "--executor", "async", "--max-inflight", "8",
             ]
         ) == 0
         assert "Table 2" in capsys.readouterr().out

@@ -32,12 +32,14 @@ from repro.cparse.pragma import PragmaError
 from repro.dataset.trim import trim_comments
 from repro.dynamic.inspector import InspectorLikeDetector
 from repro.dynamic.interpreter import InterpreterError, InterpreterLimits
+from repro.llm.features import extract_features
 
 from test_frontend_snapshot import sha256, token_lines, trim_text
 
 FIXTURE = Path(__file__).with_name("fixtures") / "frontend_fuzz_snapshot.json"
 MUTANTS_PER_PROGRAM = 15
-#: Mutants per program that also run the static analyzer and the Inspector.
+#: Mutants per program that also run the static analyzer, the Inspector and
+#: featurisation.
 DEEP_PER_PROGRAM = 2
 INSERT_CHARS = "\"'/*#\\.\n$@"
 OPERATIONS = ("drop", "duplicate", "swap", "truncate", "insert")
@@ -128,7 +130,7 @@ STATIC = StaticRaceDetector()
 #: program stops with a typed error, not how long a valid one may run.
 INSPECTOR = InspectorLikeDetector(limits=InterpreterLimits(max_steps=100_000))
 SHALLOW_STEPS = (tokenize, trim_comments, parse)
-DEEP_STEPS = (STATIC.analyze_source, INSPECTOR.analyze_source)
+DEEP_STEPS = (STATIC.analyze_source, INSPECTOR.analyze_source, extract_features)
 
 
 @pytest.mark.parametrize("block", range(4))

@@ -1,10 +1,7 @@
-"""The async-native I/O path: coalescer semantics, adapters, telemetry.
+"""The async-native I/O path: adapters, dispatch, telemetry.
 
-The tentpole contract pinned here:
+The contract pinned here:
 
-* ``MicroBatchCoalescer`` merges concurrent same-key batch requests into
-  one ``generate_batch_async`` call and hands every caller exactly its own
-  slice back (errors fan out to every waiter);
 * the engine's async-native dispatch awaits model I/O on the executor's
   event loop — in-flight concurrency bounded by ``max_inflight``, not by
   thread count — and with simulated latency beats the thread backend at
@@ -22,7 +19,7 @@ import time
 
 import pytest
 
-from repro.engine import ExecutionEngine, MicroBatchCoalescer, ResponseCache, build_requests
+from repro.engine import ExecutionEngine, ResponseCache, build_requests
 from repro.eval.experiments import default_subset
 from repro.llm.adapters import AsyncRemoteAdapter
 from repro.llm.zoo import create_model
@@ -37,194 +34,6 @@ def records():
 
 def run_async(coro):
     return asyncio.run(coro)
-
-
-class TestMicroBatchCoalescer:
-    def test_concurrent_callers_share_one_model_call(self):
-        calls = []
-
-        async def generate_batch(prompts):
-            calls.append(list(prompts))
-            await asyncio.sleep(0)
-            return [f"r:{p}" for p in prompts]
-
-        async def scenario():
-            coalescer = MicroBatchCoalescer(window_s=0.01, max_batch=64)
-            results = await asyncio.gather(
-                coalescer.generate("k", generate_batch, ["a", "b"]),
-                coalescer.generate("k", generate_batch, ["c"]),
-                coalescer.generate("k", generate_batch, ["d", "e"]),
-            )
-            return results
-
-        first, second, third = run_async(scenario())
-        assert first == ["r:a", "r:b"]
-        assert second == ["r:c"]
-        assert third == ["r:d", "r:e"]
-        assert len(calls) == 1  # one wire call carried all three chunks
-        assert sorted(calls[0]) == ["a", "b", "c", "d", "e"]
-
-    def test_different_keys_do_not_merge(self):
-        calls = []
-
-        async def generate_batch(prompts):
-            calls.append(list(prompts))
-            return [p.upper() for p in prompts]
-
-        async def scenario():
-            coalescer = MicroBatchCoalescer(window_s=0.005, max_batch=64)
-            return await asyncio.gather(
-                coalescer.generate(("m1", "BP1"), generate_batch, ["a"]),
-                coalescer.generate(("m2", "BP1"), generate_batch, ["b"]),
-            )
-
-        assert run_async(scenario()) == [["A"], ["B"]]
-        assert len(calls) == 2
-
-    def test_max_batch_flushes_early(self):
-        flush_sizes = []
-
-        async def generate_batch(prompts):
-            flush_sizes.append(len(prompts))
-            return list(prompts)
-
-        async def scenario():
-            # A window so long the test would time out if it were the only
-            # trigger: max_batch must flush the moment it fills.
-            coalescer = MicroBatchCoalescer(window_s=30.0, max_batch=4)
-            start = time.perf_counter()
-            await asyncio.gather(
-                coalescer.generate("k", generate_batch, ["a", "b"]),
-                coalescer.generate("k", generate_batch, ["c", "d"]),
-            )
-            assert time.perf_counter() - start < 5.0
-            assert coalescer.pending_keys == 0
-
-        run_async(scenario())
-        assert flush_sizes == [4]
-
-    def test_oversized_request_calls_straight_through(self):
-        calls = []
-
-        async def generate_batch(prompts):
-            calls.append(len(prompts))
-            return list(prompts)
-
-        async def scenario():
-            coalescer = MicroBatchCoalescer(window_s=30.0, max_batch=4)
-            return await coalescer.generate("k", generate_batch, list("abcdef"))
-
-        assert run_async(scenario()) == list("abcdef")
-        assert calls == [6]
-
-    def test_model_error_reaches_every_waiter(self):
-        async def generate_batch(prompts):
-            raise RuntimeError("api down")
-
-        async def scenario():
-            coalescer = MicroBatchCoalescer(window_s=0.005, max_batch=64)
-            results = await asyncio.gather(
-                coalescer.generate("k", generate_batch, ["a"]),
-                coalescer.generate("k", generate_batch, ["b"]),
-                return_exceptions=True,
-            )
-            return results
-
-        results = run_async(scenario())
-        assert all(isinstance(r, RuntimeError) for r in results)
-
-    def test_miscounting_model_is_an_error(self):
-        async def generate_batch(prompts):
-            return ["only one"]
-
-        async def scenario():
-            coalescer = MicroBatchCoalescer(window_s=0.001, max_batch=64)
-            return await coalescer.generate("k", generate_batch, ["a", "b"])
-
-        with pytest.raises(RuntimeError, match="responses"):
-            run_async(scenario())
-
-    def test_empty_prompts_short_circuit(self):
-        async def generate_batch(prompts):  # pragma: no cover - must not run
-            raise AssertionError("should not be called")
-
-        async def scenario():
-            coalescer = MicroBatchCoalescer()
-            return await coalescer.generate("k", generate_batch, [])
-
-        assert run_async(scenario()) == []
-
-    def test_on_flush_reports_waiters_and_prompts(self):
-        flushes = []
-
-        async def generate_batch(prompts):
-            return list(prompts)
-
-        async def scenario():
-            coalescer = MicroBatchCoalescer(
-                window_s=0.005, max_batch=64, on_flush=lambda w, p: flushes.append((w, p))
-            )
-            await asyncio.gather(
-                coalescer.generate("k", generate_batch, ["a", "b"]),
-                coalescer.generate("k", generate_batch, ["c"]),
-            )
-
-        run_async(scenario())
-        assert flushes == [(2, 3)]
-
-    def test_cancelled_waiters_do_not_trigger_a_wire_call(self):
-        """An aborted run cancels chunk coroutines mid-window; the flush must
-        not turn their prompts into a stray (billable) model call."""
-        calls = []
-
-        async def generate_batch(prompts):
-            calls.append(list(prompts))
-            return list(prompts)
-
-        async def scenario():
-            coalescer = MicroBatchCoalescer(window_s=0.01, max_batch=64)
-            task = asyncio.create_task(coalescer.generate("k", generate_batch, ["a"]))
-            await asyncio.sleep(0)  # the waiter joins the window
-            task.cancel()
-            with pytest.raises(asyncio.CancelledError):
-                await task
-            await asyncio.sleep(0.05)  # the window elapses and flushes
-
-        run_async(scenario())
-        assert calls == []  # every waiter was gone: no wire call at all
-
-    def test_cancelled_flush_leader_does_not_poison_co_waiters(self):
-        """The waiter that tips max_batch leads the shared wire call; if it
-        is cancelled mid-call (a losing speculative copy), the other
-        waiters' futures must still resolve with their slices."""
-
-        async def generate_batch(prompts):
-            await asyncio.sleep(0.1)
-            return [f"r:{p}" for p in prompts]
-
-        async def scenario():
-            coalescer = MicroBatchCoalescer(window_s=5.0, max_batch=4)
-            loop = asyncio.get_running_loop()
-            bystander = loop.create_task(
-                coalescer.generate("k", generate_batch, ["a", "b"])
-            )
-            await asyncio.sleep(0.01)  # bystander opens the window
-            leader = loop.create_task(
-                coalescer.generate("k", generate_batch, ["c", "d"])  # tips max_batch
-            )
-            await asyncio.sleep(0.02)  # leader is now awaiting the wire call
-            leader.cancel()
-            with pytest.raises(asyncio.CancelledError):
-                await leader
-            return await bystander
-
-        assert run_async(scenario()) == ["r:a", "r:b"]
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            MicroBatchCoalescer(window_s=-0.001)
-        with pytest.raises(ValueError):
-            MicroBatchCoalescer(max_batch=0)
 
 
 class TestModelAsyncProtocol:
@@ -327,85 +136,40 @@ class TestEngineAsyncNative:
             engine.run(build_requests(create_model("gpt-4"), PromptStrategy.BP1, records[:1]))
             assert engine._inflight_peak == 1  # reset, not carried over
         assert engine.telemetry.async_inflight_peak == wide_peak  # telemetry keeps max
-
-    def test_coalesce_telemetry_counts_saved_calls(self, records):
-        with ExecutionEngine(
-            jobs=4, executor_kind="async", max_inflight=16, batch_size=2
-        ) as engine:
-            engine.run(build_requests(create_model("gpt-4"), PromptStrategy.BP1, records))
-        snap = engine.telemetry.snapshot()
-        assert snap["coalesce_flushes"] >= 1
-        assert snap["coalesce_prompts"] == len(records)
-        assert snap["coalesce_merged"] >= 1  # at least two chunks merged once
-        stats = engine.telemetry.format_stats(executor_name="async")
-        assert "coalesced" in stats and "inflight_peak" in stats
-
-    def test_wire_calls_count_flushes_not_per_chunk_misses(self, records):
-        """model_calls counts miss prompts; wire_calls must count actual
-        generate_batch_async invocations — with coalescing on, one per
-        flush, strictly fewer than the chunk count it merged."""
-        with ExecutionEngine(
-            jobs=4, executor_kind="async", max_inflight=16, batch_size=2
-        ) as engine:
-            engine.run(build_requests(create_model("gpt-4"), PromptStrategy.BP1, records))
-        snap = engine.telemetry.snapshot()
-        assert snap["model_calls"] == len(records)
-        assert snap["wire_calls"] == snap["coalesce_flushes"]
-        # Coalescing merged at least two chunks, so the wire saw fewer
-        # calls than there were chunks — exactly what the old per-chunk
-        # model_calls counter overstated.
-        n_chunks = len(records) // 2
-        assert snap["wire_calls"] < n_chunks
+        assert f"inflight_peak={wide_peak}" in engine.telemetry.format_stats()
 
     def test_wire_calls_without_coalescing_count_per_chunk_calls(self, records):
-        with ExecutionEngine(
-            jobs=4, executor_kind="async", batch_size=4, coalesce=False
-        ) as engine:
+        with ExecutionEngine(jobs=4, executor_kind="async", batch_size=4) as engine:
             engine.run(build_requests(create_model("gpt-4"), PromptStrategy.BP1, records))
         snap = engine.telemetry.snapshot()
         assert snap["wire_calls"] == len(records) // 4  # one per chunk
         assert snap["model_calls"] == len(records)
 
-    def test_sync_only_model_bypasses_coalescer(self, records):
-        """Merging many chunks into one sync-offloaded generate_batch would
-        serialise them in one worker thread; the engine must call per chunk."""
-        from repro.llm.base import LanguageModel
-
-        class SyncOnly(LanguageModel):
-            name = "sync-only"
-
-            def __init__(self):
-                self.batch_sizes = []
-
-            def generate(self, prompt):
-                return "yes"
-
-            def generate_batch(self, prompts):
-                self.batch_sizes.append(len(prompts))
-                return ["yes"] * len(prompts)
-
-        model = SyncOnly()
-        assert not model.has_native_async
-        requests = build_requests(model, PromptStrategy.BP1, records)
-        with ExecutionEngine(
-            jobs=4, executor_kind="async", max_inflight=16, batch_size=4
-        ) as engine:
-            engine.run(requests)
-        assert engine.telemetry.snapshot()["coalesce_flushes"] == 0
-        assert max(model.batch_sizes) <= 4  # one wire call per chunk, not merged
-
     def test_zoo_models_report_native_async(self):
         assert create_model("gpt-4").has_native_async
         assert AsyncRemoteAdapter(create_model("gpt-4")).has_native_async
 
-    def test_no_coalesce_issues_one_call_per_chunk(self, records):
+    @pytest.mark.parametrize("kind", ["serial", "thread", "async", "process"])
+    def test_one_wire_call_per_chunk_with_misses(self, records, kind):
+        """Every executor runs the same chunk body: a chunk whose prompts
+        all hit the cache makes no wire call, any other chunk exactly one."""
+        model = create_model("gpt-4")
+        cache = ResponseCache()
+        with ExecutionEngine(batch_size=4, cache=cache) as warmer:
+            warmer.run(build_requests(model, PromptStrategy.BP1, records[:8]))
         with ExecutionEngine(
-            jobs=4, executor_kind="async", batch_size=4, coalesce=False
+            jobs=2, executor_kind=kind, batch_size=4, adaptive_batching=False, cache=cache
         ) as engine:
-            engine.run(build_requests(create_model("gpt-4"), PromptStrategy.BP1, records))
+            store = engine.run(build_requests(model, PromptStrategy.BP1, records))
         snap = engine.telemetry.snapshot()
-        assert snap["coalesce_flushes"] == 0
-        assert engine.coalescer is None
+        # Records 0-7 fill the first two chunks from the warm cache; the
+        # other two chunks miss on every prompt.
+        assert snap["cache_hits"] == 8
+        assert snap["model_calls"] == len(records) - 8
+        assert snap["wire_calls"] == 2
+        assert store.responses() == [
+            model.generate(render_prompt(PromptStrategy.BP1, r.trimmed_code)) for r in records
+        ]
 
     def test_async_beats_thread_backend_at_equal_jobs(self, records):
         """The tentpole's speedup claim, at smoke-test scale (full version:

@@ -1,23 +1,20 @@
-"""The zero-copy cache plane: snapshot broadcast, tiered eviction, shared store.
+"""The zero-copy cache plane: snapshot broadcast, tiered eviction, the store.
 
-Three layers under test, matching :mod:`repro.engine`'s cache plane:
+Layers under test, matching :mod:`repro.engine`'s cache plane:
 
 * :mod:`repro.engine.snapshot` — the columnar broadcast encoding, the
   shared-memory publish/attach/retire lifecycle and its temp-file
   fallback;
 * :class:`repro.engine.cache.ResponseCache` — byte budgets and TTL expiry
-  under the one cost-weighted LRU eviction rule, and ``shared_read`` mode;
-* :class:`repro.engine.sharedstore.SharedSegmentStore` — the mmap-backed
-  multi-reader segment view, including the compaction race it must never
-  lose, and the ``repro cache`` CLI over it.
+  under the one cost-weighted LRU eviction rule, its segment scan
+  (:meth:`~repro.engine.cache.ResponseCache.store_stats`) and the
+  ``repro cache`` CLI over it, and persistence under I/O failure.
 """
 
-import json
 import os
 import subprocess
 import sys
 import textwrap
-import threading
 import warnings
 from pathlib import Path
 
@@ -27,7 +24,6 @@ import repro
 import repro.engine.snapshot as engine_snapshot
 from repro.__main__ import main
 from repro.engine import CostModel, ResponseCache, cache_key
-from repro.engine.sharedstore import SharedSegmentStore
 from repro.engine.snapshot import (
     SharedSnapshotView,
     encode_snapshot,
@@ -242,346 +238,6 @@ class TestTieredEviction:
             ResponseCache(max_bytes=0)
         with pytest.raises(ValueError):
             ResponseCache(ttl_s=0)
-        with pytest.raises(ValueError):
-            ResponseCache(shared_read=True)  # no path to share
-
-
-class TestSharedSegmentStore:
-    @staticmethod
-    def _write_store(path, entries, **kwargs):
-        cache = ResponseCache(path=path, auto_compact_ratio=None, **kwargs)
-        for identity, prompt, response in entries:
-            cache.put(identity, prompt, response)
-        cache.save()
-        return cache
-
-    def test_get_and_default(self, tmp_path):
-        target = tmp_path / "store"
-        self._write_store(target, [("m", "p", "the response")])
-        store = SharedSegmentStore(target)
-        assert store.get(cache_key("m", "p")) == "the response"
-        assert store.get("0" * 64, "fallback") == "fallback"
-        assert len(store) == 1
-
-    def test_identity_round_trips(self, tmp_path):
-        target = tmp_path / "store"
-        self._write_store(target, [("model-x", "p", "r")])
-        store = SharedSegmentStore(target)
-        assert store.identity(cache_key("model-x", "p")) == "model-x"
-
-    def test_open_returns_one_store_per_directory(self, tmp_path):
-        target = tmp_path / "store"
-        self._write_store(target, [("m", "p", "r")])
-        first = SharedSegmentStore.open(target)
-        second = SharedSegmentStore.open(tmp_path / "." / "store")
-        assert first is second
-
-    def test_later_segments_win_after_refresh(self, tmp_path):
-        target = tmp_path / "store"
-        cache = self._write_store(target, [("m", "p", "version 1")])
-        store = SharedSegmentStore(target)
-        key = cache_key("m", "p")
-        assert store.get(key) == "version 1"
-        cache.put("m", "p", "version 2")
-        cache.save()  # appends a later segment superseding the first line
-        store.refresh()
-        assert store.get(key) == "version 2"
-
-    def test_auto_refresh_on_miss_picks_up_new_segments(self, tmp_path):
-        target = tmp_path / "store"
-        store = SharedSegmentStore(target)  # opened before anything exists
-        assert len(store) == 0
-        self._write_store(target, [("m", "p", "r")])
-        # No explicit refresh: the miss re-checks the directory signature.
-        assert store.get(cache_key("m", "p")) == "r"
-
-    def test_stats_shape(self, tmp_path):
-        target = tmp_path / "store"
-        cache = self._write_store(target, [("m", "p", "r")])
-        cache.put("m", "p", "r2")
-        cache.save()
-        store = SharedSegmentStore(target)
-        stats = store.stats()
-        assert stats["segments"] == 2
-        assert stats["live_entries"] == 1
-        assert stats["entry_lines"] == 2
-        assert stats["dead_entries"] == 1
-        assert 0.0 < stats["dead_ratio"] <= 0.5
-        assert stats["total_bytes"] > 0
-
-    def test_compaction_never_starves_a_concurrent_reader(self, tmp_path):
-        """The satellite guarantee: ``compact()`` racing an open reader must
-        never serve a torn or missing entry.  New segments are written
-        before old ones are unlinked, and unlinked mmaps stay valid, so
-        every ``get`` sees complete data no matter when it lands."""
-        target = tmp_path / "store"
-        stable = [("m", f"stable {i}", f"response {i}") for i in range(24)]
-        cache = self._write_store(target, stable)
-        expected = {cache_key("m", f"stable {i}"): f"response {i}" for i in range(24)}
-        store = SharedSegmentStore(target)
-        stop = threading.Event()
-        writer_errors = []
-
-        def churn():
-            try:
-                for round_no in range(30):
-                    cache.put("m", f"churn {round_no}", "x" * 64)
-                    cache.save()
-                    cache.compact()
-            except Exception as exc:  # pragma: no cover - the assertion
-                writer_errors.append(exc)
-            finally:
-                stop.set()
-
-        writer = threading.Thread(target=churn)
-        writer.start()
-        reads = 0
-        try:
-            while not stop.is_set():
-                for key, response in expected.items():
-                    got = store.get(key)
-                    assert got == response, f"torn/missing read after {reads} reads"
-                    reads += 1
-                store.refresh()  # pick up post-compaction views mid-race too
-        finally:
-            writer.join()
-        assert not writer_errors
-        assert reads > 0
-        store.refresh()
-        assert all(store.get(key) == response for key, response in expected.items())
-
-
-class TestSegmentManifest:
-    """The writer-side segment manifest and the incremental reader rebuild.
-
-    Every committed cache write (incremental save, compaction) rewrites ``manifest.json`` attesting the segment set, so
-    :class:`SharedSegmentStore` can (a) answer the miss-path "did anything
-    change?" probe with one stat of the manifest instead of a sweep of
-    every segment, and (b) on an actual change, re-scan only the new or
-    changed segments, reusing the folded ones' mmaps and sub-indexes.
-    The manifest is advisory: corrupt, stale or missing manifests only
-    disable the fast-path, never correctness.
-    """
-
-    @staticmethod
-    def _write_store(path, entries):
-        cache = ResponseCache(path=path, auto_compact_ratio=None)
-        for identity, prompt, response in entries:
-            cache.put(identity, prompt, response)
-        cache.save()
-        return cache
-
-    @staticmethod
-    def _manifest(path):
-        return json.loads((path / "manifest.json").read_text(encoding="utf-8"))
-
-    def test_save_writes_manifest_matching_segments(self, tmp_path):
-        target = tmp_path / "store"
-        self._write_store(target, [("m", "p", "r")])
-        manifest = self._manifest(target)
-        assert manifest["format"] == "repro-response-cache-manifest"
-        assert manifest["generation"] == 1
-        names = sorted(p.name for p in target.glob("segment-*.jsonl"))
-        assert sorted(manifest["segments"]) == names
-        for name, record in manifest["segments"].items():
-            stat = (target / name).stat()
-            assert record["size"] == stat.st_size
-            assert record["mtime_ns"] == stat.st_mtime_ns
-
-    def test_generation_increments_per_commit(self, tmp_path):
-        target = tmp_path / "store"
-        cache = self._write_store(target, [("m", "p1", "r1")])
-        cache.put("m", "p2", "r2")
-        cache.save()
-        assert self._manifest(target)["generation"] == 2
-        cache.compact()
-        assert self._manifest(target)["generation"] == 3
-        names = sorted(p.name for p in target.glob("segment-*.jsonl"))
-        assert sorted(self._manifest(target)["segments"]) == names
-
-    def test_refresh_reuses_unchanged_segments(self, tmp_path):
-        target = tmp_path / "store"
-        cache = self._write_store(target, [("m", f"p{i}", f"r{i}") for i in range(8)])
-        store = SharedSegmentStore(target)
-        assert store.stats()["segments_rescanned"] == 1
-        assert store.stats()["segments_reused"] == 0
-        cache.put("m", "extra", "extra response")
-        cache.save()  # appends a second segment; the first is untouched
-        store.refresh()
-        stats = store.stats()
-        assert stats["segments"] == 2
-        assert stats["segments_reused"] == 1  # folded segment: no rescan
-        assert stats["segments_rescanned"] == 2  # only the new one scanned
-        assert store.get(cache_key("m", "extra")) == "extra response"
-        assert store.get(cache_key("m", "p3")) == "r3"
-
-    def test_miss_with_current_manifest_skips_the_sweep(self, tmp_path):
-        target = tmp_path / "store"
-        self._write_store(target, [("m", "p", "r")])
-        store = SharedSegmentStore(target)
-        assert store._view.manifest_sig is not None
-        view_before = store._view
-        assert store.get("0" * 64) is None  # miss probes for external writes
-        assert store._view is view_before  # manifest unchanged: view kept
-
-    def test_miss_sees_new_segment_after_manifest_update(self, tmp_path):
-        target = tmp_path / "store"
-        cache = self._write_store(target, [("m", "p", "r")])
-        store = SharedSegmentStore(target)
-        cache.put("m", "late", "late response")
-        cache.save()  # bumps the manifest along with the new segment
-        # No explicit refresh: the miss path must notice the manifest moved.
-        assert store.get(cache_key("m", "late")) == "late response"
-
-    def test_corrupt_manifest_disables_fast_path_only(self, tmp_path):
-        target = tmp_path / "store"
-        self._write_store(target, [("m", "p", "r")])
-        (target / "manifest.json").write_text("{not json", encoding="utf-8")
-        store = SharedSegmentStore(target)
-        assert store._view.manifest_sig is None
-        assert store.get(cache_key("m", "p")) == "r"
-
-    def test_stale_manifest_from_foreign_writer_is_ignored(self, tmp_path):
-        """A writer that appends segments without updating the manifest
-        (pre-manifest version, foreign tool) must not be masked by the
-        fast-path: at view build the manifest's segment list disagrees
-        with the directory, so the fast-path never arms."""
-        target = tmp_path / "store"
-        self._write_store(target, [("m", "p", "r")])
-        foreign = target / "segment-000099.jsonl"
-        foreign.write_text(
-            '{"format": "repro-response-cache", "version": 2}\n'
-            + json.dumps({"k": "f" * 64, "r": "foreign"})
-            + "\n",
-            encoding="utf-8",
-        )
-        store = SharedSegmentStore(target)
-        assert store._view.manifest_sig is None  # manifest != directory
-        assert store.get("f" * 64) == "foreign"
-
-    def test_explicit_refresh_never_uses_the_manifest_shortcut(self, tmp_path):
-        target = tmp_path / "store"
-        self._write_store(target, [("m", "p", "r")])
-        store = SharedSegmentStore(target)
-        foreign = target / "segment-000099.jsonl"
-        foreign.write_text(
-            '{"format": "repro-response-cache", "version": 2}\n'
-            + json.dumps({"k": "e" * 64, "r": "external"})
-            + "\n",
-            encoding="utf-8",
-        )
-        store.refresh()  # full sweep despite the now-stale (valid) manifest
-        assert store.get("e" * 64) == "external"
-
-
-class TestSharedReadCache:
-    def test_serves_store_hits_without_loading_segments(self, tmp_path):
-        target = tmp_path / "store"
-        writer = ResponseCache(path=target)
-        writer.put("m", "p", "warm response")
-        writer.save()
-        reader = ResponseCache(path=target, shared_read=True)
-        assert len(reader) == 0  # nothing loaded into the private tier
-        assert reader.shared_store is not None
-        assert reader.get("m", "p") == "warm response"
-        assert len(reader) == 0  # hits are not promoted into memory
-        assert reader.stats.hits == 1
-        assert reader.get("m", "cold prompt") is None
-        assert reader.stats.misses == 1
-
-    def test_merge_of_store_held_response_is_not_repersisted(self, tmp_path):
-        target = tmp_path / "store"
-        writer = ResponseCache(path=target)
-        writer.put("m", "p", "same response")
-        writer.save()
-        reader = ResponseCache(path=target, shared_read=True)
-        reader.put("m", "p", "same response")
-        assert reader.pending_count == 0  # identical to the store: no dead line
-        reader.put("m", "p2", "genuinely new")
-        assert reader.pending_count == 1
-
-    def test_rejects_regular_file_path(self, tmp_path):
-        """The cache is a directory of segments; a file at the path is a
-        mistake to report, in shared-read mode or not."""
-        stray = tmp_path / "cache.json"
-        stray.write_text('{"version": 1, "entries": {}}', encoding="utf-8")
-        for shared_read in (True, False):
-            with pytest.raises(ValueError, match="is a file"):
-                ResponseCache(path=stray, shared_read=shared_read)
-
-
-class TestHotHitPromotion:
-    """Hot shared-store entries graduate into the in-memory tier.
-
-    A key served repeatedly off the mmap pays the store lookup every time;
-    after ``shared_promote_after`` hits it is promoted into the private
-    LRU (still under the entry/byte budgets), so the hottest keys become
-    plain memory hits while cold keys keep costing nothing resident."""
-
-    @staticmethod
-    def _store_with(tmp_path, entries):
-        target = tmp_path / "store"
-        writer = ResponseCache(path=target)
-        for prompt, response in entries:
-            writer.put("m", prompt, response)
-        writer.save()
-        return target
-
-    def test_promotes_after_threshold_store_hits(self, tmp_path):
-        target = self._store_with(tmp_path, [("hot", "hot response"), ("cold", "x")])
-        reader = ResponseCache(path=target, shared_read=True)
-        assert reader.get("m", "hot") == "hot response"
-        assert len(reader) == 0 and reader.stats.promotions == 0
-        assert reader.get("m", "hot") == "hot response"
-        assert len(reader) == 1 and reader.stats.promotions == 1
-        assert reader.shared_store.stats()["promotions"] == 1
-        # The third hit is a plain memory hit; cold keys stay on disk only.
-        assert reader.get("m", "hot") == "hot response"
-        assert reader.get("m", "cold") == "x"
-        assert len(reader) == 1 and reader.stats.promotions == 1
-        assert reader.stats.snapshot()["promotions"] == 1
-
-    def test_promotion_threshold_is_configurable_and_validated(self, tmp_path):
-        target = self._store_with(tmp_path, [("p", "r")])
-        eager = ResponseCache(path=target, shared_read=True, shared_promote_after=1)
-        assert eager.get("m", "p") == "r"
-        assert len(eager) == 1 and eager.stats.promotions == 1
-        with pytest.raises(ValueError):
-            ResponseCache(path=target, shared_read=True, shared_promote_after=0)
-
-    def test_promoted_entries_respect_byte_budget(self, tmp_path):
-        big_a, big_b = "a" * 3000, "b" * 3000
-        target = self._store_with(tmp_path, [("pa", big_a), ("pb", big_b)])
-        reader = ResponseCache(
-            path=target, shared_read=True, max_bytes=5000, shared_promote_after=1
-        )
-        assert reader.get("m", "pa") == big_a
-        assert reader.get("m", "pb") == big_b
-        # Both promoted, but the byte budget holds only one resident.
-        assert reader.stats.promotions == 2
-        assert len(reader) == 1
-        # Responses are still served correctly either way.
-        assert reader.get("m", "pa") == big_a
-        assert reader.get("m", "pb") == big_b
-
-    def test_promoted_then_evicted_key_is_not_repersisted(self, tmp_path):
-        big = "a" * 3000
-        target = self._store_with(tmp_path, [("p", big), ("q", "b" * 3000)])
-        reader = ResponseCache(
-            path=target, shared_read=True, max_bytes=5000, shared_promote_after=1
-        )
-        assert reader.get("m", "p") == big
-        assert reader.get("m", "q") == "b" * 3000  # evicts one promoted entry
-        # Re-putting the store-held response must not queue a dead line.
-        reader.put("m", "p", big)
-        reader.put("m", "q", "b" * 3000)
-        assert reader.pending_count == 0
-
-    def test_cache_stats_cli_reports_promotions(self, tmp_path, capsys):
-        target = self._store_with(tmp_path, [("p", "r")])
-        assert main(["cache", "stats", "--cache", str(target)]) == 0
-        out = capsys.readouterr().out
-        assert "promotions=0" in out
 
 
 class TestCacheCLI:
@@ -599,9 +255,38 @@ class TestCacheCLI:
         self._build_store(target)
         assert main(["cache", "stats", "--cache", str(target)]) == 0
         out = capsys.readouterr().out
-        assert "[cache]" in out
-        assert "segments=3" in out
-        assert "live_entries=4" in out
+        assert out.splitlines()[1:] == [
+            "[cache]   segments=3",
+            "[cache]   live_entries=4",
+            "[cache]   entry_lines=6 (dead=2)",
+            "[cache]   dead_ratio=33.3%",
+            "[cache]   total_bytes=762",
+        ]
+
+    def test_store_stats_count_every_live_key_on_disk(self, tmp_path):
+        """The scan reads the segments, not a cache's bounded memory."""
+        target = tmp_path / "store"
+        cache = ResponseCache(path=target, auto_compact_ratio=None)
+        for i in range(10):
+            cache.put("m", f"p{i}", f"r{i}")
+        cache.save()
+        assert len(ResponseCache(2, path=target)) == 2
+        stats = ResponseCache.store_stats(target)
+        assert (stats["segments"], stats["live_entries"], stats["entry_lines"]) == (1, 10, 10)
+
+    def test_leftover_index_file_is_ignored_and_compacted_away(self, tmp_path, capsys):
+        """Older versions wrote a manifest.json beside the segments; loading
+        must not care about it, and compaction removes it."""
+        target = tmp_path / "store"
+        self._build_store(target)
+        leftover = target / "manifest.json"
+        leftover.write_text('{"format": "repro-response-cache-manifest", "segm', "utf-8")
+        cache = ResponseCache(path=target)
+        assert cache.get("m", "shared prompt") == "version 2"
+        assert len(cache) == 4
+        assert main(["cache", "compact", "--cache", str(target)]) == 0
+        assert not leftover.exists()
+        assert [p.name for p in target.iterdir()] == ["segment-000004.jsonl"]
 
     def test_cache_compact_command_folds_segments(self, tmp_path, capsys):
         target = tmp_path / "store"
@@ -611,8 +296,7 @@ class TestCacheCLI:
         out = capsys.readouterr().out
         assert "[cache]" in out
         assert len(list(target.glob("segment-*.jsonl"))) == 1
-        store = SharedSegmentStore(target)
-        assert store.get(cache_key("m", "shared prompt")) == "version 2"
+        assert ResponseCache(path=target).get("m", "shared prompt") == "version 2"
 
     def test_cache_command_validations(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -631,11 +315,10 @@ class TestCacheCLI:
             main(["table2", "--cache-ttl", "0"])
         with pytest.raises(SystemExit):
             main(["table2", "--cache-entries", "0", "--cache-max-bytes", "1000"])
-        with pytest.raises(SystemExit):
-            main(["table2", "--shared-cache"])  # needs --cache PATH
-        with pytest.raises(SystemExit) as exit_info:
-            main(["table2", "--snapshot-transport", "fax"])  # flag no longer exists
-        assert exit_info.value.code == 2
+        for gone in (["--snapshot-transport", "fax"], ["--shared-cache"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["table2", *gone])  # flags that no longer exist
+            assert exit_info.value.code == 2
 
 
 class TestPersistenceFaultTolerance:
@@ -643,9 +326,8 @@ class TestPersistenceFaultTolerance:
 
     Persistence is an optimisation: a failing save warns once and keeps
     the entries in memory (and pending, so a healthy later save retries
-    them); a shared store whose segments vanish mid-open degrades to a
-    private load; a segment deleted between the manifest stat and the
-    mmap is simply skipped.  None of these may abort a run.
+    them); a segment deleted between the directory listing and its read
+    is simply skipped.  None of these may abort a run.
     """
 
     @staticmethod
@@ -660,38 +342,33 @@ class TestPersistenceFaultTolerance:
         target = tmp_path / "store"
         cache = self._write_store(target, [("m", "p1", "r1")])
         cache.put("m", "p2", "r2")
-        cache.save()  # second segment; the manifest lists both
+        cache.save()  # second segment
         segments = sorted(target.glob("segment-*.jsonl"))
         assert len(segments) == 2
         victim = segments[0]
-        original = SharedSegmentStore._map_segment
+        original = ResponseCache._parse_segment
 
-        def racing_map(segment):
-            # A foreign compaction wins the race: the segment the sweep
-            # just listed is gone by the time we come to map it.
+        def racing_parse(segment):
+            # A foreign compaction wins the race: the segment the scan
+            # just listed (and stat'ed) is gone by the time it is read.
             if segment.name == victim.name and victim.exists():
                 victim.unlink()
             return original(segment)
 
-        monkeypatch.setattr(SharedSegmentStore, "_map_segment", staticmethod(racing_map))
-        store = SharedSegmentStore(target)  # must not raise
-        assert store.get(cache_key("m", "p2")) == "r2"
-        assert store.get(cache_key("m", "p1"), "miss") == "miss"
+        monkeypatch.setattr(ResponseCache, "_parse_segment", staticmethod(racing_parse))
+        stats = ResponseCache.store_stats(target)  # must not raise
+        assert (stats["segments"], stats["live_entries"]) == (1, 1)
+        cache = ResponseCache(path=target)
+        assert cache.get("m", "p2") == "r2"
+        assert cache.get("m", "p1") is None
 
-    def test_shared_read_open_failure_falls_back_to_private_load(
-        self, tmp_path, monkeypatch
-    ):
-        target = tmp_path / "store"
-        self._write_store(target, [("m", "p", "r")])
-
-        def refuse(path):
-            raise OSError("directory vanished mid-scan")
-
-        monkeypatch.setattr(SharedSegmentStore, "open", refuse)
-        with pytest.warns(RuntimeWarning, match="private load"):
-            cache = ResponseCache(path=target, shared_read=True)
-        assert cache.shared_read is False
-        assert cache.get("m", "p") == "r"  # served from the private load
+    def test_rejects_regular_file_path(self, tmp_path):
+        """The cache is a directory of segments; a file at the path is a
+        mistake to report."""
+        stray = tmp_path / "cache.json"
+        stray.write_text('{"version": 1, "entries": {}}', encoding="utf-8")
+        with pytest.raises(ValueError, match="is a file"):
+            ResponseCache(path=stray)
 
     def test_save_failure_warns_once_and_keeps_entries(self, tmp_path):
         blocker = tmp_path / "blocker"
@@ -709,13 +386,3 @@ class TestPersistenceFaultTolerance:
         good = tmp_path / "good"
         cache.save(good)
         assert ResponseCache(path=good).get("m", "p") == "r"
-
-    def test_truncated_manifest_disables_fast_path_only(self, tmp_path):
-        target = tmp_path / "store"
-        self._write_store(target, [("m", "p", "r")])
-        manifest = target / "manifest.json"
-        raw = manifest.read_bytes()
-        manifest.write_bytes(raw[: len(raw) // 2])  # torn foreign write
-        store = SharedSegmentStore(target)
-        assert store._view.manifest_sig is None
-        assert store.get(cache_key("m", "p")) == "r"

@@ -290,18 +290,33 @@ class TestWrongLengthBatchGuard:
             with pytest.raises(RuntimeError, match="generate_batch returned"):
                 engine.run(self._requests(records))
 
+    @pytest.mark.parametrize(
+        "kind, method",
+        [
+            ("serial", "generate_batch"),
+            ("thread", "generate_batch"),
+            ("process", "generate_batch"),
+        ],
+    )
+    def test_every_executor_path_raises(self, records, kind, method):
+        with ExecutionEngine(jobs=2, executor_kind=kind, batch_size=4) as engine:
+            with pytest.raises(RuntimeError, match=f"{method} returned 3 responses for 4"):
+                engine.run(self._requests(records))
+
     def test_async_native_path_raises(self, records):
-        # --no-coalesce exercises the direct generate_batch_async site (the
-        # coalesced site is guarded by the coalescer's own _call).
-        with ExecutionEngine(
-            jobs=2, executor_kind="async", batch_size=4, coalesce=False
-        ) as engine:
-            with pytest.raises(RuntimeError, match="generate_batch_async returned"):
+        # Uncached: every prompt of the chunk goes straight to
+        # generate_batch_async.
+        with ExecutionEngine(jobs=2, executor_kind="async", batch_size=4) as engine:
+            with pytest.raises(RuntimeError, match="generate_batch_async returned 3 responses for 4"):
                 engine.run(self._requests(records))
 
     def test_async_coalesced_path_raises(self, records):
-        with ExecutionEngine(jobs=2, executor_kind="async", batch_size=4) as engine:
-            with pytest.raises(RuntimeError, match="generate_batch_async returned"):
+        # Cached: the chunk's misses are gathered into one
+        # generate_batch_async call and scattered back to their slots.
+        with ExecutionEngine(
+            jobs=2, executor_kind="async", batch_size=4, cache=ResponseCache(64)
+        ) as engine:
+            with pytest.raises(RuntimeError, match="generate_batch_async returned 3 responses for 4"):
                 engine.run(self._requests(records))
 
 

@@ -98,8 +98,7 @@ ENGINE_CONFIGS = [
         id="thread-pool-tiered-eviction",
     ),
     # The async configs all take the async-native path: chunk coroutines
-    # awaiting generate_batch_async on the executor's event loop, with the
-    # micro-batch coalescer merging concurrent same-model calls by default.
+    # awaiting generate_batch_async on the executor's event loop.
     pytest.param(dict(jobs=8, executor_kind="async", batch_size=7), id="async"),
     pytest.param(dict(jobs=8, executor_kind="async", cache=ResponseCache()), id="async-cached"),
     pytest.param(
@@ -107,23 +106,12 @@ ENGINE_CONFIGS = [
         id="async-native-high-inflight",
     ),
     pytest.param(
-        dict(jobs=4, executor_kind="async", batch_size=5, coalesce=False),
-        id="async-native-no-coalesce",
-    ),
-    pytest.param(
-        dict(
-            jobs=4,
-            executor_kind="async",
-            max_inflight=16,
-            batch_size=4,
-            coalesce_window_s=0.0,
-            coalesce_max_batch=8,
-        ),
-        id="async-native-zero-window-small-flush",
+        dict(jobs=4, executor_kind="async", batch_size=5),
+        id="async-native-no-cache",
     ),
     pytest.param(
         dict(jobs=4, executor_kind="async", max_inflight=12, cache=ResponseCache(), batch_size=3),
-        id="async-native-cached-coalesced",
+        id="async-native-cached",
     ),
     # The default configs above all run LPT with adaptive chunk sizing; pin
     # plan-order and no-LPT/no-adaptive combinations explicitly so a
@@ -206,40 +194,6 @@ class TestEngineMatchesSeedLoop:
         second = engine.run(build_requests(model, PromptStrategy.BP1, records))
         assert first.responses() == second.responses()
         assert engine.telemetry.cache_hits == len(records)
-
-
-class TestCachePlaneEquivalence:
-    """The cache plane is invisible to scoring: serving responses out of
-    the host-wide mmap store must equal a private in-memory load of the
-    same segment directory, which must equal the seed loop."""
-
-    def test_shared_store_matches_private_load(self, subset, tmp_path):
-        records = subset.records[:30]
-        target = tmp_path / "segments"
-
-        def requests():
-            return build_requests(
-                create_model("gpt-4"), PromptStrategy.BP1, records, scoring="detection"
-            )
-
-        warm = ResponseCache(path=target)
-        with ExecutionEngine(cache=warm) as engine:
-            reference = engine.run_counts(requests())
-        warm.save()
-
-        private = ResponseCache(path=target)
-        with ExecutionEngine(jobs=4, cache=private, batch_size=6) as engine:
-            private_counts = engine.run_counts(requests())
-
-        shared = ResponseCache(path=target, shared_read=True)
-        with ExecutionEngine(jobs=4, cache=shared, batch_size=6) as engine:
-            shared_counts = engine.run_counts(requests())
-
-        assert private_counts.as_row() == reference.as_row()
-        assert shared_counts.as_row() == reference.as_row()
-        # Shared-read served every hit straight off the mmap; nothing was
-        # promoted into the in-memory tier.
-        assert len(shared) == 0
 
 
 class TestCascadeEquivalence:

@@ -19,12 +19,10 @@ What is pinned here:
   to failed results or reroute to the cascade's cheap tier;
 * journal resume: a re-run with the same journal replays finished work
   without invoking the model at all;
-* the executor/coalescer seams the retry plane stands on —
-  ``SubmitStream`` never cancels unrelated futures, and the coalescer
-  bisects a failed merged flush to isolate the poisoned waiter.
+* the executor seam the retry plane stands on — ``SubmitStream`` never
+  cancels unrelated futures.
 """
 
-import asyncio
 import threading
 import time
 
@@ -37,7 +35,6 @@ from repro.engine import (
     build_requests,
     confusion_from_results,
 )
-from repro.engine.coalesce import MicroBatchCoalescer
 from repro.engine.executors import create_executor
 from repro.engine.faults import (
     BreakerBoard,
@@ -296,9 +293,7 @@ class TestRunJournal:
 # fail_attempts`` suffices for recovery; every config here keeps
 # jobs * fail_attempts <= 3 for the process pool (single-process
 # backends share one attempt registry, so fail_attempts alone bounds
-# them).  The async+coalesce config additionally exercises layered
-# recovery: the coalescer's bisect retry absorbs most faults before the
-# engine-level retry plane ever sees them.
+# them).
 def _warm_cost_model(seconds_per_request: float = 1e-5) -> CostModel:
     cost_model = CostModel()
     for _ in range(3):
@@ -317,11 +312,7 @@ CHAOS_CONFIGS = [
         id="thread-pool-speculate",
     ),
     pytest.param(dict(jobs=3, executor_kind="process", batch_size=8), id="process-pool"),
-    pytest.param(dict(jobs=4, executor_kind="async", batch_size=5), id="async-coalesce"),
-    pytest.param(
-        dict(jobs=4, executor_kind="async", batch_size=5, coalesce=False),
-        id="async-no-coalesce",
-    ),
+    pytest.param(dict(jobs=4, executor_kind="async", batch_size=5), id="async"),
 ]
 
 
@@ -599,48 +590,3 @@ class TestSubmitStream:
         finally:
             stream.close()
             executor.close()
-
-
-class TestCoalescerBisect:
-    def test_flush_failure_isolates_the_poisoned_waiter(self):
-        calls = []
-
-        async def generate_batch(prompts):
-            calls.append(list(prompts))
-            if "poison" in prompts:
-                raise TransientModelError("poisoned batch")
-            return [f"ok:{p}" for p in prompts]
-
-        async def scenario():
-            coalescer = MicroBatchCoalescer(window_s=0.005, max_batch=64)
-            return await asyncio.gather(
-                coalescer.generate("k", generate_batch, ["a"]),
-                coalescer.generate("k", generate_batch, ["poison"]),
-                coalescer.generate("k", generate_batch, ["b"]),
-                coalescer.generate("k", generate_batch, ["c"]),
-                return_exceptions=True,
-            )
-
-        results = asyncio.run(scenario())
-        assert results[0] == ["ok:a"]
-        assert results[2] == ["ok:b"]
-        assert results[3] == ["ok:c"]
-        assert isinstance(results[1], TransientModelError)
-        # The bisect narrowed the failure down to the poisoned waiter alone.
-        assert ["poison"] in calls
-        assert len(calls) > 1
-
-    def test_single_waiter_failure_does_not_bisect(self):
-        calls = []
-
-        async def generate_batch(prompts):
-            calls.append(list(prompts))
-            raise TransientModelError("down")
-
-        async def scenario():
-            coalescer = MicroBatchCoalescer(window_s=0.001, max_batch=64)
-            with pytest.raises(TransientModelError):
-                await coalescer.generate("k", generate_batch, ["a"])
-
-        asyncio.run(scenario())
-        assert calls == [["a"]]

@@ -70,6 +70,28 @@ class TestFeatures:
         features = extract_features("not C at all @@@")
         assert not features.parses and not features.heuristic_race
 
+    @pytest.mark.parametrize("site", ["features", "static-tier", "inspector-tier"])
+    def test_detector_bugs_propagate_instead_of_becoming_verdicts(self, site):
+        """Only typed front-end and interpreter errors mean "could not
+        analyse"; a bug in the detector must crash, not turn into a verdict."""
+        from repro.llm.adapters import InspectorTierModel, StaticAnalyzerModel
+
+        class BrokenDetector:
+            def analyze_source(self, code, **kwargs):
+                raise AttributeError("detector bug")
+
+        run = {
+            "features": lambda: extract_features(RACY_CODE, detector=BrokenDetector()),
+            "static-tier": lambda: StaticAnalyzerModel(BrokenDetector()).generate(
+                render_prompt(PromptStrategy.BP1, RACY_CODE)
+            ),
+            "inspector-tier": lambda: InspectorTierModel(BrokenDetector()).generate(
+                render_prompt(PromptStrategy.BP1, RACY_CODE)
+            ),
+        }[site]
+        with pytest.raises(AttributeError, match="detector bug"):
+            run()
+
     def test_ngram_vector_shape_and_norm(self):
         vec = hashed_ngram_vector(RACY_CODE, dim=128)
         assert vec.shape == (128,)
