@@ -126,13 +126,13 @@ _TABLE_TITLES = {
 }
 
 
-def _print_summary() -> None:
+def _print_summary(subset) -> None:
     from repro.corpus import CorpusRegistry
 
     registry = CorpusRegistry.build()
     print(registry.summary())
     print()
-    print(default_subset().summary())
+    print(subset.summary())
 
 
 def _print_result(table: str, result) -> None:
@@ -151,8 +151,9 @@ def _run(
     *,
     stream: bool = False,
     stream_window: Optional[int] = None,
+    subset=None,
 ) -> None:
-    subset = default_subset()
+    subset = subset if subset is not None else default_subset()
     drivers = {
         "table2": run_table2,
         "table3": run_table3,
@@ -161,14 +162,14 @@ def _run(
         "table6": run_table6,
     }
     if table == "summary":
-        _print_summary()
+        _print_summary(subset)
     elif table in drivers:
         if stream:
             # Route the single table through its plan builder and the
             # streaming plan runner — same rows, O(window) residency.
             from repro.engine import collect_default_plans, run_plans_streaming
 
-            plans = collect_default_plans(subset, tables=(table,))
+            plans = collect_default_plans(subset, tables=(table,), cache=engine.cache)
             results = run_plans_streaming(plans, engine=engine, window=stream_window)
             _print_result(table, results[table])
         else:
@@ -192,13 +193,18 @@ def _run_all(
     stream: bool = False,
     stream_window: Optional[int] = None,
 ) -> None:
-    """``repro all``: summary, then every table through the scheduler."""
-    _print_summary()
+    """``repro all``: summary, then every table through the scheduler.
+
+    The ≤4k-token subset is built once and shared by the summary and every
+    table.
+    """
+    subset = default_subset()
+    _print_summary(subset)
     print()
     if sequential:
         for table in ("table2", "table3", "table4", "table5", "table6"):
             before = engine.telemetry.snapshot()
-            _run(table, engine, stream=stream, stream_window=stream_window)
+            _run(table, engine, stream=stream, stream_window=stream_window, subset=subset)
             if stats:
                 print(engine.telemetry.format_stats(executor_name=engine.executor.name, since=before))
             print()
@@ -207,7 +213,7 @@ def _run_all(
         return
     before = engine.telemetry.snapshot()
     results = run_all_tables(
-        default_subset(), engine=engine, stream=stream, stream_window=stream_window
+        subset, engine=engine, stream=stream, stream_window=stream_window
     )
     for table, result in results.items():
         _print_result(table, result)

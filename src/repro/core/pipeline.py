@@ -32,6 +32,7 @@ from repro.engine import (
     build_requests,
     iter_requests,
 )
+from repro.eval.experiments import evaluate_inspector
 from repro.eval.metrics import ConfusionCounts
 from repro.llm.base import LanguageModel
 from repro.llm.finetune import FineTuneConfig, FineTunedModel, FineTuner
@@ -277,13 +278,11 @@ class DataRacePipeline:
         return self.engine.run_counts(requests)
 
     def score_inspector(self, benchmarks: Optional[Sequence[Microbenchmark]] = None) -> ConfusionCounts:
-        """Confusion counts of the Inspector-like detector over the subset."""
+        """Confusion counts of the Inspector-like detector over the subset.
+
+        Scored by :func:`~repro.eval.experiments.evaluate_inspector`, so the
+        engine's response cache serves verdicts it already holds.
+        """
         subset_names = {r.name for r in self.evaluation_subset().records}
         benchmarks = benchmarks or [b for b in self.registry if b.name in subset_names]
-        benchmarks = list(benchmarks)
-        detector = self.inspector()
-        predictions = self.engine.map(detector.predict, benchmarks)
-        counts = ConfusionCounts()
-        for bench, prediction in zip(benchmarks, predictions):
-            counts.add(bench.has_race, prediction)
-        return counts
+        return evaluate_inspector(benchmarks, detector=self.inspector(), engine=self.engine)

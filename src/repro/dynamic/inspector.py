@@ -7,11 +7,15 @@ observed accesses; it can repeat the run under several schedules and team
 sizes to expose schedule-dependent conflicts, and it degrades gracefully
 (reporting "no race observed") when a program cannot be executed.  Each
 program is parsed and compiled once; every (team size, schedule) run reuses
-the compiled :class:`~repro.dynamic.interpreter.Program`.
+the compiled :class:`~repro.dynamic.interpreter.Program`.  Verdicts are a
+pure function of the source, the thread count and the detector's settings,
+so :attr:`InspectorLikeDetector.cache_identity` lets a response cache store
+them (``repro.eval.experiments.evaluate_inspector``).
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -21,6 +25,11 @@ from repro.dynamic.detector import DynamicRacePair, detect_races
 from repro.dynamic.interpreter import Interpreter, InterpreterError, InterpreterLimits, Program
 
 __all__ = ["InspectorRunResult", "InspectorLikeDetector"]
+
+#: Identity prefix of cached verdicts.  Bump the version when a change to
+#: the interpreter or the race detector alters any verdict, so stale
+#: verdicts stop matching.
+VERDICT_IDENTITY_PREFIX = "inspector/v1"
 
 
 @dataclass
@@ -86,6 +95,13 @@ class InspectorLikeDetector:
         self.schedules = tuple(schedules)
         self.team_sizes = tuple(team_sizes) or (None,)
         self.limits = limits or InterpreterLimits()
+
+    @property
+    def cache_identity(self) -> str:
+        """``inspector/v1#`` plus a digest of the settings that shape verdicts."""
+        settings = repr((self.schedules, self.team_sizes, self.limits))
+        digest = hashlib.sha256(settings.encode("utf-8")).hexdigest()
+        return f"{VERDICT_IDENTITY_PREFIX}#{digest[:16]}"
 
     # -- public API ---------------------------------------------------------------
 

@@ -35,7 +35,9 @@ needs before reduction — Table 3's Inspector baseline runs there through
 ``engine.map`` — and the fine-tuning cross-validation trains its fold
 models at plan-build time, so by the time :func:`run_plans` executes, every
 remaining unit of work is a detection request the engine can interleave
-freely.
+freely.  Both kinds of non-LLM work go through the engine's response cache
+(Inspector verdicts under ``inspector/v1#…``, adapters under
+``adapter/v1#…``), so against a warm cache neither is recomputed.
 
 The tiered cascade (``--cascade``) composes through this same plan/reduce
 seam: plans only describe requests and reducers, and the cascade router
@@ -117,13 +119,16 @@ def collect_default_plans(
     corpus_config=None,
     tables: Sequence[str] = DEFAULT_TABLES,
     model_factory=None,
+    cache=None,
 ) -> List[TablePlan]:
     """Build the default plan for every requested table.
 
     ``dataset`` defaults to the ≤4k-token evaluation subset, built **once**
     and shared by every plan (the sequential CLI path used to rebuild it
     per table).  ``model_factory`` is threaded through to each plan builder
-    so benchmarks can inject latency-simulated models.
+    so benchmarks can inject latency-simulated models.  ``cache`` — the
+    engine's response cache — lets Tables 4 and 6 reuse stored fine-tuned
+    adapters instead of refitting them.
     """
     # Imported lazily: repro.eval.experiments reaches back into this
     # package for TablePlan, and repro.engine must stay importable on its
@@ -137,9 +142,13 @@ def collect_default_plans(
         "table3": lambda: experiments.plan_table3(
             dataset, corpus_config=corpus_config, model_factory=model_factory
         ),
-        "table4": lambda: experiments.plan_table4(dataset, model_factory=model_factory),
+        "table4": lambda: experiments.plan_table4(
+            dataset, model_factory=model_factory, cache=cache
+        ),
         "table5": lambda: experiments.plan_table5(dataset, model_factory=model_factory),
-        "table6": lambda: experiments.plan_table6(dataset, model_factory=model_factory),
+        "table6": lambda: experiments.plan_table6(
+            dataset, model_factory=model_factory, cache=cache
+        ),
     }
     plans = []
     for table in tables:
@@ -294,11 +303,18 @@ def run_all_tables(
     sequential reference path.  ``stream=True`` routes through
     :func:`run_plans_streaming` (inherently interleaved — it takes
     precedence over ``interleave``) with ``stream_window`` requests
-    resident at once (``None``: the engine's ``stream_window``).
+    resident at once (``None``: the engine's ``stream_window``).  Plans
+    built here share the engine's cache, so a warm cache also skips the
+    fine-tuning fits.
     """
+    engine = resolve_engine(engine)
     if plans is None:
         plans = collect_default_plans(
-            dataset, corpus_config=corpus_config, tables=tables, model_factory=model_factory
+            dataset,
+            corpus_config=corpus_config,
+            tables=tables,
+            model_factory=model_factory,
+            cache=engine.cache,
         )
     if stream:
         return run_plans_streaming(plans, engine=engine, window=stream_window)

@@ -12,6 +12,13 @@ phase (:meth:`CrossValPlan.reduce` — slices the ordered results back into
 per-fold confusion counts).  :func:`run_finetune_crossval` composes the two
 through one engine run; the cross-table scheduler instead merges the plan's
 requests into its single interleaved run.
+
+Given a response cache (the engine's), planning reads each fold's adapter
+from it instead of retraining: :class:`~repro.llm.finetune.FineTuner`
+stores adapters under ``adapter/v1#<config digest>`` keyed on the training
+set, so a warm run rebuilds all of them without a single fit and the
+tuned models' cache identities — and therefore their cached responses —
+come out unchanged.
 """
 
 from __future__ import annotations
@@ -110,13 +117,16 @@ def plan_finetune_crossval(
     seed: int = 7,
     config: Optional[FineTuneConfig] = None,
     model_factory: Optional[Callable[[str], LanguageModel]] = None,
+    cache=None,
 ) -> CrossValPlan:
     """Plan the paper's fine-tuning cross-validation for one model.
 
     Fine-tunes every fold's adapter here (CPU-only, no model calls) and
     returns the evaluation requests plus the fold layout.  Parameters match
     :func:`run_finetune_crossval`; ``model_factory`` lets benchmarks inject
-    e.g. latency-simulated base models.
+    e.g. latency-simulated base models, and ``cache`` (a
+    :class:`~repro.engine.cache.ResponseCache`) stores and reuses the
+    trained adapters.
     """
     if kind not in ("basic", "advanced"):
         raise ValueError("kind must be 'basic' or 'advanced'")
@@ -131,7 +141,9 @@ def plan_finetune_crossval(
             if kind == "basic"
             else build_advanced_pairs(train_records)
         )
-        tuner = FineTuner(base=base, config=config or FineTuneConfig.for_model(model_name))
+        tuner = FineTuner(
+            base=base, config=config or FineTuneConfig.for_model(model_name), cache=cache
+        )
         tuned = tuner.fit(pairs)
         base_start = len(plan.requests)
         plan.requests.extend(_fold_requests(base, test_records, kind))
@@ -165,8 +177,14 @@ def run_finetune_crossval(
     """
     from repro.engine import resolve_engine
 
-    plan = plan_finetune_crossval(
-        dataset, model_name, kind=kind, n_folds=n_folds, seed=seed, config=config
-    )
     engine = resolve_engine(engine)
+    plan = plan_finetune_crossval(
+        dataset,
+        model_name,
+        kind=kind,
+        n_folds=n_folds,
+        seed=seed,
+        config=config,
+        cache=engine.cache,
+    )
     return plan.reduce(engine.run(plan.requests))

@@ -25,6 +25,7 @@ latency-simulated model instances without changing the plan shape.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -172,16 +173,46 @@ def evaluate_model_prompt(
     return engine.run_counts(build_requests(model, strategy, records, scoring="detection"))
 
 
+#: How cached Inspector verdicts are spelled in the response cache.
+_VERDICTS = {"race": True, "clean": False}
+
+
 def evaluate_inspector(
     benchmarks: Sequence[Microbenchmark],
     *,
     detector: Optional[InspectorLikeDetector] = None,
     engine=None,
 ) -> ConfusionCounts:
-    """Run the Inspector-like dynamic detector over corpus microbenchmarks."""
+    """Run the Inspector-like dynamic detector over corpus microbenchmarks.
+
+    With a response cache on the engine, each verdict is looked up under the
+    detector's ``cache_identity`` and the prompt ``"<num_threads>\\n<code>"``.
+    Only the misses run, through ``engine.map``; their verdicts are stored
+    as ``race``/``clean``, and their mean seconds go to the cache's cost
+    model so cost-weighted eviction keeps them.  Every benchmark counts as
+    one engine request, hit or miss.  Without a cache every benchmark runs.
+    """
     detector = detector or InspectorLikeDetector()
     benchmarks = list(benchmarks)
-    predictions = _resolve_engine(engine).map(detector.predict, benchmarks)
+    engine = _resolve_engine(engine)
+    cache = engine.cache
+    if cache is None:
+        predictions = engine.map(detector.predict, benchmarks)
+    else:
+        identity = detector.cache_identity
+        prompts = [f"{bench.num_threads}\n{bench.code}" for bench in benchmarks]
+        predictions = [_VERDICTS.get(cache.get(identity, prompt)) for prompt in prompts]
+        misses = [i for i, verdict in enumerate(predictions) if verdict is None]
+        if misses:
+            start = time.perf_counter()
+            verdicts = engine.map(detector.predict, [benchmarks[i] for i in misses])
+            if cache.cost_model is not None:
+                seconds = (time.perf_counter() - start) / len(misses)
+                cache.cost_model.observe(identity, "inspect", seconds)
+            for i, verdict in zip(misses, verdicts):
+                predictions[i] = verdict
+                cache.put(identity, prompts[i], "race" if verdict else "clean")
+        engine.telemetry.record_requests(len(benchmarks) - len(misses))
     counts = ConfusionCounts()
     for bench, prediction in zip(benchmarks, predictions):
         counts.add(bench.has_race, prediction)
@@ -367,12 +398,15 @@ def _plan_crossval_table(
     n_folds: int,
     seed: int,
     model_factory: Optional[ModelFactory],
+    cache=None,
 ):
     """Shared plan builder for Tables 4 and 6.
 
     Fine-tuning happens here, at plan time — it is pure CPU work on the
     training folds, so by execution time the whole table is detection
-    requests the scheduler can interleave with every other table.
+    requests the scheduler can interleave with every other table.  With a
+    response ``cache`` (the engine's), each fold's adapter is read from it
+    when a previous run stored one, and trained and stored otherwise.
     """
     from repro.engine.scheduler import TablePlan
     from repro.eval.crossval import plan_finetune_crossval
@@ -389,6 +423,7 @@ def _plan_crossval_table(
             n_folds=n_folds,
             seed=seed,
             model_factory=model_factory,
+            cache=cache,
         )
         start = len(requests)
         requests.extend(subplan.requests)
@@ -413,9 +448,12 @@ def plan_table4(
     n_folds: int = 5,
     seed: int = 7,
     model_factory: Optional[ModelFactory] = None,
+    cache=None,
 ):
     """Plan Table 4: basic fine-tuning (detection) under cross-validation."""
-    return _plan_crossval_table("table4", "basic", dataset, models, n_folds, seed, model_factory)
+    return _plan_crossval_table(
+        "table4", "basic", dataset, models, n_folds, seed, model_factory, cache
+    )
 
 
 def run_table4(
@@ -427,8 +465,9 @@ def run_table4(
     engine=None,
 ):
     """Table 4: basic fine-tuning (detection) under 5-fold cross-validation."""
-    plan = plan_table4(dataset, models=models, n_folds=n_folds, seed=seed)
-    return plan.execute(_resolve_engine(engine))
+    engine = _resolve_engine(engine)
+    plan = plan_table4(dataset, models=models, n_folds=n_folds, seed=seed, cache=engine.cache)
+    return plan.execute(engine)
 
 
 def plan_table6(
@@ -438,10 +477,11 @@ def plan_table6(
     n_folds: int = 5,
     seed: int = 7,
     model_factory: Optional[ModelFactory] = None,
+    cache=None,
 ):
     """Plan Table 6: advanced fine-tuning (variable identification) under CV."""
     return _plan_crossval_table(
-        "table6", "advanced", dataset, models, n_folds, seed, model_factory
+        "table6", "advanced", dataset, models, n_folds, seed, model_factory, cache
     )
 
 
@@ -454,5 +494,6 @@ def run_table6(
     engine=None,
 ):
     """Table 6: advanced fine-tuning (variable identification) under 5-fold CV."""
-    plan = plan_table6(dataset, models=models, n_folds=n_folds, seed=seed)
-    return plan.execute(_resolve_engine(engine))
+    engine = _resolve_engine(engine)
+    plan = plan_table6(dataset, models=models, n_folds=n_folds, seed=seed, cache=engine.cache)
+    return plan.execute(engine)

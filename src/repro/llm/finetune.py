@@ -13,13 +13,19 @@ plays the role of the adapter scaling: with a 198-example dataset the
 adapter can only nudge, not replace, the base behaviour — which is exactly
 the regime the paper reports (small recall/precision movements, Tables 4
 and 6).
+
+Training is deterministic, so a :class:`FineTuner` given a response cache
+stores each trained adapter there and a later fit on the same config and
+training set reads it back instead of retraining (see :meth:`FineTuner.fit`).
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
+import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,6 +37,9 @@ from repro.llm.features import extract_code_from_prompt, hashed_ngram_vector
 from repro.llm.responses import render_detection_response, render_pairs_response
 from repro.llm.zoo import SimulatedChatModel
 from repro.prompting.strategy import PromptStrategy
+
+if TYPE_CHECKING:  # repro.engine imports this module through repro.eval
+    from repro.engine.cache import ResponseCache
 
 __all__ = ["FineTuneConfig", "FineTuner", "FineTunedModel"]
 
@@ -155,17 +164,45 @@ class FineTunedModel(LanguageModel):
         return render_detection_response(verdict, features)
 
 
+#: Identity prefix of stored adapters.  Bump the version when a change to
+#: featurisation, the optimiser or the adapter layout alters the weights a
+#: config and training set produce, so stale adapters stop matching.
+ADAPTER_IDENTITY_PREFIX = "adapter/v1"
+
+
 @dataclass
 class FineTuner:
-    """Trains a :class:`FineTunedModel` from prompt–response pairs."""
+    """Trains a :class:`FineTunedModel` from prompt–response pairs.
+
+    ``cache`` (a :class:`~repro.engine.cache.ResponseCache`) makes fits
+    reusable: see :meth:`fit`.
+    """
 
     base: SimulatedChatModel
     config: Optional[FineTuneConfig] = None
     history: List[float] = field(default_factory=list)
+    cache: Optional["ResponseCache"] = None
 
     def __post_init__(self) -> None:
         if self.config is None:
             self.config = FineTuneConfig.for_model(self.base.name)
+
+    @property
+    def cache_identity(self) -> str:
+        """``adapter/v1#`` plus a digest of the fine-tune config."""
+        digest = hashlib.sha256(repr(self.config).encode("utf-8")).hexdigest()
+        return f"{ADAPTER_IDENTITY_PREFIX}#{digest[:16]}"
+
+    @staticmethod
+    def training_digest(pairs: Sequence[PromptResponsePair]) -> str:
+        """sha256 over every pair's prompt and label: all a fit reads."""
+        digest = hashlib.sha256()
+        for pair in pairs:
+            digest.update(pair.prompt.encode("utf-8"))
+            digest.update(b"\x00")
+            digest.update(repr(float(pair.label)).encode("ascii"))
+            digest.update(b"\x00")
+        return digest.hexdigest()
 
     def _dataset(self, pairs: Sequence[PromptResponsePair]):
         features = np.stack(
@@ -179,18 +216,17 @@ class FineTuner:
         labels = np.array([pair.label for pair in pairs], dtype=np.float64)
         return features, labels
 
-    def fit(self, pairs: Sequence[PromptResponsePair]) -> FineTunedModel:
-        """Fine-tune on the given pair set and return the tuned model."""
-        if not pairs:
-            raise ValueError("cannot fine-tune on an empty pair set")
-        kind = pairs[0].kind
-        features, labels = self._dataset(pairs)
-        adapter = LowRankAdapter(
+    def _new_adapter(self) -> LowRankAdapter:
+        return LowRankAdapter(
             input_dim=self.config.feature_dim,
             rank=self.config.lora_rank,
             dropout=self.config.dropout,
             seed=self.config.seed,
         )
+
+    def _train(self, pairs: Sequence[PromptResponsePair]) -> Tuple[LowRankAdapter, float]:
+        features, labels = self._dataset(pairs)
+        adapter = self._new_adapter()
         loss = adapter.fit(
             features,
             labels,
@@ -198,5 +234,58 @@ class FineTuner:
             epochs=self.config.epochs,
             batch_size=self.config.batch_size,
         )
+        return adapter, loss
+
+    def _stored(self, entry: Optional[str]) -> Optional[Tuple[LowRankAdapter, float]]:
+        """The adapter and loss a cache entry holds; ``None`` if absent or damaged."""
+        if entry is None:
+            return None
+        try:
+            stored = json.loads(entry)
+            weights = np.array(stored["weights"], dtype=np.float64)
+            bias = float(stored["bias"])
+            loss = float(stored["loss"])
+        except (ValueError, TypeError, KeyError):
+            return None
+        if weights.shape != (self.config.lora_rank,):
+            return None
+        # The projection is a pure function of the seed; only the trained
+        # head is stored.
+        adapter = self._new_adapter()
+        adapter.weights = weights
+        adapter.bias = bias
+        return adapter, loss
+
+    def fit(self, pairs: Sequence[PromptResponsePair]) -> FineTunedModel:
+        """Fine-tune on the given pair set and return the tuned model.
+
+        With a cache, the adapter is looked up under :attr:`cache_identity`
+        and :meth:`training_digest`.  A hit rebuilds it from the stored
+        weights, bias and final loss (JSON floats round-trip exactly, so
+        the tuned model's ``cache_identity`` is the freshly trained one's);
+        a miss or a damaged entry trains and stores the result, and
+        records the fit's seconds in the cache's cost model so
+        cost-weighted eviction keeps these expensive entries longest.
+        """
+        if not pairs:
+            raise ValueError("cannot fine-tune on an empty pair set")
+        kind = pairs[0].kind
+        stored = None
+        if self.cache is not None:
+            identity = self.cache_identity
+            prompt = self.training_digest(pairs)
+            stored = self._stored(self.cache.get(identity, prompt))
+        if stored is not None:
+            adapter, loss = stored
+        else:
+            start = time.perf_counter()
+            adapter, loss = self._train(pairs)
+            if self.cache is not None:
+                if self.cache.cost_model is not None:
+                    self.cache.cost_model.observe(
+                        identity, "fit", time.perf_counter() - start
+                    )
+                entry = {"weights": adapter.weights.tolist(), "bias": adapter.bias, "loss": loss}
+                self.cache.put(identity, prompt, json.dumps(entry))
         self.history.append(loss)
         return FineTunedModel(self.base, adapter, self.config, kind=kind)

@@ -1,5 +1,7 @@
 """Tests for the simulated model zoo, behavioral calibration and fine-tuning."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -203,6 +205,21 @@ class TestAdapter:
         adapter.fit(features, labels, epochs=60, learning_rate=0.5)
         preds = adapter.predict_proba(features) > 0.5
         assert (preds == labels.astype(bool)).mean() > 0.9
+
+    def test_fit_result_is_pinned(self):
+        """Loss and weights of a fixed 40-record fit, recorded before the
+        loss was restricted to the final epoch."""
+        rng = np.random.default_rng(11)
+        features = rng.normal(0.0, 1.0, size=(40, 32))
+        features /= np.linalg.norm(features, axis=1, keepdims=True)
+        labels = (features[:, 0] + 0.3 * features[:, 1] > 0).astype(np.float64)
+        adapter = LowRankAdapter(input_dim=32, rank=8, dropout=0.1, seed=5)
+        loss = adapter.fit(features, labels, learning_rate=0.2, epochs=40, batch_size=4)
+        assert loss == 0.6249099649374927
+        assert adapter.bias == -0.057794262286196066
+        assert hashlib.sha256(adapter.weights.tobytes()).hexdigest() == (
+            "f05f6d4c4db53b982b0bcc1cf1446d66b3569e4d86f4894bfc7d2e5770d0172c"
+        )
 
     def test_mismatched_shapes_rejected(self):
         adapter = LowRankAdapter(input_dim=8, rank=2)
