@@ -13,11 +13,11 @@ Usage::
 
     python -m repro table3 --jobs 8             # thread pool (same results)
     python -m repro table3 --executor process   # shard across processes
-    python -m repro all --executor async --jobs 16   # asyncio backend
-    python -m repro all --executor async --max-inflight 256
-                                      # async-native model I/O: chunk work
-                                      # awaits on one event loop, one wire
-                                      # call per chunk phase with misses
+    python -m repro all --executor async --jobs 16   # asyncio backend:
+                                      # chunk work awaits model I/O on one
+                                      # event loop, at most --jobs chunks
+                                      # in flight, one wire call per chunk
+                                      # phase with misses
     python -m repro all --sequential            # one engine run per table
     python -m repro all --cache /tmp/repro-cache    # persist responses as
                                       # append-only JSONL segments
@@ -29,7 +29,6 @@ Usage::
                                       # requests are planned and dispatched
                                       # in windows (peak RSS O(window), not
                                       # O(corpus)); identical results
-    python -m repro all --stream --stream-window 512   # window size
     python -m repro table3 --cascade             # tiered detection cascade:
                                       # static analyzer, then a fast zoo
                                       # model, answer first; only low-
@@ -38,9 +37,11 @@ Usage::
     python -m repro table3 --cascade --cascade-tiers static,inspector,gpt-3.5-turbo
     python -m repro table3 --cascade --escalate-below 0.9   # stricter: more
                                       # records reach the expensive model
-    python -m repro all --cascade --speculate    # cross-backend speculation:
+    python -m repro all --jobs 4 --cascade --speculate
+                                      # cross-backend speculation:
                                       # straggler chunks race a cheaper
                                       # tier's model, first verdict wins
+                                      # (needs a parallel executor)
     python -m repro all --retries 3              # fault tolerance: failing
                                       # chunks back off and re-enter the
                                       # dispatcher; models that keep failing
@@ -96,7 +97,6 @@ from repro.engine import (
     DEFAULT_BREAKER_THRESHOLD,
     DEFAULT_CASCADE_TIERS,
     DEFAULT_ESCALATE_BELOW,
-    DEFAULT_RETRY_BASE_MS,
     DEFAULT_STREAM_WINDOW,
     CascadePolicy,
     CostModel,
@@ -150,7 +150,6 @@ def _run(
     engine: ExecutionEngine,
     *,
     stream: bool = False,
-    stream_window: Optional[int] = None,
     subset=None,
 ) -> None:
     subset = subset if subset is not None else default_subset()
@@ -170,7 +169,7 @@ def _run(
             from repro.engine import collect_default_plans, run_plans_streaming
 
             plans = collect_default_plans(subset, tables=(table,), cache=engine.cache)
-            results = run_plans_streaming(plans, engine=engine, window=stream_window)
+            results = run_plans_streaming(plans, engine=engine)
             _print_result(table, results[table])
         else:
             _print_result(table, drivers[table](subset, engine=engine))
@@ -191,7 +190,6 @@ def _run_all(
     sequential: bool,
     stats: bool,
     stream: bool = False,
-    stream_window: Optional[int] = None,
 ) -> None:
     """``repro all``: summary, then every table through the scheduler.
 
@@ -204,7 +202,7 @@ def _run_all(
     if sequential:
         for table in ("table2", "table3", "table4", "table5", "table6"):
             before = engine.telemetry.snapshot()
-            _run(table, engine, stream=stream, stream_window=stream_window, subset=subset)
+            _run(table, engine, stream=stream, subset=subset)
             if stats:
                 print(engine.telemetry.format_stats(executor_name=engine.executor.name, since=before))
             print()
@@ -212,9 +210,7 @@ def _run_all(
             _print_group_stats(engine)
         return
     before = engine.telemetry.snapshot()
-    results = run_all_tables(
-        subset, engine=engine, stream=stream, stream_window=stream_window
-    )
+    results = run_all_tables(subset, engine=engine, stream=stream)
     for table, result in results.items():
         _print_result(table, result)
         print()
@@ -244,28 +240,16 @@ def _build_engine(args: argparse.Namespace) -> ExecutionEngine:
             max_bytes=args.cache_max_bytes,
             ttl_s=args.cache_ttl,
         )
-    # An unset --speculate-after keeps the engine's own default; main() has
-    # already rejected it without --speculate.
-    tuning = {}
-    if args.speculate_after is not None:
-        tuning["speculate_after"] = args.speculate_after
-    jobs = args.jobs
-    if jobs is None:
-        # --executor without --jobs: parallel backends get a sensible
-        # default width instead of a one-worker pool.
-        jobs = 4 if args.executor not in (None, "serial") else 1
     return ExecutionEngine(
-        jobs=jobs,
+        jobs=args.jobs,
         executor_kind=args.executor,
         cache=cache,
         batch_size=args.batch_size,
         lpt=args.lpt,
         adaptive_batching=args.adaptive_batching,
         cost_model=cost_model,
-        max_inflight=args.max_inflight,
         speculate=args.speculate,
         deadline=args.deadline,
-        stream_window=args.stream_window,
         cascade=cascade_policy,
         speculate_fallback=(
             cascade_policy.fallback_model
@@ -273,11 +257,7 @@ def _build_engine(args: argparse.Namespace) -> ExecutionEngine:
             else None
         ),
         retries=args.retries,
-        retry_base_ms=args.retry_base_ms,
-        breaker_threshold=args.breaker_threshold,
-        breaker_cooldown_s=args.breaker_cooldown_s,
         journal=args.journal,
-        **tuning,
     )
 
 
@@ -398,17 +378,6 @@ def main(argv: List[str] | None = None) -> int:
         ),
     )
     parser.add_argument(
-        "--max-inflight",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "async backend: maximum concurrently in-flight chunk coroutines "
-            "on the event loop — raise far beyond any sensible --jobs to "
-            "saturate a latency-bound remote API (default: --jobs)"
-        ),
-    )
-    parser.add_argument(
         "--speculate",
         action=argparse.BooleanOptionalAction,
         default=False,
@@ -416,18 +385,8 @@ def main(argv: List[str] | None = None) -> int:
             "tail-latency control: race a duplicate of any chunk running "
             "past the cost model's p95 estimate into idle executor "
             "capacity — first completion wins, results are identical; "
-            "composes with --retries (default: off)"
-        ),
-    )
-    parser.add_argument(
-        "--speculate-after",
-        type=float,
-        default=None,
-        metavar="X",
-        help=(
-            "with --speculate: launch a duplicate once a chunk's elapsed "
-            "time exceeds X times its p95 cost-model estimate (default: "
-            "1.5; smaller races sooner, larger duplicates less work)"
+            "needs a parallel executor (--jobs N > 1); composes with "
+            "--retries (default: off)"
         ),
     )
     parser.add_argument(
@@ -474,39 +433,9 @@ def main(argv: List[str] | None = None) -> int:
             "backoff and deterministic jitter before surfacing explicit "
             "failed results; retried work re-enters the dispatcher instead "
             "of blocking a worker, and per-model circuit breakers route "
-            "around models that keep failing (default: 0 — fail fast)"
-        ),
-    )
-    parser.add_argument(
-        "--retry-base-ms",
-        type=float,
-        default=DEFAULT_RETRY_BASE_MS,
-        metavar="MS",
-        help=(
-            "base backoff before the first retry; attempt k waits "
-            f"base*2^k ms, jittered (default: {DEFAULT_RETRY_BASE_MS:g})"
-        ),
-    )
-    parser.add_argument(
-        "--breaker-threshold",
-        type=int,
-        default=DEFAULT_BREAKER_THRESHOLD,
-        metavar="N",
-        help=(
-            "consecutive failures that open a model's circuit breaker; "
-            "while open, its chunks reroute to the cascade's next-cheaper "
-            "tier (with --cascade) or fail fast (default: "
-            f"{DEFAULT_BREAKER_THRESHOLD})"
-        ),
-    )
-    parser.add_argument(
-        "--breaker-cooldown-s",
-        type=float,
-        default=DEFAULT_BREAKER_COOLDOWN_S,
-        metavar="SECONDS",
-        help=(
-            "how long an open breaker waits before letting one half-open "
-            f"probe through (default: {DEFAULT_BREAKER_COOLDOWN_S:g})"
+            f"around models that keep failing ({DEFAULT_BREAKER_THRESHOLD} "
+            f"consecutive failures open a breaker for "
+            f"{DEFAULT_BREAKER_COOLDOWN_S:g} s; default: 0 — fail fast)"
         ),
     )
     parser.add_argument(
@@ -544,19 +473,9 @@ def main(argv: List[str] | None = None) -> int:
         default=False,
         help=(
             "bounded-memory streaming: build, plan and dispatch requests in "
-            "windows of --stream-window instead of materialising the whole "
-            "workload — peak RSS is O(window), results are identical "
-            "(default: off)"
-        ),
-    )
-    parser.add_argument(
-        "--stream-window",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "requests resident at once under --stream (default: "
-            f"{DEFAULT_STREAM_WINDOW})"
+            f"windows of {DEFAULT_STREAM_WINDOW} requests instead of "
+            "materialising the whole workload — peak RSS is O(window), "
+            "results are identical (default: off)"
         ),
     )
     parser.add_argument(
@@ -622,26 +541,19 @@ def main(argv: List[str] | None = None) -> int:
         parser.error(
             f"--cache {args.cache} is a file; the cache is a directory of segments"
         )
-    if args.max_inflight is not None:
-        if args.executor != "async":
-            parser.error("--max-inflight requires --executor async")
-        if args.max_inflight < 1:
-            parser.error("--max-inflight must be >= 1")
-    if args.speculate_after is not None:
-        if not args.speculate:
-            parser.error("--speculate-after requires --speculate")
-        if args.speculate_after <= 0:
-            parser.error("--speculate-after must be > 0")
+    if args.jobs is None:
+        # --executor without --jobs: parallel backends get a sensible
+        # default width instead of a one-worker pool.
+        args.jobs = 4 if args.executor not in (None, "serial") else 1
+    if args.speculate and (args.executor == "serial" or args.jobs <= 1):
+        # A duplicate needs an idle slot; a one-wide executor never has one.
+        parser.error(
+            "--speculate requires a parallel executor (--jobs N > 1, not --executor serial)"
+        )
     if args.deadline is not None and args.deadline <= 0:
         parser.error("--deadline must be > 0 seconds")
     if args.retries < 0:
         parser.error("--retries must be >= 0")
-    if args.retry_base_ms <= 0:
-        parser.error("--retry-base-ms must be > 0")
-    if args.breaker_threshold < 1:
-        parser.error("--breaker-threshold must be >= 1")
-    if args.breaker_cooldown_s < 0:
-        parser.error("--breaker-cooldown-s must be >= 0")
     if not args.cascade:
         if args.cascade_tiers is not None:
             parser.error("--cascade-tiers requires --cascade")
@@ -692,11 +604,6 @@ def main(argv: List[str] | None = None) -> int:
         )
     if args.sequential and args.command != "all":
         parser.error("--sequential only applies to the 'all' command")
-    if args.stream_window is not None:
-        if args.stream_window < 1:
-            parser.error("--stream-window must be >= 1")
-        if not args.stream:
-            parser.error("--stream-window requires --stream")
     if args.stream and args.command == "summary":
         parser.error("--stream has no effect on the 'summary' command")
     engine = _build_engine(args)
@@ -707,11 +614,10 @@ def main(argv: List[str] | None = None) -> int:
                 sequential=args.sequential,
                 stats=not args.no_stats,
                 stream=args.stream,
-                stream_window=args.stream_window,
             )
         else:
             before = engine.telemetry.snapshot()
-            _run(args.command, engine, stream=args.stream, stream_window=args.stream_window)
+            _run(args.command, engine, stream=args.stream)
             if args.command != "summary" and not args.no_stats:
                 print(
                     engine.telemetry.format_stats(

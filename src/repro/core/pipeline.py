@@ -13,8 +13,8 @@ the static detector) used for comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.static_race import StaticRaceDetector
 from repro.core.config import PipelineConfig
@@ -25,7 +25,6 @@ from repro.dataset.drbml import DRBMLDataset
 from repro.dataset.pairs import build_advanced_pairs, build_basic_pairs
 from repro.dynamic.inspector import InspectorLikeDetector
 from repro.engine import (
-    CascadePolicy,
     CostModel,
     ExecutionEngine,
     ResponseCache,
@@ -60,14 +59,27 @@ class DetectionOutcome:
 
 
 class DataRacePipeline:
-    """High-level facade over the whole reproduction."""
+    """High-level facade over the whole reproduction.
 
-    def __init__(self, config: Optional[PipelineConfig] = None) -> None:
+    ``engine`` is the :class:`~repro.engine.core.ExecutionEngine` every
+    scoring path runs through; build one to choose the executor, cache,
+    cascade or fault tolerance.  Without one the pipeline builds its own on
+    first use — serial, with a 65,536-entry in-memory cache that shares the
+    engine's cost model — and closes only an engine it built itself.
+    """
+
+    def __init__(
+        self,
+        config: Optional[PipelineConfig] = None,
+        *,
+        engine: Optional[ExecutionEngine] = None,
+    ) -> None:
         self.config = config or PipelineConfig()
         self._registry: Optional[CorpusRegistry] = None
         self._dataset: Optional[DRBMLDataset] = None
         self._models: Dict[str, LanguageModel] = {}
-        self._engine: Optional[ExecutionEngine] = None
+        self._engine = engine
+        self._owns_engine = engine is None
 
     # -- lazily built artefacts -----------------------------------------------------
 
@@ -103,69 +115,25 @@ class DataRacePipeline:
 
     @property
     def engine(self) -> ExecutionEngine:
-        """The execution engine every scoring path runs through.
-
-        Built once from the config: ``jobs``/``executor`` select the
-        backend (serial, thread, process or async),
-        ``cache_entries``/``cache_path`` configure the response cache,
-        ``cascade`` routes records through the cheap-tier ladder first.
-        Results are identical across these settings; they only change how
-        fast the calls run (the cascade additionally changes *which* model
-        answers each record, so its results differ by design unless every
-        record escalates).
-        """
+        """The execution engine every scoring path runs through."""
         if self._engine is None:
-            cascade = None
-            speculate_fallback = None
-            if self.config.cascade:
-                cascade = CascadePolicy.from_spec(
-                    self.config.cascade_tiers,
-                    escalate_below=self.config.escalate_below,
-                )
-                if self.config.speculate:
-                    speculate_fallback = cascade.fallback_model
             # One cost model shared by the scheduler and the cache's
             # eviction rule.
             cost_model = CostModel()
-            cache = None
-            if self.config.cache_entries > 0:
-                cache = ResponseCache(
-                    self.config.cache_entries,
-                    path=self.config.cache_path,
-                    cost_model=cost_model,
-                    max_bytes=self.config.cache_max_bytes,
-                    ttl_s=self.config.cache_ttl_s,
-                )
             self._engine = ExecutionEngine(
-                jobs=self.config.jobs,
-                executor_kind=self.config.executor,
-                cache=cache,
-                batch_size=self.config.batch_size,
-                lpt=self.config.lpt,
-                adaptive_batching=self.config.adaptive_batching,
+                cache=ResponseCache(65536, cost_model=cost_model),
                 cost_model=cost_model,
-                max_inflight=self.config.max_inflight,
-                speculate=self.config.speculate,
-                speculate_after=self.config.speculate_after,
-                deadline=self.config.deadline,
-                stream_window=self.config.stream_window,
-                cascade=cascade,
-                speculate_fallback=speculate_fallback,
-                retries=self.config.retries,
-                retry_base_ms=self.config.retry_base_ms,
-                breaker_threshold=self.config.breaker_threshold,
-                breaker_cooldown_s=self.config.breaker_cooldown_s,
-                journal=self.config.journal,
             )
         return self._engine
 
     def close(self) -> None:
-        """Release the engine's executor resources (pools, loops), if built.
+        """Release the engine's executor resources if the pipeline built it.
 
         Idempotent; the pipeline remains usable — the next engine access
-        builds a fresh one.  Also usable as a context manager.
+        builds a fresh default one.  An engine passed in by the caller is
+        left open: its owner closes it.  Also usable as a context manager.
         """
-        if self._engine is not None:
+        if self._owns_engine and self._engine is not None:
             self._engine.close()
             self._engine = None
 
@@ -176,17 +144,21 @@ class DataRacePipeline:
         self.close()
 
     def save_cache(self) -> Optional[str]:
-        """Persist the response cache to ``config.cache_path``, if both exist.
+        """Persist the engine's response cache to ``engine.cache.path``.
 
         Returns the path written, or ``None`` when there is nothing to save
-        (caching disabled or no ``cache_path`` configured).  Loading is
-        automatic — the engine's cache reads the file on first use — but
-        saving is explicit so callers decide when a run's responses are
-        worth keeping.
+        (no cache, or a cache without a path).  The cost model is saved too
+        when it has a path of its own.  Loading is automatic — a cache
+        reads its directory when built — but saving is explicit so callers
+        decide when a run's responses are worth keeping.
         """
-        if self.engine.cache is None or self.config.cache_path is None:
+        cache = self.engine.cache
+        if cache is None or cache.path is None:
             return None
-        return str(self.engine.cache.save())
+        written = str(cache.save())
+        if self.engine.cost_model.path is not None:
+            self.engine.cost_model.save()
+        return written
 
     # -- route 1: prompt engineering -----------------------------------------------
 
@@ -261,8 +233,8 @@ class DataRacePipeline:
     ) -> ConfusionCounts:
         """Confusion counts of a model/strategy over the evaluation subset.
 
-        Runs through the execution engine (batched, cached, parallel per
-        the pipeline config); scoring matches :meth:`detect` exactly — for
+        Runs through :attr:`engine` (batched, cached and parallel as that
+        engine is configured); scoring matches :meth:`detect` exactly — for
         pair-requesting strategies a missing verdict counts as "no race"
         (the ``"pairs-strict"`` mode).  With ``config.stream`` the requests
         flow through :meth:`ExecutionEngine.run_streaming` in bounded

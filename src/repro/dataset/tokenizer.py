@@ -42,8 +42,11 @@ class CodeTokenizer:
         return tokens
 
     def count(self, text: str) -> int:
-        """Number of tokens in ``text``."""
-        return len(self.tokenize(text))
+        """Number of tokens in ``text``: ``len(tokenize(text))``, computed
+        from word lengths alone (a word splits into ``ceil(len /
+        max_piece_len)`` pieces)."""
+        size = self.max_piece_len
+        return sum(-(-len(word) // size) for word in _WORD_RE.findall(text))
 
 
 #: Shared default-configuration instance: the tokenizer is frozen and

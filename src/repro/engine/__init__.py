@@ -37,7 +37,7 @@ Module map
     :class:`MalformedResponseError` under :class:`ModelError`, with
     :func:`classify_error` mapping arbitrary exceptions into it),
     :class:`RetryPolicy` (exponential backoff with deterministic seeded
-    jitter; ``--retries`` / ``--retry-base-ms``), per-model
+    jitter; ``--retries``), per-model
     :class:`CircuitBreaker` s in a :class:`BreakerBoard` keyed on
     ``cache_identity``, and the :class:`RunJournal` (``--journal``) — an
     append-only JSONL checkpoint of completed chunk outcomes an
@@ -85,9 +85,11 @@ Module map
     fallback), workers attach a :class:`SharedSnapshotView` and
     binary-search it in place instead of deserialising private copies.
 ``telemetry``
-    :class:`EngineTelemetry` — thread-safe counters (requests, model
-    calls, cache hits/misses, wall time) with a one-line ``format_stats``
-    for the CLI and a ``snapshot`` dict for ``BENCH_engine.json``.
+    :class:`EngineTelemetry` — one declared table of counters and gauges
+    (:data:`~repro.engine.telemetry.METRICS`: requests, model calls,
+    cache hits/misses, wall time, …) recorded through ``add``/``gauge``,
+    with a one-line ``format_stats`` for the CLI and a ``snapshot`` dict
+    for ``BENCH_engine.json``.
 
 Guarantee: the engine is a pure execution refactor.  For the deterministic
 simulated models, confusion counts are bit-identical across executors,

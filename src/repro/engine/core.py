@@ -15,7 +15,7 @@ call a language model.  Given a sequence of
    executor's ``submit_stream`` seam, merging each chunk the moment it
    completes.  On an **async-native** executor (``native_async``, the
    ``AsyncExecutor``) the chunk work item is a coroutine: model I/O is
-   awaited on the event loop under the executor's ``max_inflight``
+   awaited on the event loop under the executor's ``jobs``-wide
    semaphore;
 3. inside a chunk, runs **one** chunk body (:func:`_chunk_steps`): it
    renders the strategy's prompt phases via
@@ -130,7 +130,7 @@ from repro.engine.snapshot import (
     publish_snapshot,
     retire_snapshot,
 )
-from repro.engine.telemetry import EngineTelemetry
+from repro.engine.telemetry import EngineTelemetry, process_rss_kb
 from repro.prompting.chains import strategy_batch_phases
 
 __all__ = [
@@ -404,12 +404,6 @@ class ExecutionEngine:
         defaults to a fresh in-memory one.  It is always fed with observed
         chunk latencies, even when ``lpt`` and ``adaptive_batching`` are
         off.
-    max_inflight:
-        Async-native path only: maximum concurrently in-flight chunk
-        coroutines (the :class:`~repro.engine.executors.AsyncExecutor`
-        semaphore width).  ``None`` keeps the executor's default (its
-        ``jobs``).  Only valid with ``jobs``/``executor_kind``; pass it to
-        the executor directly when constructing one yourself.
     speculate:
         Tail-latency control: watch in-flight
         chunks against the cost model's per-chunk quantile estimate and,
@@ -435,9 +429,9 @@ class ExecutionEngine:
         predicted vs. actual makespan.  ``None`` (default) disables the
         budget entirely.
     stream_window:
-        Default window size for :meth:`run_streaming`: at most this many
-        requests are materialised, planned and in flight at once.  ``None``
-        keeps :data:`DEFAULT_STREAM_WINDOW`.  Has no effect on :meth:`run`.
+        Window size for :meth:`run_streaming`: at most this many requests
+        are materialised, planned and in flight at once.  ``None`` keeps
+        :data:`DEFAULT_STREAM_WINDOW`.  Has no effect on :meth:`run`.
     cascade:
         A :class:`~repro.engine.cascade.CascadePolicy` to route every
         batch through cheap detector tiers first, escalating only
@@ -498,7 +492,6 @@ class ExecutionEngine:
         lpt: bool = True,
         adaptive_batching: bool = True,
         cost_model: Optional[CostModel] = None,
-        max_inflight: Optional[int] = None,
         speculate: bool = False,
         speculate_after: float = 1.5,
         deadline: Optional[float] = None,
@@ -511,16 +504,10 @@ class ExecutionEngine:
         breaker_cooldown_s: float = DEFAULT_BREAKER_COOLDOWN_S,
         journal=None,
     ) -> None:
-        if executor is not None and (
-            jobs is not None or executor_kind is not None or max_inflight is not None
-        ):
-            raise ValueError(
-                "pass either executor or jobs/executor_kind/max_inflight, not both"
-            )
+        if executor is not None and (jobs is not None or executor_kind is not None):
+            raise ValueError("pass either executor or jobs/executor_kind, not both")
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if max_inflight is not None and max_inflight < 1:
-            raise ValueError("max_inflight must be >= 1 or None")
         if speculate_after <= 0:
             raise ValueError("speculate_after must be > 0")
         if deadline is not None and deadline <= 0:
@@ -538,7 +525,7 @@ class ExecutionEngine:
         self.executor = (
             executor
             if executor is not None
-            else create_executor(jobs or 1, kind=executor_kind, max_inflight=max_inflight)
+            else create_executor(jobs or 1, kind=executor_kind)
         )
         for method in ("submit", "submit_stream"):
             if not callable(getattr(self.executor, method, None)):
@@ -594,82 +581,63 @@ class ExecutionEngine:
         start = time.perf_counter()
         results, shed = self._execute_indexed(indexed)
         elapsed = time.perf_counter() - start
-        self.telemetry.record_run(elapsed)
-        if self.deadline is not None:
-            self.telemetry.record_deadline(
-                budget_s=self.deadline,
-                predicted_s=self._predicted_makespan_s,
-                actual_s=elapsed,
-                shed=shed,
-            )
+        self.telemetry.add(runs=1, wall_time_s=elapsed)
+        self._record_deadline(elapsed, shed)
         return RunResultStore(results)
 
     def run_counts(self, requests: Iterable[DetectionRequest]):
         """Shorthand: execute and fold straight into confusion counts."""
         return self.run(requests).confusion()
 
-    def run_streaming(
-        self,
-        requests: Iterable[DetectionRequest],
-        *,
-        window: Optional[int] = None,
-    ) -> Iterator[RunResult]:
+    def run_streaming(self, requests: Iterable[DetectionRequest]) -> Iterator[RunResult]:
         """Execute a request *stream* in bounded windows, yielding results.
 
-        At most ``window`` requests (default: the engine's
-        ``stream_window``) are pulled from the iterator, planned and
-        dispatched at a time, so peak residency is O(window) no matter how
-        large the stream — the producer is never run ahead of consumption by
-        more than one window.  Within each window the full machinery of
-        :meth:`run` applies unchanged: (model, strategy) grouping,
-        cost-model adaptive chunk sizing, LPT ordering, completion-order
-        merge, speculation, retries and the response cache — and a
-        ``deadline`` budgets each window independently.  Results are yielded
-        in request order as each window drains; for the same requests the
-        result sequence is element-identical to ``run(list(requests))``
-        (modulo per-window deadline shedding, which a whole-run budget
-        cannot match window for window).
+        At most ``stream_window`` requests are pulled from the iterator,
+        planned and dispatched at a time, so peak residency is O(window) no
+        matter how large the stream — the producer is never run ahead of
+        consumption by more than one window.  Within each window the full
+        machinery of :meth:`run` applies unchanged: (model, strategy)
+        grouping, cost-model adaptive chunk sizing, LPT ordering,
+        completion-order merge, speculation, retries and the response cache
+        — and a ``deadline`` budgets each window independently.  Results are
+        yielded in request order as each window drains; for the same
+        requests the result sequence is element-identical to
+        ``run(list(requests))`` (modulo per-window deadline shedding, which a
+        whole-run budget cannot match window for window).
 
         Distributed executors re-broadcast the cache snapshot per window, so
         later windows see entries earlier windows populated.
         """
-        size = self.stream_window if window is None else window
-        if size < 1:
-            raise ValueError("stream window must be >= 1")
-        return self._stream_windows(iter(requests), size)
-
-    def _stream_windows(
-        self, iterator: Iterator[DetectionRequest], size: int
-    ) -> Iterator[RunResult]:
+        iterator = iter(requests)
         start = time.perf_counter()
         try:
             while True:
                 batch: List[_IndexedRequest] = list(
-                    enumerate(itertools.islice(iterator, size))
+                    enumerate(itertools.islice(iterator, self.stream_window))
                 )
                 if not batch:
                     break
                 window_start = time.perf_counter()
                 results, shed = self._execute_indexed(batch)
-                if self.deadline is not None:
-                    self.telemetry.record_deadline(
-                        budget_s=self.deadline,
-                        predicted_s=self._predicted_makespan_s,
-                        actual_s=time.perf_counter() - window_start,
-                        shed=shed,
-                    )
+                self._record_deadline(time.perf_counter() - window_start, shed)
                 yield from results
         finally:
             # One wall-clock observation per streamed run, recorded even if
             # the consumer abandons the stream early.
-            self.telemetry.record_run(time.perf_counter() - start)
+            self.telemetry.add(runs=1, wall_time_s=time.perf_counter() - start)
 
-    def run_streaming_counts(
-        self,
-        requests: Iterable[DetectionRequest],
-        *,
-        window: Optional[int] = None,
-    ):
+    def _record_deadline(self, actual_s: float, shed: int) -> None:
+        """One deadline-budgeted batch: budget, predicted vs actual, sheds."""
+        if self.deadline is None:
+            return
+        self.telemetry.gauge(
+            deadline_budget_s=self.deadline,
+            deadline_predicted_s=self._predicted_makespan_s,
+            deadline_actual_s=actual_s,
+        )
+        self.telemetry.add(deadline_shed=shed)
+
+    def run_streaming_counts(self, requests: Iterable[DetectionRequest]):
         """Shorthand: stream-execute and fold into confusion counts.
 
         Nothing is buffered: each result is folded the moment its window
@@ -678,7 +646,7 @@ class ExecutionEngine:
         """
         from repro.engine.requests import confusion_from_results
 
-        return confusion_from_results(self.run_streaming(requests, window=window))
+        return confusion_from_results(self.run_streaming(requests))
 
     def _execute_indexed(
         self, indexed: List[_IndexedRequest]
@@ -708,8 +676,10 @@ class ExecutionEngine:
         for index, request in shed:
             results[index] = shed_result(request)
         self._run_chunks(chunks, results)
-        self.telemetry.record_requests(total)
-        self.telemetry.record_resident(total)
+        self.telemetry.add(requests=total)
+        # RSS is sampled beside the resident count, so the two peaks show
+        # how many requests were held at once and what holding them cost.
+        self.telemetry.gauge(resident_requests_peak=total, peak_rss_kb=process_rss_kb())
         return results, len(shed)
 
     # -- generic parallel map (non-LLM work, e.g. the Inspector baseline) ----------
@@ -723,8 +693,9 @@ class ExecutionEngine:
         items = list(items)
         start = time.perf_counter()
         mapped = self.executor.map(fn, items)
-        self.telemetry.record_requests(len(items))
-        self.telemetry.record_run(time.perf_counter() - start)
+        self.telemetry.add(
+            requests=len(items), runs=1, wall_time_s=time.perf_counter() - start
+        )
         return mapped
 
     # -- lifecycle ------------------------------------------------------------------
@@ -892,7 +863,7 @@ class ExecutionEngine:
         In-process executors run :meth:`_run_chunk` on the chunk itself —
         or, on an async-native executor, the coroutine
         :meth:`_await_chunk`, whose model I/O is awaited on the
-        executor's loop under its ``max_inflight`` semaphore.  Distributed
+        executor's loop under its ``jobs``-wide semaphore.  Distributed
         executors run the module-level :func:`_score_chunk_payload` on
         ``(chunk, snapshot_ref)``: the cache snapshot is published exactly
         once per run (a shared-memory block workers attach in place, or
@@ -918,7 +889,7 @@ class ExecutionEngine:
         if distributed:
             if self.cache is not None:
                 published = _publish_snapshot(self.cache.snapshot_entries())
-                self.telemetry.record_broadcast(published.nbytes)
+                self.telemetry.add(broadcast_publishes=1, broadcast_bytes=published.nbytes)
             snapshot_ref = published.payload if published is not None else None
             fn: Callable = _score_chunk_payload
             make_item: Callable = lambda chunk: (chunk, snapshot_ref)
@@ -932,7 +903,7 @@ class ExecutionEngine:
                 if outcome is None:
                     for index, request in original:
                         results[index] = failed_result(request)
-                    self.telemetry.record_failed_requests(len(original))
+                    self.telemetry.add(failed_requests=len(original))
                     continue
                 if distributed:
                     scored, new_entries, counters, elapsed = outcome
@@ -946,7 +917,7 @@ class ExecutionEngine:
         finally:
             _retire_snapshot(published)
         if async_native:
-            self.telemetry.record_inflight_peak(self._inflight_peak)
+            self.telemetry.gauge(async_inflight_peak=self._inflight_peak)
 
     def _dispatch(
         self,
@@ -1031,7 +1002,7 @@ class ExecutionEngine:
                     if policy.enabled:
                         routed = self._breaker_route(routed)
                     if routed is None:
-                        self.telemetry.record_breaker_short_circuits(1)
+                        self.telemetry.add(breaker_short_circuits=1)
                         resolved.add(index)
                         outstanding -= 1
                         yield index, None, chunks[index]
@@ -1049,7 +1020,7 @@ class ExecutionEngine:
                     if index in resolved:
                         # The losing copy of a race that already resolved.
                         if duplicate:
-                            self.telemetry.record_speculation(wasted=1)
+                            self.telemetry.add(speculation_wasted=1)
                         continue
                     copies[index].remove(future)
                     error = future.exception()
@@ -1063,8 +1034,9 @@ class ExecutionEngine:
                         if policy.enabled:
                             self.breakers.breaker(_identity(executed)).record_success()
                         if duplicate:
-                            self.telemetry.record_speculation(
-                                won=1, fallback_won=1 if on_fallback else 0
+                            self.telemetry.add(
+                                speculation_won=1,
+                                speculation_fallback_won=1 if on_fallback else 0,
                             )
                         yield index, future.result(), executed
                         continue
@@ -1073,10 +1045,10 @@ class ExecutionEngine:
                         # chunk, or speculation would *add* a failure mode
                         # on exactly the flaky backends it exists for.
                         if duplicate:
-                            self.telemetry.record_speculation(wasted=1)
+                            self.telemetry.add(speculation_wasted=1)
                         continue
                     if policy.allows(attempt) and is_retryable(error):
-                        self.telemetry.record_retries(1)
+                        self.telemetry.add(retries=1)
                         delay = policy.delay_s(
                             attempt, key=f"{_identity(executed)}|{index}"
                         )
@@ -1086,9 +1058,8 @@ class ExecutionEngine:
                         continue
                     if not policy.enabled:
                         raise error
-                    if self.breakers.breaker(_identity(executed)).record_failure():
-                        self.telemetry.record_breaker_opens(1)
-                    self.telemetry.record_retry_giveups(1)
+                    opened = self.breakers.breaker(_identity(executed)).record_failure()
+                    self.telemetry.add(breaker_opens=int(opened), retry_giveups=1)
                     resolved.add(index)
                     outstanding -= 1
                     yield index, None, executed
@@ -1120,14 +1091,15 @@ class ExecutionEngine:
                         chunk = _rewrite(chunk, fallback_model)
                     submit(index, attempt, chunk, True, on_fallback)
                     speculated.add(index)
-                    self.telemetry.record_speculation(
-                        launched=1, fallback_launched=1 if on_fallback else 0
+                    self.telemetry.add(
+                        speculation_launched=1,
+                        speculation_fallback_launched=1 if on_fallback else 0,
                     )
         finally:
             for index, _attempt, _chunk, duplicate, _fallback in stream.close():
                 if duplicate and index in resolved:
                     # A duplicate abandoned because its original won.
-                    self.telemetry.record_speculation(wasted=1)
+                    self.telemetry.add(speculation_wasted=1)
 
     def _chunk_threshold_s(self, chunk: Sequence[_IndexedRequest]) -> Optional[float]:
         """Elapsed seconds after which ``chunk`` counts as a straggler.
@@ -1177,7 +1149,7 @@ class ExecutionEngine:
             if self.breakers.breaker(identity).allow():
                 if current is model:
                     return chunk
-                self.telemetry.record_breaker_reroutes(1)
+                self.telemetry.add(breaker_reroutes=1)
                 return _rewrite(chunk, current)
             if self.cascade is None:
                 return None
@@ -1221,7 +1193,7 @@ class ExecutionEngine:
             else:
                 remaining.append((index, request))
         if hits:
-            self.telemetry.record_journal(hits=hits)
+            self.telemetry.add(journal_hits=hits)
         return remaining
 
     def _journal_record(
@@ -1252,7 +1224,7 @@ class ExecutionEngine:
         if not entries:
             return
         self.journal.record(chunk_journal_key(sorted(entries)), entries)
-        self.telemetry.record_journal(appends=1)
+        self.telemetry.add(journal_appends=1)
 
     def _record_chunk(
         self,
@@ -1263,12 +1235,15 @@ class ExecutionEngine:
         """Fold one completed chunk into telemetry and the cost model."""
         request = chunk[0][1]
         model = request.model
-        self.telemetry.record_model_calls(counters["calls"])
-        self.telemetry.record_wire_calls(counters["wire"])
-        # Distributed chunks report their worker's first shm attach; local
-        # chunks never set the key.
-        self.telemetry.record_shm_attach(counters.get("attach", 0))
-        self.telemetry.record_cache(counters["hits"], counters["misses"])
+        self.telemetry.add(
+            model_calls=counters["calls"],
+            wire_calls=counters["wire"],
+            cache_hits=counters["hits"],
+            cache_misses=counters["misses"],
+            # Distributed chunks report their worker's first shm attach;
+            # local chunks never set the key.
+            shm_attach=counters.get("attach", 0),
+        )
         self.telemetry.record_group(
             model.name,
             request.strategy.value,

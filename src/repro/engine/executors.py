@@ -18,7 +18,7 @@ An executor implements two contracts:
 
 Four backends ship here, all registered in :data:`EXECUTOR_KINDS` and
 selectable via :func:`create_executor` (the CLI's ``--executor``/``--jobs``
-flags and :attr:`PipelineConfig.executor`):
+flags and ``ExecutionEngine(executor_kind=..., jobs=...)``):
 
 * :class:`SerialExecutor` (``"serial"``) — the reference backend; runs work
   items in submission order on the calling thread.  The engine's equivalence
@@ -37,10 +37,9 @@ flags and :attr:`PipelineConfig.executor`):
   persistent asyncio event loop in a background thread.  Synchronous
   functions are offloaded to the loop's thread pool of width ``jobs``;
   native ``async def`` functions are awaited directly under a semaphore of
-  width ``max_inflight`` (default: ``jobs``).  ``native_async = True``
-  tells the engine to dispatch awaitable chunk coroutines here, so model
-  I/O is awaited on the loop — concurrency bounded by the semaphore, not
-  by threads.
+  the same width.  ``native_async = True`` tells the engine to dispatch
+  awaitable chunk coroutines here, so model I/O is awaited on the loop —
+  concurrency bounded by the semaphore, not by threads.
 
 Every backend owns whatever pool/loop it creates: ``close()`` releases it
 (idempotent), the executors are context managers, and a closed executor
@@ -157,8 +156,8 @@ class _BaseExecutor:
         ``capacity`` work items are in flight (a duplicate that queues
         behind the straggler helps nobody), and the deadline planner
         divides the predicted total work by it to estimate the makespan.
-        Pool backends run ``jobs`` items; the async backend overrides this
-        with its coroutine semaphore width.
+        Every backend runs ``jobs`` items (the async backend's coroutine
+        semaphore is ``jobs`` wide).
         """
         return getattr(self, "jobs", 1)
 
@@ -338,7 +337,7 @@ class AsyncExecutor(_BaseExecutor):
       threads, which would silently undercut larger ``jobs`` values), so
       today's synchronous simulated models work unchanged;
     * an ``async def`` function is awaited natively under a semaphore of
-      width ``max_inflight`` — the engine's async-native dispatch path runs
+      the same width — the engine's async-native dispatch path runs
       chunk coroutines through exactly this seam, so in-flight concurrency
       is bounded by the semaphore, **not** by a thread count.
 
@@ -351,23 +350,11 @@ class AsyncExecutor(_BaseExecutor):
     #: The engine dispatches coroutine chunk functions to this backend.
     native_async = True
 
-    @property
-    def capacity(self) -> int:
-        """Coroutine concurrency is bounded by the semaphore, not threads."""
-        return self.max_inflight
-
-    def __init__(self, jobs: int = 8, max_inflight: Optional[int] = None) -> None:
+    def __init__(self, jobs: int = 8) -> None:
         super().__init__()
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if max_inflight is not None and max_inflight < 1:
-            raise ValueError("max_inflight must be >= 1 or None")
         self.jobs = jobs
-        #: Concurrently-running native coroutines; defaults to ``jobs`` so a
-        #: plain ``--executor async --jobs N`` behaves like N workers, but it
-        #: can be raised far beyond any sensible thread count (coroutines
-        #: waiting on I/O cost a few KB, not a stack each).
-        self.max_inflight = max_inflight if max_inflight is not None else jobs
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
         self._pool: Optional[concurrent.futures.ThreadPoolExecutor] = None
@@ -390,7 +377,7 @@ class AsyncExecutor(_BaseExecutor):
                 self._loop.set_default_executor(self._pool)
                 # Bounds native-coroutine concurrency for submit(); binds to
                 # the loop on first acquire (Python >= 3.10 semantics).
-                self._semaphore = asyncio.Semaphore(self.max_inflight)
+                self._semaphore = asyncio.Semaphore(self.jobs)
                 self._thread = threading.Thread(
                     target=self._loop.run_forever,
                     name="repro-async-executor",
@@ -409,7 +396,7 @@ class AsyncExecutor(_BaseExecutor):
         is_async = inspect.iscoroutinefunction(fn)
 
         async def _gather() -> List[R]:
-            semaphore = asyncio.Semaphore(self.max_inflight if is_async else self.jobs)
+            semaphore = asyncio.Semaphore(self.jobs)
             running = asyncio.get_running_loop()
 
             async def _one(item: T) -> R:
@@ -436,10 +423,9 @@ class AsyncExecutor(_BaseExecutor):
     def submit(self, fn: Callable[[T], R], item: T) -> "concurrent.futures.Future[R]":
         """Schedule one item on the loop; sync fns offload to the thread pool.
 
-        Native coroutine functions are bounded by a semaphore of width
-        ``max_inflight`` (the offload pool is bounded by its ``jobs``
-        workers), so ``submit`` keeps the same concurrency limits as
-        ``map``.
+        Native coroutine functions are bounded by a ``jobs``-wide semaphore
+        and sync functions by the ``jobs``-worker offload pool, so
+        ``submit`` keeps the same concurrency limit as ``map``.
         """
         self._check_open()
         loop = self._ensure_loop()
@@ -493,23 +479,22 @@ class AsyncExecutor(_BaseExecutor):
             pool.shutdown(wait=True)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<AsyncExecutor jobs={self.jobs} max_inflight={self.max_inflight}>"
+        return f"<AsyncExecutor jobs={self.jobs}>"
 
 
 # ---------------------------------------------------------------------------
 # registry
 # ---------------------------------------------------------------------------
 
-_EXECUTOR_FACTORIES: Dict[str, Callable[..., object]] = {}
+_EXECUTOR_FACTORIES: Dict[str, Callable[[int], object]] = {}
 
 
-def register_executor(kind: str, factory: Callable[..., object]) -> None:
-    """Register ``factory(jobs, **options) -> executor`` under ``kind``.
+def register_executor(kind: str, factory: Callable[[int], object]) -> None:
+    """Register ``factory(jobs) -> executor`` under ``kind``.
 
     Registered kinds become valid values for :func:`create_executor` and,
-    through it, the CLI's ``--executor`` flag and ``PipelineConfig.executor``.
-    A factory may accept only ``jobs`` — backend-specific options it does
-    not declare (e.g. ``max_inflight``) are simply not forwarded to it.
+    through it, the CLI's ``--executor`` flag and
+    ``ExecutionEngine(executor_kind=...)``.
     """
     _EXECUTOR_FACTORIES[kind] = factory
 
@@ -519,30 +504,22 @@ def available_executors() -> Tuple[str, ...]:
     return tuple(_EXECUTOR_FACTORIES)
 
 
-register_executor("serial", lambda jobs, **_options: SerialExecutor())
-register_executor("thread", lambda jobs, **_options: ThreadPoolExecutor(jobs=jobs))
-register_executor("process", lambda jobs, **_options: ProcessPoolExecutor(jobs=jobs))
-register_executor(
-    "async",
-    lambda jobs, max_inflight=None, **_options: AsyncExecutor(
-        jobs=jobs, max_inflight=max_inflight
-    ),
-)
+register_executor("serial", lambda jobs: SerialExecutor())
+register_executor("thread", lambda jobs: ThreadPoolExecutor(jobs=jobs))
+register_executor("process", lambda jobs: ProcessPoolExecutor(jobs=jobs))
+register_executor("async", lambda jobs: AsyncExecutor(jobs=jobs))
 
 #: The built-in backend names (the CLI's ``--executor`` choices).
 EXECUTOR_KINDS = ("serial", "thread", "process", "async")
 
 
-def create_executor(jobs: int = 1, kind: Optional[str] = None, **options):
+def create_executor(jobs: int = 1, kind: Optional[str] = None):
     """Build an executor from the registry.
 
     ``kind=None`` keeps the historical ``--jobs`` semantics: ``jobs <= 1``
     selects the serial backend, anything larger a thread pool of that width.
     An explicit ``kind`` picks that backend directly with ``max(jobs, 1)``
-    workers.  ``options`` holds backend-specific settings (``max_inflight``
-    for the async backend); ``None`` values and options the factory does
-    not accept are dropped, so e.g. ``--max-inflight`` is harmless with the
-    thread backend.
+    workers.
     """
     if kind is None:
         kind = "serial" if jobs <= 1 else "thread"
@@ -552,11 +529,4 @@ def create_executor(jobs: int = 1, kind: Optional[str] = None, **options):
         raise ValueError(
             f"unknown executor kind {kind!r}; registered: {available_executors()}"
         ) from exc
-    options = {key: value for key, value in options.items() if value is not None}
-    if options:
-        parameters = inspect.signature(factory).parameters
-        if not any(
-            p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()
-        ):
-            options = {key: value for key, value in options.items() if key in parameters}
-    return factory(max(jobs, 1), **options)
+    return factory(max(jobs, 1))

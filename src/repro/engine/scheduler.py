@@ -230,17 +230,17 @@ def run_plans_streaming(
     plans: Sequence[TablePlan],
     *,
     engine: Optional[ExecutionEngine] = None,
-    window: Optional[int] = None,
 ) -> Dict[str, object]:
     """Execute every plan through one **streaming** engine run.
 
     The plans' requests are chained into a single lazy iterator feeding
     :meth:`ExecutionEngine.run_streaming`, so at most one window of requests
-    is ever materialised — a plan whose ``requests`` attribute is itself a
-    lazy iterable is consumed without listing it.  Because the engine pulls
-    requests strictly ahead of delivering their results, each plan's request
-    count is known by the time its last result arrives; results are buffered
-    only until their plan completes, then reduced and released.  Rows are
+    (the engine's ``stream_window``) is ever materialised — a plan whose
+    ``requests`` attribute is itself a lazy iterable is consumed without
+    listing it.  Because the engine pulls requests strictly ahead of
+    delivering their results, each plan's request count is known by the
+    time its last result arrives; results are buffered only until their
+    plan completes, then reduced and released.  Rows are
     bit-identical to :func:`run_plans` (pinned by the equivalence tests).
     """
     engine = resolve_engine(engine)
@@ -269,7 +269,7 @@ def run_plans_streaming(
             del buffered[:n]
             reduced += 1
 
-    for result in engine.run_streaming(requests_iter(), window=window):
+    for result in engine.run_streaming(requests_iter()):
         buffered.append(result)
         flush_completed()
     flush_completed()  # trailing plans, including zero-request ones
@@ -291,7 +291,6 @@ def run_all_tables(
     plans: Optional[Sequence[TablePlan]] = None,
     interleave: bool = True,
     stream: bool = False,
-    stream_window: Optional[int] = None,
 ) -> Dict[str, object]:
     """Regenerate every evaluation table through one interleaved engine run.
 
@@ -302,8 +301,8 @@ def run_all_tables(
     time execution in isolation), or ``interleave=False`` for the
     sequential reference path.  ``stream=True`` routes through
     :func:`run_plans_streaming` (inherently interleaved — it takes
-    precedence over ``interleave``) with ``stream_window`` requests
-    resident at once (``None``: the engine's ``stream_window``).  Plans
+    precedence over ``interleave``) with the engine's ``stream_window``
+    requests resident at once.  Plans
     built here share the engine's cache, so a warm cache also skips the
     fine-tuning fits.
     """
@@ -317,6 +316,6 @@ def run_all_tables(
             cache=engine.cache,
         )
     if stream:
-        return run_plans_streaming(plans, engine=engine, window=stream_window)
+        return run_plans_streaming(plans, engine=engine)
     runner = run_plans if interleave else run_plans_sequential
     return runner(plans, engine=engine)

@@ -1,9 +1,13 @@
 """Per-run telemetry: what the engine did and how fast.
 
-The engine increments counters from worker threads, so every mutation goes
-through a lock.  ``snapshot()`` returns a plain dict for machine-readable
-output (the throughput benchmark's ``BENCH_engine.json``), ``format_stats()``
-a one-line human summary for the CLI.
+Every scalar the engine reports is declared once, in :data:`METRICS`, as a
+counter, a gauge or a derived rate.  The engine records through two
+methods — :meth:`EngineTelemetry.add` for counters and
+:meth:`EngineTelemetry.gauge` for gauges — under a lock, because chunks
+complete on worker threads.  ``snapshot()`` returns a plain dict in table
+order for machine-readable output (the throughput benchmark's
+``BENCH_engine.json``), ``format_stats()`` a one-line human summary for
+the CLI whose ``since=`` form subtracts every declared counter.
 
 Besides the global counters, telemetry keeps a per-``(model, strategy)``
 **group** breakdown — requests, model calls, cache hits/misses and summed
@@ -20,10 +24,10 @@ from __future__ import annotations
 import threading
 from typing import Dict, List, Optional, Tuple
 
-__all__ = ["EngineTelemetry"]
+__all__ = ["COUNTERS", "METRICS", "EngineTelemetry", "process_rss_kb"]
 
 
-def _process_rss_kb() -> int:
+def process_rss_kb() -> int:
     """Current resident set size of this process in kB (0 when unreadable).
 
     Reads ``/proc/self/status`` directly — no psutil dependency — so the
@@ -39,78 +43,103 @@ def _process_rss_kb() -> int:
     return 0
 
 
+#: How a metric folds.  A counter accumulates (``format_stats(since=)``
+#: reports its delta), a peak gauge keeps the largest value recorded, a
+#: last-value gauge the most recent one, and a rate is derived from the
+#: counters whenever a snapshot is taken.
+COUNTER, PEAK, LAST, RATE = "counter", "peak", "last", "rate"
+
+#: Every scalar the engine reports, declared once, in ``snapshot()`` order.
+#: A name ending in ``_s`` holds seconds: a float, rounded to 4 places in
+#: snapshots.  Everything else is an integer.
+METRICS: Tuple[Tuple[str, str], ...] = (
+    ("requests", COUNTER),
+    #: Prompts that missed the cache and went to the model.
+    ("model_calls", COUNTER),
+    #: Actual wire calls: one per ``generate_batch``/``generate_batch_async``
+    #: invocation, i.e. one per chunk phase with cache misses — the number
+    #: an API rate limiter would see.  Under ``speculate`` a losing copy's
+    #: calls are dropped with its outcome (they may still be in flight when
+    #: the run returns), so with speculation active this is a lower bound.
+    ("wire_calls", COUNTER),
+    ("cache_hits", COUNTER),
+    ("cache_misses", COUNTER),
+    ("cache_hit_rate", RATE),
+    ("runs", COUNTER),
+    ("wall_time_s", COUNTER),
+    ("requests_per_second", RATE),
+    #: Peak concurrently-in-flight chunk coroutines (async executor).
+    ("async_inflight_peak", PEAK),
+    #: Peak requests resident in one planned batch — a whole run for
+    #: ``engine.run``, one window for ``engine.run_streaming`` — so a
+    #: streamed run's bounded footprint is observable, not assumed.
+    ("resident_requests_peak", PEAK),
+    #: Peak process RSS in kB sampled at each batch boundary (0 where
+    #: procfs is unavailable).
+    ("peak_rss_kb", PEAK),
+    #: Cache snapshots published for distributed runs and the encoded
+    #: bytes they carried (one shared mapping or temp file per run).
+    ("broadcast_publishes", COUNTER),
+    ("broadcast_bytes", COUNTER),
+    #: Genuine worker-side shared-memory attaches (at most one per worker
+    #: per run); 0 on the temp-file path, so publishes vs attaches shows
+    #: which transport a run used.
+    ("shm_attach", COUNTER),
+    #: Speculative duplicates launched, races they won, results dropped;
+    #: the ``fallback`` pair counts duplicates on a cheaper model.
+    ("speculation_launched", COUNTER),
+    ("speculation_won", COUNTER),
+    ("speculation_wasted", COUNTER),
+    ("speculation_fallback_launched", COUNTER),
+    ("speculation_fallback_won", COUNTER),
+    #: Requests surfaced as explicit failed results.
+    ("failed_requests", COUNTER),
+    #: Chunk re-submissions after a retryable error, and exhausted budgets.
+    ("retries", COUNTER),
+    ("retry_giveups", COUNTER),
+    #: Circuit breakers: closed→open transitions, chunks rerouted to a
+    #: cheaper cascade tier, chunks failed with no admissible model left.
+    ("breaker_opens", COUNTER),
+    ("breaker_reroutes", COUNTER),
+    ("breaker_short_circuits", COUNTER),
+    #: Requests replayed from the run journal, and journal lines appended.
+    ("journal_hits", COUNTER),
+    ("journal_appends", COUNTER),
+    #: Records entering any cascade tier, and records a tier sent up.
+    ("cascade_requests", COUNTER),
+    ("cascade_escalated", COUNTER),
+    #: Deadline scheduling: requests shed, plus the last run's budget and
+    #: its predicted and actual makespan.
+    ("deadline_shed", COUNTER),
+    ("deadline_budget_s", LAST),
+    ("deadline_predicted_s", LAST),
+    ("deadline_actual_s", LAST),
+)
+
+_KINDS: Dict[str, str] = dict(METRICS)
+COUNTERS: Tuple[str, ...] = tuple(name for name, kind in METRICS if kind == COUNTER)
+
+
+def _rates(values: Dict[str, float]) -> Dict[str, float]:
+    """The derived metrics of one set of counter values."""
+    lookups = values["cache_hits"] + values["cache_misses"]
+    wall = values["wall_time_s"]
+    return {
+        "cache_hit_rate": round(values["cache_hits"] / lookups, 4) if lookups else 0.0,
+        "requests_per_second": round(values["requests"] / wall, 2) if wall > 0 else 0.0,
+    }
+
+
 class EngineTelemetry:
-    """Thread-safe counters for one engine instance (cumulative across runs)."""
+    """Thread-safe metrics for one engine instance (cumulative across runs)."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self.requests = 0
-        self.model_calls = 0
-        #: Actual wire calls: one per ``generate_batch``/
-        #: ``generate_batch_async`` invocation, i.e. one per chunk phase
-        #: with cache misses.  ``model_calls`` counts the *prompts* that
-        #: missed the cache, so with batching the two differ — this is the
-        #: number an API rate limiter would see.  One caveat under
-        #: ``--speculate``: a losing copy's calls are dropped with its
-        #: outcome (they may still be in flight when the run returns, so
-        #: their count is unknowable), so with speculation active this is
-        #: a lower bound.
-        self.wire_calls = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.runs = 0
-        self.wall_time_s = 0.0
-        #: Speculative re-execution: duplicates launched, races the
-        #: duplicate won, and duplicate results that were dropped.
-        self.speculation_launched = 0
-        self.speculation_won = 0
-        self.speculation_wasted = 0
-        #: Cross-backend speculation: duplicates that ran on a cheaper
-        #: fallback model (subset of launched) and the races they won.
-        self.speculation_fallback_launched = 0
-        self.speculation_fallback_won = 0
-        #: Deadline-aware scheduling: requests shed to fit the budget,
-        #: plus the last run's predicted/actual makespan and budget.
-        self.deadline_shed = 0
-        self.deadline_budget_s = 0.0
-        self.deadline_predicted_s = 0.0
-        self.deadline_actual_s = 0.0
-        #: Peak concurrently-in-flight chunk coroutines (async-native path).
-        self.async_inflight_peak = 0
-        #: Peak requests resident in one planned batch — a whole run for
-        #: ``engine.run``, one window for ``engine.run_streaming`` — so a
-        #: streamed run's bounded footprint is observable, not assumed.
-        self.resident_requests_peak = 0
-        #: Peak process RSS in kB sampled at each batch boundary (0 where
-        #: procfs is unavailable).  A gauge, not a delta: it never resets.
-        self.peak_rss_kb = 0
-        #: Snapshot broadcasts published for distributed runs, and the
-        #: encoded bytes they carried (one shared mapping or temp file per
-        #: run — *not* bytes-per-worker).
-        self.broadcast_publishes = 0
-        self.broadcast_bytes = 0
-        #: Genuine worker-side shared-memory attaches (at most one per
-        #: worker per run; the per-token memo absorbs the rest).  Stays 0
-        #: on the temp-file path, so `publishes` vs `attaches` shows which
-        #: transport a run actually used.
-        self.shm_attach = 0
-        #: Fault tolerance: requests surfaced as explicit failed results
-        #: (retries exhausted, breaker short-circuit with no fallback).
-        self.failed_requests = 0
-        #: Chunk re-submissions after a retryable error, and chunks whose
-        #: retry budget ran out.
-        self.retries = 0
-        self.retry_giveups = 0
-        #: Circuit breakers: closed→open transitions, chunks rerouted to a
-        #: cheaper cascade tier while a breaker was open, and chunks failed
-        #: outright because no admissible model remained.
-        self.breaker_opens = 0
-        self.breaker_reroutes = 0
-        self.breaker_short_circuits = 0
-        #: Run journal: requests replayed from the journal instead of
-        #: re-executed, and journal lines appended this process.
-        self.journal_hits = 0
-        self.journal_appends = 0
+        self._values: Dict[str, float] = {
+            name: 0.0 if name.endswith("_s") else 0
+            for name, kind in METRICS
+            if kind != RATE
+        }
         #: (model, strategy) -> cumulative counters for that group's chunks.
         self._groups: Dict[Tuple[str, str], Dict[str, float]] = {}
         #: tier name -> cumulative cascade counters, in ladder order of
@@ -119,34 +148,26 @@ class EngineTelemetry:
 
     # -- recording ------------------------------------------------------------------
 
-    def record_requests(self, n: int) -> None:
+    def add(self, **counts: float) -> None:
+        """Add to declared counters, e.g. ``add(cache_hits=3, cache_misses=1)``."""
         with self._lock:
-            self.requests += n
+            for name, n in counts.items():
+                if _KINDS.get(name) != COUNTER:
+                    raise KeyError(f"{name!r} is not a declared counter")
+                self._values[name] += n
 
-    def record_model_calls(self, n: int) -> None:
+    def gauge(self, **values: float) -> None:
+        """Record declared gauges: a peak keeps its maximum, a last-value
+        gauge takes the new value."""
         with self._lock:
-            self.model_calls += n
-
-    def record_wire_calls(self, n: int) -> None:
-        with self._lock:
-            self.wire_calls += n
-
-    def record_speculation(
-        self,
-        *,
-        launched: int = 0,
-        won: int = 0,
-        wasted: int = 0,
-        fallback_launched: int = 0,
-        fallback_won: int = 0,
-    ) -> None:
-        """Fold speculative re-execution events (all counters cumulative)."""
-        with self._lock:
-            self.speculation_launched += launched
-            self.speculation_won += won
-            self.speculation_wasted += wasted
-            self.speculation_fallback_launched += fallback_launched
-            self.speculation_fallback_won += fallback_won
+            for name, value in values.items():
+                kind = _KINDS.get(name)
+                if kind == PEAK:
+                    self._values[name] = max(self._values[name], value)
+                elif kind == LAST:
+                    self._values[name] = value
+                else:
+                    raise KeyError(f"{name!r} is not a declared gauge")
 
     def record_cascade(
         self,
@@ -174,93 +195,8 @@ class EngineTelemetry:
             stats["escalated"] += escalated
             stats["labeled"] += labeled
             stats["correct"] += correct
-
-    def record_deadline(
-        self, *, budget_s: float, predicted_s: float, actual_s: float, shed: int
-    ) -> None:
-        """One deadline-scheduled run: budget, predicted vs actual, sheds."""
-        with self._lock:
-            self.deadline_budget_s = budget_s
-            self.deadline_predicted_s = predicted_s
-            self.deadline_actual_s = actual_s
-            self.deadline_shed += shed
-
-    def record_broadcast(self, nbytes: int) -> None:
-        """One published cache snapshot (shm block or temp file) of ``nbytes``."""
-        with self._lock:
-            self.broadcast_publishes += 1
-            self.broadcast_bytes += nbytes
-
-    def record_shm_attach(self, n: int) -> None:
-        """Fold worker-reported first-time shared-memory attaches."""
-        if not n:
-            return
-        with self._lock:
-            self.shm_attach += n
-
-    def record_cache(self, hits: int, misses: int) -> None:
-        with self._lock:
-            self.cache_hits += hits
-            self.cache_misses += misses
-
-    def record_run(self, wall_time_s: float) -> None:
-        with self._lock:
-            self.runs += 1
-            self.wall_time_s += wall_time_s
-
-    def record_resident(self, n: int) -> None:
-        """One planned batch of ``n`` resident requests (keeps the max).
-
-        Also samples process RSS, so the two peaks land in the same
-        ``[engine]`` line: how many requests were held at once, and how much
-        memory the process actually touched while holding them.
-        """
-        rss_kb = _process_rss_kb()
-        with self._lock:
-            self.resident_requests_peak = max(self.resident_requests_peak, n)
-            self.peak_rss_kb = max(self.peak_rss_kb, rss_kb)
-
-    def record_inflight_peak(self, peak: int) -> None:
-        """Fold one async run's peak concurrent chunk coroutines (keeps max)."""
-        with self._lock:
-            self.async_inflight_peak = max(self.async_inflight_peak, peak)
-
-    def record_failed_requests(self, n: int) -> None:
-        """Fold requests that completed as explicit failed results."""
-        with self._lock:
-            self.failed_requests += n
-
-    def record_retries(self, n: int) -> None:
-        """Fold chunk re-submissions triggered by retryable errors."""
-        with self._lock:
-            self.retries += n
-
-    def record_retry_giveups(self, n: int) -> None:
-        """Fold chunks whose retry budget was exhausted."""
-        with self._lock:
-            self.retry_giveups += n
-
-    def record_breaker_opens(self, n: int) -> None:
-        """Fold circuit-breaker closed→open transitions."""
-        with self._lock:
-            self.breaker_opens += n
-
-    def record_breaker_reroutes(self, n: int) -> None:
-        """Fold chunks rerouted to a cheaper tier past an open breaker."""
-        with self._lock:
-            self.breaker_reroutes += n
-
-    def record_breaker_short_circuits(self, n: int) -> None:
-        """Fold chunks failed outright because every admissible model's
-        breaker was open."""
-        with self._lock:
-            self.breaker_short_circuits += n
-
-    def record_journal(self, *, hits: int = 0, appends: int = 0) -> None:
-        """Fold run-journal activity: replayed requests and appended lines."""
-        with self._lock:
-            self.journal_hits += hits
-            self.journal_appends += appends
+            self._values["cascade_requests"] += requests
+            self._values["cascade_escalated"] += escalated
 
     def record_group(
         self,
@@ -287,58 +223,19 @@ class EngineTelemetry:
 
     # -- derived --------------------------------------------------------------------
 
-    @property
-    def cache_lookups(self) -> int:
-        return self.cache_hits + self.cache_misses
-
-    @property
-    def cache_hit_rate(self) -> float:
-        lookups = self.cache_lookups
-        return self.cache_hits / lookups if lookups else 0.0
-
-    @property
-    def requests_per_second(self) -> float:
-        return self.requests / self.wall_time_s if self.wall_time_s > 0 else 0.0
-
     def snapshot(self) -> Dict[str, float]:
         """A plain-dict view suitable for JSON serialisation."""
         with self._lock:
-            return {
-                "requests": self.requests,
-                "model_calls": self.model_calls,
-                "wire_calls": self.wire_calls,
-                "cache_hits": self.cache_hits,
-                "cache_misses": self.cache_misses,
-                "cache_hit_rate": round(self.cache_hit_rate, 4),
-                "runs": self.runs,
-                "wall_time_s": round(self.wall_time_s, 4),
-                "requests_per_second": round(self.requests_per_second, 2),
-                "async_inflight_peak": self.async_inflight_peak,
-                "resident_requests_peak": self.resident_requests_peak,
-                "peak_rss_kb": self.peak_rss_kb,
-                "broadcast_publishes": self.broadcast_publishes,
-                "broadcast_bytes": self.broadcast_bytes,
-                "shm_attach": self.shm_attach,
-                "speculation_launched": self.speculation_launched,
-                "speculation_won": self.speculation_won,
-                "speculation_wasted": self.speculation_wasted,
-                "speculation_fallback_launched": self.speculation_fallback_launched,
-                "speculation_fallback_won": self.speculation_fallback_won,
-                "failed_requests": self.failed_requests,
-                "retries": self.retries,
-                "retry_giveups": self.retry_giveups,
-                "breaker_opens": self.breaker_opens,
-                "breaker_reroutes": self.breaker_reroutes,
-                "breaker_short_circuits": self.breaker_short_circuits,
-                "journal_hits": self.journal_hits,
-                "journal_appends": self.journal_appends,
-                "cascade_requests": sum(s["requests"] for s in self._cascade.values()),
-                "cascade_escalated": sum(s["escalated"] for s in self._cascade.values()),
-                "deadline_shed": self.deadline_shed,
-                "deadline_budget_s": round(self.deadline_budget_s, 4),
-                "deadline_predicted_s": round(self.deadline_predicted_s, 4),
-                "deadline_actual_s": round(self.deadline_actual_s, 4),
-            }
+            values = dict(self._values)
+        rates = _rates(values)
+        return {
+            name: (
+                rates[name]
+                if kind == RATE
+                else round(values[name], 4) if name.endswith("_s") else values[name]
+            )
+            for name, kind in METRICS
+        }
 
     def group_snapshot(self) -> List[Dict[str, object]]:
         """Per-(model, strategy) breakdown, slowest mean latency first.
@@ -439,42 +336,10 @@ class EngineTelemetry:
         """
         snap = self.snapshot()
         if since is not None:
-            for key in (
-                "requests",
-                "model_calls",
-                "wire_calls",
-                "cache_hits",
-                "cache_misses",
-                "runs",
-                "broadcast_publishes",
-                "broadcast_bytes",
-                "shm_attach",
-                "speculation_launched",
-                "speculation_won",
-                "speculation_wasted",
-                "speculation_fallback_launched",
-                "speculation_fallback_won",
-                "failed_requests",
-                "retries",
-                "retry_giveups",
-                "breaker_opens",
-                "breaker_reroutes",
-                "breaker_short_circuits",
-                "journal_hits",
-                "journal_appends",
-                "cascade_requests",
-                "cascade_escalated",
-                "deadline_shed",
-            ):
-                snap[key] -= since.get(key, 0)
-            snap["wall_time_s"] = round(snap["wall_time_s"] - since.get("wall_time_s", 0.0), 4)
-            lookups = snap["cache_hits"] + snap["cache_misses"]
-            snap["cache_hit_rate"] = round(snap["cache_hits"] / lookups, 4) if lookups else 0.0
-            snap["requests_per_second"] = (
-                round(snap["requests"] / snap["wall_time_s"], 2)
-                if snap["wall_time_s"] > 0
-                else 0.0
-            )
+            for name in COUNTERS:
+                snap[name] -= since.get(name, 0)
+            snap["wall_time_s"] = round(snap["wall_time_s"], 4)
+            snap.update(_rates(snap))
         parts = []
         if executor_name:
             parts.append(f"executor={executor_name}")

@@ -212,7 +212,7 @@ def evaluate_inspector(
             for i, verdict in zip(misses, verdicts):
                 predictions[i] = verdict
                 cache.put(identity, prompts[i], "race" if verdict else "clean")
-        engine.telemetry.record_requests(len(benchmarks) - len(misses))
+        engine.telemetry.add(requests=len(benchmarks) - len(misses))
     counts = ConfusionCounts()
     for bench, prediction in zip(benchmarks, predictions):
         counts.add(bench.has_race, prediction)

@@ -113,8 +113,8 @@ class AsyncRemoteAdapter(LanguageModel):
     max_concurrency:
         Optional cap on concurrently in-flight async calls through this
         adapter — the analogue of an HTTP client's connection-pool limit.
-        ``None`` leaves concurrency to the caller (the engine's
-        ``max_inflight`` semaphore).
+        ``None`` leaves concurrency to the caller (the async executor's
+        ``jobs``-wide semaphore).
     """
 
     def __init__(

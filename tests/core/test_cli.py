@@ -99,6 +99,24 @@ class TestCLI:
             assert exit_info.value.code == 2
             assert "unrecognized arguments: --dispatch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            "--max-inflight",
+            "--stream-window",
+            "--speculate-after",
+            "--retry-base-ms",
+            "--breaker-threshold",
+            "--breaker-cooldown-s",
+        ],
+    )
+    def test_removed_tuning_flags_rejected(self, capsys, flag):
+        """The unmeasured tuning flags are gone; their engine defaults hold."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["table2", "--jobs", "2", "--speculate", "--retries", "1", "--stream", flag, "2"])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
     def test_slowest_groups_printed_with_stats(self, capsys):
         assert main(["table2", "--jobs", "2"]) == 0
         out = capsys.readouterr().out
@@ -154,17 +172,18 @@ class TestCLI:
     @pytest.mark.parametrize(
         "flags",
         [
-            ["--speculate-after", "2"],
-            ["--max-inflight", "8"],
-            ["--stream-window", "64"],
+            ["--speculate"],
+            ["--speculate", "--jobs", "1", "--executor", "thread"],
+            ["--speculate", "--executor", "serial", "--jobs", "4"],
             ["--cascade-tiers", "static"],
             ["--escalate-below", "0.9"],
-            ["--executor", "thread", "--max-inflight", "8"],
+            ["--speculate", "--executor", "async", "--jobs", "1"],
         ],
     )
     def test_flags_without_their_mode_rejected(self, capsys, flags):
-        """A tuning flag given without the mode it tunes would do nothing;
-        it fails argument validation instead."""
+        """A flag given without the mode it needs would do nothing; it fails
+        argument validation instead.  Speculation needs an idle executor
+        slot, which a one-wide executor never has."""
         with pytest.raises(SystemExit) as exit_info:
             main(["table2", *flags])
         assert exit_info.value.code == 2
@@ -173,8 +192,8 @@ class TestCLI:
     def test_tuning_flags_accepted_with_their_mode(self, capsys):
         assert main(
             [
-                "table2", "--no-stats", "--speculate", "--speculate-after", "2",
-                "--executor", "async", "--max-inflight", "8",
+                "table2", "--no-stats", "--speculate", "--executor", "async",
+                "--cascade", "--cascade-tiers", "static", "--escalate-below", "0.9",
             ]
         ) == 0
         assert "Table 2" in capsys.readouterr().out

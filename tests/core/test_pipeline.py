@@ -66,23 +66,69 @@ class TestPipeline:
         counts = pipeline.score_model(model="gpt-4", strategy=PromptStrategy.BP1, records=records)
         assert counts.total == 12
 
-    def test_executor_config_selects_backend(self):
-        from repro.engine import AsyncExecutor
+    def test_engine_argument_selects_backend(self):
+        from repro.engine import AsyncExecutor, ExecutionEngine
 
-        with DataRacePipeline(PipelineConfig(executor="async", jobs=4)) as pipeline:
-            assert isinstance(pipeline.engine.executor, AsyncExecutor)
+        with ExecutionEngine(executor_kind="async", jobs=4) as engine:
+            pipeline = DataRacePipeline(engine=engine)
+            assert pipeline.engine is engine
             records = pipeline.evaluation_subset().records[:6]
             counts = pipeline.score_model(
                 model="gpt-4", strategy=PromptStrategy.BP1, records=records
             )
             assert counts.total == 6
-            executor = pipeline.engine.executor
-        assert executor.closed
+            assert isinstance(engine.executor, AsyncExecutor)
+        assert engine.executor.closed
 
     def test_close_is_idempotent_and_rebuilds(self):
-        pipeline = DataRacePipeline(PipelineConfig(jobs=2))
+        pipeline = DataRacePipeline()
         first = pipeline.engine
         pipeline.close()
         pipeline.close()
+        assert first.executor.closed  # the pipeline built it, so it closed it
         assert pipeline.engine is not first  # fresh engine after close
         pipeline.close()
+
+    def test_default_engine_is_serial_with_a_cache_sharing_its_cost_model(self):
+        from repro.engine import SerialExecutor
+
+        with DataRacePipeline() as pipeline:
+            engine = pipeline.engine
+            assert isinstance(engine.executor, SerialExecutor)
+            assert engine.cache is not None and engine.cache.max_entries == 65536
+            assert engine.cache.cost_model is engine.cost_model
+            assert pipeline.save_cache() is None  # in-memory: nothing to save
+
+    def test_close_leaves_a_given_engine_open(self):
+        from repro.engine import ExecutionEngine
+
+        with ExecutionEngine(jobs=2) as engine:
+            with DataRacePipeline(engine=engine) as pipeline:
+                pipeline.score_model(records=pipeline.evaluation_subset().records[:4])
+            assert not engine.executor.closed
+            assert pipeline.engine is engine  # still the caller's engine
+
+    def test_save_cache_writes_the_engines_store_and_a_new_pipeline_reuses_it(
+        self, tmp_path
+    ):
+        from repro.engine import CostModel, ExecutionEngine, ResponseCache
+
+        def engine_on(directory):
+            cost_model = CostModel(path=directory / "costmodel.json")
+            cache = ResponseCache(path=directory, cost_model=cost_model)
+            return ExecutionEngine(cache=cache, cost_model=cost_model)
+
+        records = DataRacePipeline().evaluation_subset().records[:10]
+        with engine_on(tmp_path) as engine:
+            pipeline = DataRacePipeline(engine=engine)
+            cold = pipeline.score_model(model="gpt-4", records=records)
+            assert pipeline.save_cache() == str(engine.cache.path)
+        assert list(tmp_path.glob("segment-*.jsonl"))
+        assert (tmp_path / "costmodel.json").is_file()
+
+        with engine_on(tmp_path) as engine:
+            warm = DataRacePipeline(engine=engine).score_model(
+                model="gpt-4", records=records
+            )
+            assert engine.telemetry.snapshot()["model_calls"] == 0
+        assert warm.as_row() == cold.as_row()

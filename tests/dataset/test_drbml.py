@@ -16,6 +16,7 @@ from repro.dataset import (
     trim_comments,
 )
 from repro.dataset.records import DRBMLRecord, VarPairRecord
+from repro.dataset.tokenizer import CodeTokenizer
 from repro.dataset.templates import render_advanced_ft_response, render_basic_ft_response
 
 
@@ -98,6 +99,14 @@ class TestTokenizer:
 
     def test_long_identifiers_split(self):
         assert count_tokens("averyveryverylongidentifiername") >= 4
+
+    def test_count_equals_tokenize_length_over_the_corpus(self):
+        """``count`` sums piece counts without building the piece lists;
+        it must agree with ``tokenize`` on every corpus program."""
+        tokenizer = CodeTokenizer()
+        for bench in build_corpus(CorpusConfig()):
+            for text in (bench.code, trim_comments(bench.code).trimmed_code):
+                assert tokenizer.count(text) == len(tokenizer.tokenize(text))
 
 
 class TestRecords:

@@ -3,9 +3,8 @@
 The contract pinned here:
 
 * the engine's async-native dispatch awaits model I/O on the executor's
-  event loop — in-flight concurrency bounded by ``max_inflight``, not by
-  thread count — and with simulated latency beats the thread backend at
-  equal ``--jobs`` (the full benchmark lives in
+  event loop — at most ``jobs`` chunk coroutines in flight — and with
+  simulated latency beats the thread backend at equal ``--jobs`` (the full benchmark lives in
   ``benchmarks/bench_async.py``);
 * ``AsyncRemoteAdapter`` and the zoo's native ``generate_async`` produce
   byte-identical responses to their sync counterparts.
@@ -111,31 +110,27 @@ class TestModelAsyncProtocol:
 
 
 class TestEngineAsyncNative:
-    def test_inflight_bounded_by_max_inflight_not_jobs(self, records):
-        """With jobs=1 but max_inflight=8, chunk coroutines still overlap."""
+    def test_inflight_bounded_by_jobs(self, records):
+        """Chunk coroutines overlap on the one loop, at most ``jobs`` at once."""
         model = create_model("gpt-4", latency_s=0.02)
         requests = build_requests(model, PromptStrategy.BP1, records)
-        with ExecutionEngine(
-            jobs=1, executor_kind="async", max_inflight=8, batch_size=2
-        ) as engine:
+        with ExecutionEngine(jobs=8, executor_kind="async", batch_size=2) as engine:
             start = time.perf_counter()
             engine.run(requests)
             elapsed = time.perf_counter() - start
-        peak = engine.telemetry.async_inflight_peak
-        assert peak > 1  # a single thread could never overlap chunks
+        peak = engine.telemetry.snapshot()["async_inflight_peak"]
+        assert peak > 1
         assert peak <= 8
         assert elapsed < len(records) * 0.02  # latencies overlapped
 
     def test_inflight_peak_is_per_run(self, records):
         """A small run after a wide one must not inherit the earlier peak."""
-        with ExecutionEngine(
-            jobs=4, executor_kind="async", max_inflight=16, batch_size=1
-        ) as engine:
+        with ExecutionEngine(jobs=16, executor_kind="async", batch_size=1) as engine:
             engine.run(build_requests(create_model("gpt-4"), PromptStrategy.BP1, records))
             wide_peak = engine._inflight_peak
             engine.run(build_requests(create_model("gpt-4"), PromptStrategy.BP1, records[:1]))
             assert engine._inflight_peak == 1  # reset, not carried over
-        assert engine.telemetry.async_inflight_peak == wide_peak  # telemetry keeps max
+        assert engine.telemetry.snapshot()["async_inflight_peak"] == wide_peak  # keeps max
         assert f"inflight_peak={wide_peak}" in engine.telemetry.format_stats()
 
     def test_wire_calls_without_coalescing_count_per_chunk_calls(self, records):
@@ -189,18 +184,17 @@ class TestEngineAsyncNative:
         assert async_fp == thread_fp
         assert thread_s / async_s > 1.5  # conservative smoke floor
 
-    def test_engine_rejects_max_inflight_with_explicit_executor(self):
+    def test_engine_rejects_jobs_with_explicit_executor(self):
         from repro.engine import AsyncExecutor
 
         with pytest.raises(ValueError):
-            ExecutionEngine(executor=AsyncExecutor(jobs=2), max_inflight=4)
+            ExecutionEngine(executor=AsyncExecutor(jobs=2), jobs=4)
 
     def test_cached_async_rerun_hits_without_model_calls(self, records):
-        with ExecutionEngine(
-            jobs=4, executor_kind="async", max_inflight=8, cache=ResponseCache()
-        ) as engine:
+        with ExecutionEngine(jobs=8, executor_kind="async", cache=ResponseCache()) as engine:
             first = engine.run(build_requests(create_model("gpt-4"), PromptStrategy.BP1, records))
             second = engine.run(build_requests(create_model("gpt-4"), PromptStrategy.BP1, records))
         assert first.responses() == second.responses()
-        assert engine.telemetry.cache_hits == len(records)
-        assert engine.telemetry.model_calls == len(records)
+        snap = engine.telemetry.snapshot()
+        assert snap["cache_hits"] == len(records)
+        assert snap["model_calls"] == len(records)

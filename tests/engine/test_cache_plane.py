@@ -138,7 +138,7 @@ class TestShmBroadcastLifecycle:
                     engine.run(
                         build_requests(create_model("gpt-4"), PromptStrategy.BP1, records)
                     )
-                assert engine.telemetry.shm_attach > 0
+                assert engine.telemetry.snapshot()["shm_attach"] > 0
             """
         )
         src = str(Path(repro.__file__).resolve().parents[1])

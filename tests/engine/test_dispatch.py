@@ -246,7 +246,7 @@ class TestAsyncCancellation:
             await asyncio.sleep(30)  # would hang the test if not cancelled
             return x
 
-        with AsyncExecutor(jobs=2, max_inflight=2) as pool:
+        with AsyncExecutor(jobs=2) as pool:
             stream = pool.submit_stream(item)
             for x in range(10):
                 stream.submit(x, tag=x)
@@ -254,7 +254,7 @@ class TestAsyncCancellation:
             assert [(tag, future.result()) for tag, future in settled] == [(0, 0)]
             stream.close()  # consumer walks away
             _assert_no_leaked_tasks(pool)
-            # Queued coroutines beyond max_inflight never ran at all.
+            # Queued coroutines beyond the jobs-wide semaphore never ran.
             assert len(started) < 10
 
     def test_raising_coroutine_cancels_rest_and_loop_stays_usable(self):
@@ -266,7 +266,7 @@ class TestAsyncCancellation:
             await asyncio.sleep(30)
             return x
 
-        with AsyncExecutor(jobs=2, max_inflight=4) as pool:
+        with AsyncExecutor(jobs=4) as pool:
             stream = pool.submit_stream(boom)
             for x in range(8):
                 stream.submit(x, tag=x)
@@ -302,7 +302,7 @@ class TestAsyncCancellation:
             completed.append(x)
             return x
 
-        with AsyncExecutor(jobs=4, max_inflight=8) as pool:
+        with AsyncExecutor(jobs=8) as pool:
             with pytest.raises(RuntimeError, match="boom"):
                 pool.map(item, list(range(8)))
             _assert_no_leaked_tasks(pool)
@@ -317,7 +317,7 @@ class TestAsyncCancellation:
             await asyncio.sleep(30)
             return x
 
-        with AsyncExecutor(jobs=2, max_inflight=1) as pool:
+        with AsyncExecutor(jobs=1) as pool:
             stream = pool.submit_stream(slow)
             for x in range(5):
                 stream.submit(x, tag=x)
@@ -327,7 +327,7 @@ class TestAsyncCancellation:
             async def quick(x):
                 return x + 1
 
-            # max_inflight=1: if a cancelled waiter leaked the slot this
+            # jobs=1: if a cancelled waiter leaked the slot this
             # submission would never acquire the semaphore.
             assert pool.submit(quick, 1).result(timeout=10) == 2
 
@@ -358,9 +358,7 @@ class TestAsyncCancellation:
         reference = ExecutionEngine().run(
             build_requests(create_model("gpt-4"), PromptStrategy.BP1, records)
         )
-        with ExecutionEngine(
-            jobs=4, executor_kind="async", max_inflight=8, batch_size=2
-        ) as engine:
+        with ExecutionEngine(jobs=8, executor_kind="async", batch_size=2) as engine:
             with pytest.raises(RuntimeError, match="model down"):
                 engine.run(flaky_requests)
             _assert_no_leaked_tasks(engine.executor)
@@ -642,4 +640,4 @@ class TestBroadcastOnceSnapshot:
         assert first.responses() == reference.responses()
         assert second.responses() == reference.responses()
         # The deltas merged back made the second run hit the snapshot.
-        assert engine.telemetry.cache_hits == len(records)
+        assert engine.telemetry.snapshot()["cache_hits"] == len(records)

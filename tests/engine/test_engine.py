@@ -177,14 +177,16 @@ class TestEngineRun:
         engine = ExecutionEngine(cache=ResponseCache())
         requests = build_requests(create_model("gpt-4"), PromptStrategy.BP1, records)
         engine.run(requests)
-        assert engine.telemetry.cache_misses == len(records)
-        assert engine.telemetry.cache_hits == 0
-        assert engine.telemetry.model_calls == len(records)
+        snap = engine.telemetry.snapshot()
+        assert snap["cache_misses"] == len(records)
+        assert snap["cache_hits"] == 0
+        assert snap["model_calls"] == len(records)
 
         engine.run(requests)
-        assert engine.telemetry.cache_hits == len(records)
-        assert engine.telemetry.model_calls == len(records)  # no new calls
-        assert engine.telemetry.cache_hit_rate == 0.5
+        snap = engine.telemetry.snapshot()
+        assert snap["cache_hits"] == len(records)
+        assert snap["model_calls"] == len(records)  # no new calls
+        assert snap["cache_hit_rate"] == 0.5
 
     def test_results_preserve_request_order(self, records):
         model = create_model("gpt-4")
@@ -205,7 +207,7 @@ class TestEngineRun:
     def test_generic_map_counts_requests(self, records):
         engine = ExecutionEngine(jobs=2)
         assert engine.map(lambda r: r.has_race, records) == [r.has_race for r in records]
-        assert engine.telemetry.requests == len(records)
+        assert engine.telemetry.snapshot()["requests"] == len(records)
 
     def test_rejects_unknown_scoring(self, records):
         with pytest.raises(ValueError):
@@ -334,3 +336,65 @@ class TestWireCallCounter:
         snap = engine.telemetry.snapshot()
         assert snap["wire_calls"] == len(records) // 4
         assert "wire_calls=" in engine.telemetry.format_stats()
+
+
+class TestTelemetryTable:
+    """Every counter and gauge is declared once in ``METRICS``; the
+    snapshot keys and the ``[engine]`` line are what the CLI has always
+    printed."""
+
+    SNAPSHOT_KEYS = [
+        "requests", "model_calls", "wire_calls", "cache_hits", "cache_misses",
+        "cache_hit_rate", "runs", "wall_time_s", "requests_per_second",
+        "async_inflight_peak", "resident_requests_peak", "peak_rss_kb",
+        "broadcast_publishes", "broadcast_bytes", "shm_attach",
+        "speculation_launched", "speculation_won", "speculation_wasted",
+        "speculation_fallback_launched", "speculation_fallback_won",
+        "failed_requests", "retries", "retry_giveups", "breaker_opens",
+        "breaker_reroutes", "breaker_short_circuits", "journal_hits",
+        "journal_appends", "cascade_requests", "cascade_escalated",
+        "deadline_shed", "deadline_budget_s", "deadline_predicted_s",
+        "deadline_actual_s",
+    ]
+
+    def test_snapshot_keys_follow_the_table(self):
+        from repro.engine.telemetry import METRICS, EngineTelemetry
+
+        snap = EngineTelemetry().snapshot()
+        assert list(snap) == self.SNAPSHOT_KEYS == [name for name, _ in METRICS]
+        assert snap["wall_time_s"] == 0.0 and isinstance(snap["wall_time_s"], float)
+        assert snap["requests"] == 0 and isinstance(snap["requests"], int)
+
+    def test_only_declared_names_record(self):
+        from repro.engine.telemetry import EngineTelemetry
+
+        telemetry = EngineTelemetry()
+        with pytest.raises(KeyError):
+            telemetry.add(no_such_counter=1)
+        with pytest.raises(KeyError):
+            telemetry.add(peak_rss_kb=1)  # a gauge, not a counter
+        with pytest.raises(KeyError):
+            telemetry.gauge(requests=1)  # a counter, not a gauge
+
+    def test_gauges_keep_peak_or_last_value(self):
+        from repro.engine.telemetry import EngineTelemetry
+
+        telemetry = EngineTelemetry()
+        telemetry.gauge(resident_requests_peak=7, deadline_budget_s=2.0)
+        telemetry.gauge(resident_requests_peak=3, deadline_budget_s=1.0)
+        snap = telemetry.snapshot()
+        assert snap["resident_requests_peak"] == 7
+        assert snap["deadline_budget_s"] == 1.0
+
+    def test_since_subtracts_every_counter(self):
+        from repro.engine.telemetry import COUNTERS, EngineTelemetry
+
+        telemetry = EngineTelemetry()
+        telemetry.add(**{name: 1 for name in COUNTERS})
+        before = telemetry.snapshot()
+        telemetry.add(requests=3, cache_hits=1, cache_misses=1, runs=1, wall_time_s=0.5)
+        line = telemetry.format_stats(executor_name="serial", since=before)
+        assert line == (
+            "[engine] executor=serial requests=3 model_calls=0 wire_calls=0 "
+            "cache_hit_rate=50.0% wall=0.50s throughput=6.0 req/s"
+        )

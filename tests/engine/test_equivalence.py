@@ -102,7 +102,7 @@ ENGINE_CONFIGS = [
     pytest.param(dict(jobs=8, executor_kind="async", batch_size=7), id="async"),
     pytest.param(dict(jobs=8, executor_kind="async", cache=ResponseCache()), id="async-cached"),
     pytest.param(
-        dict(jobs=4, executor_kind="async", max_inflight=32, batch_size=3),
+        dict(jobs=32, executor_kind="async", batch_size=3),
         id="async-native-high-inflight",
     ),
     pytest.param(
@@ -110,7 +110,7 @@ ENGINE_CONFIGS = [
         id="async-native-no-cache",
     ),
     pytest.param(
-        dict(jobs=4, executor_kind="async", max_inflight=12, cache=ResponseCache(), batch_size=3),
+        dict(jobs=12, executor_kind="async", cache=ResponseCache(), batch_size=3),
         id="async-native-cached",
     ),
     # The default configs above all run LPT with adaptive chunk sizing; pin
@@ -193,7 +193,7 @@ class TestEngineMatchesSeedLoop:
         first = engine.run(build_requests(model, PromptStrategy.BP1, records))
         second = engine.run(build_requests(model, PromptStrategy.BP1, records))
         assert first.responses() == second.responses()
-        assert engine.telemetry.cache_hits == len(records)
+        assert engine.telemetry.snapshot()["cache_hits"] == len(records)
 
 
 class TestCascadeEquivalence:
@@ -203,7 +203,7 @@ class TestCascadeEquivalence:
     change what the final tier would have answered."""
 
     def test_no_cascade_config_builds_no_router(self):
-        with DataRacePipeline(PipelineConfig(cascade=False)) as pipeline:
+        with DataRacePipeline() as pipeline:
             assert pipeline.engine.cascade_router is None
 
     def test_full_escalation_responses_bit_identical(self, subset):
@@ -219,12 +219,11 @@ class TestCascadeEquivalence:
 
     def test_pipeline_cascade_full_escalation_matches_reference(self, subset):
         records = subset.records[:30]
-        with DataRacePipeline(PipelineConfig()) as pipeline:
+        with DataRacePipeline() as pipeline:
             reference = pipeline.score_model(records=records)
-        with DataRacePipeline(
-            PipelineConfig(cascade=True, escalate_below=1.0)
-        ) as pipeline:
-            cascaded = pipeline.score_model(records=records)
+        policy = CascadePolicy.from_spec("static,gpt-3.5-turbo", escalate_below=1.0)
+        with ExecutionEngine(cascade=policy) as engine:
+            cascaded = DataRacePipeline(engine=engine).score_model(records=records)
         assert cascaded.as_row() == reference.as_row()
 
 
@@ -243,7 +242,7 @@ class TestDriverEquivalence:
     def test_pipeline_score_model_matches_seed_semantics(self, subset):
         """score_model through the engine equals the seed's detect() loop."""
         records = subset.records[:30]
-        pipeline = DataRacePipeline(PipelineConfig(jobs=4))
+        pipeline = DataRacePipeline(engine=ExecutionEngine(jobs=4))
         engine_counts = pipeline.score_model(
             model="gpt-4", strategy=PromptStrategy.ADVANCED, records=records
         )
@@ -272,7 +271,7 @@ class TestDriverEquivalence:
             ]
 
     def test_pipeline_score_inspector_matches_seed_loop(self):
-        pipeline = DataRacePipeline(PipelineConfig(jobs=4))
+        pipeline = DataRacePipeline(engine=ExecutionEngine(jobs=4))
         engine_counts = pipeline.score_inspector()
         subset_names = {r.name for r in pipeline.evaluation_subset().records}
         benchmarks = [b for b in pipeline.registry if b.name in subset_names]
@@ -318,7 +317,7 @@ class TestSchedulerEquivalence:
             pytest.param(dict(jobs=3, executor_kind="process", batch_size=8), id="process-pool"),
             pytest.param(dict(jobs=8, executor_kind="async", batch_size=8), id="async"),
             pytest.param(
-                dict(jobs=4, executor_kind="async", max_inflight=24, batch_size=5),
+                dict(jobs=24, executor_kind="async", batch_size=5),
                 id="async-native-high-inflight",
             ),
             pytest.param(
@@ -357,8 +356,8 @@ class TestSchedulerEquivalence:
         small window forces many windows per plan and windows straddling
         plan boundaries."""
         plans = _mini_all_table_plans(mini_records)
-        with ExecutionEngine(**config) as engine:
-            streamed = run_plans_streaming(plans, engine=engine, window=17)
+        with ExecutionEngine(**config, stream_window=17) as engine:
+            streamed = run_plans_streaming(plans, engine=engine)
         assert results_fingerprint(streamed) == sequential_reference
 
     def test_interleaved_matches_sequential_warm_cache(self, mini_records, sequential_reference):
@@ -409,13 +408,12 @@ class TestStreamingEquivalence:
             reference = engine.run(
                 build_requests(model, PromptStrategy.BP1, records, scoring="detection")
             )
-        with ExecutionEngine(**make_config()) as engine:
-            # window=7 does not divide 40: exercises the trailing partial
-            # window as well as full ones.
+        # A window of 7 does not divide 40: exercises the trailing partial
+        # window as well as full ones.
+        with ExecutionEngine(**make_config(), stream_window=7) as engine:
             streamed = list(
                 engine.run_streaming(
-                    iter_requests(model, PromptStrategy.BP1, records, scoring="detection"),
-                    window=7,
+                    iter_requests(model, PromptStrategy.BP1, records, scoring="detection")
                 )
             )
         assert [result.response for result in streamed] == reference.responses()
@@ -427,12 +425,14 @@ class TestStreamingEquivalence:
         """PipelineConfig(stream=True) — the CLI's ``--stream`` — scores
         identically to the eager path."""
         records = subset.records[:30]
-        eager = DataRacePipeline(PipelineConfig(jobs=4)).score_model(
-            model="gpt-4", records=records
-        )
-        streamed = DataRacePipeline(
-            PipelineConfig(jobs=4, stream=True, stream_window=11)
-        ).score_model(model="gpt-4", records=records)
+        with ExecutionEngine(jobs=4) as engine:
+            eager = DataRacePipeline(engine=engine).score_model(
+                model="gpt-4", records=records
+            )
+        with ExecutionEngine(jobs=4, stream_window=11) as engine:
+            streamed = DataRacePipeline(
+                PipelineConfig(stream=True), engine=engine
+            ).score_model(model="gpt-4", records=records)
         assert streamed.as_row() == eager.as_row()
 
     def test_streamed_pairs_scoring_matches_seed_loop(self, subset):
@@ -440,10 +440,9 @@ class TestStreamingEquivalence:
         records = subset.records[:30]
         model = create_model("gpt-3.5-turbo")
         reference = seed_pairs_loop(model, records)
-        with ExecutionEngine(jobs=4, batch_size=6) as engine:
+        with ExecutionEngine(jobs=4, batch_size=6, stream_window=9) as engine:
             counts = engine.run_streaming_counts(
-                iter_requests(model, PromptStrategy.ADVANCED, records, scoring="pairs"),
-                window=9,
+                iter_requests(model, PromptStrategy.ADVANCED, records, scoring="pairs")
             )
         assert counts.as_row() == reference.as_row()
 
@@ -457,9 +456,9 @@ class TestStreamingEquivalence:
             yield from iter_requests(model, PromptStrategy.BP1, records)
             yield from iter_requests(model, PromptStrategy.BP1, records)
 
-        with ExecutionEngine(cache=ResponseCache(), batch_size=4) as engine:
-            results = list(engine.run_streaming(twice(), window=6))
+        with ExecutionEngine(cache=ResponseCache(), batch_size=4, stream_window=6) as engine:
+            results = list(engine.run_streaming(twice()))
         assert len(results) == 2 * len(records)
         first, second = results[: len(records)], results[len(records) :]
         assert [r.response for r in first] == [r.response for r in second]
-        assert engine.telemetry.cache_hits == len(records)
+        assert engine.telemetry.snapshot()["cache_hits"] == len(records)

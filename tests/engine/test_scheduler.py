@@ -108,8 +108,9 @@ class TestRunPlans:
         total = sum(len(p.requests) for p in plans)
         engine = ExecutionEngine(jobs=4, batch_size=6)
         run_plans(plans, engine=engine)
-        assert engine.telemetry.requests == total
-        assert engine.telemetry.runs == 1
+        snap = engine.telemetry.snapshot()
+        assert snap["requests"] == total
+        assert snap["runs"] == 1
 
     def test_reducers_get_their_own_slice(self, mini):
         """Two plans over different models reduce to independent rows."""

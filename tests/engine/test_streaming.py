@@ -45,8 +45,8 @@ class TestStreamingWindows:
         producer = _CountingProducer(
             iter_requests(create_model("gpt-4"), PromptStrategy.BP1, subset.records[:20])
         )
-        with ExecutionEngine() as engine:
-            stream = engine.run_streaming(producer, window=8)
+        with ExecutionEngine(stream_window=8) as engine:
+            stream = engine.run_streaming(producer)
             assert producer.produced == 0  # generator: no work until iterated
             next(iter(stream))
             assert producer.produced == 8  # exactly one window
@@ -61,8 +61,8 @@ class TestStreamingWindows:
             iter_requests(create_model("gpt-4"), PromptStrategy.BP1, records)
         )
         consumed = 0
-        with ExecutionEngine() as engine:
-            for _ in engine.run_streaming(producer, window=window):
+        with ExecutionEngine(stream_window=window) as engine:
+            for _ in engine.run_streaming(producer):
                 consumed += 1
                 assert producer.produced <= consumed + window
         assert consumed == len(records)
@@ -70,11 +70,10 @@ class TestStreamingWindows:
 
     def test_results_arrive_in_request_order(self, subset):
         records = subset.records[:20]
-        with ExecutionEngine(jobs=4, batch_size=3) as engine:
+        with ExecutionEngine(jobs=4, batch_size=3, stream_window=6) as engine:
             results = list(
                 engine.run_streaming(
-                    iter_requests(create_model("gpt-4"), PromptStrategy.BP1, records),
-                    window=6,
+                    iter_requests(create_model("gpt-4"), PromptStrategy.BP1, records)
                 )
             )
         assert [r.record_name for r in results] == [r.name for r in records]
@@ -102,21 +101,14 @@ class TestStreamingWindows:
     def test_rejects_bad_windows(self, subset):
         with pytest.raises(ValueError):
             ExecutionEngine(stream_window=0)
-        with ExecutionEngine() as engine:
-            with pytest.raises(ValueError):
-                engine.run_streaming(iter(()), window=0)
 
     def test_resident_gauge_tracks_window_not_corpus(self, subset):
         """Streaming twenty requests through windows of five peaks the
         residency gauge at five; the materialised run peaks at twenty."""
         records = subset.records[:20]
         model = create_model("gpt-4")
-        with ExecutionEngine() as engine:
-            list(
-                engine.run_streaming(
-                    iter_requests(model, PromptStrategy.BP1, records), window=5
-                )
-            )
+        with ExecutionEngine(stream_window=5) as engine:
+            list(engine.run_streaming(iter_requests(model, PromptStrategy.BP1, records)))
             assert engine.telemetry.snapshot()["resident_requests_peak"] == 5
         with ExecutionEngine() as engine:
             engine.run_counts(

@@ -81,8 +81,9 @@ class TestWarmRun:
         assert calls == {"analyze_source": 0, "fit": 0}
         assert results_fingerprint(warm) == results_fingerprint(cold)
         # Inspector programs count as requests whether they hit or miss.
-        assert warm_engine.telemetry.requests == cold_engine.telemetry.requests
-        assert warm_engine.telemetry.model_calls == 0
+        warm_stats = warm_engine.telemetry.snapshot()
+        assert warm_stats["requests"] == cold_engine.telemetry.snapshot()["requests"]
+        assert warm_stats["model_calls"] == 0
 
     def test_uncached_engine_recomputes_everything(self, mini, calls):
         first = run_all_tables(mini, tables=("table3", "table4"), engine=ExecutionEngine())
@@ -175,7 +176,7 @@ class TestInspectorCache:
         warm = evaluate_inspector(benchmarks, engine=engine)
         assert calls["analyze_source"] == len(benchmarks)
         assert warm.as_row() == cold.as_row() == evaluate_inspector(benchmarks).as_row()
-        assert engine.telemetry.requests == 2 * len(benchmarks)
+        assert engine.telemetry.snapshot()["requests"] == 2 * len(benchmarks)
 
     @pytest.mark.parametrize(
         "settings",
