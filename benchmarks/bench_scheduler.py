@@ -18,9 +18,11 @@ apples.  The tables are shrunk so that each one alone cannot saturate the
 pool — exactly the regime (few in-flight requests per table, many tables,
 wildly uneven per-table cost) where cross-table interleaving pays.  Plans
 are built outside the timed region (fine-tuning the cross-validation folds
-is CPU work both paths share), and each path gets freshly built plans so
-neither benefits from the models' warm feature caches.  The Inspector
-baseline is excluded: it is not model work.
+is CPU work both paths share), and each path gets freshly built plans.
+Code features come from the process-wide source memo, so the sequential
+path, timed first, featurises the 12 sources (about 1 ms each) and the
+interleaved path finds them memoised.  The Inspector baseline is
+excluded: it is not model work.
 
 Responses are unaffected by scheduling, so both paths must produce
 identical table rows — and the interleaved run must be at least

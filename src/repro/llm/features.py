@@ -7,14 +7,31 @@ Two kinds of features are produced:
   variable pairs, what synchronization is present;
 * :func:`hashed_ngram_vector` — the bag-of-n-grams vector the fine-tuning
   adapter trains on.
+
+Both functions are pure and uncached.  The models and the fine-tuner read
+them through :func:`source_unit` instead: one process-wide memo of
+:class:`SourceUnit` entries keyed on the sha256 of the source text, so a
+source that four models, five prompt strategies and twenty adapter fits
+all see is featurised once per process.  A unit retains only the finished
+products — the default-detector :class:`CodeFeatures` and one read-only
+n-gram vector per ``(dim, ngram)`` — never tokens or ASTs.  The memo is one
+least-recently-used map under a lock, bounded at
+:data:`SOURCE_MEMO_MAX_BYTES` of estimated size (source length, plus each
+vector's ``nbytes``, plus :data:`FEATURES_ENTRY_BYTES` per features entry).
+Every process has its own memo, so each process-pool worker featurises a
+source it has not seen once more.  A caller that needs another detector
+calls :func:`extract_features` with ``detector=`` and bypasses the memo.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import re
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+import threading
+from collections import OrderedDict
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -28,9 +45,11 @@ from repro.dynamic.interpreter import InterpreterError
 __all__ = [
     "PROGRAM_ERRORS",
     "CodeFeatures",
+    "SourceUnit",
     "extract_code_from_prompt",
     "extract_features",
     "hashed_ngram_vector",
+    "source_unit",
 ]
 
 #: The typed errors a malformed program raises from the lexer, parser,
@@ -65,13 +84,17 @@ def extract_code_from_prompt(prompt: str) -> str:
     return prompt[match.start(1) :]
 
 
-@dataclass
+@dataclass(frozen=True)
 class CodeFeatures:
-    """Structural evidence extracted from one code snippet."""
+    """Structural evidence extracted from one code snippet.
+
+    Frozen, with tuple fields, because the source memo hands one instance
+    to every model that sees the snippet.
+    """
 
     parses: bool
     heuristic_race: bool
-    predicted_pairs: List[Tuple[str, int, int, str]] = field(default_factory=list)
+    predicted_pairs: Tuple[Tuple[str, int, int, str], ...] = ()
     has_parallel_pragma: bool = False
     has_reduction_clause: bool = False
     has_critical: bool = False
@@ -84,7 +107,7 @@ class CodeFeatures:
     token_count: int = 0
     # Structured evidence from the static analyzer's diagnostic engine:
     # which DRD-* rules fired and the report's calibrated self-assessment.
-    static_rule_ids: List[str] = field(default_factory=list)
+    static_rule_ids: Tuple[str, ...] = ()
     static_confidence: float = 0.5
 
     @property
@@ -110,39 +133,38 @@ def extract_features(code: str, *, detector: Optional[StaticRaceDetector] = None
     "no race found" heuristic.
     """
     detector = detector or StaticRaceDetector()
-    lowered = code
-    features = CodeFeatures(
-        parses=True,
-        heuristic_race=False,
-        has_parallel_pragma="#pragma omp" in lowered and "parallel" in lowered,
-        has_reduction_clause="reduction(" in lowered.replace(" ", ""),
-        has_critical="critical" in lowered,
-        has_atomic="atomic" in lowered,
-        has_lock_calls="omp_set_lock" in lowered,
-        has_barrier="barrier" in lowered,
-        has_task="omp task" in lowered or "sections" in lowered,
-        has_simd="simd" in lowered,
-        shared_compound_update=bool(re.search(r"\w+\s*(\+=|-=|\*=)", lowered)),
+    lexical = dict(
+        has_parallel_pragma="#pragma omp" in code and "parallel" in code,
+        has_reduction_clause="reduction(" in code.replace(" ", ""),
+        has_critical="critical" in code,
+        has_atomic="atomic" in code,
+        has_lock_calls="omp_set_lock" in code,
+        has_barrier="barrier" in code,
+        has_task="omp task" in code or "sections" in code,
+        has_simd="simd" in code,
+        shared_compound_update=bool(re.search(r"\w+\s*(\+=|-=|\*=)", code)),
         token_count=_TOKENIZER.count(code),
     )
     try:
         report: StaticRaceReport = detector.analyze_source(code)
     except PROGRAM_ERRORS:
-        features.parses = False
-        return features
-    features.heuristic_race = report.has_race
-    features.static_confidence = report.confidence
+        return CodeFeatures(parses=False, heuristic_race=False, **lexical)
+    rule_ids = []
     for diagnostic in report.diagnostics:
-        if diagnostic.rule_id not in features.static_rule_ids:
-            features.static_rule_ids.append(diagnostic.rule_id)
+        if diagnostic.rule_id not in rule_ids:
+            rule_ids.append(diagnostic.rule_id)
+    pairs = []
     for pair in report.pairs:
-        features.predicted_pairs.append(
-            (pair.first.expr_text, pair.first.line, pair.first.col, pair.first.operation)
-        )
-        features.predicted_pairs.append(
-            (pair.second.expr_text, pair.second.line, pair.second.col, pair.second.operation)
-        )
-    return features
+        for access in (pair.first, pair.second):
+            pairs.append((access.expr_text, access.line, access.col, access.operation))
+    return CodeFeatures(
+        parses=True,
+        heuristic_race=report.has_race,
+        predicted_pairs=tuple(pairs),
+        static_rule_ids=tuple(rule_ids),
+        static_confidence=report.confidence,
+        **lexical,
+    )
 
 
 def hashed_ngram_vector(code: str, *, dim: int = 512, ngram: int = 2) -> np.ndarray:
@@ -164,3 +186,91 @@ def hashed_ngram_vector(code: str, *, dim: int = 512, ngram: int = 2) -> np.ndar
     if norm > 0:
         vector /= norm
     return vector
+
+
+#: Byte budget of the process-wide source memo.  The paper's tables touch
+#: ~200 sources at ~7 KB each (source, features, one 512-dim vector).
+SOURCE_MEMO_MAX_BYTES = 8 * 1024 * 1024
+
+#: What one memo'd :class:`CodeFeatures` is charged: the corpus's largest
+#: measures ~3.7 KB deep, its median ~1.8 KB.
+FEATURES_ENTRY_BYTES = 2048
+
+
+class SourceUnit:
+    """One distinct source text and its lazily computed, shared products.
+
+    Obtain units from :func:`source_unit`; the products are computed on
+    first use, outside the memo lock, and the first result stored wins.
+    """
+
+    __slots__ = ("code", "key", "nbytes", "_features", "_vectors")
+
+    def __init__(self, code: str, key: bytes) -> None:
+        self.code = code
+        self.key = key
+        #: The unit's charge against :data:`SOURCE_MEMO_MAX_BYTES`.
+        self.nbytes = 0
+        self._features: Optional[CodeFeatures] = None
+        self._vectors: Dict[Tuple[int, int], np.ndarray] = {}
+
+    @property
+    def features(self) -> CodeFeatures:
+        """:func:`extract_features` of the source, default detector."""
+        if self._features is None:
+            computed = extract_features(self.code)
+            with _MEMO.lock:
+                if self._features is None:
+                    self._features = computed
+                    _MEMO.charge(self, FEATURES_ENTRY_BYTES)
+        return self._features
+
+    def ngram_vector(self, dim: int = 512, ngram: int = 2) -> np.ndarray:
+        """Read-only :func:`hashed_ngram_vector` of the source."""
+        vector = self._vectors.get((dim, ngram))
+        if vector is None:
+            computed = hashed_ngram_vector(self.code, dim=dim, ngram=ngram)
+            computed.setflags(write=False)
+            with _MEMO.lock:
+                vector = self._vectors.setdefault((dim, ngram), computed)
+                if vector is computed:
+                    _MEMO.charge(self, computed.nbytes)
+        return vector
+
+
+class _SourceMemo:
+    """The LRU map behind :func:`source_unit`; callers hold ``lock``."""
+
+    def __init__(self, max_bytes: int) -> None:
+        self.lock = threading.Lock()
+        self.max_bytes = max_bytes
+        self.nbytes = 0
+        self.units: "OrderedDict[bytes, SourceUnit]" = OrderedDict()
+
+    def charge(self, unit: SourceUnit, nbytes: int) -> None:
+        """Add ``nbytes`` to ``unit``; evict least recently used units."""
+        unit.nbytes += nbytes
+        if self.units.get(unit.key) is not unit:
+            return  # already evicted: its products live on with its holders
+        self.nbytes += nbytes
+        while self.nbytes > self.max_bytes:
+            _key, evicted = self.units.popitem(last=False)
+            self.nbytes -= evicted.nbytes
+
+
+_MEMO = _SourceMemo(SOURCE_MEMO_MAX_BYTES)
+# A child forked while another thread held the lock would inherit it held.
+os.register_at_fork(after_in_child=lambda: setattr(_MEMO, "lock", threading.Lock()))
+
+
+def source_unit(code: str) -> SourceUnit:
+    """The process-wide memo entry for ``code`` (created on first sight)."""
+    key = hashlib.sha256(code.encode("utf-8")).digest()
+    with _MEMO.lock:
+        unit = _MEMO.units.get(key)
+        if unit is not None:
+            _MEMO.units.move_to_end(key)
+            return unit
+        unit = _MEMO.units[key] = SourceUnit(code, key)
+        _MEMO.charge(unit, len(code))
+    return unit

@@ -33,7 +33,7 @@ from repro.dataset.pairs import PromptResponsePair
 from repro.llm.adapters import LowRankAdapter
 from repro.llm.base import LanguageModel
 from repro.llm.behavior import deterministic_uniform
-from repro.llm.features import extract_code_from_prompt, hashed_ngram_vector
+from repro.llm.features import extract_code_from_prompt, source_unit
 from repro.llm.responses import render_detection_response, render_pairs_response
 from repro.llm.zoo import SimulatedChatModel
 from repro.prompting.strategy import PromptStrategy
@@ -124,7 +124,7 @@ class FineTunedModel(LanguageModel):
         """Blended race probability of the fine-tuned model."""
         base_score = self.base.score(code)
         adapter_score = self.adapter.predict_proba(
-            hashed_ngram_vector(code, dim=self.config.feature_dim)
+            source_unit(code).ngram_vector(dim=self.config.feature_dim)
         )
         w = self.config.adapter_weight
         return (1.0 - w) * base_score + w * float(adapter_score)
@@ -207,8 +207,8 @@ class FineTuner:
     def _dataset(self, pairs: Sequence[PromptResponsePair]):
         features = np.stack(
             [
-                hashed_ngram_vector(
-                    extract_code_from_prompt(pair.prompt), dim=self.config.feature_dim
+                source_unit(extract_code_from_prompt(pair.prompt)).ngram_vector(
+                    dim=self.config.feature_dim
                 )
                 for pair in pairs
             ]

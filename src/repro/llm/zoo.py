@@ -6,7 +6,8 @@ same internal pipeline:
 1. classify the request from the prompt text (detection, dependence analysis,
    or pair identification) — the model only ever sees the prompt;
 2. extract the code snippet and run the internal heuristic
-   (:func:`repro.llm.features.extract_features`);
+   (:func:`repro.llm.features.extract_features`, read through the
+   process-wide source memo, so every model shares one result per source);
 3. turn the evidence into a verdict using the per-(model, strategy)
    :class:`~repro.llm.behavior.BehaviorProfile` and a deterministic
    pseudo-random draw keyed by (model, strategy, code);
@@ -18,7 +19,6 @@ same internal pipeline:
 from __future__ import annotations
 
 import asyncio
-import hashlib
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Type
@@ -30,7 +30,7 @@ from repro.llm.behavior import (
     profile_for,
     simulated_latency,
 )
-from repro.llm.features import CodeFeatures, extract_code_from_prompt, extract_features
+from repro.llm.features import CodeFeatures, extract_code_from_prompt, source_unit
 from repro.llm.responses import (
     render_analysis_response,
     render_detection_response,
@@ -107,15 +107,11 @@ class SimulatedChatModel(LanguageModel):
         #: schedules over the same requests stay an apples-to-apples
         #: comparison while still exercising non-uniform call times.
         self.latency_jitter_s = latency_jitter_s
-        self._feature_cache: Dict[str, CodeFeatures] = {}
 
     # -- internals ----------------------------------------------------------------
 
     def _features(self, code: str) -> CodeFeatures:
-        key = hashlib.sha256(code.encode("utf-8")).hexdigest()
-        if key not in self._feature_cache:
-            self._feature_cache[key] = extract_features(code)
-        return self._feature_cache[key]
+        return source_unit(code).features
 
     def _profile(self, strategy: PromptStrategy) -> BehaviorProfile:
         return profile_for(self.name, strategy)

@@ -1,6 +1,9 @@
 """Tests for the simulated model zoo, behavioral calibration and fine-tuning."""
 
+import dataclasses
 import hashlib
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -19,7 +22,8 @@ from repro.llm import (
     profile_for,
 )
 from repro.llm.behavior import HEURISTIC_FPR, HEURISTIC_TPR, deterministic_uniform
-from repro.llm.features import hashed_ngram_vector
+import repro.llm.features as features_module
+from repro.llm.features import PROGRAM_ERRORS, hashed_ngram_vector, source_unit
 from repro.prompting import PromptStrategy, parse_yes_no, render_prompt
 
 
@@ -126,6 +130,164 @@ class TestFeatures:
         # And the shared instance produces the exact same vectors as a
         # fresh tokenizer would (it is frozen and stateless).
         assert np.array_equal(reference, hashed_ngram_vector(RACY_CODE, dim=64))
+
+
+class _PeakMemo(features_module._SourceMemo):
+    """A source memo that records the largest byte estimate it ever held."""
+
+    peak = 0
+
+    def charge(self, unit, nbytes):
+        super().charge(unit, nbytes)
+        self.peak = max(self.peak, self.nbytes)
+
+
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    """Install an empty source memo (default bound unless given one)."""
+
+    def install(max_bytes=features_module.SOURCE_MEMO_MAX_BYTES):
+        memo = _PeakMemo(max_bytes)
+        monkeypatch.setattr(features_module, "_MEMO", memo)
+        return memo
+
+    return install
+
+
+@pytest.fixture
+def count_extractions(monkeypatch):
+    """Count the memo's calls into the pure ``extract_features``."""
+    calls = []
+    pure = features_module.extract_features
+
+    def counting(code, **kwargs):
+        calls.append(code)
+        return pure(code, **kwargs)
+
+    monkeypatch.setattr(features_module, "extract_features", counting)
+    return calls
+
+
+class TestSourceMemo:
+    def test_memo_matches_the_pure_functions_over_the_corpus(self, fresh_memo):
+        from repro.corpus import build_corpus
+
+        fresh_memo()
+        programs = build_corpus()
+        assert len(programs) == 201
+        for program in programs:
+            unit = source_unit(program.code)
+            assert unit.features == extract_features(program.code)
+            assert np.array_equal(
+                unit.ngram_vector(dim=512), hashed_ngram_vector(program.code, dim=512)
+            )
+
+    def test_models_share_one_extraction_per_source(self, fresh_memo, count_extractions):
+        fresh_memo()
+        prompt = render_prompt(PromptStrategy.BP1, RACY_CODE)
+        models = [create_model("gpt-4"), create_model("gpt-4"), create_model("llama2-7b")]
+        for model in models:
+            model.generate(prompt)
+            model.score(extract_code_from_prompt(prompt))
+        assert len(count_extractions) == 1
+
+    def test_parse_failure_is_memoised(self, fresh_memo, count_extractions):
+        from repro.analysis.static_race import StaticRaceDetector
+
+        fresh_memo()
+        code = "not C at all @@@"
+        with pytest.raises(PROGRAM_ERRORS):
+            StaticRaceDetector().analyze_source(code)
+        assert not source_unit(code).features.parses
+        assert not source_unit(code).features.parses
+        assert count_extractions == [code]
+
+    def test_detector_bug_propagates_and_stores_nothing(self, fresh_memo, monkeypatch):
+        from repro.analysis.static_race import StaticRaceDetector
+
+        memo = fresh_memo()
+
+        def broken(self, code, **kwargs):
+            raise AttributeError("detector bug")
+
+        monkeypatch.setattr(StaticRaceDetector, "analyze_source", broken)
+        with pytest.raises(AttributeError, match="detector bug"):
+            source_unit(RACY_CODE).features
+        assert memo.nbytes == len(RACY_CODE)  # the source, no features entry
+        monkeypatch.undo()
+        fresh_memo()
+        assert source_unit(RACY_CODE).features.heuristic_race
+
+    def test_shared_entries_are_immutable(self, fresh_memo):
+        fresh_memo()
+        unit = source_unit(RACY_CODE)
+        features = unit.features
+        assert isinstance(features.predicted_pairs, tuple) and features.predicted_pairs
+        assert isinstance(features.static_rule_ids, tuple)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            features.heuristic_race = False
+        vector = unit.ngram_vector(dim=64)
+        with pytest.raises(ValueError):
+            vector[0] = 1.0
+        # The pure function still hands out a fresh, writable vector.
+        hashed_ngram_vector(RACY_CODE, dim=64)[0] = 1.0
+
+    def test_bound_holds_while_streaming_more_sources_than_fit(self, fresh_memo):
+        from repro.corpus import build_corpus
+        from repro.dataset.drbml import iter_records
+        from repro.engine import ExecutionEngine, iter_requests
+
+        programs = build_corpus()[:60]
+
+        def stream_counts():
+            model = create_model("gpt-4")
+            with ExecutionEngine(stream_window=8) as engine:
+                return engine.run_streaming_counts(
+                    iter_requests(model, PromptStrategy.BP1, iter_records(programs))
+                ).as_row()
+
+        fresh_memo()
+        unbounded = stream_counts()
+        bound = 32 * 1024
+        memo = fresh_memo(bound)
+        assert stream_counts() == unbounded
+        assert 0 < memo.peak <= bound
+        assert len(memo.units) < len(programs)
+        assert memo.nbytes == sum(unit.nbytes for unit in memo.units.values())
+
+    def test_threads_share_equal_results_within_the_bound(self, fresh_memo):
+        from repro.corpus import build_corpus
+
+        sources = [program.code for program in build_corpus()[:50]]
+        bound = 64 * 1024
+        memo = fresh_memo(bound)
+        results = [None] * 8
+        start = threading.Barrier(8)
+
+        def featurise(slot):
+            start.wait()
+            results[slot] = [
+                (source_unit(code).features, source_unit(code).ngram_vector(dim=128))
+                for code in sources
+            ]
+
+        threads = [threading.Thread(target=featurise, args=(slot,)) for slot in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for result in results[1:]:
+            for (features, vector), (first_features, first_vector) in zip(result, results[0]):
+                assert features == first_features
+                assert np.array_equal(vector, first_vector)
+        assert memo.peak <= bound
+        assert memo.nbytes == sum(unit.nbytes for unit in memo.units.values())
 
 
 class TestBehavior:
