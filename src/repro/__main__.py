@@ -25,6 +25,7 @@ Usage::
                                       # plan-order, fixed-size chunks
     python -m repro all --cache ./c --cache-max-bytes 50000000 --cache-ttl 3600
                                       # byte budget + max entry age
+    python -m repro all --no-cache    # call the model for every prompt
     python -m repro all --stream                 # bounded-memory streaming:
                                       # requests are planned and dispatched
                                       # in windows (peak RSS O(window), not
@@ -37,11 +38,11 @@ Usage::
     python -m repro table3 --cascade --cascade-tiers static,inspector,gpt-3.5-turbo
     python -m repro table3 --cascade --escalate-below 0.9   # stricter: more
                                       # records reach the expensive model
-    python -m repro all --jobs 4 --cascade --speculate
-                                      # cross-backend speculation:
-                                      # straggler chunks race a cheaper
-                                      # tier's model, first verdict wins
-                                      # (needs a parallel executor)
+    python -m repro table3 --cascade --jobs 4 --speculate
+                                      # speculation composes with the
+                                      # cascade: a straggler chunk races a
+                                      # duplicate on its own model, so the
+                                      # tables match the serial cascade
     python -m repro all --retries 3              # fault tolerance: failing
                                       # chunks back off and re-enter the
                                       # dispatcher; models that keep failing
@@ -102,7 +103,7 @@ from repro.engine import (
     CostModel,
     ExecutionEngine,
     ResponseCache,
-    available_executors,
+    EXECUTOR_KINDS,
     run_all_tables,
 )
 from repro.eval.experiments import (
@@ -232,9 +233,8 @@ def _build_engine(args: argparse.Namespace) -> ExecutionEngine:
         else CostModel()
     )
     cache: Optional[ResponseCache] = None
-    if args.cache_entries > 0:
+    if not args.no_cache:
         cache = ResponseCache(
-            args.cache_entries,
             path=args.cache,
             cost_model=cost_model,
             max_bytes=args.cache_max_bytes,
@@ -249,13 +249,7 @@ def _build_engine(args: argparse.Namespace) -> ExecutionEngine:
         adaptive_batching=args.adaptive_batching,
         cost_model=cost_model,
         speculate=args.speculate,
-        deadline=args.deadline,
         cascade=cascade_policy,
-        speculate_fallback=(
-            cascade_policy.fallback_model
-            if cascade_policy is not None and args.speculate
-            else None
-        ),
         retries=args.retries,
         journal=args.journal,
     )
@@ -347,7 +341,7 @@ def main(argv: List[str] | None = None) -> int:
     )
     parser.add_argument(
         "--executor",
-        choices=list(available_executors()),
+        choices=list(EXECUTOR_KINDS),
         default=None,
         help=(
             "executor backend: serial (reference), thread (overlaps model "
@@ -396,10 +390,8 @@ def main(argv: List[str] | None = None) -> int:
         help=(
             "tiered detection cascade: cheap tiers (--cascade-tiers) answer "
             "each record first and only low-confidence or disagreeing "
-            "verdicts escalate to the requested model — with --speculate, "
-            "straggler chunks additionally race a cheaper tier's model "
-            "(cross-backend speculation).  --no-cascade is the reference "
-            "single-model path (default: off)"
+            "verdicts escalate to the requested model.  --no-cascade is the "
+            "reference single-model path (default: off)"
         ),
     )
     parser.add_argument(
@@ -450,19 +442,6 @@ def main(argv: List[str] | None = None) -> int:
         ),
     )
     parser.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "per-run latency budget: when the cost model predicts the "
-            "makespan exceeds it, shed the lowest-value chunks (highest "
-            "seconds-per-request) — shed requests come back as explicit "
-            "skipped results, and telemetry reports predicted vs actual "
-            "makespan (default: no budget)"
-        ),
-    )
-    parser.add_argument(
         "--sequential",
         action="store_true",
         help="with 'all': run one engine run per table instead of the interleaved scheduler",
@@ -489,11 +468,12 @@ def main(argv: List[str] | None = None) -> int:
         ),
     )
     parser.add_argument(
-        "--cache-entries",
-        type=int,
-        default=65536,
-        metavar="N",
-        help="in-memory response-cache capacity; 0 disables caching (default: 65536)",
+        "--no-cache",
+        action="store_true",
+        help=(
+            "disable the response cache: every prompt goes to the model "
+            "(default: a 65536-entry in-memory cache)"
+        ),
     )
     parser.add_argument(
         "--cache-max-bytes",
@@ -535,8 +515,6 @@ def main(argv: List[str] | None = None) -> int:
         parser.error("--batch-size must be >= 1")
     if args.jobs is not None and args.jobs < 0:
         parser.error("--jobs must be >= 0 (0 and 1 both mean serial)")
-    if args.cache_entries < 0:
-        parser.error("--cache-entries must be >= 0 (0 disables caching)")
     if args.cache is not None and Path(args.cache).is_file():
         parser.error(
             f"--cache {args.cache} is a file; the cache is a directory of segments"
@@ -550,8 +528,6 @@ def main(argv: List[str] | None = None) -> int:
         parser.error(
             "--speculate requires a parallel executor (--jobs N > 1, not --executor serial)"
         )
-    if args.deadline is not None and args.deadline <= 0:
-        parser.error("--deadline must be > 0 seconds")
     if args.retries < 0:
         parser.error("--retries must be >= 0")
     if not args.cascade:
@@ -574,22 +550,18 @@ def main(argv: List[str] | None = None) -> int:
             )
         except (KeyError, ValueError) as exc:
             parser.error(f"--cascade-tiers: {exc}")
-    if args.cache is not None and args.cache_entries == 0:
-        parser.error("--cache has no effect with --cache-entries 0 (caching disabled)")
-    if args.cache_max_bytes is not None:
-        if args.cache_max_bytes <= 0:
-            parser.error("--cache-max-bytes must be > 0")
-        if args.cache_entries == 0:
-            parser.error(
-                "--cache-max-bytes has no effect with --cache-entries 0 (caching disabled)"
-            )
-    if args.cache_ttl is not None:
-        if args.cache_ttl <= 0:
-            parser.error("--cache-ttl must be > 0 seconds")
-        if args.cache_entries == 0:
-            parser.error(
-                "--cache-ttl has no effect with --cache-entries 0 (caching disabled)"
-            )
+    if args.cache_max_bytes is not None and args.cache_max_bytes <= 0:
+        parser.error("--cache-max-bytes must be > 0")
+    if args.cache_ttl is not None and args.cache_ttl <= 0:
+        parser.error("--cache-ttl must be > 0 seconds")
+    if args.no_cache:
+        for flag, value in (
+            ("--cache", args.cache),
+            ("--cache-max-bytes", args.cache_max_bytes),
+            ("--cache-ttl", args.cache_ttl),
+        ):
+            if value is not None:
+                parser.error(f"{flag} has no effect with --no-cache")
     if args.command == "cache":
         if args.subcommand not in ("stats", "compact"):
             parser.error(

@@ -16,7 +16,7 @@ class PipelineConfig:
     """What the pipeline evaluates; how it executes is the engine's business.
 
     Execution settings (executor, jobs, cache, cascade, speculation,
-    retries, deadline, journal, stream window) are
+    retries, journal, stream window) are
     :class:`~repro.engine.core.ExecutionEngine` parameters: build an engine
     and pass it as ``DataRacePipeline(config, engine=engine)``.
 

@@ -13,9 +13,10 @@ Module map
     :class:`DetectionRequest`, chunks them per (model, strategy) with
     cost-model-driven sizes and LPT (longest-processing-time-first) order,
     dispatches the chunks through one completion-order loop on the
-    executor's ``submit_stream`` — speculation, retry/backoff and circuit
-    breakers are per-chunk decisions inside it, so they compose —
-    satisfies repeats from the cache, and returns an order-preserving
+    executor's ``submit_stream`` — same-model speculation, retry/backoff
+    and circuit breakers are per-chunk decisions inside it, so they
+    compose; none of them ever drops a request or swaps in another
+    model's verdict — satisfies repeats from the cache, and returns an order-preserving
     :class:`RunResultStore`.  Every executor runs the same chunk body — a
     step function that splits cache hits from misses, hands the misses to
     a blocking or awaiting driver, stores and scores.  Also offers a
@@ -54,15 +55,15 @@ Module map
     response scoring → confusion-count assembly (modes ``"detection"``,
     ``"pairs"``, ``"pairs-strict"``; see the module docstring).
 ``executors``
-    The executor registry: :class:`SerialExecutor` (reference),
-    :class:`ThreadPoolExecutor`, :class:`ProcessPoolExecutor` (shards
-    CPU-bound work across processes) and :class:`AsyncExecutor` (a
-    persistent asyncio loop — the seam for real async API adapters).  A
-    backend implements two contracts — order-preserving ``map(fn, items)``
+    One fixed table of the built-in backends (:data:`EXECUTOR_KINDS`):
+    :class:`SerialExecutor` (reference), :class:`ThreadPoolExecutor`,
+    :class:`ProcessPoolExecutor` (shards CPU-bound work across processes)
+    and :class:`AsyncExecutor` (a persistent asyncio loop — the seam for
+    real async API adapters).  A backend implements two contracts — order-preserving ``map(fn, items)``
     and completion-order ``submit``/``submit_stream`` (incremental
     submission, settled futures drained as they finish) — plus
-    ``close()``; register a factory with :func:`register_executor` to
-    make it selectable via ``--executor``.
+    ``close()``; a custom backend plugs in through
+    ``ExecutionEngine(executor=...)``.
 ``scheduler``
     The cross-table run scheduler: :class:`TablePlan` (a table's requests
     plus its reducer) and :func:`run_all_tables`, which interleaves every
@@ -135,14 +136,11 @@ from repro.engine.executors import (
     ProcessPoolExecutor,
     SerialExecutor,
     ThreadPoolExecutor,
-    available_executors,
     create_executor,
-    register_executor,
 )
 from repro.engine.requests import (
     FAILED_RESPONSE,
     SCORING_MODES,
-    SHED_RESPONSE,
     DetectionRequest,
     RunResult,
     RunResultStore,
@@ -152,7 +150,6 @@ from repro.engine.requests import (
     iter_requests,
     response_confidence,
     score_response,
-    shed_result,
 )
 from repro.engine.snapshot import (
     PublishedSnapshot,
@@ -206,12 +203,9 @@ __all__ = [
     "ProcessPoolExecutor",
     "SerialExecutor",
     "ThreadPoolExecutor",
-    "available_executors",
     "create_executor",
-    "register_executor",
     "FAILED_RESPONSE",
     "SCORING_MODES",
-    "SHED_RESPONSE",
     "DetectionRequest",
     "RunResult",
     "RunResultStore",
@@ -221,7 +215,6 @@ __all__ = [
     "iter_requests",
     "response_confidence",
     "score_response",
-    "shed_result",
     "PublishedSnapshot",
     "SharedSnapshotView",
     "encode_snapshot",

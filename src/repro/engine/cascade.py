@@ -21,7 +21,7 @@ model, and their ``cost_prior_s`` attribute feeds the cold-start prior
 Escalation rules (per record, per tier)
 ---------------------------------------
 * resolve at a cheap tier only when the tier actually answered
-  (not shed, not failed), its confidence clears ``escalate_below``, and its verdict
+  (not failed), its confidence clears ``escalate_below``, and its verdict
   does not disagree with a confident verdict from an earlier tier;
 * otherwise escalate, remembering the verdict (when non-degenerate) for
   the disagreement check at the next tier;
@@ -126,12 +126,12 @@ class CascadePolicy:
         return cls(tiers=tiers, escalate_below=escalate_below)
 
     def fallback_model(self, model: LanguageModel) -> Optional[LanguageModel]:
-        """The next cheaper tier below ``model``, for cross-backend speculation.
+        """The next cheaper tier below ``model``, for breaker reroutes.
 
-        A straggling chunk of tier *k* races against tier *k-1*; a chunk of
-        the implicit final tier (any model not on the ladder) races against
-        the most capable cheap tier.  Tier 0 has nothing cheaper — ``None``
-        keeps speculation same-backend there.
+        While tier *k*'s circuit breaker is open its chunks route to tier
+        *k-1*; a chunk of the implicit final tier (any model not on the
+        ladder) routes to the most capable cheap tier.  Tier 0 has nothing
+        cheaper: ``None``.
         """
         identity = getattr(model, "cache_identity", None) or getattr(model, "name", None)
         for position, tier in enumerate(self.tiers):
@@ -158,12 +158,11 @@ class CascadeRouter:
         self,
         indexed: Sequence[Tuple[int, DetectionRequest]],
         execute_batch: Callable,
-    ) -> Tuple[List[Optional[RunResult]], int]:
+    ) -> List[Optional[RunResult]]:
         """Run ``indexed`` through the ladder; same contract as the executor.
 
         ``indexed`` positions must be ``0..len-1`` (the engine's result-slot
-        convention).  Returns ``(results, shed)`` where ``shed`` counts only
-        final-tier sheds — a shed at a cheap tier simply escalates.
+        convention).  Returns the results in that order.
         """
         results: List[Optional[RunResult]] = [None] * len(indexed)
         active: List[Tuple[int, DetectionRequest]] = list(indexed)
@@ -177,7 +176,7 @@ class CascadeRouter:
                 (position, dataclasses.replace(request, model=tier.model))
                 for position, (_slot, request) in enumerate(active)
             ]
-            tier_results, _tier_shed = execute_batch(sub_batch)
+            tier_results = execute_batch(sub_batch)
             escalated: List[Tuple[int, DetectionRequest]] = []
             resolved = labeled = correct = 0
             for position, (slot, request) in enumerate(active):
@@ -189,11 +188,7 @@ class CascadeRouter:
                     if result.prediction == bool(request.record.has_race):
                         correct += 1
                 else:
-                    if (
-                        result is not None
-                        and not result.skipped
-                        and (result.confidence or 0.0) > 0.0
-                    ):
+                    if result is not None and (result.confidence or 0.0) > 0.0:
                         previous_verdict[slot] = result.prediction
                     escalated.append((slot, request))
             if self.telemetry is not None:
@@ -207,17 +202,16 @@ class CascadeRouter:
                 )
             active = escalated
 
-        shed = 0
         if active:
             sub_batch = [
                 (position, request) for position, (_slot, request) in enumerate(active)
             ]
-            final_results, shed = execute_batch(sub_batch)
+            final_results = execute_batch(sub_batch)
             labeled = correct = 0
             for position, (slot, request) in enumerate(active):
                 result = final_results[position]
                 results[slot] = result
-                if result is not None and not result.skipped and not result.failed:
+                if result is not None and not result.failed:
                     labeled += 1
                     if result.prediction == bool(request.record.has_race):
                         correct += 1
@@ -230,13 +224,13 @@ class CascadeRouter:
                     labeled=labeled,
                     correct=correct,
                 )
-        return results, shed
+        return results
 
     @staticmethod
     def _resolves(
         result: Optional[RunResult], previous: Optional[bool], threshold: float
     ) -> bool:
-        if result is None or result.skipped or result.failed:
+        if result is None or result.failed:
             return False
         confidence = result.confidence if result.confidence is not None else 0.0
         if confidence < threshold:

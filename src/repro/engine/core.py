@@ -37,9 +37,9 @@ the one dispatch loop, so they compose:
 
 * **speculation** (``speculate=True``): a chunk running past
   ``speculate_after`` times the cost model's p95 estimate gets a duplicate
-  copy in idle capacity (optionally on a cheaper fallback model) — the
-  first completion wins, the loser is cancelled or its result dropped, and
-  only the winner feeds results, cache and telemetry;
+  copy on the same model in idle capacity — the first completion wins, the
+  loser is cancelled or its result dropped, and only the winner feeds
+  results, cache and telemetry;
 * **retries** (``retries=N``): a failed copy first defers to a live
   sibling; otherwise a retryable failure within budget re-enters the loop
   after a deterministic exponential backoff; otherwise the chunk gives up
@@ -52,11 +52,10 @@ the one dispatch loop, so they compose:
   :class:`~repro.engine.cascade.CascadePolicy` is configured) or fail them
   without a model call.
 
-With ``deadline=SECONDS`` the planner (:meth:`_plan_deadline`) sheds the
-lowest-value chunks when the predicted makespan exceeds the budget; shed
-requests surface as explicit ``skipped`` results, never silently.  A
-``journal`` checkpoint lets an interrupted run resume skipping
-already-completed work.
+The engine never trades answers for time: every request gets its own
+model's verdict, or an explicit ``failed`` result when the fault layer
+gives up.  A ``journal`` checkpoint lets an interrupted run resume
+skipping already-completed work.
 
 For *distributed* executors (``executor.distributed`` is true, e.g. the
 process pool) the work item crossing the boundary must be picklable, so the
@@ -121,7 +120,6 @@ from repro.engine.requests import (
     RunResultStore,
     failed_result,
     score_response,
-    shed_result,
 )
 from repro.engine.snapshot import (
     SnapshotPayloadRef,
@@ -192,7 +190,7 @@ def _identity(chunk: Sequence[_IndexedRequest]) -> str:
 
 
 def _rewrite(chunk: Sequence[_IndexedRequest], model) -> List[_IndexedRequest]:
-    """The chunk's requests re-pointed at ``model`` (a reroute or fallback)."""
+    """The chunk's requests re-pointed at ``model`` (a breaker reroute)."""
     return [(index, dataclasses.replace(request, model=model)) for index, request in chunk]
 
 
@@ -381,9 +379,11 @@ class ExecutionEngine:
         Shorthand: build the executor via
         :func:`~repro.engine.executors.create_executor` with this width.
     executor_kind:
-        Backend name (``"serial"``, ``"thread"``, ``"process"``,
-        ``"async"`` or anything registered); combines with ``jobs``.
-        Mutually exclusive with ``executor``.
+        Backend name, one of
+        :data:`~repro.engine.executors.EXECUTOR_KINDS` (``"serial"``,
+        ``"thread"``, ``"process"``, ``"async"``); combines with ``jobs``.
+        Mutually exclusive with ``executor``, which is how a custom
+        backend plugs in.
     cache:
         A :class:`~repro.engine.cache.ResponseCache`, or ``None`` to call
         the model for every request.
@@ -405,29 +405,20 @@ class ExecutionEngine:
         chunk latencies, even when ``lpt`` and ``adaptive_batching`` are
         off.
     speculate:
-        Tail-latency control: watch in-flight
-        chunks against the cost model's per-chunk quantile estimate and,
-        when one overshoots its threshold while idle capacity exists,
-        launch a duplicate copy — the first completion wins, the loser is
-        cancelled (or its result dropped), and only the winner feeds the
-        result store, cache, telemetry counters and cost model, so results
-        stay bit-identical with speculation on or off.  Needs an executor
-        with ``capacity > 1``; composes with ``retries``.
+        Tail-latency control: watch in-flight chunks against the cost
+        model's per-chunk quantile estimate and, when one overshoots its
+        threshold while idle capacity exists, launch a duplicate copy on
+        the same model — the first completion wins, the loser is cancelled
+        (or its result dropped), and only the winner feeds the result
+        store, cache, telemetry counters and cost model, so results stay
+        bit-identical with speculation on or off.  Needs an executor with
+        ``capacity > 1``; composes with ``retries``.
     speculate_after:
         Straggler threshold multiplier: a chunk becomes a speculation
         candidate once its elapsed time exceeds ``speculate_after`` times
         the cost model's ``SPECULATION_QUANTILE`` (p95) estimate for the
         whole chunk.  Larger values speculate later (less duplicated
         work); smaller values race sooner.
-    deadline:
-        Per-run latency budget in seconds.  When the cost model predicts
-        the run's makespan exceeds it, the planner sheds the
-        lowest-value chunks (highest seconds-per-request — the fewest
-        scored requests per second of budget) until the prediction fits.
-        Shed requests surface as explicit ``RunResult`` skips
-        (``skipped=True``), never silently dropped, and telemetry records
-        predicted vs. actual makespan.  ``None`` (default) disables the
-        budget entirely.
     stream_window:
         Window size for :meth:`run_streaming`: at most this many requests
         are materialised, planned and in flight at once.  ``None`` keeps
@@ -439,15 +430,6 @@ class ExecutionEngine:
         (see :mod:`repro.engine.cascade`).  ``None`` (default) keeps the
         single-tier behaviour bit-identical to an engine without the
         parameter.
-    speculate_fallback:
-        Cross-backend speculation: a callable mapping a straggling chunk's
-        model to a *cheaper fallback model* (usually
-        ``CascadePolicy.fallback_model``).  When set and ``speculate`` is
-        on, the duplicate copy of an overdue chunk runs on the fallback
-        model instead of re-running the same backend; whichever verdict
-        lands first is merged under the existing exactly-once rules.
-        ``None`` (default) keeps duplicates same-backend — bit-identical
-        responses, speculation on or off.
     retries:
         Per-chunk retry budget (default 0 = fail fast: the first chunk
         error propagates after outstanding work is cancelled).  With
@@ -494,10 +476,8 @@ class ExecutionEngine:
         cost_model: Optional[CostModel] = None,
         speculate: bool = False,
         speculate_after: float = 1.5,
-        deadline: Optional[float] = None,
         stream_window: Optional[int] = None,
         cascade: Optional[CascadePolicy] = None,
-        speculate_fallback: Optional[Callable] = None,
         retries: int = 0,
         retry_base_ms: float = DEFAULT_RETRY_BASE_MS,
         breaker_threshold: int = DEFAULT_BREAKER_THRESHOLD,
@@ -510,8 +490,6 @@ class ExecutionEngine:
             raise ValueError("batch_size must be >= 1")
         if speculate_after <= 0:
             raise ValueError("speculate_after must be > 0")
-        if deadline is not None and deadline <= 0:
-            raise ValueError("deadline must be > 0 seconds or None")
         if stream_window is not None and stream_window < 1:
             raise ValueError("stream_window must be >= 1 or None")
         if retries < 0:
@@ -541,7 +519,6 @@ class ExecutionEngine:
         self.cost_model = cost_model if cost_model is not None else CostModel()
         self.speculate = speculate
         self.speculate_after = speculate_after
-        self.speculate_fallback = speculate_fallback
         self.cascade = cascade
         self.cascade_router = (
             CascadeRouter(cascade, telemetry=self.telemetry) if cascade is not None else None
@@ -554,15 +531,11 @@ class ExecutionEngine:
             self.journal = journal
         else:
             self.journal = RunJournal(journal)
-        self.deadline = deadline
         self.stream_window = stream_window if stream_window is not None else DEFAULT_STREAM_WINDOW
         #: Poll interval of the dispatch loop while speculation or a
         #: backoff is pending; tests and benchmarks tighten it to race
         #: short synthetic chunks.
         self.speculation_poll_s = DEFAULT_SPECULATION_POLL_S
-        #: The deadline planner's post-shedding makespan prediction for the
-        #: most recent run (0.0 when no deadline is set).
-        self._predicted_makespan_s = 0.0
         #: Live/peak chunk coroutines; touched only on the executor's loop
         #: thread, so no lock is needed.
         self._inflight = 0
@@ -573,16 +546,12 @@ class ExecutionEngine:
     def run(self, requests: Iterable[DetectionRequest]) -> RunResultStore:
         """Execute every request; results come back in request order.
 
-        With a ``deadline``, requests the planner shed to fit the budget
-        come back as explicit ``skipped`` results in their original
-        positions — the store always holds exactly one result per request.
+        The store always holds exactly one result per request.
         """
         indexed: List[_IndexedRequest] = list(enumerate(requests))
         start = time.perf_counter()
-        results, shed = self._execute_indexed(indexed)
-        elapsed = time.perf_counter() - start
-        self.telemetry.add(runs=1, wall_time_s=elapsed)
-        self._record_deadline(elapsed, shed)
+        results = self._execute_indexed(indexed)
+        self.telemetry.add(runs=1, wall_time_s=time.perf_counter() - start)
         return RunResultStore(results)
 
     def run_counts(self, requests: Iterable[DetectionRequest]):
@@ -598,12 +567,10 @@ class ExecutionEngine:
         consumption by more than one window.  Within each window the full
         machinery of :meth:`run` applies unchanged: (model, strategy)
         grouping, cost-model adaptive chunk sizing, LPT ordering,
-        completion-order merge, speculation, retries and the response cache
-        — and a ``deadline`` budgets each window independently.  Results are
-        yielded in request order as each window drains; for the same
-        requests the result sequence is element-identical to
-        ``run(list(requests))`` (modulo per-window deadline shedding, which a
-        whole-run budget cannot match window for window).
+        completion-order merge, speculation, retries and the response cache.
+        Results are yielded in request order as each window drains; for the
+        same requests the result sequence is element-identical to
+        ``run(list(requests))``.
 
         Distributed executors re-broadcast the cache snapshot per window, so
         later windows see entries earlier windows populated.
@@ -617,25 +584,11 @@ class ExecutionEngine:
                 )
                 if not batch:
                     break
-                window_start = time.perf_counter()
-                results, shed = self._execute_indexed(batch)
-                self._record_deadline(time.perf_counter() - window_start, shed)
-                yield from results
+                yield from self._execute_indexed(batch)
         finally:
             # One wall-clock observation per streamed run, recorded even if
             # the consumer abandons the stream early.
             self.telemetry.add(runs=1, wall_time_s=time.perf_counter() - start)
-
-    def _record_deadline(self, actual_s: float, shed: int) -> None:
-        """One deadline-budgeted batch: budget, predicted vs actual, sheds."""
-        if self.deadline is None:
-            return
-        self.telemetry.gauge(
-            deadline_budget_s=self.deadline,
-            deadline_predicted_s=self._predicted_makespan_s,
-            deadline_actual_s=actual_s,
-        )
-        self.telemetry.add(deadline_shed=shed)
 
     def run_streaming_counts(self, requests: Iterable[DetectionRequest]):
         """Shorthand: stream-execute and fold into confusion counts.
@@ -648,39 +601,32 @@ class ExecutionEngine:
 
         return confusion_from_results(self.run_streaming(requests))
 
-    def _execute_indexed(
-        self, indexed: List[_IndexedRequest]
-    ) -> Tuple[List[Optional[RunResult]], int]:
+    def _execute_indexed(self, indexed: List[_IndexedRequest]) -> List[Optional[RunResult]]:
         """Plan and dispatch one materialised batch (a whole run or a window).
 
-        Returns the results in request order plus the number of requests the
-        deadline planner shed.  Shared by :meth:`run` (one batch = the whole
-        run) and :meth:`run_streaming` (one batch per window).  With a
-        cascade policy the batch routes down the tier ladder, each tier's
-        sub-batch executing through :meth:`_execute_plain` — so streaming
-        windows, LPT, speculation and the cache compose per tier unchanged.
+        Returns the results in request order.  Shared by :meth:`run` (one
+        batch = the whole run) and :meth:`run_streaming` (one batch per
+        window).  With a cascade policy the batch routes down the tier
+        ladder, each tier's sub-batch executing through
+        :meth:`_execute_plain` — so streaming windows, LPT, speculation and
+        the cache compose per tier unchanged.
         """
         if self.cascade_router is not None:
             return self.cascade_router.execute(indexed, self._execute_plain)
         return self._execute_plain(indexed)
 
-    def _execute_plain(
-        self, indexed: List[_IndexedRequest]
-    ) -> Tuple[List[Optional[RunResult]], int]:
-        """Single-tier plan/dispatch: journal-skip, chunk, shed, run, merge."""
+    def _execute_plain(self, indexed: List[_IndexedRequest]) -> List[Optional[RunResult]]:
+        """Single-tier plan/dispatch: journal-skip, chunk, run, merge."""
         total = len(indexed)
         results: List[Optional[RunResult]] = [None] * total
         if self.journal is not None:
             indexed = self._journal_filter(indexed, results)
-        chunks, shed = self._chunk(indexed)
-        for index, request in shed:
-            results[index] = shed_result(request)
-        self._run_chunks(chunks, results)
+        self._run_chunks(self._chunk(indexed), results)
         self.telemetry.add(requests=total)
         # RSS is sampled beside the resident count, so the two peaks show
         # how many requests were held at once and what holding them cost.
         self.telemetry.gauge(resident_requests_peak=total, peak_rss_kb=process_rss_kb())
-        return results, len(shed)
+        return results
 
     # -- generic parallel map (non-LLM work, e.g. the Inspector baseline) ----------
 
@@ -725,23 +671,16 @@ class ExecutionEngine:
             1, int(getattr(self.executor, "capacity", getattr(self.executor, "jobs", 1)))
         )
 
-    def _chunk(
-        self, indexed: Sequence[_IndexedRequest]
-    ) -> Tuple[List[List[_IndexedRequest]], List[_IndexedRequest]]:
-        """Group, size, budget and order the work items for this run.
+    def _chunk(self, indexed: Sequence[_IndexedRequest]) -> List[List[_IndexedRequest]]:
+        """Group, size and order the work items for this run.
 
         1. group requests by (model, strategy, scoring) in plan order;
         2. size each group's chunks — ``batch_size``, or scaled by the cost
            model's per-request estimate relative to the median group so
            slow groups split finer and fast groups batch coarser;
-        3. with a ``deadline``, shed the lowest-value chunks until the
-           predicted makespan fits the budget (shed requests are returned,
-           not dropped);
-        4. order the chunks LPT (estimated chunk seconds, descending).
+        3. order the chunks LPT (estimated chunk seconds, descending).
            Stable sort: without estimates the run keeps plan order exactly,
            so a cold engine behaves like the pre-cost-model engine.
-
-        Returns ``(chunks, shed_requests)``.
         """
         groups: "OrderedDict[Tuple[int, str, str], List[_IndexedRequest]]" = OrderedDict()
         for index, request in indexed:
@@ -785,73 +724,10 @@ class ExecutionEngine:
                 chunk = group[start : start + size]
                 chunks.append(chunk)
                 chunk_costs.append(per_request * len(chunk))
-        shed: List[_IndexedRequest] = []
-        if self.deadline is not None:
-            chunks, chunk_costs, shed = self._plan_deadline(chunks, chunk_costs)
         if self.lpt and known:
             order = sorted(range(len(chunks)), key=lambda i: -chunk_costs[i])
             chunks = [chunks[i] for i in order]
-        return chunks, shed
-
-    def _plan_deadline(
-        self,
-        chunks: List[List[_IndexedRequest]],
-        chunk_costs: List[float],
-    ) -> Tuple[List[List[_IndexedRequest]], List[float], List[_IndexedRequest]]:
-        """Shed the lowest-value chunks until the predicted makespan fits.
-
-        The makespan prediction is the list-scheduling lower bound
-        ``max(total_cost / capacity, longest_chunk)``.  While it exceeds
-        the budget, chunks are shed highest seconds-per-request first —
-        the *cheapest-value* work: a slow group delivers the fewest scored
-        requests per second of budget, so shedding it buys the most time
-        per lost answer.  Chunks with no cost estimate are never shed
-        (there is no evidence against them, and a cold engine must behave
-        exactly like one without a deadline).
-        """
-        capacity = self._capacity()
-
-        def predicted(keep: Sequence[bool]) -> float:
-            costs = [cost for cost, kept in zip(chunk_costs, keep) if kept and cost > 0]
-            if not costs:
-                return 0.0
-            return max(sum(costs) / capacity, max(costs))
-
-        keep = [True] * len(chunks)
-        prediction = predicted(keep)
-        if prediction > self.deadline:
-            shed_order = sorted(
-                (i for i in range(len(chunks)) if chunk_costs[i] > 0),
-                key=lambda i: -(chunk_costs[i] / len(chunks[i])),
-            )
-            # A shed only sticks if it lowers the prediction: when the
-            # longest chunk dominates the bound, shedding anything else
-            # discards answers for zero makespan gain.  Multiple passes,
-            # because removing the dominant chunk can flip the binding
-            # bound to total/capacity, making earlier-skipped sheds
-            # worthwhile after all.
-            progressed = True
-            while prediction > self.deadline and progressed:
-                progressed = False
-                for i in shed_order:
-                    if not keep[i]:
-                        continue
-                    keep[i] = False
-                    candidate = predicted(keep)
-                    if candidate < prediction:
-                        prediction = candidate
-                        progressed = True
-                        if prediction <= self.deadline:
-                            break
-                    else:
-                        keep[i] = True
-        self._predicted_makespan_s = prediction
-        if all(keep):
-            return chunks, chunk_costs, []
-        shed = [request for i, chunk in enumerate(chunks) if not keep[i] for request in chunk]
-        kept_chunks = [chunk for i, chunk in enumerate(chunks) if keep[i]]
-        kept_costs = [cost for i, cost in enumerate(chunk_costs) if keep[i]]
-        return kept_chunks, kept_costs, shed
+        return chunks
 
     def _run_chunks(
         self,
@@ -875,11 +751,10 @@ class ExecutionEngine:
 
         A ``None`` outcome is a chunk the fault layer gave up on: every
         request gets an explicit positional ``failed`` result and nothing
-        feeds the cache, telemetry counters, cost model or journal —
-        mirroring how deadline-shed work is handled.  Telemetry and cost
-        attribution go to the chunk that actually ran (a breaker reroute or
-        a fallback-model duplicate); the journal keys on the *original*
-        requests so a resume finds them.
+        feeds the cache, telemetry counters, cost model or journal.
+        Telemetry and cost attribution go to the chunk that actually ran (a
+        breaker reroute); the journal keys on the *original* requests so a
+        resume finds them.
         """
         distributed = bool(getattr(self.executor, "distributed", False))
         async_native = not distributed and bool(
@@ -930,14 +805,14 @@ class ExecutionEngine:
         Yields ``(chunk_index, outcome, executed_chunk)`` as chunks settle:
         ``outcome`` is the work item's result, or ``None`` when the fault
         layer gave up; ``executed_chunk`` is the chunk that actually ran
-        (the original, a breaker reroute onto a cheaper cascade tier, or a
-        fallback-model duplicate).  Work goes through the executor's
-        ``submit_stream``, so one copy's failure never cancels unrelated
-        work, and every settled copy is decided on its own:
+        (the original, or a breaker reroute onto a cheaper cascade tier).
+        Work goes through the executor's ``submit_stream``, so one copy's
+        failure never cancels unrelated work, and every settled copy is
+        decided on its own:
 
         * speculation — once nothing is queued, a running chunk past its
-          threshold (:meth:`_chunk_threshold_s`) gets one duplicate in an
-          idle slot;
+          threshold (:meth:`_chunk_threshold_s`) gets one duplicate on the
+          same model in an idle slot;
         * success — the first copy of a chunk to succeed is merged exactly
           once; its siblings are cancelled, or their results dropped when
           they already run on a thread/process worker, so the cache,
@@ -984,10 +859,8 @@ class ExecutionEngine:
         resolved: set = set()
         outstanding = len(chunks)
 
-        def submit(index, attempt, chunk, duplicate=False, on_fallback=False) -> None:
-            future = stream.submit(
-                make_item(chunk), (index, attempt, chunk, duplicate, on_fallback)
-            )
+        def submit(index, attempt, chunk, duplicate=False) -> None:
+            future = stream.submit(make_item(chunk), (index, attempt, chunk, duplicate))
             copies.setdefault(index, []).append(future)
 
         try:
@@ -1016,7 +889,7 @@ class ExecutionEngine:
                     continue
                 timeout = self.speculation_poll_s if speculating or delayed else None
                 for tag, future in stream.wait(timeout):
-                    index, attempt, executed, duplicate, on_fallback = tag
+                    index, attempt, executed, duplicate = tag
                     if index in resolved:
                         # The losing copy of a race that already resolved.
                         if duplicate:
@@ -1034,10 +907,7 @@ class ExecutionEngine:
                         if policy.enabled:
                             self.breakers.breaker(_identity(executed)).record_success()
                         if duplicate:
-                            self.telemetry.add(
-                                speculation_won=1,
-                                speculation_fallback_won=1 if on_fallback else 0,
-                            )
+                            self.telemetry.add(speculation_won=1)
                         yield index, future.result(), executed
                         continue
                     if copies[index]:
@@ -1078,25 +948,15 @@ class ExecutionEngine:
                         if elapsed > threshold:
                             overdue.append((elapsed / threshold, index))
                 # Most overdue first: the worst straggler gets the first
-                # idle slot.  One duplicate per chunk, ever; with a
-                # ``speculate_fallback`` mapping it races a cheaper model.
+                # idle slot.  One duplicate per chunk, ever.
                 overdue.sort(reverse=True)
                 for _, index in overdue[:idle]:
                     _start, attempt, chunk = running[index]
-                    fallback_model = None
-                    if self.speculate_fallback is not None:
-                        fallback_model = self.speculate_fallback(chunk[0][1].model)
-                    on_fallback = fallback_model is not None
-                    if on_fallback:
-                        chunk = _rewrite(chunk, fallback_model)
-                    submit(index, attempt, chunk, True, on_fallback)
+                    submit(index, attempt, chunk, True)
                     speculated.add(index)
-                    self.telemetry.add(
-                        speculation_launched=1,
-                        speculation_fallback_launched=1 if on_fallback else 0,
-                    )
+                    self.telemetry.add(speculation_launched=1)
         finally:
-            for index, _attempt, _chunk, duplicate, _fallback in stream.close():
+            for index, _attempt, _chunk, duplicate in stream.close():
                 if duplicate and index in resolved:
                     # A duplicate abandoned because its original won.
                     self.telemetry.add(speculation_wasted=1)
@@ -1174,21 +1034,21 @@ class ExecutionEngine:
         A journaled response is *re-scored* through the same deterministic
         ``score_response`` path it originally took, so a resumed run's
         results are bit-identical to an uninterrupted one — without ever
-        touching the model.  Journaled shed entries replay as skips;
-        failures are never journaled, so a resume retries them.
+        touching the model.  Failures are never journaled, so a resume
+        retries them.  An entry marked ``"skipped"`` (a request an older
+        version shed without asking the model) holds no answer, so it runs
+        again too.
         """
         remaining: List[_IndexedRequest] = []
         hits = 0
         for index, request in indexed:
             payload = self.journal.get(self._journal_key(request))
-            result = None
-            if payload is not None:
-                if payload.get("skipped"):
-                    result = shed_result(request)
-                elif isinstance(payload.get("response"), str):
-                    result = score_response(request, payload["response"])
-            if result is not None:
-                results[index] = result
+            if (
+                payload is not None
+                and not payload.get("skipped")
+                and isinstance(payload.get("response"), str)
+            ):
+                results[index] = score_response(request, payload["response"])
                 hits += 1
             else:
                 remaining.append((index, request))
@@ -1219,7 +1079,6 @@ class ExecutionEngine:
             entries[self._journal_key(request)] = {
                 "record": request.record.name,
                 "response": result.response,
-                "skipped": result.skipped,
             }
         if not entries:
             return

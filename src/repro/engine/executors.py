@@ -16,9 +16,9 @@ An executor implements two contracts:
   A closed executor raises :class:`RuntimeError` from ``submit`` and
   ``submit_stream`` alike.
 
-Four backends ship here, all registered in :data:`EXECUTOR_KINDS` and
-selectable via :func:`create_executor` (the CLI's ``--executor``/``--jobs``
-flags and ``ExecutionEngine(executor_kind=..., jobs=...)``):
+Four backends ship here, listed once in :data:`EXECUTORS` and selectable
+via :func:`create_executor` (the CLI's ``--executor``/``--jobs`` flags and
+``ExecutionEngine(executor_kind=..., jobs=...)``):
 
 * :class:`SerialExecutor` (``"serial"``) — the reference backend; runs work
   items in submission order on the calling thread.  The engine's equivalence
@@ -46,9 +46,9 @@ Every backend owns whatever pool/loop it creates: ``close()`` releases it
 raises :class:`RuntimeError` on further ``map`` calls.  The engine and the
 CLI close their executor after a run.
 
-To add a new backend, implement ``map`` and ``submit`` and register a
-factory with :func:`register_executor` so ``--executor <kind>`` can select
-it; ``submit_stream`` comes for free from :class:`_BaseExecutor`.
+A custom backend implements ``map`` and ``submit`` (``submit_stream``
+comes for free from :class:`_BaseExecutor`) and plugs in through
+``ExecutionEngine(executor=...)``.
 """
 
 from __future__ import annotations
@@ -62,15 +62,14 @@ from multiprocessing import resource_tracker
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 __all__ = [
+    "EXECUTORS",
     "EXECUTOR_KINDS",
     "SubmitStream",
     "SerialExecutor",
     "ThreadPoolExecutor",
     "ProcessPoolExecutor",
     "AsyncExecutor",
-    "available_executors",
     "create_executor",
-    "register_executor",
 ]
 
 T = TypeVar("T")
@@ -154,10 +153,8 @@ class _BaseExecutor:
         The engine's tail-latency control reads this: speculative
         re-execution only duplicates a straggler when fewer than
         ``capacity`` work items are in flight (a duplicate that queues
-        behind the straggler helps nobody), and the deadline planner
-        divides the predicted total work by it to estimate the makespan.
-        Every backend runs ``jobs`` items (the async backend's coroutine
-        semaphore is ``jobs`` wide).
+        behind the straggler helps nobody).  Every backend runs ``jobs``
+        items (the async backend's coroutine semaphore is ``jobs`` wide).
         """
         return getattr(self, "jobs", 1)
 
@@ -482,39 +479,21 @@ class AsyncExecutor(_BaseExecutor):
         return f"<AsyncExecutor jobs={self.jobs}>"
 
 
-# ---------------------------------------------------------------------------
-# registry
-# ---------------------------------------------------------------------------
-
-_EXECUTOR_FACTORIES: Dict[str, Callable[[int], object]] = {}
-
-
-def register_executor(kind: str, factory: Callable[[int], object]) -> None:
-    """Register ``factory(jobs) -> executor`` under ``kind``.
-
-    Registered kinds become valid values for :func:`create_executor` and,
-    through it, the CLI's ``--executor`` flag and
-    ``ExecutionEngine(executor_kind=...)``.
-    """
-    _EXECUTOR_FACTORIES[kind] = factory
-
-
-def available_executors() -> Tuple[str, ...]:
-    """Registered executor kinds, in registration order."""
-    return tuple(_EXECUTOR_FACTORIES)
-
-
-register_executor("serial", lambda jobs: SerialExecutor())
-register_executor("thread", lambda jobs: ThreadPoolExecutor(jobs=jobs))
-register_executor("process", lambda jobs: ProcessPoolExecutor(jobs=jobs))
-register_executor("async", lambda jobs: AsyncExecutor(jobs=jobs))
+#: Every built-in backend: ``kind -> factory(jobs)``, in the order the
+#: CLI's ``--executor`` choices list them.
+EXECUTORS: Dict[str, Callable[[int], object]] = {
+    "serial": lambda jobs: SerialExecutor(),
+    "thread": lambda jobs: ThreadPoolExecutor(jobs=jobs),
+    "process": lambda jobs: ProcessPoolExecutor(jobs=jobs),
+    "async": lambda jobs: AsyncExecutor(jobs=jobs),
+}
 
 #: The built-in backend names (the CLI's ``--executor`` choices).
-EXECUTOR_KINDS = ("serial", "thread", "process", "async")
+EXECUTOR_KINDS: Tuple[str, ...] = tuple(EXECUTORS)
 
 
 def create_executor(jobs: int = 1, kind: Optional[str] = None):
-    """Build an executor from the registry.
+    """Build a built-in executor from :data:`EXECUTORS`.
 
     ``kind=None`` keeps the historical ``--jobs`` semantics: ``jobs <= 1``
     selects the serial backend, anything larger a thread pool of that width.
@@ -524,9 +503,9 @@ def create_executor(jobs: int = 1, kind: Optional[str] = None):
     if kind is None:
         kind = "serial" if jobs <= 1 else "thread"
     try:
-        factory = _EXECUTOR_FACTORIES[kind]
+        factory = EXECUTORS[kind]
     except KeyError as exc:
         raise ValueError(
-            f"unknown executor kind {kind!r}; registered: {available_executors()}"
+            f"unknown executor kind {kind!r}; expected one of {EXECUTOR_KINDS}"
         ) from exc
     return factory(max(jobs, 1))

@@ -40,7 +40,6 @@ __all__ = [
     "CONFIDENCE_MARKER_RE",
     "FAILED_RESPONSE",
     "SCORING_MODES",
-    "SHED_RESPONSE",
     "DetectionRequest",
     "RunResult",
     "RunResultStore",
@@ -50,7 +49,6 @@ __all__ = [
     "iter_requests",
     "response_confidence",
     "score_response",
-    "shed_result",
 ]
 
 SCORING_MODES = ("detection", "pairs", "pairs-strict")
@@ -92,55 +90,31 @@ class RunResult:
     prediction: bool
     correct_positive: bool = True
     pairs: Optional[ParsedPairs] = None
-    #: True when the engine's deadline planner shed this request instead of
-    #: evaluating it: the model was never called, ``prediction`` is the
-    #: no-race fallback (the same default an unparseable response gets) and
-    #: ``response`` carries a sentinel.  Shed work is always explicit —
-    #: a request never silently vanishes from the result store.
-    skipped: bool = False
     #: True when the fault layer gave up on this request: retries were
     #: exhausted (or its model's circuit breaker was open with no cheaper
     #: cascade tier to route to), so the run completed without an answer
-    #: for it.  Like shed work, failures are always explicit positional
-    #: entries — a fault never silently drops a request or aborts the run.
+    #: for it.  Failures are always explicit positional entries — a fault
+    #: never silently drops a request or aborts the run.
     failed: bool = False
     #: How trustworthy the verdict looks, in ``[0, 1]`` — what the cascade
     #: router keys escalation on.  An explicit ``[confidence=X]`` marker in
     #: the response (the tier adapters emit one) wins; otherwise a parse
-    #: heuristic applies.  ``None`` on shed results: never evaluated.
+    #: heuristic applies.  ``None`` on failed results: never evaluated.
     confidence: Optional[float] = None
 
-
-#: Response sentinel carried by deadline-shed results.
-SHED_RESPONSE = "[shed: deadline budget exceeded]"
 
 #: Response sentinel carried by fault-layer give-ups (retries exhausted or
 #: breaker open with nowhere to degrade to).
 FAILED_RESPONSE = "[failed: model error after retries]"
 
 
-def shed_result(request: DetectionRequest) -> RunResult:
-    """An explicit skip for a request the deadline planner shed."""
-    return RunResult(
-        model=request.model.name,
-        strategy=request.strategy.value,
-        record_name=request.record.name,
-        truth=request.record.has_race,
-        response=SHED_RESPONSE,
-        prediction=False,
-        correct_positive=True,
-        pairs=None,
-        skipped=True,
-    )
-
-
 def failed_result(request: DetectionRequest, error: str = "") -> RunResult:
     """An explicit failure entry for a request the fault layer gave up on.
 
-    Mirrors :func:`shed_result`: the prediction is the no-race fallback,
-    the response carries a sentinel (plus the final error, when known),
-    and :func:`confusion_from_results` excludes the entry so an outage
-    cannot masquerade as a sweep of true negatives.
+    The prediction is the no-race fallback, the response carries a
+    sentinel (plus the final error, when known), and
+    :func:`confusion_from_results` excludes the entry so an outage cannot
+    masquerade as a sweep of true negatives.
     """
     response = FAILED_RESPONSE if not error else f"{FAILED_RESPONSE[:-1]}: {error}]"
     return RunResult(
@@ -177,11 +151,10 @@ class RunResultStore:
     def confusion(self) -> ConfusionCounts:
         """Fold every result into TP/FP/TN/FN counts (the table layout).
 
-        Deadline-shed and fault-failed results are excluded: the model
-        never answered, so counting their fallback "no race" as a genuine
-        negative would let the scheduling budget or a backend outage
-        silently skew reported detection metrics.  Both stay visible on
-        the results themselves (``skipped`` / ``failed``).
+        Fault-failed results are excluded: the model never answered, so
+        counting their fallback "no race" as a genuine negative would let
+        a backend outage silently skew reported detection metrics.  They
+        stay visible on the results themselves (``failed``).
         """
         return confusion_from_results(self.results)
 
@@ -194,12 +167,12 @@ def confusion_from_results(results: Iterable[RunResult]) -> ConfusionCounts:
 
     The single implementation behind :meth:`RunResultStore.confusion`, usable
     directly on a streaming run (``engine.run_streaming``) without buffering
-    the results — deadline-shed results are excluded for the reasons
-    documented there.
+    the results — failed results are excluded for the reasons documented
+    there.
     """
     counts = ConfusionCounts()
     for result in results:
-        if result.skipped or result.failed:
+        if result.failed:
             continue
         counts.add(
             result.truth,

@@ -50,9 +50,9 @@ journal) composes the same way: retries, breaker rerouting and journal
 replay all happen below :meth:`ExecutionEngine.run`, and a request the
 engine gave up on comes back as an explicit ``failed=True``
 :class:`~repro.engine.requests.RunResult` *in position* — result slices
-keep their plan's length and order, reducers see failed entries exactly
-like shed ones (``confusion_from_results`` excludes both), and a partial
-outage degrades one table's counts instead of aborting the evaluation.
+keep their plan's length and order, reducers never count failed entries
+(``confusion_from_results`` excludes them), and a partial outage
+degrades one table's counts instead of aborting the evaluation.
 """
 
 from __future__ import annotations

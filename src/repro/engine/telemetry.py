@@ -44,10 +44,9 @@ def process_rss_kb() -> int:
 
 
 #: How a metric folds.  A counter accumulates (``format_stats(since=)``
-#: reports its delta), a peak gauge keeps the largest value recorded, a
-#: last-value gauge the most recent one, and a rate is derived from the
-#: counters whenever a snapshot is taken.
-COUNTER, PEAK, LAST, RATE = "counter", "peak", "last", "rate"
+#: reports its delta), a peak gauge keeps the largest value recorded, and
+#: a rate is derived from the counters whenever a snapshot is taken.
+COUNTER, PEAK, RATE = "counter", "peak", "rate"
 
 #: Every scalar the engine reports, declared once, in ``snapshot()`` order.
 #: A name ending in ``_s`` holds seconds: a float, rounded to 4 places in
@@ -85,13 +84,10 @@ METRICS: Tuple[Tuple[str, str], ...] = (
     #: per run); 0 on the temp-file path, so publishes vs attaches shows
     #: which transport a run used.
     ("shm_attach", COUNTER),
-    #: Speculative duplicates launched, races they won, results dropped;
-    #: the ``fallback`` pair counts duplicates on a cheaper model.
+    #: Speculative duplicates launched, races they won, results dropped.
     ("speculation_launched", COUNTER),
     ("speculation_won", COUNTER),
     ("speculation_wasted", COUNTER),
-    ("speculation_fallback_launched", COUNTER),
-    ("speculation_fallback_won", COUNTER),
     #: Requests surfaced as explicit failed results.
     ("failed_requests", COUNTER),
     #: Chunk re-submissions after a retryable error, and exhausted budgets.
@@ -108,12 +104,6 @@ METRICS: Tuple[Tuple[str, str], ...] = (
     #: Records entering any cascade tier, and records a tier sent up.
     ("cascade_requests", COUNTER),
     ("cascade_escalated", COUNTER),
-    #: Deadline scheduling: requests shed, plus the last run's budget and
-    #: its predicted and actual makespan.
-    ("deadline_shed", COUNTER),
-    ("deadline_budget_s", LAST),
-    ("deadline_predicted_s", LAST),
-    ("deadline_actual_s", LAST),
 )
 
 _KINDS: Dict[str, str] = dict(METRICS)
@@ -157,17 +147,12 @@ class EngineTelemetry:
                 self._values[name] += n
 
     def gauge(self, **values: float) -> None:
-        """Record declared gauges: a peak keeps its maximum, a last-value
-        gauge takes the new value."""
+        """Record declared gauges, each keeping its maximum."""
         with self._lock:
             for name, value in values.items():
-                kind = _KINDS.get(name)
-                if kind == PEAK:
-                    self._values[name] = max(self._values[name], value)
-                elif kind == LAST:
-                    self._values[name] = value
-                else:
+                if _KINDS.get(name) != PEAK:
                     raise KeyError(f"{name!r} is not a declared gauge")
+                self._values[name] = max(self._values[name], value)
 
     def record_cascade(
         self,
@@ -362,16 +347,10 @@ class EngineTelemetry:
                 f"{snap['broadcast_bytes']}B shm_attach={snap['shm_attach']}"
             )
         if snap["speculation_launched"]:
-            segment = (
+            parts.append(
                 f"speculation={snap['speculation_launched']} launched/"
                 f"{snap['speculation_won']} won/{snap['speculation_wasted']} wasted"
             )
-            if snap["speculation_fallback_launched"]:
-                segment += (
-                    f" (fallback {snap['speculation_fallback_launched']} launched/"
-                    f"{snap['speculation_fallback_won']} won)"
-                )
-            parts.append(segment)
         if snap["retries"] or snap["retry_giveups"]:
             parts.append(
                 f"retries={snap['retries']} giveups={snap['retry_giveups']}"
@@ -399,13 +378,6 @@ class EngineTelemetry:
                 f"{tier['tier']}:{tier['resolved']}/{tier['requests']}" for tier in tiers
             )
             parts.append(f"cascade={rendered} escalated={snap['cascade_escalated']}")
-        if snap["deadline_budget_s"]:
-            parts.append(
-                f"deadline={snap['deadline_budget_s']:.2f}s "
-                f"predicted={snap['deadline_predicted_s']:.2f}s "
-                f"actual={snap['deadline_actual_s']:.2f}s "
-                f"shed={snap['deadline_shed']}"
-            )
         return "[engine] " + " ".join(parts)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -108,6 +108,8 @@ class TestCLI:
             "--retry-base-ms",
             "--breaker-threshold",
             "--breaker-cooldown-s",
+            "--deadline",
+            "--cache-entries",
         ],
     )
     def test_removed_tuning_flags_rejected(self, capsys, flag):
@@ -116,6 +118,13 @@ class TestCLI:
             main(["table2", "--jobs", "2", "--speculate", "--retries", "1", "--stream", flag, "2"])
         assert exit_info.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_no_cache_sends_every_prompt_to_the_model(self, capsys):
+        assert main(["table2", "--no-cache"]) == 0
+        line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("[engine]"))
+        stats = dict(part.split("=", 1) for part in line.split()[1:] if "=" in part)
+        assert stats["model_calls"] == stats["requests"]
+        assert stats["cache_hit_rate"] == "0.0%"
 
     def test_slowest_groups_printed_with_stats(self, capsys):
         assert main(["table2", "--jobs", "2"]) == 0

@@ -313,8 +313,14 @@ class TestCacheCLI:
             main(["table2", "--cache-max-bytes", "0"])
         with pytest.raises(SystemExit):
             main(["table2", "--cache-ttl", "0"])
-        with pytest.raises(SystemExit):
-            main(["table2", "--cache-entries", "0", "--cache-max-bytes", "1000"])
+        for with_no_cache in (
+            ["--cache", str(tmp_path)],
+            ["--cache-max-bytes", "1000"],
+            ["--cache-ttl", "60"],
+        ):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["table2", "--no-cache", *with_no_cache])
+            assert exit_info.value.code == 2
         for gone in (["--snapshot-transport", "fax"], ["--shared-cache"]):
             with pytest.raises(SystemExit) as exit_info:
                 main(["table2", *gone])  # flags that no longer exist

@@ -409,7 +409,7 @@ class TestEngineDispatch:
         cost_model.observe(create_model("gpt-4").cache_identity, "BP1", 0.001)
         cost_model.observe(create_model("llama2-7b").cache_identity, "BP1", 0.1)
         with ExecutionEngine(cost_model=cost_model, **config) as engine:
-            chunks, _shed = engine._chunk(list(enumerate(requests())))
+            chunks = engine._chunk(list(enumerate(requests())))
             assert chunks[0][0][1].model.name == "llama2-7b"
             lpt = engine.run(requests())
         assert [(r.model, r.record_name, r.response) for r in lpt] == [
@@ -483,7 +483,7 @@ class TestCostModelScheduling:
         cost_model.observe(fast.cache_identity, "BP1", 0.001)
         cost_model.observe(slow.cache_identity, "BP1", 0.1)
         engine = ExecutionEngine(batch_size=4, cost_model=cost_model, adaptive_batching=False)
-        chunks, _shed = engine._chunk(list(enumerate(self._requests(records[:8], fast, slow))))
+        chunks = engine._chunk(list(enumerate(self._requests(records[:8], fast, slow))))
         # Plan order puts the fast model first; LPT must flip that.
         assert chunks[0][0][1].model is slow
         assert chunks[-1][0][1].model is fast
@@ -495,7 +495,7 @@ class TestCostModelScheduling:
         cost_model.observe(fast.cache_identity, "BP1", 0.001)
         cost_model.observe(slow.cache_identity, "BP1", 0.1)
         engine = ExecutionEngine(batch_size=4, cost_model=cost_model, lpt=False)
-        chunks, _shed = engine._chunk(list(enumerate(self._requests(records[:8], fast, slow))))
+        chunks = engine._chunk(list(enumerate(self._requests(records[:8], fast, slow))))
         slow_sizes = {len(c) for c in chunks if c[0][1].model is slow}
         fast_sizes = {len(c) for c in chunks if c[0][1].model is fast}
         assert max(slow_sizes) < 4  # slow group split finer than batch_size
@@ -505,7 +505,7 @@ class TestCostModelScheduling:
         fast = create_model("gpt-4")
         slow = create_model("llama2-7b")
         engine = ExecutionEngine(batch_size=4)
-        chunks, _shed = engine._chunk(list(enumerate(self._requests(records[:8], fast, slow))))
+        chunks = engine._chunk(list(enumerate(self._requests(records[:8], fast, slow))))
         assert [len(c) for c in chunks] == [4, 4, 4, 4]
         assert chunks[0][0][1].model is fast  # plan order untouched
 

@@ -228,7 +228,6 @@ class TestRunJournal:
         return {
             request_key("gpt-4", "bp1", "detection", name): {
                 "response": f"yes ({name})",
-                "skipped": False,
             }
             for name in names
         }
@@ -530,6 +529,40 @@ class TestJournalResume:
         assert [r.response for r in store.results] == [
             r.response for r in first_store.results
         ]
+
+    def test_skipped_entries_run_again(self, tmp_path, records):
+        """A journal entry marked ``"skipped"`` (older versions wrote one
+        for a request shed without asking the model) holds no answer: the
+        resume runs that request again instead of replaying the sentinel."""
+        path = tmp_path / "run.journal"
+        slice_ = records[:10]
+        reference = ExecutionEngine().run(
+            build_requests(create_model("gpt-4"), PromptStrategy.BP1, slice_)
+        )
+        identity = create_model("gpt-4").cache_identity
+        entries = {}
+        for position, (record, result) in enumerate(zip(slice_, reference)):
+            shed = position < 4
+            entries[request_key(identity, PromptStrategy.BP1.value, "detection", record.name)] = {
+                "record": record.name,
+                "response": "[shed: deadline budget exceeded]" if shed else result.response,
+                "skipped": shed,
+            }
+        RunJournal(path).record(chunk_journal_key(sorted(entries)), entries)
+
+        counting = CountingModel(create_model("gpt-4"))
+        requests = build_requests(counting, PromptStrategy.BP1, slice_)
+        with ExecutionEngine(jobs=1, batch_size=5, journal=str(path)) as engine:
+            store = engine.run(requests)
+            snap = engine.telemetry.snapshot()
+        assert counting.calls == 4
+        assert snap["journal_hits"] == 6
+        assert store.results == reference.results
+        # The re-run answers are journaled without the old marker.
+        resumed = RunJournal(path)
+        for record in slice_[:4]:
+            key = request_key(identity, PromptStrategy.BP1.value, "detection", record.name)
+            assert "skipped" not in resumed.get(key)
 
     def test_failed_results_are_not_journaled(self, tmp_path, records):
         reset_chaos_attempts()

@@ -1,4 +1,4 @@
-"""Tail-latency control: speculative re-execution + deadline-aware scheduling.
+"""Tail-latency control: speculative re-execution.
 
 Pinned contracts:
 
@@ -7,9 +7,6 @@ Pinned contracts:
   thread, process and async backends, under a heavy-tail flaky adapter;
 * a won race is merged exactly once: the loser's result is dropped, so
   cost-model observations and telemetry counters are never double-fed;
-* the deadline planner sheds work *explicitly*: every shed request comes
-  back as a ``skipped`` :class:`RunResult` in its original position, and
-  telemetry reports predicted-vs-actual makespan;
 * :class:`FlakyTailAdapter` is deterministic in everything but the
   first-attempt hang it simulates.
 """
@@ -19,7 +16,7 @@ import time
 
 import pytest
 
-from repro.engine import ExecutionEngine, SHED_RESPONSE, build_requests
+from repro.engine import ExecutionEngine, build_requests
 from repro.eval.experiments import default_subset
 from repro.llm.adapters import FlakyTailAdapter
 from repro.llm.zoo import create_model
@@ -39,7 +36,7 @@ def _flaky_model(**overrides):
 
 def _fingerprint(store):
     return [
-        (r.model, r.strategy, r.record_name, r.response, r.prediction, r.skipped)
+        (r.model, r.strategy, r.record_name, r.response, r.prediction)
         for r in store
     ]
 
@@ -206,8 +203,6 @@ class TestSpeculationEquivalence:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             ExecutionEngine(speculate_after=0)
-        with pytest.raises(ValueError):
-            ExecutionEngine(deadline=-1.0)
 
 
 class _RetryPoisonModel:
@@ -296,110 +291,3 @@ class TestSpeculationFailureIsolation:
         # still running after the last original was submitted.
         snap = engine.telemetry.snapshot()
         assert snap["speculation_launched"] <= 2  # jobs slots at the tail
-
-
-class TestDeadlineScheduling:
-    def _engine(self, deadline, seconds_per_request=0.05, jobs=2):
-        engine = ExecutionEngine(
-            jobs=jobs, executor_kind="thread", batch_size=4, deadline=deadline,
-            adaptive_batching=False,
-        )
-        return engine
-
-    def test_tight_deadline_sheds_explicit_skips(self, records):
-        fast = create_model("gpt-4")
-        slow = create_model("llama2-7b")
-        engine = self._engine(deadline=0.05)
-        engine.cost_model.observe(fast.cache_identity, "BP1", 0.001)
-        engine.cost_model.observe(slow.cache_identity, "BP1", 0.5)
-        requests = build_requests(fast, PromptStrategy.BP1, records) + build_requests(
-            slow, PromptStrategy.BP1, records
-        )
-        with engine:
-            store = engine.run(requests)
-        # Every request has a result in its original position; the slow
-        # (cheapest-value) group was shed, the fast one evaluated.
-        assert len(store) == len(requests)
-        shed = [r for r in store if r.skipped]
-        kept = [r for r in store if not r.skipped]
-        assert shed and kept
-        assert all(r.model == "llama2-7b" for r in shed)
-        assert all(r.response == SHED_RESPONSE for r in shed)
-        assert all(r.prediction is False for r in shed)
-        snap = engine.telemetry.snapshot()
-        assert snap["deadline_shed"] == len(shed)
-        assert snap["deadline_budget_s"] == 0.05
-        assert snap["deadline_predicted_s"] <= 0.05
-        assert snap["deadline_actual_s"] > 0
-        # Shed work must not masquerade as genuine "no race" verdicts:
-        # confusion counts cover only what was actually evaluated.
-        assert store.confusion().total == len(kept)
-
-    def test_shedding_skips_chunks_that_buy_no_makespan(self, records):
-        """Greedy shedding must not discard work that cannot help.
-
-        The expensive-per-request group (A) does not bound the makespan —
-        the long cheap chunk (B) does — so shedding A first would discard
-        its answers for zero gain and then shed B anyway.  The planner
-        must keep A and shed only B.
-        """
-        model_a = create_model("llama2-7b")  # 4 reqs x 1.0 s/req  = 4 s chunk
-        model_b = create_model("gpt-4")      # 80 reqs x 0.2 s/req = 16 s chunk
-        engine = ExecutionEngine(
-            jobs=2, executor_kind="thread", batch_size=100, deadline=10.0,
-            adaptive_batching=False,
-        )
-        engine.cost_model.observe(model_a.cache_identity, "BP1", 1.0)
-        engine.cost_model.observe(model_b.cache_identity, "BP1", 0.2)
-        requests = build_requests(model_a, PromptStrategy.BP1, records[:4]) + build_requests(
-            model_b, PromptStrategy.BP1, list(records) * 5
-        )
-        # Prediction: max((4 + 16) / 2, 16) = 16 > 10.  Shedding A alone
-        # leaves max(8, 16) = 16 — useless; shedding only B leaves
-        # max(2, 4) = 4 <= 10.
-        with engine:
-            store = engine.run(requests)
-        assert all(not r.skipped for r in store if r.model == "llama2-7b")
-        assert all(r.skipped for r in store if r.model == "gpt-4")
-        assert engine.telemetry.snapshot()["deadline_predicted_s"] <= 10.0
-
-    def test_loose_deadline_sheds_nothing(self, records):
-        model = create_model("gpt-4")
-        engine = self._engine(deadline=120.0)
-        engine.cost_model.observe(model.cache_identity, "BP1", 0.001)
-        with engine:
-            store = engine.run(build_requests(model, PromptStrategy.BP1, records))
-        assert not any(r.skipped for r in store)
-        assert engine.telemetry.snapshot()["deadline_shed"] == 0
-        assert engine.telemetry.snapshot()["deadline_predicted_s"] > 0
-
-    def test_cold_cost_model_never_sheds(self, records):
-        """No estimates -> no evidence -> a deadline cannot shed anything."""
-        model = create_model("gpt-4")
-        engine = self._engine(deadline=0.0001)
-        with engine:
-            store = engine.run(build_requests(model, PromptStrategy.BP1, records))
-        assert not any(r.skipped for r in store)
-
-    def test_no_deadline_records_no_telemetry(self, records):
-        model = create_model("gpt-4")
-        with ExecutionEngine(batch_size=4) as engine:
-            engine.run(build_requests(model, PromptStrategy.BP1, records))
-        snap = engine.telemetry.snapshot()
-        assert snap["deadline_budget_s"] == 0.0
-        assert snap["deadline_shed"] == 0
-
-    def test_stats_line_mentions_speculation_and_deadline(self, records):
-        model = _flaky_model(tail_latency_s=0.2)
-        engine = ExecutionEngine(
-            jobs=8, executor_kind="thread", batch_size=4, speculate=True,
-            speculate_after=1.2, deadline=60.0,
-        )
-        engine.speculation_poll_s = 0.002
-        _warm_cost_model(engine, model)
-        with engine:
-            engine.run(build_requests(model, PromptStrategy.BP1, records))
-        line = engine.telemetry.format_stats(executor_name="thread")
-        assert "deadline=" in line and "predicted=" in line
-        if engine.telemetry.snapshot()["speculation_launched"]:
-            assert "speculation=" in line
