@@ -1,4 +1,9 @@
-"""Race detection over a recorded execution trace.
+"""Race detection over an execution trace.
+
+A trace reaches the analysis either as a race index the interpreter built
+while it ran (the Inspector's path) or as recorded events, which are folded
+into the same index here first.  Both then go through one pair loop, so the
+two forms give equal reports.
 
 The analysis mirrors what segment/lockset-based dynamic tools (Intel
 Inspector, Archer) do:
@@ -18,14 +23,20 @@ Inspector, Archer) do:
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
-from repro.dynamic.events import AccessEvent, ExecutionTrace
+from repro.dynamic.events import MAX_EVENTS_PER_ADDRESS, AccessEvent, ExecutionTrace, RaceIndex
 
-__all__ = ["DynamicRacePair", "DynamicRaceReport", "detect_races"]
+__all__ = ["DynamicRacePair", "DynamicRaceReport", "detect_races", "index_events", "pair_variables"]
+
+#: A pair's source identity: its two ``(line, col, operation)`` sides, sorted.
+Signature = Tuple[Tuple[int, int, str], ...]
+
+
+def _signature(a: AccessEvent, b: AccessEvent) -> Signature:
+    return tuple(sorted([(a.line, a.col, a.operation), (b.line, b.col, b.operation)]))
 
 
 @dataclass(frozen=True)
@@ -37,6 +48,10 @@ class DynamicRacePair:
 
     def variable(self) -> str:
         return self.first.variable
+
+    def signature(self) -> Signature:
+        """Source identity of the pair; reports keep one pair per signature."""
+        return _signature(self.first, self.second)
 
     def describe(self) -> str:
         a, b = self.first, self.second
@@ -56,11 +71,16 @@ class DynamicRaceReport:
     addresses_analyzed: int = 0
 
     def variables(self) -> List[str]:
-        seen: List[str] = []
-        for pair in self.pairs:
-            if pair.variable() not in seen:
-                seen.append(pair.variable())
-        return seen
+        return pair_variables(self.pairs)
+
+
+def pair_variables(pairs: Iterable[DynamicRacePair]) -> List[str]:
+    """The variables of ``pairs``, each once, in order of first appearance."""
+    seen: List[str] = []
+    for pair in pairs:
+        if pair.variable() not in seen:
+            seen.append(pair.variable())
+    return seen
 
 
 def _tasks_ordered(a: AccessEvent, b: AccessEvent) -> bool:
@@ -115,7 +135,11 @@ def _mutually_excluded(a: AccessEvent, b: AccessEvent) -> bool:
 
 
 def _dedupe_key(event: AccessEvent) -> Tuple:
-    """Events identical under this key behave identically for race purposes."""
+    """Events identical under this key behave identically for race purposes.
+
+    It carries the same fields as the interpreter's race-index key, so a
+    recorded trace folds into the same buckets an indexing run builds.
+    """
     return (
         event.thread,
         event.task.task_id if event.task else None,
@@ -131,38 +155,44 @@ def _dedupe_key(event: AccessEvent) -> Tuple:
     )
 
 
-def detect_races(
-    trace: ExecutionTrace,
-    *,
-    max_pairs: int = 32,
-    max_events_per_address: int = 512,
-) -> DynamicRaceReport:
+def index_events(events: Iterable[AccessEvent]) -> RaceIndex:
+    """Fold recorded events into a race index, in order."""
+    index = RaceIndex()
+    buckets, written = index.buckets, index.written
+    seen = set()
+    for event in events:
+        index.events += 1
+        key = (event.address, _dedupe_key(event))
+        if key in seen:
+            continue
+        seen.add(key)
+        if event.is_write:
+            written.add(event.address)
+        bucket = buckets.setdefault(event.address, [])
+        if len(bucket) < MAX_EVENTS_PER_ADDRESS:
+            bucket.append(event)
+    return index
+
+
+def detect_races(trace: ExecutionTrace, *, max_pairs: int = 32) -> DynamicRaceReport:
     """Analyse a trace and report conflicting concurrent access pairs.
 
-    Events are first grouped by address, then de-duplicated by the
-    synchronization-relevant key so that long loops do not blow up the
-    pairwise check.  Reported pairs are unique per (line, col, operation)
-    combination of the two sides.
+    Events are grouped by address and de-duplicated by the
+    synchronization-relevant key (at most ``MAX_EVENTS_PER_ADDRESS`` keys
+    per address) so that long loops do not blow up the pairwise check.  An
+    indexing run did that while it executed; a recorded trace is folded
+    here.  Reported pairs are unique per signature.
     """
-    report = DynamicRaceReport(has_race=False, events_analyzed=len(trace.events))
-
-    by_address: Dict[str, Dict[Tuple, AccessEvent]] = defaultdict(dict)
-    writes_seen: Dict[str, bool] = defaultdict(bool)
-    for event in trace.events:
-        bucket = by_address[event.address]
-        if len(bucket) < max_events_per_address:
-            bucket.setdefault(_dedupe_key(event), event)
-        if event.is_write:
-            writes_seen[event.address] = True
-
-    report.addresses_analyzed = len(by_address)
+    index = trace.index if trace.index is not None else index_events(trace.events)
+    report = DynamicRaceReport(
+        has_race=False, events_analyzed=index.events, addresses_analyzed=len(index.buckets)
+    )
     reported: set = set()
 
-    for address, bucket in by_address.items():
-        if not writes_seen[address]:
+    for address, bucket in index.buckets.items():
+        if address not in index.written:
             continue
-        events = list(bucket.values())
-        for a, b in combinations(events, 2):
+        for a, b in combinations(bucket, 2):
             if len(report.pairs) >= max_pairs:
                 break
             if not (a.is_write or b.is_write):
@@ -171,7 +201,7 @@ def detect_races(
                 continue
             if _mutually_excluded(a, b):
                 continue
-            signature = tuple(sorted([(a.line, a.col, a.operation), (b.line, b.col, b.operation)]))
+            signature = _signature(a, b)
             if signature in reported:
                 continue
             reported.add(signature)

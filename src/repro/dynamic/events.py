@@ -1,24 +1,35 @@
 """Event records produced by the OpenMP interpreter.
 
-Every access to *shared* storage performed inside a parallel region becomes
-an :class:`AccessEvent`.  The detector never looks at the program again: all
-the information needed to decide concurrency and protection is carried on the
-event (barrier epoch, held locks, atomicity, ordered construct, task
-lineage).
+Every access to *shared* storage performed inside a parallel region is
+described by an :class:`AccessEvent`.  The detector never looks at the
+program again: all the information needed to decide concurrency and
+protection is carried on the event (barrier epoch, held locks, atomicity,
+ordered construct, task lineage).
 
-A long run records hundreds of thousands of events, so :class:`AccessEvent`
-is a ``NamedTuple``: it is immutable and hashable like a frozen dataclass,
-with the same fields, defaults and ``repr``, and much cheaper to build.  The
-interpreter builds it from one positional tuple and shares one ``locks``
-frozenset between all events of the same lock state.
+A run delivers its accesses in one of two forms.  A *recording* run keeps
+every event, in program order, in :attr:`ExecutionTrace.events`; tests and
+the trace snapshot compare against it.  An *indexing* run (the Inspector's)
+folds each access into a :class:`RaceIndex` as it happens and builds an
+:class:`AccessEvent` only for the first access of each synchronization key,
+so most accesses never become an event at all.
+
+A long recording run keeps hundreds of thousands of events, so
+:class:`AccessEvent` is a ``NamedTuple``: it is immutable and hashable like a
+frozen dataclass, with the same fields, defaults and ``repr``, and much
+cheaper to build.  The interpreter builds it from one positional tuple and
+shares one ``locks`` frozenset between all events of the same lock state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, List, NamedTuple, Optional, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set
 
-__all__ = ["AccessEvent", "TaskInfo", "ExecutionTrace"]
+__all__ = ["AccessEvent", "TaskInfo", "ExecutionTrace", "RaceIndex", "MAX_EVENTS_PER_ADDRESS"]
+
+#: Distinct synchronization keys kept per address; later keys of a full
+#: address are dropped, but their accesses still count.
+MAX_EVENTS_PER_ADDRESS = 512
 
 
 @dataclass(frozen=True)
@@ -86,17 +97,35 @@ class AccessEvent(NamedTuple):
 
 
 @dataclass
+class RaceIndex:
+    """Shared accesses grouped by address, de-duplicated as they arrive.
+
+    ``buckets[address]`` lists, in arrival order, the first event of each
+    synchronization key met at that address: who accessed it, under which
+    barrier epoch, task, locks and atomic/ordered state, and where in the
+    source.  Events with equal keys behave identically for race purposes,
+    so the detector needs only one of them.  A bucket holds at most
+    :data:`MAX_EVENTS_PER_ADDRESS` events.
+    """
+
+    buckets: Dict[str, List[AccessEvent]] = field(default_factory=dict)
+    #: Addresses written at least once (counted even past a bucket's cap).
+    written: Set[str] = field(default_factory=set)
+    #: Every access folded in, duplicates included.
+    events: int = 0
+
+
+@dataclass
 class ExecutionTrace:
-    """The full event trace of one interpreted execution."""
+    """The outcome of one interpreted execution.
+
+    A recording run fills :attr:`events`; an indexing run leaves it empty
+    and fills :attr:`index` instead.
+    """
 
     events: List[AccessEvent] = field(default_factory=list)
     num_threads: int = 1
     steps_executed: int = 0
     regions_executed: int = 0
     finished: bool = True
-
-    def addresses(self) -> Tuple[str, ...]:
-        return tuple({e.address for e in self.events})
-
-    def __len__(self) -> int:
-        return len(self.events)
+    index: Optional[RaceIndex] = None

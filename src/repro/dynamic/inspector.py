@@ -7,10 +7,18 @@ observed accesses; it can repeat the run under several schedules and team
 sizes to expose schedule-dependent conflicts, and it degrades gracefully
 (reporting "no race observed") when a program cannot be executed.  Each
 program is parsed and compiled once; every (team size, schedule) run reuses
-the compiled :class:`~repro.dynamic.interpreter.Program`.  Verdicts are a
-pure function of the source, the thread count and the detector's settings,
-so :attr:`InspectorLikeDetector.cache_identity` lets a response cache store
-them (``repro.eval.experiments.evaluate_inspector``).
+the compiled :class:`~repro.dynamic.interpreter.Program`.  Each run folds its
+accesses into a race index as it executes (no event trace is kept), and
+:func:`~repro.dynamic.detector.detect_races` checks the index's buckets.
+
+:meth:`InspectorLikeDetector.analyze_source` runs every schedule and unions
+the pairs.  :meth:`InspectorLikeDetector.predict` needs only the verdict, so
+it stops after the first completed run that races: the union of pairs races
+exactly when some completed run does, and a run that fails is discarded
+either way.  Verdicts are a pure function of the source, the thread count
+and the detector's settings, so :attr:`InspectorLikeDetector.cache_identity`
+lets a response cache store them
+(``repro.eval.experiments.evaluate_inspector``).
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.corpus.microbenchmark import Microbenchmark
 from repro.cparse import parse
-from repro.dynamic.detector import DynamicRacePair, detect_races
+from repro.dynamic.detector import DynamicRacePair, detect_races, pair_variables
 from repro.dynamic.interpreter import Interpreter, InterpreterError, InterpreterLimits, Program
 
 __all__ = ["InspectorRunResult", "InspectorLikeDetector"]
@@ -44,11 +52,7 @@ class InspectorRunResult:
     failure_reason: Optional[str] = None
 
     def variables(self) -> List[str]:
-        seen: List[str] = []
-        for pair in self.pairs:
-            if pair.variable() not in seen:
-                seen.append(pair.variable())
-        return seen
+        return pair_variables(self.pairs)
 
     @property
     def confidence(self) -> float:
@@ -110,41 +114,50 @@ class InspectorLikeDetector:
         return self.analyze_source(bench.code, name=bench.name, num_threads=bench.num_threads)
 
     def analyze_source(
-        self, source: str, *, name: str = "<source>", num_threads: int = 4
+        self,
+        source: str,
+        *,
+        name: str = "<source>",
+        num_threads: int = 4,
+        stop_at_race: bool = False,
     ) -> InspectorRunResult:
-        """Run the detector on raw C source."""
+        """Run the detector on raw C source.
+
+        With ``stop_at_race`` the analysis ends after the first completed run
+        that races.  The verdict is the same as without it; ``pairs``,
+        ``runs`` and ``failed`` then cover only the runs made.
+        """
         result = InspectorRunResult(name=name, has_race=False)
         seen_signatures = set()
         program = Program(parse(source))
-        for team in self.team_sizes:
-            threads = team if team is not None else num_threads
-            for schedule in self.schedules:
-                interpreter = Interpreter(
-                    num_threads=max(2, threads), schedule=schedule, limits=self.limits
-                )
-                try:
-                    trace = interpreter.run(program)
-                except InterpreterError as exc:
-                    result.failed = True
-                    result.failure_reason = str(exc)
-                    continue
-                result.runs += 1
-                report = detect_races(trace)
-                for pair in report.pairs:
-                    signature = tuple(
-                        sorted(
-                            [
-                                (pair.first.line, pair.first.col, pair.first.operation),
-                                (pair.second.line, pair.second.col, pair.second.operation),
-                            ]
-                        )
-                    )
-                    if signature not in seen_signatures:
-                        seen_signatures.add(signature)
-                        result.pairs.append(pair)
+        runs = [
+            (max(2, team if team is not None else num_threads), schedule)
+            for team in self.team_sizes
+            for schedule in self.schedules
+        ]
+        for threads, schedule in runs:
+            interpreter = Interpreter(
+                num_threads=threads, schedule=schedule, limits=self.limits, record=False
+            )
+            try:
+                trace = interpreter.run(program)
+            except InterpreterError as exc:
+                result.failed = True
+                result.failure_reason = str(exc)
+                continue
+            result.runs += 1
+            for pair in detect_races(trace).pairs:
+                signature = pair.signature()
+                if signature not in seen_signatures:
+                    seen_signatures.add(signature)
+                    result.pairs.append(pair)
+            if stop_at_race and result.pairs:
+                break
         result.has_race = bool(result.pairs)
         return result
 
     def predict(self, bench: Microbenchmark) -> bool:
-        """Binary prediction used by the evaluation harness."""
-        return self.analyze_benchmark(bench).has_race
+        """Binary prediction used by the evaluation harness (stops at the first race)."""
+        return self.analyze_source(
+            bench.code, name=bench.name, num_threads=bench.num_threads, stop_at_race=True
+        ).has_race

@@ -42,10 +42,12 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from repro.cparse import ast, parse
-from repro.dynamic.events import AccessEvent, ExecutionTrace, TaskInfo
+from repro.dynamic.events import (
+    MAX_EVENTS_PER_ADDRESS, AccessEvent, ExecutionTrace, RaceIndex, TaskInfo,
+)
 
 __all__ = ["Interpreter", "InterpreterError", "InterpreterLimits", "Program"]
 
@@ -88,7 +90,7 @@ class _ThreadState:
     """Per-thread execution context inside a parallel region."""
 
     __slots__ = ("thread_id", "team_size", "privates", "epoch", "step", "locks", "critical",
-                 "held", "atomic_depth", "ordered_depth", "task_seq", "current_task")
+                 "held", "atomic_depth", "ordered_depth", "task_seq", "current_task", "sync")
 
     def __init__(self, thread_id: int, team_size: int) -> None:
         self.thread_id = thread_id
@@ -104,18 +106,35 @@ class _ThreadState:
         self.ordered_depth = 0
         self.task_seq = 0
         self.current_task: Optional[TaskInfo] = None
+        #: The synchronization part of this thread's race-index keys, or
+        #: None after one of its fields changed (rebuilt on the next access).
+        self.sync: Optional[int] = None
 
 
 class _Runtime:
     """The per-run state every compiled closure reads and updates."""
 
-    __slots__ = ("memory", "trace", "events", "budget", "max_steps", "max_loop", "num_threads",
-                 "schedule", "region", "task_counter", "depend_last_out", "lock_sets")
+    __slots__ = ("memory", "trace", "events", "buckets", "written", "emitted", "budget",
+                 "max_steps", "max_loop", "num_threads", "schedule", "region", "task_counter",
+                 "depend_last_out", "lock_sets", "syncs", "seen")
 
-    def __init__(self, num_threads: int, schedule: str, limits: InterpreterLimits) -> None:
+    def __init__(self, num_threads: int, schedule: str, limits: InterpreterLimits,
+                 record: bool) -> None:
         self.memory: Dict[str, object] = {}
         self.trace = ExecutionTrace(num_threads=num_threads)
         self.events = self.trace.events
+        #: The race index's buckets and written addresses, and the index
+        #: keys met so far; all None when the run records events.
+        self.buckets: Optional[Dict[str, List[AccessEvent]]] = None
+        self.written: Optional[Set[str]] = None
+        self.seen: Optional[Set[Tuple]] = None
+        if not record:
+            index = self.trace.index = RaceIndex()
+            self.buckets, self.written = index.buckets, index.written
+            self.seen = set()
+        self.emitted = 0
+        #: Interned sync states of this run (see :meth:`sync_key`).
+        self.syncs: Dict[Tuple, int] = {}
         #: Steps left before ``max_steps`` is exceeded; a step is taken by
         #: decrementing it, and it going negative is the limit error.
         self.budget = limits.max_steps
@@ -139,16 +158,57 @@ class _Runtime:
         if held is None:
             held = self.lock_sets[key] = frozenset(st.locks) | frozenset(st.critical)
         st.held = held
+        st.sync = None
+
+    def sync_key(self, st: _ThreadState) -> int:
+        """Intern the thread's synchronization state as a small int.
+
+        The state is ``(thread, task_id, task_seq, region, epoch, held,
+        atomic, ordered)``: every field of an event's dedupe key except the
+        access's own position and direction.
+        """
+        task = st.current_task
+        state = (st.thread_id, task.task_id if task is not None else None, st.task_seq,
+                 self.region, st.epoch, st.held, st.atomic_depth > 0, st.ordered_depth > 0)
+        return self.syncs.setdefault(state, len(self.syncs))
 
 
 def _emit(rt: _Runtime, st: _ThreadState, address: str, variable: str, text: str,
           line: int, col: int, is_write: bool) -> None:
-    """Record one shared access of the executing thread."""
+    """Record one shared access of the executing thread, or fold it into the race index.
+
+    The index key is the address, the thread's cached :meth:`_Runtime.sync_key`
+    and the access's ``(line, col, is_write)``.  Only a key not seen before
+    does any more work: it marks a written address (a seen key with
+    ``is_write`` set has marked it already), and it builds an event if the
+    address's bucket has room.
+    """
     st.step = step = st.step + 1
-    rt.events.append(_new_event((
+    seen = rt.seen
+    if seen is not None:
+        rt.emitted += 1
+        sync = st.sync
+        if sync is None:
+            sync = st.sync = rt.sync_key(st)
+        key = (address, sync, line, col, is_write)
+        if key in seen:
+            return
+        seen.add(key)
+        if is_write:
+            rt.written.add(address)
+        bucket = rt.buckets.get(address)
+        if bucket is None:
+            bucket = rt.buckets[address] = []
+        elif len(bucket) >= MAX_EVENTS_PER_ADDRESS:
+            return
+    event = _new_event((
         address, variable, text, line, col, is_write, st.thread_id, rt.region, st.epoch, step,
         st.held, st.atomic_depth > 0, st.ordered_depth > 0, st.current_task, st.task_seq,
-    )))
+    ))
+    if seen is None:
+        rt.events.append(event)
+    else:
+        bucket.append(event)
 
 
 # -- operators ----------------------------------------------------------------
@@ -1048,11 +1108,13 @@ class _Compiler:
         if has("barrier"):
             def barrier(rt, st):
                 st.epoch += 1
+                st.sync = None
 
             return barrier
         if has("taskwait"):
             def taskwait(rt, st):
                 st.task_seq += 1
+                st.sync = None
 
             return taskwait
         if has("for") or has("taskloop") or (has("simd") and body_node is not None and not has("task")):
@@ -1065,6 +1127,7 @@ class _Compiler:
                 merge(rt, [st])
                 if barrier_after:
                     st.epoch += 1
+                    st.sync = None
 
             return worksharing
         if has("sections"):
@@ -1074,6 +1137,7 @@ class _Compiler:
                 sections_fn(rt, st)
                 if barrier_after:
                     st.epoch += 1
+                    st.sync = None
 
             return sections
         if has("single") or has("master"):
@@ -1085,6 +1149,7 @@ class _Compiler:
                     body(rt, st)
                 if single and barrier_after:
                     st.epoch += 1
+                    st.sync = None
 
             return thread_zero
         if has("critical"):
@@ -1094,10 +1159,12 @@ class _Compiler:
 
             def atomic(rt, st):
                 st.atomic_depth += 1
+                st.sync = None
                 try:
                     body(rt, st)
                 finally:
                     st.atomic_depth -= 1
+                    st.sync = None
 
             return atomic
         if has("ordered"):
@@ -1105,10 +1172,12 @@ class _Compiler:
 
             def ordered(rt, st):
                 st.ordered_depth += 1
+                st.sync = None
                 try:
                     body(rt, st)
                 finally:
                     st.ordered_depth -= 1
+                    st.sync = None
 
             return ordered
         if has("task"):
@@ -1268,12 +1337,14 @@ class _Compiler:
             for name in private:
                 privates[name] = 0
             st.current_task = info
+            st.sync = None
             try:
                 if body is not None:
                     body(rt, st)
             finally:
                 st.current_task = saved_task
                 st.privates = saved_privates
+                st.sync = None
 
         return task
 
@@ -1368,7 +1439,14 @@ class Program:
 
 
 class Interpreter:
-    """Executes a parsed microbenchmark and records shared-access events."""
+    """Executes a parsed microbenchmark and reports its shared accesses.
+
+    With ``record`` (the default) every access becomes an event in
+    ``trace.events``, in program order.  Without it the run folds each
+    access into ``trace.index``, a :class:`~repro.dynamic.events.RaceIndex`,
+    as it happens; :func:`~repro.dynamic.detector.detect_races` gives the
+    same report for either form.
+    """
 
     def __init__(
         self,
@@ -1376,6 +1454,7 @@ class Interpreter:
         num_threads: int = 4,
         schedule: str = "static",
         limits: Optional[InterpreterLimits] = None,
+        record: bool = True,
     ) -> None:
         if num_threads < 1:
             raise ValueError("num_threads must be >= 1")
@@ -1384,6 +1463,7 @@ class Interpreter:
         self.num_threads = num_threads
         self.schedule = schedule
         self.limits = limits or InterpreterLimits()
+        self.record = record
 
     def run_source(self, source: str) -> ExecutionTrace:
         """Parse and execute a C source string."""
@@ -1394,7 +1474,7 @@ class Interpreter:
         program = unit if isinstance(unit, Program) else Program(unit)
         if program.main is None:
             raise InterpreterError("program has no main function")
-        rt = _Runtime(self.num_threads, self.schedule, self.limits)
+        rt = _Runtime(self.num_threads, self.schedule, self.limits, self.record)
         self._memory = rt.memory
         try:
             for declare in program.globals:
@@ -1406,6 +1486,9 @@ class Interpreter:
             raise InterpreterError("break or continue outside a loop") from None
         except RecursionError:
             raise InterpreterError("call depth limit exceeded") from None
-        rt.trace.steps_executed = rt.steps
-        rt.trace.regions_executed = rt.region
-        return rt.trace
+        trace = rt.trace
+        trace.steps_executed = rt.steps
+        trace.regions_executed = rt.region
+        if trace.index is not None:
+            trace.index.events = rt.emitted
+        return trace

@@ -544,19 +544,23 @@ class LowRankAdapter:
         for epoch in range(epochs):
             final = epoch == epochs - 1
             order = rng.permutation(n)
+            # One gather and one dropout draw per epoch: the mask takes the
+            # same random numbers, in the same order, as one draw per batch.
+            rows = projected[order]
+            if self.dropout > 0:
+                mask = rng.random(rows.shape) >= self.dropout
+                rows = rows * mask / (1.0 - self.dropout)
+            targets = labels[order]
             losses = []
             for start in range(0, n, batch_size):
-                idx = order[start : start + batch_size]
-                batch = projected[idx]
-                if self.dropout > 0:
-                    mask = rng.random(batch.shape) >= self.dropout
-                    batch = batch * mask / (1.0 - self.dropout)
-                target = labels[idx]
+                batch = rows[start : start + batch_size]
+                target = targets[start : start + batch_size]
+                m = batch.shape[0]
                 logits = batch @ self.weights + self.bias
                 probs = _sigmoid(logits)
                 error = probs - target
-                grad_w = batch.T @ error / len(idx) + l2 * self.weights
-                grad_b = float(np.mean(error))
+                grad_w = batch.T @ error / m + l2 * self.weights
+                grad_b = float(np.add.reduce(error) / m)
                 self.weights -= learning_rate * grad_w
                 self.bias -= learning_rate * grad_b
                 if final:

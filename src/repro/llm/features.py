@@ -60,6 +60,12 @@ PROGRAM_ERRORS = (LexError, ParseError, PragmaError, InterpreterError)
 
 _CODE_START_RE = re.compile(r"^\s*(#include|int\s+main|void\s+main)", re.MULTILINE)
 
+#: A compound update (``x += ...``, ``a[i] -= ...``, ``s *= ...``).  For
+#: ``search`` it agrees with ``\w+\s*(\+=|-=|\*=)``: a match of that ends in
+#: a match of this one.  Matching one word character instead of ``\w+``
+#: avoids re-scanning every identifier from each of its characters.
+_COMPOUND_UPDATE = re.compile(r"\w\s*(?:\+=|-=|\*=)")
+
 #: Shared tokenizer instance.  :class:`CodeTokenizer` is a frozen, stateless
 #: dataclass, and both :func:`extract_features` and :func:`hashed_ngram_vector`
 #: sit in hot loops (the fine-tuning cross-validation featurises every prompt
@@ -142,7 +148,7 @@ def extract_features(code: str, *, detector: Optional[StaticRaceDetector] = None
         has_barrier="barrier" in code,
         has_task="omp task" in code or "sections" in code,
         has_simd="simd" in code,
-        shared_compound_update=bool(re.search(r"\w+\s*(\+=|-=|\*=)", code)),
+        shared_compound_update=bool(_COMPOUND_UPDATE.search(code)),
         token_count=_TOKENIZER.count(code),
     )
     try:

@@ -76,6 +76,24 @@ class TestFeatures:
         features = extract_features("not C at all @@@")
         assert not features.parses and not features.heuristic_race
 
+    def test_compound_update_pattern_matches_the_word_run_pattern(self):
+        """One word character before the operator finds a match exactly
+        where the earlier ``\\w+`` pattern did."""
+        import re
+
+        from repro.corpus import CorpusConfig, build_corpus
+
+        earlier = re.compile(r"\w+\s*(\+=|-=|\*=)")
+        texts = [bench.code for bench in build_corpus(CorpusConfig())]
+        texts += ["a +=", "+=", "x\n*=", "a_1-=", "a /= 2", "(a) += 1", ""]
+        disagree = [
+            text for text in texts
+            if bool(features_module._COMPOUND_UPDATE.search(text)) != bool(earlier.search(text))
+        ]
+        assert disagree == []
+        assert [bool(features_module._COMPOUND_UPDATE.search(t))
+                for t in ("a +=", "+=", "x\n*=", "a_1-=")] == [True, False, True, True]
+
     @pytest.mark.parametrize("site", ["features", "static-tier", "inspector-tier"])
     def test_detector_bugs_propagate_instead_of_becoming_verdicts(self, site):
         """Only typed front-end and interpreter errors mean "could not
@@ -382,6 +400,29 @@ class TestAdapter:
         assert hashlib.sha256(adapter.weights.tobytes()).hexdigest() == (
             "f05f6d4c4db53b982b0bcc1cf1446d66b3569e4d86f4894bfc7d2e5770d0172c"
         )
+
+    @pytest.mark.parametrize(
+        "n, dropout, batch_size, loss, bias, weights",
+        [
+            (37, 0.1, 5, 0.622072401460088, -0.08595981800913235,
+             "1a610c447909cae2a05764563a20cadc347345a569dc808f29d7e8027f5385b8"),
+            (30, 0.0, 4, 0.6148227871380604, 0.1208126411531096,
+             "9199f0d2762d1393259b34be820e71f8a440c73db6c41ffc8f44c626c27dbd45"),
+        ],
+        ids=["ragged-last-batch", "no-dropout"],
+    )
+    def test_fit_edge_cases_are_pinned(self, n, dropout, batch_size, loss, bias, weights):
+        """A last batch shorter than ``batch_size`` and a fit without dropout,
+        recorded when each batch drew its own dropout mask."""
+        rng = np.random.default_rng(13)
+        features = rng.normal(0.0, 1.0, size=(n, 24))
+        features /= np.linalg.norm(features, axis=1, keepdims=True)
+        labels = (features[:, 0] - 0.5 * features[:, 2] > 0).astype(np.float64)
+        adapter = LowRankAdapter(input_dim=24, rank=6, dropout=dropout, seed=3)
+        assert adapter.fit(features, labels, learning_rate=0.2, epochs=25,
+                           batch_size=batch_size) == loss
+        assert adapter.bias == bias
+        assert hashlib.sha256(adapter.weights.tobytes()).hexdigest() == weights
 
     def test_mismatched_shapes_rejected(self):
         adapter = LowRankAdapter(input_dim=8, rank=2)
