@@ -21,7 +21,7 @@ The node set intentionally mirrors what the corpus generator emits:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 __all__ = [
     "SourceLoc",
@@ -63,9 +63,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SourceLoc:
-    """A 1-based (line, column) source position."""
+class SourceLoc(NamedTuple):
+    """A 1-based (line, column) source position.
+
+    A named tuple rather than a frozen dataclass: immutable and hashable
+    all the same, and the parser builds one per node without paying
+    ``object.__setattr__`` per field.
+    """
 
     line: int
     col: int

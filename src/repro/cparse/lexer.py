@@ -13,17 +13,21 @@ instrumentation) can report source locations.
 
 Comments are tokenized (not discarded) because the DRB-ML pipeline needs to
 scrape labels out of block comments and later strip them while re-mapping
-line numbers (paper §3.1, the ``trimmed_code`` field); :func:`scan` exposes
-the comment offsets it blanks.
+line numbers (paper §3.1, the ``trimmed_code`` field).  Trimming does not
+tokenize, though: :func:`comment_spans` runs a second regex built from the
+same pattern fragments as the master scanner.  One match covers a whole run
+of identifier, number, punctuator and blank characters and stops only at a
+comment, a directive, a string or character literal or an error, so the
+parser's :func:`tokenize` is the only full scan of a source.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from typing import Iterator, List, NamedTuple, Tuple
+from typing import Iterator, List, NamedTuple, NoReturn, Optional, Tuple
 
-__all__ = ["TokenKind", "Token", "LexError", "tokenize", "scan"]
+__all__ = ["TokenKind", "Token", "LexError", "tokenize", "scan", "comment_spans"]
 
 
 class TokenKind(enum.Enum):
@@ -74,24 +78,53 @@ KEYWORDS = frozenset(
 _SUFFIX = "[fFlLuU]*"
 _EXPONENT = r"[eE][+-]?\d+"
 
+# Pattern fragments shared by the two scanners below.  Operator characters
+# may be followed by ``=``; ``/`` and ``.`` are left out of both sets (see
+# ``_SCANNER``).
+_BLANK_CHARS = r" \t\r"
+_OPERATOR_CHARS = r"-+*%=<>!&|^"
+_SEPARATOR_CHARS = r"~?:;,()\[\]{}"
+_PUNCT = rf"<<=|>>=|->|\+\+|--|&&|\|\||<<|>>|[{_OPERATOR_CHARS}]=?|[{_SEPARATOR_CHARS}]"
+_COMMENT = r"//[^\n]*|/\*[\s\S]*?\*/"
+_DIRECTIVE = r"\#[^\\\n]*(?:\\\n?[^\\\n]*)*"
+_STRING = r'"[^"\\]*(?:\\[\s\S][^"\\]*)*"'
+_CHAR = r"'[^'\\]*(?:\\[\s\S][^'\\]*)*'"
+_OPEN = r"""/\*|["']"""
+
 #: Blanks, then exactly one lexeme.  Alternatives are tried in order, each
 #: longest first.  Punctuators come early, except those starting with ``/``
 #: or ``.``: ``.5`` is a number and ``/*``, ``//`` start comments (or, for
 #: ``open``, an unterminated comment or literal).  ``bad`` takes any other
 #: character, so a match never backtracks into the leading blanks.
 _SCANNER = re.compile(
-    r"[ \t\r]*(?:"
+    rf"[{_BLANK_CHARS}]*(?:"
     r"(?P<ident>[^\W\d]\w*)"
     r"|(?P<nl>\n)"
-    r"|(?P<punct><<=|>>=|->|\+\+|--|&&|\|\||<<|>>|[-+*%=<>!&|^]=?|[~?:;,()\[\]{}])"
+    rf"|(?P<punct>{_PUNCT})"
     rf"|(?P<float>\d*\.\d+(?:{_EXPONENT})?{_SUFFIX}|\d+(?:{_EXPONENT}{_SUFFIX}|[lLuU]*[fF]{_SUFFIX}))"
     r"|(?P<int>\d+[lLuU]*)"
-    r"|(?P<comment>//[^\n]*|/\*[\s\S]*?\*/)"
-    r"|(?P<directive>\#[^\\\n]*(?:\\\n?[^\\\n]*)*)"
-    r'|(?P<string_lit>"[^"\\]*(?:\\[\s\S][^"\\]*)*")'
-    r"|(?P<char_lit>'[^'\\]*(?:\\[\s\S][^'\\]*)*')"
-    r"""|(?P<open>/\*|["'])"""
+    rf"|(?P<comment>{_COMMENT})"
+    rf"|(?P<directive>{_DIRECTIVE})"
+    rf"|(?P<string_lit>{_STRING})"
+    rf"|(?P<char_lit>{_CHAR})"
+    rf"|(?P<open>{_OPEN})"
     r"|(?P<slash_dot>/=?|\.\.\.|\.)"
+    r"|(?P<bad>[\s\S])"
+    r"|(?P<end>\Z)"
+    r")"
+)
+
+#: A run of characters that ``_SCANNER`` only ever lexes as identifiers,
+#: numbers, punctuators, blanks and newlines (a ``/`` that starts no
+#: comment included), then exactly one of the lexemes it stops at, tried
+#: in ``_SCANNER``'s order.  Every ordinary token lies inside such a run,
+#: so a match ends where ``_SCANNER`` would reach the same lexeme.
+_COMMENT_SCANNER = re.compile(
+    rf"(?:[{_OPERATOR_CHARS}{_SEPARATOR_CHARS}{_BLANK_CHARS}\w\n.]++|/(?![/*]))*+(?:"
+    rf"(?P<comment>{_COMMENT})"
+    rf"|(?P<directive>{_DIRECTIVE})"
+    rf"|(?P<literal>{_STRING}|{_CHAR})"
+    rf"|(?P<open>{_OPEN})"
     r"|(?P<bad>[\s\S])"
     r"|(?P<end>\Z)"
     r")"
@@ -157,8 +190,9 @@ class LexError(ValueError):
         self.col = col
 
 
-def _directive(text: str, line: int, col: int) -> Tuple[TokenKind, str]:
-    """Kind and token text of a ``#`` line (``text`` includes the ``#``)."""
+def _directive(text: str) -> Optional[Tuple[TokenKind, str]]:
+    """Kind and token text of a ``#`` line (``text`` includes the ``#``), or
+    ``None`` for a directive the subset does not support."""
     body = text[1:].strip()
     if body.startswith("pragma"):
         return TokenKind.PRAGMA, body[len("pragma") :].strip()
@@ -166,11 +200,16 @@ def _directive(text: str, line: int, col: int) -> Tuple[TokenKind, str]:
         return TokenKind.INCLUDE, body
     if body.startswith(_COMMENT_DIRECTIVES):
         return TokenKind.COMMENT, text
-    name = body.split()[0] if body else ""
-    raise LexError(f"unsupported preprocessor directive {name!r}", line, col)
+    return None
 
 
-def _raise(group: str, text: str, line: int, col: int) -> None:
+def _raise(group: str, text: str, line: int, col: int) -> NoReturn:
+    """Raise the error for an ``open`` or ``bad`` match, or an unsupported
+    ``directive``."""
+    if group == "directive":
+        body = text[1:].strip()
+        name = body.split()[0] if body else ""
+        raise LexError(f"unsupported preprocessor directive {name!r}", line, col)
     if group == "open":
         what = "block comment" if text == "/*" else "string literal"
         raise LexError(f"unterminated {what}", line, col)
@@ -183,6 +222,8 @@ def scan(source: str) -> Iterator[Tuple[TokenKind, str, int, int, int]]:
     ``start`` is the token's offset in ``source``; for comments ``text`` is
     the exact source span.  The last item is the EOF token.  Raises
     :class:`LexError` at the first character that starts no token.
+    Trimming does not come through here: :func:`comment_spans` finds the
+    same comments with a scanner built from the same pattern fragments.
     """
     line, line_start = 1, 0
     one_line = _ONE_LINE_KINDS
@@ -203,8 +244,10 @@ def scan(source: str) -> Iterator[Tuple[TokenKind, str, int, int, int]]:
             yield kind, text, line, col, start
             continue
         if group == "directive":
-            kind, value = _directive(text, line, col)
-            yield kind, value, line, col, start
+            directive = _directive(text)
+            if directive is None:
+                _raise(group, text, line, col)
+            yield directive[0], directive[1], line, col, start
         elif group in _MULTI_LINE_KINDS:
             yield _MULTI_LINE_KINDS[group], text, line, col, start
         elif group == "end":
@@ -216,6 +259,39 @@ def scan(source: str) -> Iterator[Tuple[TokenKind, str, int, int, int]]:
         if newlines:
             line += newlines
             line_start = start + text.rindex("\n") + 1
+
+
+def comment_spans(source: str) -> List[Tuple[int, int]]:
+    """``(start, end)`` offsets of every comment of ``source``, in order.
+
+    The comments are what :func:`scan` yields as :attr:`TokenKind.COMMENT`:
+    ``//`` and ``/* */`` comments and the directives kept as comments.
+    Errors are :func:`scan`'s too, with the same message, line and column.
+    No token is built: one match covers each run of ordinary characters up
+    to the next comment, directive or literal, and only an error's offset
+    is turned into a ``line:col``.
+    """
+    spans: List[Tuple[int, int]] = []
+    for match in _COMMENT_SCANNER.finditer(source):
+        group = match.lastgroup
+        if group == "literal":
+            continue
+        if group == "comment":
+            spans.append(match.span(group))
+            continue
+        if group == "end":
+            break
+        text = match[group]
+        if group == "directive":
+            directive = _directive(text)
+            if directive is not None:
+                if directive[0] is TokenKind.COMMENT:
+                    spans.append(match.span(group))
+                continue
+        start = match.start(group)
+        line_start = source.rfind("\n", 0, start) + 1
+        _raise(group, text, source.count("\n", 0, start) + 1, start - line_start + 1)
+    return spans
 
 
 def tokenize(source: str, *, keep_comments: bool = False) -> List[Token]:

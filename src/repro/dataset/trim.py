@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.cparse.lexer import TokenKind, scan
+from repro.cparse.lexer import comment_spans
 
 __all__ = ["TrimResult", "trim_comments"]
 
@@ -49,16 +49,17 @@ def trim_comments(source: str) -> TrimResult:
     Comment characters are replaced by spaces (newlines kept) rather than
     deleted, so the remaining code keeps its original columns and the
     ground-truth columns carry over unchanged to the trimmed code.  Lines
-    are ``\\n``-delimited, as in the lexer.  Raises :class:`LexError` where
-    :func:`~repro.cparse.lexer.tokenize` would.
+    are ``\\n``-delimited, as in the lexer.  Comments are found by
+    :func:`~repro.cparse.lexer.comment_spans`, which tokenizes nothing but
+    raises :class:`LexError` where :func:`~repro.cparse.lexer.tokenize`
+    would.
     """
     pieces: List[str] = []
     copied = 0
-    for kind, text, _line, _col, start in scan(source):
-        if kind is TokenKind.COMMENT:
-            pieces.append(source[copied:start])
-            pieces.append(_NOT_NEWLINE.sub(" ", text))
-            copied = start + len(text)
+    for start, end in comment_spans(source):
+        pieces.append(source[copied:start])
+        pieces.append(_NOT_NEWLINE.sub(" ", source[start:end]))
+        copied = end
     pieces.append(source[copied:])
     out_lines: List[str] = []
     line_map: Dict[int, int] = {}

@@ -67,9 +67,8 @@ _CODE_START_RE = re.compile(r"^\s*(#include|int\s+main|void\s+main)", re.MULTILI
 _COMPOUND_UPDATE = re.compile(r"\w\s*(?:\+=|-=|\*=)")
 
 #: Shared tokenizer instance.  :class:`CodeTokenizer` is a frozen, stateless
-#: dataclass, and both :func:`extract_features` and :func:`hashed_ngram_vector`
-#: sit in hot loops (the fine-tuning cross-validation featurises every prompt
-#: of every fold) — constructing a fresh tokenizer per call was pure waste.
+#: dataclass, and :func:`hashed_ngram_vector` sits in a hot loop (the
+#: fine-tuning cross-validation featurises every prompt of every fold).
 _TOKENIZER = CodeTokenizer()
 
 
@@ -110,7 +109,6 @@ class CodeFeatures:
     has_task: bool = False
     has_simd: bool = False
     shared_compound_update: bool = False
-    token_count: int = 0
     # Structured evidence from the static analyzer's diagnostic engine:
     # which DRD-* rules fired and the report's calibrated self-assessment.
     static_rule_ids: Tuple[str, ...] = ()
@@ -149,7 +147,6 @@ def extract_features(code: str, *, detector: Optional[StaticRaceDetector] = None
         has_task="omp task" in code or "sections" in code,
         has_simd="simd" in code,
         shared_compound_update=bool(_COMPOUND_UPDATE.search(code)),
-        token_count=_TOKENIZER.count(code),
     )
     try:
         report: StaticRaceReport = detector.analyze_source(code)

@@ -1,10 +1,13 @@
 """Property-based tests on cross-cutting invariants of the core data structures."""
 
-from hypothesis import given, settings, strategies as st
+import re
+
+from hypothesis import example, given, settings, strategies as st
 
 from repro.analysis.dependence import SubscriptForm, may_overlap
+from repro.cparse.lexer import LexError, TokenKind, scan
 from repro.dataset.tokenizer import CodeTokenizer
-from repro.dataset.trim import trim_comments
+from repro.dataset.trim import TrimResult, trim_comments
 from repro.eval.metrics import ConfusionCounts, mean_std
 from repro.llm.behavior import deterministic_uniform
 
@@ -63,6 +66,99 @@ class TestTrimProperties:
         result = trim_comments(source)
         assert "/*" not in result.trimmed_code
         assert "//" not in result.trimmed_code
+
+
+def reference_trim(source):
+    """Trimming as it was built on the full lexer: blank every comment token
+    :func:`scan` yields.  The oracle for :func:`trim_comments`."""
+    pieces = []
+    copied = 0
+    for kind, text, _line, _col, start in scan(source):
+        if kind is TokenKind.COMMENT:
+            pieces.append(source[copied:start])
+            pieces.append(re.sub(r"[^\n]", " ", text))
+            copied = start + len(text)
+    pieces.append(source[copied:])
+    out_lines = []
+    line_map = {}
+    for original_idx, text in enumerate("".join(pieces).split("\n"), start=1):
+        if text.strip() == "":
+            continue
+        out_lines.append(text.rstrip())
+        line_map[original_idx] = len(out_lines)
+    trimmed = "\n".join(out_lines)
+    return TrimResult(trimmed_code=trimmed + "\n" if trimmed else "", line_map=line_map)
+
+
+def trim_outcome(trim, source):
+    """``(trimmed_code, line_map)``, or the error's message, line and col."""
+    try:
+        result = trim(source)
+    except LexError as error:
+        return "error", error.args[0], error.line, error.col
+    return "ok", result.trimmed_code, result.line_map
+
+
+#: Characters and fragments the front-end fuzz snapshot never inserts
+#: (form feed, vertical tab, carriage return, a non-ASCII letter and digit,
+#: ``\`` continuations in ``#define``/``#pragma``, unknown directives),
+#: mixed with code, quotes, ``/`` and ``*``.
+_TRIM_PIECES = [
+    "int x = 1;",
+    "a[i] = a[i+1] / 2;",
+    "x /= 3.5e+2f;",
+    "s = 'c' + .5;",
+    "/",
+    "*",
+    "/*",
+    "*/",
+    "//",
+    '"',
+    "'",
+    '"a\\"/*"',
+    "\\",
+    "\n",
+    " ",
+    "\t",
+    "\r",
+    "\f",
+    "\v",
+    "é",
+    "٣",
+    "#define N 10 \\\n  + 1",
+    "#define M \\",
+    "#pragma omp parallel \\\n for",
+    "#pragma omp atomic \\\r\n",
+    "#include <omp.h>",
+    "#ifdef X",
+    "#endif",
+    "#foo bar",
+    "#",
+    "@",
+]
+
+
+@st.composite
+def trim_stress_source(draw):
+    """Sources joined from :data:`_TRIM_PIECES` and short strings of their characters."""
+    alphabet = "".join(sorted({ch for piece in _TRIM_PIECES for ch in piece}))
+    parts = draw(
+        st.lists(st.one_of(st.sampled_from(_TRIM_PIECES), st.text(alphabet=alphabet, max_size=4)), max_size=30)
+    )
+    return "".join(parts)
+
+
+class TestTrimMatchesReference:
+    @given(trim_stress_source())
+    @settings(max_examples=400, deadline=None)
+    @example("a\f/* x */\n")
+    @example("x /=*y; a//*b*/\n")
+    @example("é٣ = 1; // ok\n#foo\n")
+    @example("#define A \\\n /* still define */ x\n#pragma omp \\\n")
+    @example('"/* not a comment */" /* one */ \'"\' "unterminated')
+    @example("x = 1;\n\v")
+    def test_trim_equals_scan_based_reference(self, source):
+        assert trim_outcome(trim_comments, source) == trim_outcome(reference_trim, source)
 
 
 # -- tokenizer -------------------------------------------------------------------
