@@ -7,6 +7,7 @@ from repro.eval.crossval import (
     CrossValPlan,
     CrossValResult,
     plan_finetune_crossval,
+    plan_finetune_crossvals,
     run_finetune_crossval,
 )
 from repro.eval.experiments import (
@@ -36,6 +37,7 @@ __all__ = [
     "CrossValPlan",
     "CrossValResult",
     "plan_finetune_crossval",
+    "plan_finetune_crossvals",
     "run_finetune_crossval",
     "PromptEvaluationRow",
     "evaluate_inspector",

@@ -7,7 +7,9 @@ recall, precision and F1 across folds — the layout of Tables 4 and 6.
 
 Like the table drivers, cross-validation splits into a **plan** phase
 (:func:`plan_finetune_crossval` — trains every fold's adapter, pure CPU
-work, and lays out all base/tuned evaluation requests) and a **reduce**
+work, and lays out all base/tuned evaluation requests;
+:func:`plan_finetune_crossvals` does the same for several models and
+trains all their folds' adapters as one lockstep batch) and a **reduce**
 phase (:meth:`CrossValPlan.reduce` — slices the ordered results back into
 per-fold confusion counts).  :func:`run_finetune_crossval` composes the two
 through one engine run; the cross-table scheduler instead merges the plan's
@@ -31,11 +33,17 @@ from repro.dataset.pairs import build_advanced_pairs, build_basic_pairs
 from repro.dataset.records import DRBMLRecord
 from repro.eval.metrics import ConfusionCounts, FoldStatistics
 from repro.llm.base import LanguageModel
-from repro.llm.finetune import FineTuneConfig, FineTuner
+from repro.llm.finetune import FineTuneConfig, FineTuner, fine_tune_all
 from repro.llm.zoo import create_model
 from repro.prompting.strategy import PromptStrategy
 
-__all__ = ["CrossValPlan", "CrossValResult", "plan_finetune_crossval", "run_finetune_crossval"]
+__all__ = [
+    "CrossValPlan",
+    "CrossValResult",
+    "plan_finetune_crossval",
+    "plan_finetune_crossvals",
+    "run_finetune_crossval",
+]
 
 
 @dataclass
@@ -126,31 +134,76 @@ def plan_finetune_crossval(
     :func:`run_finetune_crossval`; ``model_factory`` lets benchmarks inject
     e.g. latency-simulated base models, and ``cache`` (a
     :class:`~repro.engine.cache.ResponseCache`) stores and reuses the
-    trained adapters.
+    trained adapters.  One model's case of :func:`plan_finetune_crossvals`.
+    """
+    (plan,) = plan_finetune_crossvals(
+        dataset,
+        [model_name],
+        kind=kind,
+        n_folds=n_folds,
+        seed=seed,
+        config=config,
+        model_factory=model_factory,
+        cache=cache,
+    )
+    return plan
+
+
+def plan_finetune_crossvals(
+    dataset: DRBMLDataset,
+    model_names: Sequence[str],
+    *,
+    kind: str = "basic",
+    n_folds: int = 5,
+    seed: int = 7,
+    config: Optional[FineTuneConfig] = None,
+    model_factory: Optional[Callable[[str], LanguageModel]] = None,
+    cache=None,
+) -> List[CrossValPlan]:
+    """Plan several models' cross-validation over the same folds, one plan each.
+
+    Every model's fold jobs go to one :func:`~repro.llm.finetune.fine_tune_all`
+    call, which trains the adapters the cache does not hold in lockstep
+    (both paper models share a shape, so a table's ten adapters train as
+    one group).  Each fold's training pairs are built only when that call
+    reads its job, and dropped once they are featurised.  The plans' requests
+    come out in the order one model at a time would issue them.
     """
     if kind not in ("basic", "advanced"):
         raise ValueError("kind must be 'basic' or 'advanced'")
     factory = model_factory or create_model
-    plan = CrossValPlan(model=model_name, kind=kind)
-    for assignment in dataset.folds(n_folds=n_folds, seed=seed):
-        train_records = dataset.records_for(assignment.train_names)
-        test_records = dataset.records_for(assignment.test_names)
-        base = factory(model_name)
-        pairs = (
-            build_basic_pairs(train_records)
-            if kind == "basic"
-            else build_advanced_pairs(train_records)
-        )
-        tuner = FineTuner(
-            base=base, config=config or FineTuneConfig.for_model(model_name), cache=cache
-        )
-        tuned = tuner.fit(pairs)
+    build_pairs = build_basic_pairs if kind == "basic" else build_advanced_pairs
+    assignments = dataset.folds(n_folds=n_folds, seed=seed)
+    # Per fold, in plan order: (plan, base model, held-out records, tuner, training records).
+    folds = []
+    plans = []
+    for model_name in model_names:
+        plan = CrossValPlan(model=model_name, kind=kind)
+        plans.append(plan)
+        for assignment in assignments:
+            base = factory(model_name)
+            tuner = FineTuner(
+                base=base, config=config or FineTuneConfig.for_model(model_name), cache=cache
+            )
+            folds.append(
+                (
+                    plan,
+                    base,
+                    dataset.records_for(assignment.test_names),
+                    tuner,
+                    dataset.records_for(assignment.train_names),
+                )
+            )
+    tuned_models = fine_tune_all(
+        (tuner, build_pairs(train_records)) for _, _, _, tuner, train_records in folds
+    )
+    for (plan, base, test_records, _, _), tuned in zip(folds, tuned_models):
         base_start = len(plan.requests)
         plan.requests.extend(_fold_requests(base, test_records, kind))
         tuned_start = len(plan.requests)
         plan.requests.extend(_fold_requests(tuned, test_records, kind))
         plan.fold_spans.append((base_start, tuned_start, len(plan.requests)))
-    return plan
+    return plans
 
 
 def run_finetune_crossval(

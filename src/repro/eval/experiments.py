@@ -404,31 +404,30 @@ def _plan_crossval_table(
 
     Fine-tuning happens here, at plan time — it is pure CPU work on the
     training folds, so by execution time the whole table is detection
-    requests the scheduler can interleave with every other table.  With a
-    response ``cache`` (the engine's), each fold's adapter is read from it
-    when a previous run stored one, and trained and stored otherwise.
+    requests the scheduler can interleave with every other table.  Every
+    model's folds are planned together, so the table's adapters train as
+    one lockstep batch.  With a response ``cache`` (the engine's), each
+    fold's adapter is read from it when a previous run stored one, and
+    trained and stored otherwise.
     """
     from repro.engine.scheduler import TablePlan
-    from repro.eval.crossval import plan_finetune_crossval
+    from repro.eval.crossval import plan_finetune_crossvals
 
-    dataset = dataset or default_subset()
-    subplans = []
+    subplans = plan_finetune_crossvals(
+        dataset or default_subset(),
+        models,
+        kind=kind,
+        n_folds=n_folds,
+        seed=seed,
+        model_factory=model_factory,
+        cache=cache,
+    )
     requests = []
     spans = []
-    for model_name in models:
-        subplan = plan_finetune_crossval(
-            dataset,
-            model_name,
-            kind=kind,
-            n_folds=n_folds,
-            seed=seed,
-            model_factory=model_factory,
-            cache=cache,
-        )
+    for model_name, subplan in zip(models, subplans):
         start = len(requests)
         requests.extend(subplan.requests)
         spans.append((model_name, subplan, start, len(requests)))
-        subplans.append(subplan)
 
     def reduce(store):
         from repro.engine import RunResultStore

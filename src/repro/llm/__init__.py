@@ -35,7 +35,7 @@ from repro.llm.zoo import (
     create_model,
 )
 from repro.llm.adapters import AsyncRemoteAdapter, FlakyTailAdapter, LowRankAdapter
-from repro.llm.finetune import FineTuneConfig, FineTunedModel, FineTuner
+from repro.llm.finetune import FineTuneConfig, FineTunedModel, FineTuner, fine_tune_all
 
 __all__ = [
     "ChatMessage",
@@ -59,4 +59,5 @@ __all__ = [
     "FineTuneConfig",
     "FineTuner",
     "FineTunedModel",
+    "fine_tune_all",
 ]

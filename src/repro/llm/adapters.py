@@ -48,10 +48,11 @@ Two kinds of adapter live here:
 from __future__ import annotations
 
 import asyncio
+import functools
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -470,6 +471,19 @@ class ChaosAdapter(LanguageModel):
         )
 
 
+@functools.lru_cache(maxsize=8)
+def adapter_projection(input_dim: int, rank: int, seed: int) -> np.ndarray:
+    """The frozen ``(input_dim, rank)`` projection of a :class:`LowRankAdapter`.
+
+    A pure function of its arguments, so every adapter with the same shape
+    and seed shares one read-only array instead of drawing its own (a
+    512 x 64 projection is 262 KB).
+    """
+    projection = np.random.default_rng(seed).standard_normal((input_dim, rank))
+    projection.setflags(write=False)
+    return projection
+
+
 @dataclass
 class LowRankAdapter:
     """A trainable low-rank logistic head.
@@ -496,11 +510,7 @@ class LowRankAdapter:
     bias: float = field(init=False, default=0.0)
 
     def __post_init__(self) -> None:
-        rng = np.random.default_rng(self.seed)
-        # Scale so that projected coordinates of an L2-normalised feature
-        # vector have roughly unit variance — keeps the logistic head's
-        # gradients (and therefore the learning-rate scale) well conditioned.
-        self.projection = rng.standard_normal((self.input_dim, self.rank))
+        self.projection = adapter_projection(self.input_dim, self.rank, self.seed)
         self.weights = np.zeros(self.rank, dtype=np.float64)
         self.bias = 0.0
 
@@ -529,52 +539,124 @@ class LowRankAdapter:
     ) -> float:
         """Mini-batch gradient descent on the cross-entropy loss.
 
-        Returns the final epoch's average training loss (useful for tests
-        asserting that training actually reduces the loss).  Only that
-        epoch computes it: the loss touches neither the RNG nor the
-        weights, so skipping it earlier changes nothing else.
+        A lone fit is :func:`fit_adapters` over one adapter, starting from
+        the head's current weights and bias; by default the shuffling and
+        dropout RNG is ``default_rng(seed + 1)``.  Returns the final
+        epoch's average training loss (useful for tests asserting that
+        training actually reduces the loss).
         """
         if features.shape[0] != labels.shape[0]:
             raise ValueError("features and labels must have the same length")
-        rng = rng or np.random.default_rng(self.seed + 1)
-        projected = features @ self.projection  # (n, rank), frozen
-        n = projected.shape[0]
-        last_loss = float("inf")
-        eps = 1e-9
-        for epoch in range(epochs):
-            final = epoch == epochs - 1
-            order = rng.permutation(n)
-            # One gather and one dropout draw per epoch: the mask takes the
-            # same random numbers, in the same order, as one draw per batch.
-            rows = projected[order]
-            if self.dropout > 0:
-                mask = rng.random(rows.shape) >= self.dropout
-                rows = rows * mask / (1.0 - self.dropout)
-            targets = labels[order]
-            losses = []
-            for start in range(0, n, batch_size):
-                batch = rows[start : start + batch_size]
-                target = targets[start : start + batch_size]
+        (loss,) = fit_adapters(
+            [self],
+            [features @ self.projection],
+            [labels],
+            learning_rates=[learning_rate],
+            epochs=epochs,
+            batch_size=batch_size,
+            l2=l2,
+            rngs=[rng or np.random.default_rng(self.seed + 1)],
+        )
+        return loss
+
+
+def _batch_loss(probs: np.ndarray, targets: np.ndarray, axis: int) -> np.ndarray:
+    eps = 1e-9
+    return -np.mean(
+        targets * np.log(probs + eps) + (1 - targets) * np.log(1 - probs + eps), axis=axis
+    )
+
+
+def fit_adapters(
+    adapters: Sequence[LowRankAdapter],
+    projected: Sequence[np.ndarray],
+    labels: Sequence[np.ndarray],
+    *,
+    learning_rates: Sequence[float],
+    epochs: int,
+    batch_size: int,
+    l2: float = 1e-3,
+    rngs: Sequence[np.random.Generator],
+) -> List[float]:
+    """Train K adapters in lockstep; return each one's final-epoch loss.
+
+    Adapter ``k`` trains on ``projected[k]`` (its features already through
+    its projection, shape ``(n_k, rank)``) and ``labels[k]`` with its own
+    learning rate and RNG, from its current weights and bias, and comes out
+    with exactly the weights, bias and loss it would get trained alone:
+    every operation below is the
+    per-adapter one, stacked along a leading axis of length K, so each
+    element sees the same float operations in the same order.
+
+    Each epoch, every adapter draws its permutation and then its dropout
+    mask from its own RNG.  The mini-batches all adapters have in full
+    (``min(n_k) // batch_size`` of them) then run as one stacked step each:
+    ``(K, b, rank) @ (K, rank, 1)`` logits, ``(K, rank, b) @ (K, b, 1)``
+    weight gradients and a per-adapter learning-rate column.  The rest of
+    each adapter's rows — its ragged last batch — run alone with the same
+    step on 2-D arrays.  Only the final epoch computes the loss: it touches
+    neither the RNGs nor the weights.
+    """
+    count = len(adapters)
+    if count == 0:
+        return []
+    if not (len(projected) == len(labels) == len(learning_rates) == len(rngs) == count):
+        raise ValueError("adapters, projected, labels, learning_rates and rngs differ in length")
+    rank, dropout = adapters[0].rank, adapters[0].dropout
+    if any(a.rank != rank or a.dropout != dropout for a in adapters):
+        raise ValueError("lockstep adapters must share rank and dropout")
+    sizes = [rows.shape[0] for rows in projected]
+    if any(p.shape != (n, rank) or y.shape != (n,) for p, y, n in zip(projected, labels, sizes)):
+        raise ValueError("each adapter needs (n, rank) projected rows and n labels")
+    steps = min(sizes) // batch_size
+    lockstep = steps * batch_size
+    weights = np.stack([a.weights for a in adapters]).reshape(count, rank, 1)
+    bias = np.array([a.bias for a in adapters], dtype=np.float64).reshape(count, 1, 1)
+    rates = np.array(learning_rates, dtype=np.float64).reshape(count, 1, 1)
+    batches = np.empty((steps, count, batch_size, rank))
+    batches_t = batches.transpose(0, 1, 3, 2)
+    targets = np.empty((steps, count, batch_size, 1))
+    losses = [float("inf")] * count
+    for epoch in range(epochs):
+        final = epoch == epochs - 1
+        rest = []
+        for k in range(count):
+            order = rngs[k].permutation(sizes[k])
+            rows = projected[k][order]
+            if dropout > 0:
+                mask = rngs[k].random(rows.shape) >= dropout
+                rows = rows * mask / (1.0 - dropout)
+            target = labels[k][order]
+            batches[:, k] = rows[:lockstep].reshape(steps, batch_size, rank)
+            targets[:, k] = target[:lockstep].reshape(steps, batch_size, 1)
+            rest.append((rows[lockstep:], target[lockstep:]))
+        step_losses = []
+        for batch, batch_t, target in zip(batches, batches_t, targets):
+            probs = _sigmoid(batch @ weights + bias)
+            error = probs - target
+            weights -= rates * (batch_t @ error / batch_size + l2 * weights)
+            bias -= rates * (np.add.reduce(error, axis=1, keepdims=True) / batch_size)
+            if final:
+                step_losses.append(_batch_loss(probs, target, axis=1)[:, 0])
+        for k, (rows, target) in enumerate(rest):
+            w, b, rate = weights[k, :, 0], float(bias[k, 0, 0]), float(rates[k, 0, 0])
+            batch_losses = [float(loss[k]) for loss in step_losses]
+            for start in range(0, rows.shape[0], batch_size):
+                batch, y = rows[start : start + batch_size], target[start : start + batch_size]
                 m = batch.shape[0]
-                logits = batch @ self.weights + self.bias
-                probs = _sigmoid(logits)
-                error = probs - target
-                grad_w = batch.T @ error / m + l2 * self.weights
-                grad_b = float(np.add.reduce(error) / m)
-                self.weights -= learning_rate * grad_w
-                self.bias -= learning_rate * grad_b
+                probs = _sigmoid(batch @ w + b)
+                error = probs - y
+                w -= rate * (batch.T @ error / m + l2 * w)
+                b -= rate * float(np.add.reduce(error) / m)
                 if final:
-                    losses.append(
-                        float(
-                            -np.mean(
-                                target * np.log(probs + eps)
-                                + (1 - target) * np.log(1 - probs + eps)
-                            )
-                        )
-                    )
-            if losses:
-                last_loss = float(np.mean(losses))
-        return last_loss
+                    batch_losses.append(float(_batch_loss(probs, y, axis=0)))
+            bias[k, 0, 0] = b
+            if final and batch_losses:
+                losses[k] = float(np.mean(batch_losses))
+    for k, adapter in enumerate(adapters):
+        adapter.weights = weights[k, :, 0].copy()
+        adapter.bias = float(bias[k, 0, 0])
+    return losses
 
 
 def _confidence_marker(value: float) -> str:

@@ -16,7 +16,14 @@ and 6).
 
 Training is deterministic, so a :class:`FineTuner` given a response cache
 stores each trained adapter there and a later fit on the same config and
-training set reads it back instead of retraining (see :meth:`FineTuner.fit`).
+training set reads it back instead of retraining.
+
+:func:`fine_tune_all` is the one training entry: it takes a list of
+``(tuner, pairs)`` jobs, reads every job's adapter from the cache and
+trains all misses with one lockstep
+:func:`~repro.llm.adapters.fit_adapters` call per shape group, so the ten
+folds of a cross-validation table pay numpy's per-batch overhead once,
+not ten times.  :meth:`FineTuner.fit` is its one-job case.
 """
 
 from __future__ import annotations
@@ -25,12 +32,12 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.dataset.pairs import PromptResponsePair
-from repro.llm.adapters import LowRankAdapter
+from repro.llm.adapters import LowRankAdapter, fit_adapters
 from repro.llm.base import LanguageModel
 from repro.llm.behavior import deterministic_uniform
 from repro.llm.features import extract_code_from_prompt, source_unit
@@ -41,7 +48,7 @@ from repro.prompting.strategy import PromptStrategy
 if TYPE_CHECKING:  # repro.engine imports this module through repro.eval
     from repro.engine.cache import ResponseCache
 
-__all__ = ["FineTuneConfig", "FineTuner", "FineTunedModel"]
+__all__ = ["FineTuneConfig", "FineTuner", "FineTunedModel", "fine_tune_all"]
 
 
 @dataclass(frozen=True)
@@ -175,7 +182,7 @@ class FineTuner:
     """Trains a :class:`FineTunedModel` from prompt–response pairs.
 
     ``cache`` (a :class:`~repro.engine.cache.ResponseCache`) makes fits
-    reusable: see :meth:`fit`.
+    reusable: see :func:`fine_tune_all`.
     """
 
     base: SimulatedChatModel
@@ -224,17 +231,11 @@ class FineTuner:
             seed=self.config.seed,
         )
 
-    def _train(self, pairs: Sequence[PromptResponsePair]) -> Tuple[LowRankAdapter, float]:
-        features, labels = self._dataset(pairs)
-        adapter = self._new_adapter()
-        loss = adapter.fit(
-            features,
-            labels,
-            learning_rate=self.config.learning_rate,
-            epochs=self.config.epochs,
-            batch_size=self.config.batch_size,
-        )
-        return adapter, loss
+    @property
+    def _shape(self) -> Tuple[int, int, float, int, int]:
+        """What adapters must share to train in one lockstep group."""
+        c = self.config
+        return (c.feature_dim, c.lora_rank, c.dropout, c.epochs, c.batch_size)
 
     def _stored(self, entry: Optional[str]) -> Optional[Tuple[LowRankAdapter, float]]:
         """The adapter and loss a cache entry holds; ``None`` if absent or damaged."""
@@ -259,33 +260,84 @@ class FineTuner:
     def fit(self, pairs: Sequence[PromptResponsePair]) -> FineTunedModel:
         """Fine-tune on the given pair set and return the tuned model.
 
-        With a cache, the adapter is looked up under :attr:`cache_identity`
-        and :meth:`training_digest`.  A hit rebuilds it from the stored
-        weights, bias and final loss (JSON floats round-trip exactly, so
-        the tuned model's ``cache_identity`` is the freshly trained one's);
-        a miss or a damaged entry trains and stores the result, and
-        records the fit's seconds in the cache's cost model so
-        cost-weighted eviction keeps these expensive entries longest.
+        The one-job case of :func:`fine_tune_all`, which documents the
+        cache lookup and storage.
         """
+        return fine_tune_all([(self, pairs)])[0]
+
+
+def fine_tune_all(
+    jobs: Iterable[Tuple[FineTuner, Sequence[PromptResponsePair]]],
+) -> List[FineTunedModel]:
+    """Fine-tune every ``(tuner, pairs)`` job; return the tuned models in job order.
+
+    With a cache, each job's adapter is looked up under its tuner's
+    :attr:`~FineTuner.cache_identity` and :meth:`~FineTuner.training_digest`.
+    A hit rebuilds it from the stored weights, bias and final loss (JSON
+    floats round-trip exactly, so the tuned model's ``cache_identity`` is
+    the freshly trained one's).  The misses, damaged entries included,
+    train together: one :func:`~repro.llm.adapters.fit_adapters` call per
+    shape group (feature dim, rank, dropout, epochs, batch size), which
+    gives every adapter the bits it would get trained alone.  Each trained
+    adapter is then stored, in job order, and its share of its group's
+    seconds goes to the cache's cost model, so cost-weighted eviction keeps
+    these expensive entries longest.
+
+    ``jobs`` is read once, in order.  A job's pairs are featurised and
+    projected to the adapter's rank as soon as it is read, so a caller
+    that generates its jobs holds one pair list and one ``(n,
+    feature_dim)`` feature matrix at a time.
+    """
+    tuners: List[FineTuner] = []
+    kinds: List[str] = []
+    keys: List[Optional[Tuple[str, str]]] = []
+    adapters: List[LowRankAdapter] = []
+    losses: List[Optional[float]] = []
+    fit_seconds: Dict[int, float] = {}
+    groups: Dict[tuple, List[Tuple[int, np.ndarray, np.ndarray]]] = {}
+    for index, (tuner, pairs) in enumerate(jobs):
         if not pairs:
             raise ValueError("cannot fine-tune on an empty pair set")
-        kind = pairs[0].kind
-        stored = None
-        if self.cache is not None:
-            identity = self.cache_identity
-            prompt = self.training_digest(pairs)
-            stored = self._stored(self.cache.get(identity, prompt))
-        if stored is not None:
-            adapter, loss = stored
-        else:
-            start = time.perf_counter()
-            adapter, loss = self._train(pairs)
-            if self.cache is not None:
-                if self.cache.cost_model is not None:
-                    self.cache.cost_model.observe(
-                        identity, "fit", time.perf_counter() - start
-                    )
-                entry = {"weights": adapter.weights.tolist(), "bias": adapter.bias, "loss": loss}
-                self.cache.put(identity, prompt, json.dumps(entry))
-        self.history.append(loss)
-        return FineTunedModel(self.base, adapter, self.config, kind=kind)
+        key = stored = None
+        if tuner.cache is not None:
+            key = (tuner.cache_identity, tuner.training_digest(pairs))
+            stored = tuner._stored(tuner.cache.get(*key))
+        adapter, loss = stored or (tuner._new_adapter(), None)
+        tuners.append(tuner)
+        kinds.append(pairs[0].kind)
+        keys.append(key)
+        adapters.append(adapter)
+        losses.append(loss)
+        if stored is None:
+            features, labels = tuner._dataset(pairs)
+            groups.setdefault(tuner._shape, []).append(
+                (index, features @ adapter.projection, labels)
+            )
+    for group in groups.values():
+        members = [index for index, _, _ in group]
+        config = tuners[members[0]].config
+        start = time.perf_counter()
+        trained = fit_adapters(
+            [adapters[index] for index in members],
+            [projected for _, projected, _ in group],
+            [labels for _, _, labels in group],
+            learning_rates=[tuners[index].config.learning_rate for index in members],
+            epochs=config.epochs,
+            batch_size=config.batch_size,
+            rngs=[np.random.default_rng(adapters[index].seed + 1) for index in members],
+        )
+        seconds = (time.perf_counter() - start) / len(members)
+        for index, loss in zip(members, trained):
+            losses[index] = loss
+            fit_seconds[index] = seconds
+    models = []
+    for index, tuner in enumerate(tuners):
+        adapter, loss, key = adapters[index], losses[index], keys[index]
+        if index in fit_seconds and key is not None:
+            if tuner.cache.cost_model is not None:
+                tuner.cache.cost_model.observe(key[0], "fit", fit_seconds[index])
+            entry = {"weights": adapter.weights.tolist(), "bias": adapter.bias, "loss": loss}
+            tuner.cache.put(*key, json.dumps(entry))
+        tuner.history.append(loss)
+        models.append(FineTunedModel(tuner.base, adapter, tuner.config, kind=kinds[index]))
+    return models

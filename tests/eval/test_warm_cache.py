@@ -18,7 +18,7 @@ from repro.dynamic.interpreter import InterpreterLimits
 from repro.engine import CostModel, ExecutionEngine, ResponseCache, run_all_tables
 from repro.engine.scheduler import results_fingerprint
 from repro.eval.experiments import default_subset, evaluate_inspector
-from repro.llm.adapters import LowRankAdapter
+import repro.llm.finetune as finetune_module
 from repro.llm.finetune import FineTuneConfig, FineTuner
 from repro.llm.zoo import create_model
 
@@ -44,21 +44,26 @@ def pairs(mini):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts Inspector analyses and adapter fits."""
-    counts = {"analyze_source": 0, "fit": 0}
+    """Counts Inspector analyses, adapter fits and lockstep kernel calls.
+
+    Fine-tuning trains adapters through ``fit_adapters``, several per call,
+    so ``fit`` counts the adapters each call trains and ``kernel`` the calls.
+    """
+    counts = {"analyze_source": 0, "fit": 0, "kernel": 0}
     analyze_source = InspectorLikeDetector.analyze_source
-    fit = LowRankAdapter.fit
+    fit_adapters = finetune_module.fit_adapters
 
     def counting_analyze(self, *args, **kwargs):
         counts["analyze_source"] += 1
         return analyze_source(self, *args, **kwargs)
 
-    def counting_fit(self, *args, **kwargs):
-        counts["fit"] += 1
-        return fit(self, *args, **kwargs)
+    def counting_fit_adapters(adapters, *args, **kwargs):
+        counts["kernel"] += 1
+        counts["fit"] += len(adapters)
+        return fit_adapters(adapters, *args, **kwargs)
 
     monkeypatch.setattr(InspectorLikeDetector, "analyze_source", counting_analyze)
-    monkeypatch.setattr(LowRankAdapter, "fit", counting_fit)
+    monkeypatch.setattr(finetune_module, "fit_adapters", counting_fit_adapters)
     return counts
 
 
@@ -74,11 +79,13 @@ class TestWarmRun:
         cold_engine.cache.save()
         assert calls["analyze_source"] == len(mini.records)
         assert calls["fit"] == 20  # 2 models x 5 folds x Tables 4 and 6
-        calls.update(analyze_source=0, fit=0)
+        # Each cross-validation table trains its ten adapters in one lockstep call.
+        assert calls["kernel"] == 2
+        calls.update(analyze_source=0, fit=0, kernel=0)
 
         warm_engine = ExecutionEngine(cache=ResponseCache(path=tmp_path))
         warm = run_all_tables(mini, engine=warm_engine)
-        assert calls == {"analyze_source": 0, "fit": 0}
+        assert calls == {"analyze_source": 0, "fit": 0, "kernel": 0}
         assert results_fingerprint(warm) == results_fingerprint(cold)
         # Inspector programs count as requests whether they hit or miss.
         warm_stats = warm_engine.telemetry.snapshot()
@@ -88,7 +95,7 @@ class TestWarmRun:
     def test_uncached_engine_recomputes_everything(self, mini, calls):
         first = run_all_tables(mini, tables=("table3", "table4"), engine=ExecutionEngine())
         second = run_all_tables(mini, tables=("table3", "table4"), engine=ExecutionEngine())
-        assert calls == {"analyze_source": 2 * len(mini.records), "fit": 20}
+        assert calls == {"analyze_source": 2 * len(mini.records), "fit": 20, "kernel": 2}
         assert results_fingerprint(first) == results_fingerprint(second)
 
 
