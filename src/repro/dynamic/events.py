@@ -120,7 +120,9 @@ class ExecutionTrace:
     """The outcome of one interpreted execution.
 
     A recording run fills :attr:`events`; an indexing run leaves it empty
-    and fills :attr:`index` instead.
+    and fills :attr:`index` instead.  :attr:`finished` is false only for an
+    indexing run that stopped at its first race (``stop_at_race``); its
+    index then covers the run up to that access.
     """
 
     events: List[AccessEvent] = field(default_factory=list)

@@ -11,14 +11,17 @@ the compiled :class:`~repro.dynamic.interpreter.Program`.  Each run folds its
 accesses into a race index as it executes (no event trace is kept), and
 :func:`~repro.dynamic.detector.detect_races` checks the index's buckets.
 
-:meth:`InspectorLikeDetector.analyze_source` runs every schedule and unions
-the pairs.  :meth:`InspectorLikeDetector.predict` needs only the verdict, so
-it stops after the first completed run that races: the union of pairs races
-exactly when some completed run does, and a run that fails is discarded
-either way.  Verdicts are a pure function of the source, the thread count
-and the detector's settings, so :attr:`InspectorLikeDetector.cache_identity`
-lets a response cache store them
-(``repro.eval.experiments.evaluate_inspector``).
+:meth:`InspectorLikeDetector.analyze_source` runs every schedule to its end
+and unions the pairs of the runs that complete.
+:meth:`InspectorLikeDetector.predict` needs only the verdict, so its runs
+check each access as it enters the index and stop at the first race they
+witness, the way Inspector, ThreadSanitizer and Archer report a race the
+moment they see it.  A race witnessed before a run fails therefore counts,
+which a full analysis discards with the failed run: ``predict`` can say
+"race" where the full analysis says "clean", never the other way round.
+Verdicts are a pure function of the source, the thread count and the
+detector's settings, so :attr:`InspectorLikeDetector.cache_identity` lets a
+response cache store them (``repro.eval.experiments.evaluate_inspector``).
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ __all__ = ["InspectorRunResult", "InspectorLikeDetector"]
 #: Identity prefix of cached verdicts.  Bump the version when a change to
 #: the interpreter or the race detector alters any verdict, so stale
 #: verdicts stop matching.
-VERDICT_IDENTITY_PREFIX = "inspector/v1"
+VERDICT_IDENTITY_PREFIX = "inspector/v2"
 
 
 @dataclass
@@ -102,7 +105,7 @@ class InspectorLikeDetector:
 
     @property
     def cache_identity(self) -> str:
-        """``inspector/v1#`` plus a digest of the settings that shape verdicts."""
+        """``inspector/v2#`` plus a digest of the settings that shape verdicts."""
         settings = repr((self.schedules, self.team_sizes, self.limits))
         digest = hashlib.sha256(settings.encode("utf-8")).hexdigest()
         return f"{VERDICT_IDENTITY_PREFIX}#{digest[:16]}"
@@ -123,9 +126,14 @@ class InspectorLikeDetector:
     ) -> InspectorRunResult:
         """Run the detector on raw C source.
 
-        With ``stop_at_race`` the analysis ends after the first completed run
-        that races.  The verdict is the same as without it; ``pairs``,
-        ``runs`` and ``failed`` then cover only the runs made.
+        Every run executes to its end, and a run that raises
+        :class:`~repro.dynamic.interpreter.InterpreterError` is discarded.
+        With ``stop_at_race`` each run stops at the first race it witnesses,
+        even one that would have failed later, and that run ends the
+        analysis; it counts as a completed run whose ``pairs`` are those of
+        its partial index.  A run that ends without witnessing a race is
+        clean and adds no pairs.  ``pairs``, ``runs`` and ``failed`` cover
+        only the runs made.
         """
         result = InspectorRunResult(name=name, has_race=False)
         seen_signatures = set()
@@ -137,7 +145,8 @@ class InspectorLikeDetector:
         ]
         for threads, schedule in runs:
             interpreter = Interpreter(
-                num_threads=threads, schedule=schedule, limits=self.limits, record=False
+                num_threads=threads, schedule=schedule, limits=self.limits, record=False,
+                stop_at_race=stop_at_race,
             )
             try:
                 trace = interpreter.run(program)
@@ -146,18 +155,20 @@ class InspectorLikeDetector:
                 result.failure_reason = str(exc)
                 continue
             result.runs += 1
+            if stop_at_race and trace.finished:
+                continue  # it witnessed no race
             for pair in detect_races(trace).pairs:
                 signature = pair.signature()
                 if signature not in seen_signatures:
                     seen_signatures.add(signature)
                     result.pairs.append(pair)
-            if stop_at_race and result.pairs:
+            if not trace.finished:
                 break
         result.has_race = bool(result.pairs)
         return result
 
     def predict(self, bench: Microbenchmark) -> bool:
-        """Binary prediction used by the evaluation harness (stops at the first race)."""
+        """Binary prediction used by the evaluation harness (stops at the first witnessed race)."""
         return self.analyze_source(
             bench.code, name=bench.name, num_threads=bench.num_threads, stop_at_race=True
         ).has_race

@@ -45,6 +45,7 @@ from functools import partial
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from repro.cparse import ast, parse
+from repro.dynamic.detector import _concurrent, _mutually_excluded
 from repro.dynamic.events import (
     MAX_EVENTS_PER_ADDRESS, AccessEvent, ExecutionTrace, RaceIndex, TaskInfo,
 )
@@ -70,6 +71,10 @@ class _ReturnSignal(Exception):
         self.value = value
 
 
+class _RaceWitnessed(Exception):
+    """Ends a stopping run at the first bucket entry that races."""
+
+
 @dataclass(frozen=True)
 class InterpreterLimits:
     """Execution limits protecting against runaway loops."""
@@ -84,6 +89,8 @@ _OPERAND_ERRORS = (ArithmeticError, TypeError, ValueError)
 _NO_LOCKS: FrozenSet[str] = frozenset()
 #: Builds an :class:`AccessEvent` from one positional tuple of its fields.
 _new_event = partial(tuple.__new__, AccessEvent)
+#: A step later than every task's creation (see :meth:`_Runtime.conflict`).
+_LATE_STEP = 1 << 62
 
 
 class _ThreadState:
@@ -116,10 +123,11 @@ class _Runtime:
 
     __slots__ = ("memory", "trace", "events", "buckets", "written", "emitted", "budget",
                  "max_steps", "max_loop", "num_threads", "schedule", "region", "task_counter",
-                 "depend_last_out", "lock_sets", "syncs", "seen")
+                 "depend_last_out", "lock_sets", "syncs", "seen", "templates", "classes",
+                 "conflicts")
 
     def __init__(self, num_threads: int, schedule: str, limits: InterpreterLimits,
-                 record: bool) -> None:
+                 record: bool, stop_at_race: bool) -> None:
         self.memory: Dict[str, object] = {}
         self.trace = ExecutionTrace(num_threads=num_threads)
         self.events = self.trace.events
@@ -135,6 +143,15 @@ class _Runtime:
         self.emitted = 0
         #: Interned sync states of this run (see :meth:`sync_key`).
         self.syncs: Dict[Tuple, int] = {}
+        #: Only in a run that stops at its first race: one event per sync
+        #: state, carrying that state (see :meth:`conflict`); per address,
+        #: the sync states of its bucket's events (see :func:`_witness`);
+        #: and the memo of :meth:`conflict`.
+        self.templates: Optional[List[AccessEvent]] = None
+        self.classes: Optional[Dict[str, Union[int, Dict[int, List[int]]]]] = None
+        self.conflicts: Optional[Dict[Tuple[int, int], Union[bool, int]]] = None
+        if stop_at_race:
+            self.templates, self.classes, self.conflicts = [], {}, {}
         #: Steps left before ``max_steps`` is exceeded; a step is taken by
         #: decrementing it, and it going negative is the limit error.
         self.budget = limits.max_steps
@@ -170,7 +187,31 @@ class _Runtime:
         task = st.current_task
         state = (st.thread_id, task.task_id if task is not None else None, st.task_seq,
                  self.region, st.epoch, st.held, st.atomic_depth > 0, st.ordered_depth > 0)
-        return self.syncs.setdefault(state, len(self.syncs))
+        sync = self.syncs.setdefault(state, len(self.syncs))
+        if self.templates is not None and sync == len(self.templates):
+            self.templates.append(_new_event((
+                "", "", "", 0, 0, False, st.thread_id, self.region, st.epoch, 0,
+                st.held, st.atomic_depth > 0, st.ordered_depth > 0, task, st.task_seq,
+            )))
+        return sync
+
+    def conflict(self, first: int, second: int) -> Union[bool, int]:
+        """Do accesses of two sync states race when one of them writes?
+
+        The answer is ``detect_races``'s own predicates on the two states'
+        template events.  Only a step can change it: a plain access of a
+        task's creator is ordered before the task when it comes no later
+        than the task's creation.  When that decides it, the answer is the
+        task's ``creation_step``: the pair races when the plain access's
+        step is greater.
+        """
+        a, b = self.templates[first], self.templates[second]
+        if _mutually_excluded(a, b):
+            return False
+        early = _concurrent(a, b)  # template steps are 0, before every task
+        if early == _concurrent(a._replace(step=_LATE_STEP), b._replace(step=_LATE_STEP)):
+            return early
+        return (a.task or b.task).creation_step
 
 
 def _emit(rt: _Runtime, st: _ThreadState, address: str, variable: str, text: str,
@@ -181,7 +222,8 @@ def _emit(rt: _Runtime, st: _ThreadState, address: str, variable: str, text: str
     and the access's ``(line, col, is_write)``.  Only a key not seen before
     does any more work: it marks a written address (a seen key with
     ``is_write`` set has marked it already), and it builds an event if the
-    address's bucket has room.
+    address's bucket has room.  A run that stops at its first race then
+    checks the new event against the bucket's earlier ones (:func:`_witness`).
     """
     st.step = step = st.step + 1
     seen = rt.seen
@@ -209,6 +251,53 @@ def _emit(rt: _Runtime, st: _ThreadState, address: str, variable: str, text: str
         rt.events.append(event)
     else:
         bucket.append(event)
+        classes = rt.classes
+        if classes is not None:
+            states = classes.get(address)
+            if states is None:
+                classes[address] = sync
+            elif states != sync:
+                _witness(rt, address, bucket, sync, is_write, step, st.current_task is None)
+
+
+def _witness(rt: _Runtime, address: str, bucket: List[AccessEvent], sync: int,
+             is_write: bool, step: int, plain: bool) -> None:
+    """Raise :class:`_RaceWitnessed` if a new bucket entry races an earlier one.
+
+    ``detect_races`` checks every pair of a finished bucket; its predicates
+    are symmetric, so checking each entry against the ones before it as it
+    arrives finds a race exactly when the finished bucket has one.  The
+    entries of one sync state differ only in their step and position, so
+    the new entry is checked once per earlier sync state, through the memo
+    of :meth:`_Runtime.conflict`: a write against the state's latest
+    access, a read against its latest write.  Two accesses of one state
+    never race, so while every entry of an address has one state,
+    ``rt.classes`` holds just that state, and :func:`_emit` does not call
+    this; the first entry of another state expands it here into the
+    address's states, each with its latest read and write step (0 for none).
+    """
+    states = rt.classes[address]
+    if states.__class__ is int:
+        steps = [0, 0]
+        for event in bucket[:-1]:
+            steps[event.is_write] = event.step
+        states = rt.classes[address] = {states: steps}
+    conflicts = rt.conflicts
+    for other, (read_step, write_step) in states.items():
+        partner = max(read_step, write_step) if is_write else write_step
+        if not partner or other == sync:
+            continue
+        verdict = conflicts.get((sync, other))
+        if verdict is None:
+            verdict = conflicts[(sync, other)] = rt.conflict(sync, other)
+        if verdict is False:
+            continue
+        if verdict is True or (step if plain else partner) > verdict:
+            raise _RaceWitnessed
+    steps = states.get(sync)
+    if steps is None:
+        steps = states[sync] = [0, 0]
+    steps[is_write] = step
 
 
 # -- operators ----------------------------------------------------------------
@@ -1446,6 +1535,12 @@ class Interpreter:
     access into ``trace.index``, a :class:`~repro.dynamic.events.RaceIndex`,
     as it happens; :func:`~repro.dynamic.detector.detect_races` gives the
     same report for either form.
+
+    An indexing run with ``stop_at_race`` ends at the first access whose
+    bucket entry races an earlier one, and returns its trace with
+    ``finished`` false; its index then holds that racing pair.  A run it
+    does not stop is race-free, and its index is the one a run without the
+    flag builds.
     """
 
     def __init__(
@@ -1455,15 +1550,19 @@ class Interpreter:
         schedule: str = "static",
         limits: Optional[InterpreterLimits] = None,
         record: bool = True,
+        stop_at_race: bool = False,
     ) -> None:
         if num_threads < 1:
             raise ValueError("num_threads must be >= 1")
         if schedule not in ("static", "roundrobin"):
             raise ValueError("schedule must be 'static' or 'roundrobin'")
+        if record and stop_at_race:
+            raise ValueError("stop_at_race needs an indexing run (record=False)")
         self.num_threads = num_threads
         self.schedule = schedule
         self.limits = limits or InterpreterLimits()
         self.record = record
+        self.stop_at_race = stop_at_race
 
     def run_source(self, source: str) -> ExecutionTrace:
         """Parse and execute a C source string."""
@@ -1474,7 +1573,8 @@ class Interpreter:
         program = unit if isinstance(unit, Program) else Program(unit)
         if program.main is None:
             raise InterpreterError("program has no main function")
-        rt = _Runtime(self.num_threads, self.schedule, self.limits, self.record)
+        rt = _Runtime(self.num_threads, self.schedule, self.limits, self.record,
+                      self.stop_at_race)
         self._memory = rt.memory
         try:
             for declare in program.globals:
@@ -1482,6 +1582,8 @@ class Interpreter:
             program.main(rt, None)
         except _ReturnSignal:
             pass
+        except _RaceWitnessed:
+            rt.trace.finished = False
         except (_BreakSignal, _ContinueSignal):
             raise InterpreterError("break or continue outside a loop") from None
         except RecursionError:

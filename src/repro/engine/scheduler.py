@@ -36,7 +36,7 @@ needs before reduction — Table 3's Inspector baseline runs there through
 models at plan-build time, so by the time :func:`run_plans` executes, every
 remaining unit of work is a detection request the engine can interleave
 freely.  Both kinds of non-LLM work go through the engine's response cache
-(Inspector verdicts under ``inspector/v1#…``, adapters under
+(Inspector verdicts under ``inspector/v2#…``, adapters under
 ``adapter/v1#…``), so against a warm cache neither is recomputed.
 
 The tiered cascade (``--cascade``) composes through this same plan/reduce
