@@ -17,8 +17,9 @@ identically for identical requests — the comparison stays apples to
 apples.  The tables are shrunk so that each one alone cannot saturate the
 pool — exactly the regime (few in-flight requests per table, many tables,
 wildly uneven per-table cost) where cross-table interleaving pays.  Plans
-are built outside the timed region (fine-tuning the cross-validation folds
-is CPU work both paths share), and each path gets freshly built plans.
+are built outside the timed region, and each path gets freshly built
+plans; their ``prepare`` step, which fine-tunes the cross-validation folds
+(CPU work both paths share), runs inside it.
 Code features come from the process-wide source memo, so the sequential
 path, timed first, featurises the 12 sources (about 1 ms each) and the
 interleaved path finds them memoised.  The Inspector baseline is

@@ -169,7 +169,7 @@ def _run(
             # streaming plan runner — same rows, O(window) residency.
             from repro.engine import collect_default_plans, run_plans_streaming
 
-            plans = collect_default_plans(subset, tables=(table,), cache=engine.cache)
+            plans = collect_default_plans(subset, tables=(table,))
             results = run_plans_streaming(plans, engine=engine)
             _print_result(table, results[table])
         else:

@@ -203,14 +203,14 @@ class DataRacePipeline:
         train_names: Optional[Sequence[str]] = None,
         config: Optional[FineTuneConfig] = None,
     ) -> FineTunedModel:
-        """Fine-tune an open-source model on DRB-ML prompt–response pairs."""
+        """Fine-tune an open-source model on DRB-ML pairs, through :attr:`engine`'s cache."""
         subset = self.evaluation_subset()
         records = (
             subset.records_for(train_names) if train_names is not None else subset.records
         )
         pairs = build_basic_pairs(records) if kind == "basic" else build_advanced_pairs(records)
         tuner = FineTuner(base=create_model(model), config=config or FineTuneConfig.for_model(model))
-        return tuner.fit(pairs)
+        return tuner.fit(pairs, self.engine)
 
     # -- traditional baselines -------------------------------------------------------
 

@@ -19,8 +19,9 @@ Module map
     model's verdict — satisfies repeats from the cache, and returns an order-preserving
     :class:`RunResultStore`.  Every executor runs the same chunk body — a
     step function that splits cache hits from misses, hands the misses to
-    a blocking or awaiting driver, stores and scores.  Also offers a
-    generic ``map`` for non-LLM work (the Inspector baseline).  For
+    a blocking or awaiting driver, stores and scores.  Non-LLM work (the
+    Inspector verdicts, the fold fits) goes through ``cached_map``, which
+    computes only what the response cache does not hold.  For
     distributed executors it ships picklable chunk payloads to a
     module-level worker — the cache snapshot is broadcast once per run,
     not pickled per chunk — and merges cache/telemetry deltas back.
@@ -65,8 +66,9 @@ Module map
     ``close()``; a custom backend plugs in through
     ``ExecutionEngine(executor=...)``.
 ``scheduler``
-    The cross-table run scheduler: :class:`TablePlan` (a table's requests
-    plus its reducer) and :func:`run_all_tables`, which interleaves every
+    The cross-table run scheduler: :class:`TablePlan` (a table's requests,
+    its non-LLM ``prepare`` step and its reducer) and
+    :func:`run_all_tables`, which interleaves every
     table's mixed-model request batches into **one** engine run so model
     latency overlaps across tables instead of serialising five drivers.
 ``cache``

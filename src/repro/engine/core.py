@@ -372,7 +372,7 @@ class ExecutionEngine:
     executor:
         An executor with ``submit(fn, item)`` and ``submit_stream(fn)``
         (chunk dispatch) plus order-preserving ``map(fn, items)``
-        (:meth:`map`); defaults to
+        (non-LLM work); defaults to
         :class:`~repro.engine.executors.SerialExecutor`.  Anything without
         ``submit``/``submit_stream`` is rejected with :class:`TypeError`.
     jobs:
@@ -628,21 +628,49 @@ class ExecutionEngine:
         self.telemetry.gauge(resident_requests_peak=total, peak_rss_kb=process_rss_kb())
         return results
 
-    # -- generic parallel map (non-LLM work, e.g. the Inspector baseline) ----------
+    # -- deterministic non-LLM work (Inspector verdicts, adapter fits) -------------
 
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        """Run ``fn`` over ``items`` on the engine's executor, with telemetry.
+    def cached_map(
+        self,
+        items: Iterable[Tuple[str, str, T]],
+        compute: Callable[[List[T]], Sequence[R]],
+        *,
+        kind: str,
+        decode: Callable[[T, Optional[str]], Optional[R]],
+        encode: Callable[[R], str],
+    ) -> List[R]:
+        """Deterministic non-LLM work, served from the response cache where it can be.
 
-        With a distributed executor, ``fn`` and every item must be picklable
-        (a module-level function or a method of a picklable instance).
+        ``items`` yields ``(identity, prompt, item)`` and is read once, in
+        order; ``decode(item, entry)`` turns the entry under ``(identity,
+        prompt)`` into a result, or ``None`` when it is absent or damaged.
+        All misses go to one ``compute(miss_items)`` call, in item order;
+        each result is stored as ``encode(result)``, and the misses' mean
+        seconds go to the cache's cost model under ``kind``.  Without a cache
+        every item is computed.  Every item counts as one engine request.
         """
-        items = list(items)
+        cache = self.cache
         start = time.perf_counter()
-        mapped = self.executor.map(fn, items)
-        self.telemetry.add(
-            requests=len(items), runs=1, wall_time_s=time.perf_counter() - start
-        )
-        return mapped
+        results: List[Optional[R]] = []
+        misses: List[Tuple[int, str, str, T]] = []
+        for identity, prompt, item in items:
+            result = None if cache is None else decode(item, cache.get(identity, prompt))
+            if result is None:
+                misses.append((len(results), identity, prompt, item))
+            results.append(result)
+        if misses:
+            computed_at = time.perf_counter()
+            computed = compute([item for _, _, _, item in misses])
+            seconds = (time.perf_counter() - computed_at) / len(misses)
+            if cache is not None and cache.cost_model is not None:
+                for identity in dict.fromkeys(identity for _, identity, _, _ in misses):
+                    cache.cost_model.observe(identity, kind, seconds)
+            for (index, identity, prompt, _), result in zip(misses, computed):
+                results[index] = result
+                if cache is not None:
+                    cache.put(identity, prompt, encode(result))
+        self.telemetry.add(requests=len(results), wall_time_s=time.perf_counter() - start)
+        return results
 
     # -- lifecycle ------------------------------------------------------------------
 

@@ -3,9 +3,9 @@
 An executor implements two contracts:
 
 * ``map(fn, items) -> list`` — the *ordered* contract: results in input
-  order, exceptions propagated.  :meth:`ExecutionEngine.map
-  <repro.engine.core.ExecutionEngine.map>` (the Inspector baseline) and
-  ``repro analyze --jobs`` run on it.
+  order, exceptions propagated.  The Inspector baseline (through
+  :meth:`~repro.engine.core.ExecutionEngine.cached_map`) and ``repro
+  analyze --jobs`` run on it.
 * ``submit(fn, item) -> Future`` plus ``submit_stream(fn) -> SubmitStream``
   — the *completion-order* contract the engine dispatches every chunk
   through: work is submitted incrementally and drained as it settles, and

@@ -30,14 +30,13 @@ collections of plans:
 * :func:`run_all_tables` — the user-facing driver behind ``repro all``:
   collects the default plans for Tables 2–6 and runs them interleaved.
 
-Plan *preparation* (``plan.prepare``) carries the non-LLM work a table
-needs before reduction — Table 3's Inspector baseline runs there through
-``engine.map`` — and the fine-tuning cross-validation trains its fold
-models at plan-build time, so by the time :func:`run_plans` executes, every
-remaining unit of work is a detection request the engine can interleave
-freely.  Both kinds of non-LLM work go through the engine's response cache
-(Inspector verdicts under ``inspector/v2#…``, adapters under
-``adapter/v1#…``), so against a warm cache neither is recomputed.
+Plan *preparation* (``plan.prepare``) carries a table's non-LLM work —
+Table 3's Inspector baseline, and the fold fits that build Tables 4 and
+6's requests — so by the time :func:`run_plans` executes, every remaining
+unit of work is a detection request the engine can interleave freely.
+Both go through :meth:`ExecutionEngine.cached_map` (verdicts under
+``inspector/v2#…``, adapters under ``adapter/v1#…``), so a warm cache
+recomputes neither, and no plan builder takes a cache.
 
 The tiered cascade (``--cascade``) composes through this same plan/reduce
 seam: plans only describe requests and reducers, and the cascade router
@@ -57,6 +56,7 @@ degrades one table's counts instead of aborting the evaluation.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -95,9 +95,9 @@ class TablePlan:
         exactly ``requests``, in order) into the driver's return value —
         table rows or a cross-validation result mapping.
     prepare:
-        Optional non-LLM work run once before reduction, given the engine
-        (e.g. Table 3's Inspector baseline via ``engine.map``).  Reducers
-        may close over state that ``prepare`` fills in.
+        Optional non-LLM work run on the engine before ``requests`` execute
+        (the Inspector baseline, the fold fits).  It may rebuild
+        ``requests`` in place; reducers may close over state it fills in.
     """
 
     table: str
@@ -119,16 +119,15 @@ def collect_default_plans(
     corpus_config=None,
     tables: Sequence[str] = DEFAULT_TABLES,
     model_factory=None,
-    cache=None,
 ) -> List[TablePlan]:
     """Build the default plan for every requested table.
 
     ``dataset`` defaults to the ≤4k-token evaluation subset, built **once**
     and shared by every plan (the sequential CLI path used to rebuild it
     per table).  ``model_factory`` is threaded through to each plan builder
-    so benchmarks can inject latency-simulated models.  ``cache`` — the
-    engine's response cache — lets Tables 4 and 6 reuse stored fine-tuned
-    adapters instead of refitting them.
+    so benchmarks can inject latency-simulated models.  No builder takes a
+    cache: the Inspector and the fits of Tables 4 and 6 run in each plan's
+    ``prepare``, through the ``cached_map`` of the engine the plan runs on.
     """
     # Imported lazily: repro.eval.experiments reaches back into this
     # package for TablePlan, and repro.engine must stay importable on its
@@ -138,17 +137,11 @@ def collect_default_plans(
     if dataset is None:
         dataset = experiments.default_subset(corpus_config)
     builders = {
-        "table2": lambda: experiments.plan_table2(dataset, model_factory=model_factory),
-        "table3": lambda: experiments.plan_table3(
-            dataset, corpus_config=corpus_config, model_factory=model_factory
-        ),
-        "table4": lambda: experiments.plan_table4(
-            dataset, model_factory=model_factory, cache=cache
-        ),
-        "table5": lambda: experiments.plan_table5(dataset, model_factory=model_factory),
-        "table6": lambda: experiments.plan_table6(
-            dataset, model_factory=model_factory, cache=cache
-        ),
+        "table2": experiments.plan_table2,
+        "table3": functools.partial(experiments.plan_table3, corpus_config=corpus_config),
+        "table4": experiments.plan_table4,
+        "table5": experiments.plan_table5,
+        "table6": experiments.plan_table6,
     }
     plans = []
     for table in tables:
@@ -156,7 +149,7 @@ def collect_default_plans(
             builder = builders[table]
         except KeyError as exc:
             raise ValueError(f"unknown table {table!r}; expected one of {DEFAULT_TABLES}") from exc
-        plans.append(builder())
+        plans.append(builder(dataset, model_factory=model_factory))
     return plans
 
 
@@ -302,9 +295,8 @@ def run_all_tables(
     sequential reference path.  ``stream=True`` routes through
     :func:`run_plans_streaming` (inherently interleaved — it takes
     precedence over ``interleave``) with the engine's ``stream_window``
-    requests resident at once.  Plans
-    built here share the engine's cache, so a warm cache also skips the
-    fine-tuning fits.
+    requests resident at once.  Each plan's ``prepare`` (the Inspector,
+    the fits) runs through ``engine.cached_map``, so a warm cache skips it.
     """
     engine = resolve_engine(engine)
     if plans is None:
@@ -313,7 +305,6 @@ def run_all_tables(
             corpus_config=corpus_config,
             tables=tables,
             model_factory=model_factory,
-            cache=engine.cache,
         )
     if stream:
         return run_plans_streaming(plans, engine=engine)

@@ -290,7 +290,7 @@ class EngineTelemetry:
         """The top-k slowest (model, strategy) groups, one line each.
 
         Returns an empty string when no groups were recorded (e.g. a run
-        of pure non-LLM work through ``engine.map``).
+        of pure non-LLM work through ``engine.cached_map``).
         """
         groups = self.group_snapshot()
         if not groups or top_k < 1:

@@ -12,15 +12,13 @@ work, and lays out all base/tuned evaluation requests;
 trains all their folds' adapters as one lockstep batch) and a **reduce**
 phase (:meth:`CrossValPlan.reduce` — slices the ordered results back into
 per-fold confusion counts).  :func:`run_finetune_crossval` composes the two
-through one engine run; the cross-table scheduler instead merges the plan's
-requests into its single interleaved run.
+through one engine run; Tables 4 and 6 plan from their ``prepare`` step
+and the cross-table scheduler merges the requests into its one run.
 
-Given a response cache (the engine's), planning reads each fold's adapter
-from it instead of retraining: :class:`~repro.llm.finetune.FineTuner`
-stores adapters under ``adapter/v1#<config digest>`` keyed on the training
-set, so a warm run rebuilds all of them without a single fit and the
-tuned models' cache identities — and therefore their cached responses —
-come out unchanged.
+The fits go through the engine's ``cached_map``: adapters are stored under
+``adapter/v1#<config digest>`` keyed on the training set, so a warm run
+rebuilds all of them without a single fit and the tuned models' cache
+identities — and therefore their cached responses — come out unchanged.
 """
 
 from __future__ import annotations
@@ -125,16 +123,15 @@ def plan_finetune_crossval(
     seed: int = 7,
     config: Optional[FineTuneConfig] = None,
     model_factory: Optional[Callable[[str], LanguageModel]] = None,
-    cache=None,
+    engine=None,
 ) -> CrossValPlan:
     """Plan the paper's fine-tuning cross-validation for one model.
 
     Fine-tunes every fold's adapter here (CPU-only, no model calls) and
     returns the evaluation requests plus the fold layout.  Parameters match
     :func:`run_finetune_crossval`; ``model_factory`` lets benchmarks inject
-    e.g. latency-simulated base models, and ``cache`` (a
-    :class:`~repro.engine.cache.ResponseCache`) stores and reuses the
-    trained adapters.  One model's case of :func:`plan_finetune_crossvals`.
+    e.g. latency-simulated base models, and ``engine``'s cache stores and
+    reuses the adapters.  One model's case of :func:`plan_finetune_crossvals`.
     """
     (plan,) = plan_finetune_crossvals(
         dataset,
@@ -144,7 +141,7 @@ def plan_finetune_crossval(
         seed=seed,
         config=config,
         model_factory=model_factory,
-        cache=cache,
+        engine=engine,
     )
     return plan
 
@@ -158,16 +155,16 @@ def plan_finetune_crossvals(
     seed: int = 7,
     config: Optional[FineTuneConfig] = None,
     model_factory: Optional[Callable[[str], LanguageModel]] = None,
-    cache=None,
+    engine=None,
 ) -> List[CrossValPlan]:
     """Plan several models' cross-validation over the same folds, one plan each.
 
     Every model's fold jobs go to one :func:`~repro.llm.finetune.fine_tune_all`
-    call, which trains the adapters the cache does not hold in lockstep
-    (both paper models share a shape, so a table's ten adapters train as
-    one group).  Each fold's training pairs are built only when that call
-    reads its job, and dropped once they are featurised.  The plans' requests
-    come out in the order one model at a time would issue them.
+    call on ``engine``, which trains the adapters its cache does not hold
+    in lockstep (both paper models share a shape, so a table's ten adapters
+    train as one group).  Each fold's training pairs are built only when
+    that call reads its job.  The plans' requests come out in the order one
+    model at a time would issue them.
     """
     if kind not in ("basic", "advanced"):
         raise ValueError("kind must be 'basic' or 'advanced'")
@@ -182,9 +179,7 @@ def plan_finetune_crossvals(
         plans.append(plan)
         for assignment in assignments:
             base = factory(model_name)
-            tuner = FineTuner(
-                base=base, config=config or FineTuneConfig.for_model(model_name), cache=cache
-            )
+            tuner = FineTuner(base=base, config=config or FineTuneConfig.for_model(model_name))
             folds.append(
                 (
                     plan,
@@ -195,7 +190,8 @@ def plan_finetune_crossvals(
                 )
             )
     tuned_models = fine_tune_all(
-        (tuner, build_pairs(train_records)) for _, _, _, tuner, train_records in folds
+        ((tuner, build_pairs(train_records)) for _, _, _, tuner, train_records in folds),
+        engine,
     )
     for (plan, base, test_records, _, _), tuned in zip(folds, tuned_models):
         base_start = len(plan.requests)
@@ -238,6 +234,6 @@ def run_finetune_crossval(
         n_folds=n_folds,
         seed=seed,
         config=config,
-        cache=engine.cache,
+        engine=engine,
     )
     return plan.reduce(engine.run(plan.requests))

@@ -3,10 +3,12 @@
 Each table is expressed in two phases:
 
 * ``plan_tableN`` — the **plan** phase: build the table's
+  :class:`~repro.engine.scheduler.TablePlan` — its
   :class:`~repro.engine.requests.DetectionRequest` batch (dataset →
-  prompts, plus any CPU-side preparation such as fine-tuning the
-  cross-validation fold models) and a reducer that will assemble the
-  paper-layout rows from scored results.  Planning never calls a model.
+  prompts), a ``prepare`` step for the non-LLM work (Table 3's Inspector
+  baseline, the fold fits of Tables 4 and 6, both through the engine's
+  ``cached_map``) and a reducer that will assemble the paper-layout rows
+  from scored results.  Planning never calls a model and takes no cache.
 * ``run_tableN`` — the familiar driver: execute the plan through an
   :class:`~repro.engine.core.ExecutionEngine` and reduce.  Results are
   unchanged from the pre-plan drivers; the split exists so
@@ -25,7 +27,6 @@ latency-simulated model instances without changing the plan shape.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -185,34 +186,22 @@ def evaluate_inspector(
 ) -> ConfusionCounts:
     """Run the Inspector-like dynamic detector over corpus microbenchmarks.
 
-    With a response cache on the engine, each verdict is looked up under the
-    detector's ``cache_identity`` and the prompt ``"<num_threads>\\n<code>"``.
-    Only the misses run, through ``engine.map``; their verdicts are stored
-    as ``race``/``clean``, and their mean seconds go to the cache's cost
-    model so cost-weighted eviction keeps them.  Every benchmark counts as
-    one engine request, hit or miss.  Without a cache every benchmark runs.
+    The benchmarks go through the engine's ``cached_map``: each verdict is
+    looked up under the detector's ``cache_identity`` and the prompt
+    ``"<num_threads>\\n<code>"``, stored as ``race``/``clean``, and only the
+    misses run, over the engine's executor.
     """
     detector = detector or InspectorLikeDetector()
     benchmarks = list(benchmarks)
     engine = _resolve_engine(engine)
-    cache = engine.cache
-    if cache is None:
-        predictions = engine.map(detector.predict, benchmarks)
-    else:
-        identity = detector.cache_identity
-        prompts = [f"{bench.num_threads}\n{bench.code}" for bench in benchmarks]
-        predictions = [_VERDICTS.get(cache.get(identity, prompt)) for prompt in prompts]
-        misses = [i for i, verdict in enumerate(predictions) if verdict is None]
-        if misses:
-            start = time.perf_counter()
-            verdicts = engine.map(detector.predict, [benchmarks[i] for i in misses])
-            if cache.cost_model is not None:
-                seconds = (time.perf_counter() - start) / len(misses)
-                cache.cost_model.observe(identity, "inspect", seconds)
-            for i, verdict in zip(misses, verdicts):
-                predictions[i] = verdict
-                cache.put(identity, prompts[i], "race" if verdict else "clean")
-        engine.telemetry.add(requests=len(benchmarks) - len(misses))
+    identity = detector.cache_identity
+    predictions = engine.cached_map(
+        ((identity, f"{bench.num_threads}\n{bench.code}", bench) for bench in benchmarks),
+        lambda misses: engine.executor.map(detector.predict, misses),
+        kind="inspect",
+        decode=lambda bench, entry: _VERDICTS.get(entry),
+        encode=lambda verdict: "race" if verdict else "clean",
+    )
     counts = ConfusionCounts()
     for bench, prediction in zip(benchmarks, predictions):
         counts.add(bench.has_race, prediction)
@@ -266,8 +255,8 @@ def plan_table3(
     """Plan Table 3: Inspector baseline plus the LLM/strategy grid.
 
     The Inspector is not an LLM, so its scoring runs in the plan's
-    ``prepare`` step (through ``engine.map``, sharing the executor) and its
-    row is prepended at reduce time.
+    ``prepare`` step (through ``engine.cached_map``, sharing the executor)
+    and its row is prepended at reduce time.
     """
     from repro.engine import build_requests
     from repro.engine.scheduler import TablePlan
@@ -398,36 +387,38 @@ def _plan_crossval_table(
     n_folds: int,
     seed: int,
     model_factory: Optional[ModelFactory],
-    cache=None,
 ):
     """Shared plan builder for Tables 4 and 6.
 
-    Fine-tuning happens here, at plan time — it is pure CPU work on the
-    training folds, so by execution time the whole table is detection
-    requests the scheduler can interleave with every other table.  Every
-    model's folds are planned together, so the table's adapters train as
-    one lockstep batch.  With a response ``cache`` (the engine's), each
-    fold's adapter is read from it when a previous run stored one, and
-    trained and stored otherwise.
+    Fine-tuning runs in the plan's ``prepare``, like Table 3's Inspector,
+    through the engine's ``cached_map``: every model's folds fit as one
+    lockstep batch, or come from the engine's cache.  ``prepare`` then
+    rebuilds (never extends) the table's requests, which the scheduler
+    interleaves with every other table's.
     """
     from repro.engine.scheduler import TablePlan
     from repro.eval.crossval import plan_finetune_crossvals
 
-    subplans = plan_finetune_crossvals(
-        dataset or default_subset(),
-        models,
-        kind=kind,
-        n_folds=n_folds,
-        seed=seed,
-        model_factory=model_factory,
-        cache=cache,
-    )
-    requests = []
-    spans = []
-    for model_name, subplan in zip(models, subplans):
-        start = len(requests)
-        requests.extend(subplan.requests)
-        spans.append((model_name, subplan, start, len(requests)))
+    dataset = dataset or default_subset()
+    requests: List = []
+    spans: List[tuple] = []
+
+    def prepare(engine):
+        subplans = plan_finetune_crossvals(
+            dataset,
+            models,
+            kind=kind,
+            n_folds=n_folds,
+            seed=seed,
+            model_factory=model_factory,
+            engine=engine,
+        )
+        requests.clear()
+        spans.clear()
+        for model_name, subplan in zip(models, subplans):
+            start = len(requests)
+            requests.extend(subplan.requests)
+            spans.append((model_name, subplan, start, len(requests)))
 
     def reduce(store):
         from repro.engine import RunResultStore
@@ -437,7 +428,7 @@ def _plan_crossval_table(
             for model_name, subplan, start, end in spans
         }
 
-    return TablePlan(table=table, requests=requests, reduce=reduce)
+    return TablePlan(table=table, requests=requests, reduce=reduce, prepare=prepare)
 
 
 def plan_table4(
@@ -447,12 +438,9 @@ def plan_table4(
     n_folds: int = 5,
     seed: int = 7,
     model_factory: Optional[ModelFactory] = None,
-    cache=None,
 ):
     """Plan Table 4: basic fine-tuning (detection) under cross-validation."""
-    return _plan_crossval_table(
-        "table4", "basic", dataset, models, n_folds, seed, model_factory, cache
-    )
+    return _plan_crossval_table("table4", "basic", dataset, models, n_folds, seed, model_factory)
 
 
 def run_table4(
@@ -464,9 +452,8 @@ def run_table4(
     engine=None,
 ):
     """Table 4: basic fine-tuning (detection) under 5-fold cross-validation."""
-    engine = _resolve_engine(engine)
-    plan = plan_table4(dataset, models=models, n_folds=n_folds, seed=seed, cache=engine.cache)
-    return plan.execute(engine)
+    plan = plan_table4(dataset, models=models, n_folds=n_folds, seed=seed)
+    return plan.execute(_resolve_engine(engine))
 
 
 def plan_table6(
@@ -476,11 +463,10 @@ def plan_table6(
     n_folds: int = 5,
     seed: int = 7,
     model_factory: Optional[ModelFactory] = None,
-    cache=None,
 ):
     """Plan Table 6: advanced fine-tuning (variable identification) under CV."""
     return _plan_crossval_table(
-        "table6", "advanced", dataset, models, n_folds, seed, model_factory, cache
+        "table6", "advanced", dataset, models, n_folds, seed, model_factory
     )
 
 
@@ -493,6 +479,5 @@ def run_table6(
     engine=None,
 ):
     """Table 6: advanced fine-tuning (variable identification) under 5-fold CV."""
-    engine = _resolve_engine(engine)
-    plan = plan_table6(dataset, models=models, n_folds=n_folds, seed=seed, cache=engine.cache)
-    return plan.execute(engine)
+    plan = plan_table6(dataset, models=models, n_folds=n_folds, seed=seed)
+    return plan.execute(_resolve_engine(engine))

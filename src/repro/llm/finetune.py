@@ -14,23 +14,20 @@ adapter can only nudge, not replace, the base behaviour — which is exactly
 the regime the paper reports (small recall/precision movements, Tables 4
 and 6).
 
-Training is deterministic, so a :class:`FineTuner` given a response cache
-stores each trained adapter there and a later fit on the same config and
-training set reads it back instead of retraining.
-
-:func:`fine_tune_all` is the one training entry: it takes a list of
-``(tuner, pairs)`` jobs, reads every job's adapter from the cache and
-trains all misses with one lockstep
+Training is deterministic, so an adapter is work the response cache can
+keep.  :func:`fine_tune_all` is the one training entry: it takes a list of
+``(tuner, pairs)`` jobs and an engine, and runs them through
+:meth:`~repro.engine.core.ExecutionEngine.cached_map` — every job's adapter
+is read from the engine's cache, and all misses train with one lockstep
 :func:`~repro.llm.adapters.fit_adapters` call per shape group, so the ten
-folds of a cross-validation table pay numpy's per-batch overhead once,
-not ten times.  :meth:`FineTuner.fit` is its one-job case.
+folds of a cross-validation table pay numpy's per-batch overhead once, not
+ten times.  :meth:`FineTuner.fit` is its one-job case.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -46,7 +43,7 @@ from repro.llm.zoo import SimulatedChatModel
 from repro.prompting.strategy import PromptStrategy
 
 if TYPE_CHECKING:  # repro.engine imports this module through repro.eval
-    from repro.engine.cache import ResponseCache
+    from repro.engine.core import ExecutionEngine
 
 __all__ = ["FineTuneConfig", "FineTuner", "FineTunedModel", "fine_tune_all"]
 
@@ -179,16 +176,11 @@ ADAPTER_IDENTITY_PREFIX = "adapter/v1"
 
 @dataclass
 class FineTuner:
-    """Trains a :class:`FineTunedModel` from prompt–response pairs.
-
-    ``cache`` (a :class:`~repro.engine.cache.ResponseCache`) makes fits
-    reusable: see :func:`fine_tune_all`.
-    """
+    """Trains a :class:`FineTunedModel` from prompt–response pairs."""
 
     base: SimulatedChatModel
     config: Optional[FineTuneConfig] = None
     history: List[float] = field(default_factory=list)
-    cache: Optional["ResponseCache"] = None
 
     def __post_init__(self) -> None:
         if self.config is None:
@@ -257,87 +249,88 @@ class FineTuner:
         adapter.bias = bias
         return adapter, loss
 
-    def fit(self, pairs: Sequence[PromptResponsePair]) -> FineTunedModel:
+    def fit(
+        self, pairs: Sequence[PromptResponsePair], engine: Optional["ExecutionEngine"] = None
+    ) -> FineTunedModel:
         """Fine-tune on the given pair set and return the tuned model.
 
-        The one-job case of :func:`fine_tune_all`, which documents the
-        cache lookup and storage.
+        The one-job case of :func:`fine_tune_all`, which documents how
+        ``engine``'s cache serves and stores the adapter.
         """
-        return fine_tune_all([(self, pairs)])[0]
+        return fine_tune_all([(self, pairs)], engine)[0]
 
 
 def fine_tune_all(
     jobs: Iterable[Tuple[FineTuner, Sequence[PromptResponsePair]]],
+    engine: Optional["ExecutionEngine"] = None,
 ) -> List[FineTunedModel]:
     """Fine-tune every ``(tuner, pairs)`` job; return the tuned models in job order.
 
-    With a cache, each job's adapter is looked up under its tuner's
-    :attr:`~FineTuner.cache_identity` and :meth:`~FineTuner.training_digest`.
-    A hit rebuilds it from the stored weights, bias and final loss (JSON
-    floats round-trip exactly, so the tuned model's ``cache_identity`` is
-    the freshly trained one's).  The misses, damaged entries included,
-    train together: one :func:`~repro.llm.adapters.fit_adapters` call per
-    shape group (feature dim, rank, dropout, epochs, batch size), which
-    gives every adapter the bits it would get trained alone.  Each trained
-    adapter is then stored, in job order, and its share of its group's
-    seconds goes to the cache's cost model, so cost-weighted eviction keeps
-    these expensive entries longest.
-
-    ``jobs`` is read once, in order.  A job's pairs are featurised and
-    projected to the adapter's rank as soon as it is read, so a caller
-    that generates its jobs holds one pair list and one ``(n,
-    feature_dim)`` feature matrix at a time.
+    The jobs go through ``engine``'s (default: a fresh uncached one)
+    :meth:`~repro.engine.core.ExecutionEngine.cached_map`, keyed on the
+    tuner's :attr:`~FineTuner.cache_identity` and
+    :meth:`~FineTuner.training_digest`.  A hit rebuilds the adapter from its
+    stored weights, bias and final loss (JSON floats round-trip exactly, so
+    the tuned model's ``cache_identity`` is the freshly trained one's); the
+    misses, damaged entries included, train together in :func:`_train_jobs`.
+    ``jobs`` is read once, in order.
     """
-    tuners: List[FineTuner] = []
-    kinds: List[str] = []
-    keys: List[Optional[Tuple[str, str]]] = []
-    adapters: List[LowRankAdapter] = []
-    losses: List[Optional[float]] = []
-    fit_seconds: Dict[int, float] = {}
+    from repro.engine import resolve_engine  # repro.engine imports this module
+
+    tuned: List[Tuple[FineTuner, str]] = []
+
+    def items():
+        for tuner, pairs in jobs:
+            if not pairs:
+                raise ValueError("cannot fine-tune on an empty pair set")
+            tuned.append((tuner, pairs[0].kind))
+            yield tuner.cache_identity, tuner.training_digest(pairs), (tuner, pairs)
+
+    fitted = resolve_engine(engine).cached_map(
+        items(),
+        _train_jobs,
+        kind="fit",
+        decode=lambda job, entry: job[0]._stored(entry),
+        encode=lambda fit: json.dumps(
+            {"weights": fit[0].weights.tolist(), "bias": fit[0].bias, "loss": fit[1]}
+        ),
+    )
+    models = []
+    for (tuner, kind), (adapter, loss) in zip(tuned, fitted):
+        tuner.history.append(loss)
+        models.append(FineTunedModel(tuner.base, adapter, tuner.config, kind=kind))
+    return models
+
+
+def _train_jobs(
+    jobs: Sequence[Tuple[FineTuner, Sequence[PromptResponsePair]]],
+) -> List[Tuple[LowRankAdapter, float]]:
+    """Train every job's adapter; return ``(adapter, final loss)`` in job order.
+
+    One lockstep :func:`~repro.llm.adapters.fit_adapters` call per shape
+    group gives every adapter the bits it would get trained alone.  Jobs are
+    featurised one at a time, so one ``(n, feature_dim)`` matrix is alive.
+    """
+    adapters = [tuner._new_adapter() for tuner, _ in jobs]
+    losses: List[float] = [0.0] * len(jobs)
     groups: Dict[tuple, List[Tuple[int, np.ndarray, np.ndarray]]] = {}
-    for index, (tuner, pairs) in enumerate(jobs):
-        if not pairs:
-            raise ValueError("cannot fine-tune on an empty pair set")
-        key = stored = None
-        if tuner.cache is not None:
-            key = (tuner.cache_identity, tuner.training_digest(pairs))
-            stored = tuner._stored(tuner.cache.get(*key))
-        adapter, loss = stored or (tuner._new_adapter(), None)
-        tuners.append(tuner)
-        kinds.append(pairs[0].kind)
-        keys.append(key)
-        adapters.append(adapter)
-        losses.append(loss)
-        if stored is None:
-            features, labels = tuner._dataset(pairs)
-            groups.setdefault(tuner._shape, []).append(
-                (index, features @ adapter.projection, labels)
-            )
+    for index, ((tuner, pairs), adapter) in enumerate(zip(jobs, adapters)):
+        features, labels = tuner._dataset(pairs)
+        groups.setdefault(tuner._shape, []).append(
+            (index, features @ adapter.projection, labels)
+        )
     for group in groups.values():
         members = [index for index, _, _ in group]
-        config = tuners[members[0]].config
-        start = time.perf_counter()
+        config = jobs[members[0]][0].config
         trained = fit_adapters(
             [adapters[index] for index in members],
             [projected for _, projected, _ in group],
             [labels for _, _, labels in group],
-            learning_rates=[tuners[index].config.learning_rate for index in members],
+            learning_rates=[jobs[index][0].config.learning_rate for index in members],
             epochs=config.epochs,
             batch_size=config.batch_size,
             rngs=[np.random.default_rng(adapters[index].seed + 1) for index in members],
         )
-        seconds = (time.perf_counter() - start) / len(members)
         for index, loss in zip(members, trained):
             losses[index] = loss
-            fit_seconds[index] = seconds
-    models = []
-    for index, tuner in enumerate(tuners):
-        adapter, loss, key = adapters[index], losses[index], keys[index]
-        if index in fit_seconds and key is not None:
-            if tuner.cache.cost_model is not None:
-                tuner.cache.cost_model.observe(key[0], "fit", fit_seconds[index])
-            entry = {"weights": adapter.weights.tolist(), "bias": adapter.bias, "loss": loss}
-            tuner.cache.put(*key, json.dumps(entry))
-        tuner.history.append(loss)
-        models.append(FineTunedModel(tuner.base, adapter, tuner.config, kind=kinds[index]))
-    return models
+    return list(zip(adapters, losses))

@@ -133,7 +133,7 @@ class TestShmBroadcastLifecycle:
             with ExecutionEngine(
                 jobs=2, executor_kind="process", cache=ResponseCache(), batch_size=4
             ) as engine:
-                assert engine.map(abs, [-1, -2]) == [1, 2]  # forks the pool first
+                assert engine.executor.map(abs, [-1, -2]) == [1, 2]  # forks the pool first
                 for _ in range(2):  # cold, then warm through the shm broadcast
                     engine.run(
                         build_requests(create_model("gpt-4"), PromptStrategy.BP1, records)

@@ -214,7 +214,14 @@ class TestEngineRun:
 
     def test_generic_map_counts_requests(self, records):
         engine = ExecutionEngine(jobs=2)
-        assert engine.map(lambda r: r.has_race, records) == [r.has_race for r in records]
+        flags = engine.cached_map(
+            (("has-race", record.name, record) for record in records),
+            lambda misses: engine.executor.map(lambda r: r.has_race, misses),
+            kind="flag",
+            decode=lambda record, entry: None,
+            encode=str,
+        )
+        assert flags == [r.has_race for r in records]
         assert engine.telemetry.snapshot()["requests"] == len(records)
 
     def test_rejects_unknown_scoring(self, records):

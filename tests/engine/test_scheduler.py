@@ -9,6 +9,7 @@ from repro.engine import (
     ResponseCache,
     TablePlan,
     collect_default_plans,
+    results_fingerprint,
     run_all_tables,
     run_plans,
 )
@@ -17,6 +18,8 @@ from repro.eval.experiments import (
     evaluate_inspector,
     plan_table2,
     plan_table3,
+    plan_table4,
+    plan_table6,
     run_table2,
     run_table5,
 )
@@ -77,6 +80,21 @@ class TestTablePlans:
         assert [c.as_row() for c in planned.tuned_folds] == [
             c.as_row() for c in direct.tuned_folds
         ]
+
+    @pytest.mark.parametrize("plan_table", [plan_table4, plan_table6])
+    def test_crossval_table_executes_twice_alike(self, mini, plan_table):
+        """``prepare`` rebuilds the table's requests instead of appending."""
+        plan = plan_table(mini, models=("llama2-7b",), n_folds=2)
+        engine = ExecutionEngine(cache=ResponseCache())
+        first = plan.execute(engine)
+        cold = engine.telemetry.snapshot()
+        planned = len(plan.requests)
+        second = plan.execute(engine)
+        warm = engine.telemetry.snapshot()
+        assert results_fingerprint({"t": second}) == results_fingerprint({"t": first})
+        assert len(plan.requests) == planned
+        assert warm["requests"] == 2 * cold["requests"]
+        assert warm["model_calls"] == cold["model_calls"]  # the second run hits only
 
     def test_crossval_plan_rejects_bad_kind(self, mini):
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from repro.core.pipeline import DataRacePipeline
 from repro.corpus.generator import build_corpus
 from repro.dataset.drbml import DRBMLDataset
 from repro.dataset.pairs import build_basic_pairs
@@ -67,9 +68,9 @@ def calls(monkeypatch):
     return counts
 
 
-def _tuner(cache=None, **overrides):
+def _tuner(**overrides):
     config = FineTuneConfig.for_model("llama2-7b", **overrides)
-    return FineTuner(base=create_model("llama2-7b"), config=config, cache=cache)
+    return FineTuner(base=create_model("llama2-7b"), config=config)
 
 
 class TestWarmRun:
@@ -104,9 +105,10 @@ class TestAdapterCache:
         fresh_tuner = _tuner()
         fresh = fresh_tuner.fit(pairs)
         cache = ResponseCache()
-        _tuner(cache).fit(pairs)  # miss: trains and stores
-        stored_tuner = _tuner(cache)
-        stored = stored_tuner.fit(pairs)
+        engine = ExecutionEngine(cache=cache)
+        _tuner().fit(pairs, engine)  # miss: trains and stores
+        stored_tuner = _tuner()
+        stored = stored_tuner.fit(pairs, engine)
         assert cache.stats.hits == 1
         assert stored.cache_identity == fresh.cache_identity
         assert stored.adapter.weights.tobytes() == fresh.adapter.weights.tobytes()
@@ -117,26 +119,26 @@ class TestAdapterCache:
         "field", [f.name for f in dataclasses.fields(FineTuneConfig)]
     )
     def test_changed_config_field_misses(self, pairs, calls, field):
-        cache = ResponseCache()
-        _tuner(cache, epochs=2).fit(pairs)
+        engine = ExecutionEngine(cache=ResponseCache())
+        _tuner(epochs=2).fit(pairs, engine)
         value = getattr(FineTuneConfig.for_model("llama2-7b", epochs=2), field)
         changed = value + 1 if isinstance(value, int) else value / 2
-        tuner = _tuner(cache, **{"epochs": 2, field: changed})
+        tuner = _tuner(**{"epochs": 2, field: changed})
         assert tuner.cache_identity != _tuner(epochs=2).cache_identity
-        tuner.fit(pairs)
+        tuner.fit(pairs, engine)
         assert calls["fit"] == 2
 
     @pytest.mark.parametrize("change", ["drop-a-pair", "flip-a-label"])
     def test_changed_training_set_misses(self, pairs, calls, change):
-        cache = ResponseCache()
-        _tuner(cache, epochs=2).fit(pairs)
+        engine = ExecutionEngine(cache=ResponseCache())
+        _tuner(epochs=2).fit(pairs, engine)
         if change == "drop-a-pair":
             changed = pairs[1:]
         else:
             changed = [dataclasses.replace(pairs[0], label=1 - pairs[0].label), *pairs[1:]]
-        _tuner(cache, epochs=2).fit(changed)
+        _tuner(epochs=2).fit(changed, engine)
         assert calls["fit"] == 2
-        _tuner(cache, epochs=2).fit(pairs)
+        _tuner(epochs=2).fit(pairs, engine)
         assert calls["fit"] == 2  # the original set still hits
 
     @pytest.mark.parametrize(
@@ -153,19 +155,20 @@ class TestAdapterCache:
     def test_damaged_entry_retrains(self, pairs, calls, entry):
         fresh = _tuner(epochs=2).fit(pairs)
         cache = ResponseCache()
-        tuner = _tuner(cache, epochs=2)
+        engine = ExecutionEngine(cache=cache)
+        tuner = _tuner(epochs=2)
         cache.put(tuner.cache_identity, FineTuner.training_digest(pairs), entry)
-        assert tuner.fit(pairs).cache_identity == fresh.cache_identity
+        assert tuner.fit(pairs, engine).cache_identity == fresh.cache_identity
         assert calls["fit"] == 2
         # The retrained adapter replaced the damaged entry.
-        assert _tuner(cache, epochs=2).fit(pairs).cache_identity == fresh.cache_identity
+        assert _tuner(epochs=2).fit(pairs, engine).cache_identity == fresh.cache_identity
         assert calls["fit"] == 2
 
     def test_stored_adapter_outlives_cheaper_responses(self, pairs):
         cost_model = CostModel()
         cache = ResponseCache(max_bytes=6000, cost_model=cost_model)
-        tuner = _tuner(cache, epochs=2)
-        tuner.fit(pairs)
+        tuner = _tuner(epochs=2)
+        tuner.fit(pairs, ExecutionEngine(cache=cache))
         identity, digest = tuner.cache_identity, FineTuner.training_digest(pairs)
         assert cost_model.identity_estimate(identity, default=0.0) > 0.0
         cost_model.observe("cheap-model", "BP1", 1e-6)
@@ -173,6 +176,17 @@ class TestAdapterCache:
             cache.put("cheap-model", f"prompt {i}", "yes. " + "x" * 100)
         assert cache.stats.evictions > 0
         assert cache.get(identity, digest) is not None
+
+
+class TestPipelineFinetune:
+    def test_repeated_finetune_is_served_from_the_engine_cache(self, mini, calls):
+        pipeline = DataRacePipeline()
+        names = [record.name for record in mini.records]
+        first = pipeline.finetune("llama2-7b", train_names=names)
+        assert calls["kernel"] == 1
+        second = pipeline.finetune("llama2-7b", train_names=names)
+        assert calls["kernel"] == 1
+        assert second.cache_identity == first.cache_identity
 
 
 class TestInspectorCache:
