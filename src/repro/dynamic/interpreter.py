@@ -27,6 +27,30 @@ unsupported node compiles into a closure that raises its
 of the program (division by zero, bad shifts, out-of-range subscripts,
 unconvertible operands) are reported as :class:`InterpreterError` too.
 
+The compiler picks a specialised closure for the shapes that dominate a
+run, and reads a name or a numeric literal operand inline instead of
+calling its closure:
+
+* a value operator with a name or literal operand (``i + 1``, ``a[i] * 2``),
+  and an operator on two literals, which folds to its value;
+* 1-D and 2-D subscript loads and stores, with names and literals as
+  indices read inline, ``int`` indices used as they are and the address
+  built as ``root[i]`` / ``root[i,j]`` without a list or a join;
+* an assignment to a subscript, which evaluates its value and stores it in
+  one closure;
+* ``name = value``, ``name op= value`` and ``name++`` / ``--name``.
+
+A ``for`` loop keeps its generic closure: a condition ``i < n`` is one
+value-operator closure that reads both operands inline.
+
+Every other shape keeps its generic closure.  A specialised closure keeps
+the generic order exactly: it takes each node's steps, checks the limit,
+reads, reports each access and raises each error where the generic
+closures would, so that ``steps_executed``, the events and the point where
+a run stops at a race or fails are unchanged.  Only steps with nothing
+observable between them (a literal's before the next operand's) are taken
+in one decrement.
+
 Supported OpenMP constructs: ``parallel`` (with ``num_threads``), worksharing
 ``for`` (static and round-robin schedules, ``nowait``, ``reduction``,
 ``private``/``firstprivate``/``lastprivate``/``linear``), combined
@@ -343,6 +367,10 @@ def _operand_error(op: str, exc: Exception) -> InterpreterError:
     return InterpreterError(f"bad operands for {op}: {exc}")
 
 
+def _undeclared(name: str) -> InterpreterError:
+    return InterpreterError(f"read of undeclared variable {name!r}")
+
+
 def _to_int(value, what: str) -> int:
     try:
         return int(value)
@@ -390,6 +418,25 @@ def _iteration_space(op: str, start: int, bound: int, step: int, max_loop: int) 
     return iterations
 
 
+def _constant(node: ast.Expr) -> Optional[Tuple[object, int]]:
+    """``(value, steps)`` of a numeric literal, or of an operator on two that applies.
+
+    Nothing observable happens while such an expression runs, so a closure
+    may take all its steps at once.  An operator that raises is no constant:
+    it fails when it runs.
+    """
+    if isinstance(node, (ast.IntLiteral, ast.FloatLiteral)):
+        return node.value, 1
+    if (isinstance(node, ast.BinaryOp) and node.op in _OPERATORS
+            and isinstance(node.left, (ast.IntLiteral, ast.FloatLiteral))
+            and isinstance(node.right, (ast.IntLiteral, ast.FloatLiteral))):
+        try:
+            return _OPERATORS[node.op](node.left.value, node.right.value), 3
+        except (InterpreterError, *_OPERAND_ERRORS):
+            return None
+    return None
+
+
 def _unwrap(body: Optional[ast.Stmt]) -> Optional[ast.Stmt]:
     """Strip compound statements that hold exactly one statement."""
     while isinstance(body, ast.CompoundStmt) and len(body.body) == 1:
@@ -408,6 +455,15 @@ class _Compiler:
     outside parallel regions.  Every ``expr``/``stmt`` closure takes
     ``1 + pre`` steps on entry: ``pre`` carries the steps of parents whose
     own step immediately precedes this node's.
+
+    Hot shapes get a specialised closure (see the module docstring):
+    :meth:`_binary` (``inline_binary`` and literal folding),
+    :meth:`_subscript` and :meth:`store` (1-D and 2-D),
+    :meth:`_name_assignment` and :meth:`_name_incdec`.  :meth:`_operand`
+    decides which operands they read inline.  Each keeps
+    the generic closures' order of step decrements, limit checks, reads,
+    :func:`_emit` calls and errors; ``tests/dynamic/test_step_limit_sweep.py``
+    pins that order at every step budget.
     """
 
     def __init__(self, unit: ast.TranslationUnit) -> None:
@@ -475,7 +531,6 @@ class _Compiler:
     def _identifier(self, node: ast.Identifier, n: int) -> Closure:
         name = node.name
         line, col = node.loc.line, node.loc.col
-        undeclared = f"read of undeclared variable {name!r}"
 
         def identifier(rt, st):
             rt.budget = budget = rt.budget - n
@@ -488,7 +543,7 @@ class _Compiler:
             try:
                 value = rt.memory[name]
             except KeyError:
-                raise InterpreterError(undeclared) from None
+                raise _undeclared(name) from None
             if st is not None and not isinstance(value, list):
                 _emit(rt, st, name, name, name, line, col, False)
             return value
@@ -505,27 +560,58 @@ class _Compiler:
 
         return indices
 
+    def _operand(self, node: ast.Expr, pre: int) -> Tuple:
+        """How a closure evaluates one operand: ``(closure, name, value, steps, line, col)``.
+
+        A name, a numeric literal or an operator on two numeric literals is
+        read inline, as its own closure would: take ``steps``, then read
+        ``name`` or yield ``value``.  Any other operand is its ``closure``,
+        and the rest is unused.
+        """
+        if isinstance(node, ast.Identifier):
+            return None, node.name, None, pre + 1, node.loc.line, node.loc.col
+        constant = _constant(node)
+        if constant is not None:
+            return None, None, constant[0], pre + constant[1], 0, 0
+        return self.expr(node, pre), None, None, 0, 0, 0
+
     def _subscript(self, node: ast.ArraySubscript, n: int) -> Closure:
         root = node.root_name()
         if root is None:
             return self.raiser(n, "cannot resolve array expression")
         # The subscript's own steps directly precede its first index's.
         pre = n
-        undeclared = f"read of undeclared variable {root!r}"
-        bad = f"bad subscript on {root}: "
+        what = f"subscript on {root}"
+        bad = f"bad {what}: "
         cell = self.text_cell(node)
         line, col = node.loc.line, node.loc.col
         index_nodes = node.indices()
 
         if len(index_nodes) == 1:
-            index_fn = self.expr(index_nodes[0], pre)
+            index_fn, index_name, index_value, index_steps, index_line, index_col = (
+                self._operand(index_nodes[0], pre))
 
             def subscript1(rt, st):
-                index = index_fn(rt, st)
-                try:
-                    index = int(index)
-                except _OPERAND_ERRORS as exc:
-                    raise InterpreterError(f"{bad}{exc}") from exc
+                if index_fn is not None:
+                    index = index_fn(rt, st)
+                else:
+                    rt.budget = budget = rt.budget - index_steps
+                    if budget < 0:
+                        raise InterpreterError(_STEP_LIMIT)
+                    if index_name is None:
+                        index = index_value
+                    elif st is not None and index_name in st.privates:
+                        index = st.privates[index_name]
+                    else:
+                        try:
+                            index = rt.memory[index_name]
+                        except KeyError:
+                            raise _undeclared(index_name) from None
+                        if st is not None and not isinstance(index, list):
+                            _emit(rt, st, index_name, index_name, index_name,
+                                  index_line, index_col, False)
+                if index.__class__ is not int:
+                    index = _to_int(index, what)
                 if st is not None:
                     privates = st.privates
                     if root in privates:
@@ -536,7 +622,7 @@ class _Compiler:
                 try:
                     container = rt.memory[root]
                 except KeyError:
-                    raise InterpreterError(undeclared) from None
+                    raise _undeclared(root) from None
                 try:
                     value = container[index]
                 except (IndexError, TypeError) as exc:
@@ -550,6 +636,75 @@ class _Compiler:
 
             return subscript1
 
+        if len(index_nodes) == 2:
+            first_fn, first_name, first_value, first_steps, first_line, first_col = (
+                self._operand(index_nodes[0], pre))
+            second_fn, second_name, second_value, second_steps, second_line, second_col = (
+                self._operand(index_nodes[1], 0))
+
+            def subscript2(rt, st):
+                if first_fn is not None:
+                    first = first_fn(rt, st)
+                else:
+                    rt.budget = budget = rt.budget - first_steps
+                    if budget < 0:
+                        raise InterpreterError(_STEP_LIMIT)
+                    if first_name is None:
+                        first = first_value
+                    elif st is not None and first_name in st.privates:
+                        first = st.privates[first_name]
+                    else:
+                        try:
+                            first = rt.memory[first_name]
+                        except KeyError:
+                            raise _undeclared(first_name) from None
+                        if st is not None and not isinstance(first, list):
+                            _emit(rt, st, first_name, first_name, first_name,
+                                  first_line, first_col, False)
+                if first.__class__ is not int:
+                    first = _to_int(first, what)
+                if second_fn is not None:
+                    second = second_fn(rt, st)
+                else:
+                    rt.budget = budget = rt.budget - second_steps
+                    if budget < 0:
+                        raise InterpreterError(_STEP_LIMIT)
+                    if second_name is None:
+                        second = second_value
+                    elif st is not None and second_name in st.privates:
+                        second = st.privates[second_name]
+                    else:
+                        try:
+                            second = rt.memory[second_name]
+                        except KeyError:
+                            raise _undeclared(second_name) from None
+                        if st is not None and not isinstance(second, list):
+                            _emit(rt, st, second_name, second_name, second_name,
+                                  second_line, second_col, False)
+                if second.__class__ is not int:
+                    second = _to_int(second, what)
+                if st is not None and root in st.privates:
+                    try:
+                        return st.privates[root][first][second]
+                    except (IndexError, TypeError) as exc:
+                        raise InterpreterError(f"{bad}{exc}") from exc
+                try:
+                    container = rt.memory[root]
+                except KeyError:
+                    raise _undeclared(root) from None
+                try:
+                    value = container[first][second]
+                except (IndexError, TypeError) as exc:
+                    raise InterpreterError(f"{bad}{exc}") from exc
+                if st is not None:
+                    text = cell[0]
+                    if text is None:
+                        text = cell[0] = _render(node)
+                    _emit(rt, st, f"{root}[{first},{second}]", root, text, line, col, False)
+                return value
+
+            return subscript2
+
         indices_fn = self._indices(node, pre, root)
 
         def subscript(rt, st):
@@ -562,7 +717,7 @@ class _Compiler:
                 try:
                     container = rt.memory[root]
                 except KeyError:
-                    raise InterpreterError(undeclared) from None
+                    raise _undeclared(root) from None
             try:
                 for index in indices:
                     container = container[index]
@@ -580,7 +735,64 @@ class _Compiler:
 
     def _binary(self, node: ast.BinaryOp, n: int) -> Closure:
         op = node.op
-        # The operator's own step directly precedes its left operand's.
+        apply = _OPERATORS.get(op)
+        if apply is not None:
+            # The operator's own step directly precedes its left operand's.
+            left_fn, left_name, left_value, left_steps, left_line, left_col = (
+                self._operand(node.left, n))
+            right_fn, right_name, right_value, right_steps, right_line, right_col = (
+                self._operand(node.right, 0))
+            if left_fn is right_fn is left_name is right_name is None:
+                try:
+                    # Two literals: the value is known, and the steps count.
+                    return self.constant(left_steps + right_steps, apply(left_value, right_value))
+                except (InterpreterError, *_OPERAND_ERRORS):
+                    pass  # the operator fails when it runs
+            if left_fn is None or right_fn is None:
+
+                def inline_binary(rt, st):
+                    if left_fn is not None:
+                        left = left_fn(rt, st)
+                    else:
+                        rt.budget = budget = rt.budget - left_steps
+                        if budget < 0:
+                            raise InterpreterError(_STEP_LIMIT)
+                        if left_name is None:
+                            left = left_value
+                        elif st is not None and left_name in st.privates:
+                            left = st.privates[left_name]
+                        else:
+                            try:
+                                left = rt.memory[left_name]
+                            except KeyError:
+                                raise _undeclared(left_name) from None
+                            if st is not None and not isinstance(left, list):
+                                _emit(rt, st, left_name, left_name, left_name,
+                                      left_line, left_col, False)
+                    if right_fn is not None:
+                        right = right_fn(rt, st)
+                    else:
+                        rt.budget = budget = rt.budget - right_steps
+                        if budget < 0:
+                            raise InterpreterError(_STEP_LIMIT)
+                        if right_name is None:
+                            right = right_value
+                        elif st is not None and right_name in st.privates:
+                            right = st.privates[right_name]
+                        else:
+                            try:
+                                right = rt.memory[right_name]
+                            except KeyError:
+                                raise _undeclared(right_name) from None
+                            if st is not None and not isinstance(right, list):
+                                _emit(rt, st, right_name, right_name, right_name,
+                                      right_line, right_col, False)
+                    try:
+                        return apply(left, right)
+                    except _OPERAND_ERRORS as exc:
+                        raise _operand_error(op, exc) from exc
+
+                return inline_binary
         left = self.expr(node.left, n)
         right = self.expr(node.right)
         if op == "&&":
@@ -593,7 +805,6 @@ class _Compiler:
                 return right(rt, st)
 
             return comma
-        apply = _OPERATORS.get(op)
         if apply is None:
             unsupported = f"unsupported binary operator {op}"
 
@@ -644,16 +855,12 @@ class _Compiler:
         return unary
 
     def _assignment(self, node: ast.Assignment, n: int) -> Closure:
-        store = self.store(node.target)
+        if isinstance(node.target, ast.Identifier) and (
+            not node.is_compound or node.op[:-1] in _OPERATORS
+        ):
+            return self._name_assignment(node, n)
         if not node.is_compound:
-            value_fn = self.expr(node.value, n)
-
-            def assign(rt, st):
-                value = value_fn(rt, st)
-                store(rt, st, value)
-                return value
-
-            return assign
+            return self.store(node.target, self.expr(node.value, n))
         op = node.op[:-1]
         current_fn = self.expr(node.target, n)
         value_fn = self.expr(node.value)
@@ -672,15 +879,73 @@ class _Compiler:
             current = current_fn(rt, st)
             rhs = value_fn(rt, st)
             try:
+                return apply(current, rhs)
+            except _OPERAND_ERRORS as exc:
+                raise _operand_error(op, exc) from exc
+
+        return self.store(node.target, compound)
+
+    def _name_assignment(self, node: ast.Assignment, n: int) -> Closure:
+        """``name = value`` and ``name op= value`` with the name's read and store inlined.
+
+        A compound assignment takes the operator's and the name's ``n + 1``
+        steps, reads the name, then evaluates the value; the store looks the
+        name up again, since evaluating the value may declare it private.
+        """
+        name = node.target.name
+        line, col = node.target.loc.line, node.target.loc.col
+        if not node.is_compound:
+            value_fn = self.expr(node.value, n)
+
+            def assign_name(rt, st):
+                value = value_fn(rt, st)
+                if st is None:
+                    rt.memory[name] = value
+                elif name in st.privates:
+                    st.privates[name] = value
+                else:
+                    rt.memory[name] = value
+                    _emit(rt, st, name, name, name, line, col, True)
+                return value
+
+            return assign_name
+        op = node.op[:-1]
+        apply = _OPERATORS[op]
+        target_n = n + 1
+        value_fn = self.expr(node.value)
+
+        def update_name(rt, st):
+            rt.budget = budget = rt.budget - target_n
+            if budget < 0:
+                raise InterpreterError(_STEP_LIMIT)
+            if st is not None and name in st.privates:
+                current = st.privates[name]
+            else:
+                try:
+                    current = rt.memory[name]
+                except KeyError:
+                    raise _undeclared(name) from None
+                if st is not None and not isinstance(current, list):
+                    _emit(rt, st, name, name, name, line, col, False)
+            rhs = value_fn(rt, st)
+            try:
                 combined = apply(current, rhs)
             except _OPERAND_ERRORS as exc:
                 raise _operand_error(op, exc) from exc
-            store(rt, st, combined)
+            if st is None:
+                rt.memory[name] = combined
+            elif name in st.privates:
+                st.privates[name] = combined
+            else:
+                rt.memory[name] = combined
+                _emit(rt, st, name, name, name, line, col, True)
             return combined
 
-        return compound
+        return update_name
 
     def _incdec(self, node: ast.IncDec, n: int) -> Closure:
+        if isinstance(node.operand, ast.Identifier):
+            return self._name_incdec(node, n)
         current_fn = self.expr(node.operand, n)
         store = self.store(node.operand)
         delta = 1 if node.op == "++" else -1
@@ -697,6 +962,51 @@ class _Compiler:
             return updated if prefix else current
 
         return incdec
+
+    def _name_incdec(self, node: ast.IncDec, n: int) -> Closure:
+        """``name++`` and its kin: the read, the update and the store in one closure.
+
+        The read decides where the name lives: nothing between it and the
+        store can declare or remove a private.
+        """
+        name = node.operand.name
+        line, col = node.operand.loc.line, node.operand.loc.col
+        steps = n + 1
+        delta = 1 if node.op == "++" else -1
+        prefix = node.prefix
+        op = node.op
+
+        def incdec_name(rt, st):
+            rt.budget = budget = rt.budget - steps
+            if budget < 0:
+                raise InterpreterError(_STEP_LIMIT)
+            if st is not None:
+                privates = st.privates
+                if name in privates:
+                    current = privates[name]
+                    try:
+                        updated = current + delta
+                    except _OPERAND_ERRORS as exc:
+                        raise _operand_error(op, exc) from exc
+                    privates[name] = updated
+                    return updated if prefix else current
+            memory = rt.memory
+            try:
+                current = memory[name]
+            except KeyError:
+                raise _undeclared(name) from None
+            if st is not None and not isinstance(current, list):
+                _emit(rt, st, name, name, name, line, col, False)
+            try:
+                updated = current + delta
+            except _OPERAND_ERRORS as exc:
+                raise _operand_error(op, exc) from exc
+            memory[name] = updated
+            if st is not None:
+                _emit(rt, st, name, name, name, line, col, True)
+            return updated if prefix else current
+
+        return incdec_name
 
     def _address_of(self, node: ast.AddressOf, n: int) -> Closure:
         operand = node.operand
@@ -832,53 +1142,64 @@ class _Compiler:
 
     # -- stores ---------------------------------------------------------------
 
-    def store(self, target: ast.Expr) -> Store:
-        """Closure ``f(rt, st, value)`` assigning ``value`` to ``target``."""
-        if isinstance(target, ast.Identifier):
-            return self._store_identifier(target)
+    def store(self, target: ast.Expr, value_fn: Optional[Closure] = None) -> Store:
+        """Closure ``f(rt, st, value)`` assigning ``value`` to ``target``.
+
+        Given ``value_fn``, the closure is the whole assignment ``f(rt, st)``
+        instead: it evaluates the value first, then the target's indices,
+        as an assignment does.  Either form returns the value.  A name
+        target never comes here: :meth:`_name_assignment` and
+        :meth:`_name_incdec` store to names inline.
+        """
         if isinstance(target, ast.ArraySubscript):
-            return self._store_subscript(target)
+            return self._store_subscript(target, value_fn)
         if isinstance(target, ast.Deref):
             message = "pointer stores are not supported"
         else:
             message = f"unsupported assignment target {type(target).__name__}"
 
-        def unsupported(rt, st, value):
+        def unsupported(rt, st, value=None):
+            if value_fn is not None:
+                value_fn(rt, st)
             raise InterpreterError(message)
 
         return unsupported
 
-    def _store_identifier(self, target: ast.Identifier) -> Store:
-        name = target.name
-        line, col = target.loc.line, target.loc.col
-
-        def store_identifier(rt, st, value):
-            if st is None:
-                rt.memory[name] = value
-                return
-            privates = st.privates
-            if name in privates:
-                privates[name] = value
-                return
-            rt.memory[name] = value
-            _emit(rt, st, name, name, name, line, col, True)
-
-        return store_identifier
-
-    def _store_subscript(self, target: ast.ArraySubscript) -> Store:
+    def _store_subscript(self, target: ast.ArraySubscript, value_fn: Optional[Closure]) -> Store:
         root = target.root_name()
-        undeclared = f"read of undeclared variable {root!r}"
         bad = f"bad subscript store on {root}: "
+        what = f"subscript on {root}"
         cell = self.text_cell(target)
         line, col = target.loc.line, target.loc.col
         index_nodes = target.indices()
 
         if len(index_nodes) == 1:
-            index_fn = self.expr(index_nodes[0])
-            what = f"subscript on {root}"
+            index_fn, index_name, index_value, index_steps, index_line, index_col = (
+                self._operand(index_nodes[0], 0))
 
-            def store_subscript1(rt, st, value):
-                index = _to_int(index_fn(rt, st), what)
+            def store_subscript1(rt, st, value=None):
+                if value_fn is not None:
+                    value = value_fn(rt, st)
+                if index_fn is not None:
+                    index = index_fn(rt, st)
+                else:
+                    rt.budget = budget = rt.budget - index_steps
+                    if budget < 0:
+                        raise InterpreterError(_STEP_LIMIT)
+                    if index_name is None:
+                        index = index_value
+                    elif st is not None and index_name in st.privates:
+                        index = st.privates[index_name]
+                    else:
+                        try:
+                            index = rt.memory[index_name]
+                        except KeyError:
+                            raise _undeclared(index_name) from None
+                        if st is not None and not isinstance(index, list):
+                            _emit(rt, st, index_name, index_name, index_name,
+                                  index_line, index_col, False)
+                if index.__class__ is not int:
+                    index = _to_int(index, what)
                 if st is not None:
                     privates = st.privates
                     if root in privates:
@@ -886,11 +1207,11 @@ class _Compiler:
                             privates[root][index] = value
                         except (IndexError, TypeError) as exc:
                             raise InterpreterError(f"{bad}{exc}") from exc
-                        return
+                        return value
                 try:
                     container = rt.memory[root]
                 except KeyError:
-                    raise InterpreterError(undeclared) from None
+                    raise _undeclared(root) from None
                 try:
                     container[index] = value
                 except (IndexError, TypeError) as exc:
@@ -900,12 +1221,87 @@ class _Compiler:
                     if text is None:
                         text = cell[0] = _render(target)
                     _emit(rt, st, f"{root}[{index}]", root, text, line, col, True)
+                return value
 
             return store_subscript1
 
+        if len(index_nodes) == 2:
+            first_fn, first_name, first_value, first_steps, first_line, first_col = (
+                self._operand(index_nodes[0], 0))
+            second_fn, second_name, second_value, second_steps, second_line, second_col = (
+                self._operand(index_nodes[1], 0))
+
+            def store_subscript2(rt, st, value=None):
+                if value_fn is not None:
+                    value = value_fn(rt, st)
+                if first_fn is not None:
+                    first = first_fn(rt, st)
+                else:
+                    rt.budget = budget = rt.budget - first_steps
+                    if budget < 0:
+                        raise InterpreterError(_STEP_LIMIT)
+                    if first_name is None:
+                        first = first_value
+                    elif st is not None and first_name in st.privates:
+                        first = st.privates[first_name]
+                    else:
+                        try:
+                            first = rt.memory[first_name]
+                        except KeyError:
+                            raise _undeclared(first_name) from None
+                        if st is not None and not isinstance(first, list):
+                            _emit(rt, st, first_name, first_name, first_name,
+                                  first_line, first_col, False)
+                if first.__class__ is not int:
+                    first = _to_int(first, what)
+                if second_fn is not None:
+                    second = second_fn(rt, st)
+                else:
+                    rt.budget = budget = rt.budget - second_steps
+                    if budget < 0:
+                        raise InterpreterError(_STEP_LIMIT)
+                    if second_name is None:
+                        second = second_value
+                    elif st is not None and second_name in st.privates:
+                        second = st.privates[second_name]
+                    else:
+                        try:
+                            second = rt.memory[second_name]
+                        except KeyError:
+                            raise _undeclared(second_name) from None
+                        if st is not None and not isinstance(second, list):
+                            _emit(rt, st, second_name, second_name, second_name,
+                                  second_line, second_col, False)
+                if second.__class__ is not int:
+                    second = _to_int(second, what)
+                if st is not None and root in st.privates:
+                    try:
+                        st.privates[root][first][second] = value
+                    except (IndexError, TypeError) as exc:
+                        raise InterpreterError(f"{bad}{exc}") from exc
+                    return value
+                try:
+                    container = rt.memory[root]
+                except KeyError:
+                    raise _undeclared(root) from None
+                try:
+                    container[first][second] = value
+                except (IndexError, TypeError) as exc:
+                    raise InterpreterError(f"{bad}{exc}") from exc
+                if st is not None:
+                    text = cell[0]
+                    if text is None:
+                        text = cell[0] = _render(target)
+                    _emit(rt, st, f"{root}[{first},{second}]", root, text, line, col, True)
+                return value
+
+            return store_subscript2
+
         indices_fn = self._indices(target, 0, root)
 
-        def store_subscript(rt, st, value):
+        def store_subscript(rt, st, value=None):
+            if value_fn is not None:
+                value = value_fn(rt, st)
             indices = indices_fn(rt, st)
             shared = True
             if st is not None and root in st.privates:
@@ -915,7 +1311,7 @@ class _Compiler:
                 try:
                     dest = rt.memory[root]
                 except KeyError:
-                    raise InterpreterError(undeclared) from None
+                    raise _undeclared(root) from None
             try:
                 for index in indices[:-1]:
                     dest = dest[index]
@@ -928,6 +1324,7 @@ class _Compiler:
                     text = cell[0] = _render(target)
                 address = f"{root}[{','.join(str(i) for i in indices)}]"
                 _emit(rt, st, address, root, text, line, col, True)
+            return value
 
         return store_subscript
 
@@ -1394,8 +1791,7 @@ class _Compiler:
                 depend_in.extend(names)
             if mode in ("out", "inout"):
                 depend_out.extend(names)
-        firstprivate = [(name, f"read of undeclared variable {name!r}")
-                        for name in pragma.clause_vars("firstprivate")]
+        firstprivate = pragma.clause_vars("firstprivate")
         private = pragma.clause_vars("private")
         body = self.stmt(node.body) if node.body is not None else None
 
@@ -1418,10 +1814,10 @@ class _Compiler:
             saved_task = st.current_task
             privates = st.privates
             saved_privates = dict(privates)
-            for name, undeclared in firstprivate:
+            for name in firstprivate:
                 if name not in privates:
                     if name not in rt.memory:
-                        raise InterpreterError(undeclared)
+                        raise _undeclared(name)
                     privates[name] = rt.memory[name]
             for name in private:
                 privates[name] = 0

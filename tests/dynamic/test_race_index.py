@@ -308,7 +308,7 @@ def test_early_stop_changes_no_verdict():
     assert changed == []
 
 
-def test_early_stop_fires_only_on_a_completed_racing_run():
+def test_a_stop_fires_at_the_first_race_even_in_a_run_that_fails_later():
     detector = InspectorLikeDetector(team_sizes=(2,))
     full = detector.analyze_source(FAILS_THEN_RACES)
     assert (full.has_race, full.runs, full.failed) == (True, 1, True)
