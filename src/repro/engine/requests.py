@@ -26,6 +26,7 @@ Scoring modes
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, List, Optional, Sequence
@@ -39,6 +40,7 @@ from repro.prompting.strategy import PromptStrategy
 __all__ = [
     "CONFIDENCE_MARKER_RE",
     "FAILED_RESPONSE",
+    "SCORE_MEMO_SIZE",
     "SCORING_MODES",
     "DetectionRequest",
     "RunResult",
@@ -258,20 +260,60 @@ def response_confidence(scoring: str, response: str) -> float:
     return 0.85
 
 
+#: Entries in :func:`_scored`'s memo.  The 5,148 scores of ``repro all``
+#: hold 147 distinct (scoring mode, response) pairs; the bound keeps a
+#: streamed corpus of distinct responses from growing the memo without limit.
+SCORE_MEMO_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=SCORE_MEMO_SIZE)
+def _scored(scoring: str, response: str):
+    """``(prediction, pair fields, confidence)`` of one response.
+
+    Everything :func:`score_response` reads that depends only on the
+    scoring mode and the response text.  The pair fields are the parsed
+    :class:`ParsedPairs` as tuples (``None`` under ``"detection"``), so one
+    entry can back any number of results without sharing a mutable list.
+    """
+    confidence = response_confidence(scoring, response)
+    if scoring == "detection":
+        return bool(parse_yes_no(response)), None, confidence
+    pairs = parse_pairs_response(response)
+    if scoring == "pairs":
+        prediction = bool(pairs.race) if pairs.race is not None else pairs.has_pairs
+    else:  # "pairs-strict"
+        prediction = bool(pairs.race)
+    fields = (
+        pairs.race,
+        tuple(pairs.names),
+        tuple(pairs.lines),
+        tuple(pairs.operations),
+        pairs.used_fallback,
+    )
+    return prediction, fields, confidence
+
+
 def score_response(request: DetectionRequest, response: str) -> RunResult:
-    """Parse and score one model response under the request's scoring mode."""
+    """Parse and score one model response under the request's scoring mode.
+
+    The parse and the confidence come from a bounded memo keyed on the
+    scoring mode and the response text; every result gets its own
+    :class:`ParsedPairs`.
+    """
     record = request.record
-    if request.scoring == "detection":
-        verdict = parse_yes_no(response)
-        prediction = bool(verdict) if verdict is not None else False
+    prediction, fields, confidence = _scored(request.scoring, response)
+    if fields is None:
         pairs = None
         correct = True
     else:
-        pairs = parse_pairs_response(response)
-        if request.scoring == "pairs":
-            prediction = bool(pairs.race) if pairs.race is not None else pairs.has_pairs
-        else:  # "pairs-strict"
-            prediction = bool(pairs.race)
+        race, names, lines, operations, used_fallback = fields
+        pairs = ParsedPairs(
+            race=race,
+            names=list(names),
+            lines=list(lines),
+            operations=list(operations),
+            used_fallback=used_fallback,
+        )
         correct = pairs_correct(pairs, record)
     return RunResult(
         model=request.model.name,
@@ -282,5 +324,5 @@ def score_response(request: DetectionRequest, response: str) -> RunResult:
         prediction=prediction,
         correct_positive=correct,
         pairs=pairs,
-        confidence=response_confidence(request.scoring, response),
+        confidence=confidence,
     )

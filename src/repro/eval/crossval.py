@@ -162,37 +162,40 @@ def plan_finetune_crossvals(
     Every model's fold jobs go to one :func:`~repro.llm.finetune.fine_tune_all`
     call on ``engine``, which trains the adapters its cache does not hold
     in lockstep (both paper models share a shape, so a table's ten adapters
-    train as one group).  Each fold's training pairs are built only when
-    that call reads its job.  The plans' requests come out in the order one
-    model at a time would issue them.
+    train as one group).  Every record's training pair is built once per
+    call; each fold job takes its training records' pairs, in dataset
+    order, so its pairs and ``training_digest`` equal those of the pair
+    builder run on that fold's records.  The plans' requests come out in
+    the order one model at a time would issue them.
     """
     if kind not in ("basic", "advanced"):
         raise ValueError("kind must be 'basic' or 'advanced'")
     factory = model_factory or create_model
     build_pairs = build_basic_pairs if kind == "basic" else build_advanced_pairs
     assignments = dataset.folds(n_folds=n_folds, seed=seed)
-    # Per fold, in plan order: (plan, base model, held-out records, tuner, training records).
+    all_pairs = build_pairs(dataset.records)
+    # Per fold: (held-out records, training pairs); the pairs are what
+    # build_pairs(dataset.records_for(assignment.train_names)) would build.
+    splits = []
+    for assignment in assignments:
+        wanted = set(assignment.train_names)
+        splits.append(
+            (
+                dataset.records_for(assignment.test_names),
+                [pair for record, pair in zip(dataset.records, all_pairs) if record.name in wanted],
+            )
+        )
+    # Per fold, in plan order: (plan, base model, held-out records, tuner, training pairs).
     folds = []
     plans = []
     for model_name in model_names:
         plan = CrossValPlan(model=model_name, kind=kind)
         plans.append(plan)
-        for assignment in assignments:
+        for test_records, train_pairs in splits:
             base = factory(model_name)
             tuner = FineTuner(base=base, config=config or FineTuneConfig.for_model(model_name))
-            folds.append(
-                (
-                    plan,
-                    base,
-                    dataset.records_for(assignment.test_names),
-                    tuner,
-                    dataset.records_for(assignment.train_names),
-                )
-            )
-    tuned_models = fine_tune_all(
-        ((tuner, build_pairs(train_records)) for _, _, _, tuner, train_records in folds),
-        engine,
-    )
+            folds.append((plan, base, test_records, tuner, train_pairs))
+    tuned_models = fine_tune_all(((tuner, pairs) for _, _, _, tuner, pairs in folds), engine)
     for (plan, base, test_records, _, _), tuned in zip(folds, tuned_models):
         base_start = len(plan.requests)
         plan.requests.extend(_fold_requests(base, test_records, kind))

@@ -29,7 +29,7 @@ import hashlib
 import os
 import re
 import threading
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -178,13 +178,15 @@ def hashed_ngram_vector(code: str, *, dim: int = 512, ngram: int = 2) -> np.ndar
     logistic adapter's learning rate is scale independent.
     """
     tokens = _TOKENIZER.tokenize(code)
-    vector = np.zeros(dim, dtype=np.float64)
+    grams: Counter = Counter()
     for order in range(1, ngram + 1):
-        for start in range(0, max(0, len(tokens) - order + 1)):
-            gram = " ".join(tokens[start : start + order])
-            digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
-            bucket = int.from_bytes(digest, "little") % dim
-            vector[bucket] += 1.0
+        grams.update(map(" ".join, zip(*(tokens[start:] for start in range(order)))))
+    # Each distinct gram is hashed once and adds its count: the counts are
+    # small integers, so float64 sums them exactly, in any order.
+    vector = np.zeros(dim, dtype=np.float64)
+    for gram, count in grams.items():
+        digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
+        vector[int.from_bytes(digest, "little") % dim] += count
     norm = np.linalg.norm(vector)
     if norm > 0:
         vector /= norm

@@ -126,6 +126,31 @@ class TestFeatures:
     def test_ngram_vector_deterministic(self, text):
         assert np.allclose(hashed_ngram_vector(text), hashed_ngram_vector(text))
 
+    def test_ngram_vector_bits_equal_one_hash_per_gram_occurrence(self):
+        """Counting grams first and hashing each distinct gram once must give
+        the bits of adding 1.0 per occurrence, on every corpus source."""
+        from repro.corpus.generator import build_corpus
+        from repro.dataset.tokenizer import CodeTokenizer
+
+        def reference(code, dim, ngram):
+            tokens = CodeTokenizer().tokenize(code)
+            vector = np.zeros(dim, dtype=np.float64)
+            for order in range(1, ngram + 1):
+                for start in range(0, max(0, len(tokens) - order + 1)):
+                    gram = " ".join(tokens[start : start + order])
+                    digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
+                    vector[int.from_bytes(digest, "little") % dim] += 1.0
+            norm = np.linalg.norm(vector)
+            return vector / norm if norm > 0 else vector
+
+        codes = [bench.code for bench in build_corpus()]
+        for code in codes:
+            assert hashed_ngram_vector(code).tobytes() == reference(code, 512, 2).tobytes()
+        for dim, ngram in [(64, 1), (128, 3), (7, 0)]:
+            for code in codes[:10] + ["", "x"]:
+                got = hashed_ngram_vector(code, dim=dim, ngram=ngram)
+                assert got.tobytes() == reference(code, dim, ngram).tobytes()
+
     def test_hot_paths_reuse_module_level_tokenizer(self, monkeypatch):
         """Micro-regression guard: featurisation sits in the fine-tuning hot
         loop and must not construct a fresh CodeTokenizer per call."""
