@@ -67,6 +67,12 @@ NESTED_EXPRESSIONS = {
     "assign-paren": ("(a = ", "b", ")"),
     "postfix-paren": ("(a++ + ", "b", ")"),
     "member-paren": ("(s.m - ", "b", ")"),
+    # A cast backtracks on a ParseError unless the charged depth is past
+    # the limit; these trip the limit inside a cast, at a prefix operator,
+    # a subscript and a binary operator.
+    "cast-prefix": ("(int)- - -", "a", ""),
+    "cast-subscript": ("(int)a[b[", "i", "]]"),
+    "cast-binary": ("(int)(a || b && c + ", "d", ")"),
 }
 NESTED_STATEMENTS = {
     "block": ("{", "", "}"),
