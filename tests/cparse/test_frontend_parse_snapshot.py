@@ -91,18 +91,24 @@ WALK_PROBES = {
     "for-step": "for (i = 0; i < 10; n++) x = 1;",
     "for-step-comma": "for (i = 0; i < 10; i++, n++) x = 1;",
     "for-cond": "for (i = 0; (n = i) < 10; i++) x = 1;",
+    "for-init": "for (n = 0; n < 10; x++) x = 1;",
     "for-init-decl": "for (int k = (n = 2); k < 10; k++) x = 1;",
     "while-cond": "while (n--) x = 1;",
     "while-body": "while (x) { n = 2; }",
     "if-cond": "if ((n = 2)) x = 1;",
+    "if-then": "if (x) n = 1;",
     "if-else": "if (x) x = 1; else n = 3;",
     "return": "return n++;",
     "call-arg": "f(x, n = 3);",
     "decl-init": "int k = (n = 4);",
     "init-list": "int b[2] = {n = 1, 2};",
+    "conditional-cond": "x = (n = 2) ? 1 : 0;",
     "conditional": "x = x ? n++ : 0;",
     "conditional-else": "x = x ? 0 : --n;",
     "subscript": "a[n++] = 1;",
+    "subscript-base": "x = (n = 1)[a];",
+    "incdec-operand": "a[n++]++;",
+    "binary-left": "x = (n = 1) + 1;",
     "binary-right": "x = 1 + (n += 2);",
     "unary": "x = -(n = 2);",
     "address-of": "x = *(&(n = 2));",
@@ -114,6 +120,7 @@ WALK_PROBES = {
     "store-in-while": "while (x) for (i = 0; i < 10; i++) { a[i] = i; }",
     "store-in-region": "#pragma omp parallel for\nfor (i = 0; i < 10; i++) a[i] = i;",
     "store-twice": "for (i = 0; i < 10; i++) a[i] = i; for (i = 0; i < 10; i++) a[i] = i;",
+    "region-in-then": "if (x) {\n#pragma omp parallel for\nfor (i = 0; i < n; i++) a[i] = a[i + 1];\n}",
     "region-in-if": "if (x) x = 1; else {\n#pragma omp parallel for\nfor (i = 0; i < n; i++) a[i] = a[i + 1];\n}",
     "region-in-while": "while (x) {\n#pragma omp parallel for\nfor (i = 0; i < n; i++) a[i] = a[i + 1];\n}",
     "region-in-for": "for (x = 0; x < 2; x++)\n#pragma omp parallel for\nfor (i = 0; i < n; i++) a[i] = a[i + 1];",
