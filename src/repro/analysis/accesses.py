@@ -29,7 +29,7 @@ extractor are built on these access sites.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.cparse import ast
@@ -137,6 +137,20 @@ class ParallelContext:
             if name == variable:
                 return rng
         return None
+
+
+def _derive(ctx: ParallelContext, **changes: object) -> ParallelContext:
+    """``dataclasses.replace(ctx, **changes)`` at a tenth of the cost.
+
+    ``replace`` reads every field and re-runs the frozen ``__init__``, which
+    sets each of the 30 fields through ``object.__setattr__`` (about 12 µs
+    a call); this copies the instance dictionary instead.  The context has
+    no ``__post_init__`` and no ``init=False`` field, so the result equals
+    what ``replace`` builds.  ``changes`` must name fields.
+    """
+    new = object.__new__(ParallelContext)
+    new.__dict__.update(ctx.__dict__, **changes)
+    return new
 
 
 @dataclass(frozen=True)
@@ -301,6 +315,11 @@ class _ArrayStore:
     in_region: bool
 
 
+#: Directives that open a parallel region (or a simd/target one, which the
+#: analyses treat the same way).
+_REGION_DIRECTIVES = ("parallel", "simd", "target")
+
+
 class _UnitPrepass:
     """Whole-unit walk gathering constants and index-array stores."""
 
@@ -316,70 +335,103 @@ class _UnitPrepass:
                 self._walk_stmt(fn.body, (), False)
 
     # -- traversal -----------------------------------------------------------
+    #
+    # Both walks dispatch once per node on its exact class (the AST node
+    # classes have no subclasses) and fall back to ``children()`` for a
+    # class they do not list.
 
     def _note_expr(self, expr: Optional[ast.Expr]) -> None:
-        if expr is None:
+        """Add every name ``expr`` assigns or increments to ``assigned``."""
+        cls = type(expr)
+        if cls is ast.Identifier or cls is ast.IntLiteral or expr is None:
             return
-        if isinstance(expr, ast.Assignment) and isinstance(expr.target, ast.Identifier):
-            self.assigned.add(expr.target.name)
-        if isinstance(expr, ast.IncDec) and isinstance(expr.operand, ast.Identifier):
-            self.assigned.add(expr.operand.name)
-        for child in expr.children():
-            if isinstance(child, ast.Expr):
-                self._note_expr(child)
+        note = self._note_expr
+        if cls is ast.BinaryOp:
+            note(expr.left)
+            note(expr.right)
+        elif cls is ast.ArraySubscript:
+            note(expr.base)
+            note(expr.index)
+        elif cls is ast.Assignment:
+            target = expr.target
+            if type(target) is ast.Identifier:
+                self.assigned.add(target.name)
+            note(target)
+            note(expr.value)
+        elif cls is ast.IncDec:
+            operand = expr.operand
+            if type(operand) is ast.Identifier:
+                self.assigned.add(operand.name)
+            note(operand)
+        elif cls is ast.Call:
+            for arg in expr.args:
+                note(arg)
+        elif cls is ast.UnaryOp or cls is ast.AddressOf or cls is ast.Deref:
+            note(expr.operand)
+        elif cls is ast.ConditionalExpr:
+            note(expr.cond)
+            note(expr.then)
+            note(expr.other)
+        else:
+            for child in expr.children():
+                if isinstance(child, ast.Expr):
+                    note(child)
 
     def _walk_stmt(
         self, stmt: Optional[ast.Stmt], loop_vars: Tuple[str, ...], in_region: bool
     ) -> None:
-        if stmt is None:
-            return
-        if isinstance(stmt, ast.Declaration):
+        cls = type(stmt)
+        if cls is ast.ExprStmt:
+            expr = stmt.expr
+            if type(expr) is ast.Assignment:
+                target = expr.target
+                if type(target) is ast.ArraySubscript and type(target.base) is ast.Identifier:
+                    self.stores.append(
+                        _ArrayStore(
+                            array=target.base.name,
+                            index=target.index,
+                            value=expr.value,
+                            loop_vars=loop_vars,
+                            in_region=in_region,
+                        )
+                    )
+            self._note_expr(expr)
+        elif cls is ast.CompoundStmt:
+            for child in stmt.body:
+                self._walk_stmt(child, loop_vars, in_region)
+        elif cls is ast.Declaration:
             for decl in stmt.declarators:
                 if decl.init is not None:
                     self._note_expr(decl.init)
-                    if not decl.is_array and decl.name not in self._decl_seen:
+                    if not decl.array_dims and decl.name not in self._decl_seen:
                         self._decl_seen.add(decl.name)
                         self.decl_inits.append((decl.name, decl.init))
-            return
-        if isinstance(stmt, ast.ExprStmt):
-            expr = stmt.expr
-            if (
-                isinstance(expr, ast.Assignment)
-                and isinstance(expr.target, ast.ArraySubscript)
-                and not isinstance(expr.target.base, ast.ArraySubscript)
-                and isinstance(expr.target.base, ast.Identifier)
-            ):
-                self.stores.append(
-                    _ArrayStore(
-                        array=expr.target.base.name,
-                        index=expr.target.index,
-                        value=expr.value,
-                        loop_vars=loop_vars,
-                        in_region=in_region,
-                    )
-                )
-            self._note_expr(expr)
-            return
-        if isinstance(stmt, ast.ForStmt):
+        elif cls is ast.ForStmt:
             var = stmt.loop_variable()
             inner = loop_vars + (var,) if var else loop_vars
             self._walk_stmt(stmt.init, loop_vars, in_region)
             self._note_expr(stmt.cond)
             self._note_expr(stmt.step)
             self._walk_stmt(stmt.body, inner, in_region)
-            return
-        if isinstance(stmt, ast.OmpStmt):
-            pragma = stmt.pragma
-            entered = in_region or any(
-                pragma.has_directive(d) for d in ("parallel", "simd", "target")
-            )
+        elif cls is ast.IfStmt:
+            self._note_expr(stmt.cond)
+            self._walk_stmt(stmt.then, loop_vars, in_region)
+            self._walk_stmt(stmt.other, loop_vars, in_region)
+        elif cls is ast.WhileStmt:
+            self._note_expr(stmt.cond)
+            self._walk_stmt(stmt.body, loop_vars, in_region)
+        elif cls is ast.ReturnStmt:
+            self._note_expr(stmt.value)
+        elif cls is ast.OmpStmt:
+            directives = stmt.pragma.directives
+            entered = in_region or any(d in directives for d in _REGION_DIRECTIVES)
             self._walk_stmt(stmt.body, loop_vars, entered)
-            return
-        for child in stmt.children():
-            if isinstance(child, ast.Stmt):
-                self._walk_stmt(child, loop_vars, in_region)
-            elif isinstance(child, ast.Expr):
-                self._note_expr(child)
+        elif stmt is not None:
+            for child in stmt.children():
+                if isinstance(child, ast.Stmt):
+                    self._walk_stmt(child, loop_vars, in_region)
+                elif isinstance(child, ast.Expr):
+                    self._note_expr(child)
 
     # -- results -------------------------------------------------------------
 
@@ -566,7 +618,7 @@ class _AccessCollector:
 
     def _emit(self, expr: ast.Expr, is_write: bool, ctx: ParallelContext) -> None:
         if ctx.phase != self._phase:
-            ctx = replace(ctx, phase=self._phase)
+            ctx = _derive(ctx, phase=self._phase)
         if isinstance(expr, ast.Identifier):
             self.model.sites.append(
                 AccessSite(
@@ -602,41 +654,30 @@ class _AccessCollector:
         self._walk_expr(expr, ctx)
 
     def _walk_expr(self, expr: Optional[ast.Expr], ctx: ParallelContext) -> None:
-        if expr is None:
-            return
-        if isinstance(expr, ast.Assignment):
+        cls = type(expr)
+        if cls is ast.Identifier or cls is ast.ArraySubscript:
+            self._emit(expr, False, ctx)
+        elif cls is ast.BinaryOp:
+            self._walk_expr(expr.left, ctx)
+            self._walk_expr(expr.right, ctx)
+        elif cls is ast.Assignment:
             self._emit(expr.target, True, ctx)
             if expr.is_compound:
                 self._emit(expr.target, False, ctx)
             self._walk_expr(expr.value, ctx)
-            return
-        if isinstance(expr, ast.IncDec):
+        elif cls is ast.IncDec:
             self._emit(expr.operand, True, ctx)
             self._emit(expr.operand, False, ctx)
-            return
-        if isinstance(expr, (ast.Identifier, ast.ArraySubscript)):
-            self._emit(expr, False, ctx)
-            return
-        if isinstance(expr, ast.BinaryOp):
-            self._walk_expr(expr.left, ctx)
-            self._walk_expr(expr.right, ctx)
-            return
-        if isinstance(expr, ast.UnaryOp):
+        elif cls is ast.UnaryOp or cls is ast.AddressOf or cls is ast.Deref:
             self._walk_expr(expr.operand, ctx)
-            return
-        if isinstance(expr, ast.Call):
+        elif cls is ast.Call:
             for arg in expr.args:
                 self._walk_expr(arg, ctx)
-            return
-        if isinstance(expr, (ast.AddressOf, ast.Deref)):
-            self._walk_expr(expr.operand, ctx)
-            return
-        if isinstance(expr, ast.ConditionalExpr):
+        elif cls is ast.ConditionalExpr:
             self._walk_expr(expr.cond, ctx)
             self._walk_expr(expr.then, ctx)
             self._walk_expr(expr.other, ctx)
-            return
-        # literals: nothing to record
+        # literals and None: nothing to record
 
     # -- statement traversal ------------------------------------------------------
 
@@ -660,7 +701,7 @@ class _AccessCollector:
             inner_ctx = ctx
             if loop_var is not None:
                 rng = _loop_value_range(stmt, self.model.constants)
-                inner_ctx = replace(
+                inner_ctx = _derive(
                     ctx,
                     loop_variables=ctx.loop_variables + (loop_var,),
                     loop_ranges=ctx.loop_ranges + (rng,),
@@ -692,9 +733,9 @@ class _AccessCollector:
         """Walk a construct body assigning top-level statement indices."""
         if isinstance(body, ast.CompoundStmt):
             for index, child in enumerate(body.body):
-                self._walk_stmt(child, replace(ctx, construct_seq=index))
+                self._walk_stmt(child, _derive(ctx, construct_seq=index))
             return
-        self._walk_stmt(body, replace(ctx, construct_seq=0))
+        self._walk_stmt(body, _derive(ctx, construct_seq=0))
 
     def _walk_omp(self, stmt: ast.OmpStmt, ctx: ParallelContext) -> None:
         pragma = stmt.pragma
@@ -714,7 +755,7 @@ class _AccessCollector:
         new_ctx = ctx
         if pragma.has_directive("critical"):
             name_clause = pragma.clause("name")
-            new_ctx = replace(
+            new_ctx = _derive(
                 new_ctx,
                 in_critical=True,
                 critical_name=name_clause.arguments[0] if name_clause else None,
@@ -724,13 +765,13 @@ class _AccessCollector:
                 (k for k in ("read", "write", "update", "capture") if pragma.clause(k)),
                 "update",
             )
-            new_ctx = replace(new_ctx, in_atomic=True, atomic_kind=kind)
+            new_ctx = _derive(new_ctx, in_atomic=True, atomic_kind=kind)
             if kind == "capture" and summary is not None:
                 ticket = _capture_ticket_var(stmt.body)
                 if ticket is not None:
                     summary.ticket_vars.add(ticket)
         if pragma.has_directive("ordered") and stmt.body is not None:
-            new_ctx = replace(new_ctx, in_ordered=True)
+            new_ctx = _derive(new_ctx, in_ordered=True)
 
         reduction_vars = tuple(pragma.clause_vars("reduction"))
         private_vars = tuple(
@@ -740,9 +781,9 @@ class _AccessCollector:
             + pragma.clause_vars("linear")
         )
         if reduction_vars:
-            new_ctx = replace(new_ctx, reduction_vars=new_ctx.reduction_vars + reduction_vars)
+            new_ctx = _derive(new_ctx, reduction_vars=new_ctx.reduction_vars + reduction_vars)
         if private_vars:
-            new_ctx = replace(new_ctx, private_vars=new_ctx.private_vars + private_vars)
+            new_ctx = _derive(new_ctx, private_vars=new_ctx.private_vars + private_vars)
 
         # -- explicit task: record spawn facts, walk body in task context -----
         if pragma.has_directive("task") and not pragma.has_directive("taskloop"):
@@ -753,7 +794,7 @@ class _AccessCollector:
         for kind, flag in (("single", "in_single"), ("master", "in_master")):
             if pragma.has_directive(kind):
                 cid = self._next_construct()
-                new_ctx = replace(
+                new_ctx = _derive(
                     new_ctx,
                     **{flag: True},
                     construct_id=cid,
@@ -766,7 +807,7 @@ class _AccessCollector:
                 return
         if pragma.has_directive("section") and not pragma.has_directive("sections"):
             cid = self._next_construct()
-            new_ctx = replace(
+            new_ctx = _derive(
                 new_ctx,
                 in_section=True,
                 construct_id=cid,
@@ -776,7 +817,7 @@ class _AccessCollector:
             self._walk_sequence(stmt.body, new_ctx)
             return
         if pragma.has_directive("taskgroup"):
-            new_ctx = replace(new_ctx, taskgroup_seq=ctx.construct_seq)
+            new_ctx = _derive(new_ctx, taskgroup_seq=ctx.construct_seq)
             self._walk_stmt(stmt.body, new_ctx)
             return
 
@@ -790,7 +831,7 @@ class _AccessCollector:
             cid = self._next_construct()
             collapse = _clause_int(pragma, "collapse") or 1
             bound = _bound_loop_vars(stmt.body, collapse)
-            new_ctx = replace(
+            new_ctx = _derive(
                 new_ctx,
                 in_worksharing_loop=True,
                 distributed_vars=bound,
@@ -846,7 +887,7 @@ class _AccessCollector:
         # every task instance its own distinct value: it distributes instances.
         dvars = tuple(v for v in ctx.loop_variables if v in firstprivate)
         task_cid = self._next_construct()
-        task_ctx = replace(
+        task_ctx = _derive(
             ctx,
             in_task=True,
             task_id=tid,
@@ -870,12 +911,12 @@ class _AccessCollector:
             for child in stmt.body:
                 lock_name = _lock_call_target(child, "omp_set_lock")
                 if lock_name is not None:
-                    current = replace(current, locks_held=current.locks_held + (lock_name,))
+                    current = _derive(current, locks_held=current.locks_held + (lock_name,))
                     continue
                 unlock_name = _lock_call_target(child, "omp_unset_lock")
                 if unlock_name is not None:
                     held = tuple(l for l in current.locks_held if l != unlock_name)
-                    current = replace(current, locks_held=held)
+                    current = _derive(current, locks_held=held)
                     continue
                 if isinstance(child, ast.CompoundStmt):
                     self._walk_region_body(child, current)
@@ -897,10 +938,28 @@ class _AccessCollector:
             self._find_parallel_regions(fn.body)
         return self.model
 
-    def _find_parallel_regions(self, stmt: ast.Stmt) -> None:
-        if isinstance(stmt, ast.OmpStmt):
+    def _find_parallel_regions(self, stmt: Optional[ast.Stmt]) -> None:
+        cls = type(stmt)
+        if cls is ast.CompoundStmt:
+            for child in stmt.body:
+                self._find_parallel_regions(child)
+            return
+        if cls is ast.ExprStmt or cls is ast.Declaration or stmt is None:
+            return
+        if cls is ast.ForStmt:
+            self._find_parallel_regions(stmt.init)
+            self._find_parallel_regions(stmt.body)
+            return
+        if cls is ast.IfStmt:
+            self._find_parallel_regions(stmt.then)
+            self._find_parallel_regions(stmt.other)
+            return
+        if cls is ast.WhileStmt:
+            self._find_parallel_regions(stmt.body)
+            return
+        if cls is ast.OmpStmt:
             pragma = stmt.pragma
-            if pragma.has_directive("parallel") or pragma.has_directive("simd") or pragma.has_directive("target"):
+            if any(d in pragma.directives for d in _REGION_DIRECTIVES):
                 self._region_counter += 1
                 self._phase = 0
                 summary = RegionSummary(
@@ -938,8 +997,7 @@ class _AccessCollector:
                 self._summary = None
                 return
             # non-parallel OpenMP statement outside a region (rare): recurse
-            if stmt.body is not None:
-                self._find_parallel_regions(stmt.body)
+            self._find_parallel_regions(stmt.body)
             return
         for child in stmt.children():
             if isinstance(child, ast.Stmt):

@@ -4,30 +4,34 @@ One master regular expression, compiled at import, scans the source: a
 single ``finditer`` pass with one named group per lexeme (newline, ``#``
 directive with ``\\`` continuations, comment, identifier, number, string and
 character literal, punctuator), leading blanks folded into every match.
-Line and column are tracked incrementally from the newlines the matches
-cover; lines are ``\\n``-delimited, and ``\\r`` is a blank like space and
-tab.  Every token carries the 1-based ``line:col`` of its first character,
-the convention DataRaceBench uses in its header comments, so the analyses
-built on the parser (access extraction, variable-pair ground truth, dynamic
-instrumentation) can report source locations.
+:func:`tokenize` is that pass: one loop over the matches that appends
+each :class:`Token` (built with ``tuple.__new__``, skipping the named
+tuple's Python-level constructor) as soon as its lexeme matches, and
+tracks line and column incrementally from the newlines the matches
+cover.  Lines are ``\\n``-delimited, and ``\\r`` is a blank like space and
+tab.  Every token carries the 1-based ``line:col`` of its first
+character, the convention DataRaceBench uses in its header comments, so
+the analyses built on the parser (access extraction, variable-pair ground
+truth, dynamic instrumentation) can report source locations.
 
-Comments are tokenized (not discarded) because the DRB-ML pipeline needs to
-scrape labels out of block comments and later strip them while re-mapping
-line numbers (paper §3.1, the ``trimmed_code`` field).  Trimming does not
-tokenize, though: :func:`comment_spans` runs a second regex built from the
-same pattern fragments as the master scanner.  One match covers a whole run
-of identifier, number, punctuator and blank characters and stops only at a
-comment, a directive, a string or character literal or an error, so the
-parser's :func:`tokenize` is the only full scan of a source.
+Comments are tokenized (not discarded) when asked for, because the DRB-ML
+pipeline needs to scrape labels out of block comments and later strip them
+while re-mapping line numbers (paper §3.1, the ``trimmed_code`` field).
+Trimming does not tokenize, though: :func:`comment_spans` runs a second
+regex built from the same pattern fragments as the master scanner.  One
+match covers a whole run of identifier, number, punctuator and blank
+characters and stops only at a comment, a directive, a string or
+character literal or an error, so the parser's :func:`tokenize` is the
+only full scan of a source.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from typing import Iterator, List, NamedTuple, NoReturn, Optional, Tuple
+from typing import List, NamedTuple, NoReturn, Optional, Tuple
 
-__all__ = ["TokenKind", "Token", "LexError", "tokenize", "scan", "comment_spans"]
+__all__ = ["TokenKind", "Token", "LexError", "tokenize", "comment_spans"]
 
 
 class TokenKind(enum.Enum):
@@ -145,6 +149,7 @@ _MULTI_LINE_KINDS = {
 }
 _IDENT = TokenKind.IDENT
 _KEYWORD = TokenKind.KEYWORD
+_COMMENT_KIND = TokenKind.COMMENT
 #: Directives kept as comments: the analyses ignore them but the trimming
 #: pipeline keeps their line positions.
 _COMMENT_DIRECTIVES = ("define", "ifdef", "ifndef", "endif", "else")
@@ -216,57 +221,13 @@ def _raise(group: str, text: str, line: int, col: int) -> NoReturn:
     raise LexError(f"unexpected character {text!r}", line, col)
 
 
-def scan(source: str) -> Iterator[Tuple[TokenKind, str, int, int, int]]:
-    """Yield ``(kind, text, line, col, start)`` for every token of ``source``.
-
-    ``start`` is the token's offset in ``source``; for comments ``text`` is
-    the exact source span.  The last item is the EOF token.  Raises
-    :class:`LexError` at the first character that starts no token.
-    Trimming does not come through here: :func:`comment_spans` finds the
-    same comments with a scanner built from the same pattern fragments.
-    """
-    line, line_start = 1, 0
-    one_line = _ONE_LINE_KINDS
-    for match in _SCANNER.finditer(source):
-        group = match.lastgroup
-        if group == "nl":
-            line += 1
-            line_start = match.end()
-            continue
-        start = match.start(group)
-        text = match[group]
-        col = start - line_start + 1
-        if group == "ident":
-            yield (_KEYWORD if text in KEYWORDS else _IDENT), text, line, col, start
-            continue
-        kind = one_line.get(group)
-        if kind is not None:
-            yield kind, text, line, col, start
-            continue
-        if group == "directive":
-            directive = _directive(text)
-            if directive is None:
-                _raise(group, text, line, col)
-            yield directive[0], directive[1], line, col, start
-        elif group in _MULTI_LINE_KINDS:
-            yield _MULTI_LINE_KINDS[group], text, line, col, start
-        elif group == "end":
-            yield TokenKind.EOF, "", line, col, start
-            return
-        else:
-            _raise(group, text, line, col)
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            line_start = start + text.rindex("\n") + 1
-
-
 def comment_spans(source: str) -> List[Tuple[int, int]]:
     """``(start, end)`` offsets of every comment of ``source``, in order.
 
-    The comments are what :func:`scan` yields as :attr:`TokenKind.COMMENT`:
-    ``//`` and ``/* */`` comments and the directives kept as comments.
-    Errors are :func:`scan`'s too, with the same message, line and column.
+    The comments are the :attr:`TokenKind.COMMENT` tokens of
+    ``tokenize(source, keep_comments=True)``: ``//`` and ``/* */`` comments
+    and the directives kept as comments.  Errors are :func:`tokenize`'s
+    too, with the same message, line and column.
     No token is built: one match covers each run of ordinary characters up
     to the next comment, directive or literal, and only an error's offset
     is turned into a ``line:col``.
@@ -303,10 +264,53 @@ def tokenize(source: str, *, keep_comments: bool = False) -> List[Token]:
         C source text.
     keep_comments:
         When ``False`` (the default) comment tokens are dropped, which is what
-        the parser wants.  Pass ``True`` to see every comment in place.
+        the parser wants.  Pass ``True`` to see every comment in place; a
+        comment token's text is then its exact source span.
+
+    Raises :class:`LexError` at the first character that starts no token.
     """
-    make = Token._make
-    if keep_comments:
-        return [make(item[:4]) for item in scan(source)]
-    comment = TokenKind.COMMENT
-    return [make(item[:4]) for item in scan(source) if item[0] is not comment]
+    tokens: List[Token] = []
+    append = tokens.append
+    new = tuple.__new__
+    keywords = KEYWORDS
+    one_line = _ONE_LINE_KINDS
+    line, line_start = 1, 0
+    for match in _SCANNER.finditer(source):
+        group = match.lastgroup
+        if group == "ident":
+            text = match[group]
+            kind = _KEYWORD if text in keywords else _IDENT
+            append(new(Token, (kind, text, line, match.start(group) - line_start + 1)))
+            continue
+        if group == "nl":
+            line += 1
+            line_start = match.end()
+            continue
+        start = match.start(group)
+        text = match[group]
+        col = start - line_start + 1
+        kind = one_line.get(group)
+        if kind is not None:
+            append(new(Token, (kind, text, line, col)))
+            continue
+        if group == "directive":
+            directive = _directive(text)
+            if directive is None:
+                _raise(group, text, line, col)
+            kind, value = directive
+            if keep_comments or kind is not _COMMENT_KIND:
+                append(new(Token, (kind, value, line, col)))
+        elif group in _MULTI_LINE_KINDS:
+            kind = _MULTI_LINE_KINDS[group]
+            if keep_comments or kind is not _COMMENT_KIND:
+                append(new(Token, (kind, text, line, col)))
+        elif group == "end":
+            append(new(Token, (TokenKind.EOF, "", line, col)))
+            break
+        else:
+            _raise(group, text, line, col)
+        newlines = text.count("\n")
+        if newlines:
+            line += newlines
+            line_start = start + text.rindex("\n") + 1
+    return tokens

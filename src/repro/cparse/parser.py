@@ -3,9 +3,10 @@
 The parser consumes the token stream produced by :mod:`repro.cparse.lexer`
 and builds the AST defined in :mod:`repro.cparse.ast`.  Statements and
 declarations are parsed by recursive descent; binary operators by one
-precedence-climbing loop over a ``{operator: level}`` table, so an operand
-costs one call however many precedence levels sit above it.  It covers the
-full grammar emitted by the corpus generator:
+operator-precedence loop over a ``{operator: level}`` table with an
+explicit stack of pending operators, so no operand costs a call for the
+precedence levels above it.  It covers the full grammar emitted by the
+corpus generator:
 
 * ``#include`` directives, global declarations, function definitions;
 * declarations with multiple declarators, pointers, multi-dimensional arrays
@@ -23,6 +24,26 @@ Nesting is bounded by :data:`MAX_NESTING_DEPTH`: deeper input fails with a
 :class:`ParseError` instead of exhausting the interpreter's stack.
 Assignment chains and ``?:`` else-chains are folded in loops, so only
 genuine nesting counts against the limit.
+
+The hot paths are cut to few calls and allocations per token and node:
+
+* an operand that is a bare identifier or integer literal (no postfix
+  operator follows) is read inside the binary-operator loop, so the
+  expression ``i`` costs three calls (``_parse_expression``,
+  ``_parse_assignment_expr``, ``_parse_binary``) and each further such
+  operand of a binary operator none; an identifier or literal with a
+  postfix operator goes straight to ``_parse_postfix``;
+* ``_parse_assignment_expr`` enters the ``?:`` fold only at a ``?``;
+* ``_parse_postfix`` reads an identifier itself;
+* statements, binary operands, prefix operators and subscripts charge
+  their nesting inline;
+* every :class:`~repro.cparse.ast.SourceLoc` is built with
+  ``tuple.__new__`` from the token's ``(line, col)`` slice, and the hot
+  nodes are constructed positionally.
+
+Each fast path charges :data:`NESTING_COST` at the point the generic path
+would and raises the same :class:`ParseError` (message and token);
+``tests/cparse/test_frontend_parse_snapshot.py`` pins both.
 """
 
 from __future__ import annotations
@@ -98,10 +119,31 @@ _BINARY_PRECEDENCE = {op: level for level, ops in enumerate(_BINARY_LEVELS) for 
 _ASSIGN_OPS = frozenset(("=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="))
 _UNARY_OPS = frozenset(("+", "-", "!", "~"))
 _PREFIX_OPS = _UNARY_OPS | {"&", "*", "++", "--"}
+#: Token texts that continue an operand in ``_parse_postfix``.  Only a
+#: punctuator has one of these texts, except a pragma such as ``#pragma (``,
+#: which just takes the generic path.
+_POSTFIX_OPS = frozenset(("[", "(", "++", "--", ".", "->"))
+#: Keywords that start a declaration.
+_TYPE_KEYWORDS = frozenset(
+    ("int", "long", "float", "double", "char", "void", "unsigned", "signed", "short", "const",
+     "static", "struct")
+)
 _PUNCT = TokenKind.PUNCT
 _KEYWORD = TokenKind.KEYWORD
 _IDENT = TokenKind.IDENT
+_INT_LIT = TokenKind.INT_LIT
+_PRAGMA = TokenKind.PRAGMA
 _EOF = TokenKind.EOF
+_TOO_DEEP = f"nesting deeper than {MAX_NESTING_DEPTH} levels"
+
+_new = tuple.__new__
+_SourceLoc = ast.SourceLoc
+
+
+def _loc(tok: Token) -> ast.SourceLoc:
+    """The token's ``line:col``, built without ``SourceLoc.__new__``'s
+    Python-level frame (``tok[2:]`` is the ``(line, col)`` pair)."""
+    return _new(_SourceLoc, tok[2:])
 
 
 class ParseError(ValueError):
@@ -126,10 +168,15 @@ class Parser:
         self.depth = 0
 
     def _descend(self, tok: Token, cost: int) -> None:
-        """Charge ``cost`` levels; the caller refunds them with ``depth -= cost``."""
+        """Charge ``cost`` levels; the caller refunds them with ``depth -= cost``.
+
+        The hot paths (statements, binary operands, prefix operators,
+        subscripts) inline these three lines.  The depth stays charged when
+        the error is raised: a cast's backtracking reads it.
+        """
         self.depth += cost
         if self.depth > MAX_NESTING_DEPTH:
-            raise ParseError(f"nesting deeper than {MAX_NESTING_DEPTH} levels", tok)
+            raise ParseError(_TOO_DEEP, tok)
 
     # -- cursor helpers -----------------------------------------------------------
     #
@@ -175,33 +222,15 @@ class Parser:
         self.pos += 1
         return tok
 
-    @staticmethod
-    def _loc(tok: Token) -> ast.SourceLoc:
-        return ast.SourceLoc(tok.line, tok.col)
-
     # -- type detection -----------------------------------------------------------
 
     def _at_type(self) -> bool:
         """Return True when the current token starts a declaration."""
-        tok = self._peek()
-        if tok.kind is TokenKind.KEYWORD and tok.text in (
-            "int",
-            "long",
-            "float",
-            "double",
-            "char",
-            "void",
-            "unsigned",
-            "signed",
-            "short",
-            "const",
-            "static",
-            "struct",
-        ):
-            return True
-        if tok.kind is TokenKind.IDENT and tok.text in TYPEDEF_NAMES:
-            return True
-        return False
+        tok = self.tokens[self.pos]
+        kind = tok.kind
+        return (kind is _KEYWORD and tok.text in _TYPE_KEYWORDS) or (
+            kind is _IDENT and tok.text in TYPEDEF_NAMES
+        )
 
     def _parse_type_name(self) -> Tuple[str, Tuple[str, ...]]:
         """Consume type specifier tokens and return (type_name, qualifiers)."""
@@ -243,14 +272,14 @@ class Parser:
 
     def parse_translation_unit(self) -> ast.TranslationUnit:
         first = self._peek()
-        unit = ast.TranslationUnit(loc=self._loc(first))
+        unit = ast.TranslationUnit(loc=_loc(first))
         while self._peek().kind is not TokenKind.EOF:
             tok = self._peek()
             if tok.kind is TokenKind.INCLUDE:
                 self._advance()
                 header = tok.text[len("include") :].strip()
                 unit.includes.append(
-                    ast.IncludeDirective(loc=self._loc(tok), header=header)
+                    ast.IncludeDirective(loc=_loc(tok), header=header)
                 )
                 continue
             if tok.kind is TokenKind.PRAGMA:
@@ -306,7 +335,7 @@ class Parser:
                     self._expect_punct("]")
                 params.append(
                     ast.Parameter(
-                        loc=self._loc(ptok),
+                        loc=_loc(ptok),
                         type_name=ptype,
                         name=pname,
                         pointer_depth=pdepth,
@@ -318,7 +347,7 @@ class Parser:
         self._expect_punct(")")
         body = self._parse_compound()
         return ast.FunctionDef(
-            loc=self._loc(start),
+            loc=_loc(start),
             return_type=return_type,
             name=name_tok.text,
             params=params,
@@ -338,13 +367,7 @@ class Parser:
         init: Optional[ast.Expr] = None
         if self._accept_punct("="):
             init = self._parse_initializer()
-        return ast.Declarator(
-            loc=self._loc(name_tok),
-            name=name_tok.text,
-            pointer_depth=pointer_depth,
-            array_dims=dims,
-            init=init,
-        )
+        return ast.Declarator(_loc(name_tok), name_tok.text, pointer_depth, dims, init)
 
     def _parse_initializer(self) -> ast.Expr:
         if self._check_punct("{"):
@@ -357,7 +380,7 @@ class Parser:
                     if not self._accept_punct(","):
                         break
             self._expect_punct("}")
-            return ast.Call(loc=self._loc(start), name="__init_list__", args=elements)
+            return ast.Call(loc=_loc(start), name="__init_list__", args=elements)
         return self._parse_assignment_expr()
 
     def _parse_declaration_rest(
@@ -376,82 +399,81 @@ class Parser:
             next_name = self._expect_ident()
             declarators.append(self._parse_declarator(depth, next_name))
         self._expect_punct(";")
-        return ast.Declaration(
-            loc=self._loc(start),
-            type_name=type_name,
-            declarators=declarators,
-            qualifiers=qualifiers,
-        )
+        return ast.Declaration(_loc(start), type_name, declarators, qualifiers)
 
     # -- statements ---------------------------------------------------------------
 
     def _parse_compound(self) -> ast.CompoundStmt:
         start = self._expect_punct("{")
         stmts: List[ast.Stmt] = []
-        while not self._check_punct("}"):
-            if self.tokens[self.pos].kind is _EOF:
-                raise ParseError("unterminated compound statement", self.tokens[self.pos])
+        tokens = self.tokens
+        while True:
+            tok = tokens[self.pos]
+            if tok.text == "}" and tok.kind is _PUNCT:
+                break
+            if tok.kind is _EOF:
+                raise ParseError("unterminated compound statement", tok)
             stmts.append(self._parse_statement())
-        self._expect_punct("}")
-        return ast.CompoundStmt(loc=self._loc(start), body=stmts)
+        self.pos += 1
+        return ast.CompoundStmt(_loc(start), stmts)
 
     def _parse_statement(self) -> ast.Stmt:
-        self._descend(self.tokens[self.pos], _STATEMENT)
-        stmt = self._parse_statement_body()
+        tok = self.tokens[self.pos]
+        self.depth += _STATEMENT
+        if self.depth > MAX_NESTING_DEPTH:
+            raise ParseError(_TOO_DEEP, tok)
+        kind, text = tok.kind, tok.text
+        if kind is _PRAGMA:
+            stmt = self._parse_omp_statement()
+        elif kind is _PUNCT and text == "{":
+            stmt = self._parse_compound()
+        elif kind is _PUNCT and text == ";":
+            self.pos += 1
+            stmt = ast.NullStmt(_loc(tok))
+        elif kind is _KEYWORD and text == "for":
+            stmt = self._parse_for()
+        elif kind is _KEYWORD and text == "while":
+            stmt = self._parse_while()
+        elif kind is _KEYWORD and text == "if":
+            stmt = self._parse_if()
+        elif kind is _KEYWORD and text == "return":
+            self.pos += 1
+            value = None
+            if not self._check_punct(";"):
+                value = self._parse_expression()
+            self._expect_punct(";")
+            stmt = ast.ReturnStmt(_loc(tok), value)
+        elif kind is _KEYWORD and text == "break":
+            self.pos += 1
+            self._expect_punct(";")
+            stmt = ast.BreakStmt(_loc(tok))
+        elif kind is _KEYWORD and text == "continue":
+            self.pos += 1
+            self._expect_punct(";")
+            stmt = ast.ContinueStmt(_loc(tok))
+        elif (kind is _KEYWORD and text in _TYPE_KEYWORDS) or (
+            kind is _IDENT and text in TYPEDEF_NAMES
+        ):
+            type_name, qualifiers = self._parse_type_name()
+            pointers = 0
+            while self._accept_punct("*"):
+                pointers += 1
+            name_tok = self._expect_ident()
+            stmt = self._parse_declaration_rest(tok, type_name, qualifiers, pointers, name_tok)
+        else:
+            expr = self._parse_expression()
+            self._expect_punct(";")
+            stmt = ast.ExprStmt(_loc(tok), expr)
         self.depth -= _STATEMENT
         return stmt
-
-    def _parse_statement_body(self) -> ast.Stmt:
-        tok = self.tokens[self.pos]
-        kind, text = tok.kind, tok.text
-        if kind is TokenKind.PRAGMA:
-            return self._parse_omp_statement()
-        if kind is _PUNCT:
-            if text == "{":
-                return self._parse_compound()
-            if text == ";":
-                self.pos += 1
-                return ast.NullStmt(loc=self._loc(tok))
-        elif kind is _KEYWORD:
-            if text == "for":
-                return self._parse_for()
-            if text == "while":
-                return self._parse_while()
-            if text == "if":
-                return self._parse_if()
-            if text == "return":
-                self.pos += 1
-                value = None
-                if not self._check_punct(";"):
-                    value = self._parse_expression()
-                self._expect_punct(";")
-                return ast.ReturnStmt(loc=self._loc(tok), value=value)
-            if text == "break":
-                self.pos += 1
-                self._expect_punct(";")
-                return ast.BreakStmt(loc=self._loc(tok))
-            if text == "continue":
-                self.pos += 1
-                self._expect_punct(";")
-                return ast.ContinueStmt(loc=self._loc(tok))
-        if self._at_type():
-            type_name, qualifiers = self._parse_type_name()
-            depth = 0
-            while self._accept_punct("*"):
-                depth += 1
-            name_tok = self._expect_ident()
-            return self._parse_declaration_rest(tok, type_name, qualifiers, depth, name_tok)
-        expr = self._parse_expression()
-        self._expect_punct(";")
-        return ast.ExprStmt(loc=self._loc(tok), expr=expr)
 
     def _parse_omp_statement(self) -> ast.OmpStmt:
         tok = self._advance()
         pragma = parse_pragma(tok.text, tok.line, tok.col)
         if is_standalone_directive(pragma):
-            return ast.OmpStmt(loc=self._loc(tok), pragma=pragma, body=None)
+            return ast.OmpStmt(_loc(tok), pragma, None)
         body = self._parse_statement()
-        return ast.OmpStmt(loc=self._loc(tok), pragma=pragma, body=body)
+        return ast.OmpStmt(_loc(tok), pragma, body)
 
     def _parse_for(self) -> ast.ForStmt:
         tok = self._advance()
@@ -470,16 +492,11 @@ class Parser:
                     while self._accept_punct("*"):
                         d2 += 1
                     declarators.append(self._parse_declarator(d2, self._expect_ident()))
-                init = ast.Declaration(
-                    loc=self._loc(tok),
-                    type_name=type_name,
-                    declarators=declarators,
-                    qualifiers=qualifiers,
-                )
+                init = ast.Declaration(_loc(tok), type_name, declarators, qualifiers)
                 self._expect_punct(";")
             else:
                 expr = self._parse_expression()
-                init = ast.ExprStmt(loc=self._loc(tok), expr=expr)
+                init = ast.ExprStmt(_loc(tok), expr)
                 self._expect_punct(";")
         else:
             self._expect_punct(";")
@@ -492,7 +509,7 @@ class Parser:
             step = self._parse_expression()
         self._expect_punct(")")
         body = self._parse_statement()
-        return ast.ForStmt(loc=self._loc(tok), init=init, cond=cond, step=step, body=body)
+        return ast.ForStmt(_loc(tok), init, cond, step, body)
 
     def _parse_while(self) -> ast.WhileStmt:
         tok = self._advance()
@@ -500,7 +517,7 @@ class Parser:
         cond = self._parse_expression()
         self._expect_punct(")")
         body = self._parse_statement()
-        return ast.WhileStmt(loc=self._loc(tok), cond=cond, body=body)
+        return ast.WhileStmt(_loc(tok), cond, body)
 
     def _parse_if(self) -> ast.IfStmt:
         tok = self._advance()
@@ -512,18 +529,21 @@ class Parser:
         if self._peek().is_keyword("else"):
             self._advance()
             other = self._parse_statement()
-        return ast.IfStmt(loc=self._loc(tok), cond=cond, then=then, other=other)
+        return ast.IfStmt(_loc(tok), cond, then, other)
 
     # -- expressions --------------------------------------------------------------
 
     def _parse_expression(self) -> ast.Expr:
         expr = self._parse_assignment_expr()
+        tokens = self.tokens
         # The comma operator appears only in for-steps like ``i++, j++``.
-        while self._check_punct(",") and self._comma_is_operator():
-            op_tok = self._advance()
+        while True:
+            tok = tokens[self.pos]
+            if tok.text != "," or tok.kind is not _PUNCT or not self._comma_is_operator():
+                return expr
+            self.pos += 1
             right = self._parse_assignment_expr()
-            expr = ast.BinaryOp(loc=self._loc(op_tok), op=",", left=expr, right=right)
-        return expr
+            expr = ast.BinaryOp(_loc(tok), ",", expr, right)
 
     def _comma_is_operator(self) -> bool:
         """Inside argument lists the caller handles commas; only for-steps use
@@ -538,25 +558,30 @@ class Parser:
         ) or nxt.is_punct("(")
 
     def _parse_assignment_expr(self) -> ast.Expr:
-        left = self._parse_conditional()
-        tok = self.tokens[self.pos]
-        if tok.kind is not _PUNCT or tok.text not in _ASSIGN_OPS:
+        tokens = self.tokens
+        left = self._parse_binary()
+        tok = tokens[self.pos]
+        if tok.text == "?" and tok.kind is _PUNCT:
+            left = self._parse_conditional_arms(left)
+            tok = tokens[self.pos]
+        if tok.text not in _ASSIGN_OPS or tok.kind is not _PUNCT:
             return left
         # Right-associative: collect ``target op`` pairs, fold from the right.
         targets = []
-        while tok.kind is _PUNCT and tok.text in _ASSIGN_OPS:
+        while tok.text in _ASSIGN_OPS and tok.kind is _PUNCT:
             self.pos += 1
             targets.append((tok, left))
-            left = self._parse_conditional()
-            tok = self.tokens[self.pos]
+            left = self._parse_binary()
+            tok = tokens[self.pos]
+            if tok.text == "?" and tok.kind is _PUNCT:
+                left = self._parse_conditional_arms(left)
+                tok = tokens[self.pos]
         for tok, target in reversed(targets):
-            left = ast.Assignment(loc=self._loc(tok), op=tok.text, target=target, value=left)
+            left = ast.Assignment(_new(_SourceLoc, tok[2:]), tok.text, target, left)
         return left
 
-    def _parse_conditional(self) -> ast.Expr:
-        cond = self._parse_binary(0)
-        if not self._check_punct("?"):
-            return cond
+    def _parse_conditional_arms(self, cond: ast.Expr) -> ast.Expr:
+        """Fold the ``? then : other`` arms that follow ``cond``."""
         # Right-associative ``c ? t : c2 ? t2 : e``: fold the arms from the right.
         arms = []
         while self._check_punct("?"):
@@ -566,27 +591,56 @@ class Parser:
             self.depth -= _CONDITIONAL
             self._expect_punct(":")
             arms.append((tok, cond, then))
-            cond = self._parse_binary(0)
+            cond = self._parse_binary()
         for tok, arm_cond, then in reversed(arms):
-            cond = ast.ConditionalExpr(loc=self._loc(tok), cond=arm_cond, then=then, other=cond)
+            cond = ast.ConditionalExpr(_loc(tok), arm_cond, then, cond)
         return cond
 
-    def _parse_binary(self, min_level: int) -> ast.Expr:
-        """Precedence climbing: fold operators of level ``min_level`` and up."""
-        left = self._parse_unary()
+    def _parse_binary(self) -> ast.Expr:
+        """Operator-precedence parse of a binary-operator expression.
+
+        One loop reads an operand, then the operator after it.  Operators
+        still waiting for their right operand sit on ``pending`` in strictly
+        rising precedence; an operator first folds every pending one of its
+        own level or higher (all associate left), then waits in turn.  Each
+        pending operator charges ``NESTING_COST["binary"]``, as one more
+        level of precedence-climbing recursion would, and operands are
+        parsed with those levels charged.
+        """
         tokens = self.tokens
+        base = self.depth
+        operands: List[ast.Expr] = []
+        pending: List[Tuple[int, Token]] = []
         while True:
+            pos = self.pos
+            tok = tokens[pos]
+            kind = tok.kind
+            if kind is _IDENT or kind is _INT_LIT:
+                # Neither is EOF, so ``tokens[pos + 1]`` exists.
+                if tokens[pos + 1].text in _POSTFIX_OPS:
+                    right = self._parse_postfix()
+                else:
+                    self.pos = pos + 1
+                    if kind is _IDENT:
+                        right = ast.Identifier(_new(_SourceLoc, tok[2:]), tok.text)
+                    else:
+                        right = _int_literal(tok)
+            else:
+                right = self._parse_unary()
             tok = tokens[self.pos]
-            if tok.kind is not _PUNCT:
-                return left
-            level = _BINARY_PRECEDENCE.get(tok.text, -1)
-            if level < min_level:
-                return left
+            level = _BINARY_PRECEDENCE.get(tok.text, -1) if tok.kind is _PUNCT else -1
+            while pending and pending[-1][0] >= level:
+                op = pending.pop()[1]
+                right = ast.BinaryOp(_new(_SourceLoc, op[2:]), op.text, operands.pop(), right)
+            if level < 0:
+                self.depth = base
+                return right
             self.pos += 1
-            self._descend(tok, _BINARY)
-            right = self._parse_binary(level + 1)
-            self.depth -= _BINARY
-            left = ast.BinaryOp(loc=self._loc(tok), op=tok.text, left=left, right=right)
+            self.depth = base + (len(pending) + 1) * _BINARY
+            if self.depth > MAX_NESTING_DEPTH:
+                raise ParseError(_TOO_DEEP, tok)
+            operands.append(right)
+            pending.append((level, tok))
 
     def _parse_unary(self) -> ast.Expr:
         tok = self.tokens[self.pos]
@@ -594,16 +648,18 @@ class Parser:
         if kind is _PUNCT:
             if text in _PREFIX_OPS:
                 self.pos += 1
-                self._descend(tok, _PREFIX)
+                self.depth += _PREFIX
+                if self.depth > MAX_NESTING_DEPTH:
+                    raise ParseError(_TOO_DEEP, tok)
                 operand = self._parse_unary()
                 self.depth -= _PREFIX
                 if text in _UNARY_OPS:
-                    return ast.UnaryOp(loc=self._loc(tok), op=text, operand=operand)
+                    return ast.UnaryOp(_loc(tok), text, operand)
                 if text == "&":
-                    return ast.AddressOf(loc=self._loc(tok), operand=operand)
+                    return ast.AddressOf(_loc(tok), operand)
                 if text == "*":
-                    return ast.Deref(loc=self._loc(tok), operand=operand)
-                return ast.IncDec(loc=self._loc(tok), op=text, operand=operand, prefix=True)
+                    return ast.Deref(_loc(tok), operand)
+                return ast.IncDec(_loc(tok), text, operand, True)
         elif kind is _KEYWORD and text == "sizeof":
             self.pos += 1
             self._descend(tok, _SIZEOF)
@@ -613,17 +669,22 @@ class Parser:
                 type_name, _ = self._parse_type_name()
                 while self._accept_punct("*"):
                     type_name += "*"
-                arg: ast.Expr = ast.StringLiteral(loc=self._loc(tok), value=type_name)
+                arg: ast.Expr = ast.StringLiteral(_loc(tok), type_name)
             else:
                 arg = self._parse_expression()
             self._expect_punct(")")
             self.depth -= _SIZEOF
-            return ast.Call(loc=self._loc(tok), name="sizeof", args=[arg])
+            return ast.Call(_loc(tok), "sizeof", [arg])
         return self._parse_postfix()
 
     def _parse_postfix(self) -> ast.Expr:
-        expr = self._parse_primary()
         tokens = self.tokens
+        tok = tokens[self.pos]
+        if tok.kind is _IDENT:
+            self.pos += 1
+            expr: ast.Expr = ast.Identifier(_new(_SourceLoc, tok[2:]), tok.text)
+        else:
+            expr = self._parse_primary()
         while True:
             tok = tokens[self.pos]
             if tok.kind is not _PUNCT:
@@ -631,11 +692,13 @@ class Parser:
             text = tok.text
             if text == "[":
                 self.pos += 1
-                self._descend(tok, _SUBSCRIPT)
+                self.depth += _SUBSCRIPT
+                if self.depth > MAX_NESTING_DEPTH:
+                    raise ParseError(_TOO_DEEP, tok)
                 index = self._parse_expression()
                 self._expect_punct("]")
                 self.depth -= _SUBSCRIPT
-                expr = ast.ArraySubscript(loc=expr.loc, base=expr, index=index)
+                expr = ast.ArraySubscript(expr.loc, expr, index)
             elif text == "(" and isinstance(expr, ast.Identifier):
                 self.pos += 1
                 self._descend(tok, _CALL)
@@ -647,43 +710,38 @@ class Parser:
                             break
                 self._expect_punct(")")
                 self.depth -= _CALL
-                expr = ast.Call(loc=expr.loc, name=expr.name, args=args)
+                expr = ast.Call(expr.loc, expr.name, args)
             elif text == "++" or text == "--":
                 self.pos += 1
-                expr = ast.IncDec(loc=expr.loc, op=text, operand=expr, prefix=False)
+                expr = ast.IncDec(expr.loc, text, expr, False)
             elif text == "." or text == "->":
                 # Member access: model as identifier with a composite name so
                 # the analyses can still track it as a named location.
                 self.pos += 1
                 member = self._expect_ident()
                 base_name = expr.name if isinstance(expr, ast.Identifier) else "<expr>"
-                expr = ast.Identifier(loc=expr.loc, name=f"{base_name}{text}{member.text}")
+                expr = ast.Identifier(expr.loc, f"{base_name}{text}{member.text}")
             else:
                 return expr
 
     def _parse_primary(self) -> ast.Expr:
+        """A literal or a parenthesised expression (``_parse_postfix`` reads
+        identifiers)."""
         tok = self.tokens[self.pos]
         kind = tok.kind
-        if kind is _IDENT:
+        if kind is _INT_LIT:
             self.pos += 1
-            return ast.Identifier(loc=self._loc(tok), name=tok.text)
-        if kind is TokenKind.INT_LIT:
-            self.pos += 1
-            try:
-                value = int(tok.text.rstrip("uUlL"), 0)
-            except ValueError:
-                raise ParseError("invalid integer literal", tok) from None
-            return ast.IntLiteral(loc=self._loc(tok), value=value, text=tok.text)
+            return _int_literal(tok)
         if kind is TokenKind.FLOAT_LIT:
             self.pos += 1
             try:
                 value = float(tok.text.rstrip("fFlL"))
             except ValueError:
                 raise ParseError("invalid floating literal", tok) from None
-            return ast.FloatLiteral(loc=self._loc(tok), value=value, text=tok.text)
+            return ast.FloatLiteral(_loc(tok), value, tok.text)
         if kind is TokenKind.STRING_LIT or kind is TokenKind.CHAR_LIT:
             self.pos += 1
-            return ast.StringLiteral(loc=self._loc(tok), value=tok.text)
+            return ast.StringLiteral(_loc(tok), tok.text)
         if kind is _PUNCT and tok.text == "(":
             self.pos += 1
             self._descend(tok, _PAREN)
@@ -707,6 +765,15 @@ class Parser:
             self.depth -= _PAREN
             return expr
         raise ParseError("expected expression", tok)
+
+
+def _int_literal(tok: Token) -> ast.IntLiteral:
+    """The literal of an ``INT_LIT`` token the cursor has just passed."""
+    try:
+        value = int(tok.text.rstrip("uUlL"), 0)
+    except ValueError:
+        raise ParseError("invalid integer literal", tok) from None
+    return ast.IntLiteral(_new(_SourceLoc, tok[2:]), value, tok.text)
 
 
 def parse(source: str) -> ast.TranslationUnit:

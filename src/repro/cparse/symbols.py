@@ -169,35 +169,27 @@ def _symbol_from_declarator(
     )
 
 
-def _collect_stmt(stmt: ast.Stmt, function: str, depth: int, table: SymbolTable) -> None:
-    scope = table.by_function.setdefault(function, {})
-    if isinstance(stmt, ast.Declaration):
+def _collect_stmt(stmt: Optional[ast.Stmt], scope: Dict[str, Symbol], depth: int) -> None:
+    """Add the declarations of ``stmt`` and the statements nested in it to
+    ``scope``, dispatching once per statement on its exact class."""
+    cls = type(stmt)
+    if cls is ast.Declaration:
         for declarator in stmt.declarators:
-            sym = _symbol_from_declarator(stmt, declarator, depth)
             # Keep the outermost declaration when a name is shadowed; the
             # corpus never relies on shadowing semantics.
-            scope.setdefault(declarator.name, sym)
-        return
-    if isinstance(stmt, ast.CompoundStmt):
+            if declarator.name not in scope:
+                scope[declarator.name] = _symbol_from_declarator(stmt, declarator, depth)
+    elif cls is ast.CompoundStmt:
         for child in stmt.body:
-            _collect_stmt(child, function, depth + 1, table)
-        return
-    if isinstance(stmt, ast.ForStmt):
-        if stmt.init is not None:
-            _collect_stmt(stmt.init, function, depth + 1, table)
-        _collect_stmt(stmt.body, function, depth + 1, table)
-        return
-    if isinstance(stmt, ast.WhileStmt):
-        _collect_stmt(stmt.body, function, depth + 1, table)
-        return
-    if isinstance(stmt, ast.IfStmt):
-        _collect_stmt(stmt.then, function, depth + 1, table)
-        if stmt.other is not None:
-            _collect_stmt(stmt.other, function, depth + 1, table)
-        return
-    if isinstance(stmt, ast.OmpStmt) and stmt.body is not None:
-        _collect_stmt(stmt.body, function, depth + 1, table)
-        return
+            _collect_stmt(child, scope, depth + 1)
+    elif cls is ast.ForStmt:
+        _collect_stmt(stmt.init, scope, depth + 1)
+        _collect_stmt(stmt.body, scope, depth + 1)
+    elif cls is ast.WhileStmt or cls is ast.OmpStmt:
+        _collect_stmt(stmt.body, scope, depth + 1)
+    elif cls is ast.IfStmt:
+        _collect_stmt(stmt.then, scope, depth + 1)
+        _collect_stmt(stmt.other, scope, depth + 1)
 
 
 def build_symbol_table(unit: ast.TranslationUnit) -> SymbolTable:
@@ -219,5 +211,5 @@ def build_symbol_table(unit: ast.TranslationUnit) -> SymbolTable:
                 is_parameter=True,
             )
         if fn.body is not None:
-            _collect_stmt(fn.body, fn.name, 1, table)
+            _collect_stmt(fn.body, scope, 1)
     return table

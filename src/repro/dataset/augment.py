@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.cparse.lexer import TokenKind, scan
+from repro.cparse.lexer import TokenKind, tokenize
 from repro.dataset.drbml import record_from_benchmark
 from repro.dataset.records import DRBMLRecord, VarPairRecord
 from repro.dataset.tokenizer import count_tokens
@@ -79,7 +79,7 @@ class AugmentedRecord:
 def _identifier_positions(source: str) -> List[Tuple[str, int, int]]:
     """(name, line, col) of every identifier token in ``source``."""
     ident = TokenKind.IDENT
-    return [(text, line, col) for kind, text, line, col, _start in scan(source) if kind is ident]
+    return [(text, line, col) for kind, text, line, col in tokenize(source) if kind is ident]
 
 
 def _user_identifiers(source: str) -> List[str]:

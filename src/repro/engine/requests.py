@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence, Union
 
 from repro.eval.matching import pairs_correct
 from repro.eval.metrics import ConfusionCounts
@@ -237,6 +237,14 @@ def response_confidence(scoring: str, response: str) -> float:
     Deterministic in the response text, so cached responses re-score
     identically across runs.
     """
+    if scoring == "detection":
+        return _confidence(scoring, response, parse_yes_no(response))
+    return _confidence(scoring, response, parse_pairs_response(response))
+
+
+def _confidence(scoring: str, response: str, parsed: Union[Optional[bool], ParsedPairs]) -> float:
+    """:func:`response_confidence` of ``response`` given its parse: the
+    yes/no verdict under ``"detection"``, else its :class:`ParsedPairs`."""
     if not response:
         return 0.0
     match = CONFIDENCE_MARKER_RE.search(response)
@@ -247,15 +255,14 @@ def response_confidence(scoring: str, response: str) -> float:
             return 0.0
         return max(0.0, min(1.0, value))
     if scoring == "detection":
-        if parse_yes_no(response) is None:
+        if parsed is None:
             return 0.0
         if _YES_WORD_RE.search(response) and _NO_WORD_RE.search(response):
             return 0.6
         return 0.8
-    pairs = parse_pairs_response(response)
-    if pairs.race is None and not pairs.has_pairs:
+    if parsed.race is None and not parsed.has_pairs:
         return 0.0
-    if pairs.used_fallback:
+    if parsed.used_fallback:
         return 0.6
     return 0.85
 
@@ -274,10 +281,11 @@ def _scored(scoring: str, response: str):
     scoring mode and the response text.  The pair fields are the parsed
     :class:`ParsedPairs` as tuples (``None`` under ``"detection"``), so one
     entry can back any number of results without sharing a mutable list.
+    The response is parsed once; the confidence is read from that parse.
     """
-    confidence = response_confidence(scoring, response)
     if scoring == "detection":
-        return bool(parse_yes_no(response)), None, confidence
+        verdict = parse_yes_no(response)
+        return bool(verdict), None, _confidence(scoring, response, verdict)
     pairs = parse_pairs_response(response)
     if scoring == "pairs":
         prediction = bool(pairs.race) if pairs.race is not None else pairs.has_pairs
@@ -290,7 +298,7 @@ def _scored(scoring: str, response: str):
         tuple(pairs.operations),
         pairs.used_fallback,
     )
-    return prediction, fields, confidence
+    return prediction, fields, _confidence(scoring, response, pairs)
 
 
 def score_response(request: DetectionRequest, response: str) -> RunResult:

@@ -5,6 +5,8 @@
 
 * every scored field equals the unmemoised parse and confidence, on a
   first call and on a memo hit, for every scoring mode;
+* a memo miss parses the response once, and its confidence equals
+  :func:`response_confidence`;
 * each result owns its :class:`ParsedPairs`, so mutating one result's pairs
   cannot leak into another result of the same response;
 * a stream of more distinct responses than the bound keeps the memo at or
@@ -12,6 +14,8 @@
 """
 
 import pytest
+
+import repro.engine.requests as requests_module
 
 from repro.dataset.templates import render_advanced_ft_response
 from repro.engine import DetectionRequest, response_confidence, score_response
@@ -84,6 +88,23 @@ def test_memoised_scores_equal_the_unmemoised_parse(records, scoring):
                 assert result.confidence == confidence, response
                 assert result.response == response
                 assert result.truth == record.has_race
+
+
+@pytest.mark.parametrize("scoring", SCORING_MODES)
+def test_a_memo_miss_parses_once(records, scoring, monkeypatch):
+    """Empty, marker, JSON, fallback and plain responses, in every mode."""
+    parses = []
+    for name in ("parse_yes_no", "parse_pairs_response"):
+        parser = getattr(requests_module, name)
+        monkeypatch.setattr(
+            requests_module, name, lambda text, _parser=parser: parses.append(text) or _parser(text)
+        )
+    _scored.cache_clear()
+    for response in _responses(records[0]):
+        parses.clear()
+        confidence = _scored(scoring, response)[2]
+        assert parses == [response]
+        assert confidence == response_confidence(scoring, response), response
 
 
 def test_one_result_owns_its_pairs(records):

@@ -5,7 +5,7 @@ import re
 from hypothesis import example, given, settings, strategies as st
 
 from repro.analysis.dependence import SubscriptForm, may_overlap
-from repro.cparse.lexer import LexError, TokenKind, scan
+from repro.cparse.lexer import LexError, TokenKind, tokenize
 from repro.dataset.tokenizer import CodeTokenizer
 from repro.dataset.trim import TrimResult, trim_comments
 from repro.eval.metrics import ConfusionCounts, mean_std
@@ -70,11 +70,13 @@ class TestTrimProperties:
 
 def reference_trim(source):
     """Trimming as it was built on the full lexer: blank every comment token
-    :func:`scan` yields.  The oracle for :func:`trim_comments`."""
+    :func:`tokenize` keeps.  The oracle for :func:`trim_comments`."""
+    line_starts = [0] + [match.end() for match in re.finditer("\n", source)]
     pieces = []
     copied = 0
-    for kind, text, _line, _col, start in scan(source):
+    for kind, text, line, col in tokenize(source, keep_comments=True):
         if kind is TokenKind.COMMENT:
+            start = line_starts[line - 1] + col - 1
             pieces.append(source[copied:start])
             pieces.append(re.sub(r"[^\n]", " ", text))
             copied = start + len(text)
