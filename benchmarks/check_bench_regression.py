@@ -2,12 +2,11 @@
 
 Run after ``bench_engine_throughput.py``, ``bench_scheduler.py``,
 ``bench_dispatch.py``, ``bench_async.py``, ``bench_speculation.py``,
-``bench_cascade.py``, ``bench_cache_plane.py``, ``bench_corpus_stream.py``,
+``bench_cascade.py``, ``bench_corpus_stream.py``,
 ``bench_chaos.py`` and ``bench_static_tier.py`` have written
 ``BENCH_engine.json`` / ``BENCH_scheduler.json`` / ``BENCH_dispatch.json``
 / ``BENCH_async.json`` / ``BENCH_speculation.json`` /
-``BENCH_cascade.json`` / ``BENCH_cache_plane.json`` /
-``BENCH_corpus_stream.json`` / ``BENCH_chaos.json`` /
+``BENCH_cascade.json`` / ``BENCH_corpus_stream.json`` / ``BENCH_chaos.json`` /
 ``BENCH_static_tier.json`` to the repo root::
 
     python benchmarks/check_bench_regression.py
@@ -156,7 +155,6 @@ def main() -> int:
     async_io = _load(REPO_ROOT / "BENCH_async.json")
     speculation = _load(REPO_ROOT / "BENCH_speculation.json")
     cascade = _load(REPO_ROOT / "BENCH_cascade.json")
-    cache_plane = _load(REPO_ROOT / "BENCH_cache_plane.json")
     corpus_stream = _load(REPO_ROOT / "BENCH_corpus_stream.json")
     chaos = _load(REPO_ROOT / "BENCH_chaos.json")
     static_tier = _load(REPO_ROOT / "BENCH_static_tier.json")
@@ -201,11 +199,6 @@ def main() -> int:
             "cascade accuracy margin (1pt budget + gain, in points)",
             cascade["accuracy_margin_pts"],
             baseline["cascade"]["min_accuracy_margin_pts"],
-        ),
-        (
-            "cache-plane shm broadcast speedup vs temp-file pickle",
-            cache_plane["speedup_shm_vs_file"],
-            baseline["cache_plane"]["min_speedup_shm_vs_file"],
         ),
         (
             "corpus-stream throughput ratio (stream vs materialised)",

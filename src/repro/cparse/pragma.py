@@ -92,6 +92,8 @@ CLAUSE_KEYWORDS = frozenset(
 )
 
 _WORD_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_WS_RE = re.compile(r"\s*")
+_PAREN_AHEAD_RE = re.compile(r"\s*\(")
 
 
 def _split_top_level_commas(text: str) -> List[str]:
@@ -123,8 +125,7 @@ class _PragmaScanner:
         self.pos = 0
 
     def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+        self.pos = _WS_RE.match(self.text, self.pos).end()
 
     def at_end(self) -> bool:
         self.skip_ws()
@@ -213,31 +214,26 @@ def parse_pragma(text: str, line: int = 1, col: int = 1) -> OmpPragma:
         word = scanner.peek_word()
         if word is None:
             raise PragmaError(f"unexpected text in pragma: {text!r}")
-        next_is_paren = False
-        lookahead = _PragmaScanner(scanner.text)
-        lookahead.pos = scanner.pos
-        lookahead.take_word()
-        lookahead.skip_ws()
-        if lookahead.pos < len(lookahead.text) and lookahead.text[lookahead.pos] == "(":
-            next_is_paren = True
+        end = scanner.pos + len(word)
+        next_is_paren = _PAREN_AHEAD_RE.match(scanner.text, end) is not None
 
         if not clauses and word in DIRECTIVE_KEYWORDS and not next_is_paren:
             # ``critical`` may take an optional name in parentheses which we
             # fold into a clause below, so the not-next_is_paren guard is
             # fine: a named critical is handled in the clause branch.
-            scanner.take_word()
+            scanner.pos = end
             directives.append(word)
             continue
         if not directives and word == "critical":
             # ``critical`` may carry an optional region name in parentheses.
-            scanner.take_word()
+            scanner.pos = end
             directives.append(word)
             name = scanner.take_parenthesized()
             if name is not None:
                 clauses.append(OmpClause(loc=loc, name="name", arguments=[name.strip()]))
             continue
 
-        scanner.take_word()
+        scanner.pos = end
         argument = scanner.take_parenthesized()
         if word == "critical" and not directives:
             directives.append(word)

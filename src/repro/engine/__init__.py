@@ -82,11 +82,11 @@ Module map
     :meth:`ResponseCache.store_stats` scans a store without loading it
     (``repro cache stats``).
 ``snapshot``
-    The zero-copy broadcast plane for distributed runs:
-    :func:`publish_snapshot` encodes the warm cache once into a
-    shared-memory block (length-prefixed binary layout; pickle-temp-file
-    fallback), workers attach a :class:`SharedSnapshotView` and
-    binary-search it in place instead of deserialising private copies.
+    The broadcast-once plane for distributed runs:
+    :func:`publish_snapshot` pickles the warm cache once per run into a
+    temp file, each worker loads it at most once per run
+    (:func:`load_snapshot`), and :func:`retire_snapshot` deletes it when
+    the run ends.
 ``telemetry``
     :class:`EngineTelemetry` — one declared table of counters and gauges
     (:data:`~repro.engine.telemetry.METRICS`: requests, model calls,
@@ -155,8 +155,6 @@ from repro.engine.requests import (
 )
 from repro.engine.snapshot import (
     PublishedSnapshot,
-    SharedSnapshotView,
-    encode_snapshot,
     load_snapshot,
     publish_snapshot,
     retire_snapshot,
@@ -218,8 +216,6 @@ __all__ = [
     "response_confidence",
     "score_response",
     "PublishedSnapshot",
-    "SharedSnapshotView",
-    "encode_snapshot",
     "load_snapshot",
     "publish_snapshot",
     "retire_snapshot",

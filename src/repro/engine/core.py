@@ -64,10 +64,9 @@ module-level :func:`_score_chunk_payload` worker (the same chunk body over
 snapshot-backed cache get/put), then merges the returned
 entry deltas and telemetry back in the parent.  The cache snapshot is
 **broadcast once per run** through :mod:`repro.engine.snapshot`: the parent
-encodes it once — by default into a shared-memory block workers attach
-read-only and binary-search in place, with a pickle-temp-file fallback —
-and every payload carries only the small ``(kind, locator, token)``
-reference, memoised per worker per run.
+pickles it once into a temp file, every payload carries only the small
+``(path, token)`` reference, and each worker loads the file at most once
+per run.
 
 Because scoring preserves request order and the simulated models are
 deterministic functions of (model, strategy, code), the engine's output is
@@ -169,7 +168,7 @@ _ChunkOutcome = Tuple[List[Tuple[int, RunResult]], Dict[str, int], float]
 _DistributedOutcome = Tuple[List[Tuple[int, RunResult]], Dict[str, str], Dict[str, int], float]
 
 #: A published cache snapshot reference crossing the process boundary:
-#: ``(kind, shm-name-or-path, unique broadcast token)``.
+#: ``(temp-file path, unique broadcast token)``.
 _SnapshotRef = SnapshotPayloadRef
 
 
@@ -310,9 +309,8 @@ def _drive_chunk(
 # ---------------------------------------------------------------------------
 #
 # The mechanics live in :mod:`repro.engine.snapshot`: the parent publishes
-# the warm cache once per run into a shared-memory block whose compact
-# binary layout workers attach and binary-search *in place*, with a
-# pickle temp file as the automatic fallback.
+# the warm cache once per run as a pickle temp file, which each worker
+# loads at most once per run.
 # These module-level aliases are the engine's seam (tests monkeypatch
 # ``_publish_snapshot`` here) and keep ``_score_chunk_payload`` self-contained
 # for pickling.
@@ -340,7 +338,7 @@ def _score_chunk_payload(
     duplicate calls, never changes a response.
     """
     chunk, snapshot_ref = payload
-    cache_entries, loaded_kind = _load_published_snapshot(snapshot_ref)
+    cache_entries, loaded = _load_published_snapshot(snapshot_ref)
     new_entries: Dict[str, str] = {}
     get_response = put_response = None
     if cache_entries is not None:
@@ -354,13 +352,13 @@ def _score_chunk_payload(
             new_entries[cache_key(identity, prompt)] = response
 
     # The driver times only the chunk's own work: the one-time snapshot
-    # attach/load above must not be charged to this (model, strategy)
+    # load above must not be charged to this (model, strategy)
     # group's cost estimate, or the first chunk per worker would skew the
     # EWMA.
     scored, counters, elapsed = _drive_chunk(chunk, get_response, put_response)
-    # First genuine shm attach in this worker for this run's token; the
-    # parent folds it into telemetry's `shm_attach`.
-    counters["attach"] = 1 if loaded_kind == "shm" else 0
+    # First real snapshot load in this worker for this run's token; the
+    # parent folds it into telemetry's `snapshot_loads`.
+    counters["attach"] = int(loaded)
     return scored, new_entries, counters, elapsed
 
 
@@ -770,12 +768,9 @@ class ExecutionEngine:
         executor's loop under its ``jobs``-wide semaphore.  Distributed
         executors run the module-level :func:`_score_chunk_payload` on
         ``(chunk, snapshot_ref)``: the cache snapshot is published exactly
-        once per run (a shared-memory block workers attach in place, or
-        the temp-file fallback; see :mod:`repro.engine.snapshot`), fresh
-        worker entries fold back into the parent cache, and the snapshot
-        is retired when the run finishes — including on error; workers
-        already attached keep their mapping alive, so retirement never
-        races a merge.
+        once per run (a temp file; see :mod:`repro.engine.snapshot`),
+        fresh worker entries fold back into the parent cache, and the
+        snapshot is retired when the run finishes — including on error.
 
         A ``None`` outcome is a chunk the fault layer gave up on: every
         request gets an explicit positional ``failed`` result and nothing
@@ -1127,9 +1122,9 @@ class ExecutionEngine:
             wire_calls=counters["wire"],
             cache_hits=counters["hits"],
             cache_misses=counters["misses"],
-            # Distributed chunks report their worker's first shm attach;
+            # Distributed chunks report their worker's first snapshot load;
             # local chunks never set the key.
-            shm_attach=counters.get("attach", 0),
+            snapshot_loads=counters.get("attach", 0),
         )
         self.telemetry.record_group(
             model.name,

@@ -76,14 +76,13 @@ METRICS: Tuple[Tuple[str, str], ...] = (
     #: Peak process RSS in kB sampled at each batch boundary (0 where
     #: procfs is unavailable).
     ("peak_rss_kb", PEAK),
-    #: Cache snapshots published for distributed runs and the encoded
-    #: bytes they carried (one shared mapping or temp file per run).
+    #: Cache snapshots published for distributed runs and the pickled
+    #: bytes they carried (one temp file per run).
     ("broadcast_publishes", COUNTER),
     ("broadcast_bytes", COUNTER),
-    #: Genuine worker-side shared-memory attaches (at most one per worker
-    #: per run); 0 on the temp-file path, so publishes vs attaches shows
-    #: which transport a run used.
-    ("shm_attach", COUNTER),
+    #: Real worker-side snapshot loads (at most one per worker per run;
+    #: the worker memo absorbs the rest of a run's chunks).
+    ("snapshot_loads", COUNTER),
     #: Speculative duplicates launched, races they won, results dropped.
     ("speculation_launched", COUNTER),
     ("speculation_won", COUNTER),
@@ -344,7 +343,7 @@ class EngineTelemetry:
         if snap["broadcast_publishes"]:
             parts.append(
                 f"broadcast={snap['broadcast_publishes']} publishes/"
-                f"{snap['broadcast_bytes']}B shm_attach={snap['shm_attach']}"
+                f"{snap['broadcast_bytes']}B snapshot_loads={snap['snapshot_loads']}"
             )
         if snap["speculation_launched"]:
             parts.append(

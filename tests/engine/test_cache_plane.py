@@ -1,10 +1,9 @@
-"""The zero-copy cache plane: snapshot broadcast, tiered eviction, the store.
+"""The cache plane: snapshot broadcast, tiered eviction, the store.
 
 Layers under test, matching :mod:`repro.engine`'s cache plane:
 
-* :mod:`repro.engine.snapshot` — the columnar broadcast encoding, the
-  shared-memory publish/attach/retire lifecycle and its temp-file
-  fallback;
+* :mod:`repro.engine.snapshot` — the temp-file broadcast a real process
+  pool loads once per worker per run and the parent deletes afterwards;
 * :class:`repro.engine.cache.ResponseCache` — byte budgets and TTL expiry
   under the one cost-weighted LRU eviction rule, its segment scan
   (:meth:`~repro.engine.cache.ResponseCache.store_stats`) and the
@@ -21,124 +20,52 @@ from pathlib import Path
 import pytest
 
 import repro
-import repro.engine.snapshot as engine_snapshot
 from repro.__main__ import main
-from repro.engine import CostModel, ResponseCache, cache_key
-from repro.engine.snapshot import (
-    SharedSnapshotView,
-    encode_snapshot,
-    load_snapshot,
-    publish_snapshot,
-    retire_snapshot,
-)
+from repro.engine import CostModel, ResponseCache
 
 
-@pytest.fixture(autouse=True)
-def _clean_worker_memo():
-    yield
-    engine_snapshot._discard_memo()
-
-
-class TestSnapshotEncoding:
-    def test_empty_snapshot(self):
-        view = SharedSnapshotView(encode_snapshot([]))
-        assert len(view) == 0
-        assert view.get("anything", "default") == "default"
-
-    def test_roundtrip_values(self):
-        entries = {"kb": "resp-β with ünïcode", "ka": "first", "kc": ""}
-        view = SharedSnapshotView(encode_snapshot(entries))
-        assert len(view) == 3
-        assert view.get("ka") == "first"
-        assert view.get("kb") == "resp-β with ünïcode"
-        assert view.get("kc") == ""
-        assert view.get("missing") is None
-
-    def test_bad_magic_rejected(self):
-        with pytest.raises(ValueError):
-            SharedSnapshotView(b"not-a-snapshot-buffer-at-all")
-
-    @staticmethod
-    def _hash_entries(count):
-        return {cache_key("m", f"prompt {i}"): f"response {i}" for i in range(count)}
-
-    def test_variable_width_keys_fall_back_to_sorted(self):
-        """Mixed-length keys sort by their bytes like fixed-width hashes do:
-        the buffer stays searchable at any size."""
-        entries = self._hash_entries(2058)
-        entries["short-key"] = "short response"
-        view = SharedSnapshotView(encode_snapshot(entries))
-        assert view.get("short-key") == "short response"
-        assert all(view.get(key) == response for key, response in entries.items())
-
-    def test_non_ascii_columns_use_byte_lengths(self):
-        entries = {f"k{i}": "ω" * (i + 1) for i in range(10)}
-        entries["ключ"] = "idé"
-        view = SharedSnapshotView(encode_snapshot(entries))
-        for key, response in entries.items():
-            assert view.get(key) == response
-
-
-class TestShmBroadcastLifecycle:
-    def test_publish_attach_memo_retire(self):
-        entries = {cache_key("m", f"p{i}"): f"r{i}" for i in range(64)}
-        published = publish_snapshot(entries)
-        if published.kind != "shm":
-            pytest.skip("shared memory unavailable on this platform")
-        probe = cache_key("m", "p3")
-        try:
-            view, loaded_kind = load_snapshot(published.payload)
-            assert loaded_kind == "shm"
-            assert view.get(probe) == "r3"
-            # Second resolve of the same token is a memo hit, not a load.
-            again, memo_kind = load_snapshot(published.payload)
-            assert again is view and memo_kind is None
-        finally:
-            retire_snapshot(published)
-        # The block is unlinked: late attaches fail, but the view already
-        # attached keeps working (POSIX keeps the mapping alive).
-        with pytest.raises((FileNotFoundError, OSError)):
-            engine_snapshot._attach_shm(published.payload[1])
-        assert view.get(probe) == "r3"
-        assert retire_snapshot(published) is None  # idempotent
-
-    def test_shm_failure_falls_back_to_file(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise OSError("no shared memory here")
-
-        monkeypatch.setattr("multiprocessing.shared_memory.SharedMemory", refuse)
-        published = publish_snapshot({cache_key("m", "p"): "r"})
-        try:
-            assert published.kind == "file"
-            view, loaded_kind = load_snapshot(published.payload)
-            assert loaded_kind == "file"
-            assert view.get(cache_key("m", "p")) == "r"
-        finally:
-            retire_snapshot(published)
-
-
-    def test_process_pool_run_leaves_no_tracker_warnings(self):
-        """Workers forked by ``map`` before the first broadcast must share
-        the parent's resource tracker; a tracker of their own would unlink
-        the parent's block at worker exit and warn about "leaked"
-        shared_memory objects on stderr."""
+class TestSnapshotBroadcast:
+    def test_process_pool_loads_snapshot_once_per_worker(self):
+        """A cold then a warm ``--jobs 2`` process run over a cached engine:
+        each run loads the snapshot at most once per worker and deletes its
+        temp file when it ends, and the pool writes nothing to stderr (no
+        leaked-resource warnings at worker exit)."""
         script = textwrap.dedent(
             """
+            import os
+
+            import repro.engine.core as engine_core
             from repro.engine import ExecutionEngine, ResponseCache, build_requests
             from repro.eval.experiments import default_subset
             from repro.llm.zoo import create_model
             from repro.prompting.strategy import PromptStrategy
 
+            published = []
+            original = engine_core._publish_snapshot
+
+            def recording_publish(entries):
+                handle = original(entries)
+                published.append((handle.payload[0], len(entries)))
+                return handle
+
+            engine_core._publish_snapshot = recording_publish
+            jobs = 2
             records = default_subset().records[:16]
             with ExecutionEngine(
-                jobs=2, executor_kind="process", cache=ResponseCache(), batch_size=4
+                jobs=jobs, executor_kind="process", cache=ResponseCache(), batch_size=4
             ) as engine:
-                assert engine.executor.map(abs, [-1, -2]) == [1, 2]  # forks the pool first
-                for _ in range(2):  # cold, then warm through the shm broadcast
+                for run in range(2):  # cold, then warm
+                    before = engine.telemetry.snapshot()["snapshot_loads"]
                     engine.run(
                         build_requests(create_model("gpt-4"), PromptStrategy.BP1, records)
                     )
-                assert engine.telemetry.snapshot()["shm_attach"] > 0
+                    loads = engine.telemetry.snapshot()["snapshot_loads"] - before
+                    assert 1 <= loads <= jobs, loads
+                    assert len(published) == run + 1
+                    path, size = published[-1]
+                    assert not os.path.exists(path), path
+                assert [size for _, size in published] == [0, len(records)]
+                assert engine.telemetry.snapshot()["model_calls"] == len(records)
             """
         )
         src = str(Path(repro.__file__).resolve().parents[1])
@@ -152,7 +79,7 @@ class TestShmBroadcastLifecycle:
             timeout=120,
         )
         assert completed.returncode == 0, completed.stderr
-        assert "resource_tracker" not in completed.stderr
+        assert completed.stderr == ""
 
 
 class TestTieredEviction:

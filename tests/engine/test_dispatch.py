@@ -18,7 +18,6 @@ import time
 import pytest
 
 import repro.engine.core as engine_core
-import repro.engine.snapshot as engine_snapshot
 from repro.engine import (
     AsyncExecutor,
     CostModel,
@@ -562,32 +561,17 @@ class TestBroadcastOnceSnapshot:
         engine.run(build_requests(create_model("gpt-4"), PromptStrategy.BP1, records))
         assert len(publish_counter) == 2
 
-    @pytest.mark.parametrize("transport", ["shm", "file"])
-    def test_snapshot_resource_released_after_run(
-        self, records, publish_counter, transport, monkeypatch
-    ):
+    def test_snapshot_resource_released_after_run(self, records, publish_counter):
         import os
 
-        if transport == "file":
-            # The file carrier is the automatic fallback: reach it the way
-            # a host without shared memory does.
-            def refuse(*args, **kwargs):
-                raise OSError("no shared memory here")
-
-            monkeypatch.setattr("multiprocessing.shared_memory.SharedMemory", refuse)
         cache = ResponseCache()
         cache.put("gpt-4", "warm", "yes")
         engine = ExecutionEngine(
             executor=_RecordingDistributedExecutor(), cache=cache, batch_size=4
         )
         engine.run(build_requests(create_model("gpt-4"), PromptStrategy.BP1, records))
-        kind, locator, _token = publish_counter[0].payload
-        assert kind == transport
-        if kind == "file":
-            assert not os.path.exists(locator)
-        else:
-            with pytest.raises((FileNotFoundError, OSError)):
-                engine_snapshot._attach_shm(locator)
+        locator, _token = publish_counter[0].payload
+        assert not os.path.exists(locator)
 
     def test_worker_memo_keeps_only_latest_token(self, records, publish_counter):
         cache = ResponseCache()
@@ -599,7 +583,7 @@ class TestBroadcastOnceSnapshot:
         engine.run(build_requests(create_model("gpt-4"), PromptStrategy.BP1, records[:4]))
         assert len(engine_core._WORKER_SNAPSHOTS) == 1
         (token,) = engine_core._WORKER_SNAPSHOTS
-        assert token == publish_counter[-1].payload[2]
+        assert token == publish_counter[-1].payload[1]
 
     def test_telemetry_counts_publishes_and_attaches(self, records, publish_counter):
         cache = ResponseCache()
@@ -611,10 +595,9 @@ class TestBroadcastOnceSnapshot:
         snap = engine.telemetry.snapshot()
         assert snap["broadcast_publishes"] == 1
         assert snap["broadcast_bytes"] == publish_counter[0].nbytes > 0
-        if publish_counter[0].kind == "shm":
-            # One genuine attach (the in-process recording executor is a
-            # single "worker"); the memo absorbs the other chunks.
-            assert snap["shm_attach"] == 1
+        # One real load (the in-process recording executor is a single
+        # "worker"); the memo absorbs the other chunks.
+        assert snap["snapshot_loads"] == 1
         assert "broadcast=1 publishes" in engine.telemetry.format_stats()
 
     def test_uncached_run_publishes_nothing(self, records, publish_counter):

@@ -362,7 +362,7 @@ class TestTelemetryTable:
         "requests", "model_calls", "wire_calls", "cache_hits", "cache_misses",
         "cache_hit_rate", "runs", "wall_time_s", "requests_per_second",
         "async_inflight_peak", "resident_requests_peak", "peak_rss_kb",
-        "broadcast_publishes", "broadcast_bytes", "shm_attach",
+        "broadcast_publishes", "broadcast_bytes", "snapshot_loads",
         "speculation_launched", "speculation_won", "speculation_wasted",
         "failed_requests", "retries", "retry_giveups", "breaker_opens",
         "breaker_reroutes", "breaker_short_circuits", "journal_hits",

@@ -73,19 +73,6 @@ ENGINE_CONFIGS = [
         dict(jobs=3, executor_kind="process", cache=ResponseCache(), batch_size=8),
         id="process-pool-cached",
     ),
-    # The two snapshot carriers must be interchangeable: the shm broadcast
-    # (process-pool-cached above) and the temp-file fallback, reached here
-    # by refusing shared memory, both reproduce the seed loop exactly.
-    pytest.param(
-        dict(
-            jobs=3,
-            executor_kind="process",
-            cache=ResponseCache(),
-            batch_size=8,
-            refuse_shm=True,
-        ),
-        id="process-pool-file-snapshot",
-    ),
     # A byte budget tight enough to evict constantly mid-run, plus a TTL:
     # the size/TTL eviction tiers may only ever cost extra model calls,
     # never change a response.
@@ -147,37 +134,25 @@ ENGINE_CONFIGS = [
 ]
 
 
-def _engine(config, monkeypatch) -> ExecutionEngine:
-    """Build one config's engine; ``refuse_shm`` makes shared memory fail."""
-    config = dict(config)
-    if config.pop("refuse_shm", False):
-
-        def refuse(*args, **kwargs):
-            raise OSError("no shared memory here")
-
-        monkeypatch.setattr("multiprocessing.shared_memory.SharedMemory", refuse)
-    return ExecutionEngine(**config)
-
-
 class TestEngineMatchesSeedLoop:
     @pytest.mark.parametrize("config", ENGINE_CONFIGS)
     @pytest.mark.parametrize(
         "strategy", [PromptStrategy.BP1, PromptStrategy.BP2, PromptStrategy.AP2]
     )
-    def test_detection_scoring(self, subset, config, strategy, monkeypatch):
+    def test_detection_scoring(self, subset, config, strategy):
         records = subset.records[:40]
         reference = seed_detection_loop(create_model("gpt-4"), strategy, records)
-        with _engine(config, monkeypatch) as engine:
+        with ExecutionEngine(**config) as engine:
             counts = engine.run_counts(
                 build_requests(create_model("gpt-4"), strategy, records, scoring="detection")
             )
         assert counts.as_row() == reference.as_row()
 
     @pytest.mark.parametrize("config", ENGINE_CONFIGS)
-    def test_pairs_scoring(self, subset, config, monkeypatch):
+    def test_pairs_scoring(self, subset, config):
         records = subset.records[:40]
         reference = seed_pairs_loop(create_model("gpt-3.5-turbo"), records)
-        with _engine(config, monkeypatch) as engine:
+        with ExecutionEngine(**config) as engine:
             counts = engine.run_counts(
                 build_requests(
                     create_model("gpt-3.5-turbo"), PromptStrategy.ADVANCED, records, scoring="pairs"
