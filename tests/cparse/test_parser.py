@@ -266,6 +266,34 @@ class TestPragmas:
         with pytest.raises(PragmaError):
             parse_pragma("omp parallel for bogusclause(i)")
 
+    def test_ordered_is_a_directive_unless_a_paren_follows(self):
+        pragma = parse_pragma("omp parallel for ordered")
+        assert pragma.directives == ("parallel", "for", "ordered")
+        assert pragma.clauses == []
+        pragma = parse_pragma("omp for ordered(2)")
+        assert pragma.directives == ("for",)
+        assert pragma.clause("ordered").arguments == ["2"]
+
+    def test_whitespace_between_clause_and_paren(self):
+        pragma = parse_pragma("omp parallel for private \t (i)  ordered\n(1)")
+        assert pragma.directives == ("parallel", "for")
+        assert pragma.clause_vars("private") == ["i"]
+        assert pragma.clause("ordered").arguments == ["1"]
+
+    def test_critical_name_after_tab(self):
+        pragma = parse_pragma("omp critical\t(lock)")
+        assert pragma.directives == ("critical",)
+        assert pragma.clause("name").arguments == ["lock"]
+
+    def test_unicode_whitespace_separates_words(self):
+        pragma = parse_pragma("omp\u00a0parallel\u2003for\u3000private\u2009(i)")
+        assert pragma.directives == ("parallel", "for")
+        assert pragma.clause_vars("private") == ["i"]
+
+    def test_unbalanced_clause_paren_raises(self):
+        with pytest.raises(PragmaError, match="unbalanced"):
+            parse_pragma("omp parallel for private(i")
+
 
 class TestParseErrors:
     def test_missing_semicolon(self):
