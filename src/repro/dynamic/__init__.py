@@ -14,6 +14,9 @@ Modules
 ``events``
     The access/synchronization event records produced by the interpreter,
     and the race index an indexing run builds from them.
+``limits``
+    :class:`InterpreterLimits` and :class:`InterpreterError`, which
+    ``interpreter`` re-exports.
 ``interpreter``
     An interpreter for the corpus language subset with OpenMP semantics
     (parallel regions, worksharing loops, sections, single/master, critical,
@@ -23,22 +26,23 @@ Modules
     The happens-before/lockset analysis over a race index or a recorded trace.
 ``inspector``
     The :class:`InspectorLikeDetector` facade used by the Table 3 experiment.
+
+Layering: only a run that interprets loads ``interpreter``, the largest
+module of the package.  The package re-exports its names lazily (importing
+``repro.dynamic`` loads no submodule), ``inspector`` imports the interpreter
+on its first analysis, and code that only sets limits or catches
+:class:`InterpreterError` imports them from ``limits``.  A module that
+others import at start-up must not import ``interpreter`` at module level.
 """
 
-from repro.dynamic.events import AccessEvent, ExecutionTrace, RaceIndex
-from repro.dynamic.interpreter import Interpreter, InterpreterError, InterpreterLimits
-from repro.dynamic.detector import DynamicRacePair, DynamicRaceReport, detect_races
-from repro.dynamic.inspector import InspectorLikeDetector
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AccessEvent",
-    "ExecutionTrace",
-    "RaceIndex",
-    "Interpreter",
-    "InterpreterError",
-    "InterpreterLimits",
-    "DynamicRacePair",
-    "DynamicRaceReport",
-    "detect_races",
-    "InspectorLikeDetector",
-]
+_EXPORTS = {
+    "events": ("AccessEvent", "ExecutionTrace", "RaceIndex"),
+    "interpreter": ("Interpreter",),
+    "limits": ("InterpreterError", "InterpreterLimits"),
+    "detector": ("DynamicRacePair", "DynamicRaceReport", "detect_races"),
+    "inspector": ("InspectorLikeDetector",),
+}
+__all__ = [name for names in _EXPORTS.values() for name in names]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

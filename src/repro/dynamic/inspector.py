@@ -33,7 +33,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.corpus.microbenchmark import Microbenchmark
 from repro.cparse import parse
 from repro.dynamic.detector import DynamicRacePair, detect_races, pair_variables
-from repro.dynamic.interpreter import Interpreter, InterpreterError, InterpreterLimits, Program
+from repro.dynamic.limits import InterpreterError, InterpreterLimits
 
 __all__ = ["InspectorRunResult", "InspectorLikeDetector"]
 
@@ -135,6 +135,10 @@ class InspectorLikeDetector:
         clean and adds no pairs.  ``pairs``, ``runs`` and ``failed`` cover
         only the runs made.
         """
+        # Imported here so that only a run that interprets compiles the
+        # interpreter module (see the repro.dynamic docstring).
+        from repro.dynamic.interpreter import Interpreter, Program
+
         result = InspectorRunResult(name=name, has_race=False)
         seen_signatures = set()
         program = Program(parse(source))

@@ -64,7 +64,6 @@ Supported OpenMP constructs: ``parallel`` (with ``num_threads``), worksharing
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
@@ -73,12 +72,9 @@ from repro.dynamic.detector import _concurrent, _mutually_excluded
 from repro.dynamic.events import (
     MAX_EVENTS_PER_ADDRESS, AccessEvent, ExecutionTrace, RaceIndex, TaskInfo,
 )
+from repro.dynamic.limits import InterpreterError, InterpreterLimits
 
 __all__ = ["Interpreter", "InterpreterError", "InterpreterLimits", "Program"]
-
-
-class InterpreterError(RuntimeError):
-    """Raised for unsupported constructs or runtime errors during interpretation."""
 
 
 class _BreakSignal(Exception):
@@ -97,14 +93,6 @@ class _ReturnSignal(Exception):
 
 class _RaceWitnessed(Exception):
     """Ends a stopping run at the first bucket entry that races."""
-
-
-@dataclass(frozen=True)
-class InterpreterLimits:
-    """Execution limits protecting against runaway loops."""
-
-    max_steps: int = 2_000_000
-    max_loop_iterations: int = 100_000
 
 
 _STEP_LIMIT = "execution step limit exceeded"

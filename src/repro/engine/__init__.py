@@ -94,6 +94,16 @@ Module map
     with a one-line ``format_stats`` for the CLI and a ``snapshot`` dict
     for ``BENCH_engine.json``.
 
+Layering: the engine knows requests, models, the response cache and
+scoring, and nothing about tables, the Inspector or the static analyzer.
+Besides its own modules, ``import repro.engine`` loads only
+``repro.eval.matching``, ``repro.eval.metrics``, ``repro.llm.base`` and
+``repro.prompting``, plus the ``dataset``, ``corpus`` and ``cparse``
+packages that ``repro.dataset.records`` brings in; it loads no numpy and no
+asyncio.  Whatever else a run needs (a cascade tier's model, the default
+table plans, the async executor's event loop) is imported inside the
+function that uses it.  ``tests/engine/test_import_layering.py`` pins this.
+
 Guarantee: the engine is a pure execution refactor.  For the deterministic
 simulated models, confusion counts are bit-identical across executors,
 batch sizes, chunk order, speculation, retried faults, cache states and

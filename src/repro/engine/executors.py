@@ -53,11 +53,13 @@ comes for free from :class:`_BaseExecutor`) and plugs in through
 
 from __future__ import annotations
 
-import asyncio
 import concurrent.futures
 import inspect
 import threading
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+
+if TYPE_CHECKING:  # asyncio loads with the first AsyncExecutor loop, not on import
+    import asyncio
 
 __all__ = [
     "EXECUTORS",
@@ -352,6 +354,8 @@ class AsyncExecutor(_BaseExecutor):
         self._lock = threading.Lock()
 
     def _ensure_loop(self) -> asyncio.AbstractEventLoop:
+        import asyncio
+
         with self._lock:
             self._check_open()
             if self._loop is None:
@@ -381,6 +385,8 @@ class AsyncExecutor(_BaseExecutor):
         items = list(items)
         if not items:
             return []
+        import asyncio
+
         loop = self._ensure_loop()
         pool = self._pool
         is_async = inspect.iscoroutinefunction(fn)
@@ -417,6 +423,8 @@ class AsyncExecutor(_BaseExecutor):
         and sync functions by the ``jobs``-worker offload pool, so
         ``submit`` keeps the same concurrency limit as ``map``.
         """
+        import asyncio
+
         self._check_open()
         loop = self._ensure_loop()
         pool, semaphore = self._pool, self._semaphore
@@ -443,6 +451,8 @@ class AsyncExecutor(_BaseExecutor):
             self._semaphore = None
         if loop is None:
             return
+        import asyncio
+
         # Cancel whatever is still pending and let it unwind *on* the loop
         # before stopping it — otherwise orphaned coroutines would be
         # garbage-collected after loop.close() and their cleanup (semaphore

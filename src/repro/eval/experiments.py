@@ -35,6 +35,7 @@ from repro.corpus.microbenchmark import Microbenchmark
 from repro.dataset.drbml import DRBMLDataset
 from repro.dataset.records import DRBMLRecord
 from repro.dynamic.inspector import InspectorLikeDetector
+from repro.eval.crossval import plan_finetune_crossvals
 from repro.eval.metrics import ConfusionCounts
 from repro.llm.base import LanguageModel
 from repro.llm.zoo import available_models, create_model
@@ -397,7 +398,6 @@ def _plan_crossval_table(
     interleaves with every other table's.
     """
     from repro.engine.scheduler import TablePlan
-    from repro.eval.crossval import plan_finetune_crossvals
 
     dataset = dataset or default_subset()
     requests: List = []

@@ -21,43 +21,27 @@ text-in/text-out interface:
   paper's QLoRA setup at simulation scale.
 
 See DESIGN.md §2 for the substitution rationale.
+
+The package re-exports its names lazily: the engine imports ``base`` alone,
+without the featurisation, the analyzers and numpy that the rest pulls in.
 """
 
-from repro.llm.base import ChatMessage, LanguageModel
-from repro.llm.features import CodeFeatures, extract_code_from_prompt, extract_features
-from repro.llm.behavior import BehaviorProfile, HEURISTIC_FPR, HEURISTIC_TPR, profile_for
-from repro.llm.zoo import (
-    GPT35TurboSim,
-    GPT4Sim,
-    Llama2Sim,
-    StarChatBetaSim,
-    available_models,
-    create_model,
-)
-from repro.llm.adapters import AsyncRemoteAdapter, FlakyTailAdapter, LowRankAdapter
-from repro.llm.finetune import FineTuneConfig, FineTunedModel, FineTuner, fine_tune_all
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ChatMessage",
-    "LanguageModel",
-    "CodeFeatures",
-    "extract_code_from_prompt",
-    "extract_features",
-    "BehaviorProfile",
-    "HEURISTIC_TPR",
-    "HEURISTIC_FPR",
-    "profile_for",
-    "GPT35TurboSim",
-    "GPT4Sim",
-    "Llama2Sim",
-    "StarChatBetaSim",
-    "available_models",
-    "create_model",
-    "AsyncRemoteAdapter",
-    "FlakyTailAdapter",
-    "LowRankAdapter",
-    "FineTuneConfig",
-    "FineTuner",
-    "FineTunedModel",
-    "fine_tune_all",
-]
+_EXPORTS = {
+    "base": ("ChatMessage", "LanguageModel"),
+    "features": ("CodeFeatures", "extract_code_from_prompt", "extract_features"),
+    "behavior": ("BehaviorProfile", "HEURISTIC_TPR", "HEURISTIC_FPR", "profile_for"),
+    "zoo": (
+        "GPT35TurboSim",
+        "GPT4Sim",
+        "Llama2Sim",
+        "StarChatBetaSim",
+        "available_models",
+        "create_model",
+    ),
+    "adapters": ("AsyncRemoteAdapter", "FlakyTailAdapter", "LowRankAdapter"),
+    "finetune": ("FineTuneConfig", "FineTuner", "FineTunedModel", "fine_tune_all"),
+}
+__all__ = [name for names in _EXPORTS.values() for name in names]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -47,12 +47,11 @@ Two kinds of adapter live here:
 
 from __future__ import annotations
 
-import asyncio
 import functools
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -64,6 +63,9 @@ from repro.llm.features import PROGRAM_ERRORS, extract_code_from_prompt
 from repro.llm.responses import render_pairs_response
 from repro.llm.zoo import _classify_request, _is_analysis_request
 from repro.prompting.strategy import PromptStrategy
+
+if TYPE_CHECKING:  # the async paths import asyncio when they first run
+    import asyncio
 
 __all__ = [
     "AsyncRemoteAdapter",
@@ -173,6 +175,8 @@ class AsyncRemoteAdapter(LanguageModel):
     # max_concurrency semaphore) applies per call within one gather.
 
     async def _call(self, prompt: str) -> str:
+        import asyncio
+
         delay = self._call_delay(prompt)
         if delay > 0:
             await asyncio.sleep(delay)
@@ -181,6 +185,8 @@ class AsyncRemoteAdapter(LanguageModel):
     def _ensure_semaphore(self) -> Optional[asyncio.Semaphore]:
         if self.max_concurrency is None:
             return None
+        import asyncio
+
         loop = asyncio.get_running_loop()
         if self._semaphore is None or self._semaphore_loop is not loop:
             self._semaphore = asyncio.Semaphore(self.max_concurrency)
@@ -271,6 +277,8 @@ class FlakyTailAdapter(LanguageModel):
 
     async def generate_async(self, prompt: str) -> str:
         """Await the (possibly tail) latency on the loop, never a thread."""
+        import asyncio
+
         delay = self._call_delay(prompt)
         if delay > 0:
             await asyncio.sleep(delay)
@@ -452,6 +460,8 @@ class ChaosAdapter(LanguageModel):
         return responses[: len(responses) - drop] if drop else responses
 
     async def generate_batch_async(self, prompts) -> List[str]:
+        import asyncio
+
         from repro.engine.faults import TransientModelError
 
         prompts = list(prompts)

@@ -10,7 +10,6 @@ change any downstream code.
 from __future__ import annotations
 
 import abc
-import asyncio
 from dataclasses import dataclass
 from typing import List, Sequence
 
@@ -88,6 +87,8 @@ class LanguageModel(abc.ABC):
         coroutine — that is what lets thousands of calls be in flight on
         one event loop instead of one per pool thread.
         """
+        import asyncio  # loaded only by the async paths, not on import
+
         return await asyncio.to_thread(self.generate, prompt)
 
     async def generate_batch_async(self, prompts: Sequence[str]) -> List[str]:
@@ -102,6 +103,8 @@ class LanguageModel(abc.ABC):
         call — the engine's async dispatch path only ever talks to models
         through this method.
         """
+        import asyncio
+
         prompts = list(prompts)
         if self.has_native_async:
             return list(

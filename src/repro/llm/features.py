@@ -40,7 +40,7 @@ from repro.cparse.lexer import LexError
 from repro.cparse.parser import ParseError
 from repro.cparse.pragma import PragmaError
 from repro.dataset.tokenizer import CodeTokenizer
-from repro.dynamic.interpreter import InterpreterError
+from repro.dynamic.limits import InterpreterError
 
 __all__ = [
     "PROGRAM_ERRORS",

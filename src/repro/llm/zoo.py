@@ -18,7 +18,6 @@ same internal pipeline:
 
 from __future__ import annotations
 
-import asyncio
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Type
@@ -187,6 +186,8 @@ class SimulatedChatModel(LanguageModel):
         can be in flight on one event loop.  The response itself is the
         same deterministic function of the prompt as :meth:`generate`.
         """
+        import asyncio  # loaded only by the async paths, not on import
+
         delay = self._call_delay(prompt)
         if delay > 0:
             await asyncio.sleep(delay)
