@@ -5,8 +5,9 @@ as its traditional baseline (Intel Inspector, ThreadSanitizer): it *runs*
 each OpenMP microbenchmark on a simulated thread team, observes every access
 to shared storage together with its synchronization context, and then checks
 conflicting accesses for concurrency using a segment (barrier-epoch) +
-lockset analysis.  The Inspector folds accesses into a per-address race
-index while the program runs; a recorded event trace is the reference form
+lockset analysis.  The Inspector folds accesses into a compact per-address
+record while the program runs and builds the race index's events from it
+only when the index is read; a recorded event trace is the reference form
 the tests compare against.
 
 Modules

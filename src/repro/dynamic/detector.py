@@ -1,8 +1,8 @@
 """Race detection over an execution trace.
 
-A trace reaches the analysis either as a race index the interpreter built
-while it ran (the Inspector's path) or as recorded events, which are folded
-into the same index here first.  Both then go through one pair loop, so the
+A trace reaches the analysis either as a race index built from the record
+the interpreter kept while it ran (the Inspector's path) or as recorded
+events, which are folded into the same index here first.  Both then go through one pair loop, so the
 two forms give equal reports.
 
 The analysis mirrors what segment/lockset-based dynamic tools (Intel
@@ -180,8 +180,9 @@ def detect_races(trace: ExecutionTrace, *, max_pairs: int = 32) -> DynamicRaceRe
     Events are grouped by address and de-duplicated by the
     synchronization-relevant key (at most ``MAX_EVENTS_PER_ADDRESS`` keys
     per address) so that long loops do not blow up the pairwise check.  An
-    indexing run did that while it executed; a recorded trace is folded
-    here.  Reported pairs are unique per signature.
+    indexing run did that while it executed, and reading its index builds
+    the events; a recorded trace is folded here.  Reported pairs are unique
+    per signature.
     """
     index = trace.index if trace.index is not None else index_events(trace.events)
     report = DynamicRaceReport(

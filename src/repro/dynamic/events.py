@@ -9,9 +9,12 @@ ordered construct, task lineage).
 A run delivers its accesses in one of two forms.  A *recording* run keeps
 every event, in program order, in :attr:`ExecutionTrace.events`; tests and
 the trace snapshot compare against it.  An *indexing* run (the Inspector's)
-folds each access into a :class:`RaceIndex` as it happens and builds an
-:class:`AccessEvent` only for the first access of each synchronization key,
-so most accesses never become an event at all.
+folds each access into a compact record as it happens: per address, one
+small-int key per synchronization key met there, with the step of its
+first access.  It builds no event while it runs.  Its
+:attr:`ExecutionTrace.index` is built from that record on first read, one
+:class:`AccessEvent` per key; a run whose index nobody reads (a clean run
+that stops at its first race) builds none.
 
 A long recording run keeps hundreds of thousands of events, so
 :class:`AccessEvent` is a ``NamedTuple``: it is immutable and hashable like a
@@ -23,7 +26,7 @@ shares one ``locks`` frozenset between all events of the same lock state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set
+from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Set, Union
 
 __all__ = ["AccessEvent", "TaskInfo", "ExecutionTrace", "RaceIndex", "MAX_EVENTS_PER_ADDRESS"]
 
@@ -115,14 +118,39 @@ class RaceIndex:
     events: int = 0
 
 
+class _BuiltOnFirstRead:
+    """The descriptor of :attr:`ExecutionTrace.index`.
+
+    It holds a :class:`RaceIndex`, None, or a function of no arguments that
+    builds the index: the first read calls the function and keeps its index.
+    """
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.slot = f"_{name}"
+
+    def __get__(self, trace: Optional["ExecutionTrace"], owner: Optional[type] = None):
+        if trace is None:
+            return None  # the field's default
+        value = getattr(trace, self.slot)
+        if callable(value):
+            value = value()
+            setattr(trace, self.slot, value)
+        return value
+
+    def __set__(self, trace: "ExecutionTrace",
+                value: Union[RaceIndex, Callable[[], RaceIndex], None]) -> None:
+        setattr(trace, self.slot, value)
+
+
 @dataclass
 class ExecutionTrace:
     """The outcome of one interpreted execution.
 
     A recording run fills :attr:`events`; an indexing run leaves it empty
-    and fills :attr:`index` instead.  :attr:`finished` is false only for an
-    indexing run that stopped at its first race (``stop_at_race``); its
-    index then covers the run up to that access.
+    and fills :attr:`index` instead, built from the run's record when it is
+    first read.  :attr:`finished` is false only for an indexing run that
+    stopped at its first race (``stop_at_race``); its index then covers the
+    run up to that access.
     """
 
     events: List[AccessEvent] = field(default_factory=list)
@@ -130,4 +158,4 @@ class ExecutionTrace:
     steps_executed: int = 0
     regions_executed: int = 0
     finished: bool = True
-    index: Optional[RaceIndex] = None
+    index: Optional[RaceIndex] = _BuiltOnFirstRead()

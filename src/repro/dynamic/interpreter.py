@@ -10,11 +10,21 @@ event, exactly like segment/lockset-based commercial tools do.
 Execution is in two stages.  :class:`Program` compiles a parsed translation
 unit once: every statement and expression node becomes a Python closure, and
 every static fact (names, subscript shapes, source positions, operators,
-pragma clauses, helper-function lookups) is resolved at compile time.  The
-access text reported on an event is rendered at most once per node, on first
-use.  The closures read all per-run state (memory, step budget, trace) from
-the runtime they are handed, so one :class:`Program` serves every
-(team size, schedule) run of :class:`Interpreter`.
+pragma clauses, helper-function lookups) is resolved at compile time.  Each
+access site (variable, text, line, column, direction) is interned as a
+small int in :attr:`Program.sites`; a site's text is rendered at most once,
+when an event first reports it.  The closures read all per-run state
+(memory, step budget, access record) from the runtime they are handed, so
+one :class:`Program` serves every (team size, schedule) run of
+:class:`Interpreter`.
+
+A recording run turns every shared access into an :class:`AccessEvent`.
+An indexing run (the Inspector's) keeps a compact record instead: per
+address, an insertion-ordered dict from one int key (the thread's interned
+sync state times the program's site count, plus the site) to the step of
+the key's first access, and one template event per sync state.  Its
+``trace.index`` builds the events from that record when it is first read,
+so a clean run that stops at its first race builds none.
 
 A run is deterministic and counts one step per executed statement and per
 evaluated expression node; ``steps_executed``, ``omp_get_wtime()`` (which
@@ -65,6 +75,7 @@ from __future__ import annotations
 
 import operator
 from functools import partial
+from itertools import islice
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from repro.cparse import ast, parse
@@ -104,6 +115,32 @@ _new_event = partial(tuple.__new__, AccessEvent)
 #: A step later than every task's creation (see :meth:`_Runtime.conflict`).
 _LATE_STEP = 1 << 62
 
+#: An access site: ``(variable, text cell, line, col, is_write)``.  The
+#: cell is ``[rendered text or None, node]``, shared by a node's read and
+#: write sites (see :meth:`_Compiler.site`).
+Site = Tuple[str, List, int, int, bool]
+
+
+def _site_fields(site: Site) -> Tuple[str, str, int, int, bool]:
+    """``(variable, expr_text, line, col, is_write)`` of a site, rendering its text on first use."""
+    variable, cell, line, col, is_write = site
+    text = cell[0]
+    if text is None:
+        text = cell[0] = _render(cell[1])
+    return variable, text, line, col, is_write
+
+
+def _event(address: str, fields: Tuple, state: AccessEvent, step: int) -> AccessEvent:
+    """The event of one indexed access: its address, site fields, sync state and step.
+
+    ``state`` is the sync state's template event (see :meth:`_Runtime.sync_key`);
+    it carries every field that is neither the access's site nor its step.
+    """
+    variable, text, line, col, is_write = fields
+    _, _, _, _, _, _, thread, region, epoch, _, locks, atomic, ordered, task, task_seq = state
+    return _new_event((address, variable, text, line, col, is_write, thread, region, epoch, step,
+                       locks, atomic, ordered, task, task_seq))
+
 
 class _ThreadState:
     """Per-thread execution context inside a parallel region."""
@@ -125,51 +162,56 @@ class _ThreadState:
         self.ordered_depth = 0
         self.task_seq = 0
         self.current_task: Optional[TaskInfo] = None
-        #: The synchronization part of this thread's race-index keys, or
-        #: None after one of its fields changed (rebuilt on the next access).
+        #: The synchronization part of this thread's race-index keys (see
+        #: :meth:`_Runtime.sync_key`), or None after one of its fields
+        #: changed (rebuilt on the next access).
         self.sync: Optional[int] = None
 
 
 class _Runtime:
     """The per-run state every compiled closure reads and updates."""
 
-    __slots__ = ("memory", "trace", "events", "buckets", "written", "emitted", "budget",
-                 "max_steps", "max_loop", "num_threads", "schedule", "region", "task_counter",
-                 "depend_last_out", "lock_sets", "syncs", "seen", "templates", "classes",
+    __slots__ = ("memory", "events", "sites", "stride", "buckets", "written", "emitted",
+                 "budget", "max_steps", "max_loop", "num_threads", "team", "schedule", "region",
+                 "task_counter", "depend_last_out", "lock_sets", "syncs", "templates", "classes",
                  "conflicts")
 
-    def __init__(self, num_threads: int, schedule: str, limits: InterpreterLimits,
-                 record: bool, stop_at_race: bool) -> None:
+    def __init__(self, sites: List[Site], num_threads: int, schedule: str,
+                 limits: InterpreterLimits, record: bool, stop_at_race: bool) -> None:
         self.memory: Dict[str, object] = {}
-        self.trace = ExecutionTrace(num_threads=num_threads)
-        self.events = self.trace.events
-        #: The race index's buckets and written addresses, and the index
-        #: keys met so far; all None when the run records events.
-        self.buckets: Optional[Dict[str, List[AccessEvent]]] = None
+        #: A recording run's events, in program order.
+        self.events: List[AccessEvent] = []
+        self.sites = sites
+        #: Sync ids are multiplied by this to make room for every site in a key.
+        self.stride = len(sites)
+        #: The race index's compact record; all None when the run records
+        #: events.  ``buckets[address]`` maps each index key met at the
+        #: address to the step of its first access, in arrival order;
+        #: ``templates[sync]`` is one event per sync state, carrying that
+        #: state (see :meth:`sync_key` and :meth:`index`).
+        self.buckets: Optional[Dict[str, Dict[int, int]]] = None
         self.written: Optional[Set[str]] = None
-        self.seen: Optional[Set[Tuple]] = None
+        self.templates: Optional[List[AccessEvent]] = None
         if not record:
-            index = self.trace.index = RaceIndex()
-            self.buckets, self.written = index.buckets, index.written
-            self.seen = set()
+            self.buckets, self.written, self.templates = {}, set(), []
         self.emitted = 0
         #: Interned sync states of this run (see :meth:`sync_key`).
         self.syncs: Dict[Tuple, int] = {}
-        #: Only in a run that stops at its first race: one event per sync
-        #: state, carrying that state (see :meth:`conflict`); per address,
-        #: the sync states of its bucket's events (see :func:`_witness`);
-        #: and the memo of :meth:`conflict`.
-        self.templates: Optional[List[AccessEvent]] = None
+        #: Only in a run that stops at its first race: per address, the
+        #: sync states of its bucket's entries (see :func:`_witness`), and
+        #: the memo of :meth:`conflict`.
         self.classes: Optional[Dict[str, Union[int, Dict[int, List[int]]]]] = None
         self.conflicts: Optional[Dict[Tuple[int, int], Union[bool, int]]] = None
         if stop_at_race:
-            self.templates, self.classes, self.conflicts = [], {}, {}
+            self.classes, self.conflicts = {}, {}
         #: Steps left before ``max_steps`` is exceeded; a step is taken by
         #: decrementing it, and it going negative is the limit error.
         self.budget = limits.max_steps
         self.max_steps = limits.max_steps
         self.max_loop = limits.max_loop_iterations
         self.num_threads = num_threads
+        #: The largest team of the run so far (``ExecutionTrace.num_threads``).
+        self.team = num_threads
         self.schedule = schedule
         self.region = 0
         self.task_counter = 0
@@ -190,18 +232,23 @@ class _Runtime:
         st.sync = None
 
     def sync_key(self, st: _ThreadState) -> int:
-        """Intern the thread's synchronization state as a small int.
+        """Intern the thread's synchronization state; its small-int id times :attr:`stride`.
 
         The state is ``(thread, task_id, task_seq, region, epoch, held,
         atomic, ordered)``: every field of an event's dedupe key except the
-        access's own position and direction.
+        access's own site.  A new state also gets its template event, which
+        carries the state with empty site fields and step 0.  Since the
+        stride is the number of sites, which is even, the value plus a site
+        id is a unique index key whose lowest bit is the site's.
         """
         task = st.current_task
         state = (st.thread_id, task.task_id if task is not None else None, st.task_seq,
                  self.region, st.epoch, st.held, st.atomic_depth > 0, st.ordered_depth > 0)
-        sync = self.syncs.setdefault(state, len(self.syncs))
-        if self.templates is not None and sync == len(self.templates):
-            self.templates.append(_new_event((
+        sync = self.syncs.get(state)
+        if sync is None:
+            templates = self.templates
+            sync = self.syncs[state] = len(templates) * self.stride
+            templates.append(_new_event((
                 "", "", "", 0, 0, False, st.thread_id, self.region, st.epoch, 0,
                 st.held, st.atomic_depth > 0, st.ordered_depth > 0, task, st.task_seq,
             )))
@@ -217,7 +264,8 @@ class _Runtime:
         task's ``creation_step``: the pair races when the plain access's
         step is greater.
         """
-        a, b = self.templates[first], self.templates[second]
+        a = self.templates[first // self.stride]
+        b = self.templates[second // self.stride]
         if _mutually_excluded(a, b):
             return False
         early = _concurrent(a, b)  # template steps are 0, before every task
@@ -225,74 +273,96 @@ class _Runtime:
             return early
         return (a.task or b.task).creation_step
 
+    def index(self) -> RaceIndex:
+        """Build the run's :class:`RaceIndex` from its compact record.
 
-def _emit(rt: _Runtime, st: _ThreadState, address: str, variable: str, text: str,
-          line: int, col: int, is_write: bool) -> None:
+        Each bucket entry becomes the event of its key's first access
+        (:func:`_event`): the key's sync state and site, and the entry's
+        step.  The trace calls this on the first read of its ``index``.
+        """
+        stride, templates, sites = self.stride, self.templates, self.sites
+        buckets: Dict[str, List[AccessEvent]] = {}
+        for address, bucket in self.buckets.items():
+            events = buckets[address] = []
+            for key, step in bucket.items():
+                sync, site = divmod(key, stride)
+                events.append(_event(address, _site_fields(sites[site]), templates[sync], step))
+        return RaceIndex(buckets, self.written, self.emitted)
+
+
+def _emit(rt: _Runtime, st: _ThreadState, address: str, site: int) -> None:
     """Record one shared access of the executing thread, or fold it into the race index.
 
-    The index key is the address, the thread's cached :meth:`_Runtime.sync_key`
-    and the access's ``(line, col, is_write)``.  Only a key not seen before
-    does any more work: it marks a written address (a seen key with
-    ``is_write`` set has marked it already), and it builds an event if the
-    address's bucket has room.  A run that stops at its first race then
-    checks the new event against the bucket's earlier ones (:func:`_witness`).
+    ``site`` is the access's interned site (:meth:`_Compiler.site`); its
+    lowest bit is set for a write.  An indexing run keys the access by
+    its thread's cached :meth:`_Runtime.sync_key` plus the site, and keeps
+    only the step of each key's first access at an address, so a key
+    seen before costs one ``dict.get`` and one ``in`` test.  A new key
+    marks a written address (a seen key with the write bit has marked it
+    already) and takes a place in the address's bucket if it has room.  A
+    run that stops at its first race then checks the new entry against
+    the bucket's earlier ones (:func:`_witness`).  No event is built: the
+    index builds them when it is read (:meth:`_Runtime.index`).  A
+    recording run builds each access's event from the site's fields and
+    the thread's state.
     """
     st.step = step = st.step + 1
-    seen = rt.seen
-    if seen is not None:
-        rt.emitted += 1
-        sync = st.sync
-        if sync is None:
-            sync = st.sync = rt.sync_key(st)
-        key = (address, sync, line, col, is_write)
-        if key in seen:
-            return
-        seen.add(key)
-        if is_write:
+    buckets = rt.buckets
+    if buckets is None:
+        variable, text, line, col, is_write = _site_fields(rt.sites[site])
+        rt.events.append(_new_event((
+            address, variable, text, line, col, is_write, st.thread_id, rt.region, st.epoch,
+            step, st.held, st.atomic_depth > 0, st.ordered_depth > 0, st.current_task,
+            st.task_seq,
+        )))
+        return
+    rt.emitted += 1
+    sync = st.sync
+    if sync is None:
+        sync = st.sync = rt.sync_key(st)
+    key = sync + site
+    bucket = buckets.get(address)
+    if bucket is None:
+        buckets[address] = {key: step}
+        if site & 1:
             rt.written.add(address)
-        bucket = rt.buckets.get(address)
-        if bucket is None:
-            bucket = rt.buckets[address] = []
-        elif len(bucket) >= MAX_EVENTS_PER_ADDRESS:
-            return
-    event = _new_event((
-        address, variable, text, line, col, is_write, st.thread_id, rt.region, st.epoch, step,
-        st.held, st.atomic_depth > 0, st.ordered_depth > 0, st.current_task, st.task_seq,
-    ))
-    if seen is None:
-        rt.events.append(event)
-    else:
-        bucket.append(event)
-        classes = rt.classes
-        if classes is not None:
-            states = classes.get(address)
-            if states is None:
-                classes[address] = sync
-            elif states != sync:
-                _witness(rt, address, bucket, sync, is_write, step, st.current_task is None)
+        if rt.classes is not None:
+            rt.classes[address] = sync
+        return
+    if key in bucket:
+        return
+    if site & 1:
+        rt.written.add(address)
+    if len(bucket) >= MAX_EVENTS_PER_ADDRESS:
+        return
+    bucket[key] = step
+    classes = rt.classes
+    if classes is not None and classes[address] != sync:
+        _witness(rt, address, bucket, sync, site & 1, step, st.current_task is None)
 
 
-def _witness(rt: _Runtime, address: str, bucket: List[AccessEvent], sync: int,
-             is_write: bool, step: int, plain: bool) -> None:
+def _witness(rt: _Runtime, address: str, bucket: Dict[int, int], sync: int,
+             is_write: int, step: int, plain: bool) -> None:
     """Raise :class:`_RaceWitnessed` if a new bucket entry races an earlier one.
 
     ``detect_races`` checks every pair of a finished bucket; its predicates
     are symmetric, so checking each entry against the ones before it as it
     arrives finds a race exactly when the finished bucket has one.  The
-    entries of one sync state differ only in their step and position, so
-    the new entry is checked once per earlier sync state, through the memo
-    of :meth:`_Runtime.conflict`: a write against the state's latest
-    access, a read against its latest write.  Two accesses of one state
-    never race, so while every entry of an address has one state,
-    ``rt.classes`` holds just that state, and :func:`_emit` does not call
-    this; the first entry of another state expands it here into the
-    address's states, each with its latest read and write step (0 for none).
+    entries of one sync state differ only in their step and site, so the
+    new entry is checked once per earlier sync state, through the memo of
+    :meth:`_Runtime.conflict`: a write against the state's latest access,
+    a read against its latest write.  Two accesses of one state never race,
+    so while every entry of an address has one state, ``rt.classes`` holds
+    just that state, and :func:`_emit` does not call this; the first entry
+    of another state expands it here into the address's states, each with
+    its latest read and write step (0 for none).  An entry's key gives its
+    direction (its lowest bit) and its value its step.
     """
     states = rt.classes[address]
     if states.__class__ is int:
         steps = [0, 0]
-        for event in bucket[:-1]:
-            steps[event.is_write] = event.step
+        for key, first in islice(bucket.items(), len(bucket) - 1):
+            steps[key & 1] = first
         states = rt.classes[address] = {states: steps}
     conflicts = rt.conflicts
     for other, (read_step, write_step) in states.items():
@@ -457,7 +527,9 @@ class _Compiler:
     def __init__(self, unit: ast.TranslationUnit) -> None:
         self.unit = unit
         self._memo: Dict[Tuple[int, int, str], Closure] = {}
-        self._texts: Dict[int, List] = {}
+        #: The interned access sites, and each accessed node's read site.
+        self.sites: List[Site] = []
+        self._site_ids: Dict[int, int] = {}
         #: name -> one-element cell holding the compiled function, filled
         #: once its body is compiled (so recursive calls resolve).
         self._functions: Dict[str, List] = {}
@@ -491,12 +563,21 @@ class _Compiler:
 
         return fail
 
-    def text_cell(self, node: ast.Expr) -> List:
-        """``[rendered text or None, node]``, shared by every closure of ``node``."""
-        cell = self._texts.get(id(node))
-        if cell is None:
-            cell = self._texts[id(node)] = [None, node]
-        return cell
+    def site(self, node: ast.Expr, variable: str) -> int:
+        """The read site of an access to ``variable`` through ``node``; its write site is one more.
+
+        Both sites are interned on the node's first access, with one text
+        cell: a name's text is the name, any other node's is rendered on
+        the first event that reports it.  Reads get even ids and writes odd
+        ones, so a site's lowest bit is its direction.
+        """
+        site = self._site_ids.get(id(node))
+        if site is None:
+            site = self._site_ids[id(node)] = len(self.sites)
+            cell = [node.name if isinstance(node, ast.Identifier) else None, node]
+            line, col = node.loc.line, node.loc.col
+            self.sites += [(variable, cell, line, col, False), (variable, cell, line, col, True)]
+        return site
 
     # -- expressions ----------------------------------------------------------
 
@@ -518,7 +599,7 @@ class _Compiler:
 
     def _identifier(self, node: ast.Identifier, n: int) -> Closure:
         name = node.name
-        line, col = node.loc.line, node.loc.col
+        site = self.site(node, name)
 
         def identifier(rt, st):
             rt.budget = budget = rt.budget - n
@@ -533,7 +614,7 @@ class _Compiler:
             except KeyError:
                 raise _undeclared(name) from None
             if st is not None and not isinstance(value, list):
-                _emit(rt, st, name, name, name, line, col, False)
+                _emit(rt, st, name, site)
             return value
 
         return identifier
@@ -549,19 +630,19 @@ class _Compiler:
         return indices
 
     def _operand(self, node: ast.Expr, pre: int) -> Tuple:
-        """How a closure evaluates one operand: ``(closure, name, value, steps, line, col)``.
+        """How a closure evaluates one operand: ``(closure, name, value, steps, site)``.
 
         A name, a numeric literal or an operator on two numeric literals is
         read inline, as its own closure would: take ``steps``, then read
-        ``name`` or yield ``value``.  Any other operand is its ``closure``,
-        and the rest is unused.
+        ``name`` (at its read ``site``) or yield ``value``.  Any other
+        operand is its ``closure``, and the rest is unused.
         """
         if isinstance(node, ast.Identifier):
-            return None, node.name, None, pre + 1, node.loc.line, node.loc.col
+            return None, node.name, None, pre + 1, self.site(node, node.name)
         constant = _constant(node)
         if constant is not None:
-            return None, None, constant[0], pre + constant[1], 0, 0
-        return self.expr(node, pre), None, None, 0, 0, 0
+            return None, None, constant[0], pre + constant[1], 0
+        return self.expr(node, pre), None, None, 0, 0
 
     def _subscript(self, node: ast.ArraySubscript, n: int) -> Closure:
         root = node.root_name()
@@ -571,12 +652,11 @@ class _Compiler:
         pre = n
         what = f"subscript on {root}"
         bad = f"bad {what}: "
-        cell = self.text_cell(node)
-        line, col = node.loc.line, node.loc.col
+        site = self.site(node, root)
         index_nodes = node.indices()
 
         if len(index_nodes) == 1:
-            index_fn, index_name, index_value, index_steps, index_line, index_col = (
+            index_fn, index_name, index_value, index_steps, index_site = (
                 self._operand(index_nodes[0], pre))
 
             def subscript1(rt, st):
@@ -596,8 +676,7 @@ class _Compiler:
                         except KeyError:
                             raise _undeclared(index_name) from None
                         if st is not None and not isinstance(index, list):
-                            _emit(rt, st, index_name, index_name, index_name,
-                                  index_line, index_col, False)
+                            _emit(rt, st, index_name, index_site)
                 if index.__class__ is not int:
                     index = _to_int(index, what)
                 if st is not None:
@@ -616,18 +695,15 @@ class _Compiler:
                 except (IndexError, TypeError) as exc:
                     raise InterpreterError(f"{bad}{exc}") from exc
                 if st is not None:
-                    text = cell[0]
-                    if text is None:
-                        text = cell[0] = _render(node)
-                    _emit(rt, st, f"{root}[{index}]", root, text, line, col, False)
+                    _emit(rt, st, f"{root}[{index}]", site)
                 return value
 
             return subscript1
 
         if len(index_nodes) == 2:
-            first_fn, first_name, first_value, first_steps, first_line, first_col = (
+            first_fn, first_name, first_value, first_steps, first_site = (
                 self._operand(index_nodes[0], pre))
-            second_fn, second_name, second_value, second_steps, second_line, second_col = (
+            second_fn, second_name, second_value, second_steps, second_site = (
                 self._operand(index_nodes[1], 0))
 
             def subscript2(rt, st):
@@ -647,8 +723,7 @@ class _Compiler:
                         except KeyError:
                             raise _undeclared(first_name) from None
                         if st is not None and not isinstance(first, list):
-                            _emit(rt, st, first_name, first_name, first_name,
-                                  first_line, first_col, False)
+                            _emit(rt, st, first_name, first_site)
                 if first.__class__ is not int:
                     first = _to_int(first, what)
                 if second_fn is not None:
@@ -667,8 +742,7 @@ class _Compiler:
                         except KeyError:
                             raise _undeclared(second_name) from None
                         if st is not None and not isinstance(second, list):
-                            _emit(rt, st, second_name, second_name, second_name,
-                                  second_line, second_col, False)
+                            _emit(rt, st, second_name, second_site)
                 if second.__class__ is not int:
                     second = _to_int(second, what)
                 if st is not None and root in st.privates:
@@ -685,10 +759,7 @@ class _Compiler:
                 except (IndexError, TypeError) as exc:
                     raise InterpreterError(f"{bad}{exc}") from exc
                 if st is not None:
-                    text = cell[0]
-                    if text is None:
-                        text = cell[0] = _render(node)
-                    _emit(rt, st, f"{root}[{first},{second}]", root, text, line, col, False)
+                    _emit(rt, st, f"{root}[{first},{second}]", site)
                 return value
 
             return subscript2
@@ -712,11 +783,8 @@ class _Compiler:
             except (IndexError, TypeError) as exc:
                 raise InterpreterError(f"{bad}{exc}") from exc
             if shared and st is not None:
-                text = cell[0]
-                if text is None:
-                    text = cell[0] = _render(node)
                 address = f"{root}[{','.join(str(i) for i in indices)}]"
-                _emit(rt, st, address, root, text, line, col, False)
+                _emit(rt, st, address, site)
             return container
 
         return subscript
@@ -726,9 +794,9 @@ class _Compiler:
         apply = _OPERATORS.get(op)
         if apply is not None:
             # The operator's own step directly precedes its left operand's.
-            left_fn, left_name, left_value, left_steps, left_line, left_col = (
+            left_fn, left_name, left_value, left_steps, left_site = (
                 self._operand(node.left, n))
-            right_fn, right_name, right_value, right_steps, right_line, right_col = (
+            right_fn, right_name, right_value, right_steps, right_site = (
                 self._operand(node.right, 0))
             if left_fn is right_fn is left_name is right_name is None:
                 try:
@@ -755,8 +823,7 @@ class _Compiler:
                             except KeyError:
                                 raise _undeclared(left_name) from None
                             if st is not None and not isinstance(left, list):
-                                _emit(rt, st, left_name, left_name, left_name,
-                                      left_line, left_col, False)
+                                _emit(rt, st, left_name, left_site)
                     if right_fn is not None:
                         right = right_fn(rt, st)
                     else:
@@ -773,8 +840,7 @@ class _Compiler:
                             except KeyError:
                                 raise _undeclared(right_name) from None
                             if st is not None and not isinstance(right, list):
-                                _emit(rt, st, right_name, right_name, right_name,
-                                      right_line, right_col, False)
+                                _emit(rt, st, right_name, right_site)
                     try:
                         return apply(left, right)
                     except _OPERAND_ERRORS as exc:
@@ -881,7 +947,7 @@ class _Compiler:
         name up again, since evaluating the value may declare it private.
         """
         name = node.target.name
-        line, col = node.target.loc.line, node.target.loc.col
+        site = self.site(node.target, name)
         if not node.is_compound:
             value_fn = self.expr(node.value, n)
 
@@ -893,7 +959,7 @@ class _Compiler:
                     st.privates[name] = value
                 else:
                     rt.memory[name] = value
-                    _emit(rt, st, name, name, name, line, col, True)
+                    _emit(rt, st, name, site + 1)
                 return value
 
             return assign_name
@@ -914,7 +980,7 @@ class _Compiler:
                 except KeyError:
                     raise _undeclared(name) from None
                 if st is not None and not isinstance(current, list):
-                    _emit(rt, st, name, name, name, line, col, False)
+                    _emit(rt, st, name, site)
             rhs = value_fn(rt, st)
             try:
                 combined = apply(current, rhs)
@@ -926,7 +992,7 @@ class _Compiler:
                 st.privates[name] = combined
             else:
                 rt.memory[name] = combined
-                _emit(rt, st, name, name, name, line, col, True)
+                _emit(rt, st, name, site + 1)
             return combined
 
         return update_name
@@ -958,7 +1024,7 @@ class _Compiler:
         store can declare or remove a private.
         """
         name = node.operand.name
-        line, col = node.operand.loc.line, node.operand.loc.col
+        site = self.site(node.operand, name)
         steps = n + 1
         delta = 1 if node.op == "++" else -1
         prefix = node.prefix
@@ -984,14 +1050,14 @@ class _Compiler:
             except KeyError:
                 raise _undeclared(name) from None
             if st is not None and not isinstance(current, list):
-                _emit(rt, st, name, name, name, line, col, False)
+                _emit(rt, st, name, site)
             try:
                 updated = current + delta
             except _OPERAND_ERRORS as exc:
                 raise _operand_error(op, exc) from exc
             memory[name] = updated
             if st is not None:
-                _emit(rt, st, name, name, name, line, col, True)
+                _emit(rt, st, name, site + 1)
             return updated if prefix else current
 
         return incdec_name
@@ -1157,12 +1223,11 @@ class _Compiler:
         root = target.root_name()
         bad = f"bad subscript store on {root}: "
         what = f"subscript on {root}"
-        cell = self.text_cell(target)
-        line, col = target.loc.line, target.loc.col
+        site = self.site(target, root) + 1
         index_nodes = target.indices()
 
         if len(index_nodes) == 1:
-            index_fn, index_name, index_value, index_steps, index_line, index_col = (
+            index_fn, index_name, index_value, index_steps, index_site = (
                 self._operand(index_nodes[0], 0))
 
             def store_subscript1(rt, st, value=None):
@@ -1184,8 +1249,7 @@ class _Compiler:
                         except KeyError:
                             raise _undeclared(index_name) from None
                         if st is not None and not isinstance(index, list):
-                            _emit(rt, st, index_name, index_name, index_name,
-                                  index_line, index_col, False)
+                            _emit(rt, st, index_name, index_site)
                 if index.__class__ is not int:
                     index = _to_int(index, what)
                 if st is not None:
@@ -1205,18 +1269,15 @@ class _Compiler:
                 except (IndexError, TypeError) as exc:
                     raise InterpreterError(f"{bad}{exc}") from exc
                 if st is not None:
-                    text = cell[0]
-                    if text is None:
-                        text = cell[0] = _render(target)
-                    _emit(rt, st, f"{root}[{index}]", root, text, line, col, True)
+                    _emit(rt, st, f"{root}[{index}]", site)
                 return value
 
             return store_subscript1
 
         if len(index_nodes) == 2:
-            first_fn, first_name, first_value, first_steps, first_line, first_col = (
+            first_fn, first_name, first_value, first_steps, first_site = (
                 self._operand(index_nodes[0], 0))
-            second_fn, second_name, second_value, second_steps, second_line, second_col = (
+            second_fn, second_name, second_value, second_steps, second_site = (
                 self._operand(index_nodes[1], 0))
 
             def store_subscript2(rt, st, value=None):
@@ -1238,8 +1299,7 @@ class _Compiler:
                         except KeyError:
                             raise _undeclared(first_name) from None
                         if st is not None and not isinstance(first, list):
-                            _emit(rt, st, first_name, first_name, first_name,
-                                  first_line, first_col, False)
+                            _emit(rt, st, first_name, first_site)
                 if first.__class__ is not int:
                     first = _to_int(first, what)
                 if second_fn is not None:
@@ -1258,8 +1318,7 @@ class _Compiler:
                         except KeyError:
                             raise _undeclared(second_name) from None
                         if st is not None and not isinstance(second, list):
-                            _emit(rt, st, second_name, second_name, second_name,
-                                  second_line, second_col, False)
+                            _emit(rt, st, second_name, second_site)
                 if second.__class__ is not int:
                     second = _to_int(second, what)
                 if st is not None and root in st.privates:
@@ -1277,10 +1336,7 @@ class _Compiler:
                 except (IndexError, TypeError) as exc:
                     raise InterpreterError(f"{bad}{exc}") from exc
                 if st is not None:
-                    text = cell[0]
-                    if text is None:
-                        text = cell[0] = _render(target)
-                    _emit(rt, st, f"{root}[{first},{second}]", root, text, line, col, True)
+                    _emit(rt, st, f"{root}[{first},{second}]", site)
                 return value
 
             return store_subscript2
@@ -1307,11 +1363,8 @@ class _Compiler:
             except (IndexError, TypeError) as exc:
                 raise InterpreterError(f"{bad}{exc}") from exc
             if shared and st is not None:
-                text = cell[0]
-                if text is None:
-                    text = cell[0] = _render(target)
                 address = f"{root}[{','.join(str(i) for i in indices)}]"
-                _emit(rt, st, address, root, text, line, col, True)
+                _emit(rt, st, address, site)
             return value
 
         return store_subscript
@@ -1561,8 +1614,8 @@ class _Compiler:
         def region(rt, _st):
             rt.region += 1
             team = team_size or rt.num_threads
-            trace = rt.trace
-            trace.num_threads = max(trace.num_threads, team)
+            if team > rt.team:
+                rt.team = team
             states = []
             for tid in range(team):
                 state = _ThreadState(tid, team)
@@ -1899,6 +1952,8 @@ class Program:
         main = unit.main
         self.globals: List[Closure] = []
         self.main: Optional[Closure] = None
+        #: Every access site of the program (see :meth:`_Compiler.site`).
+        self.sites: List[Site] = compiler.sites
         if main is None or main.body is None:
             return
         try:
@@ -1916,8 +1971,9 @@ class Interpreter:
 
     With ``record`` (the default) every access becomes an event in
     ``trace.events``, in program order.  Without it the run folds each
-    access into ``trace.index``, a :class:`~repro.dynamic.events.RaceIndex`,
-    as it happens; :func:`~repro.dynamic.detector.detect_races` gives the
+    access into a compact record as it happens, and ``trace.index``, a
+    :class:`~repro.dynamic.events.RaceIndex`, is built from the record on
+    first read; :func:`~repro.dynamic.detector.detect_races` gives the
     same report for either form.
 
     An indexing run with ``stop_at_race`` ends at the first access whose
@@ -1957,8 +2013,10 @@ class Interpreter:
         program = unit if isinstance(unit, Program) else Program(unit)
         if program.main is None:
             raise InterpreterError("program has no main function")
-        rt = _Runtime(self.num_threads, self.schedule, self.limits, self.record,
+        rt = _Runtime(program.sites, self.num_threads, self.schedule, self.limits, self.record,
                       self.stop_at_race)
+        trace = ExecutionTrace(events=rt.events, num_threads=self.num_threads,
+                               index=None if self.record else rt.index)
         self._memory = rt.memory
         try:
             for declare in program.globals:
@@ -1967,14 +2025,12 @@ class Interpreter:
         except _ReturnSignal:
             pass
         except _RaceWitnessed:
-            rt.trace.finished = False
+            trace.finished = False
         except (_BreakSignal, _ContinueSignal):
             raise InterpreterError("break or continue outside a loop") from None
         except RecursionError:
             raise InterpreterError("call depth limit exceeded") from None
-        trace = rt.trace
+        trace.num_threads = rt.team
         trace.steps_executed = rt.steps
         trace.regions_executed = rt.region
-        if trace.index is not None:
-            trace.index.events = rt.emitted
         return trace

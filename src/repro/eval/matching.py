@@ -16,10 +16,12 @@ reported pair matches a ground-truth pair when
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
-from repro.dataset.records import DRBMLRecord, VarPairRecord
 from repro.prompting.parsing import ParsedPairs
+
+if TYPE_CHECKING:  # annotations only: importing records loads the C front-end
+    from repro.dataset.records import DRBMLRecord, VarPairRecord
 
 __all__ = ["base_name", "pair_matches", "pairs_correct"]
 

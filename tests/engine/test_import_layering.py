@@ -52,7 +52,7 @@ def _under(modules: frozenset, package: str) -> list:
 @pytest.mark.parametrize(
     "package",
     ["numpy", "asyncio", "repro.analysis", "repro.dynamic", "repro.eval.experiments",
-     "repro.llm.features"],
+     "repro.llm.features", "repro.dataset", "repro.corpus", "repro.cparse"],
 )
 def test_engine_import_leaves_out(package):
     assert _under(_loaded_after("import repro.engine"), package) == []
