@@ -93,6 +93,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
+from repro.corpus.generator import build_corpus
 from repro.engine import (
     DEFAULT_BREAKER_COOLDOWN_S,
     DEFAULT_BREAKER_THRESHOLD,
@@ -104,16 +105,11 @@ from repro.engine import (
     ExecutionEngine,
     ResponseCache,
     EXECUTOR_KINDS,
+    collect_default_plans,
     run_all_tables,
+    run_plans_streaming,
 )
-from repro.eval.experiments import (
-    default_subset,
-    run_table2,
-    run_table3,
-    run_table4,
-    run_table5,
-    run_table6,
-)
+from repro.eval.experiments import default_subset
 from repro.eval.reporting import format_confusion_table, format_crossval_table
 
 __all__ = ["main"]
@@ -127,11 +123,10 @@ _TABLE_TITLES = {
 }
 
 
-def _print_summary(subset) -> None:
+def _print_summary(corpus, subset) -> None:
     from repro.corpus import CorpusRegistry
 
-    registry = CorpusRegistry.build()
-    print(registry.summary())
+    print(CorpusRegistry(corpus).summary())
     print()
     print(subset.summary())
 
@@ -146,36 +141,27 @@ def _print_result(table: str, result) -> None:
         print(format_confusion_table(result, title=_TABLE_TITLES[table]))
 
 
-def _run(
-    table: str,
-    engine: ExecutionEngine,
-    *,
-    stream: bool = False,
-    subset=None,
-) -> None:
-    subset = subset if subset is not None else default_subset()
-    drivers = {
-        "table2": run_table2,
-        "table3": run_table3,
-        "table4": run_table4,
-        "table5": run_table5,
-        "table6": run_table6,
-    }
-    if table == "summary":
-        _print_summary(subset)
-    elif table in drivers:
-        if stream:
-            # Route the single table through its plan builder and the
-            # streaming plan runner — same rows, O(window) residency.
-            from repro.engine import collect_default_plans, run_plans_streaming
+def _execute(plan, engine: ExecutionEngine, *, stream: bool) -> object:
+    """Run one table's plan: ``prepare``, one engine run, reduce.
 
-            plans = collect_default_plans(subset, tables=(table,))
-            results = run_plans_streaming(plans, engine=engine)
-            _print_result(table, results[table])
-        else:
-            _print_result(table, drivers[table](subset, engine=engine))
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown command {table!r}")
+    ``stream`` routes it through the streaming plan runner instead — same
+    rows, O(window) residency.
+    """
+    if stream:
+        return run_plans_streaming([plan], engine=engine)[plan.table]
+    return plan.execute(engine)
+
+
+def _run(table: str, engine: ExecutionEngine, *, stream: bool = False) -> None:
+    """One table (or the summary) from one build of the default corpus."""
+    corpus = build_corpus()
+    subset = default_subset(corpus=corpus)
+    if table == "summary":
+        _print_summary(corpus, subset)
+        return
+    (plan,) = collect_default_plans(subset, corpus=corpus, tables=(table,))
+    del corpus  # Table 3's plan lets go of it once its prepare has run
+    _print_result(table, _execute(plan, engine, stream=stream))
 
 
 def _print_group_stats(engine: ExecutionEngine, top_k: int = 3) -> None:
@@ -194,16 +180,19 @@ def _run_all(
 ) -> None:
     """``repro all``: summary, then every table through the scheduler.
 
-    The ≤4k-token subset is built once and shared by the summary and every
-    table.
+    The corpus is built once: the summary, the ≤4k-token subset every
+    table reads and Table 3's Inspector inputs all come from that build.
     """
-    subset = default_subset()
-    _print_summary(subset)
+    corpus = build_corpus()
+    subset = default_subset(corpus=corpus)
+    _print_summary(corpus, subset)
     print()
+    plans = collect_default_plans(subset, corpus=corpus)
+    del corpus  # Table 3's plan lets go of it once its prepare has run
     if sequential:
-        for table in ("table2", "table3", "table4", "table5", "table6"):
+        for plan in plans:
             before = engine.telemetry.snapshot()
-            _run(table, engine, stream=stream, subset=subset)
+            _print_result(plan.table, _execute(plan, engine, stream=stream))
             if stats:
                 print(engine.telemetry.format_stats(executor_name=engine.executor.name, since=before))
             print()
@@ -211,7 +200,7 @@ def _run_all(
             _print_group_stats(engine)
         return
     before = engine.telemetry.snapshot()
-    results = run_all_tables(subset, engine=engine, stream=stream)
+    results = run_all_tables(plans=plans, engine=engine, stream=stream)
     for table, result in results.items():
         _print_result(table, result)
         print()

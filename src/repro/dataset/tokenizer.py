@@ -22,6 +22,11 @@ DEFAULT_TOKEN_LIMIT = 4096
 
 _WORD_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*|\d+\.\d+|\d+|\S")
 
+#: The alternatives of ``_WORD_RE`` that can match more than one character.
+#: ``finditer`` of either pattern advances one character wherever no word
+#: starts, so both find the same words.
+_MULTI_CHAR_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*|\d+\.\d+|\d+")
+
 
 @dataclass(frozen=True)
 class CodeTokenizer:
@@ -42,11 +47,18 @@ class CodeTokenizer:
         return tokens
 
     def count(self, text: str) -> int:
-        """Number of tokens in ``text``: ``len(tokenize(text))``, computed
-        from word lengths alone (a word splits into ``ceil(len /
-        max_piece_len)`` pieces)."""
+        r"""Number of tokens in ``text``: ``len(tokenize(text))``.
+
+        Only the words are matched.  Every other non-blank character is a
+        one-character token, and a word of ``n`` characters splits into
+        ``1 + (n - 1) // max_piece_len`` pieces.  ``str.split`` and ``\S``
+        agree on what is blank.
+        """
         size = self.max_piece_len
-        return sum(-(-len(word) // size) for word in _WORD_RE.findall(text))
+        words = _MULTI_CHAR_RE.findall(text)
+        word_chars = sum(map(len, words))
+        count = len("".join(text.split())) - word_chars + len(words)
+        return count + sum((len(word) - 1) // size for word in words if len(word) > size)
 
 
 #: Shared default-configuration instance: the tokenizer is frozen and

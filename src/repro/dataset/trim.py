@@ -66,9 +66,10 @@ def trim_comments(source: str) -> TrimResult:
     for original_idx, text in enumerate("".join(pieces).split("\n"), start=1):
         # Every line left blank by comment removal, and every originally
         # blank line, is dropped (as DRB-ML does) for a compact trimmed_code.
-        if text.strip() == "":
+        text = text.rstrip()
+        if not text:
             continue
-        out_lines.append(text.rstrip())
+        out_lines.append(text)
         line_map[original_idx] = len(out_lines)
     trimmed = "\n".join(out_lines)
     if trimmed:

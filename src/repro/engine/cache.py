@@ -567,6 +567,12 @@ class ResponseCache:
         parses is kept.  A missing or version-mismatched header skips the
         whole segment.  The identity field is optional (stores written
         before it existed load with ``None``).
+
+        The entry lines are decoded with one ``json.loads``, joined into
+        one JSON array.  When that raises, or gives other than one value
+        per line (a line split inside a string, two values on one line),
+        they are decoded line by line instead, so a damaged segment pays
+        for the per-line decode.
         """
         try:
             text = segment.read_text(encoding="utf-8")
@@ -585,12 +591,20 @@ class ResponseCache:
             or header.get("version") != _CACHE_FORMAT_VERSION
         ):
             return {}
+        lines = lines[1:]
+        try:
+            decoded = json.loads("[" + ",".join(lines) + "]")
+        except json.JSONDecodeError:
+            decoded = None
+        if decoded is None or len(decoded) != len(lines):
+            decoded = []
+            for line in lines:
+                try:
+                    decoded.append(json.loads(line))
+                except json.JSONDecodeError:
+                    continue
         entries: Dict[str, Tuple[str, Optional[str]]] = {}
-        for line in lines[1:]:
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                continue
+        for entry in decoded:
             if not isinstance(entry, dict) or "k" not in entry or "r" not in entry:
                 continue
             key, response = entry["k"], entry["r"]

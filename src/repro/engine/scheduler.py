@@ -117,6 +117,7 @@ def collect_default_plans(
     dataset=None,
     *,
     corpus_config=None,
+    corpus=None,
     tables: Sequence[str] = DEFAULT_TABLES,
     model_factory=None,
 ) -> List[TablePlan]:
@@ -124,8 +125,11 @@ def collect_default_plans(
 
     ``dataset`` defaults to the ≤4k-token evaluation subset, built **once**
     and shared by every plan (the sequential CLI path used to rebuild it
-    per table).  ``model_factory`` is threaded through to each plan builder
-    so benchmarks can inject latency-simulated models.  No builder takes a
+    per table).  ``corpus`` is ``build_corpus(corpus_config)`` when the
+    caller has built it already; the subset and Table 3's Inspector inputs
+    both come from it, so one call builds the corpus at most once.
+    ``model_factory`` is threaded through to each plan builder so
+    benchmarks can inject latency-simulated models.  No builder takes a
     cache: the Inspector and the fits of Tables 4 and 6 run in each plan's
     ``prepare``, through the ``cached_map`` of the engine the plan runs on.
     """
@@ -135,10 +139,16 @@ def collect_default_plans(
     from repro.eval import experiments
 
     if dataset is None:
-        dataset = experiments.default_subset(corpus_config)
+        if corpus is None:
+            from repro.corpus.generator import build_corpus
+
+            corpus = build_corpus(corpus_config)
+        dataset = experiments.default_subset(corpus=corpus)
     builders = {
         "table2": experiments.plan_table2,
-        "table3": functools.partial(experiments.plan_table3, corpus_config=corpus_config),
+        "table3": functools.partial(
+            experiments.plan_table3, corpus_config=corpus_config, corpus=corpus
+        ),
         "table4": experiments.plan_table4,
         "table5": experiments.plan_table5,
         "table6": experiments.plan_table6,

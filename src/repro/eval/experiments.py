@@ -87,9 +87,19 @@ class PromptEvaluationRow:
         }
 
 
-def default_subset(config: Optional[CorpusConfig] = None) -> DRBMLDataset:
-    """The ≤4k-token evaluation subset used by every experiment (§3.2)."""
-    return DRBMLDataset.build_default(config).token_subset()
+def default_subset(
+    config: Optional[CorpusConfig] = None,
+    *,
+    corpus: Optional[Sequence[Microbenchmark]] = None,
+) -> DRBMLDataset:
+    """The ≤4k-token evaluation subset used by every experiment (§3.2).
+
+    ``corpus`` is ``build_corpus(config)`` when the caller has built it
+    already; by default the corpus is built here.
+    """
+    if corpus is None:
+        corpus = build_corpus(config)
+    return DRBMLDataset.from_benchmarks(corpus).token_subset()
 
 
 def iter_detection_requests(
@@ -244,6 +254,7 @@ def plan_table3(
     dataset: Optional[DRBMLDataset] = None,
     *,
     corpus_config: Optional[CorpusConfig] = None,
+    corpus: Optional[Sequence[Microbenchmark]] = None,
     include_inspector: bool = True,
     models: Optional[Sequence[str]] = None,
     strategies: Sequence[PromptStrategy] = (
@@ -257,12 +268,20 @@ def plan_table3(
 
     The Inspector is not an LLM, so its scoring runs in the plan's
     ``prepare`` step (through ``engine.cached_map``, sharing the executor)
-    and its row is prepended at reduce time.
+    and its row is prepended at reduce time.  Its inputs are the
+    benchmarks of ``dataset``'s records, taken from ``corpus`` — which is
+    ``build_corpus(corpus_config)`` when the caller has built it already —
+    or else from a corpus built in ``prepare``.  The plan lets go of
+    ``corpus`` once ``prepare`` has read it, so the engine run that follows
+    holds no benchmark.
     """
     from repro.engine import build_requests
     from repro.engine.scheduler import TablePlan
 
-    dataset = dataset or default_subset(corpus_config)
+    if not dataset:
+        if corpus is None:
+            corpus = build_corpus(corpus_config)
+        dataset = default_subset(corpus=corpus)
     factory = model_factory or create_model
     segments = _RowSegments()
     requests = []
@@ -281,9 +300,10 @@ def plan_table3(
         subset_names = {record.name for record in dataset.records}
 
         def prepare(engine):
-            benchmarks = [
-                b for b in build_corpus(corpus_config) if b.name in subset_names
-            ]
+            nonlocal corpus
+            source = build_corpus(corpus_config) if corpus is None else corpus
+            corpus = None
+            benchmarks = [b for b in source if b.name in subset_names]
             prepared["inspector"] = evaluate_inspector(benchmarks, engine=engine)
 
     def reduce(store):

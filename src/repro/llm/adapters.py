@@ -509,20 +509,29 @@ class LowRankAdapter:
         Feature dropout applied during training only.
     seed:
         Seed for the projection matrix and dropout masks.
+
+    Only ``weights`` and ``bias`` are trained and stored.  The projection
+    is derived, not stored: :attr:`projection` reads
+    :func:`adapter_projection` of ``(input_dim, rank, seed)``, so an
+    adapter rebuilt from a cache entry that never scores or trains draws
+    no random matrix.
     """
 
     input_dim: int = 512
     rank: int = 64
     dropout: float = 0.1
     seed: int = 0
-    projection: np.ndarray = field(init=False, repr=False)
     weights: np.ndarray = field(init=False, repr=False)
     bias: float = field(init=False, default=0.0)
 
     def __post_init__(self) -> None:
-        self.projection = adapter_projection(self.input_dim, self.rank, self.seed)
         self.weights = np.zeros(self.rank, dtype=np.float64)
         self.bias = 0.0
+
+    @property
+    def projection(self) -> np.ndarray:
+        """The frozen ``(input_dim, rank)`` projection, drawn on first use."""
+        return adapter_projection(self.input_dim, self.rank, self.seed)
 
     # -- inference ----------------------------------------------------------------
 

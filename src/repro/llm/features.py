@@ -60,16 +60,32 @@ PROGRAM_ERRORS = (LexError, ParseError, PragmaError, InterpreterError)
 
 _CODE_START_RE = re.compile(r"^\s*(#include|int\s+main|void\s+main)", re.MULTILINE)
 
-#: A compound update (``x += ...``, ``a[i] -= ...``, ``s *= ...``).  For
-#: ``search`` it agrees with ``\w+\s*(\+=|-=|\*=)``: a match of that ends in
-#: a match of this one.  Matching one word character instead of ``\w+``
-#: avoids re-scanning every identifier from each of its characters.
-_COMPOUND_UPDATE = re.compile(r"\w\s*(?:\+=|-=|\*=)")
+#: The operators of a compound update (``x += ...``, ``a[i] -= ...``,
+#: ``s *= ...``); see :func:`_has_compound_update`.
+_COMPOUND_OP = re.compile(r"[-+*]=")
 
 #: Shared tokenizer instance.  :class:`CodeTokenizer` is a frozen, stateless
 #: dataclass, and :func:`hashed_ngram_vector` sits in a hot loop (the
 #: fine-tuning cross-validation featurises every prompt of every fold).
 _TOKENIZER = CodeTokenizer()
+
+
+def _has_compound_update(code: str) -> bool:
+    r"""Whether ``code`` has a word character, then blanks, then ``+=``,
+    ``-=`` or ``*=``: ``re.search(r"\w\s*(?:\+=|-=|\*=)", code)``.
+
+    The scan starts from each operator, which is rare, and looks back past
+    blanks to one character, instead of trying the pattern at every word
+    character of the source.  ``str.isspace`` and ``str.isalnum`` are the
+    character classes ``\s`` and ``\w`` (less ``_``) of ``re``.
+    """
+    for match in _COMPOUND_OP.finditer(code):
+        before = match.start() - 1
+        while before >= 0 and code[before].isspace():
+            before -= 1
+        if before >= 0 and (code[before].isalnum() or code[before] == "_"):
+            return True
+    return False
 
 
 def extract_code_from_prompt(prompt: str) -> str:
@@ -146,7 +162,7 @@ def extract_features(code: str, *, detector: Optional[StaticRaceDetector] = None
         has_barrier="barrier" in code,
         has_task="omp task" in code or "sections" in code,
         has_simd="simd" in code,
-        shared_compound_update=bool(_COMPOUND_UPDATE.search(code)),
+        shared_compound_update=_has_compound_update(code),
     )
     try:
         report: StaticRaceReport = detector.analyze_source(code)

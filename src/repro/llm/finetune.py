@@ -242,8 +242,8 @@ class FineTuner:
             return None
         if weights.shape != (self.config.lora_rank,):
             return None
-        # The projection is a pure function of the seed; only the trained
-        # head is stored.
+        # Only the trained head is stored; the projection is derived from
+        # the seed when the adapter first scores.
         adapter = self._new_adapter()
         adapter.weights = weights
         adapter.bias = bias

@@ -68,6 +68,23 @@ class TestTrim:
         assert result.trimmed_code == "int x;\nint y;\n"
         assert result.line_map == {2: 1, 4: 2}
 
+    @pytest.mark.parametrize("blank", [" ", "\t", "\r"])
+    def test_blank_lines_drop_and_lines_lose_trailing_blanks(self, blank):
+        """The lexer takes no other blank outside comments and strings; a
+        Unicode blank in a comment is replaced like any comment text."""
+        source = f"int x;{blank}\n{blank}\n/* \u3000\x1c */{blank}\n{blank}int y; // \u00a0\n"
+        result = trim_comments(source)
+        assert result.trimmed_code == f"int x;\n{blank}int y;\n"
+        assert result.line_map == {1: 1, 4: 2}
+
+    @given(st.text(alphabet="ab ;\t\r\n", max_size=100))
+    def test_lines_match_the_strip_then_rstrip_definition(self, text):
+        kept = [(n, line.rstrip()) for n, line in enumerate(text.split("\n"), start=1)
+                if line.strip() != ""]
+        result = trim_comments(text)
+        assert result.trimmed_code == "".join(line + "\n" for _, line in kept)
+        assert result.line_map == {n: i for i, (n, _) in enumerate(kept, start=1)}
+
     @given(st.text(alphabet="abc ;\n", max_size=100))
     def test_trimmed_never_longer(self, text):
         result = trim_comments(text)
@@ -107,6 +124,22 @@ class TestTokenizer:
         for bench in build_corpus(CorpusConfig()):
             for text in (bench.code, trim_comments(bench.code).trimmed_code):
                 assert tokenizer.count(text) == len(tokenizer.tokenize(text))
+
+    @pytest.mark.parametrize("size", [1, 3, 8])
+    def test_count_equals_tokenize_length_on_unicode_text(self, size):
+        """Unicode digits form words, Unicode blanks (``\\x1c`` among
+        them) separate tokens, and other characters are one token each."""
+        import random
+
+        rng = random.Random(size)
+        alphabet = "ab_Z09.  \t\n\x1c\x1f\x85\u00a0\u2028\u3000\u0663\u00b2\u00e9+;"
+        texts = ["abcdefghij1234567890", "3.14159265358979", "\u0663\u0664.\u0665",
+                 "a\x1cb", "x\u2003=\u00a0\u0661\u0662;", ""]
+        texts += ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 40)))
+                  for _ in range(3000)]
+        tokenizer = CodeTokenizer(max_piece_len=size)
+        for text in texts:
+            assert tokenizer.count(text) == len(tokenizer.tokenize(text)), repr(text)
 
 
 class TestRecords:

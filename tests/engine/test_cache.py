@@ -358,6 +358,81 @@ class TestSegmentedPersistence:
         assert other.get("m", "p") == "r"
 
 
+def _per_line_entries(segment):
+    """The per-line segment decode, kept as the reference for the bulk one."""
+    lines = segment.read_text(encoding="utf-8").splitlines()
+    header = json.loads(lines[0])
+    assert header == {"format": "repro-response-cache", "version": 2}
+    entries = {}
+    for line in lines[1:]:
+        try:
+            entry = json.loads(line)
+        except json.JSONDecodeError:
+            continue
+        if not isinstance(entry, dict) or "k" not in entry or "r" not in entry:
+            continue
+        key, response, identity = entry["k"], entry["r"], entry.get("i")
+        if isinstance(key, str) and isinstance(response, str):
+            entries[key] = (response, identity if isinstance(identity, str) else None)
+    return entries
+
+
+class TestSegmentDecode:
+    """``_parse_segment`` decodes a segment's entry lines in one call and
+    falls back to one call per line; either way it loads what the per-line
+    decode loads."""
+
+    HEADER = json.dumps({"format": "repro-response-cache", "version": 2})
+    GOOD = [
+        json.dumps({"k": "a", "r": "ra", "i": "m"}),
+        json.dumps({"k": "b", "r": "rb"}),
+        json.dumps({"k": "c", "r": "rc", "i": 7}),
+        json.dumps({"k": "d", "r": "r\u00e9\u00a0d"}, ensure_ascii=False),
+    ]
+
+    def _segment(self, tmp_path, lines):
+        segment = tmp_path / "segment-000001.jsonl"
+        segment.write_text("\n".join([self.HEADER, *lines]) + "\n", encoding="utf-8")
+        return segment
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            [],
+            ['{"k": "x", "r": "damaged'],
+            ['{"k": "x", "r": "truncated'],
+            ["[1, 2, 3]"],
+            ['"just a string"'],
+            ['{"k": "x"}'],
+            ['{"k": 5, "r": "r5"}'],
+            ['{"k": "x", "r": 5}'],
+            [""],
+            ['{"k": "x", "r": "two"}, {"k": "y", "r": "values"}'],
+            ['{"k": "x", "r": "split\u2028inside"}'],
+        ],
+        ids=[
+            "clean", "damaged-middle", "truncated-tail", "not-a-dict", "a-string",
+            "missing-r", "non-str-key", "non-str-response", "blank-line",
+            "two-values-on-a-line", "line-split-inside-a-string",
+        ],
+    )
+    def test_matches_the_per_line_decode(self, tmp_path, damage):
+        where = len(self.GOOD) if "truncated" in "".join(damage) else 2
+        lines = self.GOOD[:where] + damage + self.GOOD[where:]
+        segment = self._segment(tmp_path, lines)
+        expected = _per_line_entries(segment)
+        assert ResponseCache._parse_segment(segment) == expected
+        assert {"a", "b", "c", "d"} <= set(expected)
+
+    def test_clean_segment_is_one_decode(self, tmp_path, monkeypatch):
+        segment = self._segment(tmp_path, self.GOOD * 50)
+        calls = []
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda text, **kw: calls.append(text) or loads(text, **kw))
+        assert len(ResponseCache._parse_segment(segment)) == 4
+        assert len(calls) == 2  # the header, then every entry line at once
+
+
 class TestAutoCompact:
     """Saves that push the dead/duplicate ratio past the threshold fold the
     store automatically; compact() stays available for manual use."""

@@ -161,3 +161,30 @@ class TestProjection:
     def test_values_are_the_seeded_draw(self):
         expected = np.random.default_rng(9).standard_normal((16, 4))
         assert adapter_projection(16, 4, 9).tobytes() == expected.tobytes()
+
+    def test_stored_adapter_draws_no_projection_until_it_scores(self, monkeypatch):
+        """An adapter rebuilt from a cache entry is only a trained head: the
+        projection is drawn when it first scores, and is the shared array."""
+        import json
+
+        import repro.llm.adapters as adapters_module
+        from repro.llm.finetune import FineTuneConfig, FineTuner
+        from repro.llm.zoo import create_model
+
+        draws = []
+        shared = adapters_module.adapter_projection
+
+        def counting(*args):
+            draws.append(args)
+            return shared(*args)
+
+        monkeypatch.setattr(adapters_module, "adapter_projection", counting)
+        config = FineTuneConfig.for_model("llama2-7b")
+        tuner = FineTuner(base=create_model("llama2-7b"), config=config)
+        entry = json.dumps({"weights": [0.01] * config.lora_rank, "bias": 0.1, "loss": 0.5})
+        adapter, loss = tuner._stored(entry)
+        assert draws == [] and loss == 0.5
+        features = np.ones((2, config.feature_dim))
+        adapter.predict_proba(features)
+        assert draws == [(config.feature_dim, config.lora_rank, config.seed)]
+        assert adapter.projection is shared(config.feature_dim, config.lora_rank, config.seed)

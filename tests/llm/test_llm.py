@@ -77,22 +77,31 @@ class TestFeatures:
         assert not features.parses and not features.heuristic_race
 
     def test_compound_update_pattern_matches_the_word_run_pattern(self):
-        """One word character before the operator finds a match exactly
-        where the earlier ``\\w+`` pattern did."""
+        """The operator-anchored scan finds a compound update exactly where
+        the earlier ``\\w+`` and one-word-character patterns did, Unicode
+        word characters and blanks included."""
+        import random
         import re
 
         from repro.corpus import CorpusConfig, build_corpus
 
-        earlier = re.compile(r"\w+\s*(\+=|-=|\*=)")
+        patterns = [re.compile(r"\w+\s*(\+=|-=|\*=)"), re.compile(r"\w\s*(?:\+=|-=|\*=)")]
         texts = [bench.code for bench in build_corpus(CorpusConfig())]
-        texts += ["a +=", "+=", "x\n*=", "a_1-=", "a /= 2", "(a) += 1", ""]
+        texts += ["a +=", "+=", "x\n*=", "a_1-=", "a /= 2", "(a) += 1", "", "a\x1c+=",
+                  "\u0663 -=", "\u00e9\u2003*=", "a\u00a0\u3000+=", "a ++=", "x -+= 1"]
+        rng = random.Random(7)
+        alphabet = "ab_1 \t\n\x1c\u00a0\u2028\u0663\u00b2\u00e9+-*=/()["
+        texts += ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
+                  for _ in range(5000)]
         disagree = [
             text for text in texts
-            if bool(features_module._COMPOUND_UPDATE.search(text)) != bool(earlier.search(text))
+            for pattern in patterns
+            if features_module._has_compound_update(text) != bool(pattern.search(text))
         ]
         assert disagree == []
-        assert [bool(features_module._COMPOUND_UPDATE.search(t))
-                for t in ("a +=", "+=", "x\n*=", "a_1-=")] == [True, False, True, True]
+        assert [features_module._has_compound_update(t)
+                for t in ("a +=", "+=", "x\n*=", "a_1-=", "\u0663 -=", "(a) += 1")] == [
+            True, False, True, True, True, False]
 
     @pytest.mark.parametrize("site", ["features", "static-tier", "inspector-tier"])
     def test_detector_bugs_propagate_instead_of_becoming_verdicts(self, site):
