@@ -12,7 +12,8 @@ Usage::
                                       # engine run (the cross-table scheduler)
 
     python -m repro table3 --jobs 8             # thread pool (same results)
-    python -m repro table3 --executor process   # shard across processes
+    python -m repro table3 --executor process   # Inspector verdicts across
+                                      # processes, model chunks on threads
     python -m repro all --executor async --jobs 16   # asyncio backend:
                                       # chunk work awaits model I/O on one
                                       # event loop, at most --jobs chunks
@@ -290,8 +291,8 @@ def main(argv: List[str] | None = None) -> int:
         epilog=(
             "examples: 'repro all --executor async --jobs 16' runs every table "
             "through one interleaved engine run on the asyncio backend; "
-            "'repro table3 --executor process' shards CPU-bound work across "
-            "processes; 'repro all --cache ./cache-dir' persists responses as "
+            "'repro table3 --executor process' runs the Inspector verdicts "
+            "across processes and model chunks on threads; 'repro all --cache ./cache-dir' persists responses as "
             "append-only JSONL segments plus the scheduling cost model; "
             "'repro all --no-lpt --no-adaptive-batching' dispatches "
             "plan-order, fixed-size chunks (identical results, more "
@@ -334,7 +335,8 @@ def main(argv: List[str] | None = None) -> int:
         default=None,
         help=(
             "executor backend: serial (reference), thread (overlaps model "
-            "latency), process (shards CPU-bound work across processes), "
+            "latency), process (CPU-bound non-LLM work (Inspector verdicts) "
+            "across processes; model chunks on threads), "
             "async (asyncio event loop).  Results are identical across "
             "backends (default: derived from --jobs)"
         ),

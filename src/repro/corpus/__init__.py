@@ -19,10 +19,10 @@ Public entry points
 ``build_corpus(config)``
     Deterministically build the full suite as a list of
     :class:`~repro.corpus.microbenchmark.Microbenchmark`.
-``iter_corpus(config)`` / ``iter_corpus_sharded(config, jobs=...)``
-    The same suite as a lazy stream (optionally generated span-by-span in
-    worker processes) — ``CorpusConfig(repeats=N)`` replicates the suite
-    with re-interleaved repeat blocks for scale-out workloads.
+``iter_corpus(config)`` / ``iter_corpus_span(config, start, stop)``
+    The same suite as a lazy stream, whole or one index span at a time —
+    ``CorpusConfig(repeats=N)`` replicates the suite with re-interleaved
+    repeat blocks for scale-out workloads.
 ``CorpusRegistry``
     Indexed access by id, name and category.
 """
@@ -34,7 +34,6 @@ from repro.corpus.generator import (
     build_corpus,
     corpus_size,
     iter_corpus,
-    iter_corpus_sharded,
     iter_corpus_span,
 )
 from repro.corpus.registry import CorpusRegistry
@@ -49,7 +48,6 @@ __all__ = [
     "build_corpus",
     "corpus_size",
     "iter_corpus",
-    "iter_corpus_sharded",
     "iter_corpus_span",
     "CorpusRegistry",
 ]

@@ -19,9 +19,9 @@ Streaming and scale-out
 
 The corpus is also available as a *lazy producer*: :func:`iter_corpus`
 yields benchmarks one at a time without ever materialising the list, and
-:func:`iter_corpus_sharded` generates position spans in worker processes
-(bounded look-ahead, results re-assembled in position order) so corpus
-construction scales across cores.  ``CorpusConfig.repeats`` replicates the
+:func:`iter_corpus_span` yields any index span on its own (the dataset's
+``iter_default_records(jobs=...)`` generates and featurises such spans in
+worker processes).  ``CorpusConfig.repeats`` replicates the
 201-program suite ``N`` times — every repeat block is re-interleaved with a
 block-derived seed and benchmark indices stay contiguous and 1-based across
 blocks, so a 10⁵+-record workload is just ``CorpusConfig(repeats=500)``.
@@ -44,7 +44,6 @@ __all__ = [
     "corpus_size",
     "iter_corpus",
     "iter_corpus_span",
-    "iter_corpus_sharded",
     "EXPECTED_TOTAL",
     "EXPECTED_RACE_YES",
 ]
@@ -125,9 +124,8 @@ def iter_corpus_span(
     """Lazily yield benchmarks with 1-based index in ``[start, stop)``.
 
     Any span can be generated independently (only the repeat blocks it
-    overlaps are shuffled), which is what lets :func:`iter_corpus_sharded`
-    hand disjoint spans to worker processes and still produce a stream
-    identical to :func:`iter_corpus`.
+    overlaps are shuffled), so disjoint spans can be generated in worker
+    processes and still join into a stream identical to :func:`iter_corpus`.
     """
     instances = _enumerate_instances()
     block_len = len(instances)
@@ -148,57 +146,6 @@ def iter_corpus_span(
         for offset in range(lo - base - 1, hi - base - 1):
             spec, variant_idx = ordered[offset]
             yield spec.instantiate(base + offset + 1, variant_idx)
-
-
-def _instantiate_span(payload: Tuple[CorpusConfig, int, int]) -> List[Microbenchmark]:
-    """Worker for :func:`iter_corpus_sharded` (module level: picklable)."""
-    config, start, stop = payload
-    return list(iter_corpus_span(config, start, stop))
-
-
-def iter_corpus_sharded(
-    config: CorpusConfig | None = None,
-    *,
-    jobs: int = 2,
-    shard_size: int | None = None,
-) -> Iterator[Microbenchmark]:
-    """Yield the corpus in index order, generating shards in worker processes.
-
-    The producer keeps at most ``jobs + 1`` shards in flight (bounded
-    look-ahead), so peak residency is O(``jobs × shard_size``) benchmarks
-    regardless of corpus size.  The resulting stream is element-identical to
-    :func:`iter_corpus` for the same configuration.
-    """
-    config = config or CorpusConfig()
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    total = corpus_size(config)
-    if shard_size is None:
-        shard_size = len(_enumerate_instances())  # one repeat block per shard
-    if shard_size < 1:
-        raise ValueError(f"shard_size must be >= 1, got {shard_size}")
-    if jobs == 1 or total <= shard_size:
-        yield from iter_corpus(config)
-        return
-
-    import concurrent.futures
-    from collections import deque
-
-    spans = iter(
-        (config, lo, min(lo + shard_size, total + 1))
-        for lo in range(1, total + 1, shard_size)
-    )
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        pending: "deque" = deque()
-        for payload in spans:
-            pending.append(pool.submit(_instantiate_span, payload))
-            if len(pending) > jobs:
-                break
-        while pending:
-            yield from pending.popleft().result()
-            payload = next(spans, None)
-            if payload is not None:
-                pending.append(pool.submit(_instantiate_span, payload))
 
 
 def build_corpus(config: CorpusConfig | None = None) -> List[Microbenchmark]:

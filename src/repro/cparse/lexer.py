@@ -85,7 +85,7 @@ _EXPONENT = r"[eE][+-]?\d+"
 # Pattern fragments shared by the two scanners below.  Operator characters
 # may be followed by ``=``; ``/`` and ``.`` are left out of both sets (see
 # ``_SCANNER``).
-_BLANK_CHARS = r" \t\r"
+_BLANK_CHARS = r" \t\r\f\v"
 _OPERATOR_CHARS = r"-+*%=<>!&|^"
 _SEPARATOR_CHARS = r"~?:;,()\[\]{}"
 _PUNCT = rf"<<=|>>=|->|\+\+|--|&&|\|\||<<|>>|[{_OPERATOR_CHARS}]=?|[{_SEPARATOR_CHARS}]"

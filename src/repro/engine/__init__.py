@@ -21,10 +21,10 @@ Module map
     step function that splits cache hits from misses, hands the misses to
     a blocking or awaiting driver, stores and scores.  Non-LLM work (the
     Inspector verdicts, the fold fits) goes through ``cached_map``, which
-    computes only what the response cache does not hold.  For
-    distributed executors it ships picklable chunk payloads to a
-    module-level worker — the cache snapshot is broadcast once per run,
-    not pickled per chunk — and merges cache/telemetry deltas back.
+    computes only what the response cache does not hold.  Model chunks
+    never leave the process: every executor runs them against the one
+    live cache, and a chunk that misses a prompt another running chunk is
+    asking waits for that answer, so no executor repeats a model call.
 ``cascade``
     :class:`CascadeRouter` / :class:`CascadePolicy` — the tiered detection
     cascade (``--cascade``): records are scored through an ordered ladder
@@ -58,7 +58,8 @@ Module map
 ``executors``
     One fixed table of the built-in backends (:data:`EXECUTOR_KINDS`):
     :class:`SerialExecutor` (reference), :class:`ThreadPoolExecutor`,
-    :class:`ProcessPoolExecutor` (shards CPU-bound work across processes)
+    :class:`ProcessPoolExecutor` (CPU-bound non-LLM ``map`` work, the
+    Inspector verdicts, across processes; model chunks on threads)
     and :class:`AsyncExecutor` (a persistent asyncio loop — the seam for
     real async API adapters).  A backend implements two contracts — order-preserving ``map(fn, items)``
     and completion-order ``submit``/``submit_stream`` (incremental
@@ -81,12 +82,6 @@ Module map
     second-to-regenerate (see :meth:`ResponseCache._select_victim_locked`).
     :meth:`ResponseCache.store_stats` scans a store without loading it
     (``repro cache stats``).
-``snapshot``
-    The broadcast-once plane for distributed runs:
-    :func:`publish_snapshot` pickles the warm cache once per run into a
-    temp file, each worker loads it at most once per run
-    (:func:`load_snapshot`), and :func:`retire_snapshot` deletes it when
-    the run ends.
 ``telemetry``
     :class:`EngineTelemetry` — one declared table of counters and gauges
     (:data:`~repro.engine.telemetry.METRICS`: requests, model calls,
@@ -163,12 +158,6 @@ from repro.engine.requests import (
     response_confidence,
     score_response,
 )
-from repro.engine.snapshot import (
-    PublishedSnapshot,
-    load_snapshot,
-    publish_snapshot,
-    retire_snapshot,
-)
 from repro.engine.scheduler import (
     DEFAULT_TABLES,
     TablePlan,
@@ -225,10 +214,6 @@ __all__ = [
     "iter_requests",
     "response_confidence",
     "score_response",
-    "PublishedSnapshot",
-    "load_snapshot",
-    "publish_snapshot",
-    "retire_snapshot",
     "DEFAULT_TABLES",
     "TablePlan",
     "collect_default_plans",

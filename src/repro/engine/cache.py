@@ -32,10 +32,9 @@ key), and when a save pushes it past ``auto_compact_ratio`` with at least
 ``auto_compact_min_segments`` shards on disk, the store is folded in the
 same save, so long-lived caches never accumulate unbounded dead weight.
 
-All operations are thread-safe; the thread-pool executor hits the cache
-concurrently, and the engine's distributed (process) path uses
-:meth:`snapshot_entries` / :meth:`put_key` to ship a read-only view to
-workers and merge their results back.
+All operations are thread-safe: the thread and process executors run
+model chunks on worker threads that hit the cache concurrently.  No cache
+entry ever crosses a process boundary.
 """
 
 from __future__ import annotations
@@ -174,12 +173,11 @@ class ResponseCache:
         self._total_bytes = 0
         #: key -> insertion epoch (``clock()`` at insert/replace time).
         self._epochs: Dict[str, float] = {}
-        #: key -> model identity, recorded on insert when known and
-        #: persisted alongside each segment entry, so reloaded caches keep
-        #: their cost weights.  Entries from stores written before the
-        #: identity field existed (or merged via ``put_key`` without one)
-        #: have no identity and therefore no cost weight — those evict
-        #: first once a cost model is attached.
+        #: key -> model identity, recorded on insert and persisted
+        #: alongside each segment entry, so reloaded caches keep their cost
+        #: weights.  Entries from stores written before the identity field
+        #: existed have no identity and therefore no cost weight — those
+        #: evict first once a cost model is attached.
         self._identities: Dict[str, str] = {}
         #: Keys known to be on disk at ``self.path`` already.
         self._persisted: set = set()
@@ -227,23 +225,18 @@ class ResponseCache:
             return None
 
     def put(self, identity: str, prompt: str, response: str) -> None:
-        """Insert one response, evicting the least recently used on overflow."""
-        self.put_key(cache_key(identity, prompt), response, identity=identity)
+        """Insert one response, evicting on overflow.
 
-    def put_key(self, key: str, response: str, identity: Optional[str] = None) -> None:
-        """Insert by precomputed key (the engine's distributed merge path).
-
-        ``identity`` attaches the model identity that weights eviction;
-        the key itself is a one-way hash, so the identity must ride along
-        explicitly where the caller still knows it.
+        ``identity`` is kept beside the entry (the key itself is a one-way
+        hash): it weights eviction and is persisted with the entry.
         """
+        key = cache_key(identity, prompt)
         with self._lock:
             existing = self._entries.get(key)
             self._entries[key] = response
             self._entries.move_to_end(key)
             self._note_entry_locked(key, response)
-            if identity is not None:
-                self._identities[key] = identity
+            self._identities[key] = identity
             # New keys are pending by definition; a persisted key whose
             # value changed — including one evicted from memory since, where
             # ``existing`` is ``None`` — must be re-appended or the disk
@@ -260,11 +253,6 @@ class ResponseCache:
             self._sizes.clear()
             self._epochs.clear()
             self._total_bytes = 0
-
-    def snapshot_entries(self) -> Dict[str, str]:
-        """A plain key→response copy (read-only view for worker processes)."""
-        with self._lock:
-            return dict(self._entries)
 
     @property
     def total_bytes(self) -> int:
@@ -570,15 +558,17 @@ class ResponseCache:
 
         The entry lines are decoded with one ``json.loads``, joined into
         one JSON array.  When that raises, or gives other than one value
-        per line (a line split inside a string, two values on one line),
-        they are decoded line by line instead, so a damaged segment pays
-        for the per-line decode.
+        per line (two values on one line), they are decoded line by line
+        instead, so a damaged segment pays for the per-line decode.
         """
         try:
             text = segment.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError):
             return {}
-        lines = text.splitlines()
+        # Only "\n" ends a line: ``str.splitlines`` would also break inside
+        # a response holding U+2028, U+2029 or U+0085, which the writer
+        # leaves unescaped.
+        lines = [line for line in text.split("\n") if line]
         if not lines:
             return {}
         try:

@@ -22,7 +22,11 @@ call a language model.  Given a sequence of
    :func:`~repro.prompting.chains.strategy_batch_phases`, satisfies what it
    can from the response cache and hands only the misses to its driver —
    blocking ``generate_batch`` for the serial, thread and process
-   executors, awaited ``generate_batch_async`` for the async one;
+   executors (the process executor runs chunks on its threads, in
+   process, against the live cache), awaited ``generate_batch_async``
+   for the async one.  When chunks run side by side, a miss another chunk
+   is already asking waits for that answer (:class:`_Asking`), so every
+   executor makes the serial run's model calls;
 4. scores each response (:func:`~repro.engine.requests.score_response`) and
    writes each scored chunk straight into its slots of the result store, so
    completion order never leaks into output order.
@@ -57,17 +61,6 @@ model's verdict, or an explicit ``failed`` result when the fault layer
 gives up.  A ``journal`` checkpoint lets an interrupted run resume
 skipping already-completed work.
 
-For *distributed* executors (``executor.distributed`` is true, e.g. the
-process pool) the work item crossing the boundary must be picklable, so the
-engine ships self-contained ``(chunk, snapshot_ref)`` payloads to the
-module-level :func:`_score_chunk_payload` worker (the same chunk body over
-snapshot-backed cache get/put), then merges the returned
-entry deltas and telemetry back in the parent.  The cache snapshot is
-**broadcast once per run** through :mod:`repro.engine.snapshot`: the parent
-pickles it once into a temp file, every payload carries only the small
-``(path, token)`` reference, and each worker loads the file at most once
-per run.
-
 Because scoring preserves request order and the simulated models are
 deterministic functions of (model, strategy, code), the engine's output is
 bit-identical across executors, chunk orders and sizings, speculation,
@@ -78,10 +71,12 @@ the first response per prompt.)
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import heapq
 import itertools
 import statistics
+import threading
 import time
 from collections import OrderedDict, deque
 from typing import (
@@ -97,7 +92,7 @@ from typing import (
     TypeVar,
 )
 
-from repro.engine.cache import ResponseCache, cache_key
+from repro.engine.cache import ResponseCache
 from repro.engine.cascade import CascadePolicy, CascadeRouter
 from repro.engine.costmodel import CostModel
 from repro.engine.executors import create_executor
@@ -119,13 +114,6 @@ from repro.engine.requests import (
     RunResultStore,
     failed_result,
     score_response,
-)
-from repro.engine.snapshot import (
-    SnapshotPayloadRef,
-    _WORKER_SNAPSHOTS as _worker_snapshot_memo,
-    load_snapshot,
-    publish_snapshot,
-    retire_snapshot,
 )
 from repro.engine.telemetry import EngineTelemetry, process_rss_kb
 from repro.prompting.chains import strategy_batch_phases
@@ -163,14 +151,6 @@ _IndexedRequest = Tuple[int, DetectionRequest]
 #: hit/miss/model-call counters and the chunk's wall time.
 _ChunkOutcome = Tuple[List[Tuple[int, RunResult]], Dict[str, int], float]
 
-#: What a distributed chunk worker sends back: a chunk outcome plus the
-#: cache entry delta the parent must merge.
-_DistributedOutcome = Tuple[List[Tuple[int, RunResult]], Dict[str, str], Dict[str, int], float]
-
-#: A published cache snapshot reference crossing the process boundary:
-#: ``(temp-file path, unique broadcast token)``.
-_SnapshotRef = SnapshotPayloadRef
-
 
 def resolve_engine(engine: Optional["ExecutionEngine"]) -> "ExecutionEngine":
     """The caller's engine, or the default: a fresh serial, uncached one.
@@ -193,24 +173,64 @@ def _rewrite(chunk: Sequence[_IndexedRequest], model) -> List[_IndexedRequest]:
     return [(index, dataclasses.replace(request, model=model)) for index, request in chunk]
 
 
-def _partition_cached(
-    prompts: Sequence[str],
-    get_response: Callable[[str], Optional[str]],
-) -> Tuple[List[Optional[str]], List[int]]:
-    """Split a prompt batch into cache hits and miss positions.
+class _Asking:
+    """The prompts chunks have sent to their models and not yet answered.
 
-    Returns ``(responses, miss_positions)`` where ``responses`` holds the
-    cached response per prompt (``None`` at every miss position).
+    When chunks run side by side, two of them can miss the same prompt (one
+    record that two tables ask one model about).  The first to miss it asks
+    the model; the others wait for that answer instead of asking again, so
+    a parallel run makes the serial run's model calls whatever its timing.
+    Copies of one chunk (a speculative duplicate and its original) never
+    wait for each other: a duplicate exists to ask again.
     """
-    responses: List[Optional[str]] = [None] * len(prompts)
-    miss_positions: List[int] = []
-    for position, prompt in enumerate(prompts):
-        cached = get_response(prompt)
-        if cached is not None:
-            responses[position] = cached
-        else:
-            miss_positions.append(position)
-    return responses, miss_positions
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        #: (model identity, prompt) -> [id of the asking chunk, the answer's
+        #: future, made when another chunk first waits for it].
+        self._asked: Dict[Tuple[str, str], list] = {}
+
+    def partition(self, chunk, prompts, positions, responses, get_response):
+        """Fill the cache hits among ``positions`` into ``responses``; return
+        the positions ``chunk`` must ask and ``(position, future)`` pairs
+        for those another chunk is asking.
+
+        The cache is read under the lock, after the in-flight check: a
+        chunk stores its responses before it settles, so a prompt nobody is
+        asking any more is in the cache, if it was ever asked.
+        """
+        owner, identity = id(chunk), _identity(chunk)
+        mine: List[int] = []
+        theirs: List[Tuple[int, "concurrent.futures.Future[Optional[str]]"]] = []
+        with self._lock:
+            for position in positions:
+                prompt = prompts[position]
+                entry = self._asked.get((identity, prompt))
+                if entry is not None and entry[0] != owner:
+                    if entry[1] is None:
+                        entry[1] = concurrent.futures.Future()
+                    theirs.append((position, entry[1]))
+                    continue
+                cached = get_response(prompt)
+                if cached is not None:
+                    responses[position] = cached
+                    continue
+                if entry is None:
+                    self._asked[identity, prompt] = [owner, None]
+                mine.append(position)
+        return mine, theirs
+
+    def settle(self, chunk, prompts, responses) -> None:
+        """Answer whoever waits on ``prompts``, which ``chunk`` asked;
+        ``responses=None`` (the ask failed) sends them back to the cache."""
+        owner, identity = id(chunk), _identity(chunk)
+        with self._lock:
+            for position, prompt in enumerate(prompts):
+                entry = self._asked.get((identity, prompt))
+                if entry is not None and entry[0] == owner:
+                    del self._asked[identity, prompt]
+                    if entry[1] is not None:
+                        entry[1].set_result(None if responses is None else responses[position])
 
 
 def _require_batch_length(
@@ -235,21 +255,27 @@ def _chunk_steps(
     chunk: Sequence[_IndexedRequest],
     get_response: Optional[Callable[[str], Optional[str]]],
     put_response: Optional[Callable[[str, str], None]],
-) -> Generator[List[str], List[str], Tuple[List[Tuple[int, RunResult]], Dict[str, int]]]:
+    asking: Optional[_Asking],
+) -> Generator[
+    Tuple[str, list], List[Optional[str]], Tuple[List[Tuple[int, RunResult]], Dict[str, int]]
+]:
     """The one chunk body, as a step function that does no I/O itself.
 
     Builds the strategy's prompt phases (one, or AP2's two), splits each
-    phase into cache hits and misses, yields the miss prompts and receives
-    their responses, stores the fresh entries and finally scores the
-    chunk.  Returns ``(scored, counters)`` with ``counters`` holding
-    ``hits``/``misses`` (cache lookups), ``calls`` (prompts sent to the
-    model) and ``wire`` (one per yielded batch).  ``get_response`` and
-    ``put_response`` are ``None`` when caching is off: every prompt then
-    goes to the model and no lookup is counted.
+    phase into cache hits and misses, yields ``("ask", prompts)`` with the
+    miss prompts and receives their responses, stores the fresh entries
+    and finally scores the chunk.  A miss another chunk is asking
+    (:class:`_Asking`) is yielded as ``("wait", futures)`` instead: the
+    driver sends back their results, and a ``None`` (that chunk's ask
+    failed) is looked up again.  Returns ``(scored, counters)`` with
+    ``counters`` holding ``hits``/``misses`` (cache lookups; a waited-for
+    answer is a hit, as a serial run finds it in the cache), ``calls``
+    (prompts sent to the model) and ``wire`` (one per asked batch).  The
+    three cache arguments are ``None`` when caching is off: every prompt
+    then goes to the model and no lookup is counted.
 
-    The drivers own the wire: :func:`_drive_chunk` calls
-    ``generate_batch`` (serial and thread executors, and the process
-    worker with snapshot-backed get/put) and
+    The drivers own the wire: :meth:`ExecutionEngine._run_chunk` calls
+    ``generate_batch`` (serial, thread and process executors) and
     :meth:`ExecutionEngine._await_chunk` awaits ``generate_batch_async``
     (the async executor), so cache and scoring semantics cannot drift
     between executors.
@@ -258,21 +284,39 @@ def _chunk_steps(
     phases = strategy_batch_phases(chunk[0][1].strategy, [r.code for _, r in chunk])
     prompts = next(phases)
     while True:
-        if get_response is None:
-            responses: List[Optional[str]] = [None] * len(prompts)
-            miss_positions = list(range(len(prompts)))
-        else:
-            responses, miss_positions = _partition_cached(prompts, get_response)
-            counters["hits"] += len(prompts) - len(miss_positions)
-            counters["misses"] += len(miss_positions)
-        if miss_positions:
-            generated = yield [prompts[i] for i in miss_positions]
-            counters["calls"] += len(miss_positions)
-            counters["wire"] += 1
-            for position, response in zip(miss_positions, generated):
-                responses[position] = response
-                if put_response is not None:
-                    put_response(prompts[position], response)
+        responses: List[Optional[str]] = [None] * len(prompts)
+        todo = list(range(len(prompts)))
+        while todo:
+            if asking is None:
+                mine, theirs = todo, []
+            else:
+                mine, theirs = asking.partition(chunk, prompts, todo, responses, get_response)
+                counters["hits"] += len(todo) - len(mine) - len(theirs)
+                counters["misses"] += len(mine)
+            todo = []
+            if mine:
+                asked = [prompts[i] for i in mine]
+                generated = None
+                try:
+                    generated = yield "ask", asked
+                    counters["calls"] += len(mine)
+                    counters["wire"] += 1
+                    for position, response in zip(mine, generated):
+                        responses[position] = response
+                        if put_response is not None:
+                            put_response(prompts[position], response)
+                finally:
+                    # Also when the ask fails: nobody may wait forever.
+                    if asking is not None:
+                        asking.settle(chunk, asked, generated)
+            if theirs:
+                answers = yield "wait", [answer for _, answer in theirs]
+                for (position, _), response in zip(theirs, answers):
+                    if response is None:
+                        todo.append(position)
+                    else:
+                        responses[position] = response
+                        counters["hits"] += 1
         try:
             prompts = phases.send(responses)  # type: ignore[arg-type]
         except StopIteration as done:
@@ -283,83 +327,6 @@ def _chunk_steps(
         for (index, request), response in zip(chunk, final)
     ]
     return scored, counters
-
-
-def _drive_chunk(
-    chunk: Sequence[_IndexedRequest],
-    get_response: Optional[Callable[[str], Optional[str]]] = None,
-    put_response: Optional[Callable[[str, str], None]] = None,
-) -> _ChunkOutcome:
-    """Run :func:`_chunk_steps` with blocking ``generate_batch`` calls."""
-    start = time.perf_counter()
-    model = chunk[0][1].model
-    steps = _chunk_steps(chunk, get_response, put_response)
-    try:
-        prompts = next(steps)
-        while True:
-            responses = list(model.generate_batch(prompts))
-            prompts = steps.send(_require_batch_length(responses, len(prompts)))
-    except StopIteration as done:
-        scored, counters = done.value
-    return scored, counters, time.perf_counter() - start
-
-
-# ---------------------------------------------------------------------------
-# broadcast-once cache shipping (the process-backend hot path)
-# ---------------------------------------------------------------------------
-#
-# The mechanics live in :mod:`repro.engine.snapshot`: the parent publishes
-# the warm cache once per run as a pickle temp file, which each worker
-# loads at most once per run.
-# These module-level aliases are the engine's seam (tests monkeypatch
-# ``_publish_snapshot`` here) and keep ``_score_chunk_payload`` self-contained
-# for pickling.
-
-_publish_snapshot = publish_snapshot
-_retire_snapshot = retire_snapshot
-_load_published_snapshot = load_snapshot
-#: Worker-side memo (same object as :data:`repro.engine.snapshot._WORKER_SNAPSHOTS`).
-_WORKER_SNAPSHOTS = _worker_snapshot_memo
-
-
-def _score_chunk_payload(
-    payload: Tuple[Sequence[_IndexedRequest], Optional[_SnapshotRef]],
-) -> _DistributedOutcome:
-    """Score one chunk in a worker process (no shared state with the parent).
-
-    ``payload`` is ``(chunk, snapshot_ref)`` where ``snapshot_ref`` points
-    at the run's published read-only cache snapshot (or is ``None`` when
-    caching is off).  The worker cannot mutate the parent cache, so it
-    runs :func:`_drive_chunk` with get/put functions backed by the
-    snapshot plus a local delta, and returns the entries it generated
-    alongside the chunk's counters and wall time; the parent merges them
-    as each chunk completes.  Chunks from the same run cannot see each
-    other's fresh entries — with deterministic models that only costs
-    duplicate calls, never changes a response.
-    """
-    chunk, snapshot_ref = payload
-    cache_entries, loaded = _load_published_snapshot(snapshot_ref)
-    new_entries: Dict[str, str] = {}
-    get_response = put_response = None
-    if cache_entries is not None:
-        identity = _identity(chunk)
-
-        def get_response(prompt: str) -> Optional[str]:
-            key = cache_key(identity, prompt)
-            return cache_entries.get(key, new_entries.get(key))
-
-        def put_response(prompt: str, response: str) -> None:
-            new_entries[cache_key(identity, prompt)] = response
-
-    # The driver times only the chunk's own work: the one-time snapshot
-    # load above must not be charged to this (model, strategy)
-    # group's cost estimate, or the first chunk per worker would skew the
-    # EWMA.
-    scored, counters, elapsed = _drive_chunk(chunk, get_response, put_response)
-    # First real snapshot load in this worker for this run's token; the
-    # parent folds it into telemetry's `snapshot_loads`.
-    counters["attach"] = int(loaded)
-    return scored, new_entries, counters, elapsed
 
 
 class ExecutionEngine:
@@ -538,6 +505,7 @@ class ExecutionEngine:
         #: thread, so no lock is needed.
         self._inflight = 0
         self._inflight_peak = 0
+        self._asking = _Asking()
 
     # -- the main entry point -------------------------------------------------------
 
@@ -569,9 +537,6 @@ class ExecutionEngine:
         Results are yielded in request order as each window drains; for the
         same requests the result sequence is element-identical to
         ``run(list(requests))``.
-
-        Distributed executors re-broadcast the cache snapshot per window, so
-        later windows see entries earlier windows populated.
         """
         iterator = iter(requests)
         start = time.perf_counter()
@@ -762,15 +727,10 @@ class ExecutionEngine:
     ) -> None:
         """Dispatch every chunk and merge each outcome the moment it lands.
 
-        In-process executors run :meth:`_run_chunk` on the chunk itself —
-        or, on an async-native executor, the coroutine
-        :meth:`_await_chunk`, whose model I/O is awaited on the
-        executor's loop under its ``jobs``-wide semaphore.  Distributed
-        executors run the module-level :func:`_score_chunk_payload` on
-        ``(chunk, snapshot_ref)``: the cache snapshot is published exactly
-        once per run (a temp file; see :mod:`repro.engine.snapshot`),
-        fresh worker entries fold back into the parent cache, and the
-        snapshot is retired when the run finishes — including on error.
+        Every executor runs :meth:`_run_chunk` on the chunk itself — or,
+        on an async-native executor, the coroutine :meth:`_await_chunk`,
+        whose model I/O is awaited on the executor's loop under its
+        ``jobs``-wide semaphore.
 
         A ``None`` outcome is a chunk the fault layer gave up on: every
         request gets an explicit positional ``failed`` result and nothing
@@ -779,41 +739,21 @@ class ExecutionEngine:
         breaker reroute); the journal keys on the *original* requests so a
         resume finds them.
         """
-        distributed = bool(getattr(self.executor, "distributed", False))
-        async_native = not distributed and bool(
-            getattr(self.executor, "native_async", False)
-        )
-        published = None
-        if distributed:
-            if self.cache is not None:
-                published = _publish_snapshot(self.cache.snapshot_entries())
-                self.telemetry.add(broadcast_publishes=1, broadcast_bytes=published.nbytes)
-            snapshot_ref = published.payload if published is not None else None
-            fn: Callable = _score_chunk_payload
-            make_item: Callable = lambda chunk: (chunk, snapshot_ref)
-        else:
-            fn = self._await_chunk if async_native else self._run_chunk
-            make_item = lambda chunk: chunk
-            self._inflight_peak = 0  # peak is per run; telemetry keeps the max
-        try:
-            for chunk_index, outcome, executed in self._dispatch(fn, chunks, make_item):
-                original = chunks[chunk_index]
-                if outcome is None:
-                    for index, request in original:
-                        results[index] = failed_result(request)
-                    self.telemetry.add(failed_requests=len(original))
-                    continue
-                if distributed:
-                    scored, new_entries, counters, elapsed = outcome
-                    self._merge_worker_entries(executed, new_entries)
-                else:
-                    scored, counters, elapsed = outcome
-                for index, result in scored:
-                    results[index] = result
-                self._record_chunk(executed, counters, elapsed)
-                self._journal_record(original, scored)
-        finally:
-            _retire_snapshot(published)
+        async_native = bool(getattr(self.executor, "native_async", False))
+        fn = self._await_chunk if async_native else self._run_chunk
+        self._inflight_peak = 0  # peak is per run; telemetry keeps the max
+        for chunk_index, outcome, executed in self._dispatch(fn, chunks):
+            original = chunks[chunk_index]
+            if outcome is None:
+                for index, request in original:
+                    results[index] = failed_result(request)
+                self.telemetry.add(failed_requests=len(original))
+                continue
+            scored, counters, elapsed = outcome
+            for index, result in scored:
+                results[index] = result
+            self._record_chunk(executed, counters, elapsed)
+            self._journal_record(original, scored)
         if async_native:
             self.telemetry.gauge(async_inflight_peak=self._inflight_peak)
 
@@ -821,7 +761,6 @@ class ExecutionEngine:
         self,
         fn: Callable,
         chunks: Sequence[Sequence[_IndexedRequest]],
-        make_item: Callable,
     ) -> Iterator[Tuple[int, Optional[object], Sequence[_IndexedRequest]]]:
         """The one completion-order dispatch loop.
 
@@ -838,7 +777,7 @@ class ExecutionEngine:
           same model in an idle slot;
         * success — the first copy of a chunk to succeed is merged exactly
           once; its siblings are cancelled, or their results dropped when
-          they already run on a thread/process worker, so the cache,
+          they already run on a worker thread, so the cache,
           telemetry and cost model are never double-fed;
         * failure — a copy whose sibling is still running defers to it;
           otherwise a retryable error within the retry budget goes to the
@@ -860,7 +799,7 @@ class ExecutionEngine:
         the work queued behind it), and when the executor runs one item
         at a time (the serial backend runs ``submit`` inline, so a
         fail-fast run stops at the failing chunk).  Otherwise every chunk
-        is submitted up front to keep process and async pools fed.
+        is submitted up front to keep thread and async pools fed.
         """
         stream = self.executor.submit_stream(fn)
         capacity = self._capacity()
@@ -881,9 +820,8 @@ class ExecutionEngine:
         speculated: set = set()
         resolved: set = set()
         outstanding = len(chunks)
-
         def submit(index, attempt, chunk, duplicate=False) -> None:
-            future = stream.submit(make_item(chunk), (index, attempt, chunk, duplicate))
+            future = stream.submit(chunk, (index, attempt, chunk, duplicate))
             copies.setdefault(index, []).append(future)
 
         try:
@@ -999,16 +937,6 @@ class ExecutionEngine:
             return None
         return self.speculate_after * quantile * len(chunk)
 
-    def _merge_worker_entries(
-        self, chunk: Sequence[_IndexedRequest], new_entries: Dict[str, str]
-    ) -> None:
-        """Fold a distributed worker's fresh cache entries into the parent."""
-        if self.cache is None or not new_entries:
-            return
-        identity = _identity(chunk)
-        for key, response in new_entries.items():
-            self.cache.put_key(key, response, identity=identity)
-
     def _breaker_route(
         self, chunk: Sequence[_IndexedRequest]
     ) -> Optional[Sequence[_IndexedRequest]]:
@@ -1122,9 +1050,6 @@ class ExecutionEngine:
             wire_calls=counters["wire"],
             cache_hits=counters["hits"],
             cache_misses=counters["misses"],
-            # Distributed chunks report their worker's first snapshot load;
-            # local chunks never set the key.
-            snapshot_loads=counters.get("attach", 0),
         )
         self.telemetry.record_group(
             model.name,
@@ -1137,30 +1062,50 @@ class ExecutionEngine:
         )
         self.cost_model.observe(_identity(chunk), request.strategy.value, elapsed / len(chunk))
 
-    def _cache_io(
-        self, chunk: Sequence[_IndexedRequest]
-    ) -> Tuple[Optional[Callable[[str], Optional[str]]], Optional[Callable[[str, str], None]]]:
-        """The engine cache's get/put for one chunk's model (``None`` pair uncached)."""
+    def _cache_io(self, chunk: Sequence[_IndexedRequest]) -> tuple:
+        """:func:`_chunk_steps`' cache arguments for one chunk: the engine
+        cache's get/put for the chunk's model and the engine's in-flight
+        prompts (all ``None`` uncached)."""
         cache = self.cache
         if cache is None:
-            return None, None
+            return None, None, None
         identity = _identity(chunk)
         return (
             lambda prompt: cache.get(identity, prompt),
             lambda prompt, response: cache.put(identity, prompt, response),
+            self._asking,
         )
 
     def _run_chunk(self, chunk: Sequence[_IndexedRequest]) -> _ChunkOutcome:
-        """One serial/thread work item: a same-(model, strategy, scoring) chunk.
+        """One serial/thread/process work item: :func:`_chunk_steps` with
+        blocking ``generate_batch`` calls.
 
         Counters are collected locally and merged by the dispatching thread
         (:meth:`_record_chunk`), keeping worker threads off the telemetry
         lock and giving every chunk an attributable wall time.
         """
-        return _drive_chunk(chunk, *self._cache_io(chunk))
+        start = time.perf_counter()
+        model = chunk[0][1].model
+        steps = _chunk_steps(chunk, *self._cache_io(chunk))
+        try:
+            kind, items = next(steps)
+            while True:
+                if kind == "ask":
+                    replies = list(model.generate_batch(items))
+                    _require_batch_length(replies, len(items))
+                else:
+                    replies = [answer.result() for answer in items]
+                kind, items = steps.send(replies)
+        except StopIteration as done:
+            scored, counters = done.value
+        finally:
+            steps.close()  # a failed ask settles its prompts
+        return scored, counters, time.perf_counter() - start
 
     async def _await_chunk(self, chunk: Sequence[_IndexedRequest]) -> _ChunkOutcome:
         """One async work item: :func:`_chunk_steps` with awaited model I/O."""
+        import asyncio
+
         self._inflight += 1
         self._inflight_peak = max(self._inflight_peak, self._inflight)
         try:
@@ -1168,14 +1113,23 @@ class ExecutionEngine:
             model = chunk[0][1].model
             steps = _chunk_steps(chunk, *self._cache_io(chunk))
             try:
-                prompts = next(steps)
+                kind, items = next(steps)
                 while True:
-                    responses = list(await model.generate_batch_async(prompts))
-                    prompts = steps.send(
-                        _require_batch_length(responses, len(prompts), "generate_batch_async")
-                    )
+                    if kind == "ask":
+                        replies = list(await model.generate_batch_async(items))
+                        _require_batch_length(replies, len(items), "generate_batch_async")
+                    else:
+                        # Shielded: cancelling this chunk (a lost speculative
+                        # race) must not cancel an answer others wait for.
+                        replies = [
+                            await asyncio.shield(asyncio.wrap_future(answer))
+                            for answer in items
+                        ]
+                    kind, items = steps.send(replies)
             except StopIteration as done:
                 scored, counters = done.value
+            finally:
+                steps.close()  # a failed or cancelled ask settles its prompts
             return scored, counters, time.perf_counter() - start
         finally:
             self._inflight -= 1

@@ -17,14 +17,13 @@ average (EWMA) of observed seconds-per-request for every
   tail) and fast or cached groups get larger ones (less per-chunk
   overhead).
 
-Observations are fed by the engine after every chunk completes — including
-chunks scored in worker processes, whose elapsed time rides back with the
-chunk outcome — so a long-lived engine (the CLI's ``repro all``, the
-pipeline facade, the benchmark harness) adapts from its own telemetry
-within a session.  The model can also be persisted as a small JSON file
-beside the response cache (the CLI stores ``costmodel.json`` inside the
-``--cache`` directory), so the *first* run of a new session already knows
-which groups are slow.
+Observations are fed by the engine after every chunk completes, so a
+long-lived engine (the CLI's ``repro all``, the pipeline facade, the
+benchmark harness) adapts from its own telemetry within a session.  The
+model can also be persisted as a small JSON file beside the response
+cache (the CLI stores ``costmodel.json`` inside the ``--cache``
+directory), so the *first* run of a new session already knows which
+groups are slow.
 
 Like the response cache, a cost model store is an optimisation, never a
 requirement: a missing, corrupt or version-mismatched file loads as empty

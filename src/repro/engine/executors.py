@@ -27,12 +27,12 @@ via :func:`create_executor` (the CLI's ``--executor``/``--jobs`` flags and
   persistent pool of worker threads.  Overlaps model latency (network time
   for real API clients); the pool is created lazily on first ``map`` and
   lives until :meth:`~ThreadPoolExecutor.close`.
-* :class:`ProcessPoolExecutor` (``"process"``) — shards work across worker
-  *processes*, scaling the CPU-bound parts (feature extraction, response
-  rendering/parsing) past the GIL.  Everything crossing the process boundary
-  must be picklable; the executor advertises this with ``distributed =
-  True`` and the engine switches to self-contained, picklable chunk
-  payloads (see :func:`repro.engine.core._score_chunk_payload`).
+* :class:`ProcessPoolExecutor` (``"process"``) — a thread pool whose
+  ordered ``map`` alone runs across worker *processes*.  The CPU-bound
+  non-LLM work that goes through ``map`` (the Inspector verdicts of
+  :meth:`~repro.engine.core.ExecutionEngine.cached_map`) scales past the
+  GIL; model chunks, which wait on the model, run on its ``jobs`` threads
+  in process, against the engine's live response cache.
 * :class:`AsyncExecutor` (``"async"``) — runs work items concurrently on a
   persistent asyncio event loop in a background thread.  Synchronous
   functions are offloaded to the loop's thread pool of width ``jobs``;
@@ -140,8 +140,6 @@ class _BaseExecutor:
     """Shared close/context-manager plumbing for the pooled backends."""
 
     name = "base"
-    #: True when ``map`` crosses a process boundary (fn/items must pickle).
-    distributed = False
 
     def __init__(self) -> None:
         self._closed = False
@@ -267,51 +265,46 @@ class ThreadPoolExecutor(_BaseExecutor):
         return f"<ThreadPoolExecutor jobs={self.jobs}>"
 
 
-class ProcessPoolExecutor(_BaseExecutor):
-    """Shard work items across one persistent pool of worker processes.
+class ProcessPoolExecutor(ThreadPoolExecutor):
+    """A thread pool whose ordered ``map`` runs across worker processes.
 
-    Threads only overlap I/O waits; a process pool also scales the
-    CPU-bound half of a request (feature extraction, response rendering and
-    parsing) across cores.  The price is the pickle boundary: ``fn`` must be
-    a module-level callable and every item/result must be picklable.  The
-    engine honours this automatically — ``distributed = True`` makes it
-    dispatch self-contained chunk payloads instead of bound-method closures.
+    ``submit``/``submit_stream`` — every model chunk the engine dispatches —
+    run on the inherited ``jobs`` threads, in process: model calls wait on
+    I/O, and in process they read and fill the live response cache, so no
+    prompt is sent twice.  Only ``map`` crosses the process boundary, on a
+    second pool of ``jobs`` worker processes created lazily on the first
+    ``map``: that is where the CPU-bound non-LLM work (Inspector verdicts)
+    scales past the GIL.  ``fn`` given to ``map`` must be a module-level
+    callable and every item/result must be picklable.  ``close()`` shuts
+    both pools down.
     """
 
     name = "process"
-    distributed = True
 
     def __init__(self, jobs: int = 4) -> None:
-        super().__init__()
-        if jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        self.jobs = jobs
-        self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
-        self._lock = threading.Lock()
+        super().__init__(jobs=jobs)
+        self._processes: Optional[concurrent.futures.ProcessPoolExecutor] = None
 
-    def _ensure_pool(self) -> concurrent.futures.ProcessPoolExecutor:
+    def _ensure_processes(self) -> concurrent.futures.ProcessPoolExecutor:
         with self._lock:
             self._check_open()
-            if self._pool is None:
-                self._pool = concurrent.futures.ProcessPoolExecutor(max_workers=self.jobs)
-            return self._pool
+            if self._processes is None:
+                self._processes = concurrent.futures.ProcessPoolExecutor(max_workers=self.jobs)
+            return self._processes
 
     def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
         self._check_open()
         items = list(items)
         if not items:
             return []
-        return list(self._ensure_pool().map(fn, items))
-
-    def submit(self, fn: Callable[[T], R], item: T) -> "concurrent.futures.Future[R]":
-        return self._ensure_pool().submit(fn, item)
+        return list(self._ensure_processes().map(fn, items))
 
     def close(self) -> None:
+        super().close()
         with self._lock:
-            super().close()
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
+            if self._processes is not None:
+                self._processes.shutdown(wait=True)
+                self._processes = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<ProcessPoolExecutor jobs={self.jobs}>"

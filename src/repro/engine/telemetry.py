@@ -76,13 +76,6 @@ METRICS: Tuple[Tuple[str, str], ...] = (
     #: Peak process RSS in kB sampled at each batch boundary (0 where
     #: procfs is unavailable).
     ("peak_rss_kb", PEAK),
-    #: Cache snapshots published for distributed runs and the pickled
-    #: bytes they carried (one temp file per run).
-    ("broadcast_publishes", COUNTER),
-    ("broadcast_bytes", COUNTER),
-    #: Real worker-side snapshot loads (at most one per worker per run;
-    #: the worker memo absorbs the rest of a run's chunks).
-    ("snapshot_loads", COUNTER),
     #: Speculative duplicates launched, races they won, results dropped.
     ("speculation_launched", COUNTER),
     ("speculation_won", COUNTER),
@@ -340,11 +333,6 @@ class EngineTelemetry:
             parts.append(f"resident_peak={snap['resident_requests_peak']}")
         if snap["peak_rss_kb"]:
             parts.append(f"rss_peak={snap['peak_rss_kb'] / 1024:.1f}MB")
-        if snap["broadcast_publishes"]:
-            parts.append(
-                f"broadcast={snap['broadcast_publishes']} publishes/"
-                f"{snap['broadcast_bytes']}B snapshot_loads={snap['snapshot_loads']}"
-            )
         if snap["speculation_launched"]:
             parts.append(
                 f"speculation={snap['speculation_launched']} launched/"

@@ -229,7 +229,7 @@ def plan_table2(
     from repro.engine import build_requests
     from repro.engine.scheduler import TablePlan
 
-    records = (dataset or default_subset()).records
+    records = (default_subset() if dataset is None else dataset).records
     model = (model_factory or create_model)(model_name)
     segments = _RowSegments()
     requests = []
@@ -278,7 +278,7 @@ def plan_table3(
     from repro.engine import build_requests
     from repro.engine.scheduler import TablePlan
 
-    if not dataset:
+    if dataset is None:
         if corpus is None:
             corpus = build_corpus(corpus_config)
         dataset = default_subset(corpus=corpus)
@@ -371,7 +371,7 @@ def plan_table5(
     from repro.engine import build_requests
     from repro.engine.scheduler import TablePlan
 
-    records = (dataset or default_subset()).records
+    records = (default_subset() if dataset is None else dataset).records
     factory = model_factory or create_model
     segments = _RowSegments()
     requests = []
@@ -419,11 +419,13 @@ def _plan_crossval_table(
     """
     from repro.engine.scheduler import TablePlan
 
-    dataset = dataset or default_subset()
+    dataset = default_subset() if dataset is None else dataset
     requests: List = []
     spans: List[tuple] = []
 
     def prepare(engine):
+        if not dataset.records:
+            return  # nothing to hold out or fit on: the table plans no request
         subplans = plan_finetune_crossvals(
             dataset,
             models,

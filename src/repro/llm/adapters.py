@@ -79,11 +79,8 @@ __all__ = [
 
 #: Process-wide chaos attempt registry: (model name, salt, prompt) ->
 #: calls that have touched the prompt in *this* process.  Module-level on
-#: purpose: process-pool chunk payloads re-pickle their ChaosAdapter per
-#: submission, so instance counters would reset on every retry attempt
-#: and a chaotic prompt could never recover in a pool worker.  The worker
-#: process outlives its payloads; this registry is the state that
-#: persists with it.
+#: purpose: every copy of a ChaosAdapter, a pickled one included, shares
+#: these counts, so copying the adapter never restarts a prompt's chaos.
 _CHAOS_ATTEMPTS: Dict[Tuple[str, str, str], int] = {}
 _CHAOS_LOCK = threading.Lock()
 
@@ -290,9 +287,8 @@ class FlakyTailAdapter(LanguageModel):
     # gathers generate_async so only the tail call itself hangs.
 
     def __getstate__(self):
-        # Process-pool payloads pickle the model: drop the lock and the
-        # attempt history — a worker's copy starts its own attempt count,
-        # which only affects timing, never content.
+        # A pickled copy drops the lock and the attempt history: it starts
+        # its own attempt count, which only affects timing, never content.
         state = self.__dict__.copy()
         state["_lock"] = None
         state["_attempts"] = {}
@@ -330,12 +326,9 @@ class ChaosAdapter(LanguageModel):
     retries a chaotic run is bit-identical to a fault-free one.  One
     failing call consumes the schedule of *every* chaotic prompt it
     carried, and attempt counters live in a process-wide registry keyed
-    on ``(model name, salt, prompt)`` — process-pool payloads re-pickle
-    the adapter per chunk submission, so instance counters would reset
-    every attempt and a chaotic prompt would never recover there.  Per
-    process, a chunk's calls misbehave at most ``fail_attempts`` times,
-    so ``retries >= jobs * fail_attempts`` guarantees recovery by
-    pigeonhole (some worker process sees the chunk again).  Counters
+    on ``(model name, salt, prompt)``, which every copy of the adapter
+    shares.  A chunk's calls misbehave at most ``fail_attempts`` times,
+    so ``retries >= fail_attempts`` guarantees recovery.  Counters
     only change *when* a prompt recovers, never *what* it answers; tests
     sharing a salt should call :func:`reset_chaos_attempts` between
     runs.

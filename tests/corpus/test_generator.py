@@ -258,12 +258,3 @@ class TestStreamingCorpus:
         assert corpus_size(config) == 1_005_000
         head = list(itertools.islice(iter_corpus(config), 3))
         assert len(head) == 3  # returned without generating 1M benchmarks
-
-    def test_sharded_equals_serial(self):
-        from repro.corpus import iter_corpus, iter_corpus_sharded
-
-        config = CorpusConfig(repeats=2)
-        serial = list(iter_corpus(config))
-        sharded = list(iter_corpus_sharded(config, jobs=2))
-        assert [b.name for b in sharded] == [b.name for b in serial]
-        assert [b.code for b in sharded] == [b.code for b in serial]

@@ -140,3 +140,69 @@ class TestLexerProperties:
         toks = tokenize(f"x = {value};")
         lit = next(t for t in toks if t.kind is TokenKind.INT_LIT)
         assert int(lit.text) == value
+
+
+def _blank_swapped(source: str) -> str:
+    """``source`` with the spaces of every code line turned into form feeds
+    and vertical tabs, in turn.  Directive lines and lines holding a literal
+    keep theirs: there a blank is part of a token's text."""
+    blanks = iter("\f\v" * len(source))
+    lines = []
+    for line in source.split("\n"):
+        if not line.lstrip().startswith("#") and '"' not in line and "'" not in line:
+            line = "".join(next(blanks) if char == " " else char for char in line)
+        lines.append(line)
+    return "\n".join(lines)
+
+
+class TestFormFeedAndVerticalTab:
+    """C counts ``\\f`` and ``\\v`` as white space; only ``\\n`` ends a line."""
+
+    @pytest.fixture(scope="class")
+    def sources(self):
+        from repro.corpus import CorpusConfig, build_corpus
+
+        corpus = build_corpus(CorpusConfig())
+        pairs = [(bench.code, _blank_swapped(bench.code)) for bench in corpus[:40]]
+        assert all("\f" in swapped and "\v" in swapped for _, swapped in pairs)
+        return pairs
+
+    @pytest.mark.parametrize("blank", ["\f", "\v"])
+    def test_single_blank(self, blank):
+        from repro.cparse import parse
+        from repro.dataset.trim import trim_comments
+
+        assert trim_comments(f"int x;{blank}\n").trimmed_code == "int x;\n"
+        assert parse(f"int main(){{{blank} int x = 1; return x;}}") == parse(
+            "int main(){  int x = 1; return x;}"
+        )
+        tokens = tokenize(f"a{blank}b\nc")
+        assert [(t.text, t.line, t.col) for t in tokens] == [
+            ("a", 1, 1), ("b", 1, 3), ("c", 2, 1), ("", 2, 2)
+        ]
+
+    def test_tokens_match_spaces(self, sources):
+        for code, swapped in sources:
+            assert tokenize(swapped) == tokenize(code)
+            assert [
+                token._replace(text=token.text.replace("\f", " ").replace("\v", " "))
+                for token in tokenize(swapped, keep_comments=True)
+            ] == tokenize(code, keep_comments=True)
+
+    def test_comment_spans_and_trim_match_spaces(self, sources):
+        from repro.cparse.lexer import comment_spans
+        from repro.dataset.trim import trim_comments
+
+        for code, swapped in sources:
+            assert comment_spans(swapped) == comment_spans(code)
+            reference, trimmed = trim_comments(code), trim_comments(swapped)
+            assert trimmed.line_map == reference.line_map
+            assert trimmed.trimmed_code.replace("\f", " ").replace("\v", " ") == (
+                reference.trimmed_code
+            )
+
+    def test_ast_matches_spaces(self, sources):
+        from repro.cparse import parse
+
+        for code, swapped in sources:
+            assert parse(swapped) == parse(code)

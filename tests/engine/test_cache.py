@@ -110,13 +110,13 @@ class TestCostAwareEviction:
         assert cache.get("slow", "p0") is None
         assert cache.get("cheap", "p-cheap") == "r-cheap"
 
-    def test_put_key_with_identity_participates_in_costing(self):
-        """The engine's distributed merge path attaches identities too."""
+    def test_put_identity_participates_in_costing(self):
+        """``put`` records each entry's identity, which weights eviction."""
         cost_model = self._cost_model(fast=0.001, slow=0.5)
         cache = ResponseCache(max_entries=2, cost_model=cost_model)
-        cache.put_key(cache_key("slow", "p1"), "r1", identity="slow")
-        cache.put_key(cache_key("fast", "p2"), "r2", identity="fast")
-        cache.put_key(cache_key("slow", "p3"), "r3", identity="slow")
+        cache.put("slow", "p1", "r1")
+        cache.put("fast", "p2", "r2")
+        cache.put("slow", "p3", "r3")
         assert cache.get("fast", "p2") is None
         assert cache.get("slow", "p1") == "r1"
 
@@ -346,21 +346,25 @@ class TestSegmentedPersistence:
         cache.save()
         assert ResponseCache(path=path).get("m", "p") == "new"
 
-    def test_snapshot_and_put_key_round_trip(self):
-        """The distributed executor path reads snapshots and merges raw keys."""
-        cache = ResponseCache()
-        cache.put("m", "p", "r")
-        snapshot = cache.snapshot_entries()
-        assert snapshot == {cache_key("m", "p"): "r"}
-        other = ResponseCache()
-        for key, response in snapshot.items():
-            other.put_key(key, response)
-        assert other.get("m", "p") == "r"
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\u0085"])
+    def test_unicode_line_separators_round_trip(self, tmp_path, separator):
+        """Segments are written unescaped; only ``\\n`` may end a line."""
+        path = tmp_path / "cache"
+        cache = ResponseCache(path=path)
+        cache.put("m", "p", f"a{separator}b")
+        cache.put("m", "q", "plain")
+        cache.save()
+        reloaded = ResponseCache(path=path)
+        assert reloaded.get("m", "p") == f"a{separator}b"
+        assert reloaded.get("m", "q") == "plain"
+        assert ResponseCache.store_stats(path)["live_entries"] == 2
 
 
 def _per_line_entries(segment):
-    """The per-line segment decode, kept as the reference for the bulk one."""
-    lines = segment.read_text(encoding="utf-8").splitlines()
+    """The per-line segment decode, kept as the reference for the bulk one.
+
+    Only ``\n`` ends a line: U+2028, U+2029 and U+0085 are written unescaped."""
+    lines = [line for line in segment.read_text(encoding="utf-8").split("\n") if line]
     header = json.loads(lines[0])
     assert header == {"format": "repro-response-cache", "version": 2}
     entries = {}
@@ -413,7 +417,7 @@ class TestSegmentDecode:
         ids=[
             "clean", "damaged-middle", "truncated-tail", "not-a-dict", "a-string",
             "missing-r", "non-str-key", "non-str-response", "blank-line",
-            "two-values-on-a-line", "line-split-inside-a-string",
+            "two-values-on-a-line", "line-separator-inside-a-string",
         ],
     )
     def test_matches_the_per_line_decode(self, tmp_path, damage):

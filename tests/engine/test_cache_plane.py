@@ -1,227 +1,17 @@
-"""The cache plane: snapshot broadcast, tiered eviction, the store.
+"""The cache plane: tiered eviction and the store.
 
-Layers under test, matching :mod:`repro.engine`'s cache plane:
-
-* :mod:`repro.engine.snapshot` — the temp-file broadcast a real process
-  pool loads once per worker per run and the parent deletes afterwards;
-* :class:`repro.engine.cache.ResponseCache` — byte budgets and TTL expiry
-  under the one cost-weighted LRU eviction rule, its segment scan
-  (:meth:`~repro.engine.cache.ResponseCache.store_stats`) and the
-  ``repro cache`` CLI over it, and persistence under I/O failure.
+Layers under test: :class:`repro.engine.cache.ResponseCache` — byte
+budgets and TTL expiry under the one cost-weighted LRU eviction rule, its
+segment scan (:meth:`~repro.engine.cache.ResponseCache.store_stats`) and
+the ``repro cache`` CLI over it, and persistence under I/O failure.
 """
 
-import os
-import pickle
-import subprocess
-import sys
-import textwrap
 import warnings
-from pathlib import Path
 
 import pytest
 
-import repro
-import repro.engine.snapshot as engine_snapshot
 from repro.__main__ import main
-from repro.engine import CostModel, ResponseCache, cache_key
-from repro.engine.snapshot import load_snapshot, publish_snapshot, retire_snapshot
-
-
-@pytest.fixture(autouse=True)
-def _clean_worker_memo():
-    yield
-    engine_snapshot._WORKER_SNAPSHOTS.clear()
-
-
-@pytest.fixture
-def snapshot_dir(tmp_path, monkeypatch):
-    """Publish into a private temp directory so leftovers are visible."""
-    monkeypatch.setattr("tempfile.tempdir", str(tmp_path))
-    return tmp_path
-
-
-class TestSnapshotFileCarrier:
-    def test_empty_snapshot(self, snapshot_dir):
-        published = publish_snapshot({})
-        try:
-            snapshot, loaded = load_snapshot(published.payload)
-            assert loaded is True
-            assert snapshot == {}
-            assert snapshot.get("anything", "default") == "default"
-        finally:
-            retire_snapshot(published)
-
-    def test_roundtrip_values(self, snapshot_dir):
-        entries = {"kb": "resp-β with ünïcode", "ka": "first", "kc": "", "ключ": "idé"}
-        published = publish_snapshot(entries)
-        try:
-            snapshot, loaded = load_snapshot(published.payload)
-            assert loaded is True
-            assert snapshot == entries
-            assert snapshot.get("missing") is None
-        finally:
-            retire_snapshot(published)
-
-    def test_roundtrip_hash_keyed_entries(self, snapshot_dir):
-        """The parent's real key shape: fixed-width hashes plus a stray key."""
-        entries = {cache_key("m", f"prompt {i}"): f"response {i}" for i in range(2058)}
-        entries["short-key"] = "short response"
-        published = publish_snapshot(entries)
-        try:
-            snapshot, _ = load_snapshot(published.payload)
-            assert snapshot == entries
-        finally:
-            retire_snapshot(published)
-
-    def test_nbytes_is_the_file_size(self, snapshot_dir):
-        published = publish_snapshot({f"k{i}": "ω" * (i + 1) for i in range(10)})
-        try:
-            path = published.payload[0]
-            assert Path(path).parent == snapshot_dir
-            assert published.nbytes == os.path.getsize(path) > 0
-        finally:
-            retire_snapshot(published)
-
-    def test_payload_ref_is_small_and_picklable(self, snapshot_dir):
-        """Only the ``(path, token)`` reference crosses the process
-        boundary, so its size does not grow with the entry count."""
-        small = publish_snapshot({"k": "v"})
-        large = publish_snapshot({f"k{i}": f"{i:0100d}" for i in range(1000)})
-        try:
-            assert pickle.loads(pickle.dumps(large.payload)) == large.payload
-            small_ref = len(pickle.dumps(small.payload))
-            large_ref = len(pickle.dumps(large.payload))
-            assert large_ref < 256 and abs(large_ref - small_ref) <= 8
-            assert large.nbytes > 100_000 > small.nbytes
-        finally:
-            retire_snapshot(small)
-            retire_snapshot(large)
-
-    def test_tokens_are_unique_per_publish(self, snapshot_dir):
-        first = publish_snapshot({"k": "v"})
-        second = publish_snapshot({"k": "v"})
-        try:
-            assert first.payload[1] != second.payload[1]
-            assert first.payload[1][0] == second.payload[1][0] == os.getpid()
-            assert first.payload[0] != second.payload[0]
-        finally:
-            retire_snapshot(first)
-            retire_snapshot(second)
-
-    def test_second_load_of_a_token_is_a_memo_hit(self, snapshot_dir):
-        published = publish_snapshot({cache_key("m", f"p{i}"): f"r{i}" for i in range(64)})
-        try:
-            snapshot, loaded = load_snapshot(published.payload)
-            assert loaded is True
-            again, loaded_again = load_snapshot(published.payload)
-            assert again is snapshot and loaded_again is False
-        finally:
-            retire_snapshot(published)
-
-    def test_memo_keeps_only_the_latest_snapshot(self, snapshot_dir):
-        first = publish_snapshot({"k": "old"})
-        second = publish_snapshot({"k": "new"})
-        try:
-            load_snapshot(first.payload)
-            snapshot, loaded = load_snapshot(second.payload)
-            assert loaded is True and snapshot == {"k": "new"}
-            assert list(engine_snapshot._WORKER_SNAPSHOTS) == [second.payload[1]]
-        finally:
-            retire_snapshot(first)
-            retire_snapshot(second)
-
-    def test_none_reference_loads_nothing(self):
-        assert load_snapshot(None) == (None, False)
-        assert engine_snapshot._WORKER_SNAPSHOTS == {}
-
-    def test_retire_deletes_the_file_and_is_idempotent(self, snapshot_dir):
-        published = publish_snapshot({"k": "v"})
-        path = published.payload[0]
-        assert os.path.exists(path)
-        retire_snapshot(published)
-        assert not os.path.exists(path)
-        assert list(snapshot_dir.iterdir()) == []
-        assert retire_snapshot(published) is None  # idempotent
-        assert retire_snapshot(None) is None  # uncached run
-
-    def test_worker_memo_outlives_retire(self, snapshot_dir):
-        """A worker that loaded before the parent retired keeps its dict;
-        a late first load finds the file gone."""
-        published = publish_snapshot({"k": "v"})
-        snapshot, _ = load_snapshot(published.payload)
-        retire_snapshot(published)
-        again, loaded = load_snapshot(published.payload)
-        assert again is snapshot and loaded is False
-        engine_snapshot._WORKER_SNAPSHOTS.clear()
-        with pytest.raises(FileNotFoundError):
-            load_snapshot(published.payload)
-
-    def test_publish_failure_removes_the_temp_file(self, snapshot_dir, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise OSError("disk full")
-
-        monkeypatch.setattr(engine_snapshot.pickle, "dump", refuse)
-        with pytest.raises(OSError, match="disk full"):
-            publish_snapshot({"k": "v"})
-        assert list(snapshot_dir.iterdir()) == []
-
-
-class TestSnapshotBroadcast:
-    def test_process_pool_loads_snapshot_once_per_worker(self):
-        """A cold then a warm ``--jobs 2`` process run over a cached engine:
-        each run loads the snapshot at most once per worker and deletes its
-        temp file when it ends, and the pool writes nothing to stderr (no
-        leaked-resource warnings at worker exit)."""
-        script = textwrap.dedent(
-            """
-            import os
-
-            import repro.engine.core as engine_core
-            from repro.engine import ExecutionEngine, ResponseCache, build_requests
-            from repro.eval.experiments import default_subset
-            from repro.llm.zoo import create_model
-            from repro.prompting.strategy import PromptStrategy
-
-            published = []
-            original = engine_core._publish_snapshot
-
-            def recording_publish(entries):
-                handle = original(entries)
-                published.append((handle.payload[0], len(entries)))
-                return handle
-
-            engine_core._publish_snapshot = recording_publish
-            jobs = 2
-            records = default_subset().records[:16]
-            with ExecutionEngine(
-                jobs=jobs, executor_kind="process", cache=ResponseCache(), batch_size=4
-            ) as engine:
-                for run in range(2):  # cold, then warm
-                    before = engine.telemetry.snapshot()["snapshot_loads"]
-                    engine.run(
-                        build_requests(create_model("gpt-4"), PromptStrategy.BP1, records)
-                    )
-                    loads = engine.telemetry.snapshot()["snapshot_loads"] - before
-                    assert 1 <= loads <= jobs, loads
-                    assert len(published) == run + 1
-                    path, size = published[-1]
-                    assert not os.path.exists(path), path
-                assert [size for _, size in published] == [0, len(records)]
-                assert engine.telemetry.snapshot()["model_calls"] == len(records)
-            """
-        )
-        src = str(Path(repro.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        completed = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
-        )
-        assert completed.returncode == 0, completed.stderr
-        assert completed.stderr == ""
+from repro.engine import CostModel, ResponseCache
 
 
 class TestTieredEviction:

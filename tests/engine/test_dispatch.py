@@ -1,4 +1,4 @@
-"""Completion-order dispatch, cost-model scheduling and broadcast-once shipping.
+"""Completion-order dispatch, cost-model scheduling and the process backend's cache.
 
 Three contracts are pinned here:
 
@@ -8,8 +8,10 @@ Three contracts are pinned here:
 * the engine's dispatch equivalence — completion-order merging, LPT
   ordering and adaptive chunk sizing never change results, only wall
   time;
-* the process-backend snapshot broadcast — the cache crosses the parent
-  boundary O(entries) per **run**, not per chunk.
+* every backend sends a prompt repeated across chunks to the model once,
+  as the serial one does: the process backend runs model chunks in
+  process, against the live response cache, and a chunk never starts
+  while an earlier one asking the same question is unfinished.
 """
 
 import threading
@@ -17,7 +19,6 @@ import time
 
 import pytest
 
-import repro.engine.core as engine_core
 from repro.engine import (
     AsyncExecutor,
     CostModel,
@@ -373,7 +374,6 @@ class _MapOnlyExecutor:
     """An executor without the completion-order contract (map only)."""
 
     name = "map-only"
-    distributed = False
 
     def map(self, fn, items):
         return [fn(item) for item in items]
@@ -509,118 +509,89 @@ class TestCostModelScheduling:
         assert chunks[0][0][1].model is fast  # plan order untouched
 
 
-class _RecordingDistributedExecutor(SerialExecutor):
-    """In-process stand-in for the process pool: picklable-payload contract
-    without the fork, so payloads and worker globals stay inspectable."""
+class TestRepeatedQuestions:
+    @pytest.mark.parametrize("kind", ["thread", "process", "async"])
+    def test_repeat_across_chunks_costs_one_model_call(self, records, kind):
+        """One record twice, in two chunks that would run at once: the later
+        chunk waits for the earlier one's responses, so every executor asks
+        the model as often as the serial one and gives the same responses."""
+        repeated = [records[0], records[1], records[2], records[0]]
 
-    name = "recording-distributed"
-    distributed = True
+        def run(**config):
+            model = create_model("gpt-4", latency_s=0.02)
+            with ExecutionEngine(cache=ResponseCache(), batch_size=2, **config) as engine:
+                store = engine.run(build_requests(model, PromptStrategy.BP1, repeated))
+                return store.responses(), engine.telemetry.snapshot()
 
-    def __init__(self):
-        super().__init__()
-        self.payloads = []
+        serial, serial_snap = run()
+        parallel, parallel_snap = run(executor_kind=kind, jobs=2)
+        assert serial_snap["model_calls"] == 3
+        assert parallel_snap["model_calls"] == serial_snap["model_calls"]
+        assert parallel_snap["cache_hits"] == serial_snap["cache_hits"] == 1
+        assert parallel == serial
 
-    def submit(self, fn, item):
-        self.payloads.append(item)
-        return super().submit(fn, item)
+    @pytest.mark.parametrize("retries", [0, 1])
+    @pytest.mark.parametrize("kind", ["thread", "async"])
+    def test_a_failed_ask_sends_its_waiters_back(self, records, kind, retries):
+        """The first call asking the shared record fails after the other
+        chunk has started to wait for it: the waiter asks for itself.  Fail
+        fast, the error propagates and the engine closes; with a retry, the
+        failed chunk finds that answer in the cache, and the run makes the
+        serial run's calls and gives its responses."""
+        from repro.engine import TransientModelError
+        from repro.llm.base import LanguageModel
 
+        class FirstCallFails(LanguageModel):
+            def __init__(self):
+                self.inner = create_model("gpt-4")
+                self.name, self.context_window = self.inner.name, self.inner.context_window
+                self.lock, self.calls = threading.Lock(), 0
 
-class TestBroadcastOnceSnapshot:
-    @pytest.fixture()
-    def publish_counter(self, monkeypatch):
-        """Record parent-side snapshot publications (the PublishedSnapshot handles)."""
-        published = []
-        original = engine_core._publish_snapshot
+            @property
+            def cache_identity(self):
+                return self.inner.cache_identity
 
-        def counting_publish(records, **kwargs):
-            handle = original(records, **kwargs)
-            published.append(handle)
-            return handle
+            def generate(self, prompt):
+                return self.inner.generate(prompt)
 
-        monkeypatch.setattr(engine_core, "_publish_snapshot", counting_publish)
-        return published
+            def generate_batch(self, prompts):
+                if any(shared in prompt for prompt in prompts):
+                    with self.lock:
+                        self.calls += 1
+                        first = self.calls == 1
+                    if first:
+                        time.sleep(0.1)  # the other chunk now waits for this answer
+                        raise TransientModelError("503")
+                return self.inner.generate_batch(prompts)
 
-    def test_snapshot_serialised_once_per_run_not_per_chunk(
-        self, records, publish_counter, tmp_path
-    ):
-        cache = ResponseCache()
-        for record in records:  # warm cache: the snapshot is non-trivial
-            cache.put("gpt-4", f"warm {record.name}", "yes")
-        executor = _RecordingDistributedExecutor()
-        engine = ExecutionEngine(executor=executor, cache=cache, batch_size=1)
-        engine.run(build_requests(create_model("gpt-4"), PromptStrategy.BP1, records))
-
-        assert len(executor.payloads) == len(records)  # batch_size=1 -> chunk per record
-        assert len(publish_counter) == 1, "snapshot must be published once per run"
-        ref = publish_counter[0].payload
-        for _, payload_ref in executor.payloads:
-            assert payload_ref == ref  # payloads carry only the tiny reference
-            assert not isinstance(payload_ref, dict)
-
-        # A second run republishes (entries changed) — still once.
-        engine.run(build_requests(create_model("gpt-4"), PromptStrategy.BP1, records))
-        assert len(publish_counter) == 2
-
-    def test_snapshot_resource_released_after_run(self, records, publish_counter):
-        import os
-
-        cache = ResponseCache()
-        cache.put("gpt-4", "warm", "yes")
-        engine = ExecutionEngine(
-            executor=_RecordingDistributedExecutor(), cache=cache, batch_size=4
+        repeated = [records[0], records[1], records[2], records[0]]
+        shared = records[0].trimmed_code
+        serial = ExecutionEngine(cache=ResponseCache(), batch_size=2).run(
+            build_requests(create_model("gpt-4"), PromptStrategy.BP1, repeated)
         )
-        engine.run(build_requests(create_model("gpt-4"), PromptStrategy.BP1, records))
-        locator, _token = publish_counter[0].payload
-        assert not os.path.exists(locator)
+        done = []
 
-    def test_worker_memo_keeps_only_latest_token(self, records, publish_counter):
-        cache = ResponseCache()
-        cache.put("gpt-4", "warm", "yes")
-        engine = ExecutionEngine(
-            executor=_RecordingDistributedExecutor(), cache=cache, batch_size=4
-        )
-        engine.run(build_requests(create_model("gpt-4"), PromptStrategy.BP1, records[:4]))
-        engine.run(build_requests(create_model("gpt-4"), PromptStrategy.BP1, records[:4]))
-        assert len(engine_core._WORKER_SNAPSHOTS) == 1
-        (token,) = engine_core._WORKER_SNAPSHOTS
-        assert token == publish_counter[-1].payload[1]
+        def run():
+            try:
+                with ExecutionEngine(
+                    cache=ResponseCache(), batch_size=2, executor_kind=kind, jobs=2,
+                    retries=retries, retry_base_ms=1,
+                ) as engine:
+                    model = FirstCallFails()
+                    store = engine.run(build_requests(model, PromptStrategy.BP1, repeated))
+                    done.append((store.responses(), engine.telemetry.snapshot()))
+            except BaseException as exc:  # reported by the assertion below
+                done.append(exc)
 
-    def test_telemetry_counts_publishes_and_attaches(self, records, publish_counter):
-        cache = ResponseCache()
-        cache.put("gpt-4", "warm", "yes")
-        engine = ExecutionEngine(
-            executor=_RecordingDistributedExecutor(), cache=cache, batch_size=4
-        )
-        engine.run(build_requests(create_model("gpt-4"), PromptStrategy.BP1, records))
-        snap = engine.telemetry.snapshot()
-        assert snap["broadcast_publishes"] == 1
-        assert snap["broadcast_bytes"] == publish_counter[0].nbytes > 0
-        # One real load (the in-process recording executor is a single
-        # "worker"); the memo absorbs the other chunks.
-        assert snap["snapshot_loads"] == 1
-        assert "broadcast=1 publishes" in engine.telemetry.format_stats()
-
-    def test_uncached_run_publishes_nothing(self, records, publish_counter):
-        engine = ExecutionEngine(executor=_RecordingDistributedExecutor(), batch_size=4)
-        counts = engine.run_counts(
-            build_requests(create_model("gpt-4"), PromptStrategy.BP1, records)
-        )
-        assert counts.total == len(records)
-        assert publish_counter == []
-
-    def test_distributed_results_match_serial_with_warm_cache(self, records):
-        """The broadcast path returns the same store as the in-process path."""
-        reference_engine = ExecutionEngine(cache=ResponseCache())
-        reference = reference_engine.run(
-            build_requests(create_model("gpt-4"), PromptStrategy.BP1, records)
-        )
-        cache = ResponseCache()
-        engine = ExecutionEngine(
-            executor=_RecordingDistributedExecutor(), cache=cache, batch_size=3
-        )
-        first = engine.run(build_requests(create_model("gpt-4"), PromptStrategy.BP1, records))
-        second = engine.run(build_requests(create_model("gpt-4"), PromptStrategy.BP1, records))
-        assert first.responses() == reference.responses()
-        assert second.responses() == reference.responses()
-        # The deltas merged back made the second run hit the snapshot.
-        assert engine.telemetry.snapshot()["cache_hits"] == len(records)
+        worker = threading.Thread(target=run, daemon=True)
+        worker.start()
+        worker.join(timeout=30)
+        assert done, "a chunk kept waiting for a prompt whose ask failed"
+        if not retries:
+            assert isinstance(done[0], TransientModelError)
+            return
+        assert not isinstance(done[0], BaseException), done[0]
+        responses, snap = done[0]
+        assert responses == serial.responses()
+        assert snap["retries"] == 1 and snap["failed_requests"] == 0
+        assert snap["model_calls"] == 3

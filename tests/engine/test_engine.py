@@ -1,6 +1,7 @@
 """Engine mechanics: batching, cache accounting, telemetry, generate_batch."""
 
 import asyncio
+import os
 
 import pytest
 
@@ -43,6 +44,10 @@ class TestGenerateBatch:
 def _square(x):
     """Module-level so the process pool can pickle it."""
     return x * x
+
+
+def _pid(_item):
+    return os.getpid()
 
 
 class TestExecutors:
@@ -95,8 +100,18 @@ class TestExecutors:
     def test_process_map_preserves_order(self):
         items = list(range(40))
         with ProcessPoolExecutor(jobs=3) as pool:
-            assert pool.distributed
             assert pool.map(_square, items) == [x * x for x in items]
+
+    def test_process_map_runs_in_worker_processes(self):
+        """``map`` crosses into worker processes; ``submit`` (model chunks)
+        stays on threads of this process.  ``close`` shuts both pools."""
+        pool = ProcessPoolExecutor(jobs=2)
+        try:
+            assert os.getpid() not in pool.map(_pid, range(4))
+            assert pool.submit(_pid, 0).result() == os.getpid()
+        finally:
+            pool.close()
+        assert pool._pool is None and pool._processes is None
 
     def test_async_map_preserves_order(self):
         items = list(range(40))
@@ -362,7 +377,6 @@ class TestTelemetryTable:
         "requests", "model_calls", "wire_calls", "cache_hits", "cache_misses",
         "cache_hit_rate", "runs", "wall_time_s", "requests_per_second",
         "async_inflight_peak", "resident_requests_peak", "peak_rss_kb",
-        "broadcast_publishes", "broadcast_bytes", "snapshot_loads",
         "speculation_launched", "speculation_won", "speculation_wasted",
         "failed_requests", "retries", "retry_giveups", "breaker_opens",
         "breaker_reroutes", "breaker_short_circuits", "journal_hits",

@@ -288,11 +288,8 @@ class TestRunJournal:
 
 # -- chaos equivalence ------------------------------------------------------------
 
-# Per the ChaosAdapter pigeonhole guarantee, ``retries >= jobs *
-# fail_attempts`` suffices for recovery; every config here keeps
-# jobs * fail_attempts <= 3 for the process pool (single-process
-# backends share one attempt registry, so fail_attempts alone bounds
-# them).
+# Every backend runs model chunks in one process, which shares one chaos
+# attempt registry, so ``retries >= fail_attempts`` suffices for recovery.
 def _warm_cost_model(seconds_per_request: float = 1e-5) -> CostModel:
     cost_model = CostModel()
     for _ in range(3):

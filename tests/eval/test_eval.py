@@ -121,6 +121,22 @@ class TestExperimentDrivers:
         with pytest.raises(ValueError):
             run_finetune_crossval(tiny_dataset, "llama2-7b", kind="bogus")
 
+    @pytest.mark.parametrize(
+        "builder", ["plan_table2", "plan_table3", "plan_table4", "plan_table5", "plan_table6"]
+    )
+    def test_empty_dataset_plans_no_request(self, builder):
+        """An empty dataset is planned as given, not replaced by the default
+        subset; Tables 4 and 6 build their requests in ``prepare``."""
+        import repro.eval.experiments as experiments
+        from repro.engine import ExecutionEngine
+
+        plan = getattr(experiments, builder)(DRBMLDataset(records=[]))
+        with ExecutionEngine() as engine:
+            if plan.prepare is not None:
+                plan.prepare(engine)
+            assert plan.requests == []
+            assert engine.telemetry.snapshot()["requests"] == 0
+
     def test_reporting_formats(self):
         row = PromptEvaluationRow(
             model="gpt-4", prompt="BP1", counts=ConfusionCounts(tp=1, fp=2, tn=3, fn=4)
