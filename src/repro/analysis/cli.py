@@ -211,7 +211,12 @@ def _load_inputs(
         for record in build_corpus(CorpusConfig()):
             items.append((record.name, record.code))
     for name in files:
-        items.append((name, Path(name).read_text(encoding="utf-8")))
+        try:
+            code = Path(name).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            exc.reason += f" in {name}"  # the codec's message names no file
+            raise
+        items.append((name, code))
     return items
 
 
@@ -279,7 +284,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     try:
         items = _load_inputs(args.files, use_corpus=args.corpus)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         parser.error(str(exc))
 
     results = run_analyze(items, jobs=args.jobs)

@@ -109,3 +109,14 @@ def test_parallel_fanout_preserves_input_order(racy_file, clean_file):
 def test_no_inputs_is_a_usage_error():
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_non_utf8_file_is_a_usage_error_naming_the_file(tmp_path, clean_file, capsys):
+    bad = tmp_path / "bad.c"
+    bad.write_bytes(b"\xff\xfeint main() { return 0; }\n")
+    with pytest.raises(SystemExit) as excinfo:
+        main([str(bad), clean_file])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "bad.c" in err
+    assert "Traceback" not in err
